@@ -167,8 +167,8 @@ ci-fleet:
 # ci-faults forces every durability claim the store makes through the
 # fault-injecting filesystem (internal/store/errfs) under the race detector:
 # torn writes, ENOSPC mid-save, writers killed between temp-write, fsync and
-# rename, crashes at every step of segment compaction, budget-driven
-# eviction, degradation to read-only/compute-only and probe-driven recovery —
+# rename, budget-driven eviction, the startup sweep of stores older versions
+# wrote, degradation to read-only/compute-only and probe-driven recovery —
 # plus the engine plumbing (byte-identical XML under a byte budget and
 # against a dead store) and the /healthz + /metrics degradation surface.
 ci-faults:

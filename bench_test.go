@@ -302,9 +302,9 @@ func BenchmarkCharacterizeCache(b *testing.B) {
 			run(b, dir)
 		}
 	})
-	// incremental: the whole-ISA entry and two per-variant entries are
-	// evicted before every run, so each iteration re-measures exactly two
-	// variants and serves the rest from the per-variant tier.
+	// incremental: two per-variant entries are evicted before every run, so
+	// each iteration re-measures exactly two variants and serves the rest
+	// from the per-variant tier.
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		dir := b.TempDir()
@@ -317,14 +317,10 @@ func BenchmarkCharacterizeCache(b *testing.B) {
 			variants := 0
 			for _, ent := range entries {
 				name := ent.Name()
-				if strings.HasPrefix(name, "variant-") {
-					if variants == 2 {
-						continue
-					}
-					variants++
-				} else if !strings.HasPrefix(name, "result-") {
+				if !strings.HasPrefix(name, "variant-") || variants == 2 {
 					continue
 				}
+				variants++
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
 					b.Fatal(err)
 				}

@@ -14,11 +14,11 @@
 // split between the two levels. The -backend flag selects the measurement
 // backend (the execution substrate) from the registry; -backends lists the
 // registered backends and exits. The -cache flag points at a persistent
-// result store: discovered blocking sets, whole-ISA results and individual
-// per-variant measurements are reused across invocations (keyed by the
-// backend fingerprint among other inputs), corrupt or stale entries silently
-// fall back to recomputation, and a partially evicted store re-measures only
-// the missing variants. The output XML is byte-identical regardless of -j
+// result store: discovered blocking sets and individual per-variant
+// measurements are reused across invocations (keyed by the backend
+// fingerprint among other inputs), corrupt or stale entries silently fall
+// back to recomputation, and a partially evicted store re-measures only the
+// missing variants. The output XML is byte-identical regardless of -j
 // and of cache state: results are merged deterministically and sorted before
 // writing.
 package main
@@ -205,7 +205,7 @@ func run(args []string, stdout io.Writer, logger *log.Logger) error {
 
 	if cfg.verbose {
 		st := eng.Stats()
-		logger.Printf("backend %s version %s: %d result hits, %d variant hits, %d variants measured, %d blocking hits, %d save errors",
+		logger.Printf("backend %s version %s: %d runs served from the store, %d variant hits, %d variants measured, %d blocking hits, %d save errors",
 			eng.Backend().Name(), eng.Backend().Version(),
 			st.ResultHits, st.VariantHits, st.VariantsMeasured, st.BlockingHits, st.SaveErrors)
 	}

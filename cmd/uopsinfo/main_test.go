@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,14 +137,32 @@ func TestCacheColdWarmByteIdentical(t *testing.T) {
 }
 
 // TestCacheIncrementalEviction is the command-level incremental-cache
-// guarantee (mixed warm/cold): after evicting the whole-ISA entry and a
-// strict subset of the per-variant entries, a warm run — which re-measures
-// only the evicted variants and serves the rest from the store — must emit
-// XML byte-identical to the cold run, for worker counts 1, 4 and NumCPU.
+// guarantee (mixed warm/cold): the cache holds one blocking entry and one
+// file per variant, and after evicting a strict subset of the per-variant
+// files, a warm run — which re-measures only the evicted variants and serves
+// the rest from the store — must emit XML byte-identical to the cold run,
+// for worker counts 1, 4 and NumCPU.
 func TestCacheIncrementalEviction(t *testing.T) {
 	cache := t.TempDir()
 	only := "ADD_R64_R64,IMUL_R64_R64,PXOR_XMM_XMM,MOV_R64_M64,DIV_R64"
 	cold := runPipeline(t, "-arch", "Skylake", "-only", only, "-j", "4", "-cache", cache)
+
+	requireLayout := func() {
+		t.Helper()
+		entries, err := os.ReadDir(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		for _, ent := range entries {
+			kind, _, _ := strings.Cut(ent.Name(), "-")
+			kinds[kind]++
+		}
+		if want := map[string]int{"blocking": 1, "variant": 5}; !reflect.DeepEqual(kinds, want) {
+			t.Errorf("cache holds %v entries by kind, want %v", kinds, want)
+		}
+	}
+	requireLayout()
 
 	evict := func(prefix string, max int) int {
 		t.Helper()
@@ -166,10 +185,7 @@ func TestCacheIncrementalEviction(t *testing.T) {
 
 	for _, j := range []int{1, 4, runtime.NumCPU()} {
 		// Each iteration starts from the fully warm store the previous run
-		// left behind and evicts the whole-ISA result plus two variants.
-		if n := evict("result", -1); n == 0 {
-			t.Fatal("no whole-ISA result entry to evict")
-		}
+		// left behind and evicts two variants.
 		if n := evict("variant", 2); n != 2 {
 			t.Fatalf("evicted %d per-variant entries, want 2", n)
 		}
@@ -178,6 +194,7 @@ func TestCacheIncrementalEviction(t *testing.T) {
 			t.Errorf("-j %d: incrementally warmed output differs from the cold run (%d vs %d bytes)",
 				j, len(warm), len(cold))
 		}
+		requireLayout()
 	}
 }
 

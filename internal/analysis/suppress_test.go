@@ -67,6 +67,11 @@ func missingReason() {
 func missingEverything() {
 	bad() //uopslint:ignore
 }
+
+func noSpace() {
+	bad()//uopslint:ignore toylint deliberate test call
+	bad()
+}
 `
 
 // checkFixture type-checks suppressSrc in memory and runs it through the
@@ -178,7 +183,8 @@ func TestSuppression(t *testing.T) {
 
 	// Valid suppressions leave no findings behind: trailing on its own
 	// line, standalone covering the next line, and the first call of the
-	// two-call function.
+	// two-call function. The no-space trailing case is pinned by
+	// TestOwnLineNoSpaceBeforeComment.
 	for _, line := range []int{
 		fixtureLine(t, "func trailing", 0) + 1,
 		fixtureLine(t, "func standalone()", 0) + 2,
@@ -189,11 +195,31 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 
-	// Exactly the expected number of findings: 5 toylint + 3 malformed.
-	if len(findings) != 8 {
-		t.Errorf("got %d findings, want 8:", len(findings))
+	// Exactly the expected number of findings: 6 toylint + 3 malformed.
+	if len(findings) != 9 {
+		t.Errorf("got %d findings, want 9:", len(findings))
 		for _, f := range findings {
 			t.Logf("  %s", f)
 		}
+	}
+}
+
+// TestOwnLineNoSpaceBeforeComment pins the trailing-directive case where the
+// comment directly abuts the code with no separating space (the noSpace
+// fixture): the directive must parse as trailing, covering its own line and
+// leaving the next call reported. Misparsed as standalone, it would flip both.
+func TestOwnLineNoSpaceBeforeComment(t *testing.T) {
+	toy := make(map[int]bool)
+	for _, f := range checkFixture(t) {
+		if f.Analyzer == "toylint" {
+			toy[f.Pos.Line] = true
+		}
+	}
+	noSpace := fixtureLine(t, "func noSpace", 0)
+	if toy[noSpace+1] {
+		t.Errorf("toylint finding at line %d: a directive abutting the call must suppress it", noSpace+1)
+	}
+	if !toy[noSpace+2] {
+		t.Errorf("missing toylint finding at line %d (call after a no-space trailing directive)", noSpace+2)
 	}
 }

@@ -44,10 +44,10 @@ type Config struct {
 	// core.DefaultWorkers() (one worker per CPU).
 	Workers int
 	// CacheDir, if non-empty, enables the persistent result store rooted at
-	// that directory: discovered blocking sets, whole-ISA results and
-	// per-variant measurements are reused across process runs. Misses fall
-	// through to recomputation; corrupt entries additionally get counted and
-	// quarantined (see Stats.Store).
+	// that directory: discovered blocking sets and per-variant measurements
+	// are reused across process runs. Misses fall through to recomputation;
+	// corrupt entries additionally get counted and quarantined (see
+	// Stats.Store).
 	CacheDir string
 	// StoreMaxBytes and StoreMaxFiles, when positive, bound the persistent
 	// store: past a budget, whole cold digests are evicted
@@ -89,7 +89,9 @@ type Stats struct {
 	// BlockingHits and BlockingMisses count blocking-set store lookups.
 	BlockingHits   int `json:"blockingHits"`
 	BlockingMisses int `json:"blockingMisses"`
-	// ResultHits and ResultMisses count whole-ISA result store lookups.
+	// ResultHits counts store-backed runs answered wholly from the
+	// per-variant tier (nothing measured, no stack built); ResultMisses
+	// counts store-backed runs that measured at least one variant.
 	ResultHits   int `json:"resultHits"`
 	ResultMisses int `json:"resultMisses"`
 	// VariantHits is the number of per-variant records served from the
@@ -127,8 +129,8 @@ type Stats struct {
 	// drives one (the "remote" backend); nil otherwise.
 	Fleet *measure.FleetStats `json:"fleet,omitempty"`
 	// Store carries the persistent store's lifecycle state (per-tier sizes,
-	// degradation mode, corruption/quarantine/eviction/compaction counters)
-	// when a store is configured; nil otherwise.
+	// degradation mode, corruption/quarantine/eviction counters) when a store
+	// is configured; nil otherwise.
 	Store *store.Stats `json:"store,omitempty"`
 }
 
@@ -656,9 +658,11 @@ type RunOptions struct {
 	Progress func(done, total int, name string)
 }
 
-// scope derives the whole-ISA result-store scope string for the run:
-// everything that changes the result (and nothing that does not — worker
-// counts and progress callbacks are excluded by the determinism guarantee).
+// scope derives the run's digest scope (see RunDigest): everything that
+// changes the result (and nothing that does not — worker counts and progress
+// callbacks are excluded by the determinism guarantee). The string is part
+// of every run digest, and so of every ETag the service has handed out:
+// editing it, "result" prefix included, invalidates them all.
 func (o RunOptions) scope() string {
 	return fmt.Sprintf("result skipLatency=%v skipPortUsage=%v skipThroughput=%v only=%s",
 		o.SkipLatency, o.SkipPortUsage, o.SkipThroughput, strings.Join(o.Only, ","))
@@ -666,7 +670,8 @@ func (o RunOptions) scope() string {
 
 // variantScope derives the per-variant store scope: like scope, but without
 // the variant selection, so runs over different subsets share per-variant
-// entries (that sharing is the point of the incremental tier).
+// entries (that sharing is the point of the incremental tier). Editing it
+// orphans every stored variant file.
 func (o RunOptions) variantScope() string {
 	return fmt.Sprintf("variant skipLatency=%v skipPortUsage=%v skipThroughput=%v",
 		o.SkipLatency, o.SkipPortUsage, o.SkipThroughput)
@@ -699,21 +704,19 @@ func selection(arch *uarch.Arch, only []string) (names []string, missing string)
 
 // CharacterizeArch runs (or loads from the store) the characterization of
 // one generation. It is CharacterizeArchContext without cancellation; see
-// there for the store tiers and the coalescing of concurrent identical
-// queries.
+// there for the store and the coalescing of concurrent identical queries.
 func (e *Engine) CharacterizeArch(gen uarch.Generation, opts RunOptions) (*core.ArchResult, error) {
 	return e.CharacterizeArchContext(context.Background(), gen, opts)
 }
 
 // CharacterizeArchContext runs (or loads from the store) the
-// characterization of one generation. The store is consulted in two tiers:
-// an exact whole-ISA hit is returned without building a characterizer at
-// all; otherwise the per-variant tier supplies every already-measured
-// variant and only the missing ones are scheduled (sharded across the worker
-// budget) through the scheduler's resume entry point. Newly measured
-// variants, the updated per-variant index and the merged whole-ISA result
-// are persisted for the next invocation. The merged result is byte-identical
-// to a cold run for any worker count and any warm/cold mix.
+// characterization of one generation. The store's per-variant tier supplies
+// every already-measured variant: when it covers the whole selection, the
+// result is merged without building a characterizer at all; otherwise only
+// the missing variants are scheduled (sharded across the worker budget)
+// through the scheduler's resume entry point, and the newly measured ones
+// are persisted for the next invocation. The merged result is
+// byte-identical to a cold run for any worker count and any warm/cold mix.
 //
 // Concurrent identical queries — same generation, same options, so the same
 // store digest — are coalesced singleflight-style: the first request
@@ -787,20 +790,11 @@ func (e *Engine) CharacterizeArchContext(ctx context.Context, gen uarch.Generati
 }
 
 // characterizeArch is the uncoalesced body of CharacterizeArchContext: the
-// two store tiers, the resume scheduling of missing variants, and the
-// persistence of what was measured. It publishes phase transitions and
+// per-variant store probe, the resume scheduling of missing variants, and
+// the persistence of what was measured. It publishes phase transitions and
 // measured records on the flight for FlightProgress/FlightRecords observers.
 func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) (*core.ArchResult, error) {
 	gen := arch.Gen()
-	rkey := e.key(arch, opts.scope())
-	if e.st != nil {
-		if res, ok := e.st.LoadResult(rkey); ok {
-			e.count(func(s *Stats) { s.ResultHits++ })
-			return res, nil
-		}
-		e.count(func(s *Stats) { s.ResultMisses++ })
-	}
-
 	// An unresolvable selection fails here, before any stack build: paying
 	// minutes of blocking discovery to have the scheduler reject a typo is
 	// not production-shaped.
@@ -810,19 +804,14 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) 
 	}
 
 	var vdig store.Digest
-	partial := make(map[string]*core.InstrResult)
+	var partial map[string]*core.InstrResult
 	if e.st != nil {
 		// The variant-tier digest is computed once: deriving each
 		// per-variant filename from it is O(1), so probing (and later
 		// persisting) N variants does not re-hash the N-variant universe N
 		// times.
 		vdig = e.key(arch, opts.variantScope()).Digest()
-		// LoadVariants resolves the whole selection through the index in one
-		// pass: loose records read individually, packed records read with one
-		// I/O per touched segment file.
-		for name, rec := range e.st.LoadVariants(vdig, names) {
-			partial[name] = rec
-		}
+		partial = e.st.LoadVariants(vdig, names)
 		e.count(func(s *Stats) { s.VariantHits += len(partial) })
 
 		// Full per-variant coverage: merge without building a characterizer
@@ -840,10 +829,11 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) 
 				for _, name := range names {
 					res.Results[name] = partial[name]
 				}
-				e.saved(e.st.SaveResult(rkey, res))
+				e.count(func(s *Stats) { s.ResultHits++ })
 				return res, nil
 			}
 		}
+		e.count(func(s *Stats) { s.ResultMisses++ })
 	}
 
 	workers := opts.Workers
@@ -883,31 +873,19 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) 
 	e.count(func(s *Stats) { s.VariantsMeasured += len(res.Results) - len(partial) })
 	if e.st != nil {
 		e.persistVariants(vdig, res, partial)
-		e.saved(e.st.SaveResult(rkey, res))
 	}
 	return res, nil
 }
 
-// persistVariants writes the newly measured per-variant records and adds
-// them to the per-variant index. Only the new names are handed to the store:
-// SaveVariantIndex merges them with the on-disk index under a per-digest
-// lock, so concurrent runs — on this engine, on another engine, or in
-// another uopsd handler sharing the cache directory — never lose each
-// other's entries.
+// persistVariants writes the newly measured per-variant records, one file
+// each. Every variant is its own entry, so concurrent runs — on this engine,
+// on another engine, or in another uopsd handler sharing the cache
+// directory — never lose each other's entries.
 func (e *Engine) persistVariants(vdig store.Digest, res *core.ArchResult, partial map[string]*core.InstrResult) {
-	add := store.NewVariantIndex()
 	for name, rec := range res.Results {
-		if partial[name] != nil {
-			continue
+		if partial[name] == nil {
+			e.saved(e.st.SaveVariant(vdig, name, rec))
 		}
-		if err := e.st.SaveVariant(vdig, name, rec); err != nil {
-			e.saved(err)
-			continue
-		}
-		add.Entries[name] = true
-	}
-	if len(add.Entries) > 0 {
-		e.saved(e.st.SaveVariantIndex(vdig, add))
 	}
 }
 

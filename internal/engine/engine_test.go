@@ -22,7 +22,7 @@ import (
 var testOnly = []string{"ADD_R64_R64", "IMUL_R64_R64", "PXOR_XMM_XMM", "MOV_R64_M64"}
 
 // storeFiles lists the store files of one kind (filenames are
-// "<kind>-<hash>.json").
+// "<kind>-<digest prefix>-<hash>.json").
 func storeFiles(t *testing.T, dir, kind string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -83,19 +83,9 @@ func TestEngineCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A cold run fills all three tiers: the blocking set, the whole-ISA
-	// result, one entry per variant, and the per-variant index.
-	wantEntries := map[string]int{
-		store.KindBlocking:     1,
-		store.KindResult:       1,
-		store.KindVariant:      len(testOnly),
-		store.KindVariantIndex: 1,
-	}
-	for kind, want := range wantEntries {
-		if got := len(storeFiles(t, dir, kind)); got != want {
-			t.Errorf("cache dir has %d %s entries after a cold run, want %d", got, kind, want)
-		}
-	}
+	// A cold run writes two kinds of entries and nothing else: the blocking
+	// set and one file per variant.
+	requireLayout(t, dir, len(testOnly))
 
 	t.Run("warm result is byte-identical", func(t *testing.T) {
 		for _, workers := range []int{1, 4} {
@@ -176,11 +166,29 @@ func TestEngineCache(t *testing.T) {
 	})
 }
 
+// requireLayout asserts the store directory holds exactly one blocking entry
+// and variants per-variant entries.
+func requireLayout(t *testing.T, dir string, variants int) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocking, variant := len(storeFiles(t, dir, store.KindBlocking)), len(storeFiles(t, dir, store.KindVariant))
+	if blocking != 1 || variant != variants || len(entries) != blocking+variant {
+		names := make([]string, len(entries))
+		for i, ent := range entries {
+			names[i] = ent.Name()
+		}
+		t.Errorf("cache dir holds %v, want 1 blocking entry and %d variant entries only", names, variants)
+	}
+}
+
 // TestIncrementalVariantCache is the engine-level acceptance test for the
-// per-variant tier: after evicting the whole-ISA entry and a strict subset
-// of per-variant entries, a warm run re-measures only the missing variants
-// (observable via Stats) and emits XML byte-identical to the cold run, for
-// worker counts 1, 4 and NumCPU.
+// per-variant tier: after evicting a strict subset of per-variant entries, a
+// warm run re-measures only the missing variants (observable via Stats) and
+// emits XML byte-identical to the cold run, for worker counts 1, 4 and
+// NumCPU.
 func TestIncrementalVariantCache(t *testing.T) {
 	dir := t.TempDir()
 	opts := RunOptions{Only: testOnly}
@@ -192,11 +200,9 @@ func TestIncrementalVariantCache(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		// Evict the whole-ISA result (so the run reaches the per-variant
-		// tier) and a strict subset — two — of the per-variant entries. The
+		// Evict a strict subset — two — of the per-variant entries. The
 		// previous iteration re-filled the store, so each pass starts from a
 		// fully warm state.
-		removeFiles(t, dir, storeFiles(t, dir, store.KindResult))
 		variants := storeFiles(t, dir, store.KindVariant)
 		if len(variants) != len(testOnly) {
 			t.Fatalf("store has %d variant entries, want %d", len(variants), len(testOnly))
@@ -229,14 +235,14 @@ func TestIncrementalVariantCache(t *testing.T) {
 // TestFullVariantHitSkipsStackBuild checks the merge-only warm path: when
 // every requested variant is served by the per-variant tier, the engine
 // must not build a characterizer at all — no runner construction and no
-// blocking discovery — even with the whole-ISA and blocking entries gone.
+// blocking discovery — even with the blocking entry gone.
 func TestFullVariantHitSkipsStackBuild(t *testing.T) {
 	dir := t.TempDir()
 	opts := RunOptions{Only: testOnly}
 	cold := mustNew(t, Config{Workers: 4, CacheDir: dir})
 	coldXML := renderXML(t, cold, opts)
+	requireLayout(t, dir, len(testOnly))
 
-	removeFiles(t, dir, storeFiles(t, dir, store.KindResult))
 	removeFiles(t, dir, storeFiles(t, dir, store.KindBlocking))
 
 	warm := mustNew(t, Config{
@@ -253,12 +259,15 @@ func TestFullVariantHitSkipsStackBuild(t *testing.T) {
 	if st.VariantsMeasured != 0 || st.VariantHits != len(testOnly) {
 		t.Errorf("stats = %+v, want 0 measured and %d hits", st, len(testOnly))
 	}
+	if st.ResultHits != 1 || st.ResultMisses != 0 {
+		t.Errorf("stats = %+v, want the run counted as 1 result hit and 0 misses", st)
+	}
 	if len(warm.chars) != 0 {
 		t.Errorf("engine built %d characterizer stacks, want none", len(warm.chars))
 	}
-	// The merged result was re-saved as a whole-ISA entry for the fast path.
-	if got := len(storeFiles(t, dir, store.KindResult)); got != 1 {
-		t.Errorf("merge did not re-save the whole-ISA entry (%d result files)", got)
+	// The merge wrote nothing: the variant files are the whole answer.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(testOnly) {
+		t.Errorf("merge-only run left %d files (err %v), want the %d variant files", len(entries), err, len(testOnly))
 	}
 }
 

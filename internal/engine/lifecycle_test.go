@@ -55,6 +55,32 @@ func TestRunDigestIdentity(t *testing.T) {
 	}
 }
 
+// TestStoreIdentityGolden pins absolute identities under the default
+// configuration: one run digest (the service's ETag) and one per-variant
+// filename. TestRunDigestIdentity only checks identities relative to each
+// other, so a store.Version bump or an edit of a scope string — either of
+// which orphans every deployed store and ETag — would pass it silently.
+// Changing the default backend's version or the Skylake variant set moves
+// these values too, deliberately.
+func TestStoreIdentityGolden(t *testing.T) {
+	e := mustNew(t, Config{})
+	const (
+		wantDigest = "9ceaeb7efaa721c069189f1c168f904e055086b22a6407d0c05d7b02c991ba6f"
+		wantFile   = "variant-10a915ccfe47c31b-aec0dffd1680d283.json"
+	)
+	d, err := e.RunDigest(uarch.Skylake, RunOptions{Only: []string{"ADD_R64_R64"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.String(); got != wantDigest {
+		t.Errorf("Skylake ADD_R64_R64 run digest = %s, want %s", got, wantDigest)
+	}
+	vdig := e.key(uarch.Get(uarch.Skylake), RunOptions{}.variantScope()).Digest()
+	if got := vdig.VariantFilename("ADD_R64_R64"); got != wantFile {
+		t.Errorf("Skylake ADD_R64_R64 variant file = %s, want %s", got, wantFile)
+	}
+}
+
 // TestDrainIdle checks Drain returns immediately when nothing is in flight.
 func TestDrainIdle(t *testing.T) {
 	e := mustNew(t, Config{})

@@ -42,9 +42,9 @@ func (s *Service) metrics() []metric {
 		{name: "uopsd_engine_coalesced_waiters_total", typ: "counter",
 			help: "Requests that attached to an in-flight identical run.", value: float64(es.CoalescedWaiters)},
 		{name: "uopsd_engine_result_hits_total", typ: "counter",
-			help: "Whole-ISA result store hits.", value: float64(es.ResultHits)},
+			help: "Store-backed runs answered wholly from stored per-variant records.", value: float64(es.ResultHits)},
 		{name: "uopsd_engine_result_misses_total", typ: "counter",
-			help: "Whole-ISA result store misses.", value: float64(es.ResultMisses)},
+			help: "Store-backed runs that measured at least one variant.", value: float64(es.ResultMisses)},
 		{name: "uopsd_engine_blocking_hits_total", typ: "counter",
 			help: "Blocking-set store hits.", value: float64(es.BlockingHits)},
 		{name: "uopsd_engine_blocking_misses_total", typ: "counter",
@@ -142,10 +142,6 @@ func (s *Service) metrics() []metric {
 				help: "Files removed by budget eviction.", value: float64(st.EvictedFiles)},
 			metric{name: "uopsd_store_evicted_bytes_total", typ: "counter",
 				help: "Bytes reclaimed by budget eviction.", value: float64(st.EvictedBytes)},
-			metric{name: "uopsd_store_compactions_total", typ: "counter",
-				help: "Per-variant tier compactions into packed segment files.", value: float64(st.Compactions)},
-			metric{name: "uopsd_store_compacted_files_total", typ: "counter",
-				help: "Loose per-variant files packed into segments.", value: float64(st.CompactedFiles)},
 			metric{name: "uopsd_store_swept_debris_total", typ: "counter",
 				help: "Debris files collected by startup integrity sweeps.", value: float64(st.SweptDebris)},
 			metric{name: "uopsd_store_saves_suppressed_total", typ: "counter",
@@ -156,9 +152,7 @@ func (s *Service) metrics() []metric {
 			stats store.TierStats
 		}{
 			{"blocking", st.Blocking},
-			{"result", st.Result},
 			{"variant", st.Variant},
-			{"segment", st.Segment},
 		}
 		for _, pt := range perTier {
 			ms = append(ms, metric{name: "uopsd_store_bytes", typ: "gauge",

@@ -346,8 +346,8 @@ func TestNewRequiresEngine(t *testing.T) {
 
 // TestOnlyIsCanonicalized checks that equivalent ?only spellings — permuted
 // order, duplicated names — resolve to one engine digest: the second request
-// is a whole-ISA store hit, nothing is measured twice, and the bodies are
-// byte-identical.
+// is answered wholly from the store, nothing is measured twice, and the
+// bodies are byte-identical.
 func TestOnlyIsCanonicalized(t *testing.T) {
 	svc, eng := newTestService(t, engine.Config{CacheDir: t.TempDir()})
 	code, first := get(t, svc, "/v1/arch/skylake?only=PXOR_XMM_XMM,ADD_R64_R64")

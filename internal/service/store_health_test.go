@@ -67,13 +67,18 @@ func TestMetricsExposeStoreLifecycle(t *testing.T) {
 		"uopsd_store_corrupt_total 0",
 		"uopsd_store_quarantined_total 0",
 		"uopsd_store_evicted_bytes_total 0",
-		"uopsd_store_compactions_total 0",
 		"uopsd_store_saves_suppressed_total",
 		`uopsd_store_bytes{tier="variant"}`,
 		`uopsd_store_files{tier="blocking"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics is missing %q", want)
+		}
+	}
+	// The store keeps two kinds of entries and never compacts.
+	for _, gone := range []string{"uopsd_store_compact", `tier="result"`, `tier="segment"`} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still exposes %q", gone)
 		}
 	}
 }

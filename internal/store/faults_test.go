@@ -2,12 +2,11 @@ package store
 
 // Fault-injection suite: every durability claim the store makes is forced
 // here through errfs rather than asserted. The torn write, the full disk,
-// the writer killed between temp-write, fsync and rename, the crash in the
-// middle of segment compaction, the disk that keeps failing until the store
-// degrades — each test creates the exact on-disk state the failure leaves
-// behind, reopens the store over it and checks that no record is lost
-// silently, no corruption is served, and recovery costs at most one
-// re-measurement per interrupted entry.
+// the writer killed between temp-write, fsync and rename, the disk that
+// keeps failing until the store degrades — each test creates the exact
+// on-disk state the failure leaves behind, reopens the store over it and
+// checks that no record is lost silently, no corruption is served, and
+// recovery costs at most one re-measurement per interrupted entry.
 
 import (
 	"errors"
@@ -206,8 +205,9 @@ func TestENOSPCDegradesToReadOnly(t *testing.T) {
 	}
 
 	fsys.Inject(errfs.Fault{Op: errfs.OpWrite, Err: syscall.ENOSPC, Sticky: true})
-	victim := testKey("result")
-	if err := s.SaveResult(victim, core.NewArchResult("Skylake")); err == nil {
+	victim := testKey("variant skipLatency=false").Digest()
+	save := func() error { return s.SaveVariant(victim, "ADD_R64_R64", testRecord("ADD_R64_R64")) }
+	if err := save(); err == nil {
 		t.Fatal("save on a full disk reported success")
 	}
 	if mode := s.Mode(); mode != ModeReadOnly {
@@ -219,7 +219,7 @@ func TestENOSPCDegradesToReadOnly(t *testing.T) {
 
 	// Degraded saves are suppressed, not failed: a lost cache write must not
 	// fail the request that triggered it.
-	if err := s.SaveResult(victim, core.NewArchResult("Skylake")); err != nil {
+	if err := save(); err != nil {
 		t.Fatalf("suppressed save returned an error: %v", err)
 	}
 	if st := s.Stats(); st.SavesSuppressed == 0 {
@@ -234,14 +234,14 @@ func TestENOSPCDegradesToReadOnly(t *testing.T) {
 	// for real, succeeds, and restores write capability.
 	fsys.Heal()
 	for i := 0; i < probeEvery+1; i++ {
-		if err := s.SaveResult(victim, core.NewArchResult("Skylake")); err != nil {
+		if err := save(); err != nil {
 			t.Fatalf("save after heal: %v", err)
 		}
 	}
 	if mode := s.Mode(); mode != ModeOK {
 		t.Errorf("store did not recover after the disk healed: mode %q", mode)
 	}
-	if _, ok := s.LoadResult(victim); !ok {
+	if _, ok := s.LoadVariant(victim, "ADD_R64_R64"); !ok {
 		t.Error("post-recovery save did not land")
 	}
 }
@@ -303,204 +303,4 @@ func TestReadFailuresDegradeToComputeOnly(t *testing.T) {
 	if mode := s.Mode(); mode != ModeOK {
 		t.Errorf("store did not recover reads after the disk healed: mode %q", mode)
 	}
-}
-
-// compactionFixture saves count loose variants under one digest and returns
-// the digest, names and records; saving the index afterwards triggers
-// compaction when CompactAfter <= count.
-func compactionFixture(t *testing.T, s *Store, count int) (Digest, []string, map[string]*core.InstrResult) {
-	t.Helper()
-	dig := testKey("variant skipLatency=false").Digest()
-	names := make([]string, 0, count)
-	recs := make(map[string]*core.InstrResult, count)
-	for i := 0; i < count; i++ {
-		name := []string{"ADD_R64_R64", "IMUL_R64_R64", "PXOR_XMM_XMM", "SHL_R64_I8"}[i]
-		rec := testRecord(name)
-		if err := s.SaveVariant(dig, name, rec); err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, name)
-		recs[name] = rec
-	}
-	return dig, names, recs
-}
-
-func saveIndexFor(t *testing.T, s *Store, dig Digest, names []string) {
-	t.Helper()
-	idx := NewVariantIndex()
-	for _, name := range names {
-		idx.Entries[name] = true
-	}
-	if err := s.SaveVariantIndex(dig, idx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// requireAllVariants asserts every record is served intact.
-func requireAllVariants(t *testing.T, s *Store, dig Digest, names []string, recs map[string]*core.InstrResult) {
-	t.Helper()
-	got := s.LoadVariants(dig, names)
-	for _, name := range names {
-		if got[name] == nil {
-			t.Fatalf("variant %s lost", name)
-		}
-		if !reflect.DeepEqual(got[name], recs[name]) {
-			t.Errorf("variant %s did not survive intact:\ngot  %+v\nwant %+v", name, got[name], recs[name])
-		}
-	}
-}
-
-// TestCompactionPacksLooseFiles is the happy path of segment compaction:
-// past the threshold the loose per-variant files are packed into one
-// segment, reads (single and bulk) serve identical records from it, and a
-// fresh loose re-save supersedes its packed record.
-func TestCompactionPacksLooseFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openFaulty(t, dir, Options{CompactAfter: 3})
-	dig, names, recs := compactionFixture(t, s, 3)
-	saveIndexFor(t, s, dig, names)
-
-	if st := s.Stats(); st.Compactions != 1 || st.CompactedFiles != 3 {
-		t.Fatalf("compaction stats %+v, want 1 compaction packing 3 files", st)
-	}
-	for _, name := range names {
-		if _, err := os.Stat(filepath.Join(dir, dig.VariantFilename(name))); !os.IsNotExist(err) {
-			t.Errorf("loose file of %s survived compaction (stat err: %v)", name, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, dig.segmentFilename(0))); err != nil {
-		t.Fatalf("segment file missing after compaction: %v", err)
-	}
-	requireAllVariants(t, s, dig, names, recs)
-	for _, name := range names {
-		got, ok := s.LoadVariant(dig, name)
-		if !ok || !reflect.DeepEqual(got, recs[name]) {
-			t.Errorf("single-variant read of packed %s failed (ok=%v)", name, ok)
-		}
-	}
-
-	// A re-measured variant is re-saved loose; the fresh record supersedes
-	// the packed one.
-	fresh := testRecord(names[0])
-	fresh.Uops = 7
-	if err := s.SaveVariant(dig, names[0], fresh); err != nil {
-		t.Fatal(err)
-	}
-	saveIndexFor(t, s, dig, names[:1])
-	got, ok := s.LoadVariant(dig, names[0])
-	if !ok || got.Uops != 7 {
-		t.Errorf("fresh loose record did not supersede the packed one (ok=%v, got %+v)", ok, got)
-	}
-
-	// Reopening replays the same state: the segment is referenced (kept), and
-	// reads still serve every record.
-	after, _ := reboot(t, dir, Options{CompactAfter: 3})
-	recs[names[0]] = fresh
-	requireAllVariants(t, after, dig, names, recs)
-}
-
-// TestCrashMidCompactionRecovery kills the compactor at each point of its
-// crash-ordering — during the segment write, before the index that
-// references the segment is durable, and before the superseded loose files
-// are unlinked — and checks the reopened store's sweep restores a consistent
-// state in which every record still has exactly one readable home.
-func TestCrashMidCompactionRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		fault errfs.Fault
-		// after reboot: should the segment survive, should the loose files?
-		wantSegment bool
-		wantLoose   bool
-	}{
-		{
-			// Killed while writing the segment: nothing references it.
-			name:        "during segment write",
-			fault:       errfs.Fault{Op: errfs.OpSync, Path: "segment-", Crash: true},
-			wantSegment: false,
-			wantLoose:   true,
-		},
-		{
-			// Segment durable, killed before the index write: the segment is
-			// an orphan no index references; the loose files still serve.
-			// The first varindex write is the merge save, the second the
-			// compaction's re-save.
-			name:        "before index write",
-			fault:       errfs.Fault{Op: errfs.OpWrite, Path: "varindex-", Countdown: 2, Crash: true},
-			wantSegment: false,
-			wantLoose:   true,
-		},
-		{
-			// Segment and index durable, killed before unlinking the packed
-			// loose files: the sweep removes them as superseded debris and
-			// the segment serves.
-			name:        "before loose unlink",
-			fault:       errfs.Fault{Op: errfs.OpRemove, Path: "variant-", Crash: true},
-			wantSegment: true,
-			wantLoose:   false,
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, fsys := openFaulty(t, dir, Options{CompactAfter: 3})
-			dig, names, recs := compactionFixture(t, s, 3)
-			fsys.Inject(tc.fault)
-			// Compaction failure must not fail the index save that triggered
-			// it — except when the crash also takes down the merge save
-			// itself ("before index write" fires during compaction's index
-			// write, after the merge save completed).
-			idx := NewVariantIndex()
-			for _, name := range names {
-				idx.Entries[name] = true
-			}
-			_ = s.SaveVariantIndex(dig, idx)
-
-			after, _ := reboot(t, dir, Options{CompactAfter: -1})
-			requireAllVariants(t, after, dig, names, recs)
-
-			segPath := filepath.Join(dir, dig.segmentFilename(0))
-			if _, err := os.Stat(segPath); tc.wantSegment != (err == nil) {
-				t.Errorf("segment file present=%v after recovery, want %v (stat err: %v)",
-					err == nil, tc.wantSegment, err)
-			}
-			loose := 0
-			for _, name := range names {
-				if _, err := os.Stat(filepath.Join(dir, dig.VariantFilename(name))); err == nil {
-					loose++
-				}
-			}
-			if tc.wantLoose && loose != len(names) {
-				t.Errorf("%d of %d loose files survived recovery, want all", loose, len(names))
-			}
-			if !tc.wantLoose && loose != 0 {
-				t.Errorf("%d loose files survived recovery, want none (segment serves)", loose)
-			}
-
-			// Consistency holds across another restart, and the re-measured
-			// world keeps working: a further save and read succeed.
-			again, _ := reboot(t, dir, Options{CompactAfter: -1})
-			requireAllVariants(t, again, dig, names, recs)
-		})
-	}
-}
-
-// TestCompactionFailureDoesNotFailSave pins that a compaction error (here: a
-// one-shot segment-write failure, no crash) never fails the index save that
-// triggered it, and leaves the loose files serving.
-func TestCompactionFailureDoesNotFailSave(t *testing.T) {
-	dir := t.TempDir()
-	s, fsys := openFaulty(t, dir, Options{CompactAfter: 3})
-	dig, names, recs := compactionFixture(t, s, 3)
-	fsys.Inject(errfs.Fault{Op: errfs.OpWrite, Path: "segment-"})
-	saveIndexFor(t, s, dig, names) // t.Fatals if SaveVariantIndex errors
-	if st := s.Stats(); st.Compactions != 0 {
-		t.Errorf("failed compaction counted as completed: %+v", st)
-	}
-	requireAllVariants(t, s, dig, names, recs)
-
-	// The next threshold crossing retries and succeeds.
-	saveIndexFor(t, s, dig, names)
-	if st := s.Stats(); st.Compactions != 1 || st.CompactedFiles != 3 {
-		t.Errorf("compaction did not recover after a transient failure: %+v", st)
-	}
-	requireAllVariants(t, s, dig, names, recs)
 }

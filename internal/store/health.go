@@ -148,15 +148,6 @@ func (s *Store) Mode() string {
 	return s.modeLocked()
 }
 
-// markCorrupt counts corruption that has no file of its own to quarantine
-// (a packed record inside a shared segment).
-func (s *Store) markCorrupt(reason string) {
-	s.mu.Lock()
-	s.stats.Corrupt++
-	s.mu.Unlock()
-	s.logf("store: %s", reason)
-}
-
 // TierStats is the size accounting of one storage tier.
 type TierStats struct {
 	Bytes int64 `json:"bytes"`
@@ -164,24 +155,24 @@ type TierStats struct {
 }
 
 // Stats is the store's observable lifecycle state: per-tier sizes, the
-// degradation mode, and monotonic counters for everything that used to be
-// invisible — corruption, quarantines, evictions, compactions, swept
-// debris, suppressed saves and mode transitions. It flows through
-// engine.Stats to /v1/stats and /metrics.
+// degradation mode, and monotonic counters for corruption, quarantines,
+// evictions, swept debris, suppressed saves and mode transitions. It flows
+// through engine.Stats to /v1/stats and /metrics.
 type Stats struct {
 	Mode     string    `json:"mode"`
 	Blocking TierStats `json:"blocking"`
-	Result   TierStats `json:"result"`
 	Variant  TierStats `json:"variant"`
-	Segment  TierStats `json:"segment"`
 
-	Corrupt         int64 `json:"corrupt"`
-	Quarantined     int64 `json:"quarantined"`
-	EvictedDigests  int64 `json:"evictedDigests"`
-	EvictedFiles    int64 `json:"evictedFiles"`
-	EvictedBytes    int64 `json:"evictedBytes"`
+	Corrupt        int64 `json:"corrupt"`
+	Quarantined    int64 `json:"quarantined"`
+	EvictedDigests int64 `json:"evictedDigests"`
+	EvictedFiles   int64 `json:"evictedFiles"`
+	EvictedBytes   int64 `json:"evictedBytes"`
+	// Compactions is always 0.
+	//
+	// Deprecated: the store keeps one file per variant and never compacts;
+	// the field and its JSON key remain for existing readers.
 	Compactions     int64 `json:"compactions"`
-	CompactedFiles  int64 `json:"compactedFiles"`
 	SweptDebris     int64 `json:"sweptDebris"`
 	SavesSuppressed int64 `json:"savesSuppressed"`
 	Degradations    int64 `json:"degradations"`
@@ -194,9 +185,7 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.Mode = s.modeLocked()
 	st.Blocking = TierStats{Bytes: s.tiers[tierBlocking].bytes, Files: s.tiers[tierBlocking].files}
-	st.Result = TierStats{Bytes: s.tiers[tierResult].bytes, Files: s.tiers[tierResult].files}
 	st.Variant = TierStats{Bytes: s.tiers[tierVariant].bytes, Files: s.tiers[tierVariant].files}
-	st.Segment = TierStats{Bytes: s.tiers[tierSegment].bytes, Files: s.tiers[tierSegment].files}
 	return st
 }
 

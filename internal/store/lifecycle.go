@@ -7,7 +7,6 @@ package store
 // it only decides which cold entries stop existing.
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"sort"
@@ -22,29 +21,20 @@ func now() time.Time {
 	return time.Now() //uopslint:ignore wallclock recency only orders LRU eviction and debris-age gating; it never reaches cache keys or measurement results
 }
 
-// tiers of the size accounting. The variant index is part of the variant
-// tier: it is per-variant metadata and is evicted with it.
+// tiers of the size accounting, one per entry kind.
 type tier int
 
 const (
 	tierBlocking tier = iota
-	tierResult
 	tierVariant
-	tierSegment
 	tierCount
 )
 
 func kindTier(kind string) tier {
-	switch kind {
-	case KindBlocking:
+	if kind == KindBlocking {
 		return tierBlocking
-	case KindResult:
-		return tierResult
-	case KindSegment:
-		return tierSegment
-	default:
-		return tierVariant
 	}
+	return tierVariant
 }
 
 type tierAcct struct {
@@ -60,36 +50,20 @@ type group struct {
 	lastUse time.Time
 }
 
-// variantOnly reports whether the group holds only per-variant-tier files
-// (variants, the index, segments) — the groups eviction prefers, because
-// losing them costs incremental re-measurement rather than a whole-ISA
-// result.
-func (g *group) variantOnly() bool {
-	for name := range g.files {
-		_, kind, _ := classify(name)
-		switch kindTier(kind) {
-		case tierBlocking, tierResult:
-			return false
-		}
-	}
-	return true
-}
-
 // fileClass is what a directory entry is to the sweep.
 type fileClass int
 
 const (
 	classEntry   fileClass = iota // JSON entry of a current-format kind
-	classSegment                  // packed segment file
 	classTmp                      // in-flight or crashed writer's temp file
 	classCorrupt                  // quarantined corruption
 	classDebris                   // nothing the current format produces
 )
 
 // classify parses a store filename: current-format entries are
-// "<kind>-<digest prefix>-<entry hash>.json", segments are
-// "segment-<digest prefix>-<seq>.seg". Anything else — including entries of
-// older store versions — is temp, quarantine or stale-format debris.
+// "<kind>-<digest prefix>-<entry hash>.json". Anything else — including
+// entries of older store versions and kinds the store no longer writes — is
+// temp, quarantine or stale-format debris.
 func classify(name string) (class fileClass, kind, prefix string) {
 	switch {
 	case isTmp(name):
@@ -97,19 +71,11 @@ func classify(name string) (class fileClass, kind, prefix string) {
 	case isCorrupt(name):
 		return classCorrupt, "", ""
 	}
-	if rest, ok := strings.CutPrefix(name, KindSegment+"-"); ok {
-		if seq, ok := strings.CutSuffix(rest, ".seg"); ok {
-			if pfx, num, ok := strings.Cut(seq, "-"); ok && isHex(pfx) && len(pfx) == prefixLen && isDigits(num) {
-				return classSegment, KindSegment, pfx
-			}
-		}
-		return classDebris, "", ""
-	}
 	base, ok := strings.CutSuffix(name, ".json")
 	if !ok {
 		return classDebris, "", ""
 	}
-	for _, k := range []string{KindBlocking, KindResult, KindVariantIndex, KindVariant} {
+	for _, k := range []string{KindBlocking, KindVariant} {
 		if rest, ok := strings.CutPrefix(base, k+"-"); ok {
 			if pfx, h, ok := strings.Cut(rest, "-"); ok && isHex(pfx) && len(pfx) == prefixLen && isHex(h) {
 				return classEntry, k, pfx
@@ -130,30 +96,6 @@ func isHex(s string) bool {
 		}
 	}
 	return true
-}
-
-func isDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// DigestFromHex parses the hex form of a digest (what Digest.String
-// renders and VariantIndex.Digest records).
-func DigestFromHex(s string) (Digest, bool) {
-	var d Digest
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != len(d.sum) {
-		return Digest{}, false
-	}
-	copy(d.sum[:], raw)
-	return d, true
 }
 
 // ensureGroupLocked returns the digest group, creating it empty.
@@ -191,7 +133,7 @@ func (s *Store) account(prefix, kind, file string, newSize int64) {
 // per-accounting-view, not a distributed invariant.
 func (s *Store) unaccountLocked(file string) int64 {
 	class, kind, prefix := classify(file)
-	if class != classEntry && class != classSegment {
+	if class != classEntry {
 		return 0
 	}
 	g := s.groups[prefix]
@@ -242,12 +184,12 @@ func (s *Store) overBudgetLocked() bool {
 }
 
 // evictLocked brings the store back under budget by evicting whole digests
-// least-recently-used: first only their per-variant tier (variants, index,
-// segments — whose loss costs incremental re-measurement), then, if still
-// over, everything. A digest whose per-digest lock is held is skipped —
-// eviction never races a writer mid-save or a compaction mid-pack — as is
-// skip, the digest whose write triggered the check (evicting what was just
-// written would turn an undersized budget into a thrash loop).
+// least-recently-used: first only their per-variant files (whose loss costs
+// incremental re-measurement), then, if still over, everything. A digest
+// whose per-digest lock is held is skipped — eviction never races a writer
+// mid-save — as is skip, the digest whose write triggered the check
+// (evicting what was just written would turn an undersized budget into a
+// thrash loop).
 func (s *Store) evictLocked(skip string) {
 	if !s.overBudgetLocked() {
 		return
@@ -282,9 +224,9 @@ func (s *Store) evictLocked(skip string) {
 	}
 }
 
-// evictGroupLocked evicts one digest's files (only its per-variant tier
-// when variantOnly). The per-digest lock is TryLocked: if a writer or
-// compaction holds it, the digest is simply skipped this round.
+// evictGroupLocked evicts one digest's files (only its per-variant files
+// when variantOnly). The per-digest lock is TryLocked: if a writer holds
+// it, the digest is simply skipped this round.
 func (s *Store) evictGroupLocked(prefix string, variantOnly bool) {
 	lock := s.prefixLock(prefix)
 	if !lock.TryLock() {
@@ -302,12 +244,8 @@ func (s *Store) evictGroupLocked(prefix string, variantOnly bool) {
 	sort.Strings(names)
 	evicted := 0
 	for _, name := range names {
-		_, kind, _ := classify(name)
-		if variantOnly {
-			switch kindTier(kind) {
-			case tierBlocking, tierResult:
-				continue
-			}
+		if _, kind, _ := classify(name); variantOnly && kindTier(kind) == tierBlocking {
+			continue
 		}
 		err := s.fsys.Remove(filepath.Join(s.dir, name))
 		if err != nil {
@@ -328,9 +266,8 @@ func (s *Store) evictGroupLocked(prefix string, variantOnly bool) {
 // sweep is the startup integrity pass: it rebuilds the size accounting from
 // the directory, validates every entry's envelope (quarantining corruption
 // so it stops shadowing slots), collects debris — stale temp files of
-// crashed writers, aged-out quarantine files, stale-format entries,
-// segments no index references, loose variant files superseded by packed
-// segment records — and returns how many debris files it removed.
+// crashed writers, aged-out quarantine files, stale-format entries — and
+// returns how many debris files it removed.
 func (s *Store) sweep() int {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -339,7 +276,6 @@ func (s *Store) sweep() int {
 	}
 	debris := 0
 	cutoff := now().Add(-staleTmpAge)
-	var indexFiles []string
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
@@ -368,7 +304,7 @@ func (s *Store) sweep() int {
 			} else {
 				debris++
 			}
-		case classEntry, classSegment:
+		case classEntry:
 			info, err := ent.Info()
 			if err != nil {
 				s.logf("store: sweep: stat %s: %v", name, err)
@@ -379,8 +315,8 @@ func (s *Store) sweep() int {
 				s.logf("store: sweep: reading %s: %v", name, err)
 				continue
 			}
-			if !validEnvelope(data, kind, class == classSegment) {
-				if newerVersion(firstLine(data)) {
+			if !validEnvelope(data, kind) {
+				if newerVersion(data) {
 					continue // a newer process's file; not ours to touch
 				}
 				s.quarantine(name, "invalid envelope found by startup sweep")
@@ -396,12 +332,8 @@ func (s *Store) sweep() int {
 			s.tiers[t].bytes += info.Size()
 			s.tiers[t].files++
 			s.mu.Unlock()
-			if kind == KindVariantIndex {
-				indexFiles = append(indexFiles, name)
-			}
 		}
 	}
-	debris += s.sweepSegments(indexFiles)
 	s.mu.Lock()
 	s.stats.SweptDebris += int64(debris)
 	s.mu.Unlock()
@@ -409,86 +341,11 @@ func (s *Store) sweep() int {
 }
 
 // validEnvelope reports whether data is a well-formed current-version
-// envelope of the expected kind. For segments only the header line is
-// inspected; record lines are validated by reads.
-func validEnvelope(data []byte, kind string, segment bool) bool {
-	if segment {
-		data = firstLine(data)
-	}
+// envelope of the expected kind.
+func validEnvelope(data []byte, kind string) bool {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return false
 	}
 	return env.Version == Version && env.Kind == kind && len(env.Payload) > 0
-}
-
-func firstLine(data []byte) []byte {
-	for i, b := range data {
-		if b == '\n' {
-			return data[:i]
-		}
-	}
-	return data
-}
-
-// sweepSegments runs the crash-mid-compaction recovery: with the accounting
-// built, each variant index says which segment files exist on purpose and
-// which loose variant files a completed compaction superseded. A segment no
-// index references (compaction died before the index write) and a loose
-// file whose record is packed (compaction died before the unlink) are both
-// debris. Segments of digests with no readable index at all are unreachable
-// and removed too.
-func (s *Store) sweepSegments(indexFiles []string) int {
-	debris := 0
-	referenced := make(map[string]bool) // segment files some index points into
-	var superseded []string             // loose files packed into segments
-	sort.Strings(indexFiles)
-	for _, name := range indexFiles {
-		data, err := s.fsys.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			s.logf("store: sweep: reading %s: %v", name, err)
-			continue
-		}
-		var idx VariantIndex
-		if !s.decode(data, KindVariantIndex, &idx) {
-			continue // already handled by envelope validation
-		}
-		d, ok := DigestFromHex(idx.Digest)
-		for varName, ref := range idx.Segments {
-			referenced[ref.File] = true
-			if ok && idx.Entries[varName] {
-				superseded = append(superseded, d.VariantFilename(varName))
-			}
-		}
-	}
-	sort.Strings(superseded)
-	s.mu.Lock()
-	var remove []string
-	for _, g := range s.groups {
-		for name := range g.files {
-			if class, _, _ := classify(name); class == classSegment && !referenced[name] {
-				remove = append(remove, name)
-			}
-		}
-	}
-	for _, name := range superseded {
-		if class, _, prefix := classify(name); class == classEntry {
-			if g := s.groups[prefix]; g != nil {
-				if _, ok := g.files[name]; ok {
-					remove = append(remove, name)
-				}
-			}
-		}
-	}
-	sort.Strings(remove)
-	for _, name := range remove {
-		if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
-			s.logf("store: sweep: removing %s: %v", name, err)
-			continue
-		}
-		s.unaccountLocked(name)
-		debris++
-	}
-	s.mu.Unlock()
-	return debris
 }

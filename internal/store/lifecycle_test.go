@@ -109,7 +109,7 @@ func TestEvictionPrefersVariantTier(t *testing.T) {
 }
 
 // TestEvictionNeverRunsMidWrite holds a digest's per-digest lock — exactly
-// what a writer or compaction holds mid-operation — and checks eviction
+// what a writer holds mid-operation — and checks eviction
 // skips the digest (leaving the store over budget) rather than unlinking
 // files under a writer, then collects it normally once the lock is free.
 func TestEvictionNeverRunsMidWrite(t *testing.T) {

@@ -1,13 +1,12 @@
 // Package store is the persistent result store of the characterization
-// engine: it caches discovered blocking-instruction sets, whole-ISA
-// characterization results and individual per-variant measurements across
-// process runs, so the CLI tools do not have to re-measure from scratch on
-// every invocation — and it is built to do so for production lifetimes, not
-// just test runs: writes are crash-safe, corruption is detected, counted and
-// quarantined instead of silently shadowing a slot, disk budgets drive
-// eviction, the per-variant tier compacts into packed segment files, and a
-// disk that starts failing degrades the store to read-only and then
-// compute-only operation instead of failing requests.
+// engine: it caches discovered blocking-instruction sets and individual
+// per-variant measurements across process runs, so the CLI tools do not have
+// to re-measure from scratch on every invocation — and it is built to do so
+// for production lifetimes, not just test runs: writes are crash-safe,
+// corruption is detected, counted and quarantined instead of silently
+// shadowing a slot, disk budgets drive eviction, and a disk that starts
+// failing degrades the store to read-only and then compute-only operation
+// instead of failing requests.
 //
 // Entries are keyed by a content hash of everything a result depends on: the
 // microarchitecture generation, the measurement-backend fingerprint
@@ -21,20 +20,15 @@
 // it stops shadowing the slot, and the caller falls through to
 // recomputation.
 //
-// The store has three logical tiers, each grouped on disk by the digest of
+// The store has two kinds of entries, each grouped on disk by the digest of
 // its key (the digest prefix is part of every filename, which is what lets
 // the startup sweep and the eviction policy reason about files per digest):
 //
 //   - blocking sets (KindBlocking), one entry per generation;
-//   - whole-ISA results (KindResult), one entry per run configuration —
-//     the fast path for exact repeat runs;
-//   - per-variant entries (KindVariant), one entry per instruction variant
-//     under a versioned index (KindVariantIndex) — the incremental tier:
-//     evicting or invalidating one variant only costs re-measuring that
-//     variant, and runs with different variant selections share entries.
-//     Once a digest accumulates enough loose per-variant files they are
-//     compacted into packed append-style segment files (KindSegment); the
-//     index maps variant names to segment offsets.
+//   - per-variant entries (KindVariant), one file per instruction variant —
+//     the file existing means the variant is measured. Evicting or
+//     invalidating one variant only costs re-measuring that variant, and
+//     runs with different variant selections share entries.
 //
 // All I/O goes through the storefs.FS seam, so every durability claim above
 // is forced by fault-injection tests (internal/store/errfs) rather than
@@ -64,18 +58,17 @@ import (
 // Version is the on-disk format version. Bump it whenever the payload
 // structures or the key derivation change incompatibly; old files then read
 // as misses and are recomputed. (v2: backend fingerprint in the key,
-// per-variant tier. v3: digest-grouped filenames, segment compaction,
-// quarantine and size accounting — files from older versions are collected
-// as debris by the startup sweep.)
+// per-variant tier. v3: digest-grouped filenames, quarantine and size
+// accounting — files from older versions, and the whole-ISA result,
+// variant-index and segment files earlier v3 stores also held, are collected
+// as debris by the startup sweep.) The version is folded into every digest,
+// so bumping it also changes every run digest the service uses as an ETag.
 const Version = 3
 
 // Kinds of stored entries.
 const (
-	KindBlocking     = "blocking"
-	KindResult       = "result"
-	KindVariant      = "variant"
-	KindVariantIndex = "varindex"
-	KindSegment      = "segment"
+	KindBlocking = "blocking"
+	KindVariant  = "variant"
 )
 
 // Key identifies a cached entry by content: everything the cached value
@@ -158,12 +151,6 @@ func (d Digest) filename(kind, extra string) string {
 	return fmt.Sprintf("%s-%s-%x.json", kind, d.Prefix(), h.Sum(nil)[:8])
 }
 
-// segmentFilename names the seq-th packed segment of the digest's
-// per-variant tier.
-func (d Digest) segmentFilename(seq int) string {
-	return fmt.Sprintf("%s-%s-%08d.seg", KindSegment, d.Prefix(), seq)
-}
-
 // VariantFilename returns the store filename of the per-variant entry for
 // one instruction variant. It is exported so tests and cache-maintenance
 // tooling can evict individual variants.
@@ -183,8 +170,7 @@ func (k Key) VariantFilename(name string) string {
 	return k.Digest().VariantFilename(name)
 }
 
-// envelope is the on-disk wrapper around every payload, including each
-// record line inside a segment file.
+// envelope is the on-disk wrapper around every payload.
 type envelope struct {
 	Version int             `json:"version"`
 	Kind    string          `json:"kind"`
@@ -215,38 +201,28 @@ type Options struct {
 	// filesystem (storefs.OS).
 	FS storefs.FS
 	// Durability selects the crash-safety level of saves; see the Durability
-	// constants. Segment compaction always syncs regardless, because it
-	// unlinks the loose files it packed.
+	// constants.
 	Durability Durability
 	// MaxBytes and MaxFiles, when positive, bound the store: when a save
 	// pushes the totals past a budget, whole digests are evicted
-	// least-recently-used (per-variant tiers first) until the store fits
+	// least-recently-used (per-variant digests first) until the store fits
 	// again. Zero means unbounded.
 	MaxBytes int64
 	MaxFiles int64
-	// CompactAfter is how many loose per-variant files a digest may
-	// accumulate before they are compacted into a packed segment file. 0
-	// selects DefaultCompactAfter; negative disables compaction.
-	CompactAfter int
 	// Log, if non-nil, receives lifecycle diagnostics that must not fail an
 	// operation but should not vanish either: sweep debris counts,
 	// quarantined corruption, eviction and degradation transitions.
 	Log func(format string, args ...interface{})
 }
 
-// DefaultCompactAfter is the loose-file threshold at which a digest's
-// per-variant tier is compacted into a segment.
-const DefaultCompactAfter = 256
-
 // Store is a directory of cached characterization results.
 type Store struct {
-	dir          string
-	fsys         storefs.FS
-	durable      bool
-	maxBytes     int64
-	maxFiles     int64
-	compactAfter int
-	log          func(format string, args ...interface{})
+	dir      string
+	fsys     storefs.FS
+	durable  bool
+	maxBytes int64
+	maxFiles int64
+	log      func(format string, args ...interface{})
 
 	// mu guards the accounting (per-digest groups, per-tier totals), the
 	// lifecycle counters and the degradation state. All counters are plain
@@ -275,19 +251,14 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	compactAfter := opts.CompactAfter
-	if compactAfter == 0 {
-		compactAfter = DefaultCompactAfter
-	}
 	s := &Store{
-		dir:          dir,
-		fsys:         fsys,
-		durable:      opts.Durability == DurabilityFull,
-		maxBytes:     opts.MaxBytes,
-		maxFiles:     opts.MaxFiles,
-		compactAfter: compactAfter,
-		log:          opts.Log,
-		groups:       make(map[string]*group),
+		dir:      dir,
+		fsys:     fsys,
+		durable:  opts.Durability == DurabilityFull,
+		maxBytes: opts.MaxBytes,
+		maxFiles: opts.MaxFiles,
+		log:      opts.Log,
+		groups:   make(map[string]*group),
 	}
 	debris := s.sweep()
 	if debris > 0 {
@@ -311,21 +282,21 @@ func (s *Store) logf(format string, args ...interface{}) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// idxLocks serializes index read-merge-write cycles, variant writes,
-// compaction and eviction per (directory, digest group) across every Store
-// instance in the process: two engines — or two service handlers — sharing
-// one cache directory through separate Store values must still contend on
-// the same lock, or concurrent merges could interleave and drop entries.
-// Eviction only TryLocks, so a digest is never evicted mid-write.
-var idxLocks sync.Map // string (dir \x00 digest prefix) → *sync.Mutex
+// digestLocks serializes variant writes and eviction per (directory, digest
+// group) across every Store instance in the process: two engines — or two
+// service handlers — sharing one cache directory through separate Store
+// values must still contend on the same lock, or eviction could unlink a
+// digest under another Store's writer. Eviction only TryLocks, so a digest
+// is never evicted mid-write.
+var digestLocks sync.Map // string (dir \x00 digest prefix) → *sync.Mutex
 
-func (s *Store) idxLock(d Digest) *sync.Mutex {
+func (s *Store) digestLock(d Digest) *sync.Mutex {
 	return s.prefixLock(d.Prefix())
 }
 
 func (s *Store) prefixLock(prefix string) *sync.Mutex {
 	key := filepath.Clean(s.dir) + "\x00" + prefix
-	lock, _ := idxLocks.LoadOrStore(key, &sync.Mutex{})
+	lock, _ := digestLocks.LoadOrStore(key, &sync.Mutex{})
 	return lock.(*sync.Mutex)
 }
 
@@ -404,17 +375,16 @@ func (s *Store) quarantine(file, reason string) {
 
 // save writes an entry atomically: the envelope is written to a temporary
 // file in the store directory and renamed into place, so concurrent readers
-// never observe a partial file. With DurabilityFull (or forceSync) the data
-// is fsynced before the rename and the directory synced after it, so the
-// completed save survives a crash. The temporary file is removed on every
-// error path — a failed save must not leak it — and the startup sweep cleans
-// up after writers that died before reaching either the rename or the
-// cleanup.
+// never observe a partial file. With DurabilityFull the data is fsynced
+// before the rename and the directory synced after it, so the completed save
+// survives a crash. The temporary file is removed on every error path — a
+// failed save must not leak it — and the startup sweep cleans up after
+// writers that died before reaching either the rename or the cleanup.
 //
 // While the store is write-degraded (see Stats.Mode), saves are suppressed:
 // they count as SavesSuppressed and return nil, and every probeEvery-th
 // attempt runs for real to detect recovery.
-func (s *Store) save(d Digest, kind, file string, payload interface{}) error {
+func (s *Store) save(d Digest, kind, file string, payload interface{}) (err error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s entry: %w", kind, err)
@@ -423,18 +393,8 @@ func (s *Store) save(d Digest, kind, file string, payload interface{}) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding %s envelope: %w", kind, err)
 	}
-	_, err = s.writeFile(d.Prefix(), kind, file, data, false)
-	return err
-}
-
-// writeFile is the raw crash-safe write path shared by save and segment
-// compaction. written reports whether data actually reached the directory —
-// false with a nil error means the write was suppressed by degraded mode,
-// which save treats as success but compaction must not (it unlinks files on
-// the strength of its writes).
-func (s *Store) writeFile(prefix, kind, file string, data []byte, forceSync bool) (written bool, err error) {
 	if !s.writeAllowed() {
-		return false, nil
+		return nil
 	}
 	defer func() {
 		if err != nil {
@@ -445,7 +405,7 @@ func (s *Store) writeFile(prefix, kind, file string, data []byte, forceSync bool
 	}()
 	tmp, err := s.fsys.CreateTemp(s.dir, kind+"-*.tmp")
 	if err != nil {
-		return false, fmt.Errorf("store: writing %s entry: %w", kind, err)
+		return fmt.Errorf("store: writing %s entry: %w", kind, err)
 	}
 	defer func() {
 		if err != nil {
@@ -454,27 +414,27 @@ func (s *Store) writeFile(prefix, kind, file string, data []byte, forceSync bool
 	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return false, fmt.Errorf("store: writing %s entry: %w", kind, err)
+		return fmt.Errorf("store: writing %s entry: %w", kind, err)
 	}
-	if s.durable || forceSync {
+	if s.durable {
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
-			return false, fmt.Errorf("store: syncing %s entry: %w", kind, err)
+			return fmt.Errorf("store: syncing %s entry: %w", kind, err)
 		}
 	}
 	if err := tmp.Close(); err != nil {
-		return false, fmt.Errorf("store: writing %s entry: %w", kind, err)
+		return fmt.Errorf("store: writing %s entry: %w", kind, err)
 	}
 	if err := s.fsys.Rename(tmp.Name(), filepath.Join(s.dir, file)); err != nil {
-		return false, fmt.Errorf("store: writing %s entry: %w", kind, err)
+		return fmt.Errorf("store: writing %s entry: %w", kind, err)
 	}
-	if s.durable || forceSync {
+	if s.durable {
 		if err := s.fsys.SyncDir(s.dir); err != nil {
-			return false, fmt.Errorf("store: syncing %s directory: %w", kind, err)
+			return fmt.Errorf("store: syncing %s directory: %w", kind, err)
 		}
 	}
-	s.account(prefix, kind, file, int64(len(data)))
-	return true, nil
+	s.account(d.Prefix(), kind, file, int64(len(data)))
+	return nil
 }
 
 // BlockingEntry is the serialized form of one blocking instruction: the
@@ -562,206 +522,11 @@ func (s *Store) SaveBlocking(key Key, rec *BlockingRecord) error {
 	return s.save(key.Digest(), KindBlocking, key.filename(KindBlocking), rec)
 }
 
-// LoadResult returns the cached whole-ISA characterization result for the
-// key, or ok == false on any kind of miss. The result round-trips exactly:
-// float64 values are encoded with full round-trip precision, so XML rendered
-// from a cached result is byte-identical to XML rendered from the original.
-func (s *Store) LoadResult(key Key) (*core.ArchResult, bool) {
-	var res core.ArchResult
-	d := key.Digest()
-	file := key.filename(KindResult)
-	if !s.load(d, KindResult, file, &res) {
-		return nil, false
-	}
-	if res.Results == nil {
-		s.quarantine(file, "result entry without results")
-		return nil, false
-	}
-	return &res, true
-}
-
-// SaveResult persists a whole-ISA characterization result under the key.
-func (s *Store) SaveResult(key Key, res *core.ArchResult) error {
-	return s.save(key.Digest(), KindResult, key.filename(KindResult), res)
-}
-
-// SegmentRef locates one packed per-variant record: a byte range of a
-// segment file of the same digest.
-type SegmentRef struct {
-	File   string `json:"file"`
-	Offset int64  `json:"offset"`
-	Len    int64  `json:"len"`
-}
-
-// VariantIndex is the versioned directory of the per-variant tier for one
-// key (one generation, backend, measurement configuration, universe and
-// characterization scope): the set of variant names that have been measured,
-// and — for compacted names — where in which segment file their record
-// lives. A variant missing from the index, or whose entry file or segment
-// record is missing or corrupt, is a per-variant miss; only that variant is
-// re-measured.
-type VariantIndex struct {
-	// Digest is the full content digest (hex) the index belongs to. Entry
-	// filenames are derived from it; the startup sweep uses it to find loose
-	// files superseded by segments.
-	Digest string `json:"digest,omitempty"`
-	// Seq numbers the next segment file to be written for this digest.
-	Seq int `json:"seq,omitempty"`
-	// Entries is the set of measured variant names.
-	Entries map[string]bool `json:"entries"`
-	// Segments maps compacted variant names to their packed records. A name
-	// in Entries but not here is a loose per-variant file.
-	Segments map[string]SegmentRef `json:"segments,omitempty"`
-}
-
-// NewVariantIndex returns an empty index.
-func NewVariantIndex() *VariantIndex {
-	return &VariantIndex{Entries: make(map[string]bool)}
-}
-
-// Has reports whether the index lists a measured entry for the variant.
-func (x *VariantIndex) Has(name string) bool {
-	return x != nil && x.Entries[name]
-}
-
-// loose reports how many of the index's entries are loose per-variant files
-// (not packed into a segment).
-func (x *VariantIndex) loose() int {
-	n := 0
-	for name := range x.Entries {
-		if _, packed := x.Segments[name]; !packed {
-			n++
-		}
-	}
-	return n
-}
-
-// LoadVariantIndex returns the per-variant index for the key digest, or ok
-// == false on any kind of miss (an absent index reads as an empty
-// per-variant tier).
-func (s *Store) LoadVariantIndex(d Digest) (*VariantIndex, bool) {
-	var idx VariantIndex
-	file := d.filename(KindVariantIndex, "")
-	if !s.load(d, KindVariantIndex, file, &idx) {
-		return nil, false
-	}
-	if idx.Entries == nil {
-		s.quarantine(file, "variant index without entries")
-		return nil, false
-	}
-	return &idx, true
-}
-
-// SaveVariantIndex persists the per-variant index under the key digest,
-// merging on save: what reaches disk is the union of idx and the entries
-// already recorded there, computed under a per-digest lock shared by every
-// Store in the process. A plain overwrite would make concurrent writers —
-// two engines, or two service handlers resolving different variants of one
-// digest — a last-writer-wins read-modify-write race that silently drops
-// index membership (the variant file survives but is never consulted, so the
-// variant is re-measured forever). Across processes the atomic rename keeps
-// the index well-formed and the reload-right-before-save merge shrinks the
-// race window to the save itself; a lost entry there only costs re-measuring
-// that variant once.
-//
-// Merge semantics for segments: a name the incoming index lists without a
-// segment ref was (re)written as a loose file, which supersedes any packed
-// record of the same name; a name with a ref was packed. Names the incoming
-// index does not list keep their on-disk state.
-//
-// When the merged index accumulates CompactAfter loose files, they are
-// compacted into a packed segment before the lock is released.
-func (s *Store) SaveVariantIndex(d Digest, idx *VariantIndex) error {
-	lock := s.idxLock(d)
-	lock.Lock()
-	defer lock.Unlock()
-	merged, err := s.mergeVariantIndexLocked(d, idx)
-	if err != nil {
-		return err
-	}
-	if s.compactAfter > 0 && merged.loose() >= s.compactAfter {
-		if err := s.compactLocked(d, merged); err != nil {
-			// Compaction is an optimization: its failure must not fail the
-			// save that triggered it. The loose files are all still valid.
-			s.logf("store: compacting %s: %v", d.Prefix(), err)
-		}
-	}
-	return nil
-}
-
-// mergeVariantIndexLocked merges idx into the on-disk index and saves the
-// union. Caller holds the digest lock.
-func (s *Store) mergeVariantIndexLocked(d Digest, idx *VariantIndex) (*VariantIndex, error) {
-	merged := NewVariantIndex()
-	merged.Digest = d.String()
-	if cur, ok := s.LoadVariantIndex(d); ok {
-		merged.Seq = cur.Seq
-		for name, present := range cur.Entries {
-			if present {
-				merged.Entries[name] = true
-			}
-		}
-		for name, ref := range cur.Segments {
-			if merged.Entries[name] {
-				if merged.Segments == nil {
-					merged.Segments = make(map[string]SegmentRef)
-				}
-				merged.Segments[name] = ref
-			}
-		}
-	}
-	if idx != nil {
-		if idx.Seq > merged.Seq {
-			merged.Seq = idx.Seq
-		}
-		for name, present := range idx.Entries {
-			if !present {
-				continue
-			}
-			merged.Entries[name] = true
-			if ref, ok := idx.Segments[name]; ok {
-				if merged.Segments == nil {
-					merged.Segments = make(map[string]SegmentRef)
-				}
-				merged.Segments[name] = ref
-			} else {
-				// A fresh loose record supersedes a packed one.
-				delete(merged.Segments, name)
-			}
-		}
-	}
-	if err := s.save(d, KindVariantIndex, d.filename(KindVariantIndex, ""), merged); err != nil {
-		return nil, err
-	}
-	return merged, nil
-}
-
 // LoadVariant returns the cached measurement record of one instruction
-// variant, or ok == false on any kind of miss. The loose file is tried
-// first (a fresh loose record supersedes a packed one), then the index's
-// segment ref. Records round-trip exactly, like whole-ISA results. Bulk
-// callers should use LoadVariants, which reads the index once and each
-// segment file at most once.
+// variant, or ok == false on any kind of miss. Records round-trip exactly:
+// float64 values are encoded with full round-trip precision, so XML rendered
+// from cached records is byte-identical to XML rendered from the originals.
 func (s *Store) LoadVariant(d Digest, name string) (*core.InstrResult, bool) {
-	if rec, ok := s.loadLooseVariant(d, name); ok {
-		return rec, true
-	}
-	idx, ok := s.LoadVariantIndex(d)
-	if !ok {
-		return nil, false
-	}
-	ref, packed := idx.Segments[name]
-	if !packed {
-		return nil, false
-	}
-	out := make(map[string]*core.InstrResult, 1)
-	s.loadSegmentRecords(idx, ref.File, []string{name}, out)
-	rec, ok := out[name]
-	return rec, ok
-}
-
-// loadLooseVariant reads one loose per-variant file.
-func (s *Store) loadLooseVariant(d Digest, name string) (*core.InstrResult, bool) {
 	var rec core.InstrResult
 	file := d.VariantFilename(name)
 	if !s.load(d, KindVariant, file, &rec) {
@@ -778,11 +543,24 @@ func (s *Store) loadLooseVariant(d Digest, name string) (*core.InstrResult, bool
 	return &rec, true
 }
 
-// SaveVariant persists the measurement record of one instruction variant as
-// a loose file. The digest lock coordinates with eviction and compaction, so
-// a digest is never evicted mid-write.
+// LoadVariants returns the cached measurement records for every hit among
+// names. Misses (absent, corrupt, degraded) are simply not in the returned
+// map.
+func (s *Store) LoadVariants(d Digest, names []string) map[string]*core.InstrResult {
+	out := make(map[string]*core.InstrResult, len(names))
+	for _, name := range names {
+		if rec, ok := s.LoadVariant(d, name); ok {
+			out[name] = rec
+		}
+	}
+	return out
+}
+
+// SaveVariant persists the measurement record of one instruction variant in
+// its own file. The digest lock coordinates with eviction, so a digest is
+// never evicted mid-write.
 func (s *Store) SaveVariant(d Digest, name string, rec *core.InstrResult) error {
-	lock := s.idxLock(d)
+	lock := s.digestLock(d)
 	lock.Lock()
 	defer lock.Unlock()
 	return s.save(d, KindVariant, d.VariantFilename(name), rec)

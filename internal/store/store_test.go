@@ -63,8 +63,8 @@ func TestKeyHashSensitivity(t *testing.T) {
 			t.Errorf("changing the %s did not change the key hash", what)
 		}
 	}
-	if base.filename(KindBlocking) == base.filename(KindResult) {
-		t.Error("blocking and result entries share a filename")
+	if base.filename(KindBlocking) == base.filename(KindVariant) {
+		t.Error("blocking and variant entries share a filename")
 	}
 }
 
@@ -114,39 +114,6 @@ func TestBlockingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResultRoundTrip(t *testing.T) {
-	res := core.NewArchResult("Skylake")
-	res.Results["ADD_R64_R64"] = &core.InstrResult{
-		Name:     "ADD_R64_R64",
-		Mnemonic: "ADD",
-		Uops:     1,
-		Ports:    core.PortUsage{"0156": 1},
-		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
-			{Source: 1, Dest: 0, SourceName: "op2", DestName: "op1", Cycles: 1.0 / 3.0, Notes: "chain"},
-			{Source: 0, Dest: 0, SourceName: "op1", DestName: "op1", Cycles: 1, SameRegister: true},
-		}},
-		Throughput: core.ThroughputResult{Measured: 0.25, MeasuredSequenceLength: 8, Computed: 0.1 + 0.2},
-	}
-	res.Results["CPUID"] = &core.InstrResult{Name: "CPUID", Mnemonic: "CPUID", Skipped: "system instruction"}
-
-	s := openStore(t)
-	key := testKey("result only=ADD_R64_R64")
-	if err := s.SaveResult(key, res); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.LoadResult(key)
-	if !ok {
-		t.Fatal("saved result not found")
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Errorf("result did not round-trip (float precision?):\ngot  %+v\nwant %+v", got, res)
-	}
-	// A different scope must miss.
-	if _, ok := s.LoadResult(testKey("result only=IMUL_R64_R64")); ok {
-		t.Error("result found under a different scope")
-	}
-}
-
 // TestVariantRoundTrip checks the per-variant tier: records round-trip
 // exactly under their own filenames, different variants of one key never
 // collide, and a record that names a different variant reads as a miss.
@@ -161,18 +128,22 @@ func TestVariantRoundTrip(t *testing.T) {
 		Ports:    core.PortUsage{"0156": 1},
 		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
 			{Source: 1, Dest: 0, SourceName: "op2", DestName: "op1", Cycles: 1.0 / 3.0, Notes: "chain"},
+			{Source: 0, Dest: 0, SourceName: "op1", DestName: "op1", Cycles: 1, SameRegister: true},
 		}},
 		Throughput: core.ThroughputResult{Measured: 0.25, MeasuredSequenceLength: 8, Computed: 0.1 + 0.2},
 	}
-	if err := s.SaveVariant(dig, rec.Name, rec); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.LoadVariant(dig, rec.Name)
-	if !ok {
-		t.Fatal("saved variant record not found")
-	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("variant record did not round-trip (float precision?):\ngot  %+v\nwant %+v", got, rec)
+	skipped := &core.InstrResult{Name: "CPUID", Mnemonic: "CPUID", Skipped: "system instruction"}
+	for _, want := range []*core.InstrResult{rec, skipped} {
+		if err := s.SaveVariant(dig, want.Name, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.LoadVariant(dig, want.Name)
+		if !ok {
+			t.Fatalf("saved variant record %s not found", want.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("variant record did not round-trip (float precision?):\ngot  %+v\nwant %+v", got, want)
+		}
 	}
 	if _, ok := s.LoadVariant(dig, "IMUL_R64_R64"); ok {
 		t.Error("record found under a different variant name")
@@ -211,40 +182,6 @@ func TestVariantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVariantIndexRoundTrip checks the versioned index of the per-variant
-// tier round-trips and that an absent index reads as a miss.
-func TestVariantIndexRoundTrip(t *testing.T) {
-	s := openStore(t)
-	dig := testKey("variant skipLatency=false").Digest()
-	if _, ok := s.LoadVariantIndex(dig); ok {
-		t.Error("empty store returned a variant index")
-	}
-	idx := NewVariantIndex()
-	idx.Entries["ADD_R64_R64"] = true
-	if err := s.SaveVariantIndex(dig, idx); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.LoadVariantIndex(dig)
-	if !ok {
-		t.Fatal("saved variant index not found")
-	}
-	if !reflect.DeepEqual(got.Entries, idx.Entries) {
-		t.Errorf("variant index entries did not round-trip:\ngot  %+v\nwant %+v", got.Entries, idx.Entries)
-	}
-	// The save stamps the full digest into the index; the startup sweep
-	// depends on it to resolve packed names back to loose filenames.
-	if got.Digest != dig.String() {
-		t.Errorf("saved index records digest %q, want %q", got.Digest, dig.String())
-	}
-	if !got.Has("ADD_R64_R64") || got.Has("IMUL_R64_R64") {
-		t.Errorf("index membership wrong: %+v", got)
-	}
-	var nilIdx *VariantIndex
-	if nilIdx.Has("ADD_R64_R64") {
-		t.Error("nil index claims membership")
-	}
-}
-
 // TestCorruptAndMismatchedFilesAreMisses checks the fall-through: a
 // truncated file, non-JSON garbage, a version bump and a kind mismatch must
 // all read as misses rather than errors — and everything except the
@@ -253,13 +190,12 @@ func TestVariantIndexRoundTrip(t *testing.T) {
 // shadowing the slot.
 func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 	s := openStore(t)
-	key := testKey("result")
-	res := core.NewArchResult("Skylake")
-	res.Results["ADD_R64_R64"] = &core.InstrResult{Name: "ADD_R64_R64", Mnemonic: "ADD"}
-	if err := s.SaveResult(key, res); err != nil {
+	key := testKey("blocking")
+	rec := &BlockingRecord{SSE: []BlockingEntry{{Combo: "0156", Instr: "ADD_R64_R64", Ports: []int{0, 1, 5, 6}, UopsOnCombo: 1}}}
+	if err := s.SaveBlocking(key, rec); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), key.filename(KindResult))
+	path := filepath.Join(s.Dir(), key.filename(KindBlocking))
 
 	write := func(data []byte) {
 		t.Helper()
@@ -269,12 +205,12 @@ func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 	}
 
 	write([]byte("not json at all"))
-	if _, ok := s.LoadResult(key); ok {
+	if _, ok := s.LoadBlocking(key); ok {
 		t.Error("garbage file was not treated as a miss")
 	}
 
 	// Re-save to get a valid file for the truncation/version/kind checks.
-	if err := s.SaveResult(key, res); err != nil {
+	if err := s.SaveBlocking(key, rec); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -282,7 +218,7 @@ func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	write(data[:len(data)/2])
-	if _, ok := s.LoadResult(key); ok {
+	if _, ok := s.LoadBlocking(key); ok {
 		t.Error("truncated file was not treated as a miss")
 	}
 
@@ -296,7 +232,7 @@ func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	write(bumped)
-	if _, ok := s.LoadResult(key); ok {
+	if _, ok := s.LoadBlocking(key); ok {
 		t.Error("future-version file was not treated as a miss")
 	}
 	// A future-version file belongs to a newer process sharing the
@@ -309,13 +245,13 @@ func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 	}
 
 	env.Version = Version
-	env.Kind = KindBlocking
+	env.Kind = KindVariant
 	wrongKind, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write(wrongKind)
-	if _, ok := s.LoadResult(key); ok {
+	if _, ok := s.LoadBlocking(key); ok {
 		t.Error("kind-mismatched file was not treated as a miss")
 	}
 
@@ -333,23 +269,26 @@ func TestCorruptAndMismatchedFilesAreMisses(t *testing.T) {
 
 	// After recomputation the entry can be re-saved over the quarantined
 	// slot.
-	if err := s.SaveResult(key, res); err != nil {
+	if err := s.SaveBlocking(key, rec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.LoadResult(key); !ok || !reflect.DeepEqual(got, res) {
+	if got, ok := s.LoadBlocking(key); !ok || !reflect.DeepEqual(got, rec) {
 		t.Error("re-saving over a corrupt file did not recover the entry")
 	}
 }
 
-// TestVariantIndexConcurrentWriters is the regression test for the index
-// save race: the save used to be a plain overwrite, so concurrent
-// read-modify-write updates of one digest's index could drop each other's
-// membership entries. With merge-on-save, every entry written by any of the
-// concurrent writers — whether they share one Store or each open their own
-// over the same directory, as two engines or two service handlers would —
-// must survive.
+// TestVariantIndexConcurrentWriters checks that concurrent writers of one
+// digest never lose each other's per-variant entries. The digest's variant
+// index is the set of its variant files, so every variant saved by any of
+// the writers — whether they share one Store or each open their own over the
+// same directory, as two engines or two service handlers would — must load.
 func TestVariantIndexConcurrentWriters(t *testing.T) {
 	dig := testKey("variant skipLatency=false").Digest()
+	const writers = 16
+	names := make([]string, writers)
+	for i := range names {
+		names[i] = fmt.Sprintf("VARIANT_%02d", i)
+	}
 	for _, mode := range []string{"shared store", "store per writer"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
@@ -357,11 +296,10 @@ func TestVariantIndexConcurrentWriters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers = 16
 			var wg sync.WaitGroup
-			for i := 0; i < writers; i++ {
+			for _, name := range names {
 				wg.Add(1)
-				go func(i int) {
+				go func(name string) {
 					defer wg.Done()
 					s := shared
 					if mode == "store per writer" {
@@ -371,26 +309,20 @@ func TestVariantIndexConcurrentWriters(t *testing.T) {
 							return
 						}
 					}
-					idx := NewVariantIndex()
-					idx.Entries[fmt.Sprintf("VARIANT_%02d", i)] = true
-					if err := s.SaveVariantIndex(dig, idx); err != nil {
+					if err := s.SaveVariant(dig, name, testRecord(name)); err != nil {
 						t.Error(err)
 					}
-				}(i)
+				}(name)
 			}
 			wg.Wait()
-			got, ok := shared.LoadVariantIndex(dig)
-			if !ok {
-				t.Fatal("no index after concurrent saves")
-			}
-			for i := 0; i < writers; i++ {
-				name := fmt.Sprintf("VARIANT_%02d", i)
-				if !got.Has(name) {
-					t.Errorf("index dropped %s written by a concurrent writer", name)
+			got := shared.LoadVariants(dig, names)
+			for _, name := range names {
+				if !reflect.DeepEqual(got[name], testRecord(name)) {
+					t.Errorf("variant %s written by a concurrent writer loads as %+v", name, got[name])
 				}
 			}
-			if len(got.Entries) != writers {
-				t.Errorf("index has %d entries, want %d", len(got.Entries), writers)
+			if len(got) != writers {
+				t.Errorf("loaded %d variants, want %d", len(got), writers)
 			}
 		})
 	}
@@ -413,7 +345,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	}
 	keep := filepath.Join(dir, key.filename(KindBlocking))
 
-	stale := filepath.Join(dir, "result-12345.tmp")
+	stale := filepath.Join(dir, "blocking-12345.tmp")
 	if err := os.WriteFile(stale, []byte("half an envelope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +353,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	fresh := filepath.Join(dir, "varindex-67890.tmp")
+	fresh := filepath.Join(dir, "variant-67890.tmp")
 	if err := os.WriteFile(fresh, []byte("in flight"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +388,73 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	// And it rebuilt the size accounting from the surviving entry.
 	if st := s.Stats(); st.Blocking.Files != 1 || st.Blocking.Bytes <= 0 {
 		t.Errorf("sweep did not rebuild blocking-tier accounting: %+v", s.Stats())
+	}
+}
+
+// TestOpenSweepsRetiredEntryKinds upgrades a store written by an earlier
+// version of the current format, which also kept whole-ISA result files, a
+// per-digest variant index and packed segment files next to the loose
+// entries. Opening it must collect those three as debris — not count them as
+// corruption — and keep serving the loose variant and blocking entries.
+func TestOpenSweepsRetiredEntryKinds(t *testing.T) {
+	dir := t.TempDir()
+	bkey := testKey("blocking")
+	vdig := testKey("variant skipLatency=false").Digest()
+	rdig := testKey("result only=ADD_R64_R64").Digest()
+	encode := func(kind string, payload interface{}) []byte {
+		t.Helper()
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(envelope{Version: Version, Kind: kind, Payload: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	write := func(file string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocking := &BlockingRecord{SSE: []BlockingEntry{{Combo: "0156", Instr: "ADD_R64_R64", UopsOnCombo: 1}}}
+	write(bkey.filename(KindBlocking), encode(KindBlocking, blocking))
+	variant := encode(KindVariant, testRecord("ADD_R64_R64"))
+	write(vdig.VariantFilename("ADD_R64_R64"), variant)
+
+	res := core.NewArchResult("Skylake")
+	res.Results["ADD_R64_R64"] = testRecord("ADD_R64_R64")
+	index := map[string]interface{}{"digest": vdig.String(), "entries": map[string]bool{"ADD_R64_R64": true}}
+	header := encode("segment", map[string]interface{}{"digest": vdig.String(), "seq": 0, "count": 1})
+	retired := map[string][]byte{
+		rdig.filename("result", ""):                  encode("result", res),
+		vdig.filename("varindex", ""):                encode("varindex", index),
+		"segment-" + vdig.Prefix() + "-00000000.seg": append(append(append(header, '\n'), variant...), '\n'),
+	}
+	for name, data := range retired {
+		write(name, data)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range retired {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("retired %s survived Open (stat err: %v)", name, err)
+		}
+	}
+	st := s.Stats()
+	if st.SweptDebris != int64(len(retired)) || st.Corrupt != 0 || st.Quarantined != 0 {
+		t.Errorf("sweep stats %+v, want %d debris and no corruption", st, len(retired))
+	}
+	if got, ok := s.LoadBlocking(bkey); !ok || !reflect.DeepEqual(got, blocking) {
+		t.Errorf("blocking entry after the upgrade sweep = %+v (ok=%v), want %+v", got, ok, blocking)
+	}
+	if got, ok := s.LoadVariant(vdig, "ADD_R64_R64"); !ok || !reflect.DeepEqual(got, testRecord("ADD_R64_R64")) {
+		t.Errorf("variant entry after the upgrade sweep = %+v (ok=%v)", got, ok)
 	}
 }
 

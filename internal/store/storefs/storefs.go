@@ -6,10 +6,10 @@
 // veneer over the os package.
 //
 // The interface is deliberately operation-shaped rather than file-shaped:
-// the store only ever (a) reads a whole file, (b) reads a byte range of a
-// file, (c) writes a temporary file and renames it into place, (d) syncs,
-// removes and stats files, and (e) lists and syncs its one directory. Fault
-// injection hooks each of those operations by name.
+// the store only ever (a) reads a whole file, (b) writes a temporary file and
+// renames it into place, (c) syncs, removes and stats files, and (d) lists
+// and syncs its one directory. Fault injection hooks each of those
+// operations by name.
 //
 //uopslint:deterministic
 package storefs
@@ -37,8 +37,9 @@ type File interface {
 type FS interface {
 	// ReadFile reads a whole file, like os.ReadFile.
 	ReadFile(path string) ([]byte, error)
-	// ReadAt reads length bytes at offset of the named file (a packed
-	// segment record). Short reads are errors.
+	// ReadAt reads length bytes at offset of the named file. Short reads are
+	// errors. The store itself reads whole files; ReadAt stays in the seam so
+	// that FS wrappers built on it keep compiling.
 	ReadAt(path string, offset, length int64) ([]byte, error)
 	// CreateTemp creates a new temporary file in dir, like os.CreateTemp.
 	CreateTemp(dir, pattern string) (File, error)
