@@ -152,14 +152,17 @@ ci-service:
 	$(GO) test -race -count=1 -run 'TestUopsd' ./cmd/uopsd
 
 # ci-fleet gates the distributed measurement fleet under the race detector:
-# the remote backend's unit suite (wire roundtrip, handshake, dedup,
-# retry/hedge/timeout machinery against canned workers), the loopback
-# end-to-end tests — XML byte-identical to a local run through 1/2/3 real
-# workers, recovery from a worker killed mid-run, a mixed-fingerprint fleet
-# refused at startup, fleet counters in /v1/stats and /metrics — and the
-# -fleet flag through the uopsinfo CLI and a uopsd front tier.
+# the remote backend's unit suite (wire roundtrip with copy counts, the
+# fingerprint and wire-version handshake, one batch per RunCopies call,
+# retry/hedge/timeout machinery against canned workers), then a 10 s fuzz
+# of the worker's sequence decoder (not raced), the loopback end-to-end
+# tests — XML byte-identical to a local run through 1/2/3 real workers,
+# recovery from a worker killed mid-run, a mixed-fingerprint fleet refused
+# at startup, fleet counters in /v1/stats and /metrics — and the -fleet
+# flag through the uopsinfo CLI and a uopsd front tier.
 ci-fleet:
 	$(GO) test -race -count=1 ./internal/measure/remote
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSeq -fuzztime=10s ./internal/measure/remote
 	$(GO) test -race -count=1 -run 'TestFleet|TestMeasureEndpoint' ./internal/service
 	$(GO) test -race -count=1 -run 'TestFleetFlagMatchesLocal' ./cmd/uopsinfo
 	$(GO) test -race -count=1 -run 'TestUopsdFleetFrontTier' ./cmd/uopsd

@@ -402,7 +402,19 @@ func BenchmarkCharacterizeRemote(b *testing.B) {
 	if _, err := fleet.Blocking(); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("fleet-2", bench(fleet))
+	// The round trips behind the wire overhead: sequences measured and the
+	// /v1/measure batches that carried them, per characterization.
+	fleetStats := func() measure.FleetStats {
+		s, _ := backend.(measure.FleetReporter).FleetStats()
+		return s
+	}
+	b.Run("fleet-2", func(b *testing.B) {
+		before := fleetStats()
+		bench(fleet)(b)
+		after := fleetStats()
+		b.ReportMetric(float64(after.Sequences-before.Sequences)/float64(b.N), "seqs/op")
+		b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
+	})
 }
 
 // E11: Section 7.1 — a (sampled) full characterization run on Skylake,

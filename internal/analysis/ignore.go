@@ -87,7 +87,7 @@ func onOwnLine(src []byte, pos token.Position) bool {
 	if src == nil || pos.Offset > len(src) {
 		return false
 	}
-	for i := pos.Offset - pos.Column + 1; i < pos.Offset-1 && i >= 0 && i < len(src); i++ {
+	for i := pos.Offset - pos.Column + 1; i < pos.Offset && i >= 0 && i < len(src); i++ {
 		if src[i] != ' ' && src[i] != '\t' {
 			return false
 		}

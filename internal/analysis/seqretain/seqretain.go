@@ -2,22 +2,23 @@
 // contract on Runner-shaped implementations.
 //
 // measure.Harness materializes its n-copy measurement sequences into
-// reusable buffers and re-passes the same backing arrays to
-// Runner.Run on every repetition; Harness.Measure additionally skips
-// rebuilding those buffers when the incoming sequence is
-// pointer-identical to the previous one. Both optimizations are sound
-// only if no Runner (local simulator, remote fleet dispatcher, or any
-// future backend) squirrels the slice away: a retained sequence would be
-// silently rewritten by the next measurement. The doc comment on
-// measure.Runner states this; seqretain checks it.
+// reusable buffers and re-passes the same backing arrays to Runner.Run
+// across measurements; Harness.Measure additionally skips rebuilding
+// those buffers when the incoming sequence is pointer-identical to the
+// previous one, and hands its callers' kernels straight to
+// CopiesRunner.RunCopies. These are sound only if no Runner (local
+// simulator, remote fleet dispatcher, or any future backend) squirrels
+// the slice away: a retained sequence would be silently rewritten by the
+// next measurement. The doc comments on measure.Runner and
+// measure.CopiesRunner state this; seqretain checks it.
 //
 // The check is structural so it works on any package without importing
 // measure (pipesim cannot import it — measure imports pipesim): in every
-// method named Run or Measure that takes a slice parameter, storing that
-// parameter — or a reslice of it — into a struct field, a map or slice
-// element reachable from one, or a package-level variable is a finding.
-// Copies (append(own, seq...), copy(own, seq), encoding the contents)
-// are fine.
+// method named Run, RunCopies or Measure that takes a slice parameter,
+// storing that parameter — or a reslice of it — into a struct field, a map
+// or slice element reachable from one, or a package-level variable is a
+// finding. Copies (append(own, seq...), copy(own, seq), encoding the
+// contents) are fine.
 package seqretain
 
 import (
@@ -30,7 +31,7 @@ import (
 // Analyzer flags Runner-shaped methods that retain their sequence slice.
 var Analyzer = &analysis.Analyzer{
 	Name: "seqretain",
-	Doc: "forbid Run/Measure methods from storing a sequence slice parameter in a field " +
+	Doc: "forbid Run/RunCopies/Measure methods from storing a sequence slice parameter in a field " +
 		"or global (the measure.Runner no-retention contract the harness's buffer reuse " +
 		"and pointer-prefix dedup depend on)",
 	Run: run,
@@ -43,7 +44,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || fd.Recv == nil {
 				continue
 			}
-			if fd.Name.Name != "Run" && fd.Name.Name != "Measure" {
+			if n := fd.Name.Name; n != "Run" && n != "RunCopies" && n != "Measure" {
 				continue
 			}
 			params := sliceParams(pass, fd)

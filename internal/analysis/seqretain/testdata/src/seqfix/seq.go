@@ -1,4 +1,4 @@
-// Package seqfix exercises the seqretain analyzer: Run/Measure methods
+// Package seqfix exercises the seqretain analyzer: Run/RunCopies/Measure methods
 // that retain their sequence slice argument are findings; copies and
 // other methods are clean.
 package seqfix
@@ -25,6 +25,12 @@ func (r *Retainer) Run(code []*Inst) error {
 	return nil
 }
 
+// RunCopies is covered too: the harness hands it the caller's kernel.
+func (r *Retainer) RunCopies(code []*Inst, copies ...int) error {
+	r.last = code // want `RunCopies stores its sequence parameter code in field last`
+	return nil
+}
+
 // Copier copies before retaining: clean.
 type Copier struct {
 	last []*Inst
@@ -39,7 +45,7 @@ func (c *Copier) Run(code []*Inst) error {
 	return nil
 }
 
-// Helper is not named Run or Measure, so the contract does not apply.
+// Helper is not named Run, RunCopies or Measure, so the contract does not apply.
 func (r *Retainer) Helper(code []*Inst) {
 	r.last = code
 }

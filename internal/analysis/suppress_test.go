@@ -72,6 +72,12 @@ func noSpace() {
 	bad()//uopslint:ignore toylint deliberate test call
 	bad()
 }
+
+func braceNoSpace() {
+	{
+	}//uopslint:ignore toylint deliberate test call
+	bad()
+}
 `
 
 // checkFixture type-checks suppressSrc in memory and runs it through the
@@ -195,9 +201,9 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 
-	// Exactly the expected number of findings: 6 toylint + 3 malformed.
-	if len(findings) != 9 {
-		t.Errorf("got %d findings, want 9:", len(findings))
+	// Exactly the expected number of findings: 7 toylint + 3 malformed.
+	if len(findings) != 10 {
+		t.Errorf("got %d findings, want 10:", len(findings))
 		for _, f := range findings {
 			t.Logf("  %s", f)
 		}
@@ -208,6 +214,8 @@ func TestSuppression(t *testing.T) {
 // comment directly abuts the code with no separating space (the noSpace
 // fixture): the directive must parse as trailing, covering its own line and
 // leaving the next call reported. Misparsed as standalone, it would flip both.
+// The braceNoSpace fixture abuts a one-character statement, so only the byte
+// just before the comment tells the two apart.
 func TestOwnLineNoSpaceBeforeComment(t *testing.T) {
 	toy := make(map[int]bool)
 	for _, f := range checkFixture(t) {
@@ -221,5 +229,8 @@ func TestOwnLineNoSpaceBeforeComment(t *testing.T) {
 	}
 	if !toy[noSpace+2] {
 		t.Errorf("missing toylint finding at line %d (call after a no-space trailing directive)", noSpace+2)
+	}
+	if brace := fixtureLine(t, "func braceNoSpace", 0); !toy[brace+3] {
+		t.Errorf("missing toylint finding at line %d (call after a directive abutting `}`)", brace+3)
 	}
 }

@@ -36,10 +36,9 @@ type FleetStats struct {
 	// fleet by runners (each at most once, however often it is retried).
 	Batches   int64 `json:"batches"`
 	Sequences int64 `json:"sequences"`
-	// Deduped counts Run calls answered from a runner's last-result cache
-	// without touching the network (the measurement protocol re-runs
-	// identical sequences back to back; on a deterministic substrate the
-	// repeat is free).
+	// Deduped is always 0. It counted Run calls answered from a runner's
+	// last-result cache, which went away when the harness stopped repeating
+	// readings; the field stays because cmd/uopsbench reads it.
 	Deduped int64 `json:"deduped"`
 	// Retries counts sequences re-enqueued after a transient batch failure;
 	// Errors counts the failed batches themselves.

@@ -26,6 +26,11 @@ import (
 // Runner abstracts the execution substrate (the simulated processor). It is
 // implemented by *pipesim.Machine.
 //
+// Run is a pure function of the code and the divider-value regime the
+// runner is set to: the same code under the same regime always yields the
+// same counters, whatever ran before (TestRunDifferentialAcrossForks pins
+// this for pipesim). The harness relies on it to read each copy count once.
+//
 // Run must not retain code after returning: the harness reuses the backing
 // array of the sequences it passes in across measurements.
 type Runner interface {
@@ -34,6 +39,18 @@ type Runner interface {
 }
 
 var _ Runner = (*pipesim.Machine)(nil)
+
+// CopiesRunner is implemented by runners that can repeat a kernel
+// themselves. RunCopies returns, for each copy count n in copies, the
+// counters Run would return for n concatenated copies of code (every copy
+// the same instruction instances), in order. A runner whose readings cost
+// a round trip implements it so that one measurement costs one trip.
+//
+// Like Run, RunCopies must not retain code after returning.
+type CopiesRunner interface {
+	Runner
+	RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error)
+}
 
 // Result holds per-execution averages of the performance counters for one
 // copy of the measured code sequence.
@@ -67,7 +84,11 @@ type Config struct {
 	// Repetitions is the number of times the protocol is repeated and
 	// averaged (100 in the paper).
 	Repetitions int
-	// Warmup enables a discarded warm-up run before the measurements.
+	// Warmup enables a discarded warm-up run before the measurements. The
+	// warm-up runs the short copy count, and runners are pure, so the
+	// warm-up reading is the short reading and the harness takes it once.
+	// The field stays because it is part of the measurement digest that
+	// keys stored results.
 	Warmup bool
 	// OverheadCycles and OverheadUops model the serializing instructions and
 	// performance-counter reads included in each raw reading.
@@ -107,12 +128,11 @@ type Harness struct {
 	cfg    Config
 
 	// shortBuf and longBuf hold the materialized n-copy sequences for the
-	// current measurement. The protocol runs each of them once per
-	// repetition (plus warmup), so they are built at most once per Measure
-	// call and their backing arrays are reused across calls; when the same
-	// code sequence is measured again back to back (e.g. re-measuring a
-	// divider variant under a different operand-value regime), the buffers
-	// are reused outright.
+	// current measurement of a runner that is not a CopiesRunner. Measure
+	// runs each of them once, and their backing arrays are reused across
+	// calls; when the same code sequence is measured again back to back
+	// (e.g. re-measuring a divider variant under a different operand-value
+	// regime), the buffers are reused outright.
 	shortBuf asmgen.Sequence
 	longBuf  asmgen.Sequence
 	// bufLen is the length of the code sequence the buffers currently hold
@@ -166,45 +186,24 @@ func (h *Harness) Fork() (*Harness, error) {
 // Measure runs the protocol on the given code sequence and returns per-copy
 // averages: the counters for executing the sequence once, with harness
 // overhead removed.
+//
+// Runners are pure, so every reading of one copy count is the same reading:
+// Measure takes one short and one long reading (the warm-up reading is the
+// short one) and feeds that pair to every repetition, which yields exactly
+// the averages of re-reading both on each repetition.
 func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if len(code) == 0 {
 		return Result{}, fmt.Errorf("measure: empty code sequence")
 	}
+	short, long, err := h.readings(code)
+	if err != nil {
+		return Result{}, err
+	}
 	numPorts := h.runner.Arch().NumPorts()
 	acc := Result{PortUops: make([]float64, numPorts)}
-
-	// Materialize the two copy-count sequences once; every repetition (and
-	// the warmup) runs the same code, so re-concatenating it per run would
-	// only produce garbage for identical inputs. If the buffers already hold
-	// exactly this code (same instruction instances, element for element),
-	// skip even that: repeating the same pointers again would write back the
-	// identical slice contents.
-	if h.bufLen == len(code) && len(h.shortBuf) == len(code)*h.cfg.ShortCopies &&
-		samePrefix(h.shortBuf, code) {
-		h.seqReused++
-	} else {
-		h.shortBuf = repeatInto(h.shortBuf[:0], code, h.cfg.ShortCopies)
-		h.longBuf = repeatInto(h.longBuf[:0], code, h.cfg.LongCopies)
-		h.bufLen = len(code)
-		h.seqBuilt++
-	}
-
-	if h.cfg.Warmup {
-		if _, err := h.rawRun(h.shortBuf); err != nil {
-			return Result{}, err
-		}
-	}
+	diff := long.Sub(short)
+	scale := float64(h.cfg.LongCopies - h.cfg.ShortCopies)
 	for rep := 0; rep < h.cfg.Repetitions; rep++ {
-		short, err := h.rawRun(h.shortBuf)
-		if err != nil {
-			return Result{}, err
-		}
-		long, err := h.rawRun(h.longBuf)
-		if err != nil {
-			return Result{}, err
-		}
-		diff := long.Sub(short)
-		scale := float64(h.cfg.LongCopies - h.cfg.ShortCopies)
 		acc.Cycles += float64(diff.Cycles) / scale
 		acc.TotalUops += float64(diff.TotalUops) / scale
 		acc.IssuedUops += float64(diff.IssuedUops) / scale
@@ -222,6 +221,40 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 		acc.PortUops[p] *= inv
 	}
 	return acc, nil
+}
+
+// readings takes the short and the long raw reading of code: in one
+// RunCopies call when the runner repeats the code itself, otherwise as two
+// Runs on the materialized copy buffers.
+func (h *Harness) readings(code asmgen.Sequence) (short, long pipesim.Counters, err error) {
+	if cr, ok := h.runner.(CopiesRunner); ok {
+		cs, err := cr.RunCopies(code, h.cfg.ShortCopies, h.cfg.LongCopies)
+		if err != nil {
+			return short, long, err
+		}
+		return h.withOverhead(cs[0]), h.withOverhead(cs[1]), nil
+	}
+
+	// Materialize the two copy-count sequences. If the buffers already hold
+	// exactly this code (same instruction instances, element for element),
+	// skip even that: repeating the same pointers again would write back the
+	// identical slice contents.
+	if h.bufLen == len(code) && len(h.shortBuf) == len(code)*h.cfg.ShortCopies &&
+		samePrefix(h.shortBuf, code) {
+		h.seqReused++
+	} else {
+		h.shortBuf = repeatInto(h.shortBuf[:0], code, h.cfg.ShortCopies)
+		h.longBuf = repeatInto(h.longBuf[:0], code, h.cfg.LongCopies)
+		h.bufLen = len(code)
+		h.seqBuilt++
+	}
+	if short, err = h.runner.Run(h.shortBuf); err != nil {
+		return short, long, err
+	}
+	if long, err = h.runner.Run(h.longBuf); err != nil {
+		return short, long, err
+	}
+	return h.withOverhead(short), h.withOverhead(long), nil
 }
 
 // repeatInto appends n copies of code to dst and returns it, reusing dst's
@@ -258,14 +291,10 @@ func (h *Harness) takeSeqStats() (built, reused int64) {
 	return built, reused
 }
 
-// rawRun executes an already-materialized n-copy sequence and adds the
-// modelled measurement overhead (Algorithm 2 lines 3-9: serializing
-// instructions and counter reads).
-func (h *Harness) rawRun(code asmgen.Sequence) (pipesim.Counters, error) {
-	c, err := h.runner.Run(code)
-	if err != nil {
-		return pipesim.Counters{}, err
-	}
+// withOverhead adds the modelled measurement overhead (Algorithm 2 lines
+// 3-9: serializing instructions and counter reads) to the counters of one
+// n-copy run.
+func (h *Harness) withOverhead(c pipesim.Counters) pipesim.Counters {
 	c.Cycles += h.cfg.OverheadCycles
 	c.TotalUops += h.cfg.OverheadUops
 	c.IssuedUops += h.cfg.OverheadUops
@@ -275,7 +304,7 @@ func (h *Harness) rawRun(code asmgen.Sequence) (pipesim.Counters, error) {
 	for i := 0; i < h.cfg.OverheadUops && len(c.PortUops) > 0; i++ {
 		c.PortUops[i%2]++
 	}
-	return c, nil
+	return c
 }
 
 // MeasureThroughputPerInstr measures the average cycles per instruction for a

@@ -1,8 +1,10 @@
 package remote
 
 // The fleet dispatcher: runners submit encoded sequence measurements as
-// calls onto a per-generation queue; per-worker sender goroutines pull calls
-// off the queue, coalesce whatever is immediately available into one batch
+// calls onto a per-generation queue (one call carries the sequences of one
+// runner call, e.g. a kernel at both copy counts of a measurement, and they
+// always travel together); per-worker sender goroutines pull calls off the
+// queue, coalesce whatever is immediately available into one batch
 // (no linger delay — batching is opportunistic, driven by the concurrency of
 // the characterization scheduler), and POST it to their worker. Sharding is
 // emergent: every sender competes for the same queue, so a fast worker
@@ -35,8 +37,10 @@ type Options struct {
 	// Workers are the base URLs of the uopsd workers (e.g.
 	// "http://w1:8631"). At least one is required.
 	Workers []string
-	// BatchSize caps the sequences coalesced into one /v1/measure request.
-	// <= 0 selects 64.
+	// BatchSize caps the sequences coalesced into one /v1/measure request:
+	// a sender stops adding calls once its batch holds this many. A call's
+	// sequences always travel together, so the last call may carry the
+	// batch past the cap. <= 0 selects 64.
 	BatchSize int
 	// InFlight is the number of concurrent batches each worker is kept
 	// loaded with. <= 0 selects 4.
@@ -90,18 +94,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// callResult is the outcome of one sequence measurement.
+// callResult is the outcome of one call: one Counters per sequence.
 type callResult struct {
-	counters pipesim.Counters
+	counters []pipesim.Counters
 	err      error
 }
 
-// call is one sequence measurement in flight through the fleet. enc is the
-// marshaled wire Seq (including the divider regime). delivered is the
-// exactly-once claim: whichever batch (original, retry or hedge copy)
-// finishes first writes done; everyone else drops its result.
+// call is one runner call in flight through the fleet. encs are its
+// marshaled wire Seqs (each including the divider regime and copy count).
+// delivered is the exactly-once claim: whichever batch (original, retry or
+// hedge copy) finishes first writes done; everyone else drops its result.
 type call struct {
-	enc       json.RawMessage
+	encs      []json.RawMessage
 	done      chan callResult
 	delivered atomic.Bool
 	attempts  atomic.Int32
@@ -141,7 +145,6 @@ type fleet struct {
 
 	batches   atomic.Int64
 	seqs      atomic.Int64
-	deduped   atomic.Int64
 	retries   atomic.Int64
 	errors    atomic.Int64
 	hedges    atomic.Int64
@@ -195,7 +198,7 @@ func (f *fleet) submit(gen string, c *call, timer *time.Timer) callResult {
 	case <-f.closed:
 		return callResult{err: errFleetClosed}
 	}
-	f.seqs.Add(1)
+	f.seqs.Add(int64(len(c.encs)))
 
 	timer.Reset(f.opts.CallTimeout)
 	defer timer.Stop()
@@ -237,34 +240,36 @@ func (f *fleet) serve(w *worker, gen string, q chan *call) {
 		if c.delivered.Load() {
 			continue
 		}
-		batch := []*call{c}
+		batch, n := []*call{c}, len(c.encs)
 	drain:
-		for len(batch) < f.opts.BatchSize {
+		for n < f.opts.BatchSize {
 			select {
 			case c2 := <-q:
 				if !c2.delivered.Load() {
 					batch = append(batch, c2)
+					n += len(c2.encs)
 				}
 			default:
 				break drain
 			}
 		}
-		f.send(w, gen, batch, q)
+		f.send(w, gen, batch, n, q)
 	}
 }
 
-// send posts one batch to a worker and delivers or re-enqueues its calls.
-func (f *fleet) send(w *worker, gen string, batch []*call, q chan *call) {
+// send posts one batch of n sequences to a worker and delivers or
+// re-enqueues its calls.
+func (f *fleet) send(w *worker, gen string, batch []*call, n int, q chan *call) {
 	f.batches.Add(1)
 	w.batches.Add(1)
-	w.seqs.Add(int64(len(batch)))
+	w.seqs.Add(int64(n))
 
 	var hedgeTimer *time.Timer
 	if f.opts.HedgeAfter > 0 {
 		hedgeTimer = time.AfterFunc(f.opts.HedgeAfter, func() { f.hedge(batch, q) })
 	}
 	start := time.Now()
-	resp, err := f.post(w, gen, batch)
+	resp, err := f.post(w, gen, batch, n)
 	w.latencyUS.Add(time.Since(start).Microseconds())
 	if hedgeTimer != nil {
 		hedgeTimer.Stop()
@@ -281,18 +286,23 @@ func (f *fleet) send(w *worker, gen string, batch []*call, q chan *call) {
 		return
 	}
 	w.consecFails.Store(0)
-	for i, c := range batch {
-		var res callResult
-		if resp.Errs != nil && resp.Errs[i] != "" {
-			// A per-sequence error is a deterministic property of the
-			// request (unknown variant, simulator rejection) — retrying it
-			// on another worker would return the same error.
-			res = callResult{err: fmt.Errorf("remote: worker %s: %s", w.url, resp.Errs[i])}
-		} else {
-			res = callResult{counters: DecodeCounters(resp.Counters[i])}
+	i := 0
+	for _, c := range batch {
+		res := callResult{counters: make([]pipesim.Counters, len(c.encs))}
+		for k := range res.counters {
+			if resp.Errs != nil && resp.Errs[i+k] != "" {
+				// A per-sequence error is a deterministic property of the
+				// request (unknown variant, simulator rejection) — retrying
+				// it on another worker would return the same error. It
+				// fails the whole call.
+				res = callResult{err: fmt.Errorf("remote: worker %s: %s", w.url, resp.Errs[i+k])}
+				break
+			}
+			res.counters[k] = DecodeCounters(resp.Counters[i+k])
 		}
+		i += len(c.encs)
 		if c.deliver(res) && c.hedged.Load() {
-			f.hedgeWins.Add(1)
+			f.hedgeWins.Add(int64(len(c.encs)))
 		}
 	}
 }
@@ -330,7 +340,7 @@ func (f *fleet) requeue(batch []*call, q chan *call, cause error) {
 				f.opts.MaxAttempts, cause)})
 			continue
 		}
-		f.retries.Add(1)
+		f.retries.Add(int64(len(c.encs)))
 		select {
 		case q <- c:
 		case <-f.closed:
@@ -393,14 +403,14 @@ func (f *fleet) probe(w *worker) bool {
 	}
 }
 
-// post sends one batch and decodes the response. Any transport failure,
-// non-2xx status or fingerprint drift (the worker restarted with a different
-// backend build since the handshake) is a transient error: the caller
-// re-enqueues the calls for another worker.
-func (f *fleet) post(w *worker, gen string, batch []*call) (*MeasureResponse, error) {
-	reqBody := MeasureRequest{Gen: gen, Seqs: make([]json.RawMessage, len(batch))}
-	for i, c := range batch {
-		reqBody.Seqs[i] = c.enc
+// post sends one batch of n sequences and decodes the response. Any
+// transport failure, non-2xx status, fingerprint or wire-version drift (the
+// worker restarted with a different build since the handshake) is a
+// transient error: the caller re-enqueues the calls for another worker.
+func (f *fleet) post(w *worker, gen string, batch []*call, n int) (*MeasureResponse, error) {
+	reqBody := MeasureRequest{Gen: gen, Seqs: make([]json.RawMessage, 0, n)}
+	for _, c := range batch {
+		reqBody.Seqs = append(reqBody.Seqs, c.encs...)
 	}
 	body, err := json.Marshal(reqBody)
 	if err != nil {
@@ -430,13 +440,16 @@ func (f *fleet) post(w *worker, gen string, batch []*call) (*MeasureResponse, er
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("remote: worker %s: decoding /v1/measure response: %w", w.url, err)
 	}
-	if len(out.Counters) != len(batch) || (out.Errs != nil && len(out.Errs) != len(batch)) {
+	if len(out.Counters) != n || (out.Errs != nil && len(out.Errs) != n) {
 		return nil, fmt.Errorf("remote: worker %s: response has %d counters for %d sequences",
-			w.url, len(out.Counters), len(batch))
+			w.url, len(out.Counters), n)
 	}
 	if out.Fingerprint != f.fingerprint {
 		return nil, fmt.Errorf("remote: worker %s: serving fingerprint drifted to %q (handshake saw %q); cache keys would lie",
 			w.url, out.Fingerprint, f.fingerprint)
+	}
+	if err := checkWireVersion(out.WireVersion); err != nil {
+		return nil, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}
 	return &out, nil
 }
@@ -447,7 +460,6 @@ func (f *fleet) stats() measure.FleetStats {
 		Fingerprint: f.fingerprint,
 		Batches:     f.batches.Load(),
 		Sequences:   f.seqs.Load(),
-		Deduped:     f.deduped.Load(),
 		Retries:     f.retries.Load(),
 		Errors:      f.errors.Load(),
 		Hedges:      f.hedges.Load(),

@@ -185,19 +185,21 @@ func SplitList(s string) []string {
 }
 
 // servingInfo is the part of a worker's /v1/backends response the handshake
-// consumes: the backend the worker's engine actually serves from.
+// consumes: the backend the worker's engine actually serves from, and the
+// wire version it speaks.
 type servingInfo struct {
 	Serving struct {
 		Name          string `json:"name"`
 		Version       string `json:"version"`
 		Fingerprint   string `json:"fingerprint"`
 		MeasureDigest string `json:"measureDigest"`
+		WireVersion   int    `json:"wireVersion"`
 	} `json:"serving"`
 }
 
 // handshake queries every worker's /v1/backends and derives the fleet
-// fingerprint. All workers must report the same serving fingerprint and
-// measurement-config digest.
+// fingerprint. Every worker must speak this client's wire version, and all
+// must report the same serving fingerprint and measurement-config digest.
 func handshake(opts Options) (string, error) {
 	type answer struct {
 		url string
@@ -256,7 +258,24 @@ func handshakeWorker(client *http.Client, url string) (string, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return "", fmt.Errorf("decoding /v1/backends: %w", err)
 	}
+	if err := checkWireVersion(info.Serving.WireVersion); err != nil {
+		return "", err
+	}
 	return ServingFingerprint(info.Serving.Fingerprint, info.Serving.MeasureDigest)
+}
+
+// checkWireVersion refuses a worker reporting another wire version than
+// this client's, or none (0: a worker from before the field existed).
+func checkWireVersion(v int) error {
+	if v == WireVersion {
+		return nil
+	}
+	got := "none"
+	if v != 0 {
+		got = fmt.Sprint(v)
+	}
+	return fmt.Errorf("fleet wire version mismatch: worker speaks %s, this client speaks %d; upgrade the worker",
+		got, WireVersion)
 }
 
 // ServingFingerprint combines a worker's serving-backend fingerprint
@@ -279,23 +298,17 @@ func timeoutContext(d time.Duration) (context.Context, context.CancelFunc) {
 // Runner is the fleet-backed execution substrate handed to measurement
 // harnesses. It is not safe for concurrent use (like every Runner); the
 // scheduler forks one per worker goroutine, and forks share the fleet's
-// queues. A Runner keeps the encoded form and result of its last measurement:
-// the measurement protocol re-runs identical sequences back to back (warmup,
-// then the short reading), and on a deterministic substrate the repeat is
-// answered locally instead of over the network.
+// queues.
 type Runner struct {
 	f       *fleet
 	arch    *uarch.Arch
 	genName string
 	div     pipesim.DividerValues
 	timer   *time.Timer
-
-	lastEnc      []byte
-	lastCounters pipesim.Counters
 }
 
 var (
-	_ measure.Runner       = (*Runner)(nil)
+	_ measure.CopiesRunner = (*Runner)(nil)
 	_ measure.RunnerForker = (*Runner)(nil)
 )
 
@@ -324,31 +337,34 @@ func (r *Runner) ForkRunner() measure.Runner {
 }
 
 // Run measures one sequence on the fleet. The sequence is encoded (variant
-// names plus concrete operands, repeat copies deduplicated), submitted to
-// the dispatch queue, and the first worker result wins. Nothing of code is
-// retained.
+// names plus concrete operands, repeated instances deduplicated), submitted
+// to the dispatch queue, and the first worker result wins. Nothing of code
+// is retained.
 func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
-	if len(code) == 0 {
-		return pipesim.Counters{}, errors.New("remote: empty code sequence")
-	}
-	enc, err := json.Marshal(EncodeSeq(code, r.div))
+	cs, err := r.RunCopies(code, 1)
 	if err != nil {
-		return pipesim.Counters{}, fmt.Errorf("remote: encoding sequence: %w", err)
+		return pipesim.Counters{}, err
 	}
-	// The substrate is deterministic, so a back-to-back identical
-	// measurement (the content comparison covers the concrete instructions
-	// and the divider regime) is the previous result; Clone because callers
-	// mutate the counters they receive.
-	if r.lastEnc != nil && bytes.Equal(enc, r.lastEnc) {
-		r.f.deduped.Add(1)
-		return r.lastCounters.Clone(), nil
+	return cs[0], nil
+}
+
+// RunCopies measures code at each copy count in one fleet call: the kernel
+// is encoded once per count with Seq.Copies set, and the call's sequences
+// always travel in one /v1/measure batch. Nothing of code is retained.
+func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+	if len(code) == 0 {
+		return nil, errors.New("remote: empty code sequence")
 	}
-	c := &call{enc: enc, done: make(chan callResult, 1)}
-	res := r.f.submit(r.genName, c, r.timer)
-	if res.err != nil {
-		return pipesim.Counters{}, res.err
+	ws := EncodeSeq(code, r.div)
+	encs := make([]json.RawMessage, len(copies))
+	for i, n := range copies {
+		ws.Copies = n
+		enc, err := json.Marshal(ws)
+		if err != nil {
+			return nil, fmt.Errorf("remote: encoding sequence: %w", err)
+		}
+		encs[i] = enc
 	}
-	r.lastEnc = enc
-	r.lastCounters = res.counters
-	return res.counters.Clone(), nil
+	res := r.f.submit(r.genName, &call{encs: encs, done: make(chan callResult, 1)}, r.timer)
+	return res.counters, res.err
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,47 +106,150 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if ws := EncodeSeq(asmgen.Sequence{add, load}, 0); ws.Order != nil {
 		t.Errorf("identity order not elided: %v", ws.Order)
 	}
+
+	// A kernel sent with a copy count decodes to the materialized copies,
+	// every copy sharing the kernel's instruction instances.
+	kernel := asmgen.Sequence{add, load, shld, add}
+	ws = EncodeSeq(kernel, 0)
+	ws.Copies = 12
+	if raw, err = json.Marshal(ws); err != nil {
+		t.Fatal(err)
+	}
+	back = Seq{}
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Copies != 12 {
+		t.Errorf("copy count %d did not survive the roundtrip", back.Copies)
+	}
+	if dec, err = DecodeSeq(set, back); err != nil {
+		t.Fatal(err)
+	}
+	if want := kernel.Repeat(12); dec.String() != want.String() {
+		t.Errorf("decoded copies\n%s\nwant\n%s", dec.String(), want.String())
+	}
+	for i := range dec {
+		if dec[i] != dec[i%len(kernel)] {
+			t.Fatalf("decoded copy instruction %d does not share the kernel's instance", i)
+		}
+	}
 }
 
 func TestDecodeSeqRejectsBadInput(t *testing.T) {
 	set := xedspec.MustFullISA()
-	cases := []Seq{
-		{Instrs: []Inst{{Name: "NO_SUCH_VARIANT"}}},
-		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "BOGUS"}}}}},
-		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}}}}},
-		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "RBX"}}}}, Order: []int{1}},
-	}
-	for i, ws := range cases {
+	for i, ws := range badSeqs() {
 		if _, err := DecodeSeq(set, ws); err == nil {
 			t.Errorf("case %d: DecodeSeq accepted invalid input %+v", i, ws)
 		}
 	}
 }
 
+// badSeqs are wire sequences DecodeSeq must refuse: unknown names and
+// registers, wrong operand counts, an order index out of range, and copy
+// counts that are negative or expand past MaxSeqLen (with and without an
+// explicit order, and at a count whose product overflows int), and copy
+// counts above MaxSeqLen of an empty kernel, which expand to nothing but
+// would still loop once per copy.
+func badSeqs() []Seq {
+	add := Inst{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "RBX"}}}
+	return []Seq{
+		{Instrs: []Inst{{Name: "NO_SUCH_VARIANT"}}},
+		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "BOGUS"}}}}},
+		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}}}}},
+		{Instrs: []Inst{add}, Order: []int{1}},
+		{Instrs: []Inst{add}, Copies: -1},
+		{Instrs: []Inst{add}, Copies: MaxSeqLen + 1},
+		{Instrs: []Inst{add}, Order: []int{0, 0, 0}, Copies: MaxSeqLen/3 + 1},
+		{Instrs: []Inst{add, add}, Copies: int(^uint(0) >> 1)},
+		{Copies: int(^uint(0) >> 1)},
+		{Instrs: []Inst{add}, Order: []int{}, Copies: int(^uint(0) >> 1)},
+		{Copies: MaxSeqLen + 1},
+	}
+}
+
+// FuzzDecodeSeq feeds arbitrary /v1/measure sequence bodies to the worker's
+// decoder: it must never panic, never return more than MaxSeqLen
+// instructions or accept more than MaxSeqLen copies, and decoded copies
+// must share the kernel's instances.
+func FuzzDecodeSeq(f *testing.F) {
+	set := uarch.Get(uarch.Skylake).InstrSet()
+	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
+	load := asmgen.MustInst(set.Lookup("MOV_R64_M64"), asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
+	for _, n := range []int{0, 1, 2, 12} {
+		ws := EncodeSeq(asmgen.Sequence{add, load, add}, pipesim.DividerValues(n%2))
+		ws.Copies = n
+		raw, err := json.Marshal(ws)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, ws := range badSeqs() {
+		raw, err := json.Marshal(ws)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var ws Seq
+		if json.Unmarshal(raw, &ws) != nil {
+			return
+		}
+		seq, err := DecodeSeq(set, ws)
+		if err != nil {
+			return
+		}
+		if len(seq) > MaxSeqLen {
+			t.Fatalf("decoded %d instructions, above the %d bound", len(seq), MaxSeqLen)
+		}
+		// The decoder's work is one step per copy even for an empty kernel.
+		if ws.Copies > MaxSeqLen {
+			t.Fatalf("accepted %d copies, above the %d bound", ws.Copies, MaxSeqLen)
+		}
+		if ws.Copies > 1 {
+			kernel := len(seq) / ws.Copies
+			for i := range seq {
+				if seq[i] != seq[i%kernel] {
+					t.Fatalf("decoded copy instruction %d does not share the kernel's instance", i)
+				}
+			}
+		}
+	})
+}
+
 // fakeWorker is a canned HTTP server speaking the worker protocol. Measurement
 // responses carry fabricated counters (Cycles = distinct instructions,
-// TotalUops = total order length) so tests can verify delivery.
+// TotalUops = total order length times copies) so tests can verify delivery.
 type fakeWorker struct {
 	t           *testing.T
 	srv         *httptest.Server
 	fingerprint string // serving fingerprint, name@version form
 	digest      string
+	wire        int // reported wire version (0: none, like an old worker)
 	measures    atomic.Int64
 	// intercept, if non-nil, may hijack a measurement request (by 1-based
 	// arrival number); returning true means the response was written.
 	intercept func(n int64, w http.ResponseWriter) bool
+
+	mu   sync.Mutex
+	seqs [][]Seq // the sequences of each answered request
 }
 
 func newFakeWorker(t *testing.T, fingerprint, digest string) *fakeWorker {
 	t.Helper()
-	fw := &fakeWorker{t: t, fingerprint: fingerprint, digest: digest}
+	fw := &fakeWorker{t: t, fingerprint: fingerprint, digest: digest, wire: WireVersion}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"serving":{"name":"pipesim","version":"1","fingerprint":%q,"measureDigest":%q}}`,
-			fw.fingerprint, fw.digest)
+		wire := ""
+		if fw.wire != 0 {
+			wire = fmt.Sprintf(`,"wireVersion":%d`, fw.wire)
+		}
+		fmt.Fprintf(w, `{"serving":{"name":"pipesim","version":"1","fingerprint":%q,"measureDigest":%q%s}}`,
+			fw.fingerprint, fw.digest, wire)
 	})
 	mux.HandleFunc("POST /v1/measure", func(w http.ResponseWriter, r *http.Request) {
 		n := fw.measures.Add(1)
@@ -169,20 +273,32 @@ func (fw *fakeWorker) answer(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		fw.t.Error(err)
 	}
-	resp := MeasureResponse{Backend: "pipesim", Version: "1", Fingerprint: fp}
+	resp := MeasureResponse{Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: fw.wire}
+	var seqs []Seq
 	for _, raw := range req.Seqs {
 		var ws Seq
 		if err := json.Unmarshal(raw, &ws); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		seqs = append(seqs, ws)
 		total := len(ws.Order)
 		if total == 0 {
 			total = len(ws.Instrs)
 		}
-		resp.Counters = append(resp.Counters, Counters{Cycles: len(ws.Instrs), TotalUops: total})
+		resp.Counters = append(resp.Counters, Counters{Cycles: len(ws.Instrs), TotalUops: total * max(ws.Copies, 1)})
 	}
+	fw.mu.Lock()
+	fw.seqs = append(fw.seqs, seqs)
+	fw.mu.Unlock()
 	json.NewEncoder(w).Encode(resp)
+}
+
+// requests returns the sequences of every request the worker answered.
+func (fw *fakeWorker) requests() [][]Seq {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return append([][]Seq(nil), fw.seqs...)
 }
 
 // configure points the global backend at the given fake workers with
@@ -309,6 +425,31 @@ func TestHandshakeMismatch(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesOtherWireVersion: a worker speaking an older fleet
+// protocol would ignore Seq.Copies and answer for one copy, so Configure
+// refuses it, naming both versions.
+func TestHandshakeRefusesOtherWireVersion(t *testing.T) {
+	Shutdown()
+	for _, wire := range []int{0, WireVersion - 1, WireVersion + 1} {
+		current := newFakeWorker(t, "pipesim@1", "aaaa")
+		other := newFakeWorker(t, "pipesim@1", "aaaa")
+		other.wire = wire
+		err := Configure(Options{Workers: []string{current.srv.URL, other.srv.URL}})
+		if err == nil {
+			Shutdown()
+			t.Fatalf("Configure accepted a worker reporting wire version %d", wire)
+		}
+		got := "none"
+		if wire != 0 {
+			got = fmt.Sprint(wire)
+		}
+		want := fmt.Sprintf("worker speaks %s, this client speaks %d", got, WireVersion)
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), other.srv.URL) {
+			t.Errorf("wire %d: error %q, want it to name worker %s and %q", wire, err, other.srv.URL, want)
+		}
+	}
+}
+
 func TestHandshakeUnreachableWorker(t *testing.T) {
 	Shutdown()
 	a := newFakeWorker(t, "pipesim@1", "aaaa")
@@ -337,41 +478,59 @@ func TestRunDeliversCounters(t *testing.T) {
 	}
 }
 
-func TestRunnerDedupsRepeatMeasurement(t *testing.T) {
+// TestRunCopies: one measurement's readings are one call — one request
+// carrying the kernel once per copy count, under the runner's divider
+// regime — and its counters come back in copy-count order.
+func TestRunCopies(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	configure(t, Options{}, fw)
-	r := newRunner(t)
-	code := testSequence(t)
-	c1, err := r.Run(code)
+	r := newRunner(t).(*Runner)
+	r.SetDividerValues(pipesim.DividerValues(1))
+	cs, err := r.RunCopies(testSequence(t), 2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the returned counters must not poison the cache.
-	if c1.PortUops != nil {
-		c1.PortUops[0] = 999
+	if len(cs) != 2 || cs[0].TotalUops != 4 || cs[1].TotalUops != 24 || cs[0].Cycles != 2 || cs[1].Cycles != 2 {
+		t.Errorf("counters = %+v, want TotalUops 4 then 24, Cycles 2", cs)
 	}
-	c1.Cycles = 999
-	c2, err := r.Run(code)
-	if err != nil {
-		t.Fatal(err)
+	reqs := fw.requests()
+	if len(reqs) != 1 || len(reqs[0]) != 2 {
+		t.Fatalf("worker saw requests %+v, want one carrying two sequences", reqs)
 	}
-	if c2.Cycles != 2 {
-		t.Errorf("deduped counters = %+v, want Cycles 2", c2)
+	for i, want := range []int{2, 12} {
+		ws := reqs[0][i]
+		if ws.Copies != want || ws.Div != 1 || len(ws.Instrs) != 2 || ws.Order != nil {
+			t.Errorf("sequence %d = %+v, want the 2-instruction kernel with copies %d and divider regime 1", i, ws, want)
+		}
+	}
+	if s := fleetStats(t); s.Batches != 1 || s.Sequences != 2 || s.Retries != 0 {
+		t.Errorf("stats = %+v, want 1 batch of 2 sequences", s)
+	}
+}
+
+// TestRunCopiesSequenceErrorFailsCall: a per-sequence error on either
+// reading fails the whole call, without a retry.
+func TestRunCopiesSequenceErrorFailsCall(t *testing.T) {
+	fw := newFakeWorker(t, "pipesim@1", "aaaa")
+	fw.intercept = func(n int64, w http.ResponseWriter) bool {
+		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
+		json.NewEncoder(w).Encode(MeasureResponse{
+			Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: WireVersion,
+			Counters: make([]Counters, 2), Errs: []string{"", "cycle limit exceeded"},
+		})
+		return true
+	}
+	configure(t, Options{}, fw)
+	r := newRunner(t).(*Runner)
+	_, err := r.RunCopies(testSequence(t), 2, 12)
+	if err == nil || !strings.Contains(err.Error(), "cycle limit exceeded") {
+		t.Fatalf("RunCopies = %v, want the worker's per-sequence error", err)
 	}
 	if got := fw.measures.Load(); got != 1 {
-		t.Errorf("worker saw %d measure requests, want 1 (second Run must dedup)", got)
+		t.Errorf("worker saw %d requests, want 1 (per-sequence errors are permanent)", got)
 	}
-	if s := fleetStats(t); s.Deduped != 1 {
-		t.Errorf("Deduped = %d, want 1", s.Deduped)
-	}
-
-	// A different divider regime is a different measurement.
-	r.(*Runner).SetDividerValues(pipesim.DividerValues(1))
-	if _, err := r.Run(code); err != nil {
-		t.Fatal(err)
-	}
-	if got := fw.measures.Load(); got != 2 {
-		t.Errorf("worker saw %d measure requests, want 2 (regime change must re-measure)", got)
+	if s := fleetStats(t); s.Retries != 0 || s.Batches != 1 {
+		t.Errorf("stats = %+v, want 1 batch and no retries", s)
 	}
 }
 
@@ -404,7 +563,7 @@ func TestPermanentSequenceErrorNotRetried(t *testing.T) {
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
 		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
 		json.NewEncoder(w).Encode(MeasureResponse{
-			Backend: "pipesim", Version: "1", Fingerprint: fp,
+			Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: WireVersion,
 			Counters: make([]Counters, 1), Errs: []string{"unknown instruction variant"},
 		})
 		return true
@@ -424,17 +583,28 @@ func TestPermanentSequenceErrorNotRetried(t *testing.T) {
 }
 
 func TestFingerprintDriftIsTransient(t *testing.T) {
-	fw := newFakeWorker(t, "pipesim@1", "aaaa")
-	configure(t, Options{MaxAttempts: 2}, fw)
-	// The worker restarts with a different build after the handshake.
-	fw.fingerprint = "pipesim@2"
-	r := newRunner(t)
-	_, err := r.Run(testSequence(t))
-	if err == nil {
-		t.Fatal("Run succeeded against a drifted worker")
-	}
-	if !strings.Contains(err.Error(), "drifted") {
-		t.Errorf("drift error = %v", err)
+	// The worker restarts with a different build after the handshake: one
+	// serving another fingerprint, or speaking another wire version.
+	for _, tc := range []struct {
+		name, want string
+		drift      func(fw *fakeWorker)
+	}{
+		{"fingerprint", "drifted", func(fw *fakeWorker) { fw.fingerprint = "pipesim@2" }},
+		{"wire", "wire version mismatch", func(fw *fakeWorker) { fw.wire = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fw := newFakeWorker(t, "pipesim@1", "aaaa")
+			configure(t, Options{MaxAttempts: 2}, fw)
+			tc.drift(fw)
+			r := newRunner(t)
+			_, err := r.Run(testSequence(t))
+			if err == nil {
+				t.Fatal("Run succeeded against a drifted worker")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("drift error = %v", err)
+			}
+		})
 	}
 }
 

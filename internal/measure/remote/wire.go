@@ -21,12 +21,25 @@ import (
 	"uopsinfo/internal/pipesim"
 )
 
+// WireVersion is the revision of the fleet wire protocol this package
+// speaks. Workers report it in the "serving" section of /v1/backends and in
+// every /v1/measure response, and a client refuses a worker that reports
+// another revision or none. Version 2 added Seq.Copies: a version-1 worker
+// would ignore it and answer for a single copy.
+const WireVersion = 2
+
+// MaxSeqLen bounds the length of a decoded sequence, copies expanded. It
+// sits far above the longest sequence the paper's protocol builds (110
+// copies of a ~257-instruction kernel) and keeps a small request from
+// expanding into an arbitrarily large one.
+const MaxSeqLen = 1 << 20
+
 // Seq is one measurement request: a concrete instruction sequence under one
-// divider-value regime. Repeated sequences (the measurement protocol runs
-// n concatenated copies of a short kernel) are deduplicated by instruction
-// instance: Instrs holds each distinct instruction once and Order lists the
-// execution order as indices into Instrs. An empty Order means Instrs in
-// order.
+// divider-value regime. Repeated instructions are deduplicated by instance:
+// Instrs holds each distinct instruction once and Order lists the execution
+// order as indices into Instrs. An empty Order means Instrs in order. The
+// measurement protocol runs n concatenated copies of a kernel; Copies
+// carries n, and the decoder repeats the kernel itself.
 type Seq struct {
 	// Div is the operand-value regime for divider-based instructions
 	// (pipesim.DividerValues; 0 is the slow regime).
@@ -35,6 +48,9 @@ type Seq struct {
 	Instrs []Inst `json:"instrs"`
 	// Order is the execution order as indices into Instrs (empty: identity).
 	Order []int `json:"order,omitempty"`
+	// Copies is how many times the decoder repeats the sequence; 0 and 1
+	// both mean once.
+	Copies int `json:"copies,omitempty"`
 }
 
 // Inst is one concrete instruction: an instruction-variant name plus the
@@ -71,15 +87,16 @@ type MeasureRequest struct {
 }
 
 // MeasureResponse is the body of a successful POST /v1/measure: one Counters
-// entry per request sequence, plus the worker's serving-backend identity so
-// the client can detect a worker whose backend drifted (restart with a new
-// build) since the handshake. Errs, when non-empty, carries per-sequence
-// error strings ("" = the sequence succeeded); such errors are deterministic
-// properties of the sequence and must not be retried.
+// entry per request sequence, plus the worker's serving-backend identity and
+// wire version so the client can detect a worker that drifted (restart with
+// a new build) since the handshake. Errs, when non-empty, carries
+// per-sequence error strings ("" = the sequence succeeded); such errors are
+// deterministic properties of the sequence and must not be retried.
 type MeasureResponse struct {
 	Backend     string     `json:"backend"`
 	Version     string     `json:"version"`
 	Fingerprint string     `json:"fingerprint"`
+	WireVersion int        `json:"wireVersion"`
 	Counters    []Counters `json:"counters"`
 	Errs        []string   `json:"errors,omitempty"`
 }
@@ -96,11 +113,10 @@ func DecodeCounters(c Counters) pipesim.Counters {
 		IssuedUops: c.IssuedUops, ElimUops: c.ElimUops}
 }
 
-// EncodeSeq encodes a concrete sequence under a divider-value regime.
-// Instruction instances are deduplicated by pointer: a materialized n-copy
-// measurement sequence repeats the same instances, so the wire form carries
-// each once plus the order, which keeps /v1/measure bodies proportional to
-// the kernel, not the copy count.
+// EncodeSeq encodes a concrete sequence under a divider-value regime, as
+// one copy. Instruction instances are deduplicated by pointer: a
+// materialized n-copy measurement sequence repeats the same instances, so
+// the wire form carries each once plus the order.
 func EncodeSeq(code asmgen.Sequence, div pipesim.DividerValues) Seq {
 	ws := Seq{Div: int(div)}
 	idx := make(map[*asmgen.Inst]int, 16)
@@ -144,12 +160,29 @@ func encodeInst(in *asmgen.Inst) Inst {
 }
 
 // DecodeSeq reconstructs the concrete sequence against a generation's
-// instruction set. Order entries reference the same decoded instruction
-// instance, mirroring the pointer sharing of the client's repeat buffers.
-// Every lookup or validation failure is an error naming the offending
-// instruction: these are deterministic request properties, never worth a
+// instruction set, repeated Copies times. Order entries and copies reference
+// the same decoded instruction instance, mirroring the pointer sharing of
+// the client's repeat buffers. Every lookup or validation failure — a
+// negative copy count, and a copy count above MaxSeqLen or an expanded
+// length above it, included — is an error: these are deterministic request properties, never worth a
 // retry.
 func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, error) {
+	copies := ws.Copies
+	if copies < 0 {
+		return nil, fmt.Errorf("remote: negative copy count %d", copies)
+	}
+	if copies == 0 {
+		copies = 1
+	}
+	n := len(ws.Order)
+	if ws.Order == nil {
+		n = len(ws.Instrs)
+	}
+	// An empty kernel is bounded too: Repeat loops once per copy even when
+	// it appends nothing.
+	if copies > MaxSeqLen/max(n, 1) {
+		return nil, fmt.Errorf("remote: %d copies of %d instructions exceed the %d-instruction bound", copies, n, MaxSeqLen)
+	}
 	insts := make([]*asmgen.Inst, len(ws.Instrs))
 	for i, wi := range ws.Instrs {
 		in, err := decodeInst(set, wi)
@@ -158,17 +191,20 @@ func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, error) {
 		}
 		insts[i] = in
 	}
-	if ws.Order == nil {
-		return asmgen.Sequence(insts), nil
-	}
-	seq := make(asmgen.Sequence, len(ws.Order))
-	for i, j := range ws.Order {
-		if j < 0 || j >= len(insts) {
-			return nil, fmt.Errorf("remote: sequence order index %d out of range (%d instructions)", j, len(insts))
+	kernel := asmgen.Sequence(insts)
+	if ws.Order != nil {
+		kernel = make(asmgen.Sequence, len(ws.Order))
+		for i, j := range ws.Order {
+			if j < 0 || j >= len(insts) {
+				return nil, fmt.Errorf("remote: sequence order index %d out of range (%d instructions)", j, len(insts))
+			}
+			kernel[i] = insts[j]
 		}
-		seq[i] = insts[j]
 	}
-	return seq, nil
+	if copies > 1 {
+		kernel = kernel.Repeat(copies)
+	}
+	return kernel, nil
 }
 
 func decodeInst(set *isa.Set, wi Inst) (*asmgen.Inst, error) {

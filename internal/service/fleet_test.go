@@ -224,7 +224,8 @@ func TestFleetHandshakeMismatchIsHardError(t *testing.T) {
 	// A worker from a different build: same protocol, different serving
 	// fingerprint.
 	impostor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"serving":{"name":"pipesim","version":"999","fingerprint":"pipesim@999","measureDigest":"ffff"}}`)
+		fmt.Fprintf(w, `{"serving":{"name":"pipesim","version":"999","fingerprint":"pipesim@999","measureDigest":"ffff","wireVersion":%d}}`,
+			remote.WireVersion)
 	}))
 	t.Cleanup(impostor.Close)
 	err := remote.Configure(remote.Options{Workers: []string{real.srv.URL, impostor.URL}})
@@ -232,7 +233,7 @@ func TestFleetHandshakeMismatchIsHardError(t *testing.T) {
 		remote.Shutdown()
 		t.Fatal("Configure accepted a mixed-version fleet")
 	}
-	if !strings.Contains(err.Error(), "mismatch") {
+	if !strings.Contains(err.Error(), "fleet version mismatch") {
 		t.Errorf("mismatch error = %v", err)
 	}
 }

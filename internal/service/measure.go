@@ -29,8 +29,8 @@ import (
 // expected to stay far below it.
 const maxMeasureBatch = 1024
 
-// maxMeasureBody bounds the request body (32 MiB — a full batch of long
-// repeat sequences is far smaller thanks to copy deduplication).
+// maxMeasureBody bounds the request body (32 MiB — a full batch is far
+// smaller, because a sequence carries its kernel once plus a copy count).
 const maxMeasureBody = 32 << 20
 
 // seqFlight is one in-progress sequence measurement, shared by every
@@ -51,15 +51,17 @@ type dividerValueSetter interface {
 // ServingInfo identifies the backend a worker's engine actually serves from
 // — as opposed to the registry listing, which names every compiled-in
 // backend. The fleet handshake consumes it: Fingerprint is the exact
-// name@version string folded into the worker's cache keys, and
-// MeasureDigest hashes the worker's measurement-protocol configuration, so
-// a client can refuse to treat differently-configured workers as one fleet.
+// name@version string folded into the worker's cache keys, MeasureDigest
+// hashes the worker's measurement-protocol configuration, so a client can
+// refuse to treat differently-configured workers as one fleet, and
+// WireVersion is the fleet wire protocol /v1/measure speaks.
 type ServingInfo struct {
 	Name          string         `json:"name"`
 	Version       string         `json:"version"`
 	Fingerprint   string         `json:"fingerprint"`
 	Measure       measure.Config `json:"measure"`
 	MeasureDigest string         `json:"measureDigest"`
+	WireVersion   int            `json:"wireVersion"`
 }
 
 // serving assembles the engine's serving-backend identity.
@@ -72,6 +74,7 @@ func (s *Service) serving() ServingInfo {
 		Fingerprint:   b.Name() + "@" + b.Version(),
 		Measure:       mcfg,
 		MeasureDigest: measureDigest(mcfg),
+		WireVersion:   remote.WireVersion,
 	}
 }
 
@@ -132,6 +135,7 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		Backend:     s.eng.Backend().Name(),
 		Version:     s.eng.Backend().Version(),
 		Fingerprint: s.servingFingerprint(),
+		WireVersion: remote.WireVersion,
 		Counters:    make([]remote.Counters, len(req.Seqs)),
 	}
 	genPrefix := []byte(arch.Name() + "\x00")

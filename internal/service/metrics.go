@@ -78,8 +78,6 @@ func (s *Service) metrics() []metric {
 				help: "Measurement batches this process sent to its fleet (including retries and hedges).", value: float64(f.Batches)},
 			metric{name: "uopsd_fleet_sequences_total", typ: "counter",
 				help: "Sequences submitted to the fleet dispatcher.", value: float64(f.Sequences)},
-			metric{name: "uopsd_fleet_deduped_total", typ: "counter",
-				help: "Fleet measurements answered from a runner's last-result cache without network traffic.", value: float64(f.Deduped)},
 			metric{name: "uopsd_fleet_retries_total", typ: "counter",
 				help: "Sequences re-enqueued after a transient fleet batch failure.", value: float64(f.Retries)},
 			metric{name: "uopsd_fleet_errors_total", typ: "counter",
