@@ -126,13 +126,23 @@ lint-extra:
 	else echo "lint-extra: govulncheck not installed; skipping"; fi
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
-# and incremental per-variant eviction) under the race detector and checks
+# and incremental per-variant eviction) under the race detector, checks
 # that the backend registry lists the default pipesim backend through the
-# actual CLI surface.
+# actual CLI surface, and smokes the four commands that have no tests of
+# their own — including a flag error, which must exit non-zero and name
+# the flag.
 ci-cmd:
 	$(GO) test -race -run 'TestCacheColdWarmByteIdentical|TestCacheIncrementalEviction' ./cmd/uopsinfo
 	$(GO) run ./cmd/uopsinfo -backends | grep -q '^pipesim' || \
 		{ echo "uopsinfo -backends does not list pipesim"; exit 1; }
+	echo 'ADD RAX, RBX' | $(GO) run ./cmd/analyze -arch Skylake
+	$(GO) run ./cmd/table1 -arch Skylake -sample 400 -j 2
+	$(GO) run ./cmd/iacadiff -arch Skylake -sample 400 -j 2
+	$(GO) run ./cmd/casestudies -id 7.3.1 -j 2
+	@stderr=$$($(GO) run ./cmd/casestudies -store-max-bytes bogus 2>&1 >/dev/null) && \
+		{ echo "casestudies accepted -store-max-bytes bogus"; exit 1; }; \
+	echo "$$stderr" | grep -q -- '-store-max-bytes' || \
+		{ echo "casestudies flag error does not name -store-max-bytes: $$stderr"; exit 1; }
 
 # run-uopsd starts the characterization service on its default address
 # (localhost:8631) with a local cache directory, the quickest way to poke the
@@ -184,6 +194,6 @@ ci-faults:
 # detector (the characterization scheduler, the engine and the service are
 # concurrent), a one-iteration pass over every benchmark, the
 # benchmark-trajectory pipeline smoke, the hot-path ns/op regression gate,
-# the command-level cache/backend/service checks, the distributed-fleet
-# suite, and the store fault-injection suite.
+# the command-level cache/backend/service checks and command smokes, the
+# distributed-fleet suite, and the store fault-injection suite.
 ci: fmt-check vet lint race bench-smoke bench-json-smoke bench-guard ci-cmd ci-service ci-fleet ci-faults

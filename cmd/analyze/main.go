@@ -11,12 +11,11 @@
 //	echo 'ADD RAX, RBX' | analyze -arch Haswell
 //
 // The measurement stack is built by the characterization engine, so analyze
-// shares the -j / -cache / -backend configuration surface of the other
-// tools; -backend selects which registered execution substrate runs the
-// kernel. A kernel analysis is a single direct measurement, which the store
-// does not cache yet, so -j and -cache only configure the engine; they are
-// accepted for interface consistency and for when direct measurements become
-// cacheable.
+// takes the engine flags (-j, -cache, -store-*, -backend, -fleet) shared by
+// every command; see engine.RegisterFlags. -backend or -fleet selects which
+// execution substrate runs the kernel. A kernel analysis is a single direct
+// measurement, which the store does not cache, so -j and the store flags
+// only configure the engine.
 package main
 
 import (
@@ -25,13 +24,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
-	"uopsinfo/internal/measure/remote"
-	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 )
 
@@ -40,16 +36,14 @@ func main() {
 	log.SetPrefix("analyze: ")
 
 	archName := flag.String("arch", "Skylake", `microarchitecture generation (case and separators ignored, e.g. "sandy-bridge"); an unknown name is an error listing the known ones`)
-	jobs := flag.Int("j", runtime.NumCPU(), "total number of parallel workers")
-	cacheDir := flag.String("cache", "", "directory of the persistent result store")
-	storeMaxBytes := flag.String("store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	storeMaxFiles := flag.Int64("store-max-files", 0, "file-count budget of the persistent store (0: unbounded)")
-	storeDurable := flag.Bool("store-durable", false, "fsync store writes before publishing them (one-shot runs default to off)")
-	backend := flag.String("backend", "", "measurement backend to run on (default: pipesim)")
-	fleet := flag.String("fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 
-	resolvedBackend, err := remote.Setup(*fleet, *backend)
+	ecfg, err := ef.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := engine.New(ecfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,19 +78,6 @@ func main() {
 			uarch.FormatPortUsage(perf.PortUsage()))
 	}
 
-	ecfg := engine.Config{
-		Workers: *jobs, CacheDir: *cacheDir, Backend: resolvedBackend,
-		StoreMaxFiles: *storeMaxFiles, StoreDurable: *storeDurable,
-	}
-	if *storeMaxBytes != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(*storeMaxBytes); err != nil {
-			log.Fatalf("-store-max-bytes: %v", err)
-		}
-	}
-	eng, err := engine.New(ecfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	h, err := eng.Harness(arch.Gen())
 	if err != nil {
 		log.Fatal(err)

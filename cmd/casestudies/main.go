@@ -6,26 +6,23 @@
 //
 // Usage:
 //
-//	casestudies [-id 7.3.1] [-j 8] [-cache DIR] [-backend pipesim]
+//	casestudies [-id 7.3.1] [engine flags]
 //
-// With -j > 1 the per-generation characterizers (whose
-// blocking-instruction discovery dominates the runtime) are built
-// concurrently by the characterization engine; -cache reuses blocking sets
-// across invocations, and -backend selects the measurement backend. Every
-// stack is built through the engine, which rejects unknown generations and
-// backends with an error instead of panicking.
+// The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
+// every command; see engine.RegisterFlags. With a -j budget above 1 the
+// per-generation characterizers (whose blocking-instruction discovery
+// dominates the runtime) are built concurrently by the characterization
+// engine. Every stack is built through the engine, which rejects unknown
+// generations and backends with an error instead of panicking.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"uopsinfo/internal/engine"
-	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/report"
-	"uopsinfo/internal/store"
 )
 
 func main() {
@@ -33,34 +30,19 @@ func main() {
 	log.SetPrefix("casestudies: ")
 
 	id := flag.String("id", "", `run only the case study with this identifier (e.g. "7.3.1"); default: all`)
-	jobs := flag.Int("j", runtime.NumCPU(), "total number of parallel workers (1 = fully sequential)")
-	cacheDir := flag.String("cache", "", "directory of the persistent result store")
-	storeMaxBytes := flag.String("store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	storeMaxFiles := flag.Int64("store-max-files", 0, "file-count budget of the persistent store (0: unbounded)")
-	storeDurable := flag.Bool("store-durable", false, "fsync store writes before publishing them (one-shot runs default to off)")
-	backend := flag.String("backend", "", "measurement backend to run on (default: pipesim)")
-	fleet := flag.String("fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 
-	resolvedBackend, err := remote.Setup(*fleet, *backend)
+	ecfg, err := ef.Config()
 	if err != nil {
 		log.Fatal(err)
-	}
-	ecfg := engine.Config{
-		Workers: *jobs, CacheDir: *cacheDir, Backend: resolvedBackend,
-		StoreMaxFiles: *storeMaxFiles, StoreDurable: *storeDurable,
-	}
-	if *storeMaxBytes != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(*storeMaxBytes); err != nil {
-			log.Fatalf("-store-max-bytes: %v", err)
-		}
 	}
 	eng, err := engine.New(ecfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := report.NewContextWith(eng)
-	if *jobs > 1 {
+	if eng.Workers() > 1 {
 		// All studies are built regardless of -id (the filter applies to the
 		// output), so warm every generation they measure on up front.
 		if err := ctx.Prewarm(report.CaseStudyGenerations()); err != nil {

@@ -5,25 +5,23 @@
 //
 // Usage:
 //
-//	iacadiff [-arch Skylake] [-sample 20] [-j 8] [-cache DIR] [-backend pipesim]
+//	iacadiff [-arch Skylake] [-sample 20] [engine flags]
 //
-// With -j > 1 the characterizers for the chosen generation and for the
-// generations of the named discrepancy examples are prewarmed concurrently
-// by the characterization engine; -cache reuses blocking sets across
-// invocations, and -backend selects the measurement backend.
+// The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
+// every command; see engine.RegisterFlags. With a -j budget above 1 the
+// characterizers for the chosen generation and for the generations of the
+// named discrepancy examples are prewarmed concurrently by the
+// characterization engine.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
-	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/report"
-	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 )
 
@@ -33,16 +31,14 @@ func main() {
 
 	archName := flag.String("arch", "Skylake", `microarchitecture generation (case and separators ignored, e.g. "sandy-bridge")`)
 	sample := flag.Int("sample", 20, "compare every n-th eligible instruction variant (1 = all)")
-	jobs := flag.Int("j", runtime.NumCPU(), "total number of parallel workers (1 = fully sequential)")
-	cacheDir := flag.String("cache", "", "directory of the persistent result store")
-	storeMaxBytes := flag.String("store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	storeMaxFiles := flag.Int64("store-max-files", 0, "file-count budget of the persistent store (0: unbounded)")
-	storeDurable := flag.Bool("store-durable", false, "fsync store writes before publishing them (one-shot runs default to off)")
-	backend := flag.String("backend", "", "measurement backend to run on (default: pipesim)")
-	fleet := flag.String("fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 
-	resolvedBackend, err := remote.Setup(*fleet, *backend)
+	ecfg, err := ef.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng, err := engine.New(ecfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,21 +53,8 @@ func main() {
 	}
 	fmt.Printf("IACA versions supporting %s: %s\n\n", arch.Name(), iaca.DescribeVersions(arch.Gen()))
 
-	ecfg := engine.Config{
-		Workers: *jobs, CacheDir: *cacheDir, Backend: resolvedBackend,
-		StoreMaxFiles: *storeMaxFiles, StoreDurable: *storeDurable,
-	}
-	if *storeMaxBytes != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(*storeMaxBytes); err != nil {
-			log.Fatalf("-store-max-bytes: %v", err)
-		}
-	}
-	eng, err := engine.New(ecfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ctx := report.NewContextWith(eng)
-	if *jobs > 1 {
+	if eng.Workers() > 1 {
 		// The discrepancy study below always measures on Skylake, Haswell
 		// and Nehalem; warm those together with the chosen generation.
 		gens := []uarch.Generation{arch.Gen(), uarch.Skylake, uarch.Haswell, uarch.Nehalem}

@@ -5,24 +5,21 @@
 //
 // Usage:
 //
-//	table1 [-sample 20] [-arch "Skylake"] [-j 8] [-cache DIR] [-backend pipesim]
+//	table1 [-sample 20] [-arch "Skylake"] [-v] [engine flags]
 //
-// With -j > 1 the generations are compared concurrently on stacks built by
-// the characterization engine; -cache reuses blocking sets discovered by
-// earlier runs of any tool sharing the store, and -backend selects the
-// measurement backend the comparison measures on.
+// The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
+// every command; see engine.RegisterFlags. With a -j budget above 1 the
+// generations are compared concurrently on stacks built by the
+// characterization engine.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"uopsinfo/internal/engine"
-	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/report"
-	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 )
 
@@ -33,27 +30,12 @@ func main() {
 	sample := flag.Int("sample", 20, "compare every n-th eligible instruction variant (1 = all, slower)")
 	archName := flag.String("arch", "", `restrict to one generation (default: all nine; case and separators ignored, e.g. "sandy-bridge")`)
 	verbose := flag.Bool("v", false, "print progress")
-	jobs := flag.Int("j", runtime.NumCPU(), "total number of parallel workers (1 = fully sequential)")
-	cacheDir := flag.String("cache", "", "directory of the persistent result store")
-	storeMaxBytes := flag.String("store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	storeMaxFiles := flag.Int64("store-max-files", 0, "file-count budget of the persistent store (0: unbounded)")
-	storeDurable := flag.Bool("store-durable", false, "fsync store writes before publishing them (one-shot runs default to off)")
-	backend := flag.String("backend", "", "measurement backend to run on (default: pipesim)")
-	fleet := flag.String("fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(flag.CommandLine, false)
 	flag.Parse()
 
-	resolvedBackend, err := remote.Setup(*fleet, *backend)
+	ecfg, err := ef.Config()
 	if err != nil {
 		log.Fatal(err)
-	}
-	ecfg := engine.Config{
-		Workers: *jobs, CacheDir: *cacheDir, Backend: resolvedBackend,
-		StoreMaxFiles: *storeMaxFiles, StoreDurable: *storeDurable,
-	}
-	if *storeMaxBytes != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(*storeMaxBytes); err != nil {
-			log.Fatalf("-store-max-bytes: %v", err)
-		}
 	}
 	if *verbose {
 		ecfg.Log = log.Printf
@@ -65,7 +47,7 @@ func main() {
 	opts := report.Table1Options{
 		SampleEvery: *sample,
 		Context:     report.NewContextWith(eng),
-		Workers:     *jobs,
+		Workers:     eng.Workers(),
 	}
 	if *archName != "" {
 		a, err := uarch.ByName(*archName)

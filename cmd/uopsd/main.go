@@ -4,10 +4,12 @@
 //
 // Usage:
 //
-//	uopsd [-addr localhost:8631] [-j 8] [-cache DIR] [-backend pipesim]
-//	      [-store-max-bytes 2G] [-store-max-files N] [-store-durable=false]
-//	      [-fleet URL,URL] [-rate N -burst M] [-job-ttl 15m] [-drain 10s]
-//	      [-header-timeout 10s] [-idle-timeout 2m] [-v]
+//	uopsd [-addr localhost:8631] [-rate N -burst M] [-job-ttl 15m] [-drain 10s]
+//	      [-header-timeout 10s] [-idle-timeout 2m] [-v] [engine flags]
+//
+// The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
+// every command; see engine.RegisterFlags. Unlike the one-shot commands,
+// uopsd defaults to -store-durable=true.
 //
 // Endpoints:
 //
@@ -45,15 +47,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"uopsinfo/internal/engine"
-	"uopsinfo/internal/measure"
-	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/service"
-	"uopsinfo/internal/store"
 )
 
 // errUsage signals that the flag package already printed the diagnostic and
@@ -80,20 +78,14 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logger, ready func(addr string)) error {
 	fs := flag.NewFlagSet("uopsd", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8631", "listen address (host:port; port 0 picks an ephemeral port)")
-	jobs := fs.Int("j", runtime.NumCPU(), "total number of parallel measurement workers")
-	cacheDir := fs.String("cache", "", "directory of the persistent result store (results survive restarts and are shared with the CLI tools)")
-	storeMaxBytes := fs.String("store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	storeMaxFiles := fs.Int64("store-max-files", 0, "file-count budget of the persistent store; cold digests are evicted LRU past it (0: unbounded)")
-	storeDurable := fs.Bool("store-durable", true, "fsync store writes before publishing them, so completed saves survive a crash")
-	backendName := fs.String("backend", "", `measurement backend to serve from (default: "`+measure.DefaultBackend+`")`)
-	fleet := fs.String("fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(fs, true)
 	headerTimeout := fs.Duration("header-timeout", 10*time.Second, "deadline for reading a request's headers")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
 	rate := fs.Float64("rate", 0, "rate limit in requests per second across all endpoints except /healthz and /metrics (0 disables limiting)")
 	burst := fs.Int("burst", 0, "rate-limiter burst depth (default: ceil of -rate)")
 	jobTTL := fs.Duration("job-ttl", service.DefaultJobTTL, "how long finished async jobs stay listed and fetchable")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and async jobs before running measurements are cancelled")
-	verbose := fs.Bool("v", false, "log engine cache diagnostics and blocking-discovery progress")
+	verbose := fs.Bool("v", false, "log persistent-store diagnostics: save errors, quarantined entries, evictions and degradation")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -101,7 +93,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
-	resolvedBackend, err := remote.Setup(*fleet, *backendName)
+	ecfg, err := ef.Config()
 	if err != nil {
 		return err
 	}
@@ -112,15 +104,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
 
-	ecfg := engine.Config{
-		Workers: *jobs, CacheDir: *cacheDir, Backend: resolvedBackend, BaseContext: baseCtx,
-		StoreMaxFiles: *storeMaxFiles, StoreDurable: *storeDurable,
-	}
-	if *storeMaxBytes != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(*storeMaxBytes); err != nil {
-			return fmt.Errorf("-store-max-bytes: %w", err)
-		}
-	}
+	ecfg.BaseContext = baseCtx
 	if *verbose {
 		ecfg.Log = logger.Printf
 	}
@@ -145,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 		return err
 	}
 	logger.Printf("backend %s version %s, %d workers, cache %q",
-		eng.Backend().Name(), eng.Backend().Version(), eng.Workers(), *cacheDir)
+		eng.Backend().Name(), eng.Backend().Version(), eng.Workers(), ecfg.CacheDir)
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr().String())

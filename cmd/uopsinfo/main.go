@@ -5,22 +5,16 @@
 //
 // Usage:
 //
-//	uopsinfo [-arch "Skylake"] [-out results.xml] [-sample 20] [-only ADD_R64_R64,IMUL_R64_R64] [-quick] [-j 8] [-cache DIR] [-backend pipesim] [-fleet URL,URL] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	uopsinfo [-arch "Skylake"] [-out results.xml] [-sample 20] [-only ADD_R64_R64,IMUL_R64_R64] [-quick] [-backends] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [engine flags]
 //
-// The -j flag sets the total number of parallel workers (default: the number
-// of CPUs). Architectures are characterized concurrently and, within each
-// architecture, blocking-instruction discovery and the instruction variants
-// are sharded across per-worker runner/harness stacks; the worker budget is
-// split between the two levels. The -backend flag selects the measurement
-// backend (the execution substrate) from the registry; -backends lists the
-// registered backends and exits. The -cache flag points at a persistent
-// result store: discovered blocking sets and individual per-variant
-// measurements are reused across invocations (keyed by the backend
-// fingerprint among other inputs), corrupt or stale entries silently fall
-// back to recomputation, and a partially evicted store re-measures only the
-// missing variants. The output XML is byte-identical regardless of -j
-// and of cache state: results are merged deterministically and sorted before
-// writing.
+// The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
+// every command; see engine.RegisterFlags. Architectures are characterized
+// concurrently and, within each architecture, blocking-instruction discovery
+// and the instruction variants are sharded across per-worker runner/harness
+// stacks; the -j budget is split between the two levels. -backends lists the
+// registered measurement backends and exits. The output XML is
+// byte-identical regardless of -j and of cache state: results are merged
+// deterministically and sorted before writing.
 package main
 
 import (
@@ -32,7 +26,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"runtime/pprof"
@@ -40,8 +33,6 @@ import (
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
 	"uopsinfo/internal/measure"
-	"uopsinfo/internal/measure/remote"
-	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 	"uopsinfo/internal/xmlout"
 )
@@ -69,13 +60,6 @@ type config struct {
 	only     string
 	quick    bool
 	verbose  bool
-	jobs     int
-	cache    string
-	storeMax string
-	storeCap int64
-	durable  bool
-	backend  string
-	fleet    string
 	backends bool
 	cpuprof  string
 	memprof  string
@@ -93,13 +77,7 @@ func run(args []string, stdout io.Writer, logger *log.Logger) error {
 	fs.StringVar(&cfg.only, "only", "", "comma-separated list of variant names to characterize (overrides -sample)")
 	fs.BoolVar(&cfg.quick, "quick", false, "skip the per-operand-pair latency measurements")
 	fs.BoolVar(&cfg.verbose, "v", false, "print progress")
-	fs.IntVar(&cfg.jobs, "j", runtime.NumCPU(), "total number of parallel workers (1 = fully sequential)")
-	fs.StringVar(&cfg.cache, "cache", "", "directory of the persistent result store (blocking sets, results and per-variant records are reused across runs)")
-	fs.StringVar(&cfg.storeMax, "store-max-bytes", "", "byte budget of the persistent store (plain bytes or 512M/2G/...); cold digests are evicted LRU past it (empty: unbounded)")
-	fs.Int64Var(&cfg.storeCap, "store-max-files", 0, "file-count budget of the persistent store; cold digests are evicted LRU past it (0: unbounded)")
-	fs.BoolVar(&cfg.durable, "store-durable", false, "fsync store writes before publishing them (a crash-lost cache entry only costs one re-measurement, so one-shot runs default to off)")
-	fs.StringVar(&cfg.backend, "backend", "", `measurement backend to run on (default: "`+measure.DefaultBackend+`"; see -backends)`)
-	fs.StringVar(&cfg.fleet, "fleet", "", "comma-separated uopsd worker URLs to measure on (selects -backend remote; default: $"+remote.EnvFleet+")")
+	ef := engine.RegisterFlags(fs, false)
 	fs.BoolVar(&cfg.backends, "backends", false, "list the registered measurement backends and exit")
 	fs.StringVar(&cfg.cpuprof, "cpuprofile", "", "write a CPU profile of the characterization to this file")
 	fs.StringVar(&cfg.memprof, "memprofile", "", "write a heap profile (after characterization) to this file")
@@ -108,9 +86,6 @@ func run(args []string, stdout io.Writer, logger *log.Logger) error {
 			return nil
 		}
 		return fmt.Errorf("%w: %v", errUsage, err)
-	}
-	if cfg.jobs < 1 {
-		cfg.jobs = 1
 	}
 	if cfg.backends {
 		for _, name := range measure.Names() {
@@ -131,18 +106,9 @@ func run(args []string, stdout io.Writer, logger *log.Logger) error {
 		archs = []*uarch.Arch{a}
 	}
 
-	resolvedBackend, err := remote.Setup(cfg.fleet, cfg.backend)
+	ecfg, err := ef.Config()
 	if err != nil {
 		return err
-	}
-	ecfg := engine.Config{
-		Workers: cfg.jobs, CacheDir: cfg.cache, Backend: resolvedBackend,
-		StoreMaxFiles: cfg.storeCap, StoreDurable: cfg.durable,
-	}
-	if cfg.storeMax != "" {
-		if ecfg.StoreMaxBytes, err = store.ParseSize(cfg.storeMax); err != nil {
-			return fmt.Errorf("-store-max-bytes: %w", err)
-		}
 	}
 	if cfg.verbose {
 		ecfg.BlockingProgress = func(gen uarch.Generation, done, total int, name string) {
@@ -172,34 +138,16 @@ func run(args []string, stdout io.Writer, logger *log.Logger) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Split the worker budget between the architecture level and the
-	// per-variant level so -j bounds the total parallelism (e.g. -j 8 over
-	// 5 architectures gives worker counts 2,2,2,1,1).
-	split := engine.SplitBudget(cfg.jobs, len(archs))
-	outer := cfg.jobs
-	if outer > len(archs) {
-		outer = len(archs)
-	}
-
-	// Results are stored by architecture index, so the document layout does
-	// not depend on completion order (xmlout.Write additionally sorts by
-	// name).
+	// The worker budget is split between the architecture level and the
+	// per-variant level, so -j bounds the total parallelism. Results are
+	// stored by architecture index, so the document layout does not depend
+	// on completion order (xmlout.Write additionally sorts by name).
 	results := make([]xmlout.Architecture, len(archs))
-	errs := make([]error, len(archs))
-	sem := make(chan struct{}, outer)
-	var wg sync.WaitGroup
-	for i, arch := range archs {
-		workers := split[i]
-		wg.Add(1)
-		go func(i int, arch *uarch.Arch, workers int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = characterizeArch(eng, arch, cfg, workers, logger)
-		}(i, arch, workers)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err = engine.Fanout(eng.Workers(), len(archs), func(i, workers int) (err error) {
+		results[i], err = characterizeArch(eng, archs[i], cfg, workers, logger)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 

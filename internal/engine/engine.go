@@ -2,10 +2,11 @@
 // characterization stacks. It owns the selection of the measurement backend
 // (the execution substrate, resolved from the measure package's backend
 // registry), the construction of the runner/harness/characterizer tower for
-// a microarchitecture generation, the sharding budget for parallel runs, and
-// the persistent result store, so that every command-line tool gets the same
-// -j / -cache / -backend behaviour from the same code path instead of
-// assembling the layers by hand.
+// a microarchitecture generation, the sharding budget for parallel runs, the
+// persistent result store, and the command-line flags that configure them
+// (RegisterFlags), so that every command gets the same -j / -cache /
+// -backend behaviour from the same code path instead of assembling the
+// layers by hand.
 //
 // The engine guarantees the layer's determinism contract end to end: blocking
 // discovery and per-variant characterization are sharded across forked worker
@@ -889,13 +890,13 @@ func (e *Engine) persistVariants(vdig store.Digest, res *core.ArchResult, partia
 	}
 }
 
-// SplitBudget divides a total worker budget across parts that run
+// splitBudget divides a total worker budget across parts that run
 // concurrently, so the total parallelism stays within budget: at most
 // min(budget, parts) entries run at once, each entry gets budget/parts
 // workers (at least 1), and the division remainder is spread over the first
 // entries so the full budget is used. For example, a budget of 8 over 5
 // parts yields 2,2,2,1,1.
-func SplitBudget(budget, parts int) []int {
+func splitBudget(budget, parts int) []int {
 	if parts <= 0 {
 		return nil
 	}
@@ -921,6 +922,28 @@ func SplitBudget(budget, parts int) []int {
 	return split
 }
 
+// Fanout runs fn(i, workers) for every part i in [0, parts), at most
+// min(budget, parts) calls at once, where workers is part i's share of the
+// budget as splitBudget divides it, so the total parallelism stays within
+// budget. Every part runs even when another fails; the errors are joined.
+// A budget below 1 runs one part at a time.
+func Fanout(budget, parts int, fn func(i, workers int) error) error {
+	errs := make([]error, parts)
+	sem := make(chan struct{}, min(max(budget, 1), parts))
+	var wg sync.WaitGroup
+	for i, workers := range splitBudget(budget, parts) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = fn(i, workers)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // Prewarm builds the characterizers (including blocking discovery) for the
 // given generations concurrently, splitting the engine's worker budget
 // between the generation level and the per-candidate level so the total
@@ -934,28 +957,8 @@ func (e *Engine) Prewarm(gens []uarch.Generation) error {
 			unique = append(unique, gen)
 		}
 	}
-	if len(unique) == 0 {
-		return nil
-	}
-	budget := e.Workers()
-	split := SplitBudget(budget, len(unique))
-	outer := budget
-	if outer > len(unique) {
-		outer = len(unique)
-	}
-
-	errs := make([]error, len(unique))
-	sem := make(chan struct{}, outer)
-	var wg sync.WaitGroup
-	for i, gen := range unique {
-		wg.Add(1)
-		go func(i int, gen uarch.Generation, workers int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			_, errs[i] = e.characterizer(gen, workers)
-		}(i, gen, split[i])
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return Fanout(e.Workers(), len(unique), func(i, workers int) error {
+		_, err := e.characterizer(unique[i], workers)
+		return err
+	})
 }

@@ -19,8 +19,8 @@ func TestSplitBudget(t *testing.T) {
 		{3, 0, nil},
 	}
 	for _, tc := range cases {
-		if got := SplitBudget(tc.budget, tc.parts); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("SplitBudget(%d, %d) = %v, want %v", tc.budget, tc.parts, got, tc.want)
+		if got := splitBudget(tc.budget, tc.parts); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("splitBudget(%d, %d) = %v, want %v", tc.budget, tc.parts, got, tc.want)
 		}
 	}
 }

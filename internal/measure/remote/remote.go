@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -142,33 +141,6 @@ func Shutdown() {
 	if old != nil {
 		old.close()
 	}
-}
-
-// Setup resolves the -fleet / -backend flag pair of the CLI tools: an empty
-// fleetFlag falls back to the UOPS_FLEET environment variable; a non-empty
-// fleet list configures the backend (performing the handshake) and selects
-// it, and it is an error to name a fleet while forcing a different backend,
-// or to force the remote backend without naming a fleet. The returned name
-// is what engine.Config.Backend should be set to.
-func Setup(fleetFlag, backendFlag string) (string, error) {
-	fleetList := fleetFlag
-	if fleetList == "" {
-		fleetList = os.Getenv(EnvFleet)
-	}
-	if fleetList == "" {
-		if backendFlag == BackendName {
-			return "", theBackend.Ready()
-		}
-		return backendFlag, nil
-	}
-	if backendFlag != "" && backendFlag != BackendName {
-		return "", fmt.Errorf("remote: -fleet selects backend %q, which contradicts -backend %q",
-			BackendName, backendFlag)
-	}
-	if err := Configure(Options{Workers: SplitList(fleetList)}); err != nil {
-		return "", err
-	}
-	return BackendName, nil
 }
 
 // SplitList splits a comma-separated worker-URL list, trimming whitespace,

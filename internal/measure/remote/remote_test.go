@@ -377,26 +377,15 @@ func TestUnconfiguredBackend(t *testing.T) {
 	}
 }
 
-func TestSetupResolvesFlags(t *testing.T) {
+// TestConfigureSetsVersion pins the fleet fingerprint Configure installs as
+// the backend's Version, which every persistent cache key folds in.
+func TestConfigureSetsVersion(t *testing.T) {
 	Shutdown()
-	if name, err := Setup("", "pipesim"); err != nil || name != "pipesim" {
-		t.Errorf("Setup(\"\", pipesim) = %q, %v", name, err)
-	}
-	if _, err := Setup("", BackendName); err == nil {
-		t.Error("Setup accepted -backend remote without a fleet")
-	}
-	if _, err := Setup("http://localhost:1", "pipesim"); err == nil {
-		t.Error("Setup accepted -fleet together with -backend pipesim")
-	}
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
-	name, err := Setup(fw.srv.URL, "")
-	if err != nil {
-		t.Fatalf("Setup(fleet): %v", err)
+	if err := Configure(Options{Workers: []string{fw.srv.URL}}); err != nil {
+		t.Fatalf("Configure: %v", err)
 	}
 	t.Cleanup(Shutdown)
-	if name != BackendName {
-		t.Errorf("Setup resolved backend %q, want %q", name, BackendName)
-	}
 	want := "fleet(pipesim@1 cfg=aaaa)"
 	if b, _ := measure.Lookup(BackendName); b.Version() != want {
 		t.Errorf("configured Version = %q, want %q", b.Version(), want)

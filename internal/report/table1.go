@@ -5,12 +5,11 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"uopsinfo/internal/core"
+	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/uarch"
@@ -206,12 +205,12 @@ func BuildTable1(opts Table1Options) ([]Table1Row, error) {
 	// stateful simulator, so a duplicated generation must not be measured
 	// from two goroutines.
 	var warm, unique []uarch.Generation
-	seen := make(map[uarch.Generation]bool, len(gens))
+	index := make(map[uarch.Generation]int, len(gens))
 	for _, g := range gens {
-		if seen[g] {
+		if _, ok := index[g]; ok {
 			continue
 		}
-		seen[g] = true
+		index[g] = len(unique)
 		unique = append(unique, g)
 		if len(iaca.SupportedVersions(g)) > 0 {
 			warm = append(warm, g)
@@ -221,33 +220,21 @@ func BuildTable1(opts Table1Options) ([]Table1Row, error) {
 		return nil, err
 	}
 
-	uniqueRows := make(map[uarch.Generation]*Table1Row, len(unique))
-	for _, g := range unique {
-		uniqueRows[g] = &Table1Row{}
-	}
-	errs := make([]error, len(unique))
-	sem := make(chan struct{}, opts.Workers)
-	var wg sync.WaitGroup
-	for i, g := range unique {
-		wg.Add(1)
-		go func(i int, g uarch.Generation) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			arch := uarch.Get(g)
-			if opts.Progress != nil {
-				opts.Progress(arch.Name())
-			}
-			*uniqueRows[g], errs[i] = BuildTable1Row(arch, opts)
-		}(i, g)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	uniqueRows := make([]Table1Row, len(unique))
+	err := engine.Fanout(opts.Workers, len(unique), func(i, _ int) (err error) {
+		arch := uarch.Get(unique[i])
+		if opts.Progress != nil {
+			opts.Progress(arch.Name())
+		}
+		uniqueRows[i], err = BuildTable1Row(arch, opts)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table1Row, len(gens))
 	for i, g := range gens {
-		rows[i] = *uniqueRows[g]
+		rows[i] = uniqueRows[index[g]]
 	}
 	return rows, nil
 }

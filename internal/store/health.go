@@ -13,6 +13,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"syscall"
@@ -211,7 +212,7 @@ func ParseSize(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q (want e.g. 1073741824, 512M, 1G)", s)
 	}
 	return n * mult, nil

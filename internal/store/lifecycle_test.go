@@ -199,6 +199,9 @@ func TestParseSize(t *testing.T) {
 		{"2GiB", 2 << 30, true},
 		{"16kb", 16 << 10, true},
 		{" 4T ", 4 << 40, true},
+		{"8388607T", 8388607 << 40, true},
+		{"8388608T", 0, false},
+		{"18014398509481985K", 0, false},
 		{"", 0, false},
 		{"-1", 0, false},
 		{"1.5G", 0, false},
