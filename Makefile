@@ -39,15 +39,19 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # bench-json records the perf trajectory: the simulator and LP hot-path
-# benchmarks at full fidelity plus the end-to-end characterization benchmarks
-# (bounded to 2 iterations — they run whole sampled ISA characterizations),
-# parsed into BENCH_pipesim.json under $(BENCH_LABEL). Existing labels in the
-# file are preserved, so successive PRs accumulate comparable columns.
+# benchmarks at full fidelity, the per-instruction inference rungs of package
+# core (port usage, latency, throughput of one variant on a warm stack), and
+# the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
+# under $(BENCH_LABEL). Existing labels in the file are preserved, so
+# successive PRs accumulate comparable columns.
 # (The benchmarks write to a temp file first so a failing/panicking
 # benchmark run aborts the recipe instead of recording a partial label.)
 bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -run='^$$' -bench=. -benchmem -count=$(COUNT) ./internal/pipesim ./internal/lp > "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkPortUsageInference|BenchmarkLatencyInference|BenchmarkThroughputInference' \
+		-benchmem -count=$(COUNT) ./internal/core >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"

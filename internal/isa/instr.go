@@ -117,33 +117,16 @@ type Instr struct {
 }
 
 // ExplicitOperands returns the operands that appear in the assembler syntax.
+// They lead Operands (NewSet rejects a variant that breaks that order), so
+// the result is the leading run of Operands itself, with its capacity capped:
+// it allocates nothing, and appending to it copies instead of overwriting the
+// implicit operands. Callers must not modify its elements.
 func (in *Instr) ExplicitOperands() []Operand {
-	out := make([]Operand, 0, len(in.Operands))
-	for _, op := range in.Operands {
-		if !op.Implicit {
-			out = append(out, op)
-		}
+	n := 0
+	for n < len(in.Operands) && !in.Operands[n].Implicit {
+		n++
 	}
-	return out
-}
-
-// ForEachExplicit calls fn for every explicit operand in assembler order,
-// passing its explicit index (the index into an asmgen.Inst's concrete
-// operand list) and a pointer into Operands. Iteration stops early when fn
-// returns false. It is the allocation-free companion of ExplicitOperands for
-// hot paths.
-func (in *Instr) ForEachExplicit(fn func(explIdx int, op *Operand) bool) {
-	expl := 0
-	for i := range in.Operands {
-		op := &in.Operands[i]
-		if op.Implicit {
-			continue
-		}
-		if !fn(expl, op) {
-			return
-		}
-		expl++
-	}
+	return in.Operands[:n:n]
 }
 
 // ImplicitOperands returns the operands that do not appear in the assembler
@@ -279,7 +262,9 @@ type Set struct {
 	byName map[string]*Instr
 }
 
-// NewSet builds a Set from the given variants. Duplicate names are rejected.
+// NewSet builds a Set from the given variants. Duplicate names are rejected,
+// and so is a variant with an explicit operand after an implicit one (see
+// Instr.Operands).
 func NewSet(instrs []*Instr) (*Set, error) {
 	s := &Set{byName: make(map[string]*Instr, len(instrs))}
 	for _, in := range instrs {
@@ -288,6 +273,11 @@ func NewSet(instrs []*Instr) (*Set, error) {
 		}
 		if _, dup := s.byName[in.Name]; dup {
 			return nil, fmt.Errorf("isa: duplicate instruction variant %q", in.Name)
+		}
+		for _, op := range in.Operands[len(in.ExplicitOperands()):] {
+			if !op.Implicit {
+				return nil, fmt.Errorf("isa: %s: explicit operand %s follows an implicit operand", in.Name, op.Name)
+			}
 		}
 		s.byName[in.Name] = in
 		s.instrs = append(s.instrs, in)

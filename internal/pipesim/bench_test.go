@@ -57,3 +57,10 @@ func BenchmarkRunWideIndependentWindow(b *testing.B) {
 func BenchmarkRunScatteredDeps(b *testing.B) {
 	benchSequence(b, seqScatteredDeps(uarch.Get(uarch.Skylake)))
 }
+
+// The port-usage kernel: the reading Algorithm 1 takes most often, one
+// blocking instance repeated ahead of the instruction under test.
+
+func BenchmarkRunPortUsageKernel(b *testing.B) {
+	benchSequence(b, seqPortUsageKernel(uarch.Get(uarch.Skylake)))
+}

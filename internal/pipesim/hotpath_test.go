@@ -13,7 +13,7 @@ import (
 // beyond the returned counters, and the per-Machine arenas must never leak
 // state between runs or alias between forked Machines.
 
-// The four benchmark code shapes (shared with bench_test.go).
+// The benchmark code shapes (shared with bench_test.go).
 
 func seqIndependentALU(arch *uarch.Arch) asmgen.Sequence {
 	add := arch.InstrSet().Lookup("ADD_R64_R64")
@@ -44,6 +44,22 @@ func seqBlockingSequence(arch *uarch.Arch) asmgen.Sequence {
 		seq = append(seq, blocker)
 	}
 	return append(seq, asmgen.MustInst(movq2dq, asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.MM0)))
+}
+
+// seqPortUsageKernel is the long reading of a port-usage measurement
+// (Algorithm 1): 12 copies of a kernel of 24 instances of one blocking
+// instruction followed by the instruction under test. Every copy repeats the
+// same two instances, as the harness's materialized copies do.
+func seqPortUsageKernel(arch *uarch.Arch) asmgen.Sequence {
+	pshufd := arch.InstrSet().Lookup("PSHUFD_XMM_XMM_I8")
+	movq2dq := arch.InstrSet().Lookup("MOVQ2DQ_XMM_MM")
+	blocker := asmgen.MustInst(pshufd, asmgen.RegOperand(isa.XMM1), asmgen.RegOperand(isa.XMM2), asmgen.ImmOperand(0x1b))
+	var kernel asmgen.Sequence
+	for i := 0; i < 24; i++ {
+		kernel = append(kernel, blocker)
+	}
+	kernel = append(kernel, asmgen.MustInst(movq2dq, asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.MM0)))
+	return kernel.Repeat(12)
 }
 
 // seqWideIndependentWindow keeps the scheduler window full of *ready* µops:
@@ -111,6 +127,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		{"LoadStoreMix", seqLoadStoreMix(arch)},
 		{"WideIndependentWindow", seqWideIndependentWindow(arch)},
 		{"ScatteredDeps", seqScatteredDeps(arch)},
+		{"PortUsageKernel", seqPortUsageKernel(arch)},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -272,5 +289,41 @@ func TestResetClearsState(t *testing.T) {
 	m.checkResetInvariants() // must hold in every build, not only -race
 	if got := m.MustRun(seq); !countersEqual(want, got) {
 		t.Fatalf("after Reset: got %+v, want %+v", got, want)
+	}
+}
+
+// TestRunDividerRegimesOnWarmMachine replays the random pool alternately
+// under the slow and the fast divider regime on one warm Machine, starting
+// each sequence in the regime the previous one ended in. Every run must
+// match a fresh Machine set to the same regime: nothing a Machine keeps
+// across runs may depend on the regime it was in when it kept it.
+func TestRunDividerRegimesOnWarmMachine(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	seqs := randomSequences(t, arch, 200, rand.New(rand.NewSource(0xd1f)))
+	warm := New(arch)
+	regime := SlowDividerValues
+	differ := 0
+	for i, seq := range seqs {
+		var got [2]Counters
+		for k := range got {
+			fresh := New(arch)
+			fresh.SetDividerValues(regime)
+			want := fresh.MustRun(seq)
+			warm.SetDividerValues(regime)
+			got[k] = warm.MustRun(seq)
+			if !countersEqual(got[k], want) {
+				t.Fatalf("sequence %d, divider regime %d: warm %+v, fresh %+v", i, regime, got[k], want)
+			}
+			if k == 0 {
+				regime = FastDividerValues - regime
+			}
+		}
+		if !countersEqual(got[0], got[1]) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no sequence ran differently under the two divider regimes")
 	}
 }

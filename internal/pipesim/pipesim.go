@@ -21,18 +21,23 @@
 //   - SSE/AVX transition penalties.
 //
 // Because the harness executes the simulator once per variant per copy count
-// per repetition across the whole ISA, Run is the hot path of every
-// characterization run. Its implementation is allocation-free in steady
-// state: dynamic µops and renamed values live in per-Machine arenas that are
-// reset (not freed) between runs, the rename scoreboard is a flat array
-// keyed by register family and status flag, and per-µop port sets are
-// precomputed bitmasks. Dispatch is event-driven: each renamed value keeps a
+// across the whole ISA, Run is the hot path of every characterization run.
+// Its implementation is allocation-free in steady state: dynamic µops and
+// renamed values live in per-Machine arenas that are reset (not freed)
+// between runs, and the rename scoreboard is a flat array keyed by register
+// family and status flag. Rename decodes each variant once per Machine into
+// a rename template — its µops with their port masks, operand references
+// resolved to explicit-operand indices, and latencies per divider regime —
+// and instantiates the template for each dynamic instance, binding it once
+// for a run of one repeated instance (the blocking instructions of a
+// port-usage kernel). Dispatch is event-driven: each renamed value keeps a
 // wake-up list of the µops waiting on it, a µop enters the ready queue only
-// when its last input's ready time arrives, and the per-cycle dispatch walk
-// touches ready µops only (never the whole scheduler window). A Machine
-// consequently carries mutable per-run
-// state and must not be used from multiple goroutines concurrently; use
-// Clone to obtain independent Machines for concurrent workers.
+// when its last input's ready time arrives, a cycle's arrivals are appended
+// to the queue when they are all younger than it (merged only otherwise),
+// and the per-cycle dispatch walk touches ready µops only (never the whole
+// scheduler window). A Machine consequently carries mutable state and must
+// not be used from multiple goroutines concurrently; use Clone to obtain
+// independent Machines for concurrent workers.
 //
 //uopslint:deterministic
 //uopslint:arena
@@ -143,6 +148,13 @@ func idx32(v int) int32 {
 // numFlagVals is the size of the status-flag scoreboard.
 const numFlagVals = int(isa.NumFlags)
 
+// domain is an isa.Domain narrowed to a byte, the form the arenas and
+// templates store.
+type domain uint8
+
+// intDomain is isa.DomainInt as a domain.
+const intDomain = domain(isa.DomainInt)
+
 // dynVal is one renamed value (a physical-register-like entity). Values live
 // in the Machine's val arena and are referenced by index. waiters heads the
 // value's wake-up list: the µops that issued before the value was known and
@@ -153,7 +165,7 @@ type dynVal struct {
 	ready   int32 // cycle the value becomes available
 	waiters int32 // head of the wake-up list (waiter-node index, -1 = none)
 	known   bool  // producer has dispatched (or the value is live-in)
-	domain  isa.Domain
+	domain  domain
 }
 
 // dynUop is one dynamic µop instance. µops live in the Machine's µop arena;
@@ -173,7 +185,7 @@ type dynUop struct {
 	portMask       uint16 // allowed execution ports as a bitmask
 	eliminated     bool
 	divider        bool
-	domain         isa.Domain
+	domain         domain
 	divOcc         int32
 }
 
@@ -187,13 +199,16 @@ type Machine struct {
 	arch *uarch.Arch
 	cfg  Config
 
-	// perf memoizes the Arch.Perf lookup per variant, keyed by identity.
-	// InstrPerf values are immutable, so sharing the pointers is safe. The
-	// cache persists across runs: with the measurement protocol running the
-	// same short sequence at two copy counts times repetitions, every
-	// instruction after the first occurrence hits here instead of the
-	// Arch-level cache.
-	perf map[*isa.Instr]*uarch.InstrPerf
+	// tmplOf memoizes each variant's rename template (an index into tmpls),
+	// keyed by identity and built on first use. A template holds only facts
+	// of the variant on this generation, so it persists across runs and
+	// divider regimes; its µops and references live in the flat tmplUops,
+	// tmplReads and tmplWrites slices, addressed by [start,end) ranges.
+	tmplOf     map[*isa.Instr]int32
+	tmpls      []renameTmpl
+	tmplUops   []tmplUop
+	tmplReads  []tmplRef
+	tmplWrites []tmplWrite
 
 	// Arenas, reset (not freed) between runs.
 	vals     []dynVal
@@ -274,8 +289,9 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Clone returns an independent Machine with the same microarchitecture and
 // configuration. The clone shares only the (internally synchronized) Arch;
-// the arenas, scoreboards and the divider-value regime are per-Machine, so
-// clones can run on different goroutines without synchronization.
+// the arenas, scoreboards, rename templates and the divider-value regime are
+// per-Machine, so clones can run on different goroutines without
+// synchronization.
 func (m *Machine) Clone() *Machine {
 	return NewWithConfig(m.arch, m.cfg)
 }
@@ -294,7 +310,7 @@ func (m *Machine) SetDividerValues(v DividerValues) { m.cfg.DividerValues = v }
 func (m *Machine) Reset() {
 	if !m.initialized {
 		m.memBoard = make(map[uint64]int32)
-		m.perf = make(map[*isa.Instr]*uarch.InstrPerf)
+		m.tmplOf = make(map[*isa.Instr]int32)
 		m.initialized = true
 	}
 	m.vals = m.vals[:0]
@@ -360,17 +376,19 @@ func (m *Machine) checkResetInvariants() {
 }
 
 // Run simulates the code sequence starting from an idle pipeline with all
-// inputs ready, and returns the performance counters.
+// inputs ready, and returns the performance counters. A run that does not
+// drain — the deadlock guard fires or MaxCycles runs out — returns an error
+// naming the condition instead of truncated counters.
 func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 	m.Reset()
 	if raceEnabled {
 		m.checkResetInvariants()
 	}
-	penalty, err := m.rename(code)
+	penalty := m.rename(code)
+	c, err := m.execute()
 	if err != nil {
 		return Counters{}, err
 	}
-	c := m.execute()
 	c.Cycles += penalty
 	return c, nil
 }
@@ -385,28 +403,244 @@ func (m *Machine) MustRun(code asmgen.Sequence) Counters {
 	return c
 }
 
-// perfFor returns the cached performance description for a variant,
-// consulting the Arch only on the first occurrence per Machine.
-func (m *Machine) perfFor(in *isa.Instr) *uarch.InstrPerf {
-	if p, ok := m.perf[in]; ok {
-		return p
+// refKind says where a template reference finds its value at rename.
+type refKind uint8
+
+const (
+	refTemp    refKind = iota // an instruction temporary; arg is its id
+	refReg                    // an explicit register operand; arg is its explicit index
+	refFixed                  // an implicit register operand; arg is the register's family
+	refMem                    // an explicit memory operand; arg is its explicit index
+	refMemAddr                // only the base register of an explicit memory operand
+	refFlags                  // status flags; arg is the isa.FlagSet read or written
+)
+
+// tmplRef is one value reference of a template µop, resolved against the
+// variant: the operand kind and index lookups are done once, at build time.
+type tmplRef struct {
+	arg   int32
+	kind  refKind
+	merge bool // write of an 8- or 16-bit GPR: the µop also reads the old value
+}
+
+// tmplWrite is a written reference with its latency per divider regime
+// (indexed by DividerValues), before rename clamps the latency of port-bound
+// µops to at least one cycle.
+type tmplWrite struct {
+	lat [2]int32
+	tmplRef
+}
+
+// tmplUop is one µop of a rename template: the static fields of its dynUop
+// and its reads and writes as [start,end) ranges of Machine.tmplReads and
+// Machine.tmplWrites.
+type tmplUop struct {
+	rdStart, rdEnd int32
+	wrStart, wrEnd int32
+	divOcc         [2]int32 // divider occupancy per divider regime
+	portMask       uint16
+	eliminated     bool
+	divider        bool
+	// ownReads marks a µop whose writes after the first also read (partial
+	// register merges, memory base registers), so a read can be one of the
+	// µop's own writes; only such µops need rename's own-read filter.
+	ownReads bool
+}
+
+// tmplShape is a [start,end) range of Machine.tmplUops: one decoding of a
+// variant.
+type tmplShape struct {
+	uopStart, uopEnd int32
+	moveElim         bool // a register-to-register move rename may eliminate
+}
+
+// sseAVXKind is a variant's part in the SSE/AVX transition penalty.
+type sseAVXKind uint8
+
+const (
+	sseAVXNone  sseAVXKind = iota
+	sseAVXDirty            // an AVX variant with a YMM operand: dirties the upper halves
+	sseAVXSSE              // a legacy SSE variant: pays the penalty while they are dirty
+	sseAVXClean            // VZEROUPPER/VZEROALL: cleans the upper halves
+)
+
+// renameTmpl is the rename template of one variant: what rename needs of it
+// that does not depend on the concrete operands. shapes[0] is the variant's
+// decoding; shapes[1], present when sameRegs is non-zero, is the decoding
+// when all explicit register operands (one bit per explicit operand index in
+// sameRegs) name the same register — the same-register override or the zero
+// idiom.
+type renameTmpl struct {
+	shapes   [2]tmplShape
+	sameRegs uint16
+	domain   domain
+	sseAVX   sseAVXKind
+}
+
+// templateFor returns the index of the variant's rename template, building
+// it on the first occurrence per Machine.
+func (m *Machine) templateFor(in *isa.Instr) int32 {
+	if ti, ok := m.tmplOf[in]; ok {
+		return ti
 	}
-	p := m.arch.Perf(in)
-	m.perf[in] = p
-	return p
+	perf := m.arch.Perf(in)
+	t := renameTmpl{domain: domain(in.Domain)}
+	var regs uint16
+	for i, op := range in.ExplicitOperands() {
+		if op.Class == isa.ClassYMM && in.Extension.IsAVX() {
+			t.sseAVX = sseAVXDirty
+		}
+		if op.Kind == isa.OpReg {
+			if i >= 16 {
+				panic(fmt.Sprintf("pipesim: %s has a register operand at explicit index %d, max supported is 15", in.Name, i))
+			}
+			regs |= 1 << uint(i)
+		}
+	}
+	if in.Extension.IsSSE() {
+		t.sseAVX = sseAVXSSE
+	}
+	if in.Mnemonic == "VZEROUPPER" || in.Mnemonic == "VZEROALL" {
+		t.sseAVX = sseAVXClean
+	}
+	move := isRegRegMove(in)
+	t.shapes[0] = m.buildShape(in, perf, false, move)
+	if bits.OnesCount16(regs) >= 2 && (perf.SameRegOverride != nil || perf.ZeroIdiom) {
+		same := perf
+		if perf.SameRegOverride != nil {
+			same = perf.SameRegOverride
+		}
+		t.shapes[1] = m.buildShape(in, same, same.ZeroIdiom, move)
+		t.sameRegs = regs
+	}
+	ti := idx32(len(m.tmpls))
+	m.tmpls = append(m.tmpls, t)
+	m.tmplOf[in] = ti
+	return ti
+}
+
+// buildShape appends the template µops of one decoding of a variant.
+// zeroIdiom drops the register reads the idiom breaks (and, where the
+// generation eliminates zero idioms, the execution port); move marks a
+// plain register-to-register move.
+func (m *Machine) buildShape(in *isa.Instr, perf *uarch.InstrPerf, zeroIdiom, move bool) tmplShape {
+	numPorts := m.arch.NumPorts()
+	sh := tmplShape{uopStart: idx32(len(m.tmplUops)), moveElim: perf.MoveElim && move}
+	for ui := range perf.Uops {
+		spec := &perf.Uops[ui]
+		occ := idx32(spec.DivOccupancy)
+		tu := tmplUop{
+			divOcc:     [2]int32{occ, occ},
+			portMask:   portMaskFor(spec.Ports, numPorts),
+			eliminated: len(spec.Ports) == 0,
+			divider:    spec.Divider,
+		}
+		if spec.Divider {
+			tu.divOcc[FastDividerValues] = idx32(perf.DivOccupancyLowValues)
+		}
+		if zeroIdiom && perf.ZeroIdiomElim {
+			tu.eliminated = true
+			tu.portMask = 0
+		}
+		// Store-address µops only depend on the address registers of the
+		// memory operand, not on the previous memory contents.
+		tu.rdStart = idx32(len(m.tmplReads))
+		for _, ref := range spec.Reads {
+			if zeroIdiom && ref.Kind == uarch.ValOperand && in.Operands[ref.Index].Kind == isa.OpReg {
+				continue // the idiom breaks the dependency on the register
+			}
+			if r, ok := tmplRefFor(in, ref, false, spec.StoreAddr); ok {
+				m.tmplReads = append(m.tmplReads, r)
+			}
+		}
+		tu.rdEnd = idx32(len(m.tmplReads))
+		tu.wrStart = idx32(len(m.tmplWrites))
+		for wi, ref := range spec.Writes {
+			r, ok := tmplRefFor(in, ref, true, false)
+			if !ok {
+				continue
+			}
+			lat := spec.LatencyTo(wi)
+			if spec.Load {
+				lat += m.arch.LoadLatency()
+			}
+			fast := lat
+			if spec.Divider && perf.LatencyLowValues > 0 {
+				fast = perf.LatencyLowValues
+			}
+			if (r.merge || r.kind == refMem) && idx32(len(m.tmplWrites)) > tu.wrStart {
+				tu.ownReads = true
+			}
+			m.tmplWrites = append(m.tmplWrites, tmplWrite{lat: [2]int32{idx32(lat), idx32(fast)}, tmplRef: r})
+		}
+		tu.wrEnd = idx32(len(m.tmplWrites))
+		m.tmplUops = append(m.tmplUops, tu)
+	}
+	sh.uopEnd = idx32(len(m.tmplUops))
+	return sh
+}
+
+// tmplRefFor resolves a µop value reference against the variant's operand
+// list. addrOnly narrows a memory read to its base register (store-address
+// µops). It reports false for references that never name a value: out of
+// range, immediates, implicit operands without a fixed register, and flag
+// operands that read (or write) no flag.
+func tmplRefFor(in *isa.Instr, ref uarch.ValRef, write, addrOnly bool) (tmplRef, bool) {
+	if ref.Kind == uarch.ValTemp {
+		return tmplRef{kind: refTemp, arg: idx32(ref.Index)}, true
+	}
+	if ref.Index < 0 || ref.Index >= len(in.Operands) {
+		return tmplRef{}, false
+	}
+	op := &in.Operands[ref.Index]
+	// Explicit operands lead Operands (isa.NewSet enforces it), so an
+	// explicit operand's index is also its index in asmgen.Inst.Ops.
+	expl := idx32(ref.Index)
+	switch op.Kind {
+	case isa.OpReg:
+		// Writing an 8- or 16-bit part of a general-purpose register merges
+		// with the previous contents (the cause of partial-register stalls,
+		// Section 5.2.1); the merge is modelled as an extra read of the old
+		// value.
+		merge := write && (op.Class == isa.ClassGPR8 || op.Class == isa.ClassGPR16)
+		if !op.Implicit {
+			return tmplRef{kind: refReg, arg: expl, merge: merge}, true
+		}
+		if op.FixedReg == isa.RegNone {
+			return tmplRef{}, false
+		}
+		return tmplRef{kind: refFixed, arg: idx32(int(op.FixedReg.Family())), merge: merge}, true
+	case isa.OpMem:
+		if op.Implicit {
+			return tmplRef{}, false
+		}
+		if addrOnly {
+			return tmplRef{kind: refMemAddr, arg: expl}, true
+		}
+		return tmplRef{kind: refMem, arg: expl}, true
+	case isa.OpFlags:
+		flags := op.ReadFlags
+		if write {
+			flags = op.WriteFlags
+		}
+		if flags.Empty() {
+			return tmplRef{}, false
+		}
+		return tmplRef{kind: refFlags, arg: int32(flags)}, true
+	}
+	return tmplRef{}, false
 }
 
 // newVal appends a renamed value to the arena and returns its index.
-func (m *Machine) newVal(ready int32, known bool, dom isa.Domain) int32 {
+func (m *Machine) newVal(ready int32, known bool, dom domain) int32 {
 	idx := idx32(len(m.vals))
 	m.vals = append(m.vals, dynVal{ready: ready, waiters: -1, known: known, domain: dom})
 	return idx
 }
 
-// liveInReg returns the latest renamed value of r's register family,
+// liveInReg returns the latest renamed value of register family fam,
 // materializing a ready live-in value on first touch.
-func (m *Machine) liveInReg(r isa.Reg, dom isa.Domain) int32 {
-	fam := r.Family()
+func (m *Machine) liveInReg(fam isa.Reg, dom domain) int32 {
 	if v := m.regBoard[fam]; v >= 0 {
 		return v
 	}
@@ -420,13 +654,13 @@ func (m *Machine) liveInFlag(f isa.Flag) int32 {
 	if v := m.flagBoard[f]; v >= 0 {
 		return v
 	}
-	v := m.newVal(0, true, isa.DomainInt)
+	v := m.newVal(0, true, intDomain)
 	m.flagBoard[f] = v
 	return v
 }
 
 // liveInMem is liveInReg for a renamed memory slot.
-func (m *Machine) liveInMem(addr uint64, dom isa.Domain) int32 {
+func (m *Machine) liveInMem(addr uint64, dom domain) int32 {
 	if v, ok := m.memBoard[addr]; ok {
 		return v
 	}
@@ -436,8 +670,8 @@ func (m *Machine) liveInMem(addr uint64, dom isa.Domain) int32 {
 }
 
 // growTemps ensures the temp slot tables cover index idx.
-func (m *Machine) growTemps(idx int) {
-	for len(m.tempVal) <= idx {
+func (m *Machine) growTemps(idx int32) {
+	for len(m.tempVal) <= int(idx) {
 		m.tempVal = append(m.tempVal, -1)
 		m.tempEpoch = append(m.tempEpoch, 0)
 	}
@@ -450,56 +684,67 @@ func (m *Machine) appendWrite(v, lat int32) {
 	m.writeLat = append(m.writeLat, lat)
 }
 
-// rename performs the program-order pre-pass: it decomposes every instruction
-// into dynamic µops, resolves register/flag/memory dependencies to renamed
-// values, applies zero-idiom and same-register special cases, and computes
-// the SSE/AVX transition penalty. All state it builds lives in the Machine's
-// arenas; steady-state calls allocate nothing.
-func (m *Machine) rename(code asmgen.Sequence) (int, error) {
+// rename performs the program-order pre-pass: it binds every instruction to
+// its variant's rename template, instantiates the template's µops against
+// the concrete operands, resolves register/flag/memory dependencies to
+// renamed values, decides move elimination, and computes the SSE/AVX
+// transition penalty. A run of one instance repeated (a port-usage kernel's
+// blocking instructions) binds once. All state it builds lives in the
+// Machine's arenas; steady-state calls allocate nothing.
+func (m *Machine) rename(code asmgen.Sequence) int {
 	penalty := 0
 	avxDirty := false
 	depMoveCounter := 0
-	numPorts := m.arch.NumPorts()
+	ssePenalty := m.arch.SSEAVXPenalty()
+	regime := SlowDividerValues
+	if m.cfg.DividerValues == FastDividerValues {
+		regime = FastDividerValues
+	}
 
+	var (
+		lastInst    *asmgen.Inst
+		lastVariant *isa.Instr
+		ti          int32
+		t           *renameTmpl
+		shape       tmplShape
+	)
 	for _, inst := range code {
-		in := inst.Variant
-		perf := m.perfFor(in)
+		if inst != lastInst {
+			lastInst = inst
+			if inst.Variant != lastVariant {
+				lastVariant = inst.Variant
+				ti = m.templateFor(inst.Variant)
+			}
+			t = &m.tmpls[ti]
+			shape = t.shapes[0]
+			if t.sameRegs != 0 && explicitRegsEqual(inst, t.sameRegs) {
+				shape = t.shapes[1]
+			}
+		}
 
 		// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
 		// instructions are chosen per extension family to avoid this).
-		if p := m.arch.SSEAVXPenalty(); p > 0 {
-			switch {
-			case in.Extension.IsAVX():
-				in.ForEachExplicit(func(_ int, op *isa.Operand) bool {
-					if op.Class == isa.ClassYMM {
-						avxDirty = true
-					}
-					return true
-				})
-			case in.Extension.IsSSE() && avxDirty:
-				penalty += p
-				avxDirty = false
-			}
-			if in.Mnemonic == "VZEROUPPER" || in.Mnemonic == "VZEROALL" {
+		if ssePenalty > 0 {
+			switch t.sseAVX {
+			case sseAVXDirty:
+				avxDirty = true
+			case sseAVXSSE:
+				if avxDirty {
+					penalty += ssePenalty
+					avxDirty = false
+				}
+			case sseAVXClean:
 				avxDirty = false
 			}
 		}
-
-		// Same-register override (e.g. SHLD on Skylake, Section 7.3.2).
-		sameReg, regCount := allExplicitRegsEqual(inst)
-		if perf.SameRegOverride != nil && sameReg && regCount >= 2 {
-			perf = perf.SameRegOverride
-		}
-		zeroIdiom := perf.ZeroIdiom && sameReg && regCount >= 2
 
 		// Move elimination: a register-to-register move whose source is not
 		// produced inside the measured code is always eliminated; inside a
 		// dependent chain roughly every third move is eliminated (the
 		// behaviour the paper reports in Section 5.2.1).
 		moveElim := false
-		if perf.MoveElim && isRegRegMove(inst) {
-			srcOp := inst.Ops[1]
-			if !m.produced[srcOp.Reg.Family()] {
+		if shape.moveElim {
+			if !m.produced[inst.Ops[1].Reg.Family()] {
 				moveElim = true
 			} else {
 				depMoveCounter++
@@ -507,67 +752,35 @@ func (m *Machine) rename(code asmgen.Sequence) (int, error) {
 			}
 		}
 
-		domain := in.Domain
 		m.tempGen++ // invalidates the previous instruction's temp slots
 
-		for ui := range perf.Uops {
-			spec := &perf.Uops[ui]
-			uix := len(m.uops)
+		for ui := shape.uopStart; ui < shape.uopEnd; ui++ {
+			tu := &m.tmplUops[ui]
 			m.uops = append(m.uops, dynUop{
-				divider: spec.Divider,
-				divOcc:  idx32(spec.DivOccupancy),
-				domain:  domain,
+				portMask:   tu.portMask,
+				eliminated: tu.eliminated,
+				divider:    tu.divider,
+				domain:     t.domain,
+				divOcc:     tu.divOcc[regime],
 			})
-			du := &m.uops[uix]
-			mask := portMaskFor(spec.Ports, numPorts)
-			if len(spec.Ports) == 0 {
-				du.eliminated = true
-			}
-			if zeroIdiom && perf.ZeroIdiomElim {
-				du.eliminated = true
-				mask = 0
-			}
+			du := &m.uops[len(m.uops)-1]
 			if moveElim {
 				du.eliminated = true
-				mask = 0
+				du.portMask = 0
 			}
-			du.portMask = mask
-			if spec.Divider && m.cfg.DividerValues == FastDividerValues {
-				du.divOcc = idx32(perf.DivOccupancyLowValues)
-			}
-
-			// Resolve reads. Store-address µops only depend on the address
-			// registers of the memory operand, not on the previous memory
-			// contents.
 			du.rdStart = idx32(len(m.readIdx))
-			for _, ref := range spec.Reads {
-				if zeroIdiom && ref.Kind == uarch.ValOperand && in.Operands[ref.Index].Kind == isa.OpReg {
-					continue // the idiom breaks the dependency on the register
-				}
-				m.resolveReads(inst, ref, spec.StoreAddr)
+			for ri := tu.rdStart; ri < tu.rdEnd; ri++ {
+				m.renameRead(inst, m.tmplReads[ri], t.domain)
 			}
-			// Resolve writes (partial-register merges append extra reads).
+			// Writes (partial-register merges append extra reads).
 			du.wrStart = idx32(len(m.writeIdx))
-			for wi, ref := range spec.Writes {
-				lat := spec.LatencyTo(wi)
-				if spec.Load {
-					lat += m.arch.LoadLatency()
-				}
-				if spec.Divider && m.cfg.DividerValues == FastDividerValues && perf.LatencyLowValues > 0 {
-					lat = perf.LatencyLowValues
-				}
+			for wi := tu.wrStart; wi < tu.wrEnd; wi++ {
+				w := &m.tmplWrites[wi]
+				lat := w.lat[regime]
 				if lat < 1 && !du.eliminated {
 					lat = 1
 				}
-				m.resolveWrites(inst, ref, domain, idx32(lat))
-				if ref.Kind == uarch.ValOperand && ref.Index < len(in.Operands) {
-					op := in.Operands[ref.Index]
-					if op.Kind == isa.OpReg {
-						if r := inst.OperandFor(ref.Index).Reg; r != isa.RegNone {
-							m.produced[r.Family()] = true
-						}
-					}
-				}
+				m.renameWrite(inst, w.tmplRef, t.domain, lat)
 			}
 			du.rdEnd = idx32(len(m.readIdx))
 			du.wrEnd = idx32(len(m.writeIdx))
@@ -575,134 +788,138 @@ func (m *Machine) rename(code asmgen.Sequence) (int, error) {
 			// A µop never waits for values it produces itself (this can
 			// otherwise happen through partial-register merge reads when two
 			// written operands alias the same register).
-			if du.wrEnd > du.wrStart && du.rdEnd > du.rdStart {
-				kept := du.rdStart
-				for ri := du.rdStart; ri < du.rdEnd; ri++ {
-					v := m.readIdx[ri]
-					own := false
-					for wi := du.wrStart; wi < du.wrEnd; wi++ {
-						if m.writeIdx[wi] == v {
-							own = true
-							break
-						}
-					}
-					if !own {
-						m.readIdx[kept] = v
-						kept++
-					}
-				}
-				du.rdEnd = kept
-				m.readIdx = m.readIdx[:kept]
+			if tu.ownReads {
+				m.dropOwnReads(du)
 			}
 		}
 	}
-	return penalty, nil
+	return penalty
 }
 
-// resolveReads appends the renamed values a µop read reference consumes to
-// the current µop's read segment. addrOnly restricts memory operands to
-// their address registers (used for store-address µops, which do not consume
-// the previous memory contents).
-func (m *Machine) resolveReads(inst *asmgen.Inst, ref uarch.ValRef, addrOnly bool) {
-	if ref.Kind == uarch.ValTemp {
-		if ref.Index < 0 {
+// dropOwnReads removes from a µop's read segment the values in its own write
+// segment; the read segment is the tail of readIdx.
+func (m *Machine) dropOwnReads(du *dynUop) {
+	if du.wrEnd == du.wrStart || du.rdEnd == du.rdStart {
+		return
+	}
+	kept := du.rdStart
+	for ri := du.rdStart; ri < du.rdEnd; ri++ {
+		v := m.readIdx[ri]
+		own := false
+		for wi := du.wrStart; wi < du.wrEnd; wi++ {
+			if m.writeIdx[wi] == v {
+				own = true
+				break
+			}
+		}
+		if !own {
+			m.readIdx[kept] = v
+			kept++
+		}
+	}
+	du.rdEnd = kept
+	m.readIdx = m.readIdx[:kept]
+}
+
+// explicitOp returns the concrete explicit operand at index i, or the zero
+// Operand when the instance has none there.
+func explicitOp(inst *asmgen.Inst, i int32) asmgen.Operand {
+	if int(i) < len(inst.Ops) {
+		return inst.Ops[i]
+	}
+	return asmgen.Operand{}
+}
+
+// renameRead appends the renamed values a template read consumes to the
+// current µop's read segment.
+func (m *Machine) renameRead(inst *asmgen.Inst, r tmplRef, dom domain) {
+	switch r.kind {
+	case refTemp:
+		if r.arg < 0 {
 			// Defensive: a read of an impossible temp is treated as ready.
-			m.readIdx = append(m.readIdx, m.newVal(0, true, isa.DomainInt))
+			m.readIdx = append(m.readIdx, m.newVal(0, true, intDomain))
 			return
 		}
-		m.growTemps(ref.Index)
-		if m.tempEpoch[ref.Index] != m.tempGen {
+		m.growTemps(r.arg)
+		if m.tempEpoch[r.arg] != m.tempGen {
 			// A read of a temp that has no producer (defensive): treat as
 			// ready.
-			m.tempVal[ref.Index] = m.newVal(0, true, isa.DomainInt)
-			m.tempEpoch[ref.Index] = m.tempGen
+			m.tempVal[r.arg] = m.newVal(0, true, intDomain)
+			m.tempEpoch[r.arg] = m.tempGen
 		}
-		m.readIdx = append(m.readIdx, m.tempVal[ref.Index])
-		return
-	}
-	in := inst.Variant
-	if ref.Index < 0 || ref.Index >= len(in.Operands) {
-		return
-	}
-	spec := &in.Operands[ref.Index]
-	conc := inst.OperandFor(ref.Index)
-	switch spec.Kind {
-	case isa.OpReg:
-		r := conc.Reg
-		if r == isa.RegNone {
+		m.readIdx = append(m.readIdx, m.tempVal[r.arg])
+	case refReg:
+		if reg := explicitOp(inst, r.arg).Reg; reg != isa.RegNone {
+			m.readIdx = append(m.readIdx, m.liveInReg(reg.Family(), dom))
+		}
+	case refFixed:
+		m.readIdx = append(m.readIdx, m.liveInReg(isa.Reg(r.arg), dom))
+	case refMem, refMemAddr:
+		mem := explicitOp(inst, r.arg).Mem
+		if mem == nil {
 			return
 		}
-		m.readIdx = append(m.readIdx, m.liveInReg(r, in.Domain))
-	case isa.OpMem:
-		if conc.Mem == nil {
-			return
+		m.readIdx = append(m.readIdx, m.liveInReg(mem.Base.Family(), intDomain))
+		if r.kind == refMem {
+			// A memory read also depends on the latest store to the same
+			// address (store-to-load forwarding resolves through the renamed
+			// memory value).
+			m.readIdx = append(m.readIdx, m.liveInMem(mem.Addr, dom))
 		}
-		if addrOnly {
-			m.readIdx = append(m.readIdx, m.liveInReg(conc.Mem.Base, isa.DomainInt))
-			return
-		}
-		// A memory read depends on the address register and on the latest
-		// store to the same address (store-to-load forwarding resolves
-		// through the renamed memory value).
-		m.readIdx = append(m.readIdx, m.liveInReg(conc.Mem.Base, isa.DomainInt))
-		m.readIdx = append(m.readIdx, m.liveInMem(conc.Mem.Addr, in.Domain))
-	case isa.OpFlags:
+	case refFlags:
+		flags := isa.FlagSet(r.arg)
 		for f := isa.Flag(0); f < isa.NumFlags; f++ {
-			if spec.ReadFlags.Has(f) {
+			if flags.Has(f) {
 				m.readIdx = append(m.readIdx, m.liveInFlag(f))
 			}
 		}
 	}
 }
 
-// resolveWrites appends freshly renamed values for a µop write reference to
-// the current µop's write segment (with latency lat), and appends any reads
-// implied by partial-register merges to the read segment.
-func (m *Machine) resolveWrites(inst *asmgen.Inst, ref uarch.ValRef, domain isa.Domain, lat int32) {
-	if ref.Kind == uarch.ValTemp {
-		v := m.newVal(0, false, domain)
-		if ref.Index >= 0 {
-			m.growTemps(ref.Index)
-			m.tempVal[ref.Index] = v
-			m.tempEpoch[ref.Index] = m.tempGen
+// renameWrite appends freshly renamed values for a template write to the
+// current µop's write segment (with latency lat), and appends any reads the
+// write implies (partial-register merges, memory base registers) to the read
+// segment.
+func (m *Machine) renameWrite(inst *asmgen.Inst, r tmplRef, dom domain, lat int32) {
+	switch r.kind {
+	case refTemp:
+		v := m.newVal(0, false, dom)
+		if r.arg >= 0 {
+			m.growTemps(r.arg)
+			m.tempVal[r.arg] = v
+			m.tempEpoch[r.arg] = m.tempGen
 		}
 		m.appendWrite(v, lat)
-		return
-	}
-	in := inst.Variant
-	if ref.Index < 0 || ref.Index >= len(in.Operands) {
-		return
-	}
-	spec := &in.Operands[ref.Index]
-	conc := inst.OperandFor(ref.Index)
-	switch spec.Kind {
-	case isa.OpReg:
-		r := conc.Reg
-		if r == isa.RegNone {
+	case refReg, refFixed:
+		fam := isa.Reg(r.arg)
+		if r.kind == refReg {
+			reg := explicitOp(inst, r.arg).Reg
+			if reg == isa.RegNone {
+				return
+			}
+			fam = reg.Family()
+		}
+		if r.merge {
+			m.readIdx = append(m.readIdx, m.liveInReg(fam, dom))
+		}
+		v := m.newVal(0, false, dom)
+		m.regBoard[fam] = v
+		m.produced[fam] = true
+		m.appendWrite(v, lat)
+	case refMem:
+		mem := explicitOp(inst, r.arg).Mem
+		if mem == nil {
 			return
 		}
-		// Writing an 8- or 16-bit part of a general-purpose register merges
-		// with the previous contents (the cause of partial-register stalls,
-		// Section 5.2.1); the merge is modelled as an extra read of the old
-		// value.
-		if spec.Class == isa.ClassGPR8 || spec.Class == isa.ClassGPR16 {
-			m.readIdx = append(m.readIdx, m.liveInReg(r, in.Domain))
-		}
-		v := m.newVal(0, false, domain)
-		m.regBoard[r.Family()] = v
+		m.readIdx = append(m.readIdx, m.liveInReg(mem.Base.Family(), intDomain))
+		v := m.newVal(0, false, dom)
+		m.memBoard[mem.Addr] = v
 		m.appendWrite(v, lat)
-	case isa.OpMem:
-		if conc.Mem == nil {
-			return
-		}
-		m.readIdx = append(m.readIdx, m.liveInReg(conc.Mem.Base, isa.DomainInt))
-		v := m.newVal(0, false, domain)
-		m.memBoard[conc.Mem.Addr] = v
-		m.appendWrite(v, lat)
-	case isa.OpFlags:
+	case refFlags:
+		flags := isa.FlagSet(r.arg)
 		for f := isa.Flag(0); f < isa.NumFlags; f++ {
-			if spec.WriteFlags.Has(f) {
-				v := m.newVal(0, false, isa.DomainInt)
+			if flags.Has(f) {
+				v := m.newVal(0, false, intDomain)
 				m.flagBoard[f] = v
 				m.appendWrite(v, lat)
 			}
@@ -710,50 +927,27 @@ func (m *Machine) resolveWrites(inst *asmgen.Inst, ref uarch.ValRef, domain isa.
 	}
 }
 
-// allExplicitRegsEqual reports whether all explicit register operands of the
-// instruction use the same concrete register, and how many there are.
-func allExplicitRegsEqual(inst *asmgen.Inst) (bool, int) {
-	var first isa.Reg
-	count := 0
-	equal := true
-	inst.Variant.ForEachExplicit(func(i int, spec *isa.Operand) bool {
-		if spec.Kind != isa.OpReg {
-			return true
-		}
-		r := inst.Ops[i].Reg
-		count++
-		if count == 1 {
-			first = r
-		} else if r != first {
-			equal = false
+// explicitRegsEqual reports whether the explicit register operands of inst
+// selected by mask (one bit per explicit operand index) all name the same
+// register.
+func explicitRegsEqual(inst *asmgen.Inst, mask uint16) bool {
+	first := inst.Ops[bits.TrailingZeros16(mask)].Reg
+	for mk := mask & (mask - 1); mk != 0; mk &= mk - 1 {
+		if inst.Ops[bits.TrailingZeros16(mk)].Reg != first {
 			return false
 		}
-		return true
-	})
-	if !equal {
-		return false, count
 	}
-	return count > 0, count
+	return true
 }
 
-// isRegRegMove reports whether the concrete instruction is a plain
-// register-to-register move with two explicit register operands.
-func isRegRegMove(inst *asmgen.Inst) bool {
-	expl := 0
-	var dst, src *isa.Operand
-	inst.Variant.ForEachExplicit(func(i int, spec *isa.Operand) bool {
-		switch i {
-		case 0:
-			dst = spec
-		case 1:
-			src = spec
-		}
-		expl++
-		return expl <= 2
-	})
-	if expl != 2 {
+// isRegRegMove reports whether the variant is a plain register-to-register
+// move with two explicit register operands.
+func isRegRegMove(in *isa.Instr) bool {
+	expl := in.ExplicitOperands()
+	if len(expl) != 2 {
 		return false
 	}
+	dst, src := &expl[0], &expl[1]
 	return dst.Kind == isa.OpReg && src.Kind == isa.OpReg &&
 		dst.Write && !dst.Read && src.Read && !src.Write
 }
@@ -761,11 +955,12 @@ func isRegRegMove(inst *asmgen.Inst) bool {
 // bypassDelay returns the extra forwarding latency when a value produced in
 // domain from is consumed in domain to (Section 5.2.1: bypass delays between
 // integer and floating-point SIMD operations).
-func bypassDelay(from, to isa.Domain) int {
+func bypassDelay(from, to domain) int32 {
 	if from == to {
 		return 0
 	}
-	if (from == isa.DomainVecInt && to == isa.DomainFP) || (from == isa.DomainFP && to == isa.DomainVecInt) {
+	const vecInt, fp = domain(isa.DomainVecInt), domain(isa.DomainFP)
+	if (from == vecInt && to == fp) || (from == fp && to == vecInt) {
 		return 1
 	}
 	return 0
@@ -785,7 +980,7 @@ func (m *Machine) wireUop(ui int32, u *dynUop) int32 {
 		if v.known {
 			t := v.ready
 			if !u.eliminated {
-				t += idx32(bypassDelay(v.domain, u.domain))
+				t += bypassDelay(v.domain, u.domain)
 			}
 			if t > readyAt {
 				readyAt = t
@@ -815,7 +1010,7 @@ func (m *Machine) wake(vi int32) {
 		u := &m.uops[ui]
 		t := v.ready
 		if !u.eliminated {
-			t += idx32(bypassDelay(v.domain, u.domain))
+			t += bypassDelay(v.domain, u.domain)
 		}
 		if t > u.readyAt {
 			u.readyAt = t
@@ -878,8 +1073,10 @@ func (m *Machine) popWake() {
 // whose last input arrived (wake-up lists keyed by producing value replace
 // the per-cycle rescan of the whole scheduler window) — and across cycles,
 // spans in which provably nothing can issue, complete or dispatch are skipped
-// in one step to the next wake-up event.
-func (m *Machine) execute() Counters {
+// in one step to the next wake-up event. A run that has not drained when the
+// deadlock guard fires or MaxCycles runs out is an error: its counters would
+// be truncated.
+func (m *Machine) execute() (Counters, error) {
 	numPorts := m.arch.NumPorts()
 	c := Counters{PortUops: make([]int, numPorts)}
 	c.IssuedUops = len(m.uops)
@@ -902,6 +1099,7 @@ func (m *Machine) execute() Counters {
 
 	cycle := 0
 	idleCycles := 0
+	drained := false
 	for cycle < m.cfg.MaxCycles {
 		// Issue stage: deliver up to issueWidth µops into the scheduler (or
 		// complete them directly if they need no execution port). The
@@ -990,9 +1188,14 @@ func (m *Machine) execute() Counters {
 			for _, ui := range m.arrivals {
 				readyUnion |= m.uops[ui].portMask
 			}
-			if len(m.readyQ) == 0 {
+			switch {
+			case len(m.readyQ) == 0:
 				m.readyQ, m.arrivals = m.arrivals, m.readyQ
-			} else {
+			case m.readyQ[len(m.readyQ)-1] < m.arrivals[0]:
+				// Every arrival is younger than the whole queue (the usual
+				// case behind a one-port bottleneck): no merge needed.
+				m.readyQ = append(m.readyQ, m.arrivals...)
+			default:
 				merged := m.readyScratch[:0]
 				i, j := 0, 0
 				for i < len(m.readyQ) && j < len(m.arrivals) {
@@ -1090,6 +1293,7 @@ func (m *Machine) execute() Counters {
 
 		cycle++
 		if nextIssue >= len(m.uops) && schedCount == 0 && elimWaiting == 0 {
+			drained = true
 			break
 		}
 		if issued == 0 && !dispatchedAny {
@@ -1151,11 +1355,19 @@ func (m *Machine) execute() Counters {
 	m.wakeHeap = m.wakeHeap[:0]
 	m.elimReady = m.elimReady[:0]
 
+	if !drained {
+		why := fmt.Sprintf("MaxCycles (%d) ran out", m.cfg.MaxCycles)
+		if idleCycles > 10000 {
+			why = "no µop issued or dispatched for 10000 cycles (deadlock)"
+		}
+		return Counters{}, fmt.Errorf("pipesim: %s: run did not drain: %s after issuing %d of %d µops and dispatching %d",
+			m.arch.Name(), why, nextIssue, len(m.uops), c.TotalUops)
+	}
 	if finish < cycle {
 		finish = cycle
 	}
 	c.Cycles = finish
-	return c
+	return c, nil
 }
 
 // portMaskFor converts a µop's allowed-port list into a bitmask, dropping
@@ -1190,8 +1402,10 @@ func choosePort(avail uint16, load *[maxPorts]int32) int {
 }
 
 // Validate checks that every instruction in the sequence belongs to the
-// machine's instruction set; it is used by the measurement harness before
-// running benchmarks.
+// machine's instruction set. Run does not check this, and the harness does
+// not call Validate: the characterization code builds its sequences from the
+// machine's own instruction set. It is for callers holding sequences from
+// elsewhere.
 func (m *Machine) Validate(code asmgen.Sequence) error {
 	set := m.arch.InstrSet()
 	for i, inst := range code {

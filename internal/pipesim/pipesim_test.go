@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"strings"
 	"testing"
 
 	"uopsinfo/internal/asmgen"
@@ -375,5 +376,32 @@ func TestMachineCloneIsIndependent(t *testing.T) {
 	if cFast.Cycles >= cSlow.Cycles {
 		t.Fatalf("clone in fast regime (%d cycles) should beat parent in slow regime (%d cycles)",
 			cFast.Cycles, cSlow.Cycles)
+	}
+}
+
+// TestRunUndrainedIsError pins that a run cut short by MaxCycles returns an
+// error naming the condition instead of truncated counters.
+func TestRunUndrainedIsError(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	div := lookup(t, arch, "DIV_R64")
+	var seq asmgen.Sequence
+	for i := 0; i < 64; i++ {
+		seq = append(seq, asmgen.MustInst(div, asmgen.RegOperand(isa.RBX)))
+	}
+	m := NewWithConfig(arch, Config{MaxCycles: 1000})
+	c, err := m.Run(seq)
+	if err == nil || !strings.Contains(err.Error(), "MaxCycles (1000)") {
+		t.Fatalf("Run under MaxCycles 1000 = %+v, %v; want an error naming MaxCycles", c, err)
+	}
+	if _, err := New(arch).Run(seq); err != nil {
+		t.Fatalf("the same sequence under the default MaxCycles: %v", err)
+	}
+	for i, shape := range []asmgen.Sequence{seqIndependentALU(arch), seqDependencyChain(arch),
+		seqBlockingSequence(arch), seqLoadStoreMix(arch), seqWideIndependentWindow(arch),
+		seqScatteredDeps(arch), seqPortUsageKernel(arch)} {
+		if _, err := m.Run(shape); err != nil {
+			t.Errorf("benchmark shape %d under MaxCycles 1000: %v", i, err)
+		}
 	}
 }
