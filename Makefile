@@ -16,7 +16,7 @@ BENCH_GUARD_PCT ?= 30
 
 .PHONY: build test vet race bench bench-smoke bench-json bench-json-smoke \
 	bench-compare bench-guard fmt fmt-check lint lint-extra ci ci-cmd \
-	ci-service ci-fleet ci-faults run-uopsd
+	ci-service ci-fleet ci-faults ci-bench run-uopsd
 
 build:
 	$(GO) build ./...
@@ -168,12 +168,12 @@ ci-service:
 # ci-fleet gates the distributed measurement fleet under the race detector:
 # the remote backend's unit suite (wire roundtrip with copy counts, the
 # fingerprint and wire-version handshake, one batch per RunCopies call,
-# retry/hedge/timeout machinery against canned workers), then a 10 s fuzz
-# of the worker's sequence decoder (not raced), the loopback end-to-end
-# tests — XML byte-identical to a local run through 1/2/3 real workers,
-# recovery from a worker killed mid-run, a mixed-fingerprint fleet refused
-# at startup, fleet counters in /v1/stats and /metrics — and the -fleet
-# flag through the uopsinfo CLI and a uopsd front tier.
+# retries, health probing and call timeouts against canned workers), then a
+# 10 s fuzz of the worker's sequence decoder (not raced), the loopback
+# end-to-end tests — XML byte-identical to a local run through 1/2/3 real
+# workers, recovery from a worker killed mid-run, a mixed-fingerprint fleet
+# refused at startup, fleet counters in /v1/stats and /metrics — and the
+# -fleet flag through the uopsinfo CLI and a uopsd front tier.
 ci-fleet:
 	$(GO) test -race -count=1 ./internal/measure/remote
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSeq -fuzztime=10s ./internal/measure/remote
@@ -193,11 +193,20 @@ ci-faults:
 	$(GO) test -race -count=1 -run 'TestBudgetedStore|TestCrashedStore|TestEngineStatsExposeStoreLifecycle' ./internal/engine
 	$(GO) test -race -count=1 -run 'TestHealthzReportsDegradedStore|TestMetricsExposeStoreLifecycle|TestMetricsWithoutStore' ./internal/service
 
+# ci-bench vets and tests the end-to-end benchmark. cmd/uopsbench is its own
+# Go module, so the root `go build ./...` and `go test ./...` never compile
+# it; its tests smoke every workload, fleet-loopback included, against the
+# golden XML digests. A change that drops a name the benchmark reads fails
+# here, not first when the benchmark is built.
+ci-bench:
+	cd cmd/uopsbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # ci is the gate for every change: formatting and static checks (vet plus
 # the repository's own uopslint suite), the full test suite under the race
 # detector (the characterization scheduler, the engine and the service are
 # concurrent), a one-iteration pass over every benchmark, the
 # benchmark-trajectory pipeline smoke, the hot-path ns/op regression gate,
 # the command-level cache/backend/service checks and command smokes, the
-# distributed-fleet suite, and the store fault-injection suite.
-ci: fmt-check vet lint race bench-smoke bench-json-smoke bench-guard ci-cmd ci-service ci-fleet ci-faults
+# distributed-fleet suite, the store fault-injection suite, and a vet and
+# test pass over the end-to-end benchmark module.
+ci: fmt-check vet lint race bench-smoke bench-json-smoke bench-guard ci-cmd ci-service ci-fleet ci-faults ci-bench

@@ -126,7 +126,7 @@ type Stats struct {
 	PoolSeqBuilt  int64 `json:"poolSeqBuilt"`
 	PoolSeqReused int64 `json:"poolSeqReused"`
 	// Fleet carries the measurement-fleet counters (batches, retries,
-	// hedges, per-worker health and latency) when the engine's backend
+	// per-worker health and latency) when the engine's backend
 	// drives one (the "remote" backend); nil otherwise.
 	Fleet *measure.FleetStats `json:"fleet,omitempty"`
 	// Store carries the persistent store's lifecycle state (per-tier sizes,

@@ -15,7 +15,7 @@ type FleetWorkerStats struct {
 	Healthy bool `json:"healthy"`
 	// Batches and Sequences count the measurement batches (HTTP requests)
 	// and the sequences inside them sent to this worker, including retried
-	// and hedged work.
+	// work.
 	Batches   int64 `json:"batches"`
 	Sequences int64 `json:"sequences"`
 	// Errors counts transport-level batch failures against this worker.
@@ -32,8 +32,8 @@ type FleetStats struct {
 	// remote backend's Version wraps it as "fleet(...)").
 	Fingerprint string `json:"fingerprint"`
 	// Batches counts measurement batches sent (across workers, including
-	// retries and hedges); Sequences counts sequences submitted to the
-	// fleet by runners (each at most once, however often it is retried).
+	// retries); Sequences counts sequences submitted to the fleet by
+	// runners (each at most once, however often it is retried).
 	Batches   int64 `json:"batches"`
 	Sequences int64 `json:"sequences"`
 	// Deduped is always 0. It counted Run calls answered from a runner's
@@ -44,11 +44,10 @@ type FleetStats struct {
 	// Errors counts the failed batches themselves.
 	Retries int64 `json:"retries"`
 	Errors  int64 `json:"errors"`
-	// Hedges counts straggler batches duplicated to another worker;
-	// HedgeWins counts sequences whose result arrived after their batch was
-	// hedged (from whichever copy finished first).
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedgeWins"`
+	// Hedges is always 0: the fleet sends each batch once and retries it
+	// only when it fails, never duplicating a slow one. The field stays
+	// because cmd/uopsbench reads it.
+	Hedges int64 `json:"hedges"`
 	// Workers are the per-worker counters, in configuration order.
 	Workers []FleetWorkerStats `json:"workers"`
 }

@@ -9,13 +9,14 @@ package remote
 // the characterization scheduler), and POST it to their worker. Sharding is
 // emergent: every sender competes for the same queue, so a fast worker
 // simply takes more batches and a failing one takes none while it is being
-// probed. Transient batch failures re-enqueue the undelivered calls for
-// another worker (bounded by MaxAttempts) while the failing sender backs
-// off; straggler batches are hedged — their calls are duplicated onto the
-// queue after HedgeAfter and the first finished copy wins. Results are
-// delivered exactly once per call via an atomic claim, so a call can sit in
-// the queue, in a retried batch and in a hedged batch simultaneously without
-// double delivery.
+// probed. A call is in one place at a time, the queue or one batch, and is
+// sent again only after its batch failed: a failed batch (transport error,
+// non-200, drifted fingerprint, or no answer within batchTimeout) re-enqueues
+// its undelivered calls for another worker, bounded by MaxAttempts, while the
+// failing sender backs off; a slow batch that answers in time is waited for.
+// Results are delivered exactly once per call via an atomic claim, which
+// settles the race between the sender finishing a call's batch and the
+// submitter giving up on it (call timeout or fleet close).
 
 import (
 	"bytes"
@@ -37,56 +38,45 @@ type Options struct {
 	// Workers are the base URLs of the uopsd workers (e.g.
 	// "http://w1:8631"). At least one is required.
 	Workers []string
-	// BatchSize caps the sequences coalesced into one /v1/measure request:
-	// a sender stops adding calls once its batch holds this many. A call's
-	// sequences always travel together, so the last call may carry the
-	// batch past the cap. <= 0 selects 64.
-	BatchSize int
-	// InFlight is the number of concurrent batches each worker is kept
-	// loaded with. <= 0 selects 4.
+	// InFlight is the number of sender slots a worker gets per generation,
+	// each with at most one batch in flight. A run over k generations can
+	// therefore keep up to k × InFlight batches on one worker. <= 0
+	// selects 4.
 	InFlight int
 	// MaxAttempts bounds how many transient batch failures one sequence
 	// survives before its measurement fails. <= 0 selects 4.
 	MaxAttempts int
-	// HedgeAfter is how long a batch may straggle before its undelivered
-	// sequences are duplicated to another worker (first finished copy
-	// wins). 0 selects 1s; negative disables hedging.
-	HedgeAfter time.Duration
-	// BatchTimeout bounds one /v1/measure request. <= 0 selects 2m.
-	BatchTimeout time.Duration
 	// CallTimeout bounds how long one Run call waits for its result across
-	// all retries and hedges. <= 0 selects 5m.
+	// all retries. <= 0 selects 5m.
 	CallTimeout time.Duration
-	// UnhealthyAfter is the consecutive-failure threshold that takes a
-	// worker out of rotation (it is then health-probed until it answers).
-	// <= 0 selects 3.
-	UnhealthyAfter int
 	// Client, if non-nil, is the HTTP client used for measurement batches
-	// and probes (its Timeout is ignored; BatchTimeout governs requests).
+	// and probes (its Timeout is ignored; the 2-minute batch timeout
+	// governs requests).
 	Client *http.Client
 }
 
+const (
+	// batchSize caps the sequences coalesced into one /v1/measure request:
+	// a sender stops adding calls once its batch holds this many. A call's
+	// sequences always travel together, so the last call may carry the
+	// batch past the cap.
+	batchSize = 64
+	// batchTimeout bounds one /v1/measure request.
+	batchTimeout = 2 * time.Minute
+	// unhealthyAfter is the consecutive-failure threshold that takes a
+	// worker out of rotation (it is then health-probed until it answers).
+	unhealthyAfter = 3
+)
+
 func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
 	if o.InFlight <= 0 {
 		o.InFlight = 4
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
 	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = time.Second
-	}
-	if o.BatchTimeout <= 0 {
-		o.BatchTimeout = 2 * time.Minute
-	}
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 5 * time.Minute
-	}
-	if o.UnhealthyAfter <= 0 {
-		o.UnhealthyAfter = 3
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -102,22 +92,20 @@ type callResult struct {
 
 // call is one runner call in flight through the fleet. encs are its
 // marshaled wire Seqs (each including the divider regime and copy count).
-// delivered is the exactly-once claim: whichever batch (original, retry or
-// hedge copy) finishes first writes done; everyone else drops its result.
+// delivered is the exactly-once claim: whoever settles the call first — the
+// sender whose batch finished, or the submitter giving up on it — writes
+// done; the other side drops its result.
 type call struct {
 	encs      []json.RawMessage
 	done      chan callResult
 	delivered atomic.Bool
 	attempts  atomic.Int32
-	hedged    atomic.Bool
 }
 
-func (c *call) deliver(r callResult) bool {
+func (c *call) deliver(r callResult) {
 	if c.delivered.CompareAndSwap(false, true) {
 		c.done <- r
-		return true
 	}
-	return false
 }
 
 // worker is one uopsd instance of the fleet.
@@ -143,12 +131,10 @@ type fleet struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 
-	batches   atomic.Int64
-	seqs      atomic.Int64
-	retries   atomic.Int64
-	errors    atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
+	batches atomic.Int64
+	seqs    atomic.Int64
+	retries atomic.Int64
+	errors  atomic.Int64
 }
 
 var errFleetClosed = errors.New("remote: fleet closed (reconfigured or shut down)")
@@ -226,7 +212,7 @@ func (f *fleet) submit(gen string, c *call, timer *time.Timer) callResult {
 // calls other workers would complete.
 func (f *fleet) serve(w *worker, gen string, q chan *call) {
 	for {
-		if int(w.consecFails.Load()) >= f.opts.UnhealthyAfter {
+		if int(w.consecFails.Load()) >= unhealthyAfter {
 			if !f.probe(w) {
 				return // fleet closed
 			}
@@ -242,7 +228,7 @@ func (f *fleet) serve(w *worker, gen string, q chan *call) {
 		}
 		batch, n := []*call{c}, len(c.encs)
 	drain:
-		for n < f.opts.BatchSize {
+		for n < batchSize {
 			select {
 			case c2 := <-q:
 				if !c2.delivered.Load() {
@@ -264,16 +250,9 @@ func (f *fleet) send(w *worker, gen string, batch []*call, n int, q chan *call) 
 	w.batches.Add(1)
 	w.seqs.Add(int64(n))
 
-	var hedgeTimer *time.Timer
-	if f.opts.HedgeAfter > 0 {
-		hedgeTimer = time.AfterFunc(f.opts.HedgeAfter, func() { f.hedge(batch, q) })
-	}
 	start := time.Now()
 	resp, err := f.post(w, gen, batch, n)
 	w.latencyUS.Add(time.Since(start).Microseconds())
-	if hedgeTimer != nil {
-		hedgeTimer.Stop()
-	}
 
 	if err != nil {
 		w.consecFails.Add(1)
@@ -301,30 +280,7 @@ func (f *fleet) send(w *worker, gen string, batch []*call, n int, q chan *call) 
 			res.counters[k] = DecodeCounters(resp.Counters[i+k])
 		}
 		i += len(c.encs)
-		if c.deliver(res) && c.hedged.Load() {
-			f.hedgeWins.Add(int64(len(c.encs)))
-		}
-	}
-}
-
-// hedge duplicates a straggler batch's undelivered calls back onto the queue
-// (at most one hedge copy per call); the original request keeps running and
-// the first finished copy wins.
-func (f *fleet) hedge(batch []*call, q chan *call) {
-	n := 0
-	for _, c := range batch {
-		if c.delivered.Load() || !c.hedged.CompareAndSwap(false, true) {
-			continue
-		}
-		select {
-		case q <- c:
-			n++
-		default:
-			c.hedged.Store(false) // queue full; straggle on
-		}
-	}
-	if n > 0 {
-		f.hedges.Add(1)
+		c.deliver(res)
 	}
 }
 
@@ -421,7 +377,7 @@ func (f *fleet) post(w *worker, gen string, batch []*call, n int) (*MeasureRespo
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	ctx, cancel := timeoutContext(f.opts.BatchTimeout)
+	ctx, cancel := timeoutContext(batchTimeout)
 	defer cancel()
 	resp, err := f.opts.Client.Do(req.WithContext(ctx))
 	if err != nil {
@@ -462,13 +418,11 @@ func (f *fleet) stats() measure.FleetStats {
 		Sequences:   f.seqs.Load(),
 		Retries:     f.retries.Load(),
 		Errors:      f.errors.Load(),
-		Hedges:      f.hedges.Load(),
-		HedgeWins:   f.hedgeWins.Load(),
 	}
 	for _, w := range f.workers {
 		ws := measure.FleetWorkerStats{
 			URL:       w.url,
-			Healthy:   int(w.consecFails.Load()) < f.opts.UnhealthyAfter,
+			Healthy:   int(w.consecFails.Load()) < unhealthyAfter,
 			Batches:   w.batches.Load(),
 			Sequences: w.seqs.Load(),
 			Errors:    w.errors.Load(),

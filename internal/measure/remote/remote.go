@@ -310,8 +310,8 @@ func (r *Runner) ForkRunner() measure.Runner {
 
 // Run measures one sequence on the fleet. The sequence is encoded (variant
 // names plus concrete operands, repeated instances deduplicated), submitted
-// to the dispatch queue, and the first worker result wins. Nothing of code
-// is retained.
+// to the dispatch queue, and measured by whichever worker takes it. Nothing
+// of code is retained.
 func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	cs, err := r.RunCopies(code, 1)
 	if err != nil {

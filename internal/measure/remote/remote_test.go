@@ -231,6 +231,8 @@ type fakeWorker struct {
 	// intercept, if non-nil, may hijack a measurement request (by 1-based
 	// arrival number); returning true means the response was written.
 	intercept func(n int64, w http.ResponseWriter) bool
+	// healthz, if non-nil, runs before each /healthz probe is answered.
+	healthz func()
 
 	mu   sync.Mutex
 	seqs [][]Seq // the sequences of each answered request
@@ -241,6 +243,9 @@ func newFakeWorker(t *testing.T, fingerprint, digest string) *fakeWorker {
 	fw := &fakeWorker{t: t, fingerprint: fingerprint, digest: digest, wire: WireVersion}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		if fw.healthz != nil {
+			fw.healthz()
+		}
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
@@ -273,7 +278,7 @@ func (fw *fakeWorker) answer(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		fw.t.Error(err)
 	}
-	resp := MeasureResponse{Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: fw.wire}
+	resp := MeasureResponse{Fingerprint: fp, WireVersion: fw.wire}
 	var seqs []Seq
 	for _, raw := range req.Seqs {
 		var ws Seq
@@ -301,15 +306,12 @@ func (fw *fakeWorker) requests() [][]Seq {
 	return append([][]Seq(nil), fw.seqs...)
 }
 
-// configure points the global backend at the given fake workers with
-// test-friendly options and registers a cleanup shutdown.
+// configure points the global backend at the given fake workers and
+// registers a cleanup shutdown.
 func configure(t *testing.T, opts Options, workers ...*fakeWorker) {
 	t.Helper()
 	for _, fw := range workers {
 		opts.Workers = append(opts.Workers, fw.srv.URL)
-	}
-	if opts.HedgeAfter == 0 {
-		opts.HedgeAfter = -1 // keep hedging out of tests that don't ask for it
 	}
 	if err := Configure(opts); err != nil {
 		t.Fatal(err)
@@ -504,7 +506,7 @@ func TestRunCopiesSequenceErrorFailsCall(t *testing.T) {
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
 		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
 		json.NewEncoder(w).Encode(MeasureResponse{
-			Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: WireVersion,
+			Fingerprint: fp, WireVersion: WireVersion,
 			Counters: make([]Counters, 2), Errs: []string{"", "cycle limit exceeded"},
 		})
 		return true
@@ -552,7 +554,7 @@ func TestPermanentSequenceErrorNotRetried(t *testing.T) {
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
 		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
 		json.NewEncoder(w).Encode(MeasureResponse{
-			Backend: "pipesim", Version: "1", Fingerprint: fp, WireVersion: WireVersion,
+			Fingerprint: fp, WireVersion: WireVersion,
 			Counters: make([]Counters, 1), Errs: []string{"unknown instruction variant"},
 		})
 		return true
@@ -597,39 +599,74 @@ func TestFingerprintDriftIsTransient(t *testing.T) {
 	}
 }
 
-func TestHedgingDuplicatesStragglers(t *testing.T) {
+// TestUnhealthyWorkerIsProbedBackIntoRotation: three consecutive batch
+// failures take a worker out of rotation, and its sender sends nothing more
+// until a /healthz probe answers. The call those batches carried is then
+// delivered by the same Run.
+func TestUnhealthyWorkerIsProbedBackIntoRotation(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
-	release := make(chan struct{})
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
-		if n == 1 {
-			<-release // straggle until the hedge copy has been answered
+		if n <= 3 {
+			http.Error(w, "transient", http.StatusInternalServerError)
+			return true
 		}
 		return false
 	}
-	defer close(release)
-	configure(t, Options{HedgeAfter: 30 * time.Millisecond, InFlight: 2}, fw)
-	r := newRunner(t)
-	done := make(chan error, 1)
-	var c pipesim.Counters
-	go func() {
-		var err error
-		c, err = r.Run(testSequence(t))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	probed := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	fw.healthz = func() {
+		select {
+		case probed <- struct{}{}:
+		default:
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hedged measurement never completed")
+		<-release
 	}
-	if c.Cycles != 2 {
-		t.Errorf("hedged counters = %+v", c)
+	configure(t, Options{InFlight: 1}, fw)
+	r := newRunner(t)
+	code := testSequence(t)
+	type result struct {
+		c   pipesim.Counters
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		c, err := r.Run(code)
+		done <- result{c, err}
+	}()
+
+	select {
+	case <-probed:
+	case res := <-done:
+		t.Fatalf("Run returned %+v before the worker was probed", res)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failing worker was never probed")
+	}
+	if s := fleetStats(t); s.Workers[0].Healthy {
+		t.Errorf("worker healthy while its probe is held, stats = %+v", s)
+	}
+	if got := fw.measures.Load(); got != 3 {
+		t.Errorf("worker saw %d batches before its probe answered, want 3", got)
+	}
+	unblock()
+
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not finish after the probe answered")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.c.Cycles != 2 {
+		t.Errorf("counters = %+v, want Cycles 2", res.c)
 	}
 	s := fleetStats(t)
-	if s.Hedges < 1 || s.HedgeWins < 1 {
-		t.Errorf("stats = %+v, want a hedge and a hedge win", s)
+	if s.Errors != 3 || s.Retries != 3 || !s.Workers[0].Healthy {
+		t.Errorf("stats = %+v, want 3 errors, 3 retries and the worker healthy", s)
 	}
 }
 

@@ -87,14 +87,13 @@ type MeasureRequest struct {
 }
 
 // MeasureResponse is the body of a successful POST /v1/measure: one Counters
-// entry per request sequence, plus the worker's serving-backend identity and
-// wire version so the client can detect a worker that drifted (restart with
-// a new build) since the handshake. Errs, when non-empty, carries
-// per-sequence error strings ("" = the sequence succeeded); such errors are
-// deterministic properties of the sequence and must not be retried.
+// entry per request sequence, plus the worker's serving fingerprint (which
+// starts with the backend's name@version) and wire version so the client can
+// detect a worker that drifted (restart with a new build) since the
+// handshake. Errs, when non-empty, carries per-sequence error strings ("" =
+// the sequence succeeded); such errors are deterministic properties of the
+// sequence and must not be retried.
 type MeasureResponse struct {
-	Backend     string     `json:"backend"`
-	Version     string     `json:"version"`
 	Fingerprint string     `json:"fingerprint"`
 	WireVersion int        `json:"wireVersion"`
 	Counters    []Counters `json:"counters"`

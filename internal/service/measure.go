@@ -2,13 +2,13 @@
 // body is a list of encoded instruction sequences plus a generation; the
 // response carries one raw simulator Counters per sequence. Execution rides
 // the engine's pooled measurement stacks (one warm harness per concurrent
-// batch, checked out for the duration of the request), identical sequences
-// measured concurrently are coalesced singleflight-style on their content
-// digest, and the endpoint sits behind the service's rate limiter like every
-// other non-probe endpoint. Per-sequence failures (unknown variant, operand
-// mismatch, simulator rejection) are deterministic properties of the request
-// and are reported per sequence inside a 200 response, so a fleet client
-// never retries them; only a malformed body or unknown generation is a 400.
+// batch, checked out for the duration of the request), each sequence is
+// decoded and run once, and the endpoint sits behind the service's rate
+// limiter like every other non-probe endpoint. Per-sequence failures
+// (unknown variant, operand mismatch, simulator rejection) are deterministic
+// properties of the request and are reported per sequence inside a 200
+// response, so a fleet client never retries them; only a malformed body or
+// unknown generation is a 400.
 package service
 
 import (
@@ -32,15 +32,6 @@ const maxMeasureBatch = 1024
 // maxMeasureBody bounds the request body (32 MiB — a full batch is far
 // smaller, because a sequence carries its kernel once plus a copy count).
 const maxMeasureBody = 32 << 20
-
-// seqFlight is one in-progress sequence measurement, shared by every
-// concurrent identical request. counters and err are written before done is
-// closed and read only after.
-type seqFlight struct {
-	done     chan struct{}
-	counters pipesim.Counters
-	err      error
-}
 
 // dividerValueSetter is implemented by execution substrates that can switch
 // the operand-value regime for divider-based instructions.
@@ -132,17 +123,14 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	set := arch.InstrSet()
 
 	resp := remote.MeasureResponse{
-		Backend:     s.eng.Backend().Name(),
-		Version:     s.eng.Backend().Version(),
 		Fingerprint: s.servingFingerprint(),
 		WireVersion: remote.WireVersion,
 		Counters:    make([]remote.Counters, len(req.Seqs)),
 	}
-	genPrefix := []byte(arch.Name() + "\x00")
 	seqErrs := 0
 	var errs []string
 	for i, raw := range req.Seqs {
-		c, err := s.measureSeq(set, runner, genPrefix, raw)
+		c, err := measureSeq(set, runner, raw)
 		if err != nil {
 			if errs == nil {
 				errs = make([]string, len(req.Seqs))
@@ -167,42 +155,19 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// measureSeq decodes and runs one sequence, coalescing concurrent identical
-// measurements (same generation, same encoded sequence and divider regime)
-// onto one execution. The counters a follower receives are shared with the
-// leader's; neither side mutates them (the response encodes them verbatim).
-func (s *Service) measureSeq(set *isa.Set, runner measure.Runner, genPrefix, raw []byte) (pipesim.Counters, error) {
-	key := sha256.Sum256(append(genPrefix, raw...))
-	s.seqMu.Lock()
-	if fl, ok := s.seqFlights[key]; ok {
-		s.seqMu.Unlock()
-		s.count(func(c *Counters) { c.MeasureCoalesced++ })
-		<-fl.done
-		return fl.counters, fl.err
-	}
-	fl := &seqFlight{done: make(chan struct{})}
-	s.seqFlights[key] = fl
-	s.seqMu.Unlock()
-	defer func() {
-		s.seqMu.Lock()
-		delete(s.seqFlights, key)
-		s.seqMu.Unlock()
-		close(fl.done)
-	}()
-
+// measureSeq decodes one sequence, sets its divider regime on the runner
+// and runs it.
+func measureSeq(set *isa.Set, runner measure.Runner, raw []byte) (pipesim.Counters, error) {
 	var ws remote.Seq
 	if err := json.Unmarshal(raw, &ws); err != nil {
-		fl.err = fmt.Errorf("decoding sequence: %w", err)
-		return pipesim.Counters{}, fl.err
+		return pipesim.Counters{}, fmt.Errorf("decoding sequence: %w", err)
 	}
 	seq, err := remote.DecodeSeq(set, ws)
 	if err != nil {
-		fl.err = err
-		return pipesim.Counters{}, fl.err
+		return pipesim.Counters{}, err
 	}
 	if setter, ok := runner.(dividerValueSetter); ok {
 		setter.SetDividerValues(pipesim.DividerValues(ws.Div))
 	}
-	fl.counters, fl.err = runner.Run(seq)
-	return fl.counters, fl.err
+	return runner.Run(seq)
 }

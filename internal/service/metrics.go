@@ -7,7 +7,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"sort"
 
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/store"
@@ -69,23 +68,17 @@ func (s *Service) metrics() []metric {
 			help: "Sequences measured inside /v1/measure batches.", value: float64(c.MeasureSeqs)},
 		{name: "uopsd_measure_sequence_errors_total", typ: "counter",
 			help: "Sequences inside /v1/measure batches that failed.", value: float64(c.MeasureSeqErrors)},
-		{name: "uopsd_measure_coalesced_total", typ: "counter",
-			help: "Sequence measurements coalesced onto an in-flight identical run.", value: float64(c.MeasureCoalesced)},
 	}
 	if f := es.Fleet; f != nil {
 		ms = append(ms,
 			metric{name: "uopsd_fleet_batches_total", typ: "counter",
-				help: "Measurement batches this process sent to its fleet (including retries and hedges).", value: float64(f.Batches)},
+				help: "Measurement batches this process sent to its fleet (including retries).", value: float64(f.Batches)},
 			metric{name: "uopsd_fleet_sequences_total", typ: "counter",
 				help: "Sequences submitted to the fleet dispatcher.", value: float64(f.Sequences)},
 			metric{name: "uopsd_fleet_retries_total", typ: "counter",
 				help: "Sequences re-enqueued after a transient fleet batch failure.", value: float64(f.Retries)},
 			metric{name: "uopsd_fleet_errors_total", typ: "counter",
-				help: "Fleet batches that failed at the transport level.", value: float64(f.Errors)},
-			metric{name: "uopsd_fleet_hedges_total", typ: "counter",
-				help: "Straggler fleet batches duplicated to another worker.", value: float64(f.Hedges)},
-			metric{name: "uopsd_fleet_hedge_wins_total", typ: "counter",
-				help: "Sequences delivered after their batch was hedged.", value: float64(f.HedgeWins)})
+				help: "Fleet batches that failed at the transport level.", value: float64(f.Errors)})
 		// One series per worker, grouped by metric name: the exposition
 		// format wants every sample of a name under one HELP/TYPE block.
 		perWorker := []struct {
@@ -163,13 +156,10 @@ func (s *Service) metrics() []metric {
 				labels: fmt.Sprintf(`{tier=%q}`, pt.tier), value: float64(pt.stats.Files)})
 		}
 	}
+	// Every state is emitted, 0 when empty, so a scrape of a fresh server or
+	// of one whose finished jobs expired reads 0 rather than no data.
 	counts := s.jobs.counts()
-	states := make([]string, 0, len(counts))
-	for state := range counts {
-		states = append(states, state)
-	}
-	sort.Strings(states)
-	for _, state := range states {
+	for _, state := range []string{jobRunning, jobDone, jobFailed} {
 		ms = append(ms, metric{name: "uopsd_jobs", typ: "gauge",
 			help:   "Jobs in the job table by state.",
 			labels: fmt.Sprintf(`{state=%q}`, state), value: float64(counts[state])})

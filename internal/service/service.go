@@ -127,9 +127,6 @@ type Counters struct {
 	MeasureBatches   int `json:"measureBatches"`
 	MeasureSeqs      int `json:"measureSeqs"`
 	MeasureSeqErrors int `json:"measureSeqErrors"`
-	// MeasureCoalesced counts sequence measurements answered by joining an
-	// in-flight identical measurement instead of running their own.
-	MeasureCoalesced int `json:"measureCoalesced"`
 }
 
 // Service is the HTTP handler of the characterization service. It is safe
@@ -144,12 +141,6 @@ type Service struct {
 
 	mu       sync.Mutex
 	counters Counters
-
-	// seqMu guards seqFlights, the in-flight sequence measurements of the
-	// /v1/measure endpoint, keyed by content digest (generation + encoded
-	// sequence) so concurrent identical measurements coalesce onto one run.
-	seqMu      sync.Mutex
-	seqFlights map[[32]byte]*seqFlight
 
 	// iacaMu guards iacaCache, the per-generation IACA analyzers. Building
 	// an analyzer walks the generation's full instruction set, so it happens
@@ -177,13 +168,12 @@ func New(cfg Config) (*Service, error) {
 		baseCtx = context.Background()
 	}
 	s := &Service{
-		eng:        cfg.Engine,
-		log:        cfg.Log,
-		mux:        http.NewServeMux(),
-		baseCtx:    baseCtx,
-		jobs:       newJobTable(cfg.JobTTL),
-		seqFlights: make(map[[32]byte]*seqFlight),
-		iacaCache:  make(map[uarch.Generation]*iacaEntry),
+		eng:       cfg.Engine,
+		log:       cfg.Log,
+		mux:       http.NewServeMux(),
+		baseCtx:   baseCtx,
+		jobs:      newJobTable(cfg.JobTTL),
+		iacaCache: make(map[uarch.Generation]*iacaEntry),
 	}
 	if cfg.RateLimit > 0 {
 		s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)

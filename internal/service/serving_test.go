@@ -137,6 +137,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uopsd_http_errors_total":       float64(c.Errors),
 		"uopsd_engine_runs_total":       float64(es.Runs),
 		`uopsd_jobs{state="done"}`:      1,
+		`uopsd_jobs{state="running"}`:   0,
+		`uopsd_jobs{state="failed"}`:    0,
 		"uopsd_http_rate_limited_total": 0,
 	} {
 		got, ok := values[name]
