@@ -15,8 +15,8 @@ BENCH_LABEL ?= current
 BENCH_GUARD_PCT ?= 30
 
 .PHONY: build test vet race bench bench-smoke bench-json bench-json-smoke \
-	bench-compare bench-guard fmt fmt-check lint lint-extra ci ci-cmd \
-	ci-service ci-fleet ci-faults ci-bench run-uopsd
+	bench-compare bench-guard fmt fmt-check lint lint-extra fuzz-smoke ci \
+	ci-cmd ci-service ci-fleet ci-faults ci-bench run-uopsd
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,15 @@ lint-extra:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint-extra: govulncheck not installed; skipping"; fi
 
+# fuzz-smoke runs every native fuzz target for 10 s each (not raced):
+# FuzzRunCopies holds the simulator's RunCopies to Run on materialized
+# copies, errors included, and FuzzDecodeSeq holds the fleet worker's
+# sequence decoder to its bounds. A crashing input lands in the package's
+# testdata/fuzz and fails the run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
+
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant eviction) under the race detector, checks
 # that the backend registry lists the default pipesim backend through the
@@ -168,16 +177,16 @@ ci-service:
 # ci-fleet gates the distributed measurement fleet under the race detector:
 # the remote backend's unit suite (wire roundtrip with copy counts, the
 # fingerprint and wire-version handshake, one batch per RunCopies call,
-# retries, health probing and call timeouts against canned workers), then a
-# 10 s fuzz of the worker's sequence decoder (not raced), the loopback
-# end-to-end tests — XML byte-identical to a local run through 1/2/3 real
-# workers, recovery from a worker killed mid-run, a mixed-fingerprint fleet
-# refused at startup, fleet counters in /v1/stats and /metrics — and the
-# -fleet flag through the uopsinfo CLI and a uopsd front tier.
+# retries, health probing and call timeouts against canned workers), then
+# the loopback end-to-end tests — XML byte-identical to a local run through
+# 1/2/3 real workers, recovery from a worker killed mid-run, a
+# mixed-fingerprint fleet refused at startup, fleet counters in /v1/stats
+# and /metrics, the /v1/measure instruction budget — and the -fleet flag
+# through the uopsinfo CLI and a uopsd front tier. The decoder's fuzz
+# target runs in fuzz-smoke.
 ci-fleet:
 	$(GO) test -race -count=1 ./internal/measure/remote
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeSeq -fuzztime=10s ./internal/measure/remote
-	$(GO) test -race -count=1 -run 'TestFleet|TestMeasureEndpoint' ./internal/service
+	$(GO) test -race -count=1 -run 'TestFleet|TestMeasureEndpoint|TestMeasureBudget' ./internal/service
 	$(GO) test -race -count=1 -run 'TestFleetFlagMatchesLocal' ./cmd/uopsinfo
 	$(GO) test -race -count=1 -run 'TestUopsdFleetFrontTier' ./cmd/uopsd
 
@@ -206,7 +215,8 @@ ci-bench:
 # detector (the characterization scheduler, the engine and the service are
 # concurrent), a one-iteration pass over every benchmark, the
 # benchmark-trajectory pipeline smoke, the hot-path ns/op regression gate,
-# the command-level cache/backend/service checks and command smokes, the
-# distributed-fleet suite, the store fault-injection suite, and a vet and
-# test pass over the end-to-end benchmark module.
-ci: fmt-check vet lint race bench-smoke bench-json-smoke bench-guard ci-cmd ci-service ci-fleet ci-faults ci-bench
+# a bounded run of every fuzz target, the command-level
+# cache/backend/service checks and command smokes, the distributed-fleet
+# suite, the store fault-injection suite, and a vet and test pass over the
+# end-to-end benchmark module.
+ci: fmt-check vet lint race bench-smoke bench-json-smoke bench-guard fuzz-smoke ci-cmd ci-service ci-fleet ci-faults ci-bench

@@ -229,8 +229,8 @@ func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt
 
 // --- small syntactic/type helpers ---
 
-// exprChain renders a pure ident/selector chain ("h.shortBuf"), or "" for
-// anything more complex.
+// exprChain renders a pure ident/selector chain ("h.cfg.LongCopies"), or ""
+// for anything more complex.
 func exprChain(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

@@ -1,16 +1,15 @@
 // Package seqretain enforces the measurement-sequence no-retention
 // contract on Runner-shaped implementations.
 //
-// measure.Harness materializes its n-copy measurement sequences into
-// reusable buffers and re-passes the same backing arrays to Runner.Run
-// across measurements; Harness.Measure additionally skips rebuilding
-// those buffers when the incoming sequence is pointer-identical to the
-// previous one, and hands its callers' kernels straight to
-// CopiesRunner.RunCopies. These are sound only if no Runner (local
-// simulator, remote fleet dispatcher, or any future backend) squirrels
-// the slice away: a retained sequence would be silently rewritten by the
-// next measurement. The doc comments on measure.Runner and
-// measure.CopiesRunner state this; seqretain checks it.
+// Runners are pooled and outlive every measurement, and
+// measure.Harness hands them its callers' kernels: Harness.Measure
+// passes the kernel straight to CopiesRunner.RunCopies, or the copies
+// it materializes to Runner.Run. The callers own those slices. A Runner
+// (local simulator, remote fleet dispatcher, or any future backend) that
+// squirrels one away would alias memory its owner reuses or rewrites,
+// and a long-lived runner would pin every kernel it has seen. The doc
+// comments on measure.Runner and measure.CopiesRunner state this;
+// seqretain checks it.
 //
 // The check is structural so it works on any package without importing
 // measure (pipesim cannot import it — measure imports pipesim): in every
@@ -32,8 +31,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "seqretain",
 	Doc: "forbid Run/RunCopies/Measure methods from storing a sequence slice parameter in a field " +
-		"or global (the measure.Runner no-retention contract the harness's buffer reuse " +
-		"and pointer-prefix dedup depend on)",
+		"or global (the measure.Runner no-retention contract: callers own the sequences " +
+		"they hand to pooled, long-lived runners)",
 	Run: run,
 }
 

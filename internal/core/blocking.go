@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
@@ -221,73 +219,19 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 }
 
 // isolationProfiles measures the isolation profile of every candidate,
-// sharded across opts.Workers forked stacks. The returned slice is indexed by
-// candidate so callers can fold it in candidate order regardless of which
-// worker measured what. A runner that cannot be forked falls back to the
-// sequential path, matching the characterization scheduler's contract — as
-// does cancellation through opts.Context, checked between candidates.
+// sharded across opts.Workers pooled forks (the same warm stacks go on to
+// measure the variants afterwards, and later runs reuse them again). The
+// returned slice is indexed by candidate so callers can fold it in
+// candidate order regardless of which worker measured what.
 func (c *Characterizer) isolationProfiles(cands []*isa.Instr, opts Options) ([]isolation, error) {
 	profiles := make([]isolation, len(cands))
 	sink := &progressSink{total: len(cands), fn: opts.BlockingProgress}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers > 1 {
-		// The worker stacks come from the fork pool, so the same warm
-		// machines that discover blocking instructions go on to measure the
-		// variants afterwards (and later runs reuse them again).
-		forks := make([]*Characterizer, 0, workers)
-		for i := 0; i < workers; i++ {
-			fc, err := c.acquireFork()
-			if err != nil {
-				for _, fc := range forks {
-					c.releaseFork(fc)
-				}
-				forks = nil
-				break
-			}
-			forks = append(forks, fc)
-		}
-		if forks != nil {
-			var next int64
-			var wg sync.WaitGroup
-			for _, fc := range forks {
-				wg.Add(1)
-				go func(fc *Characterizer) {
-					defer wg.Done()
-					for {
-						if runCancelled(opts.Context) != nil {
-							return
-						}
-						i := int(atomic.AddInt64(&next, 1)) - 1
-						if i >= len(cands) {
-							return
-						}
-						profiles[i] = fc.profileCandidate(cands[i])
-						sink.report(cands[i].Name, nil)
-					}
-				}(fc)
-			}
-			wg.Wait()
-			for _, fc := range forks {
-				c.releaseFork(fc)
-			}
-			if err := runCancelled(opts.Context); err != nil {
-				return nil, err
-			}
-			return profiles, nil
-		}
-	}
-	for i, in := range cands {
-		if err := runCancelled(opts.Context); err != nil {
-			return nil, err
-		}
-		profiles[i] = c.profileCandidate(in)
-		sink.report(in.Name, nil)
+	err := c.shard(opts.Context, opts.Workers, len(cands), sink, func(w *Characterizer, i int) (string, *InstrResult) {
+		profiles[i] = w.profileCandidate(cands[i])
+		return cands[i].Name, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return profiles, nil
 }

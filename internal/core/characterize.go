@@ -21,9 +21,9 @@ type Characterizer struct {
 	// Worker stacks are pooled rather than forked per run: a long-lived
 	// Characterizer (the engine caches one per generation) hands warm
 	// harness/machine pairs to successive parallel runs via acquireFork/
-	// releaseFork, so simulator arenas, memoized perf descriptions, repeat
-	// buffers and chain-latency caches survive across runs. poolChars maps a
-	// pooled harness back to the fork Characterizer wrapped around it.
+	// releaseFork, so simulator arenas, rename templates and chain-latency
+	// caches survive across runs. poolChars maps a pooled harness back to
+	// the fork Characterizer wrapped around it.
 	poolMu    sync.Mutex
 	pool      *measure.Pool
 	poolChars map[*measure.Harness]*Characterizer
@@ -91,8 +91,10 @@ type Options struct {
 	// runs sequentially on the calling Characterizer; negative values select
 	// DefaultWorkers(). Sharding requires a forkable runner (a
 	// *pipesim.Machine or a measure.RunnerForker); with any other runner the
-	// run silently falls back to the sequential path. The same worker count
-	// also shards blocking-instruction discovery.
+	// run silently falls back to the sequential path. One loop shards both
+	// blocking-instruction discovery and the variants under this count, and
+	// a panic on a worker — in a callback or in measurement code — is
+	// re-raised on the calling goroutine.
 	Workers int
 	// BlockingProgress, if non-nil, is called after each candidate during
 	// blocking-instruction discovery, under the same serialization contract
@@ -209,17 +211,19 @@ func (c *Characterizer) CharacterizeResume(opts Options, partial map[string]*Ins
 		if err := c.ensureBlockingWith(opts); err != nil {
 			return nil, err
 		}
-		workers := opts.Workers
-		if workers < 0 {
-			workers = DefaultWorkers()
-		}
-		if workers > 1 && len(missing) > 1 {
-			out, err = c.characterizeParallel(missing, opts, workers)
-		} else {
-			out, err = c.characterizeSequential(missing, opts)
-		}
+		// Results are merged by variant index, so the output is identical
+		// to a sequential run regardless of worker count or scheduling.
+		results := make([]*InstrResult, len(missing))
+		sink := &progressSink{total: len(missing), fn: opts.Progress, recFn: opts.Variant}
+		err := c.shard(opts.Context, opts.Workers, len(missing), sink, func(w *Characterizer, i int) (string, *InstrResult) {
+			results[i] = w.characterizeOne(missing[i], opts)
+			return missing[i].Name, results[i]
+		})
 		if err != nil {
 			return nil, err
+		}
+		for i, in := range missing {
+			out.Results[in.Name] = results[i]
 		}
 	}
 	for _, in := range instrs {

@@ -15,14 +15,14 @@ import (
 // instruction variant's measurement is independent of the others, but the
 // stack that performs it is stateful: the simulator's divider-value regime is
 // switched mid-measurement and its rename/dispatch state lives in reusable
-// per-Machine arenas, the measurement harness reuses its repeated-sequence
-// buffers, the memory arena hands out addresses monotonically, and the
-// chain-latency cache fills as latencies are measured. Sharding therefore
-// gives each worker its own complete simulator/harness/characterizer stack
-// instead of locking a shared one; the only state shared between workers is
-// the blocking-instruction set, which is discovered once up front and
-// read-only afterwards (and the target Arch, whose perf-description cache is
-// internally synchronized and lock-free on the read path).
+// per-Machine arenas, the memory arena hands out addresses monotonically,
+// and the chain-latency cache fills as latencies are measured. Sharding
+// therefore gives each worker its own complete simulator/harness/
+// characterizer stack instead of locking a shared one; the only state
+// shared between workers is the blocking-instruction set, which is
+// discovered once up front and read-only afterwards (and the target Arch,
+// whose perf-description cache is internally synchronized and lock-free on
+// the read path).
 
 // Fork returns a Characterizer with its own independent simulator and
 // measurement harness, sharing only the target microarchitecture and the
@@ -49,12 +49,12 @@ func (c *Characterizer) Fork() (*Characterizer, error) {
 }
 
 // acquireFork returns a worker Characterizer from the pool: a warm one —
-// populated simulator arenas, memoized perf descriptions, grown repeat
-// buffers, filled chain-latency cache — if a previous run returned one, or a
-// fresh Fork otherwise. The fork is exclusively owned until releaseFork.
-// Per-variant results do not depend on the warmth of the stack that measures
-// them (the resume-invariance and fork-differential tests pin this), so a
-// pooled fork and a fresh fork are interchangeable.
+// populated simulator arenas, rename templates, filled chain-latency cache —
+// if a previous run returned one, or a fresh Fork otherwise. The fork is
+// exclusively owned until releaseFork. Per-variant results do not depend on
+// the warmth of the stack that measures them (the resume-invariance and
+// fork-differential tests pin this), so a pooled fork and a fresh fork are
+// interchangeable.
 func (c *Characterizer) acquireFork() (*Characterizer, error) {
 	c.poolMu.Lock()
 	if c.pool == nil {
@@ -90,8 +90,8 @@ func (c *Characterizer) acquireFork() (*Characterizer, error) {
 
 // releaseFork parks a fork obtained from acquireFork back into the pool and
 // folds freshly measured chain latencies back into the parent's cache, so
-// later runs (on any fork) start warmer. Must be called from a single
-// goroutine per fork after its workers have finished.
+// later runs (on any fork) start warmer. Must be called once per checkout,
+// after the fork's worker has finished with it.
 func (c *Characterizer) releaseFork(fc *Characterizer) {
 	if fc == nil {
 		return
@@ -164,6 +164,7 @@ func (p *progressSink) report(name string, rec *InstrResult) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock() // a panicking callback must not wedge the other workers
 	p.done++
 	if p.recFn != nil && rec != nil {
 		p.recFn(name, rec)
@@ -171,7 +172,6 @@ func (p *progressSink) report(name string, rec *InstrResult) {
 	if p.fn != nil {
 		p.fn(p.done, p.total, name)
 	}
-	p.mu.Unlock()
 }
 
 // runCancelled reports whether the run's context (nil meaning "never
@@ -191,83 +191,86 @@ func runCancelled(ctx context.Context) error {
 // one worker per available CPU.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// characterizeParallel shards the variants across workers independent
-// characterization stacks. Results are merged by variant index, so the output
-// is identical to a sequential run regardless of worker count or scheduling.
-func (c *Characterizer) characterizeParallel(instrs []*isa.Instr, opts Options, workers int) (*ArchResult, error) {
-	if workers > len(instrs) {
-		workers = len(instrs)
-	}
-	results := make([]*InstrResult, len(instrs))
-	sink := &progressSink{total: len(instrs), fn: opts.Progress, recFn: opts.Variant}
-
-	// Acquire the worker stacks up front, warm ones from the pool when a
-	// previous run has returned any. A runner that cannot be forked is not
-	// an error: the calling Characterizer can still do the whole run, so
-	// fall back to the sequential path (matching the Workers <= 1 contract).
-	forks := make([]*Characterizer, workers)
-	for i := range forks {
-		fc, err := c.acquireFork()
-		if err != nil {
-			for _, fc := range forks[:i] {
-				c.releaseFork(fc)
+// shard runs item(w, i) for every i in [0, n) and reports each item's name
+// and record through sink; it is the one loop behind both parallel phases,
+// blocking discovery and variant characterization. With workers > 1
+// (negative: DefaultWorkers) and a forkable runner, up to workers pooled
+// forks claim items through an atomic counter, each on its own goroutine;
+// otherwise the items run in order on c itself. Either way ctx is checked
+// before each item, and a cancelled run returns the wrapped ctx error.
+//
+// A panic in item or in a sink callback is re-raised on the calling
+// goroutine once every worker has stopped; the others stop at their next
+// item, and the fork that panicked is not parked back in the pool.
+func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progressSink,
+	item func(w *Characterizer, i int) (string, *InstrResult)) error {
+	var next atomic.Int64
+	var stop atomic.Bool
+	loop := func(w *Characterizer) {
+		for !stop.Load() && runCancelled(ctx) == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-			return c.characterizeSequential(instrs, opts)
+			name, rec := item(w, i)
+			sink.report(name, rec)
 		}
-		forks[i] = fc
+	}
+	if workers < 0 {
+		workers = DefaultWorkers()
+	}
+	forks := c.acquireForks(min(workers, n))
+	if forks == nil {
+		loop(c)
+		return runCancelled(ctx)
 	}
 
-	var next int64
 	var wg sync.WaitGroup
+	panics := make(chan any, len(forks))
 	for _, fc := range forks {
 		wg.Add(1)
 		go func(fc *Characterizer) {
 			defer wg.Done()
-			for {
-				if runCancelled(opts.Context) != nil {
+			defer func() {
+				if p := recover(); p != nil {
+					stop.Store(true)
+					c.poolMu.Lock()
+					delete(c.poolChars, fc.gen.h)
+					c.poolMu.Unlock()
+					panics <- p
 					return
 				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(instrs) {
-					return
-				}
-				results[i] = fc.characterizeOne(instrs[i], opts)
-				sink.report(instrs[i].Name, results[i])
-			}
+				c.releaseFork(fc)
+			}()
+			loop(fc)
 		}(fc)
 	}
 	wg.Wait()
-	for _, fc := range forks {
-		c.releaseFork(fc)
+	select {
+	case p := <-panics:
+		panic(p)
+	default:
+		return runCancelled(ctx)
 	}
-	if err := runCancelled(opts.Context); err != nil {
-		return nil, err
-	}
-
-	out := NewArchResult(c.gen.arch.Name())
-	for i, in := range instrs {
-		out.Results[in.Name] = results[i]
-	}
-	return out, nil
 }
 
-// characterizeSequential runs the whole selection on the calling
-// Characterizer, preserving the seed behaviour (and supporting runners that
-// cannot be forked).
-func (c *Characterizer) characterizeSequential(instrs []*isa.Instr, opts Options) (*ArchResult, error) {
-	out := NewArchResult(c.gen.arch.Name())
-	for i, in := range instrs {
-		if err := runCancelled(opts.Context); err != nil {
-			return nil, err
-		}
-		rec := c.characterizeOne(in, opts)
-		out.Results[in.Name] = rec
-		if opts.Variant != nil {
-			opts.Variant(in.Name, rec)
-		}
-		if opts.Progress != nil {
-			opts.Progress(i+1, len(instrs), in.Name)
-		}
+// acquireForks checks k worker stacks out of the fork pool, or returns nil
+// when k < 2 or the runner cannot be forked: the calling Characterizer can
+// still do the whole run, sequentially (the Workers <= 1 contract).
+func (c *Characterizer) acquireForks(k int) []*Characterizer {
+	if k < 2 {
+		return nil
 	}
-	return out, nil
+	forks := make([]*Characterizer, 0, k)
+	for len(forks) < k {
+		fc, err := c.acquireFork()
+		if err != nil {
+			for _, fc := range forks {
+				c.releaseFork(fc)
+			}
+			return nil
+		}
+		forks = append(forks, fc)
+	}
+	return forks
 }

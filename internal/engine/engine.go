@@ -116,13 +116,14 @@ type Stats struct {
 	// PoolForked and PoolReused count worker-stack checkouts from the
 	// per-generation fork pools: Forked built a fresh simulator/harness
 	// stack, Reused picked up a warm one from a previous run (its simulator
-	// arenas, memoized perf descriptions and repeat buffers intact).
-	// PoolSeqBuilt and PoolSeqReused count, inside those pooled harnesses,
-	// how often Measure materialized its n-copy repeat sequences versus
-	// reusing the ones already buffered. Aggregated across generations,
+	// arenas and rename templates intact). Aggregated across generations,
 	// including the raw-sequence pools behind SequencePool.
-	PoolForked    int64 `json:"poolForked"`
-	PoolReused    int64 `json:"poolReused"`
+	PoolForked int64 `json:"poolForked"`
+	PoolReused int64 `json:"poolReused"`
+	// PoolSeqBuilt and PoolSeqReused are always 0. They counted the
+	// harness's materialized copy buffers, which went away when runners
+	// started repeating kernels themselves; the fields stay because
+	// cmd/uopsbench reads them.
 	PoolSeqBuilt  int64 `json:"poolSeqBuilt"`
 	PoolSeqReused int64 `json:"poolSeqReused"`
 	// Fleet carries the measurement-fleet counters (batches, retries,
@@ -167,9 +168,10 @@ type Engine struct {
 }
 
 // charEntry makes concurrent requests for the same generation build the
-// stack exactly once. built is set (atomically, after c and err) when the
-// build has completed, so Stats can aggregate pool counters from finished
-// entries without waiting on — or racing with — an in-progress build.
+// stack exactly once; a build that panics is removed, so the next request
+// builds again. built is set (atomically, after c and err) when the build
+// has completed, so Stats can aggregate pool counters from finished entries
+// without waiting on — or racing with — an in-progress build.
 type charEntry struct {
 	once  sync.Once
 	c     *core.Characterizer
@@ -469,8 +471,6 @@ func (e *Engine) Stats() Stats {
 	}
 	s.PoolForked += pool.Forked
 	s.PoolReused += pool.Reused
-	s.PoolSeqBuilt += pool.SeqBuilt
-	s.PoolSeqReused += pool.SeqReused
 	if fr, ok := e.backend.(measure.FleetReporter); ok {
 		if fs, ok := fr.FleetStats(); ok {
 			s.Fleet = &fs
@@ -576,8 +576,20 @@ func (e *Engine) characterizer(gen uarch.Generation, workers int) (*core.Charact
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
+		defer func() {
+			// A build that panicked (e.g. in a BlockingProgress callback)
+			// set neither c nor err, and the spent Once would serve that to
+			// every later request: fail its waiters and drop the entry so
+			// the next request rebuilds.
+			if ent.c == nil && ent.err == nil {
+				ent.err = fmt.Errorf("engine: building the %s stack panicked", gen)
+				e.mu.Lock()
+				delete(e.chars, gen)
+				e.mu.Unlock()
+			}
+			ent.built.Store(true)
+		}()
 		ent.c, ent.err = e.build(gen, workers)
-		ent.built.Store(true)
 	})
 	return ent.c, ent.err
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -545,5 +546,62 @@ func TestFlightReleasedOnPanic(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("identical request after a panicked run hung on the leaked flight")
+	}
+}
+
+// TestShardPanicReachesCaller: with two workers the variants are measured
+// on pooled forks, each on its own goroutine. A panicking Progress callback
+// there must surface as a panic on the caller's goroutine (where the
+// flight release and the service's recovery can see it), not kill the
+// process, and the same request afterwards returns a fresh engine's result.
+func TestShardPanicReachesCaller(t *testing.T) {
+	cfg := Config{Workers: 2}
+	e := mustNew(t, cfg)
+	var boom atomic.Bool
+	boom.Store(true)
+	opts := RunOptions{Only: testOnly, Progress: func(done, total int, name string) {
+		if boom.Load() {
+			panic("kaboom")
+		}
+	}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a panicking Progress callback did not panic the caller")
+			}
+		}()
+		e.CharacterizeArch(uarch.Skylake, opts)
+	}()
+
+	boom.Store(false)
+	if got, want := renderXML(t, e, opts), renderXML(t, mustNew(t, cfg), RunOptions{Only: testOnly}); !bytes.Equal(got, want) {
+		t.Errorf("request after the panicked run differs from a fresh engine's:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestPanickedStackBuildIsRetried: a BlockingProgress callback that panics
+// once aborts the generation's stack build; the next request must build the
+// stack again and succeed instead of finding a spent, empty cache entry.
+func TestPanickedStackBuildIsRetried(t *testing.T) {
+	var fired atomic.Bool
+	e := mustNew(t, Config{Workers: 1, BlockingProgress: func(gen uarch.Generation, done, total int, name string) {
+		if fired.CompareAndSwap(false, true) {
+			panic("kaboom")
+		}
+	}})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a panicking BlockingProgress callback did not panic the caller")
+			}
+		}()
+		e.CharacterizeArch(uarch.Nehalem, RunOptions{Only: testOnly[:1]})
+	}()
+	res, err := e.CharacterizeArch(uarch.Nehalem, RunOptions{Only: testOnly[:1]})
+	if err != nil {
+		t.Fatalf("request after a panicked stack build: %v", err)
+	}
+	if rec := res.Results[testOnly[0]]; rec == nil || rec.Skipped != "" {
+		t.Errorf("request after a panicked stack build measured %+v", rec)
 	}
 }

@@ -31,25 +31,44 @@ import (
 // same counters, whatever ran before (TestRunDifferentialAcrossForks pins
 // this for pipesim). The harness relies on it to read each copy count once.
 //
-// Run must not retain code after returning: the harness reuses the backing
-// array of the sequences it passes in across measurements.
+// Run must not retain code after returning: callers may reuse its backing
+// array.
 type Runner interface {
 	Run(code asmgen.Sequence) (pipesim.Counters, error)
 	Arch() *uarch.Arch
 }
 
-var _ Runner = (*pipesim.Machine)(nil)
-
-// CopiesRunner is implemented by runners that can repeat a kernel
-// themselves. RunCopies returns, for each copy count n in copies, the
-// counters Run would return for n concatenated copies of code (every copy
-// the same instruction instances), in order. A runner whose readings cost
-// a round trip implements it so that one measurement costs one trip.
+// CopiesRunner is implemented by runners that repeat a kernel themselves:
+// *pipesim.Machine renames it n times within one simulated run, and the
+// fleet runner ships it once with its copy counts, so one measurement
+// costs one round trip. RunCopies returns, for each copy count n in
+// copies, the counters Run would return for code.Repeat(n), in order.
 //
 // Like Run, RunCopies must not retain code after returning.
 type CopiesRunner interface {
 	Runner
 	RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error)
+}
+
+var _ CopiesRunner = (*pipesim.Machine)(nil)
+
+// RunCopies returns, for each copy count n in copies, the counters of
+// code.Repeat(n) on r: in one RunCopies call when r is a CopiesRunner,
+// otherwise as one Run of the materialized copies per count, stopping at
+// the first error.
+func RunCopies(r Runner, code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+	if cr, ok := r.(CopiesRunner); ok {
+		return cr.RunCopies(code, copies...)
+	}
+	out := make([]pipesim.Counters, len(copies))
+	for i, n := range copies {
+		c, err := r.Run(code.Repeat(n))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
 }
 
 // Result holds per-execution averages of the performance counters for one
@@ -120,27 +139,11 @@ type RunnerForker interface {
 
 // Harness runs the measurement protocol on a Runner.
 //
-// A Harness reuses internal sequence buffers across measurements and is
-// therefore not safe for concurrent use; Fork creates independent harnesses
-// for concurrent workers.
+// A Harness is no safer for concurrent use than its runner, which carries
+// per-run state; Fork creates independent harnesses for concurrent workers.
 type Harness struct {
 	runner Runner
 	cfg    Config
-
-	// shortBuf and longBuf hold the materialized n-copy sequences for the
-	// current measurement of a runner that is not a CopiesRunner. Measure
-	// runs each of them once, and their backing arrays are reused across
-	// calls; when the same code sequence is measured again back to back
-	// (e.g. re-measuring a divider variant under a different operand-value
-	// regime), the buffers are reused outright.
-	shortBuf asmgen.Sequence
-	longBuf  asmgen.Sequence
-	// bufLen is the length of the code sequence the buffers currently hold
-	// (0 = none); seqBuilt/seqReused count rebuilds vs reuses for
-	// PoolStats.
-	bufLen    int
-	seqBuilt  int64
-	seqReused int64
 }
 
 // New returns a harness with the default configuration.
@@ -195,10 +198,11 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if len(code) == 0 {
 		return Result{}, fmt.Errorf("measure: empty code sequence")
 	}
-	short, long, err := h.readings(code)
+	cs, err := RunCopies(h.runner, code, h.cfg.ShortCopies, h.cfg.LongCopies)
 	if err != nil {
 		return Result{}, err
 	}
+	short, long := h.withOverhead(cs[0]), h.withOverhead(cs[1])
 	numPorts := h.runner.Arch().NumPorts()
 	acc := Result{PortUops: make([]float64, numPorts)}
 	diff := long.Sub(short)
@@ -221,74 +225,6 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 		acc.PortUops[p] *= inv
 	}
 	return acc, nil
-}
-
-// readings takes the short and the long raw reading of code: in one
-// RunCopies call when the runner repeats the code itself, otherwise as two
-// Runs on the materialized copy buffers.
-func (h *Harness) readings(code asmgen.Sequence) (short, long pipesim.Counters, err error) {
-	if cr, ok := h.runner.(CopiesRunner); ok {
-		cs, err := cr.RunCopies(code, h.cfg.ShortCopies, h.cfg.LongCopies)
-		if err != nil {
-			return short, long, err
-		}
-		return h.withOverhead(cs[0]), h.withOverhead(cs[1]), nil
-	}
-
-	// Materialize the two copy-count sequences. If the buffers already hold
-	// exactly this code (same instruction instances, element for element),
-	// skip even that: repeating the same pointers again would write back the
-	// identical slice contents.
-	if h.bufLen == len(code) && len(h.shortBuf) == len(code)*h.cfg.ShortCopies &&
-		samePrefix(h.shortBuf, code) {
-		h.seqReused++
-	} else {
-		h.shortBuf = repeatInto(h.shortBuf[:0], code, h.cfg.ShortCopies)
-		h.longBuf = repeatInto(h.longBuf[:0], code, h.cfg.LongCopies)
-		h.bufLen = len(code)
-		h.seqBuilt++
-	}
-	if short, err = h.runner.Run(h.shortBuf); err != nil {
-		return short, long, err
-	}
-	if long, err = h.runner.Run(h.longBuf); err != nil {
-		return short, long, err
-	}
-	return h.withOverhead(short), h.withOverhead(long), nil
-}
-
-// repeatInto appends n copies of code to dst and returns it, reusing dst's
-// backing array (the allocation-free analogue of code.Repeat(n)).
-func repeatInto(dst, code asmgen.Sequence, n int) asmgen.Sequence {
-	for i := 0; i < n; i++ {
-		dst = append(dst, code...)
-	}
-	return dst
-}
-
-// samePrefix reports whether buf starts with exactly the instruction
-// instances of code. Pointer identity is the right comparison: the buffers
-// are built from the caller's instruction pointers, and an instruction
-// mutated in place is the same pointer with the same (mutated) contents
-// either way.
-func samePrefix(buf, code asmgen.Sequence) bool {
-	if len(buf) < len(code) {
-		return false
-	}
-	for i, in := range code {
-		if buf[i] != in {
-			return false
-		}
-	}
-	return true
-}
-
-// takeSeqStats returns and resets the harness's sequence-reuse counters
-// (called by Pool.Put, which owns the harness at that point).
-func (h *Harness) takeSeqStats() (built, reused int64) {
-	built, reused = h.seqBuilt, h.seqReused
-	h.seqBuilt, h.seqReused = 0, 0
-	return built, reused
 }
 
 // withOverhead adds the modelled measurement overhead (Algorithm 2 lines

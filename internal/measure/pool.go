@@ -8,30 +8,22 @@ type PoolStats struct {
 	// Forked counts harnesses created by forking the parent (pool misses).
 	Forked int64
 	// Reused counts Get calls served from the idle list: a warm
-	// machine/harness pair — populated simulator arenas, memoized perf
-	// lookups, grown repeat buffers — picked up by a new shard of work.
+	// machine/harness pair — populated simulator arenas and rename
+	// templates — picked up by a new shard of work.
 	Reused int64
-	// SeqBuilt and SeqReused count, across every harness that has passed
-	// through the pool, how often Measure had to materialize its n-copy
-	// repeat sequences versus reusing the ones already in its buffers.
-	SeqBuilt  int64
-	SeqReused int64
 }
 
 // Add returns the element-wise sum of two stat snapshots.
 func (s PoolStats) Add(o PoolStats) PoolStats {
 	s.Forked += o.Forked
 	s.Reused += o.Reused
-	s.SeqBuilt += o.SeqBuilt
-	s.SeqReused += o.SeqReused
 	return s
 }
 
 // Pool keeps forked harnesses — and with them their warm simulator machines —
 // alive between bursts of parallel work, so batching N variant shards through
-// the pool reuses the machines' arenas, memoized perf descriptions and the
-// harnesses' materialized repeat buffers instead of rebuilding them for every
-// run.
+// the pool reuses the machines' arenas and rename templates instead of
+// rebuilding them for every run.
 //
 // A Pool is safe for concurrent use. The harnesses it hands out are not:
 // each Get transfers exclusive ownership to the caller until Put returns it.
@@ -72,24 +64,18 @@ func (p *Pool) Get() (h *Harness, reused bool, err error) {
 	return h, false, nil
 }
 
-// Put parks a harness obtained from Get for reuse and folds its
-// sequence-reuse counters into the pool statistics. The caller must not use
+// Put parks a harness obtained from Get for reuse. The caller must not use
 // the harness afterwards.
 func (p *Pool) Put(h *Harness) {
 	if h == nil {
 		return
 	}
-	built, reused := h.takeSeqStats()
 	p.mu.Lock()
-	p.stats.SeqBuilt += built
-	p.stats.SeqReused += reused
 	p.idle = append(p.idle, h)
 	p.mu.Unlock()
 }
 
-// Stats returns a snapshot of the pool's effectiveness counters. Sequence
-// counters cover harnesses that have been Put back; a harness currently
-// checked out contributes its sequence counts at its next Put.
+// Stats returns a snapshot of the pool's effectiveness counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

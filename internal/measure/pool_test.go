@@ -15,8 +15,8 @@ import (
 // randomSequences builds deterministic pseudo-random sequences from a pool of
 // concrete instructions covering ALU/multiply chains, eliminable moves, zero
 // idioms, vector-domain mixes, the divider, and loads/stores with overlapping
-// addresses — enough variety that batching artifacts (stale buffers, leaked
-// machine state) would show up as counter differences.
+// addresses — enough variety that batching artifacts (leaked machine state)
+// would show up as counter differences.
 func randomSequences(t *testing.T, arch *uarch.Arch, n int, rng *rand.Rand) []asmgen.Sequence {
 	t.Helper()
 	lookup := func(name string) *isa.Instr {
@@ -86,10 +86,10 @@ func resultsEqual(a, b Result) bool {
 }
 
 // TestPoolBatchingInvariance is the batching property test: running N random
-// variant sequences back to back through ONE pooled harness (warm machine,
-// reused repeat buffers) must produce exactly the same measurement results —
-// and the same raw simulator counters — as running each sequence on a fresh
-// machine with a fresh harness. 200 sequences across 3 generations.
+// variant sequences back to back through ONE pooled harness (warm machine)
+// must produce exactly the same measurement results — and the same raw
+// simulator counters — as running each sequence on a fresh machine with a
+// fresh harness. 200 sequences across 3 generations.
 func TestPoolBatchingInvariance(t *testing.T) {
 	t.Parallel()
 	for _, gen := range []uarch.Generation{uarch.Skylake, uarch.SandyBridge, uarch.Haswell} {
@@ -132,14 +132,7 @@ func TestPoolBatchingInvariance(t *testing.T) {
 					t.Fatalf("sequence %d: fresh counters %+v, batched counters %+v", i, cw, cg)
 				}
 			}
-			// Re-measuring the final sequence reuses the buffers outright.
-			if _, err := batched.Measure(seqs[len(seqs)-1]); err != nil {
-				t.Fatal(err)
-			}
 			pool.Put(batched)
-			if s := pool.Stats(); s.SeqReused < 1 || s.SeqBuilt < int64(len(seqs)) {
-				t.Fatalf("stats after batch: %+v, want SeqBuilt >= %d and SeqReused >= 1", s, len(seqs))
-			}
 		})
 	}
 }

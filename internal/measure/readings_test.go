@@ -139,15 +139,18 @@ func TestMeasureMatchesReferenceProtocol(t *testing.T) {
 }
 
 // countingRunner is a plain Runner that records the length of every
-// sequence it runs.
+// sequence it runs. It holds its Machine in a field: embedding it would
+// promote Machine.RunCopies and bypass Run.
 type countingRunner struct {
-	*pipesim.Machine
+	m    *pipesim.Machine
 	lens []int
 }
 
+func (r *countingRunner) Arch() *uarch.Arch { return r.m.Arch() }
+
 func (r *countingRunner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	r.lens = append(r.lens, len(code))
-	return r.Machine.Run(code)
+	return r.m.Run(code)
 }
 
 // TestMeasureReadsEachCopyCountOnce: a plain runner sees one Run of the
@@ -158,7 +161,7 @@ func TestMeasureReadsEachCopyCountOnce(t *testing.T) {
 	arch := uarch.Get(uarch.Skylake)
 	seqs := randomSequences(t, arch, 10, rand.New(rand.NewSource(7)))
 	for name, cfg := range planConfigs() {
-		r := &countingRunner{Machine: pipesim.New(arch)}
+		r := &countingRunner{m: pipesim.New(arch)}
 		h := NewWithConfig(r, cfg)
 		for _, seq := range seqs {
 			r.lens = nil

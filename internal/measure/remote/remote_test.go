@@ -85,17 +85,17 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if back.Div != 1 {
 		t.Errorf("divider regime %d did not survive the roundtrip", back.Div)
 	}
-	dec, err := DecodeSeq(set, back)
+	dec, copies, err := DecodeSeq(set, back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.String() != code.String() {
-		t.Errorf("decoded sequence\n%s\nwant\n%s", dec.String(), code.String())
+	if dec.String() != code.String() || copies != 1 {
+		t.Errorf("decoded %d copies of\n%s\nwant 1 of\n%s", copies, dec.String(), code.String())
 	}
-	// The worker-side repeat copies must share instruction instances like the
+	// Repeated instances must decode to one shared instance like the
 	// client's (the simulator keys memory dependencies on operand identity).
 	if dec[0] != dec[3] || dec[1] != dec[4] {
-		t.Error("decoded repeat copies do not share instruction instances")
+		t.Error("decoded repeated instances are not shared")
 	}
 	// Memory operand address must be preserved exactly.
 	if m := dec[1].Ops[1].Mem; m == nil || m.Addr != 0x2040 || m.Base != isa.RSI {
@@ -107,8 +107,8 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		t.Errorf("identity order not elided: %v", ws.Order)
 	}
 
-	// A kernel sent with a copy count decodes to the materialized copies,
-	// every copy sharing the kernel's instruction instances.
+	// A kernel sent with a copy count decodes to the kernel and the count;
+	// the worker's runner repeats it.
 	kernel := asmgen.Sequence{add, load, shld, add}
 	ws = EncodeSeq(kernel, 0)
 	ws.Copies = 12
@@ -122,23 +122,21 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if back.Copies != 12 {
 		t.Errorf("copy count %d did not survive the roundtrip", back.Copies)
 	}
-	if dec, err = DecodeSeq(set, back); err != nil {
+	if dec, copies, err = DecodeSeq(set, back); err != nil {
 		t.Fatal(err)
 	}
-	if want := kernel.Repeat(12); dec.String() != want.String() {
-		t.Errorf("decoded copies\n%s\nwant\n%s", dec.String(), want.String())
+	if dec.String() != kernel.String() || copies != 12 {
+		t.Errorf("decoded %d copies of\n%s\nwant 12 of\n%s", copies, dec.String(), kernel.String())
 	}
-	for i := range dec {
-		if dec[i] != dec[i%len(kernel)] {
-			t.Fatalf("decoded copy instruction %d does not share the kernel's instance", i)
-		}
+	if dec[0] != dec[3] {
+		t.Error("decoded kernel does not share its repeated instance")
 	}
 }
 
 func TestDecodeSeqRejectsBadInput(t *testing.T) {
 	set := xedspec.MustFullISA()
 	for i, ws := range badSeqs() {
-		if _, err := DecodeSeq(set, ws); err == nil {
+		if _, _, err := DecodeSeq(set, ws); err == nil {
 			t.Errorf("case %d: DecodeSeq accepted invalid input %+v", i, ws)
 		}
 	}
@@ -168,9 +166,9 @@ func badSeqs() []Seq {
 }
 
 // FuzzDecodeSeq feeds arbitrary /v1/measure sequence bodies to the worker's
-// decoder: it must never panic, never return more than MaxSeqLen
-// instructions or accept more than MaxSeqLen copies, and decoded copies
-// must share the kernel's instances.
+// decoder: it must never panic, never accept a kernel × copies above
+// MaxSeqLen or more than MaxSeqLen copies, and must return the wire's copy
+// count (0 meaning 1).
 func FuzzDecodeSeq(f *testing.F) {
 	set := uarch.Get(uarch.Skylake).InstrSet()
 	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
@@ -196,24 +194,19 @@ func FuzzDecodeSeq(f *testing.F) {
 		if json.Unmarshal(raw, &ws) != nil {
 			return
 		}
-		seq, err := DecodeSeq(set, ws)
+		kernel, copies, err := DecodeSeq(set, ws)
 		if err != nil {
 			return
 		}
-		if len(seq) > MaxSeqLen {
-			t.Fatalf("decoded %d instructions, above the %d bound", len(seq), MaxSeqLen)
+		if len(kernel)*copies > MaxSeqLen {
+			t.Fatalf("accepted %d copies of %d instructions, above the %d bound", copies, len(kernel), MaxSeqLen)
 		}
-		// The decoder's work is one step per copy even for an empty kernel.
+		// The simulator renames once per copy even for an empty kernel.
 		if ws.Copies > MaxSeqLen {
 			t.Fatalf("accepted %d copies, above the %d bound", ws.Copies, MaxSeqLen)
 		}
-		if ws.Copies > 1 {
-			kernel := len(seq) / ws.Copies
-			for i := range seq {
-				if seq[i] != seq[i%kernel] {
-					t.Fatalf("decoded copy instruction %d does not share the kernel's instance", i)
-				}
-			}
+		if copies != max(ws.Copies, 1) {
+			t.Fatalf("decoded copy count %d, wire count %d", copies, ws.Copies)
 		}
 	})
 }

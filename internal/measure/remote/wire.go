@@ -28,10 +28,10 @@ import (
 // would ignore it and answer for a single copy.
 const WireVersion = 2
 
-// MaxSeqLen bounds the length of a decoded sequence, copies expanded. It
+// MaxSeqLen bounds the length of a decoded sequence, copies included. It
 // sits far above the longest sequence the paper's protocol builds (110
 // copies of a ~257-instruction kernel) and keeps a small request from
-// expanding into an arbitrarily large one.
+// asking for an arbitrarily large simulation.
 const MaxSeqLen = 1 << 20
 
 // Seq is one measurement request: a concrete instruction sequence under one
@@ -39,7 +39,7 @@ const MaxSeqLen = 1 << 20
 // Instrs holds each distinct instruction once and Order lists the execution
 // order as indices into Instrs. An empty Order means Instrs in order. The
 // measurement protocol runs n concatenated copies of a kernel; Copies
-// carries n, and the decoder repeats the kernel itself.
+// carries n, and the worker's runner repeats the kernel itself.
 type Seq struct {
 	// Div is the operand-value regime for divider-based instructions
 	// (pipesim.DividerValues; 0 is the slow regime).
@@ -48,8 +48,8 @@ type Seq struct {
 	Instrs []Inst `json:"instrs"`
 	// Order is the execution order as indices into Instrs (empty: identity).
 	Order []int `json:"order,omitempty"`
-	// Copies is how many times the decoder repeats the sequence; 0 and 1
-	// both mean once.
+	// Copies is how many times the worker runs the sequence back to back;
+	// 0 and 1 both mean once.
 	Copies int `json:"copies,omitempty"`
 }
 
@@ -113,9 +113,9 @@ func DecodeCounters(c Counters) pipesim.Counters {
 }
 
 // EncodeSeq encodes a concrete sequence under a divider-value regime, as
-// one copy. Instruction instances are deduplicated by pointer: a
-// materialized n-copy measurement sequence repeats the same instances, so
-// the wire form carries each once plus the order.
+// one copy (the caller sets Copies). Instruction instances are deduplicated
+// by pointer: kernels repeat instances (a port-usage kernel's blocking
+// instructions), so the wire form carries each once plus the order.
 func EncodeSeq(code asmgen.Sequence, div pipesim.DividerValues) Seq {
 	ws := Seq{Div: int(div)}
 	idx := make(map[*asmgen.Inst]int, 16)
@@ -158,17 +158,18 @@ func encodeInst(in *asmgen.Inst) Inst {
 	return wi
 }
 
-// DecodeSeq reconstructs the concrete sequence against a generation's
-// instruction set, repeated Copies times. Order entries and copies reference
-// the same decoded instruction instance, mirroring the pointer sharing of
-// the client's repeat buffers. Every lookup or validation failure — a
-// negative copy count, and a copy count above MaxSeqLen or an expanded
-// length above it, included — is an error: these are deterministic request properties, never worth a
-// retry.
-func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, error) {
+// DecodeSeq reconstructs the concrete kernel against a generation's
+// instruction set and returns it with its copy count (at least 1), which
+// the worker hands to measure.RunCopies. Order entries reference the same
+// decoded instruction instance, mirroring the pointer sharing of the
+// client's kernel. Every lookup or validation failure — a negative copy
+// count, and a copy count above MaxSeqLen or a kernel × copies above it,
+// included — is an error: these are deterministic request properties, never
+// worth a retry.
+func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, int, error) {
 	copies := ws.Copies
 	if copies < 0 {
-		return nil, fmt.Errorf("remote: negative copy count %d", copies)
+		return nil, 0, fmt.Errorf("remote: negative copy count %d", copies)
 	}
 	if copies == 0 {
 		copies = 1
@@ -177,16 +178,16 @@ func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, error) {
 	if ws.Order == nil {
 		n = len(ws.Instrs)
 	}
-	// An empty kernel is bounded too: Repeat loops once per copy even when
-	// it appends nothing.
+	// An empty kernel is bounded too: the simulator renames once per copy
+	// even when a copy holds nothing.
 	if copies > MaxSeqLen/max(n, 1) {
-		return nil, fmt.Errorf("remote: %d copies of %d instructions exceed the %d-instruction bound", copies, n, MaxSeqLen)
+		return nil, 0, fmt.Errorf("remote: %d copies of %d instructions exceed the %d-instruction bound", copies, n, MaxSeqLen)
 	}
 	insts := make([]*asmgen.Inst, len(ws.Instrs))
 	for i, wi := range ws.Instrs {
 		in, err := decodeInst(set, wi)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		insts[i] = in
 	}
@@ -195,15 +196,12 @@ func DecodeSeq(set *isa.Set, ws Seq) (asmgen.Sequence, error) {
 		kernel = make(asmgen.Sequence, len(ws.Order))
 		for i, j := range ws.Order {
 			if j < 0 || j >= len(insts) {
-				return nil, fmt.Errorf("remote: sequence order index %d out of range (%d instructions)", j, len(insts))
+				return nil, 0, fmt.Errorf("remote: sequence order index %d out of range (%d instructions)", j, len(insts))
 			}
 			kernel[i] = insts[j]
 		}
 	}
-	if copies > 1 {
-		kernel = kernel.Repeat(copies)
-	}
-	return kernel, nil
+	return kernel, copies, nil
 }
 
 func decodeInst(set *isa.Set, wi Inst) (*asmgen.Inst, error) {

@@ -18,13 +18,14 @@ import (
 // TestCountersGolden.
 const goldenStride = 16
 
-// goldenCounterDigests pins, per generation, the sha256 over every Run a
-// serial characterization of every goldenStride-th variant makes (blocking
-// discovery included): each call's sequence length and raw Counters, in call
-// order. The XML digests of the end-to-end benchmark round the counters
-// through the inference algorithms, so a changed counter can hide there;
-// here it cannot. The digests are data, not a tolerance: a simulator change
-// that moves them changes simulated behaviour, and must bump Version.
+// goldenCounterDigests pins, per generation, the sha256 over every reading a
+// serial characterization of every goldenStride-th variant takes (blocking
+// discovery included): each reading's sequence length (copies included) and
+// raw Counters, in call order. The XML digests of the end-to-end benchmark
+// round the counters through the inference algorithms, so a changed counter
+// can hide there; here it cannot. The digests are data, not a tolerance: a
+// simulator change that moves them changes simulated behaviour, and must
+// bump Version.
 var goldenCounterDigests = map[uarch.Generation]string{
 	uarch.Nehalem:     "5619be82dfc5b3799e4dabd545931d505a0d4ffc291140a88f1dfee8734f1a6b",
 	uarch.Westmere:    "fdd37533a00ae9b98618a6b2703ed6d6cd695179c861b1be4628fea2e223bf9a",
@@ -37,8 +38,11 @@ var goldenCounterDigests = map[uarch.Generation]string{
 	uarch.CoffeeLake:  "15b4acf27b02f5d91cb183510b973ffb8cab20e51d19453081b8791bcfa66105",
 }
 
-// foldRunner is a measure.Runner that folds every Run's input length and
-// counters into a hash, in call order.
+// foldRunner is a measure.CopiesRunner that folds every reading's sequence
+// length and counters into a hash, in call order. Run folds len(code);
+// RunCopies forwards one count n at a time and folds n*len(code), so its
+// readings — a failing one included — fold exactly as Runs of the
+// materialized copies would.
 type foldRunner struct {
 	m   *pipesim.Machine
 	h   hash.Hash
@@ -51,7 +55,26 @@ func (r *foldRunner) SetDividerValues(v pipesim.DividerValues) { r.m.SetDividerV
 
 func (r *foldRunner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	c, err := r.m.Run(code)
-	b := binary.AppendVarint(r.buf[:0], int64(len(code)))
+	r.fold(len(code), c, err)
+	return c, err
+}
+
+func (r *foldRunner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+	out := make([]pipesim.Counters, len(copies))
+	for i, n := range copies {
+		cs, err := r.m.RunCopies(code, n)
+		if err != nil {
+			r.fold(n*len(code), pipesim.Counters{}, err)
+			return nil, err
+		}
+		r.fold(n*len(code), cs[0], nil)
+		out[i] = cs[0]
+	}
+	return out, nil
+}
+
+func (r *foldRunner) fold(n int, c pipesim.Counters, err error) {
+	b := binary.AppendVarint(r.buf[:0], int64(n))
 	if err != nil {
 		b = append(b, err.Error()...)
 	} else {
@@ -64,8 +87,9 @@ func (r *foldRunner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	}
 	r.h.Write(b)
 	r.buf = b
-	return c, err
 }
+
+var _ measure.CopiesRunner = (*foldRunner)(nil)
 
 // TestCountersGolden replays a sampled serial characterization of every
 // generation against a fresh Machine and compares the folded raw counters

@@ -49,7 +49,7 @@ func seqBlockingSequence(arch *uarch.Arch) asmgen.Sequence {
 // seqPortUsageKernel is the long reading of a port-usage measurement
 // (Algorithm 1): 12 copies of a kernel of 24 instances of one blocking
 // instruction followed by the instruction under test. Every copy repeats the
-// same two instances, as the harness's materialized copies do.
+// same two instances, as RunCopies' copies do.
 func seqPortUsageKernel(arch *uarch.Arch) asmgen.Sequence {
 	pshufd := arch.InstrSet().Lookup("PSHUFD_XMM_XMM_I8")
 	movq2dq := arch.InstrSet().Lookup("MOVQ2DQ_XMM_MM")
@@ -145,12 +145,29 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// randomSequences builds deterministic pseudo-random sequences from a pool
-// of concrete instructions covering the simulator's special cases: ALU and
-// multiply chains, eliminable moves, zero idioms, partial-register merges,
-// loads/stores with overlapping addresses, flag producers/consumers, the
-// divider, domain-crossing vector mixes and MMX transfers.
-func randomSequences(t *testing.T, arch *uarch.Arch, n int, rng *rand.Rand) []asmgen.Sequence {
+// randomSequences builds deterministic pseudo-random sequences from
+// instrPool.
+func randomSequences(t testing.TB, arch *uarch.Arch, n int, rng *rand.Rand) []asmgen.Sequence {
+	t.Helper()
+	pool := instrPool(t, arch)
+	seqs := make([]asmgen.Sequence, n)
+	for i := range seqs {
+		length := 1 + rng.Intn(40)
+		seq := make(asmgen.Sequence, 0, length)
+		for j := 0; j < length; j++ {
+			seq = append(seq, pool[rng.Intn(len(pool))])
+		}
+		seqs[i] = seq
+	}
+	return seqs
+}
+
+// instrPool returns concrete instructions covering the simulator's special
+// cases: ALU and multiply chains, eliminable moves, zero idioms,
+// partial-register merges, loads/stores with overlapping addresses, flag
+// producers/consumers, the divider, domain-crossing vector mixes and MMX
+// transfers.
+func instrPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 	t.Helper()
 	lookup := func(name string) *isa.Instr {
 		in := arch.InstrSet().Lookup(name)
@@ -198,17 +215,7 @@ func randomSequences(t *testing.T, arch *uarch.Arch, n int, rng *rand.Rand) []as
 		addInst(asmgen.MustInst(store, asmgen.MemOperand(isa.RSI, addr), asmgen.RegOperand(isa.RBX)))
 		addInst(asmgen.MustInst(load, asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, addr)))
 	}
-
-	seqs := make([]asmgen.Sequence, n)
-	for i := range seqs {
-		length := 1 + rng.Intn(40)
-		seq := make(asmgen.Sequence, 0, length)
-		for j := 0; j < length; j++ {
-			seq = append(seq, pool[rng.Intn(len(pool))])
-		}
-		seqs[i] = seq
-	}
-	return seqs
+	return pool
 }
 
 func countersEqual(a, b Counters) bool {

@@ -20,8 +20,10 @@
 //   - bypass delays between the vector-integer and floating-point domains;
 //   - SSE/AVX transition penalties.
 //
-// Because the harness executes the simulator once per variant per copy count
-// across the whole ISA, Run is the hot path of every characterization run.
+// Because the harness simulates every measured kernel at each copy count
+// across the whole ISA (RunCopies renames the kernel once per copy inside
+// one run, so no copies are materialized), Run and RunCopies are the hot
+// path of every characterization run.
 // Its implementation is allocation-free in steady state: dynamic µops and
 // renamed values live in per-Machine arenas that are reset (not freed)
 // between runs, and the rename scoreboard is a flat array keyed by register
@@ -380,11 +382,33 @@ func (m *Machine) checkResetInvariants() {
 // drain — the deadlock guard fires or MaxCycles runs out — returns an error
 // naming the condition instead of truncated counters.
 func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
+	return m.run(code, 1)
+}
+
+// RunCopies returns, for each copy count n in copies (n >= 0), the counters
+// Run returns for code.Repeat(n), bit for bit: each reading renames the
+// kernel n times within one simulated run instead of receiving n
+// materialized copies. It stops at the first count whose run does not
+// drain and returns that run's error. It implements measure.CopiesRunner.
+func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, error) {
+	out := make([]Counters, len(copies))
+	for i, n := range copies {
+		c, err := m.run(code, n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// run simulates copies concatenated copies of code from an idle pipeline.
+func (m *Machine) run(code asmgen.Sequence, copies int) (Counters, error) {
 	m.Reset()
 	if raceEnabled {
 		m.checkResetInvariants()
 	}
-	penalty := m.rename(code)
+	penalty := m.rename(code, copies)
 	c, err := m.execute()
 	if err != nil {
 		return Counters{}, err
@@ -684,14 +708,15 @@ func (m *Machine) appendWrite(v, lat int32) {
 	m.writeLat = append(m.writeLat, lat)
 }
 
-// rename performs the program-order pre-pass: it binds every instruction to
-// its variant's rename template, instantiates the template's µops against
-// the concrete operands, resolves register/flag/memory dependencies to
-// renamed values, decides move elimination, and computes the SSE/AVX
-// transition penalty. A run of one instance repeated (a port-usage kernel's
-// blocking instructions) binds once. All state it builds lives in the
+// rename performs the program-order pre-pass over copies concatenated
+// copies of code: it binds every instruction to its variant's rename
+// template, instantiates the template's µops against the concrete operands,
+// resolves register/flag/memory dependencies to renamed values, decides
+// move elimination, and computes the SSE/AVX transition penalty. A run of
+// one instance repeated (a port-usage kernel's blocking instructions) binds
+// once, across copy boundaries too. All state it builds lives in the
 // Machine's arenas; steady-state calls allocate nothing.
-func (m *Machine) rename(code asmgen.Sequence) int {
+func (m *Machine) rename(code asmgen.Sequence, copies int) int {
 	penalty := 0
 	avxDirty := false
 	depMoveCounter := 0
@@ -708,88 +733,90 @@ func (m *Machine) rename(code asmgen.Sequence) int {
 		t           *renameTmpl
 		shape       tmplShape
 	)
-	for _, inst := range code {
-		if inst != lastInst {
-			lastInst = inst
-			if inst.Variant != lastVariant {
-				lastVariant = inst.Variant
-				ti = m.templateFor(inst.Variant)
+	for ; copies > 0; copies-- {
+		for _, inst := range code {
+			if inst != lastInst {
+				lastInst = inst
+				if inst.Variant != lastVariant {
+					lastVariant = inst.Variant
+					ti = m.templateFor(inst.Variant)
+				}
+				t = &m.tmpls[ti]
+				shape = t.shapes[0]
+				if t.sameRegs != 0 && explicitRegsEqual(inst, t.sameRegs) {
+					shape = t.shapes[1]
+				}
 			}
-			t = &m.tmpls[ti]
-			shape = t.shapes[0]
-			if t.sameRegs != 0 && explicitRegsEqual(inst, t.sameRegs) {
-				shape = t.shapes[1]
-			}
-		}
 
-		// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
-		// instructions are chosen per extension family to avoid this).
-		if ssePenalty > 0 {
-			switch t.sseAVX {
-			case sseAVXDirty:
-				avxDirty = true
-			case sseAVXSSE:
-				if avxDirty {
-					penalty += ssePenalty
+			// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
+			// instructions are chosen per extension family to avoid this).
+			if ssePenalty > 0 {
+				switch t.sseAVX {
+				case sseAVXDirty:
+					avxDirty = true
+				case sseAVXSSE:
+					if avxDirty {
+						penalty += ssePenalty
+						avxDirty = false
+					}
+				case sseAVXClean:
 					avxDirty = false
 				}
-			case sseAVXClean:
-				avxDirty = false
 			}
-		}
 
-		// Move elimination: a register-to-register move whose source is not
-		// produced inside the measured code is always eliminated; inside a
-		// dependent chain roughly every third move is eliminated (the
-		// behaviour the paper reports in Section 5.2.1).
-		moveElim := false
-		if shape.moveElim {
-			if !m.produced[inst.Ops[1].Reg.Family()] {
-				moveElim = true
-			} else {
-				depMoveCounter++
-				moveElim = depMoveCounter%3 == 0
-			}
-		}
-
-		m.tempGen++ // invalidates the previous instruction's temp slots
-
-		for ui := shape.uopStart; ui < shape.uopEnd; ui++ {
-			tu := &m.tmplUops[ui]
-			m.uops = append(m.uops, dynUop{
-				portMask:   tu.portMask,
-				eliminated: tu.eliminated,
-				divider:    tu.divider,
-				domain:     t.domain,
-				divOcc:     tu.divOcc[regime],
-			})
-			du := &m.uops[len(m.uops)-1]
-			if moveElim {
-				du.eliminated = true
-				du.portMask = 0
-			}
-			du.rdStart = idx32(len(m.readIdx))
-			for ri := tu.rdStart; ri < tu.rdEnd; ri++ {
-				m.renameRead(inst, m.tmplReads[ri], t.domain)
-			}
-			// Writes (partial-register merges append extra reads).
-			du.wrStart = idx32(len(m.writeIdx))
-			for wi := tu.wrStart; wi < tu.wrEnd; wi++ {
-				w := &m.tmplWrites[wi]
-				lat := w.lat[regime]
-				if lat < 1 && !du.eliminated {
-					lat = 1
+			// Move elimination: a register-to-register move whose source is not
+			// produced inside the measured code is always eliminated; inside a
+			// dependent chain roughly every third move is eliminated (the
+			// behaviour the paper reports in Section 5.2.1).
+			moveElim := false
+			if shape.moveElim {
+				if !m.produced[inst.Ops[1].Reg.Family()] {
+					moveElim = true
+				} else {
+					depMoveCounter++
+					moveElim = depMoveCounter%3 == 0
 				}
-				m.renameWrite(inst, w.tmplRef, t.domain, lat)
 			}
-			du.rdEnd = idx32(len(m.readIdx))
-			du.wrEnd = idx32(len(m.writeIdx))
 
-			// A µop never waits for values it produces itself (this can
-			// otherwise happen through partial-register merge reads when two
-			// written operands alias the same register).
-			if tu.ownReads {
-				m.dropOwnReads(du)
+			m.tempGen++ // invalidates the previous instruction's temp slots
+
+			for ui := shape.uopStart; ui < shape.uopEnd; ui++ {
+				tu := &m.tmplUops[ui]
+				m.uops = append(m.uops, dynUop{
+					portMask:   tu.portMask,
+					eliminated: tu.eliminated,
+					divider:    tu.divider,
+					domain:     t.domain,
+					divOcc:     tu.divOcc[regime],
+				})
+				du := &m.uops[len(m.uops)-1]
+				if moveElim {
+					du.eliminated = true
+					du.portMask = 0
+				}
+				du.rdStart = idx32(len(m.readIdx))
+				for ri := tu.rdStart; ri < tu.rdEnd; ri++ {
+					m.renameRead(inst, m.tmplReads[ri], t.domain)
+				}
+				// Writes (partial-register merges append extra reads).
+				du.wrStart = idx32(len(m.writeIdx))
+				for wi := tu.wrStart; wi < tu.wrEnd; wi++ {
+					w := &m.tmplWrites[wi]
+					lat := w.lat[regime]
+					if lat < 1 && !du.eliminated {
+						lat = 1
+					}
+					m.renameWrite(inst, w.tmplRef, t.domain, lat)
+				}
+				du.rdEnd = idx32(len(m.readIdx))
+				du.wrEnd = idx32(len(m.writeIdx))
+
+				// A µop never waits for values it produces itself (this can
+				// otherwise happen through partial-register merge reads when two
+				// written operands alias the same register).
+				if tu.ownReads {
+					m.dropOwnReads(du)
+				}
 			}
 		}
 	}

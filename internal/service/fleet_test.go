@@ -13,6 +13,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -307,5 +308,42 @@ func TestMeasureEndpointCounters(t *testing.T) {
 	}
 	if strings.Contains(stats, `"measureBatches": 0,`) {
 		t.Errorf("worker served no measurement batches:\n%s", stats)
+	}
+}
+
+// TestMeasureBudgetRefusesOversizedBatch: a batch whose sequences are each
+// within remote.MaxSeqLen but together ask for more than maxMeasureInstrs
+// instructions is refused with 400 before anything is simulated. An empty
+// kernel counts as one instruction per copy, because it is still renamed
+// once per copy.
+func TestMeasureBudgetRefusesOversizedBatch(t *testing.T) {
+	kernels := map[string][]remote.Inst{
+		"one-instruction": {{Name: "ADD_R64_R64", Ops: []remote.Op{{Reg: "RAX"}, {Reg: "RBX"}}}},
+		"empty":           {},
+	}
+	for name, instrs := range kernels {
+		t.Run(name, func(t *testing.T) {
+			svc, _ := newTestService(t, engine.Config{})
+			seq, err := json.Marshal(remote.Seq{Instrs: instrs, Copies: remote.MaxSeqLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := remote.MeasureRequest{Gen: "skylake"}
+			for n := 0; n <= maxMeasureInstrs/remote.MaxSeqLen; n++ {
+				req.Seqs = append(req.Seqs, seq)
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			svc.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/measure", bytes.NewReader(body)))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "budget") {
+				t.Errorf("over-budget batch of %d sequences = %d %s, want 400 naming the budget", len(req.Seqs), rec.Code, rec.Body)
+			}
+			if c := svc.Counters(); c.MeasureSeqs != 0 || c.MeasureBatches != 0 {
+				t.Errorf("over-budget batch was measured: %d batches, %d sequences", c.MeasureBatches, c.MeasureSeqs)
+			}
+		})
 	}
 }

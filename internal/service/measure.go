@@ -3,12 +3,13 @@
 // response carries one raw simulator Counters per sequence. Execution rides
 // the engine's pooled measurement stacks (one warm harness per concurrent
 // batch, checked out for the duration of the request), each sequence is
-// decoded and run once, and the endpoint sits behind the service's rate
+// decoded once and its kernel handed with its copy count to
+// measure.RunCopies, and the endpoint sits behind the service's rate
 // limiter like every other non-probe endpoint. Per-sequence failures
 // (unknown variant, operand mismatch, simulator rejection) are deterministic
 // properties of the request and are reported per sequence inside a 200
-// response, so a fleet client never retries them; only a malformed body or
-// unknown generation is a 400.
+// response, so a fleet client never retries them; only a malformed body, an
+// unknown generation or a batch over the instruction budget is a 400.
 package service
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/measure/remote"
@@ -32,6 +34,18 @@ const maxMeasureBatch = 1024
 // maxMeasureBody bounds the request body (32 MiB — a full batch is far
 // smaller, because a sequence carries its kernel once plus a copy count).
 const maxMeasureBody = 32 << 20
+
+// maxMeasureInstrs bounds the instructions one batch may ask the worker to
+// simulate: the sum over its sequences of kernel length × copies, an empty
+// kernel counting as one instruction because the simulator still renames it
+// once per copy (remote.DecodeSeq bounds a sequence the same way). Each
+// sequence is bounded at remote.MaxSeqLen (2^20), but maxMeasureBatch of
+// them would be 2^30. The largest legitimate batch is the fleet's batch
+// size (64 sequences) of the paper's long copy count
+// (PaperConfig().LongCopies, 110) of the longest kernel a full-ISA
+// characterization builds (257 instructions on every generation):
+// 1 809 280 instructions, below this bound.
+const maxMeasureInstrs = 1 << 22
 
 // dividerValueSetter is implemented by execution substrates that can switch
 // the operand-value regime for divider-based instructions.
@@ -108,6 +122,20 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: measure batch must hold 1..%d sequences, got %d", maxMeasureBatch, len(req.Seqs)))
 		return
 	}
+	// Decode the whole batch before simulating anything, so an over-budget
+	// batch costs no simulation.
+	set := arch.InstrSet()
+	seqs := make([]decodedSeq, len(req.Seqs))
+	instrs := 0
+	for i, raw := range req.Seqs {
+		seqs[i] = decodeSeq(set, raw)
+		instrs += max(len(seqs[i].kernel), 1) * seqs[i].copies
+	}
+	if instrs > maxMeasureInstrs {
+		s.fail(w, http.StatusBadRequest,
+			fmt.Errorf("service: measure batch asks for %d instructions, above the %d-instruction budget", instrs, maxMeasureInstrs))
+		return
+	}
 	pool, err := s.eng.SequencePool(arch.Gen())
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
@@ -120,7 +148,6 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	defer pool.Put(h)
 	runner := h.Runner()
-	set := arch.InstrSet()
 
 	resp := remote.MeasureResponse{
 		Fingerprint: s.servingFingerprint(),
@@ -129,8 +156,8 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	seqErrs := 0
 	var errs []string
-	for i, raw := range req.Seqs {
-		c, err := measureSeq(set, runner, raw)
+	for i, seq := range seqs {
+		c, err := seq.run(runner)
 		if err != nil {
 			if errs == nil {
 				errs = make([]string, len(req.Seqs))
@@ -155,19 +182,35 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// measureSeq decodes one sequence, sets its divider regime on the runner
-// and runs it.
-func measureSeq(set *isa.Set, runner measure.Runner, raw []byte) (pipesim.Counters, error) {
+// decodedSeq is one decoded sequence of a batch: the kernel, its copy count
+// and divider regime, or the error that failed its decoding.
+type decodedSeq struct {
+	kernel asmgen.Sequence
+	copies int
+	div    pipesim.DividerValues
+	err    error
+}
+
+func decodeSeq(set *isa.Set, raw []byte) decodedSeq {
 	var ws remote.Seq
 	if err := json.Unmarshal(raw, &ws); err != nil {
-		return pipesim.Counters{}, fmt.Errorf("decoding sequence: %w", err)
+		return decodedSeq{err: fmt.Errorf("decoding sequence: %w", err)}
 	}
-	seq, err := remote.DecodeSeq(set, ws)
+	kernel, copies, err := remote.DecodeSeq(set, ws)
+	return decodedSeq{kernel: kernel, copies: copies, div: pipesim.DividerValues(ws.Div), err: err}
+}
+
+// run sets the sequence's divider regime on the runner and runs its copies.
+func (d decodedSeq) run(runner measure.Runner) (pipesim.Counters, error) {
+	if d.err != nil {
+		return pipesim.Counters{}, d.err
+	}
+	if setter, ok := runner.(dividerValueSetter); ok {
+		setter.SetDividerValues(d.div)
+	}
+	cs, err := measure.RunCopies(runner, d.kernel, d.copies)
 	if err != nil {
 		return pipesim.Counters{}, err
 	}
-	if setter, ok := runner.(dividerValueSetter); ok {
-		setter.SetDividerValues(pipesim.DividerValues(ws.Div))
-	}
-	return runner.Run(seq)
+	return cs[0], nil
 }

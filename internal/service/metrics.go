@@ -58,10 +58,6 @@ func (s *Service) metrics() []metric {
 			help: "Worker stacks built fresh by the fork pools.", value: float64(es.PoolForked)},
 		{name: "uopsd_engine_pool_reused_total", typ: "counter",
 			help: "Worker stacks reused warm from the fork pools.", value: float64(es.PoolReused)},
-		{name: "uopsd_engine_pool_seq_built_total", typ: "counter",
-			help: "Measurement repeat sequences materialized by pooled harnesses.", value: float64(es.PoolSeqBuilt)},
-		{name: "uopsd_engine_pool_seq_reused_total", typ: "counter",
-			help: "Measurement repeat sequences reused from pooled harness buffers.", value: float64(es.PoolSeqReused)},
 		{name: "uopsd_measure_batches_total", typ: "counter",
 			help: "Fleet-worker measurement batches served by POST /v1/measure.", value: float64(c.MeasureBatches)},
 		{name: "uopsd_measure_sequences_total", typ: "counter",
