@@ -130,13 +130,16 @@ lint-extra:
 	else echo "lint-extra: govulncheck not installed; skipping"; fi
 
 # fuzz-smoke runs every native fuzz target for 10 s each (not raced):
-# FuzzRunCopies holds the simulator's RunCopies to Run on materialized
-# copies, errors included, and FuzzDecodeSeq holds the fleet worker's
-# sequence decoder to its bounds. A crashing input lands in the package's
-# testdata/fuzz and fails the run.
+# FuzzRunCopies holds the simulator's RunCopies, memo included, to Run on
+# materialized copies for two kernels on one Machine, errors included;
+# FuzzDecodeSeq holds the fleet worker's sequence decoder to its bounds;
+# FuzzParseSequence holds the parser of cmd/analyze's kernels to never
+# panicking and to re-reading its own printed output. A crashing input
+# lands in the package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSequence$$' -fuzztime=10s ./internal/asmgen
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant eviction) under the race detector, checks

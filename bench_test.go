@@ -23,6 +23,7 @@ import (
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/measure/remote"
+	"uopsinfo/internal/pipesim"
 	"uopsinfo/internal/report"
 	"uopsinfo/internal/service"
 	"uopsinfo/internal/uarch"
@@ -203,8 +204,14 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 	if _, err := proto.Blocking(); err != nil {
 		b.Fatal(err)
 	}
+	// The serial run reads on proto's own Machine, so it also reports the
+	// readings that Machine simulated and recalled from its memo per op.
+	// Iterations after the first reuse the warm memo, just as they reuse
+	// its arenas and rename templates.
+	m := proto.Harness().Runner().(*pipesim.Machine)
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
+			sim0, rec0 := m.Readings()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := proto.CharacterizeAll(core.Options{Only: only, Workers: workers})
@@ -216,6 +223,11 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(only)), "variants")
+			if workers == 1 {
+				sim, rec := m.Readings()
+				b.ReportMetric(float64(sim-sim0)/float64(b.N), "simulated/op")
+				b.ReportMetric(float64(rec-rec0)/float64(b.N), "recalled/op")
+			}
 		}
 	}
 	b.Run("serial", bench(1))

@@ -32,7 +32,8 @@ import (
 // this for pipesim). The harness relies on it to read each copy count once.
 //
 // Run must not retain code after returning: callers may reuse its backing
-// array.
+// array. The caller owns the returned counters, PortUops included, and may
+// change them in place (withOverhead does).
 type Runner interface {
 	Run(code asmgen.Sequence) (pipesim.Counters, error)
 	Arch() *uarch.Arch
@@ -43,8 +44,13 @@ type Runner interface {
 // fleet runner ships it once with its copy counts, so one measurement
 // costs one round trip. RunCopies returns, for each copy count n in
 // copies, the counters Run would return for code.Repeat(n), in order.
+// Since readings are pure, RunCopies may answer one from a memo instead
+// of running it: *pipesim.Machine recalls readings it took before, within
+// a fixed memory budget (and so do the fleet workers' Machines behind the
+// fleet runner).
 //
-// Like Run, RunCopies must not retain code after returning.
+// Like Run, RunCopies must not retain code after returning, and the
+// caller owns the returned counters, recalled ones included.
 type CopiesRunner interface {
 	Runner
 	RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error)

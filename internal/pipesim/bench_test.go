@@ -64,3 +64,22 @@ func BenchmarkRunScatteredDeps(b *testing.B) {
 func BenchmarkRunPortUsageKernel(b *testing.B) {
 	benchSequence(b, seqPortUsageKernel(uarch.Get(uarch.Skylake)))
 }
+
+// BenchmarkRunCopiesRecalled is the cost of a reading the memo answers:
+// the port-usage kernel's long reading on a Machine that took it before
+// (building the key, one lookup and a fresh copy of the counters). Compare
+// it with BenchmarkRunPortUsageKernel, the same reading simulated.
+func BenchmarkRunCopiesRecalled(b *testing.B) {
+	m := New(uarch.Get(uarch.Skylake))
+	kernel := portUsageKernel(m.Arch())
+	if _, err := m.RunCopies(kernel, 12); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.RunCopies(kernel, 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -86,9 +87,30 @@ func TestRunCopiesMatchesRun(t *testing.T) {
 	}
 }
 
+// memoPairs returns pairs of instances that differ only in what the memo
+// key must tell apart beyond the variant: the sub-register of one family
+// in a same-register variant (XOR AL, AL is a zero idiom; XOR AL, AX, built
+// directly because NewInst checks operand classes, is not), and the address
+// of a read-modify-write, which decides whether two of them alias.
+func memoPairs(t testing.TB, arch *uarch.Arch) [][2]*asmgen.Inst {
+	xor8, add := arch.InstrSet().Lookup("XOR_R8_R8"), arch.InstrSet().Lookup("ADD_M64_R64")
+	if xor8 == nil || add == nil {
+		t.Fatalf("XOR_R8_R8 or ADD_M64_R64 missing on %s", arch.Name())
+	}
+	rmw := func(addr uint64) *asmgen.Inst {
+		return asmgen.MustInst(add, asmgen.MemOperand(isa.RSI, addr), asmgen.RegOperand(isa.RBX))
+	}
+	return [][2]*asmgen.Inst{
+		{asmgen.MustInst(xor8, asmgen.RegOperand(isa.AL), asmgen.RegOperand(isa.AL)),
+			&asmgen.Inst{Variant: xor8, Ops: []asmgen.Operand{asmgen.RegOperand(isa.AL), asmgen.RegOperand(isa.AX)}}},
+		{rmw(0x3000), rmw(0x3040)},
+	}
+}
+
 // fuzzPool is instrPool plus every instance of the first 32 instructions of
 // each bench shape that it lacks (compared by assembly text), so a fuzz
-// input of byte indices can spell out the shapes' prefixes.
+// input of byte indices can spell out the shapes' prefixes, and then the
+// memoPairs, each pair at two adjacent indices.
 func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 	pool := instrPool(t, arch)
 	seen := make(map[string]bool)
@@ -103,14 +125,22 @@ func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 			}
 		}
 	}
+	for _, p := range memoPairs(t, arch) {
+		pool = append(pool, p[0], p[1])
+	}
 	return pool
 }
 
-// FuzzRunCopies builds a kernel of at most 32 instructions from the input
-// and requires RunCopies to match Run on materialized copies, errors
-// included. The first byte picks the generation (bits 2 and up), a small
-// MaxCycles (bit 1) and the divider regime (bit 0); every further byte
-// indexes fuzzPool. The seed corpus spells out the bench shapes' prefixes.
+// FuzzRunCopies builds two kernels of at most 32 instructions each from
+// the input, runs both on one Machine and requires each to match Run on
+// materialized copies, errors included: the second kernel's readings may
+// be recalled from the memo the first one filled. The first byte picks the
+// generation (bits 2 and up), a small MaxCycles (bit 1) and the divider
+// regime (bit 0); bytes 1–32 index fuzzPool for the first kernel and bytes
+// 33–64 for the second. The seed corpus spells out the bench shapes'
+// prefixes as first kernels, and for each generation and memo pair a
+// first kernel of 32 copies of the pair's first instance and a second one
+// that alternates the pair.
 func FuzzRunCopies(f *testing.F) {
 	archs := uarch.All()
 	pools := make([][]*asmgen.Inst, len(archs))
@@ -132,6 +162,14 @@ func FuzzRunCopies(f *testing.F) {
 		f.Add(seed)
 		f.Add(append([]byte{byte(i<<2 | 3)}, seed[1:]...))
 	}
+	for g, arch := range archs {
+		pairs := len(memoPairs(f, arch))
+		for j := 0; j < pairs; j++ {
+			first := byte(len(pools[g]) - 2*(pairs-j))
+			seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{first}, 32)...)
+			f.Add(append(seed, bytes.Repeat([]byte{first, first + 1}, 16)...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -142,10 +180,13 @@ func FuzzRunCopies(f *testing.F) {
 			cfg.MaxCycles = 1000
 		}
 		cfg.DividerValues = DividerValues(data[0] & 1)
-		var k asmgen.Sequence
-		for _, b := range data[1:min(len(data), 33)] {
-			k = append(k, pools[g][int(b)%len(pools[g])])
+		m := NewWithConfig(archs[g], cfg)
+		for _, part := range [][]byte{data[1:min(len(data), 33)], data[min(len(data), 33):min(len(data), 65)]} {
+			var k asmgen.Sequence
+			for _, b := range part {
+				k = append(k, pools[g][int(b)%len(pools[g])])
+			}
+			checkRunCopies(t, m, k)
 		}
-		checkRunCopies(t, NewWithConfig(archs[g], cfg), k)
 	})
 }

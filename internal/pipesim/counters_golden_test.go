@@ -38,6 +38,23 @@ var goldenCounterDigests = map[uarch.Generation]string{
 	uarch.CoffeeLake:  "15b4acf27b02f5d91cb183510b973ffb8cab20e51d19453081b8791bcfa66105",
 }
 
+// goldenReadings pins, per generation, the readings the Machine of
+// TestCountersGolden simulates and recalls from its memo (Readings): an
+// exact count of the simulator's work. A change that simulates more (a key
+// that separates more than rename reads, a smaller memo) or recalls more
+// moves it; the digests above say whether the counters stayed exact.
+var goldenReadings = map[uarch.Generation][2]int{
+	uarch.Nehalem:     {1680, 1332},
+	uarch.Westmere:    {1694, 1358},
+	uarch.SandyBridge: {2382, 1928},
+	uarch.IvyBridge:   {2378, 1918},
+	uarch.Haswell:     {2565, 2821},
+	uarch.Broadwell:   {2580, 2816},
+	uarch.Skylake:     {2604, 2938},
+	uarch.KabyLake:    {2604, 2938},
+	uarch.CoffeeLake:  {2604, 2938},
+}
+
 // foldRunner is a measure.CopiesRunner that folds every reading's sequence
 // length and counters into a hash, in call order. Run folds len(code);
 // RunCopies forwards one count n at a time and folds n*len(code), so its
@@ -93,7 +110,8 @@ var _ measure.CopiesRunner = (*foldRunner)(nil)
 
 // TestCountersGolden replays a sampled serial characterization of every
 // generation against a fresh Machine and compares the folded raw counters
-// with the recorded digests.
+// with the recorded digests, and the Machine's reading counts with
+// goldenReadings.
 func TestCountersGolden(t *testing.T) {
 	t.Parallel()
 	for _, arch := range uarch.All() {
@@ -114,6 +132,10 @@ func TestCountersGolden(t *testing.T) {
 			got := hex.EncodeToString(r.h.Sum(nil))
 			if want := goldenCounterDigests[arch.Gen()]; got != want {
 				t.Errorf("counter digest over %d variants = %s, want %s", len(only), got, want)
+			}
+			sim, rec := r.m.Readings()
+			if want := goldenReadings[arch.Gen()]; sim != want[0] || rec != want[1] {
+				t.Errorf("%d readings simulated and %d recalled, want %d and %d", sim, rec, want[0], want[1])
 			}
 		})
 	}

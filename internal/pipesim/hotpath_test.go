@@ -47,10 +47,15 @@ func seqBlockingSequence(arch *uarch.Arch) asmgen.Sequence {
 }
 
 // seqPortUsageKernel is the long reading of a port-usage measurement
-// (Algorithm 1): 12 copies of a kernel of 24 instances of one blocking
-// instruction followed by the instruction under test. Every copy repeats the
-// same two instances, as RunCopies' copies do.
+// (Algorithm 1): 12 copies of portUsageKernel. Every copy repeats the same
+// two instances, as RunCopies' copies do.
 func seqPortUsageKernel(arch *uarch.Arch) asmgen.Sequence {
+	return portUsageKernel(arch).Repeat(12)
+}
+
+// portUsageKernel is the kernel of a port-usage measurement: 24 instances
+// of one blocking instruction followed by the instruction under test.
+func portUsageKernel(arch *uarch.Arch) asmgen.Sequence {
 	pshufd := arch.InstrSet().Lookup("PSHUFD_XMM_XMM_I8")
 	movq2dq := arch.InstrSet().Lookup("MOVQ2DQ_XMM_MM")
 	blocker := asmgen.MustInst(pshufd, asmgen.RegOperand(isa.XMM1), asmgen.RegOperand(isa.XMM2), asmgen.ImmOperand(0x1b))
@@ -58,8 +63,7 @@ func seqPortUsageKernel(arch *uarch.Arch) asmgen.Sequence {
 	for i := 0; i < 24; i++ {
 		kernel = append(kernel, blocker)
 	}
-	kernel = append(kernel, asmgen.MustInst(movq2dq, asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.MM0)))
-	return kernel.Repeat(12)
+	return append(kernel, asmgen.MustInst(movq2dq, asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.MM0)))
 }
 
 // seqWideIndependentWindow keeps the scheduler window full of *ready* µops:

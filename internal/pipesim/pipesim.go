@@ -23,8 +23,14 @@
 // Because the harness simulates every measured kernel at each copy count
 // across the whole ISA (RunCopies renames the kernel once per copy inside
 // one run, so no copies are materialized), Run and RunCopies are the hot
-// path of every characterization run.
-// Its implementation is allocation-free in steady state: dynamic µops and
+// path of every characterization run. Most of those readings repeat a
+// kernel: Algorithm 1 times the same blocking sequence for every variant,
+// and most variants share their µop structure. So RunCopies keeps a memo
+// per Machine — every reading it simulated, keyed by what the simulation
+// reads of the kernel (memo.go argues why the key is complete) — answers
+// a repeated reading from it, and drops it whole when it outgrows a fixed
+// byte budget. Run is the uncached simulator.
+// Run's implementation is allocation-free in steady state: dynamic µops and
 // renamed values live in per-Machine arenas that are reset (not freed)
 // between runs, and the rename scoreboard is a flat array keyed by register
 // family and status flag. Rename decodes each variant once per Machine into
@@ -32,7 +38,8 @@
 // resolved to explicit-operand indices, and latencies per divider regime —
 // and instantiates the template for each dynamic instance, binding it once
 // for a run of one repeated instance (the blocking instructions of a
-// port-usage kernel). Dispatch is event-driven: each renamed value keeps a
+// port-usage kernel); variants that decode alike share one template.
+// Dispatch is event-driven: each renamed value keeps a
 // wake-up list of the µops waiting on it, a µop enters the ready queue only
 // when its last input's ready time arrives, a cycle's arrivals are appended
 // to the queue when they are all younger than it (merged only otherwise),
@@ -46,6 +53,7 @@
 package pipesim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -195,8 +203,9 @@ type dynUop struct {
 //
 // A Machine owns reusable per-run state (arenas, scoreboards, scheduler
 // queues) so that steady-state Run calls perform no heap allocations beyond
-// the returned Counters.PortUops slice. It is therefore NOT safe for
-// concurrent use: each goroutine needs its own Machine (see Clone).
+// the returned Counters.PortUops slice, and the reading memo of RunCopies.
+// It is therefore NOT safe for concurrent use: each goroutine needs its own
+// Machine (see Clone).
 type Machine struct {
 	arch *uarch.Arch
 	cfg  Config
@@ -206,11 +215,30 @@ type Machine struct {
 	// of the variant on this generation, so it persists across runs and
 	// divider regimes; its µops and references live in the flat tmplUops,
 	// tmplReads and tmplWrites slices, addressed by [start,end) ranges.
+	// tmplIDs interns templates by content (appendTmplKey), so variants
+	// that decode alike share a template and an index into tmpls is a
+	// content id.
 	tmplOf     map[*isa.Instr]int32
+	tmplIDs    map[string]int32
 	tmpls      []renameTmpl
 	tmplUops   []tmplUop
 	tmplReads  []tmplRef
 	tmplWrites []tmplWrite
+
+	// The reading memo of RunCopies (memo.go). memo maps a reading's key to
+	// the offset of its varint-encoded counters in memoVals; memoBytes is
+	// what its entries are charged against memoBudget. kernelKey, keyBuf,
+	// instKey and addrIDs are scratch for building keys. simulated and
+	// recalled count readings (Readings).
+	memo      map[string]int32
+	memoVals  []byte
+	memoBytes int
+	kernelKey []byte
+	keyBuf    []byte
+	instKey   []byte
+	addrIDs   map[uint64]int32
+	simulated int
+	recalled  int
 
 	// Arenas, reset (not freed) between runs.
 	vals     []dynVal
@@ -249,8 +277,6 @@ type Machine struct {
 	arrivals     []int32
 	elimReady    []int32
 	portLoad     [maxPorts]int32
-
-	initialized bool
 }
 
 // New returns a Machine for the given microarchitecture with default
@@ -280,7 +306,10 @@ func NewWithConfig(arch *uarch.Arch, cfg Config) *Machine {
 		panic(fmt.Sprintf("pipesim: %s has %d ports, max supported is %d",
 			arch.Name(), arch.NumPorts(), maxPorts))
 	}
-	return &Machine{arch: arch, cfg: cfg}
+	return &Machine{arch: arch, cfg: cfg,
+		tmplOf: make(map[*isa.Instr]int32), tmplIDs: make(map[string]int32),
+		memBoard: make(map[uint64]int32), memo: make(map[string]int32),
+		addrIDs: make(map[uint64]int32)}
 }
 
 // Arch returns the microarchitecture the machine simulates.
@@ -291,9 +320,9 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Clone returns an independent Machine with the same microarchitecture and
 // configuration. The clone shares only the (internally synchronized) Arch;
-// the arenas, scoreboards, rename templates and the divider-value regime are
-// per-Machine, so clones can run on different goroutines without
-// synchronization.
+// the arenas, scoreboards, rename templates, reading memo and the
+// divider-value regime are per-Machine, so clones can run on different
+// goroutines without synchronization. A clone's memo starts empty.
 func (m *Machine) Clone() *Machine {
 	return NewWithConfig(m.arch, m.cfg)
 }
@@ -303,18 +332,15 @@ func (m *Machine) Clone() *Machine {
 func (m *Machine) SetDividerValues(v DividerValues) { m.cfg.DividerValues = v }
 
 // Reset clears all per-run state while keeping the arena capacity, so the
-// next Run starts from an idle pipeline without reallocating. Run calls it
-// automatically; it is exported so tests (and callers that want to verify
-// the reuse contract) can exercise it directly. Under race-enabled builds,
-// Run additionally verifies the reset invariants, which guards against a
-// future slab being added to the Machine without being wired into Reset —
-// the failure mode that would leak renamed values across runs.
+// next Run starts from an idle pipeline without reallocating. It keeps the
+// rename templates and the reading memo, which hold no per-run state. Run
+// calls it automatically; it is exported so tests (and callers that want
+// to verify the reuse contract) can exercise it directly. Under
+// race-enabled builds, Run additionally verifies the reset invariants,
+// which guards against a future slab being added to the Machine without
+// being wired into Reset — the failure mode that would leak renamed values
+// across runs.
 func (m *Machine) Reset() {
-	if !m.initialized {
-		m.memBoard = make(map[uint64]int32)
-		m.tmplOf = make(map[*isa.Instr]int32)
-		m.initialized = true
-	}
 	m.vals = m.vals[:0]
 	m.uops = m.uops[:0]
 	m.readIdx = m.readIdx[:0]
@@ -388,15 +414,26 @@ func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 // RunCopies returns, for each copy count n in copies (n >= 0), the counters
 // Run returns for code.Repeat(n), bit for bit: each reading renames the
 // kernel n times within one simulated run instead of receiving n
-// materialized copies. It stops at the first count whose run does not
-// drain and returns that run's error. It implements measure.CopiesRunner.
+// materialized copies. A reading this Machine already took — of a kernel
+// equal in everything the simulation reads of it, at the same copy count
+// and divider regime (memo.go) — is recalled from its memo instead of
+// simulated again. The returned counters are the caller's own. It stops at
+// the first count whose run does not drain and returns that run's error;
+// failed readings are not remembered. It implements measure.CopiesRunner.
 func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, error) {
 	out := make([]Counters, len(copies))
+	m.kernelKey = m.appendKernelKey(m.kernelKey[:0], code)
 	for i, n := range copies {
+		m.keyBuf = append(binary.AppendVarint(m.keyBuf[:0], int64(n)), m.kernelKey...)
+		if off, ok := m.memo[string(m.keyBuf)]; ok {
+			out[i] = m.recall(off)
+			continue
+		}
 		c, err := m.run(code, n)
 		if err != nil {
 			return nil, err
 		}
+		m.remember(m.keyBuf, c)
 		out[i] = c
 	}
 	return out, nil
@@ -404,6 +441,7 @@ func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, er
 
 // run simulates copies concatenated copies of code from an idle pipeline.
 func (m *Machine) run(code asmgen.Sequence, copies int) (Counters, error) {
+	m.simulated++
 	m.Reset()
 	if raceEnabled {
 		m.checkResetInvariants()
@@ -416,6 +454,20 @@ func (m *Machine) run(code asmgen.Sequence, copies int) (Counters, error) {
 	c.Cycles += penalty
 	return c, nil
 }
+
+// regime returns the divider regime rename applies: FastDividerValues, or
+// SlowDividerValues for any other setting.
+func (m *Machine) regime() DividerValues {
+	if m.cfg.DividerValues == FastDividerValues {
+		return FastDividerValues
+	}
+	return SlowDividerValues
+}
+
+// Readings reports how many readings the Machine has simulated — Run calls
+// and RunCopies memo misses, failed readings included — and how many
+// RunCopies recalled from its memo instead.
+func (m *Machine) Readings() (simulated, recalled int) { return m.simulated, m.recalled }
 
 // MustRun is like Run but panics on error (for code generated from validated
 // instruction sets).
@@ -502,11 +554,14 @@ type renameTmpl struct {
 }
 
 // templateFor returns the index of the variant's rename template, building
-// it on the first occurrence per Machine.
+// it on the first occurrence per Machine. A template equal in content to
+// one built before is dropped for that one, so equal indices mean equal
+// templates and the index is the template's content id.
 func (m *Machine) templateFor(in *isa.Instr) int32 {
 	if ti, ok := m.tmplOf[in]; ok {
 		return ti
 	}
+	nu, nr, nw := len(m.tmplUops), len(m.tmplReads), len(m.tmplWrites)
 	perf := m.arch.Perf(in)
 	t := renameTmpl{domain: domain(in.Domain)}
 	var regs uint16
@@ -537,8 +592,15 @@ func (m *Machine) templateFor(in *isa.Instr) int32 {
 		t.shapes[1] = m.buildShape(in, same, same.ZeroIdiom, move)
 		t.sameRegs = regs
 	}
-	ti := idx32(len(m.tmpls))
-	m.tmpls = append(m.tmpls, t)
+	key := string(m.appendTmplKey(nil, &t))
+	ti, ok := m.tmplIDs[key]
+	if ok {
+		m.tmplUops, m.tmplReads, m.tmplWrites = m.tmplUops[:nu], m.tmplReads[:nr], m.tmplWrites[:nw]
+	} else {
+		ti = idx32(len(m.tmpls))
+		m.tmpls = append(m.tmpls, t)
+		m.tmplIDs[key] = ti
+	}
 	m.tmplOf[in] = ti
 	return ti
 }
@@ -721,10 +783,7 @@ func (m *Machine) rename(code asmgen.Sequence, copies int) int {
 	avxDirty := false
 	depMoveCounter := 0
 	ssePenalty := m.arch.SSEAVXPenalty()
-	regime := SlowDividerValues
-	if m.cfg.DividerValues == FastDividerValues {
-		regime = FastDividerValues
-	}
+	regime := m.regime()
 
 	var (
 		lastInst    *asmgen.Inst
