@@ -134,12 +134,16 @@ lint-extra:
 # materialized copies for two kernels on one Machine, errors included;
 # FuzzDecodeSeq holds the fleet worker's sequence decoder to its bounds;
 # FuzzParseSequence holds the parser of cmd/analyze's kernels to never
-# panicking and to re-reading its own printed output. A crashing input
-# lands in the package's testdata/fuzz and fails the run.
+# panicking and to re-reading its own printed output;
+# FuzzRunOptionsFromRequest holds the service's query parsers (generation,
+# ?format, ?only, ?quick) to never panicking and to canonical, re-parseable
+# options. A crashing input lands in the package's testdata/fuzz and fails
+# the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSequence$$' -fuzztime=10s ./internal/asmgen
+	$(GO) test -run='^$$' -fuzz='^FuzzRunOptionsFromRequest$$' -fuzztime=10s ./internal/service
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant eviction) under the race detector, checks
@@ -167,12 +171,12 @@ run-uopsd:
 	$(GO) run ./cmd/uopsd -cache .uopsd-cache -v
 
 # ci-service gates the HTTP characterization service under the race
-# detector: the endpoint suite (the deterministic coalescing storm, the
-# async-job lifecycle/coalescing/TTL tests, conditional GETs, rate limiting,
-# and the panic/format/client-gone regressions), then the end-to-end
-# TestUopsd* suite that binds the real uopsd server to an ephemeral port —
-# coalescing storm, jobs end to end, rate-limit flags, and shutdown with a
-# job still measuring.
+# detector: the endpoint suite (the deterministic coalescing storm,
+# conditional GETs, rate limiting, and the panic/format/client-gone
+# regressions, the hang-up of the request that started a run included), then
+# the end-to-end TestUopsd* suite that binds the real uopsd server to an
+# ephemeral port — coalescing storm, conditional GETs and /metrics, rate-limit
+# flags, and shutdown while a run whose client hung up is still measuring.
 ci-service:
 	$(GO) test -race -count=1 ./internal/service
 	$(GO) test -race -count=1 -run 'TestUopsd' ./cmd/uopsd

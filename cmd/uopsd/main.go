@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	uopsd [-addr localhost:8631] [-rate N -burst M] [-job-ttl 15m] [-drain 10s]
+//	uopsd [-addr localhost:8631] [-rate N -burst M] [-drain 10s]
 //	      [-header-timeout 10s] [-idle-timeout 2m] [-v] [engine flags]
 //
 // The engine flags (-j, -cache, -store-*, -backend, -fleet) are shared by
@@ -20,20 +20,18 @@
 //	GET  /v1/stats                      engine + coalescing + request counters
 //	GET  /v1/arch/{gen}                 full characterization (?only=..., ?quick=1, ?format=xml)
 //	GET  /v1/arch/{gen}/variant/{name}  a single instruction variant
-//	POST /v1/jobs                       async characterization (?gen=..., same query surface)
-//	GET  /v1/jobs[/{id}[/stream|/result]]  job listing, progress, streaming, result
 //
-// The server owns one engine: concurrent identical queries — synchronous and
-// jobs alike — are coalesced into a single measurement run, and with -cache
-// the run's results persist, so repeated and subsequent queries are warm
-// store hits (and conditional GETs with If-None-Match answer 304 without
-// touching the engine). -rate enables a token-bucket rate limiter (requests
-// per second, -burst deep), off by default. Generation names in URLs are
-// case-insensitive with separators ignored ("sandy-bridge"). SIGINT/SIGTERM
-// shut the server down gracefully: the listener drains, in-flight jobs get a
-// completion deadline, and any still-running measurement — including a
-// detached coalesced run whose waiters all went away — is cancelled and
-// quiesced before the process exits.
+// The server owns one engine: concurrent identical queries are coalesced
+// into a single measurement run, and with -cache the run's results persist,
+// so repeated and subsequent queries are warm store hits (and conditional
+// GETs with If-None-Match answer 304 without touching the engine). Every
+// request is answered synchronously. -rate enables a token-bucket rate
+// limiter (requests per second, -burst deep), off by default. Generation
+// names in URLs are case-insensitive with separators ignored
+// ("sandy-bridge"). SIGINT/SIGTERM shut the server down gracefully: the
+// listener drains, in-flight requests get the -drain deadline, and any
+// still-running measurement — including a run whose requesters all hung up
+// — is cancelled and quiesced before the process exits.
 package main
 
 import (
@@ -83,8 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
 	rate := fs.Float64("rate", 0, "rate limit in requests per second across all endpoints except /healthz and /metrics (0 disables limiting)")
 	burst := fs.Int("burst", 0, "rate-limiter burst depth (default: ceil of -rate)")
-	jobTTL := fs.Duration("job-ttl", service.DefaultJobTTL, "how long finished async jobs stay listed and fetchable")
-	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests and async jobs before running measurements are cancelled")
+	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests before running measurements are cancelled")
 	verbose := fs.Bool("v", false, "log persistent-store diagnostics: save errors, quarantined entries, evictions and degradation")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -98,9 +95,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 		return err
 	}
 
-	// baseCtx is the lifetime of the engine's measurement runs and the async
-	// jobs: cancelled only after the HTTP side has drained, so that shutdown
-	// actually quiesces runs that no request is waiting on anymore.
+	// baseCtx is the lifetime of the engine's measurement runs: cancelled
+	// only after the HTTP side has drained, so that shutdown actually
+	// quiesces runs that no request is waiting on anymore.
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
 
@@ -113,12 +110,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 		return err
 	}
 	svc, err := service.New(service.Config{
-		Engine:      eng,
-		Log:         logger.Printf,
-		BaseContext: baseCtx,
-		JobTTL:      *jobTTL,
-		RateLimit:   *rate,
-		RateBurst:   *burst,
+		Engine:    eng,
+		Log:       logger.Printf,
+		RateLimit: *rate,
+		RateBurst: *burst,
 	})
 	if err != nil {
 		return err
@@ -135,10 +130,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 		ready(ln.Addr().String())
 	}
 
-	// Characterization handlers legitimately run for minutes, so no overall
-	// write timeout — but header reads and idle keep-alives are bounded, so
-	// trickling or abandoned connections cannot pin goroutines and file
-	// descriptors forever.
+	// A cold full-generation request takes seconds (0.7–3.6 s at -j 2 over
+	// the durable store on 2 vCPUs, 3.0–11.5 s as the front of a 2-worker
+	// loopback fleet on the same CPUs), longer on a slow disk or a loaded
+	// fleet, so there is no overall write timeout. Header reads and idle
+	// keep-alives are bounded, so trickling or abandoned connections cannot
+	// pin goroutines and file descriptors forever.
 	srv := &http.Server{
 		Handler:           svc,
 		ReadHeaderTimeout: *headerTimeout,
@@ -152,9 +149,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	case <-ctx.Done():
 	}
 	// Shutdown in dependency order: drain the HTTP side (listener + in-flight
-	// handlers), give async jobs the same deadline to finish, then cancel the
-	// engine's base context — aborting anything still measuring, in
-	// particular a detached coalesced run whose waiters are all gone — and
+	// handlers), then cancel the engine's base context — aborting anything
+	// still measuring, in particular a run whose requesters all hung up — and
 	// wait for the engine to quiesce. Without the cancel+drain step the
 	// process would exit while a measurement goroutine still burns CPU (or,
 	// under a test harness, leak it).
@@ -162,9 +158,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	shutErr := srv.Shutdown(shutCtx)
-	if err := svc.DrainJobs(shutCtx); err != nil {
-		logger.Printf("%v (cancelling)", err)
-	}
 	baseCancel()
 	quiesceCtx, qcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer qcancel()

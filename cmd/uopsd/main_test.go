@@ -148,98 +148,25 @@ func TestUopsdCoalescingStorm(t *testing.T) {
 	}
 }
 
-// TestUopsdJobsEndToEnd drives the async job API through the real server —
-// create, poll, stream, result — and rides the same warm server to check the
-// serving table stakes: /metrics exposition and conditional GETs.
-func TestUopsdJobsEndToEnd(t *testing.T) {
+// TestUopsdServingEndToEnd checks the serving table stakes through the real
+// server: a warm response's validator turns a conditional GET into a 304, and
+// /metrics is served.
+func TestUopsdServingEndToEnd(t *testing.T) {
 	base, shutdown := startServer(t, "-cache", t.TempDir(), "-j", "2")
 	defer shutdown()
-	query := "only=ADD_R64_R64,PXOR_XMM_XMM"
+	target := base + "/v1/arch/skylake?only=ADD_R64_R64,PXOR_XMM_XMM"
 
-	resp, err := http.Post(base+"/v1/jobs?gen=skylake&"+query, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created service.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&created)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted || created.ID == "" {
-		t.Fatalf("job create = %d, id %q", resp.StatusCode, created.ID)
-	}
-
-	var final service.JobStatus
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		code, body := getBody(t, base+"/v1/jobs/"+created.ID)
-		if code != http.StatusOK {
-			t.Fatalf("job status = %d: %s", code, body)
-		}
-		if err := json.Unmarshal(body, &final); err != nil {
-			t.Fatal(err)
-		}
-		if final.State != "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck running: %s", body)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if final.State != "done" {
-		t.Fatalf("job finished in state %q: %s", final.State, final.Error)
-	}
-
-	// The stream of the finished job replays every variant and closes with a
-	// done event.
-	code, streamBody := getBody(t, base+"/v1/jobs/"+created.ID+"/stream")
-	if code != http.StatusOK {
-		t.Fatalf("stream = %d", code)
-	}
-	lines := bytes.Split(bytes.TrimRight(streamBody, "\n"), []byte("\n"))
-	variants := 0
-	var last struct{ Event, State string }
-	for _, line := range lines {
-		var ev struct{ Event, State string }
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("stream line %q: %v", line, err)
-		}
-		if ev.Event == "variant" {
-			variants++
-		}
-		last = ev
-	}
-	if variants != 2 || last.Event != "done" || last.State != "done" {
-		t.Errorf("stream: %d variants, final event %+v; want 2 variants and a done event", variants, last)
-	}
-
-	// The job result is byte-identical to the synchronous endpoint.
-	code, jobResult := getBody(t, base+"/v1/jobs/"+created.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("job result = %d", code)
-	}
-	code, syncResult := getBody(t, base+"/v1/arch/skylake?"+query)
-	if code != http.StatusOK {
-		t.Fatalf("sync request = %d", code)
-	}
-	if !bytes.Equal(jobResult, syncResult) {
-		t.Error("job result differs from the synchronous response")
-	}
-
-	// Conditional GET: the warm response's validator turns into a 304.
-	resp, err = http.Get(base + "/v1/arch/skylake?" + query)
+	resp, err := http.Get(target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	tag := resp.Header.Get("ETag")
-	if tag == "" {
-		t.Fatal("warm response has no ETag")
+	if resp.StatusCode != http.StatusOK || tag == "" {
+		t.Fatalf("GET = %d with ETag %q, want 200 with a validator", resp.StatusCode, tag)
 	}
-	req, _ := http.NewRequest("GET", base+"/v1/arch/skylake?"+query, nil)
+	req, _ := http.NewRequest("GET", target, nil)
 	req.Header.Set("If-None-Match", tag)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -251,7 +178,6 @@ func TestUopsdJobsEndToEnd(t *testing.T) {
 		t.Errorf("If-None-Match = %d, want 304", resp.StatusCode)
 	}
 
-	// The metrics exposition is served and mentions the finished job.
 	code, metrics := getBody(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
@@ -259,7 +185,6 @@ func TestUopsdJobsEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"# HELP uopsd_http_requests_total",
 		"uopsd_engine_variants_measured_total 2", // one measured run served everything above
-		`uopsd_jobs{state="done"} 1`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics exposition lacks %q; full exposition:\n%s", want, metrics)
@@ -300,52 +225,59 @@ func TestUopsdRateLimitFlags(t *testing.T) {
 	}
 }
 
-// TestUopsdShutdownQuiescesRunningJob is the shutdown acceptance test: with a
-// full-ISA job still measuring, SIGTERM-style cancellation must cancel the
-// run after the drain deadline and exit cleanly instead of hanging or
-// leaking the measurement goroutine.
-func TestUopsdShutdownQuiescesRunningJob(t *testing.T) {
+// TestUopsdShutdownQuiescesDetachedRun is the shutdown acceptance test: the
+// client of a cold full-Skylake request hangs up while the run it started is
+// still measuring. The hang-up must be counted, and SIGTERM-style
+// cancellation must then cancel the run and exit cleanly: no handler is left
+// to outlive the 100ms -drain deadline and fail the shutdown.
+func TestUopsdShutdownQuiescesDetachedRun(t *testing.T) {
 	base, shutdown := startServer(t, "-j", "2", "-drain", "100ms")
-
-	// A job over the full Skylake ISA runs long enough to still be measuring
-	// (or discovering) when shutdown begins.
-	resp, err := http.Post(base+"/v1/jobs?gen=skylake", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created service.JobStatus
-	err = json.NewDecoder(resp.Body).Decode(&created)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("job create = %d (%v)", resp.StatusCode, err)
-	}
-
-	// Wait until the job's run actually started.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	stats := func() service.StatsResponse {
 		code, body := getBody(t, base+"/v1/stats")
 		if code != http.StatusOK {
 			t.Fatalf("stats = %d", code)
 		}
-		var stats service.StatsResponse
-		if err := json.Unmarshal(body, &stats); err != nil {
+		var st service.StatsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}
-		if stats.Engine.Runs >= 1 {
-			break
+		return st
+	}
+	waitFor := func(what string, cond func(service.StatsResponse) bool) {
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond(stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job run never started")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
-	// shutdown() fails the test if run() errors or takes more than 30s; with
-	// a 100ms drain deadline a hang on the full-ISA run would trip it.
+	// The full Skylake ISA runs long enough to still be measuring (or
+	// discovering) when its client hangs up and shutdown begins.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clientDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, "GET", base+"/v1/arch/skylake", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientDone <- err
+	}()
+	waitFor("the run to start", func(st service.StatsResponse) bool { return st.Engine.Runs >= 1 })
+	cancel()
+	if err := <-clientDone; err == nil {
+		t.Error("the abandoned request completed")
+	}
+	waitFor("the hang-up to be counted", func(st service.StatsResponse) bool { return st.Service.ClientGone >= 1 })
+
+	// shutdown() fails the test if run() errors or takes more than 30s.
 	start := time.Now()
 	shutdown()
 	if took := time.Since(start); took > 15*time.Second {
-		t.Errorf("shutdown with a running job took %v", took)
+		t.Errorf("shutdown with a detached run took %v", took)
 	}
 }
 

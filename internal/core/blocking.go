@@ -226,9 +226,9 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 func (c *Characterizer) isolationProfiles(cands []*isa.Instr, opts Options) ([]isolation, error) {
 	profiles := make([]isolation, len(cands))
 	sink := &progressSink{total: len(cands), fn: opts.BlockingProgress}
-	err := c.shard(opts.Context, opts.Workers, len(cands), sink, func(w *Characterizer, i int) (string, *InstrResult) {
+	err := c.shard(opts.Context, opts.Workers, len(cands), sink, func(w *Characterizer, i int) string {
 		profiles[i] = w.profileCandidate(cands[i])
-		return cands[i].Name, nil
+		return cands[i].Name
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -97,60 +96,5 @@ func TestBlockingDiscoveryCancellation(t *testing.T) {
 			t.Errorf("workers=%d: cancellation fired before any candidate", workers)
 		}
 		cancel()
-	}
-}
-
-// TestVariantCallbackContract checks Options.Variant on both scheduler
-// paths: every measured variant is reported exactly once with the record
-// that lands in the result, and resume-merged partial records are not
-// reported.
-func TestVariantCallbackContract(t *testing.T) {
-	c := charFor(t, uarch.Skylake)
-	only := sampleNames(c, 150)
-	if len(only) < 3 {
-		t.Fatalf("sample too small: %d variants", len(only))
-	}
-	for _, workers := range []int{1, 3} {
-		var mu sync.Mutex
-		recs := make(map[string]*InstrResult)
-		partial := map[string]*InstrResult{}
-		res, err := c.CharacterizeResume(Options{
-			Only:    only,
-			Workers: workers,
-			Variant: func(name string, rec *InstrResult) {
-				mu.Lock()
-				defer mu.Unlock()
-				if recs[name] != nil {
-					t.Errorf("workers=%d: %s reported twice", workers, name)
-				}
-				recs[name] = rec
-			},
-		}, partial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != len(only) {
-			t.Fatalf("workers=%d: %d variant callbacks, want %d", workers, len(recs), len(only))
-		}
-		for name, rec := range recs {
-			if res.Results[name] != rec {
-				t.Errorf("workers=%d: %s callback record is not the result record", workers, name)
-			}
-		}
-
-		// A fully covered resume is a pure merge: no callbacks at all.
-		res2, err := c.CharacterizeResume(Options{
-			Only:    only,
-			Workers: workers,
-			Variant: func(name string, rec *InstrResult) {
-				t.Errorf("workers=%d: resume-merged %s reported as measured", workers, name)
-			},
-		}, res.Results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res2.Results, res.Results) {
-			t.Errorf("workers=%d: fully covered resume differs from original result", workers)
-		}
 	}
 }

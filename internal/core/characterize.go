@@ -77,13 +77,6 @@ type Options struct {
 	// monotonically increasing, but the variant completion order depends on
 	// scheduling.
 	Progress func(done, total int, name string)
-	// Variant, if non-nil, is called with each measured variant's record,
-	// under the same serialization contract as Progress (and ordered before
-	// the Progress callback of the same variant). Records already present in
-	// a resume partial map are merged, not measured, and not reported here.
-	// The record is the one placed in the returned ArchResult; callers must
-	// treat it as read-only.
-	Variant func(name string, rec *InstrResult)
 	// Workers is the number of parallel characterization workers. Each worker
 	// owns a complete simulator/harness/characterizer stack (the simulator is
 	// stateful, so the run is sharded rather than locked); the merged result
@@ -214,10 +207,10 @@ func (c *Characterizer) CharacterizeResume(opts Options, partial map[string]*Ins
 		// Results are merged by variant index, so the output is identical
 		// to a sequential run regardless of worker count or scheduling.
 		results := make([]*InstrResult, len(missing))
-		sink := &progressSink{total: len(missing), fn: opts.Progress, recFn: opts.Variant}
-		err := c.shard(opts.Context, opts.Workers, len(missing), sink, func(w *Characterizer, i int) (string, *InstrResult) {
+		sink := &progressSink{total: len(missing), fn: opts.Progress}
+		err := c.shard(opts.Context, opts.Workers, len(missing), sink, func(w *Characterizer, i int) string {
 			results[i] = w.characterizeOne(missing[i], opts)
-			return missing[i].Name, results[i]
+			return missing[i].Name
 		})
 		if err != nil {
 			return nil, err

@@ -147,31 +147,24 @@ func (c *Characterizer) characterizeOne(in *isa.Instr, opts Options) *InstrResul
 	return res
 }
 
-// progressSink serializes Options.Progress and Options.Variant callbacks from
-// concurrent workers: the done count is monotonically increasing, each variant
-// is reported exactly once, and the record callback of a variant precedes its
-// progress callback, matching the sequential contract.
+// progressSink serializes progress callbacks from concurrent workers: the
+// done count is monotonically increasing and each item is reported exactly
+// once, matching the sequential contract.
 type progressSink struct {
 	mu    sync.Mutex
 	done  int
 	total int
 	fn    func(done, total int, name string)
-	recFn func(name string, rec *InstrResult)
 }
 
-func (p *progressSink) report(name string, rec *InstrResult) {
-	if p.fn == nil && p.recFn == nil {
+func (p *progressSink) report(name string) {
+	if p.fn == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock() // a panicking callback must not wedge the other workers
 	p.done++
-	if p.recFn != nil && rec != nil {
-		p.recFn(name, rec)
-	}
-	if p.fn != nil {
-		p.fn(p.done, p.total, name)
-	}
+	p.fn(p.done, p.total, name)
 }
 
 // runCancelled reports whether the run's context (nil meaning "never
@@ -191,8 +184,8 @@ func runCancelled(ctx context.Context) error {
 // one worker per available CPU.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// shard runs item(w, i) for every i in [0, n) and reports each item's name
-// and record through sink; it is the one loop behind both parallel phases,
+// shard runs item(w, i) for every i in [0, n) and reports the name each item
+// returns through sink; it is the one loop behind both parallel phases,
 // blocking discovery and variant characterization. With workers > 1
 // (negative: DefaultWorkers) and a forkable runner, up to workers pooled
 // forks claim items through an atomic counter, each on its own goroutine;
@@ -203,7 +196,7 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 // goroutine once every worker has stopped; the others stop at their next
 // item, and the fork that panicked is not parked back in the pool.
 func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progressSink,
-	item func(w *Characterizer, i int) (string, *InstrResult)) error {
+	item func(w *Characterizer, i int) string) error {
 	var next atomic.Int64
 	var stop atomic.Bool
 	loop := func(w *Characterizer) {
@@ -212,8 +205,7 @@ func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progres
 			if i >= n {
 				return
 			}
-			name, rec := item(w, i)
-			sink.report(name, rec)
+			sink.report(item(w, i))
 		}
 	}
 	if workers < 0 {

@@ -36,8 +36,9 @@ type Config struct {
 	// CharacterizeArchContext — which only governs how long that caller
 	// waits — cancelling the base context aborts the in-flight runs
 	// themselves (between candidates and between variants), so a server can
-	// actually quiesce on shutdown instead of leaving a detached coalesced
-	// run characterizing into the void. Nil means runs are never aborted.
+	// actually quiesce on shutdown instead of leaving a run whose requesters
+	// all hung up characterizing into the void. Nil means runs are never
+	// aborted.
 	BaseContext context.Context
 	// Workers is the total parallel worker budget shared by everything the
 	// engine runs: blocking discovery, per-variant characterization and
@@ -155,14 +156,6 @@ type Engine struct {
 	flights   map[store.Digest]*flight
 	flightsWG sync.WaitGroup
 
-	// blockMu guards blockProg, the latest blocking-discovery progress per
-	// generation. Discovery happens at most once per generation (inside the
-	// charEntry), but several flights of that generation may be waiting on
-	// it; FlightProgress merges these counters into any flight still in its
-	// blocking phase.
-	blockMu   sync.Mutex
-	blockProg map[uarch.Generation][2]int
-
 	statsMu sync.Mutex
 	stats   Stats
 }
@@ -179,82 +172,14 @@ type charEntry struct {
 	built atomic.Bool
 }
 
-// RunProgress is a point-in-time snapshot of one in-flight characterization
-// run, exported so the HTTP service's job API can report per-phase progress.
-// The JSON field names are part of the service's job-status responses.
-type RunProgress struct {
-	// Phase is "starting" (admission, store probes), "blocking" (the stack
-	// is being built, including blocking-instruction discovery),
-	// "measuring" (variants are being measured) or "done".
-	Phase string `json:"phase"`
-	// BlockingDone and BlockingTotal count blocking-discovery candidates for
-	// the run's generation; they are zero outside the blocking phase and
-	// when the blocking set came from the persistent store.
-	BlockingDone  int `json:"blockingDone"`
-	BlockingTotal int `json:"blockingTotal"`
-	// VariantsDone and VariantsTotal count the variants actually measured by
-	// this run; variants served from the per-variant store tier are not
-	// included (they are already done when the measuring phase starts).
-	VariantsDone  int `json:"variantsDone"`
-	VariantsTotal int `json:"variantsTotal"`
-}
-
-// VariantRecord is one measured variant record of an in-flight run, exposed
-// through FlightRecords so the service can stream results as they complete.
-// The record is shared with the run's result; callers must not modify it.
-type VariantRecord struct {
-	Name   string            `json:"name"`
-	Record *core.InstrResult `json:"record"`
-}
-
-// flight is one in-progress CharacterizeArch execution. res and err are
-// written exactly once, before done is closed; waiters read them only after
-// done. The mutex guards the observable run state (progress snapshot, the
-// measured-record log and its change-notification channel), which outlives
-// nothing: once the flight leaves the table, observers fall back to the
-// completed result.
+// flight is one in-progress CharacterizeArch execution, running on its own
+// goroutine. res, err and panicked are written exactly once, before done is
+// closed; requesters read them only after done.
 type flight struct {
-	done chan struct{}
-	res  *core.ArchResult
-	err  error
-
-	gen uarch.Generation
-
-	mu      sync.Mutex
-	prog    RunProgress
-	records []VariantRecord
-	changed chan struct{}
-}
-
-// setPhase publishes a phase transition, optionally (total >= 0) setting the
-// variant totals of the measuring phase.
-func (f *flight) setPhase(phase string, total int) {
-	f.mu.Lock()
-	f.prog.Phase = phase
-	if total >= 0 {
-		f.prog.VariantsTotal = total
-	}
-	f.mu.Unlock()
-}
-
-// addRecord appends one measured variant record and wakes every observer
-// blocked on the previous changed channel.
-func (f *flight) addRecord(name string, rec *core.InstrResult) {
-	f.mu.Lock()
-	f.records = append(f.records, VariantRecord{Name: name, Record: rec})
-	close(f.changed)
-	f.changed = make(chan struct{})
-	f.mu.Unlock()
-}
-
-// finish marks the run done and closes the final changed channel (each
-// channel instance is closed exactly once: addRecord always replaces the one
-// it closes).
-func (f *flight) finish() {
-	f.mu.Lock()
-	f.prog.Phase = "done"
-	close(f.changed)
-	f.mu.Unlock()
+	done     chan struct{}
+	res      *core.ArchResult
+	err      error
+	panicked any // what the run panicked with, if it did
 }
 
 // New returns an engine for the configuration. It fails if the configured
@@ -284,13 +209,12 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:       cfg,
-		mcfg:      mcfg,
-		backend:   backend,
-		chars:     make(map[uarch.Generation]*charEntry),
-		seqPools:  make(map[uarch.Generation]*seqPoolEntry),
-		flights:   make(map[store.Digest]*flight),
-		blockProg: make(map[uarch.Generation][2]int),
+		cfg:      cfg,
+		mcfg:     mcfg,
+		backend:  backend,
+		chars:    make(map[uarch.Generation]*charEntry),
+		seqPools: make(map[uarch.Generation]*seqPoolEntry),
+		flights:  make(map[store.Digest]*flight),
 	}
 	if cfg.Store != nil {
 		e.st = cfg.Store
@@ -380,55 +304,6 @@ func (e *Engine) RunDigest(gen uarch.Generation, opts RunOptions) (store.Digest,
 		return store.Digest{}, fmt.Errorf("engine: %w", err)
 	}
 	return e.key(arch, opts.scope()).Digest(), nil
-}
-
-// FlightProgress returns a progress snapshot of the in-flight run with the
-// given digest, and whether such a run exists. A flight in its blocking phase
-// reports the generation's blocking-discovery counters, which may be shared
-// with (and advanced by) other flights of the same generation.
-func (e *Engine) FlightProgress(dig store.Digest) (RunProgress, bool) {
-	e.flightMu.Lock()
-	f, ok := e.flights[dig]
-	e.flightMu.Unlock()
-	if !ok {
-		return RunProgress{}, false
-	}
-	f.mu.Lock()
-	p := f.prog
-	f.mu.Unlock()
-	if p.Phase == "blocking" {
-		e.blockMu.Lock()
-		bp := e.blockProg[f.gen]
-		e.blockMu.Unlock()
-		p.BlockingDone, p.BlockingTotal = bp[0], bp[1]
-	}
-	return p, true
-}
-
-// FlightRecords returns the variant records measured so far by the in-flight
-// run with the given digest, starting at record index from, together with a
-// channel that is closed as soon as another record lands (or the run
-// finishes) and whether such a run exists at all. Observers stream a run by
-// looping: emit the returned records, advance from, wait on changed. When the
-// run no longer exists (ok == false) the observer falls back to the completed
-// result. Records are shared with the run's result and must not be modified.
-func (e *Engine) FlightRecords(dig store.Digest, from int) (recs []VariantRecord, changed <-chan struct{}, ok bool) {
-	e.flightMu.Lock()
-	f, fok := e.flights[dig]
-	e.flightMu.Unlock()
-	if !fok {
-		return nil, nil, false
-	}
-	f.mu.Lock()
-	if from < 0 {
-		from = 0
-	}
-	if from < len(f.records) {
-		recs = f.records[from:len(f.records):len(f.records)]
-	}
-	changed = f.changed
-	f.mu.Unlock()
-	return recs, changed, true
 }
 
 // fingerprint is the backend identity folded into every cache key: results
@@ -620,13 +495,8 @@ func (e *Engine) build(gen uarch.Generation, workers int) (*core.Characterizer, 
 		e.count(func(s *Stats) { s.BlockingMisses++ })
 	}
 	opts := core.Options{Workers: workers, Context: e.baseCtx()}
-	opts.BlockingProgress = func(done, total int, name string) {
-		e.blockMu.Lock()
-		e.blockProg[gen] = [2]int{done, total}
-		e.blockMu.Unlock()
-		if e.cfg.BlockingProgress != nil {
-			e.cfg.BlockingProgress(gen, done, total, name)
-		}
+	if fn := e.cfg.BlockingProgress; fn != nil {
+		opts.BlockingProgress = func(done, total int, name string) { fn(gen, done, total, name) }
 	}
 	bs, err := c.DiscoverBlocking(opts)
 	if err != nil {
@@ -667,7 +537,8 @@ type RunOptions struct {
 	Workers int
 	// Progress, if non-nil, is called after each measured instruction
 	// (variants served from the per-variant cache are not re-measured and
-	// not reported).
+	// not reported). It runs on the run's own goroutines, and keeps being
+	// called if the caller stops waiting for the run.
 	Progress func(done, total int, name string)
 }
 
@@ -732,18 +603,21 @@ func (e *Engine) CharacterizeArch(gen uarch.Generation, opts RunOptions) (*core.
 // byte-identical to a cold run for any worker count and any warm/cold mix.
 //
 // Concurrent identical queries — same generation, same options, so the same
-// store digest — are coalesced singleflight-style: the first request
-// executes, later ones attach to the in-flight execution and receive the
-// same result (and error), so N simultaneous cold requests trigger exactly
-// one measurement run. Stats.Runs and Stats.CoalescedWaiters count the two
-// populations. Only the leader's opts drive the run; a coalesced waiter's
-// Progress callback never fires.
+// store digest — are coalesced singleflight-style: the first request starts
+// the run on its own goroutine, later ones attach to it, and all of them
+// receive the same result (and error), so N simultaneous cold requests
+// trigger exactly one measurement run. Stats.Runs and Stats.CoalescedWaiters
+// count the two populations. Only the first request's opts drive the run; a
+// coalesced waiter's Progress callback never fires.
 //
-// ctx governs admission and waiting, not the measurement itself: a waiter
-// whose context is cancelled unblocks immediately with ctx.Err(), while the
-// in-flight run always completes (its result still serves the remaining
-// waiters and warms the store). An out-of-range generation is an error, not
-// a panic.
+// ctx governs admission and waiting, not the measurement itself: any
+// requester whose context is cancelled, the one that started the run
+// included, unblocks immediately with ctx.Err(), while the run always
+// completes (its result still serves the remaining waiters and warms the
+// store). A run that panics fails its waiters with an error, and the panic
+// is re-raised on the goroutine of the request that started it, if that
+// request is still waiting. An out-of-range generation is an error, not a
+// panic.
 func (e *Engine) CharacterizeArchContext(ctx context.Context, gen uarch.Generation, opts RunOptions) (*core.ArchResult, error) {
 	arch, err := uarch.Lookup(gen)
 	if err != nil {
@@ -758,55 +632,57 @@ func (e *Engine) CharacterizeArchContext(ctx context.Context, gen uarch.Generati
 	dig := e.key(arch, opts.scope()).Digest()
 
 	e.flightMu.Lock()
-	if f, ok := e.flights[dig]; ok {
-		e.flightMu.Unlock()
-		e.count(func(s *Stats) { s.CoalescedWaiters++ })
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	f, coalesced := e.flights[dig]
+	if !coalesced {
+		f = &flight{done: make(chan struct{})}
+		e.flights[dig] = f
+		e.flightsWG.Add(1)
+		go e.fly(f, dig, arch, opts)
 	}
-	f := &flight{
-		done:    make(chan struct{}),
-		gen:     gen,
-		prog:    RunProgress{Phase: "starting"},
-		changed: make(chan struct{}),
-	}
-	e.flights[dig] = f
-	e.flightsWG.Add(1)
 	e.flightMu.Unlock()
+	e.count(func(s *Stats) {
+		if coalesced {
+			s.CoalescedWaiters++
+		} else {
+			s.Runs++
+		}
+	})
 
-	e.count(func(s *Stats) { s.Runs++ })
-	// The flight must be released even if the run panics (e.g. in a
-	// caller-supplied Progress callback): the service layer recovers handler
-	// panics and keeps serving, so a flight left in the map would make every
-	// later identical request block on done forever. completed distinguishes
-	// a panic unwinding through here from a normal return, so waiters of a
-	// panicked run get an error rather than a nil result.
-	completed := false
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if f.panicked != nil && !coalesced {
+		panic(f.panicked)
+	}
+	return f.res, f.err
+}
+
+// fly executes a flight and then releases it. The flight must leave the table
+// even if the run panics (e.g. in a caller-supplied Progress callback), or
+// every later identical request would block on done forever; the panic is
+// recovered into an error for the waiters and kept for the requester that
+// started the run.
+func (e *Engine) fly(f *flight, dig store.Digest, arch *uarch.Arch, opts RunOptions) {
 	defer func() {
-		if !completed {
-			f.err = fmt.Errorf("engine: characterization of %s aborted by a panic", arch.Name())
+		if p := recover(); p != nil {
+			f.panicked = p
+			f.err = fmt.Errorf("engine: characterization of %s aborted by a panic: %v", arch.Name(), p)
 		}
 		e.flightMu.Lock()
 		delete(e.flights, dig)
 		e.flightMu.Unlock()
-		f.finish()
 		close(f.done)
 		e.flightsWG.Done()
 	}()
-	f.res, f.err = e.characterizeArch(arch, opts, f)
-	completed = true
-	return f.res, f.err
+	f.res, f.err = e.characterizeArch(arch, opts)
 }
 
 // characterizeArch is the uncoalesced body of CharacterizeArchContext: the
 // per-variant store probe, the resume scheduling of missing variants, and
-// the persistence of what was measured. It publishes phase transitions and
-// measured records on the flight for FlightProgress/FlightRecords observers.
-func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) (*core.ArchResult, error) {
+// the persistence of what was measured.
+func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.ArchResult, error) {
 	gen := arch.Gen()
 	// An unresolvable selection fails here, before any stack build: paying
 	// minutes of blocking discovery to have the scheduler reject a typo is
@@ -853,33 +729,19 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions, f *flight) 
 	if workers <= 0 {
 		workers = e.Workers()
 	}
-	// The stack build includes blocking discovery when the generation is
-	// cold; a flight of an already-built generation passes through the phase
-	// immediately.
-	f.setPhase("blocking", -1)
 	c, err := e.characterizer(gen, workers)
 	if err != nil {
 		return nil, err
 	}
-	f.setPhase("measuring", len(names)-len(partial))
-	copts := core.Options{
+	res, err := c.CharacterizeResume(core.Options{
 		Only:           opts.Only,
 		SkipLatency:    opts.SkipLatency,
 		SkipPortUsage:  opts.SkipPortUsage,
 		SkipThroughput: opts.SkipThroughput,
 		Workers:        workers,
 		Context:        e.baseCtx(),
-		Variant:        f.addRecord,
-	}
-	copts.Progress = func(done, total int, name string) {
-		f.mu.Lock()
-		f.prog.VariantsDone, f.prog.VariantsTotal = done, total
-		f.mu.Unlock()
-		if opts.Progress != nil {
-			opts.Progress(done, total, name)
-		}
-	}
-	res, err := c.CharacterizeResume(copts, partial)
+		Progress:       opts.Progress,
+	}, partial)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", arch.Name(), err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"uopsinfo/internal/core"
 	"uopsinfo/internal/uarch"
 )
 
@@ -91,158 +90,10 @@ func TestDrainIdle(t *testing.T) {
 	}
 }
 
-// TestFlightProgressPhases observes a gated run from the outside: during
-// blocking discovery FlightProgress reports the "blocking" phase (with the
-// shared per-generation discovery counters), and once the run completes the
-// flight is gone.
-func TestFlightProgressPhases(t *testing.T) {
-	released := make(chan struct{})
-	var gate sync.Once
-	e := mustNew(t, Config{
-		Workers: 2,
-		BlockingProgress: func(gen uarch.Generation, done, total int, name string) {
-			gate.Do(func() { <-released })
-		},
-	})
-	opts := RunOptions{Only: testOnly}
-	dig, err := e.RunDigest(uarch.Skylake, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.FlightProgress(dig); ok {
-		t.Fatal("a flight exists before any run started")
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.CharacterizeArchContext(context.Background(), uarch.Skylake, opts)
-		done <- err
-	}()
-	if !waitForStat(t, e, "the run to start", func(s Stats) bool { return s.Runs == 1 }) {
-		close(released)
-		t.FailNow()
-	}
-	// The gate holds the run inside its first blocking-progress callback, so
-	// the flight stays observable in its blocking phase until we release it.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		p, ok := e.FlightProgress(dig)
-		if !ok {
-			close(released)
-			t.Fatal("running flight not observable by digest")
-		}
-		if p.Phase == "blocking" && p.BlockingDone >= 1 {
-			if p.BlockingTotal <= 0 {
-				t.Errorf("blocking phase reports %d/%d candidates", p.BlockingDone, p.BlockingTotal)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			close(released)
-			t.Fatalf("flight never reported blocking-discovery progress (at %+v)", p)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(released)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.FlightProgress(dig); ok {
-		t.Error("flight still observable after the run completed")
-	}
-}
-
-// TestFlightRecordsStream streams a live run through FlightRecords and checks
-// the observer protocol: every measured variant shows up exactly once, the
-// changed channel fires on completion, and a finished run reports ok=false.
-func TestFlightRecordsStream(t *testing.T) {
-	e := mustNew(t, Config{Workers: 1})
-	// The run blocks after its first measured variant until the observer has
-	// streamed it, so at least one record is deterministically seen live.
-	sawFirst := make(chan struct{})
-	opts := RunOptions{Only: testOnly, Progress: func(done, total int, name string) {
-		if done == 1 {
-			<-sawFirst
-		}
-	}}
-	dig, err := e.RunDigest(uarch.Skylake, RunOptions{Only: testOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		res *core.ArchResult
-		err error
-	}
-	runDone := make(chan outcome, 1)
-	go func() {
-		res, err := e.CharacterizeArchContext(context.Background(), uarch.Skylake, opts)
-		runDone <- outcome{res, err}
-	}()
-
-	// The documented observer protocol: drain, advance, wait on changed; when
-	// the flight is gone (ok == false) fall back to the completed result for
-	// any records that landed after the last drain.
-	var release sync.Once
-	seen := map[string]int{}
-	from := 0
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		recs, changed, ok := e.FlightRecords(dig, from)
-		if !ok {
-			if from == 0 && time.Now().Before(deadline) {
-				// The flight has not started yet; re-probe.
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			break
-		}
-		for _, r := range recs {
-			if r.Record == nil {
-				t.Errorf("streamed record %s is nil", r.Name)
-			}
-			seen[r.Name]++
-		}
-		from += len(recs)
-		if from >= 1 {
-			release.Do(func() { close(sawFirst) })
-		}
-		select {
-		case <-changed:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("stream stalled after %d records", from)
-		}
-	}
-	release.Do(func() { close(sawFirst) })
-	out := <-runDone
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	for name, n := range seen {
-		if n != 1 {
-			t.Errorf("variant %s streamed %d times", name, n)
-		}
-		if out.res.Results[name] == nil {
-			t.Errorf("streamed variant %s is not in the final result", name)
-		}
-	}
-	replayed := 0
-	for _, name := range out.res.Names() {
-		if seen[name] == 0 {
-			replayed++
-		}
-	}
-	if len(seen)+replayed != len(testOnly) {
-		t.Errorf("streamed %d + replayed %d variants, want %d total", len(seen), replayed, len(testOnly))
-	}
-	if len(seen) == 0 {
-		t.Error("no variant was streamed live; everything fell through to replay")
-	}
-}
-
-// TestBaseContextQuiescesDetachedRun is the shutdown regression: a coalesced
-// run whose only waiter went away keeps running detached — cancelling the
-// engine's base context must abort it so Drain returns promptly, and later
-// admissions fail fast.
+// TestBaseContextQuiescesDetachedRun is the shutdown regression: a run keeps
+// going when a requester goes away — cancelling the engine's base context
+// must abort it, so Drain returns promptly and the requester still waiting
+// gets context.Canceled, and later admissions fail fast.
 func TestBaseContextQuiescesDetachedRun(t *testing.T) {
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
@@ -257,8 +108,8 @@ func TestBaseContextQuiescesDetachedRun(t *testing.T) {
 	})
 	opts := RunOptions{Only: testOnly}
 
-	// The leader executes the run inline; its goroutine stands in for an HTTP
-	// handler whose client has already hung up.
+	// The request that starts the run waits for it on a context that is never
+	// cancelled; the run itself executes on its own goroutine.
 	leaderDone := make(chan error, 1)
 	go func() {
 		_, err := e.CharacterizeArchContext(context.Background(), uarch.Skylake, opts)

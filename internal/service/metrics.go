@@ -152,14 +152,6 @@ func (s *Service) metrics() []metric {
 				labels: fmt.Sprintf(`{tier=%q}`, pt.tier), value: float64(pt.stats.Files)})
 		}
 	}
-	// Every state is emitted, 0 when empty, so a scrape of a fresh server or
-	// of one whose finished jobs expired reads 0 rather than no data.
-	counts := s.jobs.counts()
-	for _, state := range []string{jobRunning, jobDone, jobFailed} {
-		ms = append(ms, metric{name: "uopsd_jobs", typ: "gauge",
-			help:   "Jobs in the job table by state.",
-			labels: fmt.Sprintf(`{state=%q}`, state), value: float64(counts[state])})
-	}
 	return ms
 }
 

@@ -11,29 +11,24 @@
 //	GET  /v1/stats                      engine cache/coalescing counters + service counters
 //	GET  /v1/arch/{gen}                 full characterization of one generation
 //	GET  /v1/arch/{gen}/variant/{name}  characterization of a single variant
-//	POST /v1/jobs                       start an asynchronous characterization job
-//	GET  /v1/jobs                       list jobs
-//	GET  /v1/jobs/{id}                  job status with per-phase progress
-//	GET  /v1/jobs/{id}/stream           NDJSON stream of variant records as they complete
-//	GET  /v1/jobs/{id}/result           the finished job's result document
 //
 // The characterization endpoints accept ?format=xml or ?format=json (default
 // JSON; an Accept header naming xml also selects it; any other ?format value
 // is a 400), and /v1/arch/{gen} additionally accepts ?only=NAME,NAME and
-// ?quick=1 (skip the per-operand-pair latency measurements). POST /v1/jobs
-// accepts the same query surface plus ?gen=NAME and runs the characterization
-// detached from the request, so slow cold runs can be polled and streamed
-// instead of holding a connection open. Generation names are matched
-// case-insensitively with separators ignored, so /v1/arch/sandy-bridge works.
+// ?quick=1 (skip the per-operand-pair latency measurements). Generation names
+// are matched case-insensitively with separators ignored, so
+// /v1/arch/sandy-bridge works. Every request is synchronous: a cold
+// full-generation request completes in seconds.
 //
-// Concurrent identical queries — synchronous requests and jobs alike — are
-// coalesced by the engine singleflight-style on the store digest of the
-// request: N simultaneous cold requests for one generation trigger exactly
-// one measurement run, every waiter receives the same result (rendered to
-// byte-identical bodies), and the run lands in the store so later requests
-// are warm hits. The same digest doubles as the ETag of result responses, so
-// a warm conditional GET (If-None-Match) answers 304 without touching the
-// engine. /v1/stats exposes the run/waiter counters.
+// Concurrent identical queries are coalesced by the engine singleflight-style
+// on the store digest of the request: N simultaneous cold requests for one
+// generation trigger exactly one measurement run, every waiter receives the
+// same result (rendered to byte-identical bodies), and the run lands in the
+// store so later requests are warm hits. A request whose client hangs up
+// stops waiting, while the run completes for the others and the store. The
+// same digest doubles as the ETag of result responses, so a warm conditional
+// GET (If-None-Match) answers 304 without touching the engine. /v1/stats
+// exposes the run/waiter counters.
 //
 // Errors on request-derived input degrade to HTTP statuses, never crash the
 // process: an unknown generation is 400, an unknown variant 404, and a
@@ -53,9 +48,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"uopsinfo/internal/core"
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
 	"uopsinfo/internal/measure"
@@ -79,16 +72,6 @@ type Config struct {
 	Engine *engine.Engine
 	// Log, if non-nil, receives request-failure and panic diagnostics.
 	Log func(format string, args ...interface{})
-	// BaseContext, if non-nil, bounds the lifetime of asynchronous jobs: a
-	// job's characterization runs under this context, not under the creating
-	// request's, so it survives the POST returning but stops when the server
-	// shuts down. Nil means context.Background(). It should be the same
-	// context as the engine's Config.BaseContext.
-	BaseContext context.Context
-	// JobTTL is how long a finished job (and its result) stays listed and
-	// fetchable before the job table drops it. Zero selects DefaultJobTTL;
-	// negative keeps finished jobs forever.
-	JobTTL time.Duration
 	// RateLimit, if positive, enables the token-bucket rate limiter:
 	// requests per second sustained across all endpoints except /healthz and
 	// /metrics (probes and scrapes must keep working while the service
@@ -135,8 +118,6 @@ type Service struct {
 	eng     *engine.Engine
 	log     func(format string, args ...interface{})
 	mux     *http.ServeMux
-	baseCtx context.Context
-	jobs    *jobTable
 	limiter *rateLimiter
 
 	mu       sync.Mutex
@@ -163,16 +144,10 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("service: Config.Engine is required")
 	}
-	baseCtx := cfg.BaseContext
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
 	s := &Service{
 		eng:       cfg.Engine,
 		log:       cfg.Log,
 		mux:       http.NewServeMux(),
-		baseCtx:   baseCtx,
-		jobs:      newJobTable(cfg.JobTTL),
 		iacaCache: make(map[uarch.Generation]*iacaEntry),
 	}
 	if cfg.RateLimit > 0 {
@@ -185,11 +160,6 @@ func New(cfg Config) (*Service, error) {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/arch/{gen}", s.handleArch)
 	s.mux.HandleFunc("GET /v1/arch/{gen}/variant/{name}", s.handleVariant)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	return s, nil
 }
 
@@ -238,7 +208,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Unwrap exposes the underlying writer to http.ResponseController, so
-// streaming handlers can flush through the wrapper.
+// handlers can flush through the wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // rateExempt reports whether a path bypasses the rate limiter: liveness
@@ -514,21 +484,12 @@ func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uar
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeResult(w, arch, res, format, tag)
-}
-
-// writeResult renders a characterization result with its entity tag, via the
-// same document-building path as the synchronous endpoints (shared with the
-// job result endpoint, which must produce byte-identical bodies).
-func (s *Service) writeResult(w http.ResponseWriter, arch *uarch.Arch, res *core.ArchResult, format, tag string) {
 	analyzers, err := s.analyzers(arch)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	w.Header().Set("ETag", tag)
 	s.writeDoc(w, format, xmlout.Single(xmlout.FromArchResult(res, analyzers)))
 }
 
@@ -555,10 +516,9 @@ func (s *Service) analyzers(arch *uarch.Arch) ([]*iaca.Analyzer, error) {
 	return ent.analyzers, ent.err
 }
 
-// runOptionsFromRequest parses the characterization query surface shared by
-// the synchronous arch endpoint and the job API: ?quick and ?only. The
-// selection is canonicalized (resolved, sorted, deduplicated), which makes
-// equivalent requests identical to the engine: ?only=A,B and ?only=B,A share
+// runOptionsFromRequest parses the query surface of the arch endpoint:
+// ?quick and ?only. The selection is canonicalized (resolved, sorted,
+// deduplicated), which makes equivalent requests identical to the engine: ?only=A,B and ?only=B,A share
 // one coalescing flight and one store entry, and a duplicated name is not
 // measured twice. The response is order-independent anyway (results are
 // rendered in sorted variant order).

@@ -45,6 +45,14 @@ func get(t *testing.T, svc *Service, target string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
+// do performs one request with an arbitrary method against the handler.
+func do(t *testing.T, svc *Service, method, target string) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+	return rec
+}
+
 func TestHealthz(t *testing.T) {
 	svc, _ := newTestService(t, engine.Config{})
 	code, body := get(t, svc, "/healthz")

@@ -97,10 +97,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if code, _ := get(t, svc, "/v1/arch/nope"); code != http.StatusBadRequest {
 		t.Fatalf("error request = %d, want 400", code)
 	}
-	st := createJob(t, svc, "/v1/jobs?gen=skylake&only="+testOnly[0])
-	if final := waitJobDone(t, svc, st.ID); final.State != jobDone {
-		t.Fatalf("job finished in state %q", final.State)
-	}
 
 	rec := do(t, svc, "GET", "/metrics")
 	if rec.Code != http.StatusOK {
@@ -136,9 +132,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uopsd_http_requests_total":     float64(c.Requests),
 		"uopsd_http_errors_total":       float64(c.Errors),
 		"uopsd_engine_runs_total":       float64(es.Runs),
-		`uopsd_jobs{state="done"}`:      1,
-		`uopsd_jobs{state="running"}`:   0,
-		`uopsd_jobs{state="failed"}`:    0,
 		"uopsd_http_rate_limited_total": 0,
 	} {
 		got, ok := values[name]
@@ -273,20 +266,26 @@ func TestBogusFormatIs400(t *testing.T) {
 
 // TestClientGoneIsCounted is the regression for cancellation accounting: a
 // request abandoned by its client is recorded as client-gone, not as a server
-// error — and the run it had coalesced onto keeps going for everyone else.
+// error — whether it had coalesced onto a run or started it — and the run
+// keeps going for everyone else and lands in the store.
 func TestClientGoneIsCounted(t *testing.T) {
-	released := make(chan struct{})
-	var gate sync.Once
-	svc, eng := newTestService(t, engine.Config{
-		CacheDir: t.TempDir(),
-		BlockingProgress: func(gen uarch.Generation, done, total int, name string) {
-			gate.Do(func() { <-released })
-		},
-	})
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	target := srv.URL + "/v1/arch/skylake?only=" + strings.Join(testOnly, ",")
-
+	// gated serves a fresh engine whose cold runs hold in blocking discovery
+	// until release is called.
+	gated := func() (svc *Service, eng *engine.Engine, target string, release func()) {
+		released := make(chan struct{})
+		var gate, once sync.Once
+		svc, eng = newTestService(t, engine.Config{
+			CacheDir: t.TempDir(),
+			BlockingProgress: func(gen uarch.Generation, done, total int, name string) {
+				gate.Do(func() { <-released })
+			},
+		})
+		srv := httptest.NewServer(svc)
+		t.Cleanup(srv.Close)
+		release = func() { once.Do(func() { close(released) }) }
+		t.Cleanup(release) // runs first: srv.Close waits for held handlers
+		return svc, eng, srv.URL + "/v1/arch/skylake?only=" + strings.Join(testOnly, ","), release
+	}
 	waitFor := func(what string, cond func() bool) bool {
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
@@ -298,8 +297,35 @@ func TestClientGoneIsCounted(t *testing.T) {
 		t.Errorf("timed out waiting for %s", what)
 		return false
 	}
+	// hangUp starts a request that its client abandons when cancel is called;
+	// done yields the client's error.
+	hangUp := func(target string) (cancel func(), done chan error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		done = make(chan error, 1)
+		go func() {
+			req, _ := http.NewRequestWithContext(ctx, "GET", target, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		return cancel, done
+	}
+	checkCounters := func(svc *Service) {
+		t.Helper()
+		c := svc.Counters()
+		if c.Errors != 0 {
+			t.Errorf("Errors = %d, want 0: a client hang-up is not a server error", c.Errors)
+		}
+		if c.ClientGone != 1 {
+			t.Errorf("ClientGone = %d, want 1", c.ClientGone)
+		}
+	}
 
-	// The leader holds the run; a second client attaches and then hangs up.
+	// A waiter hangs up: the request that started the run holds it, a second
+	// client attaches and then goes away.
+	svc, eng, target, release := gated()
 	leaderDone := make(chan error, 1)
 	go func() {
 		resp, err := http.Get(target)
@@ -313,22 +339,10 @@ func TestClientGoneIsCounted(t *testing.T) {
 		leaderDone <- err
 	}()
 	if !waitFor("the leader's run to start", func() bool { return eng.Stats().Runs == 1 }) {
-		close(released)
 		t.FailNow()
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		req, _ := http.NewRequestWithContext(ctx, "GET", target, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-		waiterDone <- err
-	}()
+	cancel, waiterDone := hangUp(target)
 	if !waitFor("the waiter to attach", func() bool { return eng.Stats().CoalescedWaiters >= 1 }) {
-		close(released)
 		t.FailNow()
 	}
 	cancel()
@@ -336,18 +350,48 @@ func TestClientGoneIsCounted(t *testing.T) {
 		t.Error("cancelled client's request did not error")
 	}
 	ok := waitFor("the hang-up to be counted", func() bool { return svc.Counters().ClientGone == 1 })
-	close(released)
+	release()
 	if !ok {
 		t.FailNow()
 	}
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader failed after the waiter hung up: %v", err)
 	}
-	c := svc.Counters()
-	if c.Errors != 0 {
-		t.Errorf("Errors = %d, want 0: a client hang-up is not a server error", c.Errors)
+	checkCounters(svc)
+
+	// The request that started the run hangs up: it is detached like any
+	// waiter, and the run it started still completes into the store.
+	svc, eng, target, release = gated()
+	cancel, leaderGone := hangUp(target)
+	if !waitFor("the run to start", func() bool { return eng.Stats().Runs == 1 }) {
+		t.FailNow()
 	}
-	if c.ClientGone != 1 {
-		t.Errorf("ClientGone = %d, want 1", c.ClientGone)
+	cancel()
+	if err := <-leaderGone; err == nil {
+		t.Error("cancelled leader's request did not error")
 	}
+	ok = waitFor("the leader's hang-up to be counted", func() bool { return svc.Counters().ClientGone == 1 })
+	release()
+	if !ok {
+		t.FailNow()
+	}
+	drainCtx, drainCancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer drainCancel()
+	if err := eng.Drain(drainCtx); err != nil {
+		t.Fatalf("the abandoned run did not finish: %v", err)
+	}
+	resp, err := http.Get(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the abandoned run = %d", resp.StatusCode)
+	}
+	if st := eng.Stats(); st.ResultHits != 1 || st.VariantsMeasured != len(testOnly) {
+		t.Errorf("abandoned run did not land in the store: %d result hits, %d variants measured, want 1 and %d",
+			st.ResultHits, st.VariantsMeasured, len(testOnly))
+	}
+	checkCounters(svc)
 }
