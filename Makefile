@@ -137,13 +137,16 @@ lint-extra:
 # panicking and to re-reading its own printed output;
 # FuzzRunOptionsFromRequest holds the service's query parsers (generation,
 # ?format, ?only, ?quick) to never panicking and to canonical, re-parseable
-# options. A crashing input lands in the package's testdata/fuzz and fails
-# the run.
+# options; FuzzMeasureRequest holds the fleet worker's /v1/measure handler
+# to never panicking, to 200 or 400, and to one counter per sequence of
+# exactly one JSON request under the worker's fingerprint. A crashing input
+# lands in the package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSequence$$' -fuzztime=10s ./internal/asmgen
 	$(GO) test -run='^$$' -fuzz='^FuzzRunOptionsFromRequest$$' -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzMeasureRequest$$' -fuzztime=10s ./internal/service
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant eviction) under the race detector, checks
@@ -173,18 +176,21 @@ run-uopsd:
 # ci-service gates the HTTP characterization service under the race
 # detector: the endpoint suite (the deterministic coalescing storm,
 # conditional GETs, rate limiting, and the panic/format/client-gone
-# regressions, the hang-up of the request that started a run included), then
-# the end-to-end TestUopsd* suite that binds the real uopsd server to an
-# ephemeral port — coalescing storm, conditional GETs and /metrics, rate-limit
-# flags, and shutdown while a run whose client hung up is still measuring.
+# regressions, the hang-up of the request that started a run included, and
+# the 503 of a run cancelled under a waiting client), then the end-to-end
+# TestUopsd* suite that binds the real uopsd server to an ephemeral port —
+# coalescing storm, conditional GETs and /metrics, rate-limit flags, and
+# shutdown while a run whose client hung up is still measuring, and while a
+# client still waits past -drain (answered 503, clean exit).
 ci-service:
 	$(GO) test -race -count=1 ./internal/service
 	$(GO) test -race -count=1 -run 'TestUopsd' ./cmd/uopsd
 
 # ci-fleet gates the distributed measurement fleet under the race detector:
 # the remote backend's unit suite (wire roundtrip with copy counts, the
-# fingerprint and wire-version handshake, one batch per RunCopies call,
-# retries, health probing and call timeouts against canned workers), then
+# fingerprint and wire-version handshake, one request per RunCopies call and
+# at most InFlight in flight, retries, health probing and call timeouts
+# against canned workers), then
 # the loopback end-to-end tests — XML byte-identical to a local run through
 # 1/2/3 real workers, recovery from a worker killed mid-run, a
 # mixed-fingerprint fleet refused at startup, fleet counters in /v1/stats

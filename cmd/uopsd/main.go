@@ -31,7 +31,8 @@
 // ("sandy-bridge"). SIGINT/SIGTERM shut the server down gracefully: the
 // listener drains, in-flight requests get the -drain deadline, and any
 // still-running measurement — including a run whose requesters all hung up
-// — is cancelled and quiesced before the process exits.
+// — is cancelled and quiesced before the process exits. A client still
+// waiting on a run cancelled that way is answered 503.
 package main
 
 import (
@@ -163,6 +164,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	defer qcancel()
 	if err := eng.Drain(quiesceCtx); err != nil {
 		return errors.Join(shutErr, err)
+	}
+	if errors.Is(shutErr, context.DeadlineExceeded) {
+		// -drain ran out with clients still waiting on runs. Their runs are
+		// cancelled now, so their handlers answer 503; let them write it.
+		// Reaching this deadline is the designed path, not a failure.
+		return srv.Shutdown(quiesceCtx)
 	}
 	return shutErr
 }

@@ -281,6 +281,58 @@ func TestUopsdShutdownQuiescesDetachedRun(t *testing.T) {
 	}
 }
 
+// TestUopsdShutdownAnswersWaitingClient: SIGTERM-style cancellation while
+// the client of a cold full-Skylake request is still connected. -drain
+// (100ms) runs out with that request in flight; the run is then cancelled,
+// the client gets a 503 with a JSON error instead of an empty reply, and
+// the server exits cleanly.
+func TestUopsdShutdownAnswersWaitingClient(t *testing.T) {
+	base, shutdown := startServer(t, "-j", "2", "-drain", "100ms")
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(base + "/v1/arch/skylake")
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, body, err}
+	}()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		code, body := getBody(t, base+"/v1/stats")
+		var st service.StatsResponse
+		if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
+			t.Fatalf("stats = %d: %s", code, body)
+		}
+		if st.Engine.Runs >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the run to start")
+		}
+	}
+
+	// shutdown() fails the test if run() errors or takes more than 30s.
+	start := time.Now()
+	shutdown()
+	if took := time.Since(start); took > 15*time.Second {
+		t.Errorf("shutdown with a waiting client took %v", took)
+	}
+	a := <-answered
+	var body struct {
+		Error string `json:"error"`
+	}
+	if a.err != nil || a.code != http.StatusServiceUnavailable || json.Unmarshal(a.body, &body) != nil || body.Error == "" {
+		t.Errorf("waiting client got %d %q (%v), want 503 with a JSON error", a.code, a.body, a.err)
+	}
+}
+
 // TestUopsdFlagErrors pins the usage surface: a bad flag or an unknown
 // backend must fail startup with an error, not serve.
 func TestUopsdFlagErrors(t *testing.T) {

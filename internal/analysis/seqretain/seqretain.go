@@ -5,7 +5,7 @@
 // measure.Harness hands them its callers' kernels: Harness.Measure
 // passes the kernel straight to CopiesRunner.RunCopies, or the copies
 // it materializes to Runner.Run. The callers own those slices. A Runner
-// (local simulator, remote fleet dispatcher, or any future backend) that
+// (local simulator, remote fleet client, or any future backend) that
 // squirrels one away would alias memory its owner reuses or rewrites,
 // and a long-lived runner would pin every kernel it has seen. The doc
 // comments on measure.Runner and measure.CopiesRunner state this;

@@ -127,7 +127,7 @@ type Stats struct {
 	// cmd/uopsbench reads them.
 	PoolSeqBuilt  int64 `json:"poolSeqBuilt"`
 	PoolSeqReused int64 `json:"poolSeqReused"`
-	// Fleet carries the measurement-fleet counters (batches, retries,
+	// Fleet carries the measurement-fleet counters (requests, retries,
 	// per-worker health and latency) when the engine's backend
 	// drives one (the "remote" backend); nil otherwise.
 	Fleet *measure.FleetStats `json:"fleet,omitempty"`

@@ -13,15 +13,14 @@ type FleetWorkerStats struct {
 	// Healthy reports whether the worker is currently in rotation (false:
 	// it crossed the consecutive-failure threshold and is being probed).
 	Healthy bool `json:"healthy"`
-	// Batches and Sequences count the measurement batches (HTTP requests)
-	// and the sequences inside them sent to this worker, including retried
-	// work.
+	// Batches and Sequences count the /v1/measure requests sent to this
+	// worker and the sequences they carried, retries included.
 	Batches   int64 `json:"batches"`
 	Sequences int64 `json:"sequences"`
-	// Errors counts transport-level batch failures against this worker.
+	// Errors counts the failed requests against this worker.
 	Errors int64 `json:"errors"`
 	// AvgBatchMicros is the mean wall-clock latency of this worker's
-	// batches in microseconds (0 when no batch completed yet).
+	// requests in microseconds (0 when no request completed yet).
 	AvgBatchMicros int64 `json:"avgBatchMicros"`
 }
 
@@ -31,21 +30,22 @@ type FleetStats struct {
 	// (the workers' backend identity plus measurement-config digest; the
 	// remote backend's Version wraps it as "fleet(...)").
 	Fingerprint string `json:"fingerprint"`
-	// Batches counts measurement batches sent (across workers, including
-	// retries); Sequences counts sequences submitted to the fleet by
-	// runners (each at most once, however often it is retried).
+	// Batches counts /v1/measure requests sent (across workers, retries
+	// included): one per runner call and attempt, since calls never share a
+	// request. Sequences counts sequences submitted to the fleet by runners
+	// (each at most once, however often it is retried).
 	Batches   int64 `json:"batches"`
 	Sequences int64 `json:"sequences"`
 	// Deduped is always 0. It counted Run calls answered from a runner's
 	// last-result cache, which went away when the harness stopped repeating
 	// readings; the field stays because cmd/uopsbench reads it.
 	Deduped int64 `json:"deduped"`
-	// Retries counts sequences re-enqueued after a transient batch failure;
-	// Errors counts the failed batches themselves.
+	// Retries counts sequences sent again after a transient request
+	// failure; Errors counts the failed requests themselves.
 	Retries int64 `json:"retries"`
 	Errors  int64 `json:"errors"`
-	// Hedges is always 0: the fleet sends each batch once and retries it
-	// only when it fails, never duplicating a slow one. The field stays
+	// Hedges is always 0: the fleet sends each request once and again only
+	// when it fails, never duplicating a slow one. The field stays
 	// because cmd/uopsbench reads it.
 	Hedges int64 `json:"hedges"`
 	// Workers are the per-worker counters, in configuration order.

@@ -1,25 +1,24 @@
 package remote
 
-// The fleet dispatcher: runners submit encoded sequence measurements as
-// calls onto a per-generation queue (one call carries the sequences of one
-// runner call, e.g. a kernel at both copy counts of a measurement, and they
-// always travel together); per-worker sender goroutines pull calls off the
-// queue, coalesce whatever is immediately available into one batch
-// (no linger delay — batching is opportunistic, driven by the concurrency of
-// the characterization scheduler), and POST it to their worker. Sharding is
-// emergent: every sender competes for the same queue, so a fast worker
-// simply takes more batches and a failing one takes none while it is being
-// probed. A call is in one place at a time, the queue or one batch, and is
-// sent again only after its batch failed: a failed batch (transport error,
-// non-200, drifted fingerprint, or no answer within batchTimeout) re-enqueues
-// its undelivered calls for another worker, bounded by MaxAttempts, while the
-// failing sender backs off; a slow batch that answers in time is waited for.
-// Results are delivered exactly once per call via an atomic claim, which
-// settles the race between the sender finishing a call's batch and the
-// submitter giving up on it (call timeout or fleet close).
+// The fleet client: one runner call is one POST /v1/measure request. A call
+// carries the sequences of one RunCopies (e.g. a kernel at both copy counts
+// of a measurement). It borrows a slot from its generation's slot pool,
+// which holds InFlight slots per worker, posts its request under its own
+// context and returns the slot. Sharding is emergent: a fast worker's slots
+// come back sooner and carry more calls, and a failing worker's slots stay
+// out of the pool while it is backed off or probed. A send that fails
+// (transport error, non-200, drifted fingerprint or wire version, or no
+// answer within requestTimeout) is sent again on the next free slot, up to
+// MaxAttempts sends; a slow request that answers in time is waited for. The
+// failed slot rests on a goroutine of its own before it goes back: a
+// backoff, then /healthz probes once its worker reached unhealthyAfter
+// consecutive failures. A call that gives up (call timeout, or fleet closed)
+// cancels its request in flight. Calls never share a request: a caller that
+// finds no free slot waits for one.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,31 +37,26 @@ type Options struct {
 	// Workers are the base URLs of the uopsd workers (e.g.
 	// "http://w1:8631"). At least one is required.
 	Workers []string
-	// InFlight is the number of sender slots a worker gets per generation,
-	// each with at most one batch in flight. A run over k generations can
-	// therefore keep up to k × InFlight batches on one worker. <= 0
-	// selects 4.
+	// InFlight is the number of requests a worker may have in flight per
+	// generation. A run over k generations can therefore keep up to
+	// k × InFlight requests on one worker. <= 0 selects 4.
 	InFlight int
-	// MaxAttempts bounds how many transient batch failures one sequence
-	// survives before its measurement fails. <= 0 selects 4.
+	// MaxAttempts bounds how many times one measurement is sent: its
+	// MaxAttempts-th transient failure fails it. <= 0 selects 4.
 	MaxAttempts int
 	// CallTimeout bounds how long one Run call waits for its result across
-	// all retries. <= 0 selects 5m.
+	// all retries; a call that times out cancels its request. <= 0 selects
+	// 5m.
 	CallTimeout time.Duration
-	// Client, if non-nil, is the HTTP client used for measurement batches
-	// and probes (its Timeout is ignored; the 2-minute batch timeout
-	// governs requests).
+	// Client, if non-nil, is the HTTP client used for measurement requests
+	// and probes. Each request is bounded by the 2-minute request timeout,
+	// and by the client's own Timeout if that is shorter.
 	Client *http.Client
 }
 
 const (
-	// batchSize caps the sequences coalesced into one /v1/measure request:
-	// a sender stops adding calls once its batch holds this many. A call's
-	// sequences always travel together, so the last call may carry the
-	// batch past the cap.
-	batchSize = 64
-	// batchTimeout bounds one /v1/measure request.
-	batchTimeout = 2 * time.Minute
+	// requestTimeout bounds one /v1/measure request.
+	requestTimeout = 2 * time.Minute
 	// unhealthyAfter is the consecutive-failure threshold that takes a
 	// worker out of rotation (it is then health-probed until it answers).
 	unhealthyAfter = 3
@@ -84,30 +78,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// callResult is the outcome of one call: one Counters per sequence.
-type callResult struct {
-	counters []pipesim.Counters
-	err      error
-}
-
-// call is one runner call in flight through the fleet. encs are its
-// marshaled wire Seqs (each including the divider regime and copy count).
-// delivered is the exactly-once claim: whoever settles the call first — the
-// sender whose batch finished, or the submitter giving up on it — writes
-// done; the other side drops its result.
-type call struct {
-	encs      []json.RawMessage
-	done      chan callResult
-	delivered atomic.Bool
-	attempts  atomic.Int32
-}
-
-func (c *call) deliver(r callResult) {
-	if c.delivered.CompareAndSwap(false, true) {
-		c.done <- r
-	}
-}
-
 // worker is one uopsd instance of the fleet.
 type worker struct {
 	url         string
@@ -119,17 +89,19 @@ type worker struct {
 	latencyUS atomic.Int64
 }
 
-// fleet is one configured set of workers plus the dispatch machinery.
+// fleet is one configured set of workers plus their slot pools.
 type fleet struct {
 	opts        Options
 	workers     []*worker
 	fingerprint string // handshake-derived serving fingerprint of the fleet
 
-	mu     sync.Mutex
-	queues map[string]chan *call // per generation name
+	// ctx ends when the fleet closes: every call, resting slot and probe
+	// runs under it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	closeOnce sync.Once
-	closed    chan struct{}
+	mu    sync.Mutex
+	pools map[string]chan *worker // free slots per generation name
 
 	batches atomic.Int64
 	seqs    atomic.Int64
@@ -143,170 +115,132 @@ func newFleet(opts Options, fingerprint string) *fleet {
 	f := &fleet{
 		opts:        opts,
 		fingerprint: fingerprint,
-		queues:      make(map[string]chan *call),
-		closed:      make(chan struct{}),
+		pools:       make(map[string]chan *worker),
 	}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 	for _, url := range opts.Workers {
 		f.workers = append(f.workers, &worker{url: url})
 	}
 	return f
 }
 
-// close stops every sender and probe goroutine. Calls still queued or in
-// flight are delivered errFleetClosed.
-func (f *fleet) close() {
-	f.closeOnce.Do(func() { close(f.closed) })
-}
+// close fails every waiting call with errFleetClosed, cancels the requests
+// in flight and ends the resting slots and their probes.
+func (f *fleet) close() { f.cancel() }
 
-// queue returns (lazily creating) the dispatch queue of one generation,
-// spawning the per-worker sender goroutines on first use.
-func (f *fleet) queue(gen string) chan *call {
+// pool returns the free slots of one generation, filled on first use with
+// InFlight slots per worker. A slot is its worker: holding one entitles a
+// call to one request in flight there. The channel holds every slot, so
+// returning one never blocks.
+func (f *fleet) pool(gen string) chan *worker {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	q, ok := f.queues[gen]
+	p, ok := f.pools[gen]
 	if !ok {
-		q = make(chan *call, 1024)
-		f.queues[gen] = q
-		for _, w := range f.workers {
-			for i := 0; i < f.opts.InFlight; i++ {
-				go f.serve(w, gen, q)
+		p = make(chan *worker, len(f.workers)*f.opts.InFlight)
+		for i := 0; i < f.opts.InFlight; i++ {
+			for _, w := range f.workers {
+				p <- w
 			}
 		}
+		f.pools[gen] = p
 	}
-	return q
+	return p
 }
 
-// submit enqueues one call and waits for its result.
-func (f *fleet) submit(gen string, c *call, timer *time.Timer) callResult {
-	q := f.queue(gen)
-	select {
-	case q <- c:
-	case <-f.closed:
-		return callResult{err: errFleetClosed}
+// do measures one call's sequences in one request and returns one Counters
+// per sequence.
+func (f *fleet) do(gen string, encs []json.RawMessage) ([]pipesim.Counters, error) {
+	body, err := json.Marshal(MeasureRequest{Gen: gen, Seqs: encs})
+	if err != nil {
+		return nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
-	f.seqs.Add(int64(len(c.encs)))
-
-	timer.Reset(f.opts.CallTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-c.done:
-		return res
-	case <-timer.C:
-		// Claim the call so late senders skip it; if a result won the race
-		// in the meantime, take it.
-		if !c.delivered.CompareAndSwap(false, true) {
-			return <-c.done
-		}
-		return callResult{err: fmt.Errorf("remote: measurement timed out after %v", f.opts.CallTimeout)}
-	case <-f.closed:
-		if !c.delivered.CompareAndSwap(false, true) {
-			return <-c.done
-		}
-		return callResult{err: errFleetClosed}
-	}
-}
-
-// serve is one sender slot of one worker: pull a call, coalesce what else is
-// immediately queued, send the batch. A worker beyond its failure threshold
-// is first probed back to health so it cannot keep consuming (and failing)
-// calls other workers would complete.
-func (f *fleet) serve(w *worker, gen string, q chan *call) {
+	pool := f.pool(gen)
+	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
+	defer cancel()
+	f.seqs.Add(int64(len(encs)))
+	failures := 0
 	for {
-		if int(w.consecFails.Load()) >= unhealthyAfter {
-			if !f.probe(w) {
-				return // fleet closed
-			}
-		}
-		var c *call
+		var w *worker
 		select {
-		case <-f.closed:
-			return
-		case c = <-q:
+		case w = <-pool:
+		case <-ctx.Done():
+			return nil, f.gaveUp()
 		}
-		if c.delivered.Load() {
+		if int(w.consecFails.Load()) >= unhealthyAfter {
+			// The worker failed while this slot was free: the slot probes it
+			// back first, so it cannot take calls other workers would complete.
+			go f.rest(w, pool)
 			continue
 		}
-		batch, n := []*call{c}, len(c.encs)
-	drain:
-		for n < batchSize {
-			select {
-			case c2 := <-q:
-				if !c2.delivered.Load() {
-					batch = append(batch, c2)
-					n += len(c2.encs)
-				}
-			default:
-				break drain
-			}
+		resp, err := f.post(ctx, w, body, len(encs))
+		if err == nil {
+			w.consecFails.Store(0)
+			pool <- w
+			return counters(w, resp)
 		}
-		f.send(w, gen, batch, n, q)
-	}
-}
-
-// send posts one batch of n sequences to a worker and delivers or
-// re-enqueues its calls.
-func (f *fleet) send(w *worker, gen string, batch []*call, n int, q chan *call) {
-	f.batches.Add(1)
-	w.batches.Add(1)
-	w.seqs.Add(int64(n))
-
-	start := time.Now()
-	resp, err := f.post(w, gen, batch, n)
-	w.latencyUS.Add(time.Since(start).Microseconds())
-
-	if err != nil {
+		if ctx.Err() != nil {
+			// The call gave up with its request in flight, which says
+			// nothing about the worker.
+			pool <- w
+			return nil, f.gaveUp()
+		}
 		w.consecFails.Add(1)
 		w.errors.Add(1)
 		f.errors.Add(1)
-		f.requeue(batch, q, err)
-		// Back this sender off before it pulls again; re-enqueued calls are
-		// already available to every other sender.
-		f.sleep(backoff(int(w.consecFails.Load())))
+		go f.rest(w, pool)
+		failures++
+		if failures >= f.opts.MaxAttempts {
+			return nil, fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.MaxAttempts, err)
+		}
+		f.retries.Add(int64(len(encs)))
+	}
+}
+
+// gaveUp is the error of a call whose context ended: the fleet closed, or
+// the call timed out.
+func (f *fleet) gaveUp() error {
+	if f.ctx.Err() != nil {
+		return errFleetClosed
+	}
+	return fmt.Errorf("remote: measurement timed out after %v", f.opts.CallTimeout)
+}
+
+// counters decodes a successful response. A per-sequence error is a
+// deterministic property of the request (unknown variant, simulator
+// rejection): another worker would return the same error, so it fails the
+// whole call.
+func counters(w *worker, resp *MeasureResponse) ([]pipesim.Counters, error) {
+	cs := make([]pipesim.Counters, len(resp.Counters))
+	for k, c := range resp.Counters {
+		if resp.Errs != nil && resp.Errs[k] != "" {
+			return nil, fmt.Errorf("remote: worker %s: %s", w.url, resp.Errs[k])
+		}
+		cs[k] = DecodeCounters(c)
+	}
+	return cs, nil
+}
+
+// rest returns a slot to its pool after a backoff. While its worker is out
+// of rotation (unhealthyAfter consecutive failures), the slot goes back only
+// once a /healthz probe answered, probing with capped exponential backoff.
+// It runs on a goroutine of its own, at most one per slot, and ends when
+// the fleet closes.
+func (f *fleet) rest(w *worker, pool chan *worker) {
+	for fails := int(w.consecFails.Load()); f.sleep(backoff(fails)); fails = min(fails+1, 12) {
+		if int(w.consecFails.Load()) >= unhealthyAfter {
+			if !f.healthz(w) {
+				continue
+			}
+			w.consecFails.Store(0)
+		}
+		pool <- w
 		return
 	}
-	w.consecFails.Store(0)
-	i := 0
-	for _, c := range batch {
-		res := callResult{counters: make([]pipesim.Counters, len(c.encs))}
-		for k := range res.counters {
-			if resp.Errs != nil && resp.Errs[i+k] != "" {
-				// A per-sequence error is a deterministic property of the
-				// request (unknown variant, simulator rejection) — retrying
-				// it on another worker would return the same error. It
-				// fails the whole call.
-				res = callResult{err: fmt.Errorf("remote: worker %s: %s", w.url, resp.Errs[i+k])}
-				break
-			}
-			res.counters[k] = DecodeCounters(resp.Counters[i+k])
-		}
-		i += len(c.encs)
-		c.deliver(res)
-	}
 }
 
-// requeue returns a failed batch's undelivered calls to the queue, failing
-// the ones that exhausted their attempt budget.
-func (f *fleet) requeue(batch []*call, q chan *call, cause error) {
-	for _, c := range batch {
-		if c.delivered.Load() {
-			continue
-		}
-		if int(c.attempts.Add(1)) >= f.opts.MaxAttempts {
-			c.deliver(callResult{err: fmt.Errorf("remote: measurement failed after %d attempts: %w",
-				f.opts.MaxAttempts, cause)})
-			continue
-		}
-		f.retries.Add(int64(len(c.encs)))
-		select {
-		case q <- c:
-		case <-f.closed:
-			c.deliver(callResult{err: errFleetClosed})
-		}
-	}
-}
-
-// backoff is the sender's post-failure pause: 25ms doubling per consecutive
-// failure, capped at 2s.
+// backoff is a failed slot's pause: 25ms doubling per consecutive failure
+// of its worker, capped at 2s.
 func backoff(consecFails int) time.Duration {
 	d := 25 * time.Millisecond
 	for i := 1; i < consecFails && d < 2*time.Second; i++ {
@@ -318,68 +252,54 @@ func backoff(consecFails int) time.Duration {
 	return d
 }
 
-func (f *fleet) sleep(d time.Duration) {
+// sleep pauses for d and reports whether the fleet is still open.
+func (f *fleet) sleep(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-f.closed:
+		return true
+	case <-f.ctx.Done():
+		return false
 	}
 }
 
-// probe takes an unhealthy worker through /healthz until it answers again,
-// with capped exponential backoff. Returns false when the fleet closed.
-func (f *fleet) probe(w *worker) bool {
-	fails := int(w.consecFails.Load())
-	for {
-		f.sleep(backoff(fails))
-		select {
-		case <-f.closed:
-			return false
-		default:
-		}
-		req, err := http.NewRequest(http.MethodGet, w.url+"/healthz", nil)
-		if err != nil {
-			return false
-		}
-		ctx, cancel := timeoutContext(2 * time.Second)
-		resp, err := f.opts.Client.Do(req.WithContext(ctx))
-		cancel()
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				w.consecFails.Store(0)
-				return true
-			}
-		}
-		if fails < 12 {
-			fails++
-		}
-	}
-}
-
-// post sends one batch of n sequences and decodes the response. Any
-// transport failure, non-2xx status, fingerprint or wire-version drift (the
-// worker restarted with a different build since the handshake) is a
-// transient error: the caller re-enqueues the calls for another worker.
-func (f *fleet) post(w *worker, gen string, batch []*call, n int) (*MeasureResponse, error) {
-	reqBody := MeasureRequest{Gen: gen, Seqs: make([]json.RawMessage, 0, n)}
-	for _, c := range batch {
-		reqBody.Seqs = append(reqBody.Seqs, c.encs...)
-	}
-	body, err := json.Marshal(reqBody)
+// healthz reports whether a worker's /healthz answers 200 within 2s.
+func (f *fleet) healthz(w *worker) bool {
+	ctx, cancel := context.WithTimeout(f.ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/healthz", nil)
 	if err != nil {
-		return nil, fmt.Errorf("remote: encoding batch: %w", err)
+		return false
 	}
-	req, err := http.NewRequest(http.MethodPost, w.url+"/v1/measure", bytes.NewReader(body))
+	resp, err := f.opts.Client.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
+// post sends one call's request of n sequences to a worker and decodes the
+// response. Any transport failure, non-2xx status, fingerprint or
+// wire-version drift (the worker restarted with a different build since the
+// handshake) is a transient error: the caller sends again on another slot.
+func (f *fleet) post(ctx context.Context, w *worker, body []byte, n int) (*MeasureResponse, error) {
+	f.batches.Add(1)
+	w.batches.Add(1)
+	w.seqs.Add(int64(n))
+	start := time.Now()
+	defer func() { w.latencyUS.Add(time.Since(start).Microseconds()) }()
+
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/measure", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	ctx, cancel := timeoutContext(batchTimeout)
-	defer cancel()
-	resp, err := f.opts.Client.Do(req.WithContext(ctx))
+	resp, err := f.opts.Client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}

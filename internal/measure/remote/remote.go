@@ -90,7 +90,7 @@ func (b *backend) FleetStats() (measure.FleetStats, bool) {
 
 // NewRunner returns a runner that measures on the configured fleet. Runners
 // fork freely (the sharded scheduler gives every worker goroutine its own),
-// all sharing the fleet's dispatch queues.
+// all sharing the fleet's slot pools.
 func (b *backend) NewRunner(gen uarch.Generation) (measure.Runner, error) {
 	f := b.current()
 	if f == nil {
@@ -100,7 +100,7 @@ func (b *backend) NewRunner(gen uarch.Generation) (measure.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{f: f, arch: arch, genName: arch.Name(), timer: newStoppedTimer()}, nil
+	return &Runner{f: f, arch: arch, genName: arch.Name()}, nil
 }
 
 // Configure performs the startup handshake against every worker and installs
@@ -131,8 +131,8 @@ func Configure(opts Options) error {
 }
 
 // Shutdown closes the configured fleet (if any) and returns the backend to
-// its unconfigured state. Tests use it to stop the sender and probe
-// goroutines.
+// its unconfigured state: waiting calls fail, requests in flight are
+// cancelled, and resting slots and their probes stop.
 func Shutdown() {
 	theBackend.mu.Lock()
 	old := theBackend.f
@@ -208,13 +208,13 @@ func handshake(opts Options) (string, error) {
 }
 
 func handshakeWorker(client *http.Client, url string) (string, error) {
-	req, err := http.NewRequest(http.MethodGet, url+"/v1/backends", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/backends", nil)
 	if err != nil {
 		return "", err
 	}
-	ctx, cancel := timeoutContext(10 * time.Second)
-	defer cancel()
-	resp, err := client.Do(req.WithContext(ctx))
+	resp, err := client.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -261,36 +261,21 @@ func ServingFingerprint(fingerprint, measureDigest string) (string, error) {
 	return fingerprint + " cfg=" + measureDigest, nil
 }
 
-// timeoutContext is context.WithTimeout from Background, split out so the
-// fleet code reads as transport logic.
-func timeoutContext(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}
-
 // Runner is the fleet-backed execution substrate handed to measurement
 // harnesses. It is not safe for concurrent use (like every Runner); the
 // scheduler forks one per worker goroutine, and forks share the fleet's
-// queues.
+// slot pools.
 type Runner struct {
 	f       *fleet
 	arch    *uarch.Arch
 	genName string
 	div     pipesim.DividerValues
-	timer   *time.Timer
 }
 
 var (
 	_ measure.CopiesRunner = (*Runner)(nil)
 	_ measure.RunnerForker = (*Runner)(nil)
 )
-
-func newStoppedTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return t
-}
 
 // Arch returns the measured microarchitecture (from the local tables; the
 // workers are built from the same ones, which the handshake fingerprint
@@ -303,15 +288,14 @@ func (r *Runner) Arch() *uarch.Arch { return r.arch }
 func (r *Runner) SetDividerValues(v pipesim.DividerValues) { r.div = v }
 
 // ForkRunner returns an independent runner sharing the fleet, enabling the
-// sharded parallel scheduler (and with it multiple batches in flight).
+// sharded parallel scheduler (and with it multiple requests in flight).
 func (r *Runner) ForkRunner() measure.Runner {
-	return &Runner{f: r.f, arch: r.arch, genName: r.genName, div: r.div, timer: newStoppedTimer()}
+	return &Runner{f: r.f, arch: r.arch, genName: r.genName, div: r.div}
 }
 
 // Run measures one sequence on the fleet. The sequence is encoded (variant
-// names plus concrete operands, repeated instances deduplicated), submitted
-// to the dispatch queue, and measured by whichever worker takes it. Nothing
-// of code is retained.
+// names plus concrete operands, repeated instances deduplicated) and posted
+// to a worker with a free slot. Nothing of code is retained.
 func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	cs, err := r.RunCopies(code, 1)
 	if err != nil {
@@ -320,9 +304,9 @@ func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	return cs[0], nil
 }
 
-// RunCopies measures code at each copy count in one fleet call: the kernel
-// is encoded once per count with Seq.Copies set, and the call's sequences
-// always travel in one /v1/measure batch. Nothing of code is retained.
+// RunCopies measures code at each copy count in one /v1/measure request:
+// the kernel is encoded once per count with Seq.Copies set. Nothing of code
+// is retained.
 func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
 	if len(code) == 0 {
 		return nil, errors.New("remote: empty code sequence")
@@ -337,6 +321,5 @@ func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Count
 		}
 		encs[i] = enc
 	}
-	res := r.f.submit(r.genName, &call{encs: encs, done: make(chan callResult, 1)}, r.timer)
-	return res.counters, res.err
+	return r.f.do(r.genName, encs)
 }

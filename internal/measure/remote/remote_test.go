@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -462,9 +463,9 @@ func TestRunDeliversCounters(t *testing.T) {
 	}
 }
 
-// TestRunCopies: one measurement's readings are one call — one request
-// carrying the kernel once per copy count, under the runner's divider
-// regime — and its counters come back in copy-count order.
+// TestRunCopies: one measurement's readings are one request carrying the
+// kernel once per copy count, under the runner's divider regime, and its
+// counters come back in copy-count order.
 func TestRunCopies(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	configure(t, Options{}, fw)
@@ -489,6 +490,95 @@ func TestRunCopies(t *testing.T) {
 	}
 	if s := fleetStats(t); s.Batches != 1 || s.Sequences != 2 || s.Retries != 0 {
 		t.Errorf("stats = %+v, want 1 batch of 2 sequences", s)
+	}
+}
+
+// TestEachCallIsOneRequest: concurrent calls never share a request. With
+// the worker's two slots held by the first two requests, three more calls
+// wait for a slot instead of joining a request, so every request carries
+// exactly the two sequences of one call, the worker never has more than
+// InFlight requests in flight, and no fleet goroutine outlives the calls.
+func TestEachCallIsOneRequest(t *testing.T) {
+	fw := newFakeWorker(t, "pipesim@1", "aaaa")
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	var mu sync.Mutex
+	maxInFlight := int64(0)
+	fw.intercept = func(n int64, w http.ResponseWriter) bool {
+		// The requests that arrived and are not answered yet, this one
+		// included (a request is recorded before its response is written).
+		inFlight := n - int64(len(fw.requests()))
+		mu.Lock()
+		maxInFlight = max(maxInFlight, inFlight)
+		mu.Unlock()
+		if n <= 2 {
+			<-release
+		}
+		return false
+	}
+	configure(t, Options{InFlight: 2}, fw)
+	code := testSequence(t)
+
+	const calls = 5
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		r := newRunner(t).(*Runner)
+		go func() {
+			cs, err := r.RunCopies(code, 2, 12)
+			if err == nil && (len(cs) != 2 || cs[0].TotalUops != 4 || cs[1].TotalUops != 24) {
+				err = fmt.Errorf("counters = %+v, want TotalUops 4 then 24", cs)
+			}
+			errs <- err
+		}()
+	}
+	// Release the held requests once every call has been submitted and both
+	// slots are taken (or after 10s: the checks below then say why not).
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if fleetStats(t).Sequences == 2*calls && fw.measures.Load() == 2 {
+			break
+		}
+	}
+	unblock()
+	for i := 0; i < calls; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+
+	reqs := fw.requests()
+	for i, seqs := range reqs {
+		if len(seqs) != 2 || seqs[0].Copies != 2 || seqs[1].Copies != 12 {
+			t.Errorf("request %d carried %d sequences, want the two of one call (copies 2 and 12)", i, len(seqs))
+		}
+	}
+	if len(reqs) != calls {
+		t.Errorf("worker answered %d requests, want %d", len(reqs), calls)
+	}
+	mu.Lock()
+	if maxInFlight > 2 {
+		t.Errorf("worker had %d requests in flight, want at most InFlight 2", maxInFlight)
+	}
+	mu.Unlock()
+	if s := fleetStats(t); s.Batches != calls || s.Sequences != 2*calls {
+		t.Errorf("stats = %+v, want %d batches of %d sequences", s, calls, 2*calls)
+	}
+	// Goroutines of fleets closed by earlier tests may take a moment to end.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		var leaked []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "remote.(*fleet)") {
+				leaked = append(leaked, g)
+			}
+		}
+		if leaked == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fleet goroutines outlive the calls:\n%s", len(leaked), strings.Join(leaked, "\n\n"))
+		}
 	}
 }
 
@@ -592,10 +682,10 @@ func TestFingerprintDriftIsTransient(t *testing.T) {
 	}
 }
 
-// TestUnhealthyWorkerIsProbedBackIntoRotation: three consecutive batch
-// failures take a worker out of rotation, and its sender sends nothing more
-// until a /healthz probe answers. The call those batches carried is then
-// delivered by the same Run.
+// TestUnhealthyWorkerIsProbedBackIntoRotation: three consecutive failed
+// requests take a worker out of rotation, and its slot carries nothing more
+// until a /healthz probe answers. The call those requests carried then
+// succeeds within the same Run.
 func TestUnhealthyWorkerIsProbedBackIntoRotation(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {

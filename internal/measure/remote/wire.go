@@ -79,8 +79,10 @@ type Counters struct {
 }
 
 // MeasureRequest is the body of POST /v1/measure: a batch of encoded
-// sequences to run on one generation. Sequences are raw JSON so the client
-// can assemble batches from pre-encoded calls without re-marshaling.
+// sequences to run on one generation. The fleet client sends the sequences
+// of one measurement (a kernel at each of its copy counts) per request.
+// Sequences stay raw JSON so the worker decodes each on its own: a
+// malformed one fails alone, as a per-sequence error.
 type MeasureRequest struct {
 	Gen  string            `json:"gen"`
 	Seqs []json.RawMessage `json:"seqs"`

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -9,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/engine"
+	"uopsinfo/internal/isa"
+	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/uarch"
 )
 
@@ -83,6 +88,82 @@ func FuzzRunOptionsFromRequest(f *testing.F) {
 		d2, err2 := eng.RunDigest(arch.Gen(), again)
 		if err1 != nil || err2 != nil || d1 != d2 {
 			t.Fatalf("re-parse changed the run digest: %v (%v) -> %v (%v)", d1, err1, d2, err2)
+		}
+	})
+}
+
+// FuzzMeasureRequest sends raw bodies to POST /v1/measure, the fleet
+// worker's endpoint, through Service.ServeHTTP: nothing panics, the status is
+// 200 or 400, and a 200 answers a body that is exactly one JSON request with
+// one counter per sequence (per-sequence errors, if any, one per sequence
+// too), under the worker's serving fingerprint and wire version.
+func FuzzMeasureRequest(f *testing.F) {
+	set := uarch.Get(uarch.Skylake).InstrSet()
+	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
+	load := asmgen.MustInst(set.Lookup("MOV_R64_M64"), asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
+	body := func(gen string, seqs ...remote.Seq) []byte {
+		req := remote.MeasureRequest{Gen: gen, Seqs: []json.RawMessage{}}
+		for _, ws := range seqs {
+			raw, err := json.Marshal(ws)
+			if err != nil {
+				f.Fatal(err)
+			}
+			req.Seqs = append(req.Seqs, raw)
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	// A real measurement: one kernel at its two copy counts, as the fleet
+	// client sends it.
+	short := remote.EncodeSeq(asmgen.Sequence{add, load}, 0)
+	long := short
+	short.Copies, long.Copies = 2, 12
+	f.Add(body("skylake", short, long))
+	f.Add(body("Skylake", remote.EncodeSeq(asmgen.Sequence{add, load, add, add}, 1))) // an Order with repeats
+	f.Add(body("skylake"))                                                            // an empty batch
+	f.Add(body("z80", short))                                                         // an unknown generation
+	f.Add([]byte(`{"gen":"skylake","seqs":[{"instrs":[{"name":"NOPE"}]},{]}`))
+	f.Add([]byte("garbage"))
+
+	eng, err := engine.New(engine.Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := New(Config{Engine: eng})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fingerprint := svc.servingFingerprint()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		panics := svc.Counters().Panics
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/measure", bytes.NewReader(raw)))
+		if svc.Counters().Panics != panics {
+			t.Fatalf("the handler panicked on %q", raw)
+		}
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, raw, rec.Body)
+		}
+		var req remote.MeasureRequest
+		if err := json.Unmarshal(raw, &req); err != nil {
+			t.Fatalf("200 for a body that is not one JSON request (%v): %q", err, raw)
+		}
+		var resp remote.MeasureResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 body does not decode (%v): %s", err, rec.Body)
+		}
+		if len(resp.Counters) != len(req.Seqs) || (resp.Errs != nil && len(resp.Errs) != len(req.Seqs)) {
+			t.Fatalf("%d sequences answered with %d counters and %d errors", len(req.Seqs), len(resp.Counters), len(resp.Errs))
+		}
+		if resp.Fingerprint != fingerprint || resp.WireVersion != remote.WireVersion {
+			t.Fatalf("answered as %q wire %d, want %q wire %d", resp.Fingerprint, resp.WireVersion, fingerprint, remote.WireVersion)
 		}
 	})
 }

@@ -16,7 +16,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"uopsinfo/internal/asmgen"
@@ -40,11 +42,11 @@ const maxMeasureBody = 32 << 20
 // kernel counting as one instruction because the simulator still renames it
 // once per copy (remote.DecodeSeq bounds a sequence the same way). Each
 // sequence is bounded at remote.MaxSeqLen (2^20), but maxMeasureBatch of
-// them would be 2^30. The largest legitimate batch is the fleet's batch
-// size (64 sequences) of the paper's long copy count
-// (PaperConfig().LongCopies, 110) of the longest kernel a full-ISA
-// characterization builds (257 instructions on every generation):
-// 1 809 280 instructions, below this bound.
+// them would be 2^30. The fleet client sends one measurement per request:
+// the longest kernel a full-ISA characterization builds (257 instructions
+// on every generation) at the paper's two copy counts
+// (PaperConfig().ShortCopies and LongCopies, 10 and 110) is 30 840
+// instructions, far below this bound.
 const maxMeasureInstrs = 1 << 22
 
 // dividerValueSetter is implemented by execution substrates that can switch
@@ -107,8 +109,15 @@ func (s *Service) servingFingerprint() string {
 
 func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req remote.MeasureRequest
-	body := http.MaxBytesReader(w, r.Body, maxMeasureBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMeasureBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		// Anything but whitespace after the object makes the body malformed.
+		if _, end := dec.Token(); end != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("service: decoding measure request: %w", err))
 		return
 	}

@@ -68,13 +68,13 @@ func (s *Service) metrics() []metric {
 	if f := es.Fleet; f != nil {
 		ms = append(ms,
 			metric{name: "uopsd_fleet_batches_total", typ: "counter",
-				help: "Measurement batches this process sent to its fleet (including retries).", value: float64(f.Batches)},
+				help: "Measurement requests this process sent to its fleet (including retries).", value: float64(f.Batches)},
 			metric{name: "uopsd_fleet_sequences_total", typ: "counter",
-				help: "Sequences submitted to the fleet dispatcher.", value: float64(f.Sequences)},
+				help: "Sequences this process submitted to its fleet.", value: float64(f.Sequences)},
 			metric{name: "uopsd_fleet_retries_total", typ: "counter",
-				help: "Sequences re-enqueued after a transient fleet batch failure.", value: float64(f.Retries)},
+				help: "Sequences sent again after a transient fleet request failure.", value: float64(f.Retries)},
 			metric{name: "uopsd_fleet_errors_total", typ: "counter",
-				help: "Fleet batches that failed at the transport level.", value: float64(f.Errors)})
+				help: "Fleet measurement requests that failed (transport error, non-200, drifted worker).", value: float64(f.Errors)})
 		// One series per worker, grouped by metric name: the exposition
 		// format wants every sample of a name under one HELP/TYPE block.
 		perWorker := []struct {
@@ -90,16 +90,16 @@ func (s *Service) metrics() []metric {
 					return 0
 				}},
 			{"uopsd_fleet_worker_batches_total",
-				"Measurement batches sent to the fleet worker.", "counter",
+				"Measurement requests sent to the fleet worker.", "counter",
 				func(w measure.FleetWorkerStats) float64 { return float64(w.Batches) }},
 			{"uopsd_fleet_worker_sequences_total",
 				"Sequences sent to the fleet worker.", "counter",
 				func(w measure.FleetWorkerStats) float64 { return float64(w.Sequences) }},
 			{"uopsd_fleet_worker_errors_total",
-				"Transport-level batch failures against the fleet worker.", "counter",
+				"Failed measurement requests against the fleet worker.", "counter",
 				func(w measure.FleetWorkerStats) float64 { return float64(w.Errors) }},
 			{"uopsd_fleet_worker_batch_latency_micros",
-				"Mean batch latency against the fleet worker, microseconds.", "gauge",
+				"Mean measurement request latency against the fleet worker, microseconds.", "gauge",
 				func(w measure.FleetWorkerStats) float64 { return float64(w.AvgBatchMicros) }},
 		}
 		for _, pm := range perWorker {

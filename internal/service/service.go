@@ -456,13 +456,14 @@ func (s *Service) clientGone(w http.ResponseWriter, r *http.Request, err error) 
 }
 
 // characterize runs one request through the engine (coalescing with any
-// identical in-flight request) and handles the error surface: a cancelled
-// request is recorded as ClientGone, anything else is a 500. The run digest
-// is the response's ETag, checked against If-None-Match first — a repeat
-// conditional GET is answered 304 without touching the engine at all. The
-// response carries the per-version IACA entries exactly like the CLI's
-// results file, so the XML rendering is byte-identical to what cmd/uopsinfo
-// writes for the same query.
+// identical in-flight request) and handles the error surface: a request
+// whose client went away is recorded as ClientGone, a run cancelled under a
+// client that still waits (the engine shutting down) is a 503, anything
+// else is a 500. The run digest is the response's ETag, checked against
+// If-None-Match first — a repeat conditional GET is answered 304 without
+// touching the engine at all. The response carries the per-version IACA
+// entries exactly like the CLI's results file, so the XML rendering is
+// byte-identical to what cmd/uopsinfo writes for the same query.
 func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uarch.Arch, opts engine.RunOptions, format string) {
 	dig, err := s.eng.RunDigest(arch.Gen(), opts)
 	if err != nil {
@@ -477,11 +478,14 @@ func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uar
 	}
 	res, err := s.eng.CharacterizeArchContext(r.Context(), arch.Gen(), opts)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case r.Context().Err() != nil:
 			s.clientGone(w, r, err)
-			return
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			s.fail(w, http.StatusServiceUnavailable, err)
+		default:
+			s.fail(w, http.StatusInternalServerError, err)
 		}
-		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	analyzers, err := s.analyzers(arch)

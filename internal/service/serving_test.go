@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -394,4 +395,55 @@ func TestClientGoneIsCounted(t *testing.T) {
 			st.ResultHits, st.VariantsMeasured, len(testOnly))
 	}
 	checkCounters(svc)
+}
+
+// TestCancelledRunAnswersWaitingClient: when the engine's base context is
+// cancelled (the server shutting down) under a request whose client still
+// waits, that client gets a 503 with a JSON error, counted as an error: its
+// client never left, so it is not ClientGone.
+func TestCancelledRunAnswersWaitingClient(t *testing.T) {
+	baseCtx, baseCancel := context.WithCancel(context.Background())
+	defer baseCancel()
+	released := make(chan struct{})
+	var gate, once sync.Once
+	release := func() { once.Do(func() { close(released) }) }
+	defer release()
+	svc, eng := newTestService(t, engine.Config{
+		BaseContext: baseCtx,
+		BlockingProgress: func(gen uarch.Generation, done, total int, name string) {
+			gate.Do(func() { <-released })
+		},
+	})
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		done <- do(t, svc, "GET", "/v1/arch/skylake?only="+strings.Join(testOnly, ","))
+	}()
+	for deadline := time.Now().Add(30 * time.Second); eng.Stats().Runs != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the run to start")
+		}
+	}
+	baseCancel()
+	release()
+
+	var rec *httptest.ResponseRecorder
+	select {
+	case rec = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the waiting request was not answered after its run was cancelled")
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Errorf("cancelled run answered %d %q, want 503 with a JSON error", rec.Code, rec.Body)
+	}
+	if c := svc.Counters(); c.Errors != 1 || c.ClientGone != 0 {
+		t.Errorf("counters = %+v, want Errors 1 and ClientGone 0: the client still waited", c)
+	}
+	drainCtx, drainCancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer drainCancel()
+	if err := eng.Drain(drainCtx); err != nil {
+		t.Fatalf("engine did not quiesce after base cancel: %v", err)
+	}
 }
