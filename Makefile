@@ -139,14 +139,18 @@ lint-extra:
 # ?format, ?only, ?quick) to never panicking and to canonical, re-parseable
 # options; FuzzMeasureRequest holds the fleet worker's /v1/measure handler
 # to never panicking, to 200 or 400, and to one counter per sequence of
-# exactly one JSON request under the worker's fingerprint. A crashing input
-# lands in the package's testdata/fuzz and fails the run.
+# exactly one JSON request under the worker's fingerprint; FuzzLoadVariant
+# holds the store's record decoding to never panicking, to hits that name
+# the requested variant, and to quarantining every other miss except a
+# newer-version envelope. A crashing input lands in the package's
+# testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSequence$$' -fuzztime=10s ./internal/asmgen
 	$(GO) test -run='^$$' -fuzz='^FuzzRunOptionsFromRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasureRequest$$' -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadVariant$$' -fuzztime=10s ./internal/store
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant eviction) under the race detector, checks

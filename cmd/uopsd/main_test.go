@@ -379,7 +379,7 @@ func TestUopsdFleetFrontTier(t *testing.T) {
 		t.Fatalf("front GET /v1/backends = %d", code)
 	}
 	var backends struct {
-		Serving service.ServingInfo `json:"serving"`
+		Serving remote.ServingInfo `json:"serving"`
 	}
 	if err := json.Unmarshal(body, &backends); err != nil {
 		t.Fatal(err)

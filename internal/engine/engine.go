@@ -69,9 +69,6 @@ type Config struct {
 	// Empty selects measure.DefaultBackend; an unregistered name makes New
 	// fail with an error listing the registered backends.
 	Backend string
-	// Measure is the measurement-protocol configuration for every harness
-	// the engine builds. The zero value selects measure.DefaultConfig().
-	Measure measure.Config
 	// BlockingProgress, if non-nil, is called after each candidate during
 	// blocking-instruction discovery of any generation.
 	BlockingProgress func(gen uarch.Generation, done, total int, name string)
@@ -89,38 +86,38 @@ type Config struct {
 // characterization service's /v1/stats response.
 type Stats struct {
 	// BlockingHits and BlockingMisses count blocking-set store lookups.
-	BlockingHits   int `json:"blockingHits"`
-	BlockingMisses int `json:"blockingMisses"`
+	BlockingHits   int `json:"blockingHits" metric:"uopsd_engine_blocking_hits_total" help:"Blocking-set store hits."`
+	BlockingMisses int `json:"blockingMisses" metric:"uopsd_engine_blocking_misses_total" help:"Blocking-set store misses."`
 	// ResultHits counts store-backed runs answered wholly from the
 	// per-variant tier (nothing measured, no stack built); ResultMisses
 	// counts store-backed runs that measured at least one variant.
-	ResultHits   int `json:"resultHits"`
-	ResultMisses int `json:"resultMisses"`
+	ResultHits   int `json:"resultHits" metric:"uopsd_engine_result_hits_total" help:"Store-backed runs answered wholly from stored per-variant records."`
+	ResultMisses int `json:"resultMisses" metric:"uopsd_engine_result_misses_total" help:"Store-backed runs that measured at least one variant."`
 	// VariantHits is the number of per-variant records served from the
 	// store; VariantsMeasured is the number of variants actually measured
 	// (store misses, or all requested variants when no store is configured).
-	VariantHits      int `json:"variantHits"`
-	VariantsMeasured int `json:"variantsMeasured"`
+	VariantHits      int `json:"variantHits" metric:"uopsd_engine_variant_hits_total" help:"Per-variant records served from the store."`
+	VariantsMeasured int `json:"variantsMeasured" metric:"uopsd_engine_variants_measured_total" help:"Instruction variants actually measured."`
 	// SaveErrors counts failed store writes. The computed result always
 	// wins over a failed write — the next run simply recomputes — but the
 	// failures are counted here and logged through Config.Log instead of
 	// being dropped.
-	SaveErrors int `json:"saveErrors"`
+	SaveErrors int `json:"saveErrors" metric:"uopsd_engine_store_save_errors_total" help:"Failed persistent-store writes."`
 	// Runs counts CharacterizeArch executions that were not coalesced onto
 	// an in-flight identical run (store-warm executions included — a warm
 	// hit is still its own execution); CoalescedWaiters counts the requests
 	// that instead attached to an in-flight run and shared its result. For
 	// K concurrent identical cold requests, Runs increases by 1 and
 	// CoalescedWaiters by K-1.
-	Runs             int `json:"runs"`
-	CoalescedWaiters int `json:"coalescedWaiters"`
+	Runs             int `json:"runs" metric:"uopsd_engine_runs_total" help:"Characterization runs executed (not coalesced onto another run)."`
+	CoalescedWaiters int `json:"coalescedWaiters" metric:"uopsd_engine_coalesced_waiters_total" help:"Requests that attached to an in-flight identical run."`
 	// PoolForked and PoolReused count worker-stack checkouts from the
 	// per-generation fork pools: Forked built a fresh simulator/harness
 	// stack, Reused picked up a warm one from a previous run (its simulator
 	// arenas and rename templates intact). Aggregated across generations,
 	// including the raw-sequence pools behind SequencePool.
-	PoolForked int64 `json:"poolForked"`
-	PoolReused int64 `json:"poolReused"`
+	PoolForked int64 `json:"poolForked" metric:"uopsd_engine_pool_forked_total" help:"Worker stacks built fresh by the fork pools."`
+	PoolReused int64 `json:"poolReused" metric:"uopsd_engine_pool_reused_total" help:"Worker stacks reused warm from the fork pools."`
 	// PoolSeqBuilt and PoolSeqReused are always 0. They counted the
 	// harness's materialized copy buffers, which went away when runners
 	// started repeating kernels themselves; the fields stay because
@@ -140,7 +137,6 @@ type Stats struct {
 // Engine builds and caches one characterization stack per generation.
 type Engine struct {
 	cfg     Config
-	mcfg    measure.Config
 	backend measure.Backend
 	st      *store.Store
 
@@ -186,10 +182,6 @@ type flight struct {
 // backend is not registered or if the cache directory is set and cannot be
 // created.
 func New(cfg Config) (*Engine, error) {
-	mcfg := cfg.Measure
-	if mcfg == (measure.Config{}) {
-		mcfg = measure.DefaultConfig()
-	}
 	name := cfg.Backend
 	if name == "" {
 		name = measure.DefaultBackend
@@ -210,7 +202,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		mcfg:     mcfg,
 		backend:  backend,
 		chars:    make(map[uarch.Generation]*charEntry),
 		seqPools: make(map[uarch.Generation]*seqPoolEntry),
@@ -262,9 +253,9 @@ func (e *Engine) Workers() int {
 func (e *Engine) Backend() measure.Backend { return e.backend }
 
 // MeasureConfig returns the measurement-protocol configuration every harness
-// the engine builds runs under (part of the cache key and of the service's
-// fleet-handshake identity).
-func (e *Engine) MeasureConfig() measure.Config { return e.mcfg }
+// the engine builds runs under, measure.DefaultConfig() (part of the cache
+// key and of the service's fleet-handshake identity).
+func (e *Engine) MeasureConfig() measure.Config { return measure.DefaultConfig() }
 
 // baseCtx is the lifetime context of the engine's measurement runs.
 func (e *Engine) baseCtx() context.Context {
@@ -304,13 +295,6 @@ func (e *Engine) RunDigest(gen uarch.Generation, opts RunOptions) (store.Digest,
 		return store.Digest{}, fmt.Errorf("engine: %w", err)
 	}
 	return e.key(arch, opts.scope()).Digest(), nil
-}
-
-// fingerprint is the backend identity folded into every cache key: results
-// from different backends, or different revisions of one backend, never
-// share store entries.
-func (e *Engine) fingerprint() string {
-	return e.backend.Name() + "@" + e.backend.Version()
 }
 
 // Stats returns a snapshot of the engine's cumulative cache and measurement
@@ -431,7 +415,7 @@ func (e *Engine) Harness(gen uarch.Generation) (*measure.Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: backend %s: building runner for %s: %w", e.backend.Name(), gen, err)
 	}
-	return measure.NewWithConfig(r, e.mcfg), nil
+	return measure.NewWithConfig(r, e.MeasureConfig()), nil
 }
 
 // Characterizer returns the (lazily built, cached) characterizer for a
@@ -518,7 +502,7 @@ func (e *Engine) key(arch *uarch.Arch, scope string) store.Key {
 	for i, in := range instrs {
 		variants[i] = in.Name
 	}
-	return store.Key{Arch: arch.Name(), Backend: e.fingerprint(), Measure: e.mcfg,
+	return store.Key{Arch: arch.Name(), Backend: measure.Fingerprint(e.backend), Measure: e.MeasureConfig(),
 		Variants: variants, Scope: scope}
 }
 

@@ -34,16 +34,15 @@ type FlagSet uint8
 
 // Common flag sets.
 const (
-	FlagSetNone  FlagSet = 0
-	FlagSetCF    FlagSet = 1 << FlagCF
-	FlagSetPF    FlagSet = 1 << FlagPF
-	FlagSetAF    FlagSet = 1 << FlagAF
-	FlagSetZF    FlagSet = 1 << FlagZF
-	FlagSetSF    FlagSet = 1 << FlagSF
-	FlagSetOF    FlagSet = 1 << FlagOF
-	FlagSetAll   FlagSet = FlagSetCF | FlagSetPF | FlagSetAF | FlagSetZF | FlagSetSF | FlagSetOF
-	FlagSetNoAF  FlagSet = FlagSetAll &^ FlagSetAF
-	FlagSetArith FlagSet = FlagSetAll
+	FlagSetNone FlagSet = 0
+	FlagSetCF   FlagSet = 1 << FlagCF
+	FlagSetPF   FlagSet = 1 << FlagPF
+	FlagSetAF   FlagSet = 1 << FlagAF
+	FlagSetZF   FlagSet = 1 << FlagZF
+	FlagSetSF   FlagSet = 1 << FlagSF
+	FlagSetOF   FlagSet = 1 << FlagOF
+	FlagSetAll  FlagSet = FlagSetCF | FlagSetPF | FlagSetAF | FlagSetZF | FlagSetSF | FlagSetOF
+	FlagSetNoAF FlagSet = FlagSetAll &^ FlagSetAF
 )
 
 // Has reports whether the set contains f.

@@ -82,15 +82,6 @@ type Operand struct {
 	WriteFlags FlagSet
 }
 
-// IsSource reports whether the operand is read by the instruction.
-func (o Operand) IsSource() bool { return o.Read }
-
-// IsDest reports whether the operand is written by the instruction.
-func (o Operand) IsDest() bool { return o.Write }
-
-// IsFlags reports whether the operand is the status-flags operand.
-func (o Operand) IsFlags() bool { return o.Kind == OpFlags }
-
 // String renders a concise human-readable description, e.g. "op1:REG:GPR64:rw".
 func (o Operand) String() string {
 	rw := ""

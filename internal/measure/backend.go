@@ -40,6 +40,11 @@ type Backend interface {
 // DefaultBackend is the name of the backend used when none is configured.
 const DefaultBackend = "pipesim"
 
+// Fingerprint is a backend's identity as name@version: the token folded into
+// every persistent cache key, so results from different backends, or
+// different revisions of one backend, never share store entries.
+func Fingerprint(b Backend) string { return b.Name() + "@" + b.Version() }
+
 var (
 	backendMu sync.RWMutex
 	backends  = make(map[string]Backend)

@@ -156,17 +156,21 @@ func SplitList(s string) []string {
 	return urls
 }
 
-// servingInfo is the part of a worker's /v1/backends response the handshake
-// consumes: the backend the worker's engine actually serves from, and the
-// wire version it speaks.
-type servingInfo struct {
-	Serving struct {
-		Name          string `json:"name"`
-		Version       string `json:"version"`
-		Fingerprint   string `json:"fingerprint"`
-		MeasureDigest string `json:"measureDigest"`
-		WireVersion   int    `json:"wireVersion"`
-	} `json:"serving"`
+// ServingInfo is the "serving" object of a worker's /v1/backends response:
+// the backend the worker's engine actually serves from, as opposed to the
+// registry listing, which names every compiled-in backend. The handshake
+// consumes it: Fingerprint is the exact name@version string folded into the
+// worker's cache keys, MeasureDigest hashes the worker's
+// measurement-protocol configuration, so a client can refuse to treat
+// differently-configured workers as one fleet, and WireVersion is the fleet
+// wire protocol /v1/measure speaks.
+type ServingInfo struct {
+	Name          string         `json:"name"`
+	Version       string         `json:"version"`
+	Fingerprint   string         `json:"fingerprint"`
+	Measure       measure.Config `json:"measure"`
+	MeasureDigest string         `json:"measureDigest"`
+	WireVersion   int            `json:"wireVersion"`
 }
 
 // handshake queries every worker's /v1/backends and derives the fleet
@@ -226,7 +230,9 @@ func handshakeWorker(client *http.Client, url string) (string, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("/v1/backends: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var info servingInfo
+	var info struct {
+		Serving ServingInfo `json:"serving"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return "", fmt.Errorf("decoding /v1/backends: %w", err)
 	}

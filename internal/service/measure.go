@@ -55,30 +55,14 @@ type dividerValueSetter interface {
 	SetDividerValues(pipesim.DividerValues)
 }
 
-// ServingInfo identifies the backend a worker's engine actually serves from
-// — as opposed to the registry listing, which names every compiled-in
-// backend. The fleet handshake consumes it: Fingerprint is the exact
-// name@version string folded into the worker's cache keys, MeasureDigest
-// hashes the worker's measurement-protocol configuration, so a client can
-// refuse to treat differently-configured workers as one fleet, and
-// WireVersion is the fleet wire protocol /v1/measure speaks.
-type ServingInfo struct {
-	Name          string         `json:"name"`
-	Version       string         `json:"version"`
-	Fingerprint   string         `json:"fingerprint"`
-	Measure       measure.Config `json:"measure"`
-	MeasureDigest string         `json:"measureDigest"`
-	WireVersion   int            `json:"wireVersion"`
-}
-
 // serving assembles the engine's serving-backend identity.
-func (s *Service) serving() ServingInfo {
+func (s *Service) serving() remote.ServingInfo {
 	b := s.eng.Backend()
 	mcfg := s.eng.MeasureConfig()
-	return ServingInfo{
+	return remote.ServingInfo{
 		Name:          b.Name(),
 		Version:       b.Version(),
-		Fingerprint:   b.Name() + "@" + b.Version(),
+		Fingerprint:   measure.Fingerprint(b),
 		Measure:       mcfg,
 		MeasureDigest: measureDigest(mcfg),
 		WireVersion:   remote.WireVersion,

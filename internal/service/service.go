@@ -52,6 +52,7 @@ import (
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
 	"uopsinfo/internal/measure"
+	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 	"uopsinfo/internal/xmlout"
@@ -85,31 +86,31 @@ type Config struct {
 }
 
 // Counters are the service-level request counters, exposed (with the engine
-// stats) by /v1/stats and /metrics.
+// stats) by /v1/stats and, by their metric tags, /metrics.
 type Counters struct {
 	// Requests counts every HTTP request received.
-	Requests int `json:"requests"`
+	Requests int `json:"requests" metric:"uopsd_http_requests_total" help:"HTTP requests received."`
 	// Errors counts requests answered with a 4xx or 5xx status (including
 	// rate-limited ones, but not client-cancelled ones).
-	Errors int `json:"errors"`
+	Errors int `json:"errors" metric:"uopsd_http_errors_total" help:"HTTP requests answered with a 4xx or 5xx status."`
 	// Panics counts handler panics that were caught and converted to 500s
 	// (or connection aborts, when the body was already underway). Anything
 	// non-zero here is a bug worth a report.
-	Panics int `json:"panics"`
+	Panics int `json:"panics" metric:"uopsd_http_panics_total" help:"Handler panics caught and contained."`
 	// ClientGone counts requests whose client went away (cancelled the
 	// request, closed the connection) before a response was written. They
 	// are neither successes nor server errors; without this counter they
 	// were invisible.
-	ClientGone int `json:"clientGone"`
+	ClientGone int `json:"clientGone" metric:"uopsd_http_client_gone_total" help:"Requests whose client went away before a response was written."`
 	// RateLimited counts requests rejected with 429 by the rate limiter.
-	RateLimited int `json:"rateLimited"`
+	RateLimited int `json:"rateLimited" metric:"uopsd_http_rate_limited_total" help:"Requests rejected with 429 by the rate limiter."`
 	// MeasureBatches and MeasureSeqs count the fleet-worker measurement
 	// batches (POST /v1/measure requests) served and the sequences inside
 	// them; MeasureSeqErrors counts the sequences among those that failed
 	// (reported per sequence inside a 200 response).
-	MeasureBatches   int `json:"measureBatches"`
-	MeasureSeqs      int `json:"measureSeqs"`
-	MeasureSeqErrors int `json:"measureSeqErrors"`
+	MeasureBatches   int `json:"measureBatches" metric:"uopsd_measure_batches_total" help:"Fleet-worker measurement batches served by POST /v1/measure."`
+	MeasureSeqs      int `json:"measureSeqs" metric:"uopsd_measure_sequences_total" help:"Sequences measured inside /v1/measure batches."`
+	MeasureSeqErrors int `json:"measureSeqErrors" metric:"uopsd_measure_sequence_errors_total" help:"Sequences inside /v1/measure batches that failed."`
 }
 
 // Service is the HTTP handler of the characterization service. It is safe
@@ -371,7 +372,7 @@ func backendInfo(b measure.Backend) BackendInfo {
 	return BackendInfo{
 		Name:        b.Name(),
 		Version:     b.Version(),
-		Fingerprint: b.Name() + "@" + b.Version(),
+		Fingerprint: measure.Fingerprint(b),
 		Default:     b.Name() == measure.DefaultBackend,
 	}
 }
@@ -391,8 +392,8 @@ func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {
 		infos = append(infos, backendInfo(b))
 	}
 	s.writeJSON(w, struct {
-		Backends []BackendInfo `json:"backends"`
-		Serving  ServingInfo   `json:"serving"`
+		Backends []BackendInfo      `json:"backends"`
+		Serving  remote.ServingInfo `json:"serving"`
 	}{infos, s.serving()})
 }
 
@@ -405,12 +406,17 @@ type StatsResponse struct {
 	Service Counters     `json:"service"`
 }
 
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, StatsResponse{
+// stats assembles the /v1/stats response, which /metrics also renders.
+func (s *Service) stats() StatsResponse {
+	return StatsResponse{
 		Backend: backendInfo(s.eng.Backend()),
 		Engine:  s.eng.Stats(),
 		Service: s.Counters(),
-	})
+	}
+}
+
+func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, s.stats())
 }
 
 // archFromRequest resolves the {gen} path segment, answering 400 for an

@@ -149,34 +149,38 @@ func (s *Store) Mode() string {
 	return s.modeLocked()
 }
 
-// TierStats is the size accounting of one storage tier.
+// TierStats is the size accounting of one storage tier. Tier names it, as
+// the tier label of its /metrics series.
 type TierStats struct {
-	Bytes int64 `json:"bytes"`
-	Files int64 `json:"files"`
+	Tier  string `json:"-" label:"tier"`
+	Bytes int64  `json:"bytes" metric:"uopsd_store_bytes" help:"Persistent-store bytes per storage tier."`
+	Files int64  `json:"files" metric:"uopsd_store_files" help:"Persistent-store files per storage tier."`
 }
 
 // Stats is the store's observable lifecycle state: per-tier sizes, the
 // degradation mode, and monotonic counters for corruption, quarantines,
 // evictions, swept debris, suppressed saves and mode transitions. It flows
-// through engine.Stats to /v1/stats and /metrics.
+// through engine.Stats to /v1/stats and /metrics. Degraded is Mode other
+// than ModeOK, for /metrics only.
 type Stats struct {
 	Mode     string    `json:"mode"`
+	Degraded bool      `json:"-" metric:"uopsd_store_degraded" help:"Whether the persistent store is in a degraded mode (read-only or compute-only)."`
 	Blocking TierStats `json:"blocking"`
 	Variant  TierStats `json:"variant"`
 
-	Corrupt        int64 `json:"corrupt"`
-	Quarantined    int64 `json:"quarantined"`
-	EvictedDigests int64 `json:"evictedDigests"`
-	EvictedFiles   int64 `json:"evictedFiles"`
-	EvictedBytes   int64 `json:"evictedBytes"`
+	Corrupt        int64 `json:"corrupt" metric:"uopsd_store_corrupt_total" help:"Corrupt persistent-store entries detected (undecodable, torn, mis-named)."`
+	Quarantined    int64 `json:"quarantined" metric:"uopsd_store_quarantined_total" help:"Corrupt entries renamed aside to *.corrupt."`
+	EvictedDigests int64 `json:"evictedDigests" metric:"uopsd_store_evicted_digests_total" help:"Whole digests evicted to stay within the store budget."`
+	EvictedFiles   int64 `json:"evictedFiles" metric:"uopsd_store_evicted_files_total" help:"Files removed by budget eviction."`
+	EvictedBytes   int64 `json:"evictedBytes" metric:"uopsd_store_evicted_bytes_total" help:"Bytes reclaimed by budget eviction."`
 	// Compactions is always 0.
 	//
 	// Deprecated: the store keeps one file per variant and never compacts;
 	// the field and its JSON key remain for existing readers.
 	Compactions     int64 `json:"compactions"`
-	SweptDebris     int64 `json:"sweptDebris"`
-	SavesSuppressed int64 `json:"savesSuppressed"`
-	Degradations    int64 `json:"degradations"`
+	SweptDebris     int64 `json:"sweptDebris" metric:"uopsd_store_swept_debris_total" help:"Debris files collected by startup integrity sweeps."`
+	SavesSuppressed int64 `json:"savesSuppressed" metric:"uopsd_store_saves_suppressed_total" help:"Store writes suppressed while the store was write-degraded."`
+	Degradations    int64 `json:"degradations" metric:"uopsd_store_degradations_total" help:"Transitions of the persistent store into a degraded mode."`
 }
 
 // Stats returns a consistent snapshot of the store's lifecycle state.
@@ -185,8 +189,9 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Mode = s.modeLocked()
-	st.Blocking = TierStats{Bytes: s.tiers[tierBlocking].bytes, Files: s.tiers[tierBlocking].files}
-	st.Variant = TierStats{Bytes: s.tiers[tierVariant].bytes, Files: s.tiers[tierVariant].files}
+	st.Degraded = st.Mode != ModeOK
+	st.Blocking = TierStats{Tier: KindBlocking, Bytes: s.tiers[tierBlocking].bytes, Files: s.tiers[tierBlocking].files}
+	st.Variant = TierStats{Tier: KindVariant, Bytes: s.tiers[tierVariant].bytes, Files: s.tiers[tierVariant].files}
 	return st
 }
 

@@ -210,18 +210,6 @@ func (a *Arch) LoadLatency() int { return a.prof.loadLat }
 // does not penalize transitions).
 func (a *Arch) SSEAVXPenalty() int { return a.prof.sseAvxPenalty }
 
-// MoveEliminationGPR reports whether general-purpose register moves can be
-// eliminated at rename.
-func (a *Arch) MoveEliminationGPR() bool { return a.prof.moveElimGPR }
-
-// MoveEliminationVec reports whether SIMD register moves can be eliminated at
-// rename.
-func (a *Arch) MoveEliminationVec() bool { return a.prof.moveElimVec }
-
-// ZeroIdiomElimination reports whether recognized zero idioms are removed at
-// rename.
-func (a *Arch) ZeroIdiomElimination() bool { return a.prof.zeroIdiomElim }
-
 // LoadPorts returns the ports with a load unit.
 func (a *Arch) LoadPorts() []int { return append([]int(nil), a.prof.load...) }
 

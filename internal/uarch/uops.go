@@ -88,16 +88,6 @@ type Uop struct {
 	DivOccupancy int
 }
 
-// UsesPort reports whether the µop may execute on port p.
-func (u *Uop) UsesPort(p int) bool {
-	for _, q := range u.Ports {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
 // LatencyTo returns the latency from dispatch to the i-th written value.
 func (u *Uop) LatencyTo(i int) int {
 	if i < len(u.WriteLat) && u.WriteLat[i] != 0 {
