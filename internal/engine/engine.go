@@ -93,10 +93,14 @@ type Stats struct {
 	// counts store-backed runs that measured at least one variant.
 	ResultHits   int `json:"resultHits" metric:"uopsd_engine_result_hits_total" help:"Store-backed runs answered wholly from stored per-variant records."`
 	ResultMisses int `json:"resultMisses" metric:"uopsd_engine_result_misses_total" help:"Store-backed runs that measured at least one variant."`
-	// VariantHits is the number of per-variant records served from the
-	// store; VariantsMeasured is the number of variants actually measured
-	// (store misses, or all requested variants when no store is configured).
+	// VariantHits is the number of per-variant records served without
+	// measuring: read from the store, or answered from the records the
+	// engine keeps of earlier store reads. MemoryHits is the part of
+	// VariantHits answered from memory, without reading a file.
+	// VariantsMeasured is the number of variants actually measured (store
+	// misses, or all requested variants when no store is configured).
 	VariantHits      int `json:"variantHits" metric:"uopsd_engine_variant_hits_total" help:"Per-variant records served from the store."`
+	MemoryHits       int `json:"memoryHits" metric:"uopsd_engine_memory_hits_total" help:"Per-variant records answered from the engine's memory of earlier store reads."`
 	VariantsMeasured int `json:"variantsMeasured" metric:"uopsd_engine_variants_measured_total" help:"Instruction variants actually measured."`
 	// SaveErrors counts failed store writes. The computed result always
 	// wins over a failed write — the next run simply recomputes — but the
@@ -143,6 +147,19 @@ type Engine struct {
 	mu       sync.Mutex
 	chars    map[uarch.Generation]*charEntry
 	seqPools map[uarch.Generation]*seqPoolEntry
+	// universes holds each generation's variant names, sorted: the
+	// Variants of every store key the engine derives for the generation,
+	// and the selection of a whole-generation run. Shared, never modified.
+	universes map[uarch.Generation][]string
+
+	// memMu guards mem, the per-variant records the store has returned, by
+	// variant-tier digest and variant name: once the store has returned a
+	// record, no run of this engine reads its file again. A record this
+	// engine measured enters only when the store returns it. One record per
+	// variant per digest bounds mem by the ISA. Records are shared and
+	// read-only.
+	memMu sync.Mutex
+	mem   map[store.Digest]map[string]*core.InstrResult
 
 	// flightMu guards flights, the singleflight table of in-progress
 	// CharacterizeArch runs keyed by the run's store digest: concurrent
@@ -161,11 +178,17 @@ type Engine struct {
 // builds again. built is set (atomically, after c and err) when the build
 // has completed, so Stats can aggregate pool counters from finished entries
 // without waiting on — or racing with — an in-progress build.
+//
+// run makes the runs that measure on the generation take turns on c: a run
+// with one variant to measure, a Workers budget of 1 or a runner that
+// cannot fork measures on c's own stack, which no other run may then use
+// or fork.
 type charEntry struct {
 	once  sync.Once
 	c     *core.Characterizer
 	err   error
 	built atomic.Bool
+	run   sync.Mutex
 }
 
 // flight is one in-progress CharacterizeArch execution, running on its own
@@ -201,11 +224,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:      cfg,
-		backend:  backend,
-		chars:    make(map[uarch.Generation]*charEntry),
-		seqPools: make(map[uarch.Generation]*seqPoolEntry),
-		flights:  make(map[store.Digest]*flight),
+		cfg:       cfg,
+		backend:   backend,
+		chars:     make(map[uarch.Generation]*charEntry),
+		seqPools:  make(map[uarch.Generation]*seqPoolEntry),
+		universes: make(map[uarch.Generation][]string),
+		mem:       make(map[store.Digest]map[string]*core.InstrResult),
+		flights:   make(map[store.Digest]*flight),
 	}
 	if cfg.Store != nil {
 		e.st = cfg.Store
@@ -427,6 +452,12 @@ func (e *Engine) Characterizer(gen uarch.Generation) (*core.Characterizer, error
 }
 
 func (e *Engine) characterizer(gen uarch.Generation, workers int) (*core.Characterizer, error) {
+	ent := e.stack(gen, workers)
+	return ent.c, ent.err
+}
+
+// stack returns the generation's built charEntry.
+func (e *Engine) stack(gen uarch.Generation, workers int) *charEntry {
 	e.mu.Lock()
 	ent, ok := e.chars[gen]
 	if !ok {
@@ -450,7 +481,7 @@ func (e *Engine) characterizer(gen uarch.Generation, workers int) (*core.Charact
 		}()
 		ent.c, ent.err = e.build(gen, workers)
 	})
-	return ent.c, ent.err
+	return ent
 }
 
 // build constructs the full stack for a generation and ensures its blocking
@@ -497,13 +528,26 @@ func (e *Engine) build(gen uarch.Generation, workers int) (*core.Characterizer, 
 // full ISA variant set, so any change to the universe invalidates cached
 // entries.
 func (e *Engine) key(arch *uarch.Arch, scope string) store.Key {
-	instrs := arch.InstrSet().Instrs()
-	variants := make([]string, len(instrs))
-	for i, in := range instrs {
-		variants[i] = in.Name
-	}
 	return store.Key{Arch: arch.Name(), Backend: measure.Fingerprint(e.backend), Measure: e.MeasureConfig(),
-		Variants: variants, Scope: scope}
+		Variants: e.universe(arch), Scope: scope}
+}
+
+// universe returns the generation's variant names, sorted, built once per
+// generation. The slice is shared and must not be modified.
+func (e *Engine) universe(arch *uarch.Arch) []string {
+	e.mu.Lock()
+	names, ok := e.universes[arch.Gen()]
+	e.mu.Unlock()
+	if !ok {
+		// Built outside the lock: the generation's first InstrSet call
+		// builds its instruction set, which takes a while. A concurrent
+		// first call builds an equal list.
+		names = arch.InstrSet().Names()
+		e.mu.Lock()
+		e.universes[arch.Gen()] = names
+		e.mu.Unlock()
+	}
+	return names
 }
 
 // RunOptions controls one whole-ISA characterization run through the engine.
@@ -522,7 +566,9 @@ type RunOptions struct {
 	// Progress, if non-nil, is called after each measured instruction
 	// (variants served from the per-variant cache are not re-measured and
 	// not reported). It runs on the run's own goroutines, and keeps being
-	// called if the caller stops waiting for the run.
+	// called if the caller stops waiting for the run. Runs that measure on
+	// one generation take turns, so it must not wait for another run of
+	// the same generation.
 	Progress func(done, total int, name string)
 }
 
@@ -545,20 +591,16 @@ func (o RunOptions) variantScope() string {
 		o.SkipLatency, o.SkipPortUsage, o.SkipThroughput)
 }
 
-// selection resolves the run's variant selection to canonical variant names.
-// missing reports the first name that does not resolve (empty when the whole
+// selection resolves the run's variant selection to canonical variant names;
+// an empty selection is the generation's whole (shared) universe. missing
+// reports the first name that does not resolve (empty when the whole
 // selection resolves); the engine fails fast on it instead of paying a stack
 // build and blocking discovery for a run the scheduler would reject anyway.
-func selection(arch *uarch.Arch, only []string) (names []string, missing string) {
-	set := arch.InstrSet()
+func (e *Engine) selection(arch *uarch.Arch, only []string) (names []string, missing string) {
 	if len(only) == 0 {
-		instrs := set.Instrs()
-		names = make([]string, len(instrs))
-		for i, in := range instrs {
-			names[i] = in.Name
-		}
-		return names, ""
+		return e.universe(arch), ""
 	}
+	set := arch.InstrSet()
 	names = make([]string, 0, len(only))
 	for _, name := range only {
 		in := set.Lookup(name)
@@ -585,6 +627,12 @@ func (e *Engine) CharacterizeArch(gen uarch.Generation, opts RunOptions) (*core.
 // through the scheduler's resume entry point, and the newly measured ones
 // are persisted for the next invocation. The merged result is
 // byte-identical to a cold run for any worker count and any warm/cold mix.
+//
+// The engine keeps every record the store returns, so a repeated query
+// reads no file: once the store has returned a record, the engine answers
+// it from memory, even after the file is evicted or the store degrades.
+// The records of the returned result are shared — with other requesters
+// and with later runs — and must not be modified.
 //
 // Concurrent identical queries — same generation, same options, so the same
 // store digest — are coalesced singleflight-style: the first request starts
@@ -664,14 +712,14 @@ func (e *Engine) fly(f *flight, dig store.Digest, arch *uarch.Arch, opts RunOpti
 }
 
 // characterizeArch is the uncoalesced body of CharacterizeArchContext: the
-// per-variant store probe, the resume scheduling of missing variants, and
-// the persistence of what was measured.
+// per-variant recall from memory and the store, the resume scheduling of
+// missing variants, and the persistence of what was measured.
 func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.ArchResult, error) {
 	gen := arch.Gen()
 	// An unresolvable selection fails here, before any stack build: paying
 	// minutes of blocking discovery to have the scheduler reject a typo is
 	// not production-shaped.
-	names, missing := selection(arch, opts.Only)
+	names, missing := e.selection(arch, opts.Only)
 	if missing != "" {
 		return nil, fmt.Errorf("engine: %s: no instruction variant %q", arch.Name(), missing)
 	}
@@ -684,8 +732,7 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 		// persisting) N variants does not re-hash the N-variant universe N
 		// times.
 		vdig = e.key(arch, opts.variantScope()).Digest()
-		partial = e.st.LoadVariants(vdig, names)
-		e.count(func(s *Stats) { s.VariantHits += len(partial) })
+		partial = e.recall(vdig, names)
 
 		// Full per-variant coverage: merge without building a characterizer
 		// (no runner construction, no blocking discovery).
@@ -698,12 +745,9 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 				}
 			}
 			if complete {
-				res := core.NewArchResult(arch.Name())
-				for _, name := range names {
-					res.Results[name] = partial[name]
-				}
+				// partial holds exactly the selection's records.
 				e.count(func(s *Stats) { s.ResultHits++ })
-				return res, nil
+				return &core.ArchResult{Arch: arch.Name(), Results: partial}, nil
 			}
 		}
 		e.count(func(s *Stats) { s.ResultMisses++ })
@@ -713,11 +757,11 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 	if workers <= 0 {
 		workers = e.Workers()
 	}
-	c, err := e.characterizer(gen, workers)
-	if err != nil {
-		return nil, err
+	ent := e.stack(gen, workers)
+	if ent.err != nil {
+		return nil, ent.err
 	}
-	res, err := c.CharacterizeResume(core.Options{
+	res, err := ent.resume(core.Options{
 		Only:           opts.Only,
 		SkipLatency:    opts.SkipLatency,
 		SkipPortUsage:  opts.SkipPortUsage,
@@ -734,6 +778,53 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 		e.persistVariants(vdig, res, partial)
 	}
 	return res, nil
+}
+
+// resume runs c.CharacterizeResume in the generation's turn (see charEntry).
+func (ent *charEntry) resume(opts core.Options, partial map[string]*core.InstrResult) (*core.ArchResult, error) {
+	ent.run.Lock()
+	defer ent.run.Unlock()
+	return ent.c.CharacterizeResume(opts, partial)
+}
+
+// recall returns the stored records among names: from memory for records the
+// store has returned before, from the store for the rest. Every record the
+// store returns is remembered for the next run.
+func (e *Engine) recall(vdig store.Digest, names []string) map[string]*core.InstrResult {
+	out := make(map[string]*core.InstrResult, len(names))
+	var absent []string
+	e.memMu.Lock()
+	mem := e.mem[vdig]
+	for _, name := range names {
+		if rec := mem[name]; rec != nil {
+			out[name] = rec
+		} else {
+			absent = append(absent, name)
+		}
+	}
+	e.memMu.Unlock()
+	remembered := len(out)
+	if len(absent) > 0 {
+		loaded := e.st.LoadVariants(vdig, absent)
+		if len(loaded) > 0 {
+			e.memMu.Lock()
+			mem = e.mem[vdig]
+			if mem == nil {
+				mem = make(map[string]*core.InstrResult, len(loaded))
+				e.mem[vdig] = mem
+			}
+			for name, rec := range loaded {
+				mem[name] = rec
+				out[name] = rec
+			}
+			e.memMu.Unlock()
+		}
+	}
+	e.count(func(s *Stats) {
+		s.VariantHits += len(out)
+		s.MemoryHits += remembered
+	})
+	return out
 }
 
 // persistVariants writes the newly measured per-variant records, one file

@@ -493,6 +493,41 @@ func TestCoalescedWaiterHonorsContext(t *testing.T) {
 	}
 }
 
+// TestConcurrentSingleVariantRuns starts one run per variant at once on one
+// store-less engine. Each run has a single variant to measure, so it cannot
+// fork and measures on the generation's shared stack; the runs must take
+// turns there (the race detector watches the stack) and each must equal a
+// run on a fresh engine.
+func TestConcurrentSingleVariantRuns(t *testing.T) {
+	e := mustNew(t, Config{Workers: 2})
+	if _, err := e.Characterizer(uarch.Skylake); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*core.ArchResult, len(testOnly))
+	var wg sync.WaitGroup
+	for i, name := range testOnly {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.CharacterizeArch(uarch.Skylake, RunOptions{Only: []string{name}})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	want, err := mustNew(t, Config{Workers: 2}).CharacterizeArch(uarch.Skylake, RunOptions{Only: testOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range testOnly {
+		if got[i] == nil || !reflect.DeepEqual(got[i].Results[name], want.Results[name]) {
+			t.Errorf("%s measured alongside other runs differs from a run on a fresh engine", name)
+		}
+	}
+}
+
 // TestInvalidGenerationIsAnError checks every request-facing engine entry
 // point degrades an out-of-range generation to an error instead of a panic:
 // the HTTP service feeds it values decoded from URLs.

@@ -22,6 +22,7 @@ import (
 	"net/http"
 
 	"uopsinfo/internal/asmgen"
+	"uopsinfo/internal/engine"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/measure/remote"
@@ -55,10 +56,12 @@ type dividerValueSetter interface {
 	SetDividerValues(pipesim.DividerValues)
 }
 
-// serving assembles the engine's serving-backend identity.
-func (s *Service) serving() remote.ServingInfo {
-	b := s.eng.Backend()
-	mcfg := s.eng.MeasureConfig()
+// servingInfo assembles the engine's serving-backend identity. New computes
+// it once: the engine's backend was ready at engine.New, and the
+// measurement configuration is a constant.
+func servingInfo(eng *engine.Engine) remote.ServingInfo {
+	b := eng.Backend()
+	mcfg := eng.MeasureConfig()
 	return remote.ServingInfo{
 		Name:          b.Name(),
 		Version:       b.Version(),
@@ -80,16 +83,19 @@ func measureDigest(cfg measure.Config) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// servingFingerprint is the identity echoed in every /v1/measure response so
-// clients detect a worker whose backend drifted since their handshake.
-func (s *Service) servingFingerprint() string {
-	info := s.serving()
+// fingerprintOf derives the identity a worker echoes in every /v1/measure
+// response from its serving identity, so clients detect a worker whose
+// backend drifted since their handshake.
+func fingerprintOf(info remote.ServingInfo) string {
 	fp, err := remote.ServingFingerprint(info.Fingerprint, info.MeasureDigest)
 	if err != nil {
 		return info.Fingerprint
 	}
 	return fp
 }
+
+// servingFingerprint is the identity echoed in every /v1/measure response.
+func (s *Service) servingFingerprint() string { return s.fingerprint }
 
 func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req remote.MeasureRequest

@@ -21,13 +21,14 @@ type seriesFamily struct {
 }
 
 // wantSeries is the exposition of a service over an engine with a store and
-// a 2-worker loopback fleet, after one run: 39 families, 46 samples. Scrape
+// a 2-worker loopback fleet, after one run: 40 families, 47 samples. Scrape
 // pipelines and dashboards key on these names, types and label keys, so a
 // change here is an API change.
 var wantSeries = map[string]seriesFamily{
 	"uopsd_engine_blocking_hits_total":        {"counter", "Blocking-set store hits.", []string{""}},
 	"uopsd_engine_blocking_misses_total":      {"counter", "Blocking-set store misses.", []string{""}},
 	"uopsd_engine_coalesced_waiters_total":    {"counter", "Requests that attached to an in-flight identical run.", []string{""}},
+	"uopsd_engine_memory_hits_total":          {"counter", "Per-variant records answered from the engine's memory of earlier store reads.", []string{""}},
 	"uopsd_engine_pool_forked_total":          {"counter", "Worker stacks built fresh by the fork pools.", []string{""}},
 	"uopsd_engine_pool_reused_total":          {"counter", "Worker stacks reused warm from the fork pools.", []string{""}},
 	"uopsd_engine_result_hits_total":          {"counter", "Store-backed runs answered wholly from stored per-variant records.", []string{""}},
@@ -137,8 +138,8 @@ func TestMetricsSeries(t *testing.T) {
 	for _, f := range got {
 		samples += len(f.labels)
 	}
-	if len(got) != 39 || samples != 46 {
-		t.Errorf("exposition has %d families and %d samples, want 39 and 46", len(got), samples)
+	if len(got) != 40 || samples != 47 {
+		t.Errorf("exposition has %d families and %d samples, want 40 and 47", len(got), samples)
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

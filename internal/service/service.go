@@ -121,6 +121,13 @@ type Service struct {
 	mux     *http.ServeMux
 	limiter *rateLimiter
 
+	// serving is the engine's serving-backend identity, which /v1/backends
+	// reports, and fingerprint the part of it every /v1/measure response
+	// echoes. Both are fixed for the engine's lifetime, so New computes
+	// them once.
+	serving     remote.ServingInfo
+	fingerprint string
+
 	mu       sync.Mutex
 	counters Counters
 
@@ -149,8 +156,10 @@ func New(cfg Config) (*Service, error) {
 		eng:       cfg.Engine,
 		log:       cfg.Log,
 		mux:       http.NewServeMux(),
+		serving:   servingInfo(cfg.Engine),
 		iacaCache: make(map[uarch.Generation]*iacaEntry),
 	}
+	s.fingerprint = fingerprintOf(s.serving)
 	if cfg.RateLimit > 0 {
 		s.limiter = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	}
@@ -394,7 +403,7 @@ func (s *Service) handleBackends(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, struct {
 		Backends []BackendInfo      `json:"backends"`
 		Serving  remote.ServingInfo `json:"serving"`
-	}{infos, s.serving()})
+	}{infos, s.serving})
 }
 
 // StatsResponse is the /v1/stats response: what the engine is serving from

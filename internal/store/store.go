@@ -85,8 +85,8 @@ type Key struct {
 	// obtained with.
 	Measure measure.Config
 	// Variants is the full ISA variant set of the generation (the universe
-	// the computation ran over). Order does not matter; the hash sorts a
-	// copy.
+	// the computation ran over). Order does not matter: the hash sorts a
+	// copy when the slice is not sorted already, and never modifies it.
 	Variants []string
 	// Scope distinguishes computations over the same universe, e.g. the
 	// characterization options of a run.
@@ -110,11 +110,25 @@ func (k Key) Digest() Digest {
 	fmt.Fprintf(h, "measure short=%d long=%d rep=%d warmup=%v overheadCycles=%d overheadUops=%d\n",
 		k.Measure.ShortCopies, k.Measure.LongCopies, k.Measure.Repetitions,
 		k.Measure.Warmup, k.Measure.OverheadCycles, k.Measure.OverheadUops)
-	variants := append([]string(nil), k.Variants...)
-	sort.Strings(variants)
-	for _, v := range variants {
-		fmt.Fprintf(h, "variant=%s\n", v)
+	variants := k.Variants
+	if !sort.StringsAreSorted(variants) {
+		variants = append([]string(nil), variants...)
+		sort.Strings(variants)
 	}
+	// One "variant=NAME\n" line per variant, written through a buffer: the
+	// universe has thousands of variants, and the hash sees the same bytes
+	// however they are chunked.
+	buf := make([]byte, 0, 4096)
+	for _, v := range variants {
+		buf = append(buf, "variant="...)
+		buf = append(buf, v...)
+		buf = append(buf, '\n')
+		if len(buf) >= 3072 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
 	var d Digest
 	h.Sum(d.sum[:0])
 	return d
@@ -510,8 +524,9 @@ func (r *BlockingRecord) Restore(set *isa.Set) (*core.BlockingSet, bool) {
 // LoadBlocking returns the cached blocking record for the key, or ok ==
 // false on any kind of miss.
 func (s *Store) LoadBlocking(key Key) (*BlockingRecord, bool) {
+	d := key.Digest()
 	var rec BlockingRecord
-	if !s.load(key.Digest(), KindBlocking, key.filename(KindBlocking), &rec) {
+	if !s.load(d, KindBlocking, d.filename(KindBlocking, ""), &rec) {
 		return nil, false
 	}
 	return &rec, true
@@ -519,7 +534,8 @@ func (s *Store) LoadBlocking(key Key) (*BlockingRecord, bool) {
 
 // SaveBlocking persists a blocking record under the key.
 func (s *Store) SaveBlocking(key Key, rec *BlockingRecord) error {
-	return s.save(key.Digest(), KindBlocking, key.filename(KindBlocking), rec)
+	d := key.Digest()
+	return s.save(d, KindBlocking, d.filename(KindBlocking, ""), rec)
 }
 
 // LoadVariant returns the cached measurement record of one instruction

@@ -501,3 +501,23 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 		t.Errorf("store directory contains %v, want exactly [%s]", names, key.filename(KindBlocking))
 	}
 }
+
+// TestKeyDigestLeavesVariantsUnmodified checks that hashing never reorders
+// the caller's variant slice, which the engine shares between all keys of a
+// generation: a sorted slice is hashed as it is, an unsorted one through a
+// sorted copy, and both hash alike.
+func TestKeyDigestLeavesVariantsUnmodified(t *testing.T) {
+	sorted := testKey("scope")
+	unsorted := testKey("scope")
+	unsorted.Variants = []string{"PXOR_XMM_XMM", "ADD_R64_R64", "IMUL_R64_R64"}
+	for _, k := range []Key{sorted, unsorted} {
+		want := append([]string(nil), k.Variants...)
+		k.Digest()
+		if !reflect.DeepEqual(k.Variants, want) {
+			t.Errorf("Digest changed the variant slice from %v to %v", want, k.Variants)
+		}
+	}
+	if sorted.Digest() != unsorted.Digest() {
+		t.Error("a sorted and an unsorted variant slice hash differently")
+	}
+}
