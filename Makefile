@@ -40,8 +40,9 @@ bench-smoke:
 
 # bench-json records the perf trajectory: the simulator and LP hot-path
 # benchmarks at full fidelity, the per-instruction inference rungs of package
-# core (port usage, latency, throughput of one variant on a warm stack), and
-# the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# core (port usage, latency, throughput of one variant on a warm stack), the
+# store rungs (one per-variant save, rename-only and durable, and one
+# per-variant load), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
 # run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
 # under $(BENCH_LABEL). Existing labels in the file are preserved, so
 # successive PRs accumulate comparable columns.
@@ -52,6 +53,7 @@ bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=$(COUNT) ./internal/pipesim ./internal/lp > "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkPortUsageInference|BenchmarkLatencyInference|BenchmarkThroughputInference' \
 		-benchmem -count=$(COUNT) ./internal/core >> "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkSaveVariant|BenchmarkLoadVariants' -benchmem -count=$(COUNT) ./internal/store >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"
@@ -153,11 +155,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadVariant$$' -fuzztime=10s ./internal/store
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
-# and incremental per-variant eviction) under the race detector, checks
+# and incremental per-variant deletion) under the race detector, checks
 # that the backend registry lists the default pipesim backend through the
 # actual CLI surface, and smokes the four commands that have no tests of
-# their own — including a flag error, which must exit non-zero and name
-# the flag.
+# their own — including contradicting engine flags (-fleet next to
+# -backend pipesim), which must exit non-zero before any fleet handshake
+# and name -backend.
 ci-cmd:
 	$(GO) test -race -run 'TestCacheColdWarmByteIdentical|TestCacheIncrementalEviction' ./cmd/uopsinfo
 	$(GO) run ./cmd/uopsinfo -backends | grep -q '^pipesim' || \
@@ -166,10 +169,10 @@ ci-cmd:
 	$(GO) run ./cmd/table1 -arch Skylake -sample 400 -j 2
 	$(GO) run ./cmd/iacadiff -arch Skylake -sample 400 -j 2
 	$(GO) run ./cmd/casestudies -id 7.3.1 -j 2
-	@stderr=$$($(GO) run ./cmd/casestudies -store-max-bytes bogus 2>&1 >/dev/null) && \
-		{ echo "casestudies accepted -store-max-bytes bogus"; exit 1; }; \
-	echo "$$stderr" | grep -q -- '-store-max-bytes' || \
-		{ echo "casestudies flag error does not name -store-max-bytes: $$stderr"; exit 1; }
+	@stderr=$$($(GO) run ./cmd/casestudies -fleet http://127.0.0.1:1 -backend pipesim 2>&1 >/dev/null) && \
+		{ echo "casestudies accepted -fleet with -backend pipesim"; exit 1; }; \
+	echo "$$stderr" | grep -q -- '-backend' || \
+		{ echo "casestudies flag error does not name -backend: $$stderr"; exit 1; }
 
 # run-uopsd starts the characterization service on its default address
 # (localhost:8631) with a local cache directory, the quickest way to poke the
@@ -210,13 +213,14 @@ ci-fleet:
 # ci-faults forces every durability claim the store makes through the
 # fault-injecting filesystem (internal/store/errfs) under the race detector:
 # torn writes, ENOSPC mid-save, writers killed between temp-write, fsync and
-# rename, budget-driven eviction, the startup sweep of stores older versions
-# wrote, degradation to read-only/compute-only and probe-driven recovery —
-# plus the engine plumbing (byte-identical XML under a byte budget and
-# against a dead store) and the /healthz + /metrics degradation surface.
+# rename, concurrent writers of one entry, the startup sweep of stores older
+# versions wrote, degradation to read-only/compute-only and probe-driven
+# recovery — plus the engine plumbing (byte-identical XML against a dead
+# store, corruption surfaced in engine stats) and the /healthz + /metrics
+# degradation surface.
 ci-faults:
 	$(GO) test -race -count=1 ./internal/store
-	$(GO) test -race -count=1 -run 'TestBudgetedStore|TestCrashedStore|TestEngineStatsExposeStoreLifecycle' ./internal/engine
+	$(GO) test -race -count=1 -run 'TestCrashedStore|TestEngineStatsExposeStoreLifecycle' ./internal/engine
 	$(GO) test -race -count=1 -run 'TestHealthzReportsDegradedStore|TestMetricsExposeStoreLifecycle|TestMetricsWithoutStore' ./internal/service
 
 # ci-bench vets and tests the end-to-end benchmark. cmd/uopsbench is its own

@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, logger *log.Logge
 	rate := fs.Float64("rate", 0, "rate limit in requests per second across all endpoints except /healthz and /metrics (0 disables limiting)")
 	burst := fs.Int("burst", 0, "rate-limiter burst depth (default: ceil of -rate)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests before running measurements are cancelled")
-	verbose := fs.Bool("v", false, "log persistent-store diagnostics: save errors, quarantined entries, evictions and degradation")
+	verbose := fs.Bool("v", false, "log persistent-store diagnostics: save errors, quarantined entries and degradation")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

@@ -51,11 +51,6 @@ type Config struct {
 	// corrupt entries additionally get counted and quarantined (see
 	// Stats.Store).
 	CacheDir string
-	// StoreMaxBytes and StoreMaxFiles, when positive, bound the persistent
-	// store: past a budget, whole cold digests are evicted
-	// least-recently-used, per-variant tier first. Zero means unbounded.
-	StoreMaxBytes int64
-	StoreMaxFiles int64
 	// StoreDurable selects full crash safety for store writes (fsync before
 	// the rename, directory sync after it). uopsd turns it on — its store is
 	// supposed to survive power cycles; the one-shot CLIs leave it off — a
@@ -133,7 +128,7 @@ type Stats struct {
 	// drives one (the "remote" backend); nil otherwise.
 	Fleet *measure.FleetStats `json:"fleet,omitempty"`
 	// Store carries the persistent store's lifecycle state (per-tier sizes,
-	// degradation mode, corruption/quarantine/eviction counters) when a store
+	// degradation mode, corruption/quarantine/sweep counters) when a store
 	// is configured; nil otherwise.
 	Store *store.Stats `json:"store,omitempty"`
 }
@@ -241,8 +236,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		st, err := store.OpenOptions(cfg.CacheDir, store.Options{
 			Durability: durability,
-			MaxBytes:   cfg.StoreMaxBytes,
-			MaxFiles:   cfg.StoreMaxFiles,
 			Log:        cfg.Log,
 		})
 		if err != nil {
@@ -630,7 +623,7 @@ func (e *Engine) CharacterizeArch(gen uarch.Generation, opts RunOptions) (*core.
 //
 // The engine keeps every record the store returns, so a repeated query
 // reads no file: once the store has returned a record, the engine answers
-// it from memory, even after the file is evicted or the store degrades.
+// it from memory, even after the file is deleted or the store degrades.
 // The records of the returned result are shared — with other requesters
 // and with later runs — and must not be modified.
 //

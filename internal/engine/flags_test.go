@@ -39,6 +39,7 @@ func TestFlags(t *testing.T) {
 	// list that reaches Configure from here makes the case fail loudly.
 	const deadFleet = "http://127.0.0.1:1"
 	t.Cleanup(remote.Shutdown)
+	cacheDir := t.TempDir()
 	for _, tc := range []struct {
 		name    string
 		durable bool
@@ -49,10 +50,8 @@ func TestFlags(t *testing.T) {
 		newErr  string // substring of the engine.New error
 	}{{
 		name: "values",
-		args: []string{"-j", "3", "-cache", "dir", "-store-max-bytes", "2M",
-			"-store-max-files", "7", "-backend", "pipesim"},
-		want: engine.Config{Workers: 3, CacheDir: "dir", StoreMaxBytes: 2 << 20,
-			StoreMaxFiles: 7, Backend: "pipesim"},
+		args: []string{"-j", "3", "-cache", cacheDir, "-backend", "pipesim"},
+		want: engine.Config{Workers: 3, CacheDir: cacheDir, Backend: "pipesim"},
 	}, {
 		name: "one-shot defaults",
 		want: engine.Config{Workers: core.DefaultWorkers()},
@@ -65,10 +64,6 @@ func TestFlags(t *testing.T) {
 		durable: true,
 		args:    []string{"-store-durable=false", "-j", "0"},
 		want:    engine.Config{},
-	}, {
-		name: "bad size",
-		args: []string{"-store-max-bytes", "bogus"},
-		err:  "-store-max-bytes",
 	}, {
 		name: "fleet contradicts backend",
 		args: []string{"-fleet", deadFleet, "-backend", "pipesim"},

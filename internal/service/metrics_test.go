@@ -21,7 +21,7 @@ type seriesFamily struct {
 }
 
 // wantSeries is the exposition of a service over an engine with a store and
-// a 2-worker loopback fleet, after one run: 40 families, 47 samples. Scrape
+// a 2-worker loopback fleet, after one run: 37 families, 44 samples. Scrape
 // pipelines and dashboards key on these names, types and label keys, so a
 // change here is an API change.
 var wantSeries = map[string]seriesFamily{
@@ -58,9 +58,6 @@ var wantSeries = map[string]seriesFamily{
 	"uopsd_store_corrupt_total":               {"counter", "Corrupt persistent-store entries detected (undecodable, torn, mis-named).", []string{""}},
 	"uopsd_store_degradations_total":          {"counter", "Transitions of the persistent store into a degraded mode.", []string{""}},
 	"uopsd_store_degraded":                    {"gauge", "Whether the persistent store is in a degraded mode (read-only or compute-only).", []string{""}},
-	"uopsd_store_evicted_bytes_total":         {"counter", "Bytes reclaimed by budget eviction.", []string{""}},
-	"uopsd_store_evicted_digests_total":       {"counter", "Whole digests evicted to stay within the store budget.", []string{""}},
-	"uopsd_store_evicted_files_total":         {"counter", "Files removed by budget eviction.", []string{""}},
 	"uopsd_store_files":                       {"gauge", "Persistent-store files per storage tier.", []string{"tier", "tier"}},
 	"uopsd_store_quarantined_total":           {"counter", "Corrupt entries renamed aside to *.corrupt.", []string{""}},
 	"uopsd_store_saves_suppressed_total":      {"counter", "Store writes suppressed while the store was write-degraded.", []string{""}},
@@ -138,8 +135,8 @@ func TestMetricsSeries(t *testing.T) {
 	for _, f := range got {
 		samples += len(f.labels)
 	}
-	if len(got) != 40 || samples != 47 {
-		t.Errorf("exposition has %d families and %d samples, want 40 and 47", len(got), samples)
+	if len(got) != 37 || samples != 44 {
+		t.Errorf("exposition has %d families and %d samples, want 37 and 44", len(got), samples)
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

@@ -66,7 +66,6 @@ func TestMetricsExposeStoreLifecycle(t *testing.T) {
 		"uopsd_store_degradations_total 1",
 		"uopsd_store_corrupt_total 0",
 		"uopsd_store_quarantined_total 0",
-		"uopsd_store_evicted_bytes_total 0",
 		"uopsd_store_saves_suppressed_total",
 		`uopsd_store_bytes{tier="variant"}`,
 		`uopsd_store_files{tier="blocking"}`,

@@ -12,10 +12,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"syscall"
 )
 
@@ -159,20 +155,17 @@ type TierStats struct {
 
 // Stats is the store's observable lifecycle state: per-tier sizes, the
 // degradation mode, and monotonic counters for corruption, quarantines,
-// evictions, swept debris, suppressed saves and mode transitions. It flows
-// through engine.Stats to /v1/stats and /metrics. Degraded is Mode other
-// than ModeOK, for /metrics only.
+// swept debris, suppressed saves and mode transitions. It flows through
+// engine.Stats to /v1/stats and /metrics. Degraded is Mode other than
+// ModeOK, for /metrics only.
 type Stats struct {
 	Mode     string    `json:"mode"`
 	Degraded bool      `json:"-" metric:"uopsd_store_degraded" help:"Whether the persistent store is in a degraded mode (read-only or compute-only)."`
 	Blocking TierStats `json:"blocking"`
 	Variant  TierStats `json:"variant"`
 
-	Corrupt        int64 `json:"corrupt" metric:"uopsd_store_corrupt_total" help:"Corrupt persistent-store entries detected (undecodable, torn, mis-named)."`
-	Quarantined    int64 `json:"quarantined" metric:"uopsd_store_quarantined_total" help:"Corrupt entries renamed aside to *.corrupt."`
-	EvictedDigests int64 `json:"evictedDigests" metric:"uopsd_store_evicted_digests_total" help:"Whole digests evicted to stay within the store budget."`
-	EvictedFiles   int64 `json:"evictedFiles" metric:"uopsd_store_evicted_files_total" help:"Files removed by budget eviction."`
-	EvictedBytes   int64 `json:"evictedBytes" metric:"uopsd_store_evicted_bytes_total" help:"Bytes reclaimed by budget eviction."`
+	Corrupt     int64 `json:"corrupt" metric:"uopsd_store_corrupt_total" help:"Corrupt persistent-store entries detected (undecodable, torn, mis-named)."`
+	Quarantined int64 `json:"quarantined" metric:"uopsd_store_quarantined_total" help:"Corrupt entries renamed aside to *.corrupt."`
 	// Compactions is always 0.
 	//
 	// Deprecated: the store keeps one file per variant and never compacts;
@@ -193,32 +186,4 @@ func (s *Store) Stats() Stats {
 	st.Blocking = TierStats{Tier: KindBlocking, Bytes: s.tiers[tierBlocking].bytes, Files: s.tiers[tierBlocking].files}
 	st.Variant = TierStats{Tier: KindVariant, Bytes: s.tiers[tierVariant].bytes, Files: s.tiers[tierVariant].files}
 	return st
-}
-
-// ParseSize parses a human-friendly byte size for the -store-max-bytes
-// flags: a plain integer, or one with a binary suffix K/M/G/T (optionally
-// written KB/KiB etc., case-insensitive).
-func ParseSize(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	u := strings.ToUpper(t)
-	mult := int64(1)
-	for _, sfx := range []struct {
-		s string
-		m int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30}, {"TIB", 1 << 40},
-		{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30}, {"TB", 1 << 40},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30}, {"T", 1 << 40},
-	} {
-		if strings.HasSuffix(u, sfx.s) {
-			u = strings.TrimSuffix(u, sfx.s)
-			mult = sfx.m
-			break
-		}
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n < 0 || n > math.MaxInt64/mult {
-		return 0, fmt.Errorf("invalid size %q (want e.g. 1073741824, 512M, 1G)", s)
-	}
-	return n * mult, nil
 }

@@ -4,9 +4,9 @@
 // to re-measure from scratch on every invocation — and it is built to do so
 // for production lifetimes, not just test runs: writes are crash-safe,
 // corruption is detected, counted and quarantined instead of silently
-// shadowing a slot, disk budgets drive eviction, and a disk that starts
-// failing degrades the store to read-only and then compute-only operation
-// instead of failing requests.
+// shadowing a slot, and a disk that starts failing (or fills up) degrades
+// the store to read-only and then compute-only operation instead of failing
+// requests.
 //
 // Entries are keyed by a content hash of everything a result depends on: the
 // microarchitecture generation, the measurement-backend fingerprint
@@ -21,14 +21,21 @@
 // recomputation.
 //
 // The store has two kinds of entries, each grouped on disk by the digest of
-// its key (the digest prefix is part of every filename, which is what lets
-// the startup sweep and the eviction policy reason about files per digest):
+// its key (the digest prefix is part of every filename):
 //
 //   - blocking sets (KindBlocking), one entry per generation;
 //   - per-variant entries (KindVariant), one file per instruction variant —
-//     the file existing means the variant is measured. Evicting or
+//     the file existing means the variant is measured. Deleting or
 //     invalidating one variant only costs re-measuring that variant, and
 //     runs with different variant selections share entries.
+//
+// The store has no size budget and evicts nothing: what it can hold is
+// bounded by the ISA, one record per variant per generation and scope plus
+// one blocking set per generation, whatever the traffic. A new backend
+// fingerprint, measurement configuration or store Version starts a new set
+// of digests; the startup sweep collects the files of older store versions,
+// and deleting the directory reclaims the rest at one re-measurement per
+// lost entry.
 //
 // All I/O goes through the storefs.FS seam, so every durability claim above
 // is forced by fault-injection tests (internal/store/errfs) rather than
@@ -144,8 +151,8 @@ func (d Digest) String() string {
 
 // prefixLen is the length (in hex characters) of the digest prefix embedded
 // in every filename. 16 hex characters (8 bytes) keep accidental collisions
-// out of reach while letting the sweep and the eviction policy group a
-// directory listing by digest without any side index.
+// out of reach while grouping a directory listing by digest without any
+// side index.
 const prefixLen = 16
 
 // Prefix returns the digest's filename prefix: the group identifier shared
@@ -167,7 +174,7 @@ func (d Digest) filename(kind, extra string) string {
 
 // VariantFilename returns the store filename of the per-variant entry for
 // one instruction variant. It is exported so tests and cache-maintenance
-// tooling can evict individual variants.
+// tooling can delete individual variants.
 func (d Digest) VariantFilename(name string) string {
 	return d.filename(KindVariant, "variant="+name)
 }
@@ -217,41 +224,33 @@ type Options struct {
 	// Durability selects the crash-safety level of saves; see the Durability
 	// constants.
 	Durability Durability
-	// MaxBytes and MaxFiles, when positive, bound the store: when a save
-	// pushes the totals past a budget, whole digests are evicted
-	// least-recently-used (per-variant digests first) until the store fits
-	// again. Zero means unbounded.
-	MaxBytes int64
-	MaxFiles int64
 	// Log, if non-nil, receives lifecycle diagnostics that must not fail an
 	// operation but should not vanish either: sweep debris counts,
-	// quarantined corruption, eviction and degradation transitions.
+	// quarantined corruption and degradation transitions.
 	Log func(format string, args ...interface{})
 }
 
 // Store is a directory of cached characterization results.
 type Store struct {
-	dir      string
-	fsys     storefs.FS
-	durable  bool
-	maxBytes int64
-	maxFiles int64
-	log      func(format string, args ...interface{})
+	dir     string
+	fsys    storefs.FS
+	durable bool
+	log     func(format string, args ...interface{})
 
-	// mu guards the accounting (per-digest groups, per-tier totals), the
+	// mu guards the accounting (entry sizes, per-tier totals), the
 	// lifecycle counters and the degradation state. All counters are plain
 	// ints under this one mutex — none are touched atomically anywhere.
 	mu     sync.Mutex
-	groups map[string]*group
+	files  map[string]int64 // filename → size of every entry accounted
 	tiers  [tierCount]tierAcct
 	stats  Stats
 	health health
 }
 
 // Open returns a store rooted at dir with default options, creating the
-// directory if necessary: real filesystem, rename-only durability, no
-// budget. The startup sweep rebuilds the size accounting, validates every
-// envelope (quarantining corruption) and collects temp/quarantine debris.
+// directory if necessary: real filesystem, rename-only durability. The
+// startup sweep rebuilds the size accounting, validates every envelope
+// (quarantining corruption) and collects temp/quarantine debris.
 func Open(dir string) (*Store, error) {
 	return OpenOptions(dir, Options{})
 }
@@ -266,24 +265,16 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
 	s := &Store{
-		dir:      dir,
-		fsys:     fsys,
-		durable:  opts.Durability == DurabilityFull,
-		maxBytes: opts.MaxBytes,
-		maxFiles: opts.MaxFiles,
-		log:      opts.Log,
-		groups:   make(map[string]*group),
+		dir:     dir,
+		fsys:    fsys,
+		durable: opts.Durability == DurabilityFull,
+		log:     opts.Log,
+		files:   make(map[string]int64),
 	}
 	debris := s.sweep()
 	if debris > 0 {
 		s.logf("store: startup sweep collected %d debris file(s) in %s", debris, dir)
 	}
-	// A store reopened with a lower budget than it was filled under trims at
-	// startup; waiting for the first write would leave a read-mostly daemon
-	// over budget indefinitely.
-	s.mu.Lock()
-	s.evictLocked("")
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -296,24 +287,6 @@ func (s *Store) logf(format string, args ...interface{}) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// digestLocks serializes variant writes and eviction per (directory, digest
-// group) across every Store instance in the process: two engines — or two
-// service handlers — sharing one cache directory through separate Store
-// values must still contend on the same lock, or eviction could unlink a
-// digest under another Store's writer. Eviction only TryLocks, so a digest
-// is never evicted mid-write.
-var digestLocks sync.Map // string (dir \x00 digest prefix) → *sync.Mutex
-
-func (s *Store) digestLock(d Digest) *sync.Mutex {
-	return s.prefixLock(d.Prefix())
-}
-
-func (s *Store) prefixLock(prefix string) *sync.Mutex {
-	key := filepath.Clean(s.dir) + "\x00" + prefix
-	lock, _ := digestLocks.LoadOrStore(key, &sync.Mutex{})
-	return lock.(*sync.Mutex)
-}
-
 // load reads and validates the entry in file, decoding the payload into out.
 // A missing file is a plain miss. A file that exists but cannot be decoded —
 // unreadable, torn, not JSON, wrong kind, stale version — is corruption: it
@@ -321,7 +294,7 @@ func (s *Store) prefixLock(prefix string) *sync.Mutex {
 // slot) and reported as a miss. Only an envelope from a *newer* format
 // version is left in place: that is another, newer process sharing the
 // directory, not damage.
-func (s *Store) load(d Digest, kind, file string, out interface{}) bool {
+func (s *Store) load(kind, file string, out interface{}) bool {
 	if !s.readAllowed() {
 		return false
 	}
@@ -335,7 +308,6 @@ func (s *Store) load(d Digest, kind, file string, out interface{}) bool {
 		return false
 	}
 	s.readOK()
-	s.touch(d.Prefix())
 	if !s.decode(data, kind, out) {
 		s.quarantine(file, fmt.Sprintf("undecodable %s entry", kind))
 		return false
@@ -389,16 +361,19 @@ func (s *Store) quarantine(file, reason string) {
 
 // save writes an entry atomically: the envelope is written to a temporary
 // file in the store directory and renamed into place, so concurrent readers
-// never observe a partial file. With DurabilityFull the data is fsynced
-// before the rename and the directory synced after it, so the completed save
-// survives a crash. The temporary file is removed on every error path — a
-// failed save must not leak it — and the startup sweep cleans up after
-// writers that died before reaching either the rename or the cleanup.
+// never observe a partial file. Concurrent saves of one entry — from this
+// Store or another over the same directory — need no lock: each writes its
+// own temp file, every rename publishes a complete envelope, and the last
+// one wins. With DurabilityFull the data is fsynced before the rename and
+// the directory synced after it, so the completed save survives a crash.
+// The temporary file is removed on every error path — a failed save must
+// not leak it — and the startup sweep cleans up after writers that died
+// before reaching either the rename or the cleanup.
 //
 // While the store is write-degraded (see Stats.Mode), saves are suppressed:
 // they count as SavesSuppressed and return nil, and every probeEvery-th
 // attempt runs for real to detect recovery.
-func (s *Store) save(d Digest, kind, file string, payload interface{}) (err error) {
+func (s *Store) save(kind, file string, payload interface{}) (err error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("store: encoding %s entry: %w", kind, err)
@@ -447,7 +422,7 @@ func (s *Store) save(d Digest, kind, file string, payload interface{}) (err erro
 			return fmt.Errorf("store: syncing %s directory: %w", kind, err)
 		}
 	}
-	s.account(d.Prefix(), kind, file, int64(len(data)))
+	s.account(kind, file, int64(len(data)))
 	return nil
 }
 
@@ -524,9 +499,8 @@ func (r *BlockingRecord) Restore(set *isa.Set) (*core.BlockingSet, bool) {
 // LoadBlocking returns the cached blocking record for the key, or ok ==
 // false on any kind of miss.
 func (s *Store) LoadBlocking(key Key) (*BlockingRecord, bool) {
-	d := key.Digest()
 	var rec BlockingRecord
-	if !s.load(d, KindBlocking, d.filename(KindBlocking, ""), &rec) {
+	if !s.load(KindBlocking, key.filename(KindBlocking), &rec) {
 		return nil, false
 	}
 	return &rec, true
@@ -534,8 +508,7 @@ func (s *Store) LoadBlocking(key Key) (*BlockingRecord, bool) {
 
 // SaveBlocking persists a blocking record under the key.
 func (s *Store) SaveBlocking(key Key, rec *BlockingRecord) error {
-	d := key.Digest()
-	return s.save(d, KindBlocking, d.filename(KindBlocking, ""), rec)
+	return s.save(KindBlocking, key.filename(KindBlocking), rec)
 }
 
 // LoadVariant returns the cached measurement record of one instruction
@@ -545,7 +518,7 @@ func (s *Store) SaveBlocking(key Key, rec *BlockingRecord) error {
 func (s *Store) LoadVariant(d Digest, name string) (*core.InstrResult, bool) {
 	var rec core.InstrResult
 	file := d.VariantFilename(name)
-	if !s.load(d, KindVariant, file, &rec) {
+	if !s.load(KindVariant, file, &rec) {
 		return nil, false
 	}
 	// A record that does not name the requested variant belongs to a
@@ -573,13 +546,9 @@ func (s *Store) LoadVariants(d Digest, names []string) map[string]*core.InstrRes
 }
 
 // SaveVariant persists the measurement record of one instruction variant in
-// its own file. The digest lock coordinates with eviction, so a digest is
-// never evicted mid-write.
+// its own file.
 func (s *Store) SaveVariant(d Digest, name string, rec *core.InstrResult) error {
-	lock := s.digestLock(d)
-	lock.Lock()
-	defer lock.Unlock()
-	return s.save(d, KindVariant, d.VariantFilename(name), rec)
+	return s.save(KindVariant, d.VariantFilename(name), rec)
 }
 
 // corruptSuffix marks quarantined files; staleTmpAge bounds how long temp

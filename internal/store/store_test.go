@@ -161,7 +161,7 @@ func TestVariantRoundTrip(t *testing.T) {
 	// name — and it must be quarantined aside, not left to shadow the slot
 	// (and force a re-measurement) forever.
 	wrong := &core.InstrResult{Name: "IMUL_R64_R64", Mnemonic: "IMUL"}
-	if err := s.save(dig, KindVariant, key.VariantFilename("ADD_R64_R64"), wrong); err != nil {
+	if err := s.save(KindVariant, key.VariantFilename("ADD_R64_R64"), wrong); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.LoadVariant(dig, "ADD_R64_R64"); ok {
@@ -325,6 +325,59 @@ func TestVariantIndexConcurrentWriters(t *testing.T) {
 				t.Errorf("loaded %d variants, want %d", len(got), writers)
 			}
 		})
+	}
+}
+
+// TestConcurrentWritersOfOneVariant checks that writers of the same variant
+// need no lock. Two stores over one directory, eight goroutines each, save
+// one record at once: every save writes its own temp file and renames a
+// complete envelope into place, so the slot ends as exactly one whole entry
+// that both stores load as a hit, with no corruption and no temp file left.
+func TestConcurrentWritersOfOneVariant(t *testing.T) {
+	dir := t.TempDir()
+	dig := testKey("variant skipLatency=false").Digest()
+	const name = "ADD_R64_R64"
+	rec := testRecord(name)
+	stores := make([]*Store, 2)
+	for i := range stores {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	var wg sync.WaitGroup
+	for _, s := range stores {
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.SaveVariant(dig, name, rec); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, s := range stores {
+		if got, ok := s.LoadVariant(dig, name); !ok || !reflect.DeepEqual(got, rec) {
+			t.Errorf("store %d loads %+v (ok=%v), want %+v", i, got, ok, rec)
+		}
+		if st := s.Stats(); st.Corrupt != 0 || st.Variant.Files != 1 {
+			t.Errorf("store %d reports %d corrupt and %d variant files, want 0 and 1",
+				i, st.Corrupt, st.Variant.Files)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := dig.VariantFilename(name); len(names) != 1 || names[0] != want {
+		t.Errorf("store directory holds %v, want exactly [%s]", names, want)
 	}
 }
 
