@@ -42,7 +42,9 @@ bench-smoke:
 # benchmarks at full fidelity, the per-instruction inference rungs of package
 # core (port usage, latency, throughput of one variant on a warm stack), the
 # store rungs (one per-variant save, rename-only and durable, and one
-# per-variant load), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# per-variant load), the service-handler rung (one warm request through
+# ServeHTTP: a variant, a 32-variant subset, the whole generation as JSON and
+# as XML), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
 # run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
 # under $(BENCH_LABEL). Existing labels in the file are preserved, so
 # successive PRs accumulate comparable columns.
@@ -54,6 +56,7 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkPortUsageInference|BenchmarkLatencyInference|BenchmarkThroughputInference' \
 		-benchmem -count=$(COUNT) ./internal/core >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkSaveVariant|BenchmarkLoadVariants' -benchmem -count=$(COUNT) ./internal/store >> "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkServe' -benchmem -count=$(COUNT) ./internal/service >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"

@@ -88,6 +88,25 @@ func TestBlockingSetsSeparateSSEAndAVX(t *testing.T) {
 	}
 }
 
+// TestPortUsageString pins the paper's notation: combinations by size, then
+// lexicographically; whole µop counts as integers, fractional ones with two
+// decimals, as a measurement that does not divide evenly reports them.
+func TestPortUsageString(t *testing.T) {
+	for _, tc := range []struct {
+		pu   PortUsage
+		want string
+	}{
+		{nil, "0"},
+		{PortUsage{"0156": 1, "06": 1}, "1*p06+1*p0156"},
+		{PortUsage{"23": 0.5, "4": 1, "015": 2.25, "5": 1.0 / 3}, "1*p4+0.33*p5+0.50*p23+2.25*p015"},
+		{PortUsage{"237": 1.5, "05": 12}, "12*p05+1.50*p237"},
+	} {
+		if got := tc.pu.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.pu, got, tc.want)
+		}
+	}
+}
+
 func TestPortUsageSimpleALU(t *testing.T) {
 	c := charFor(t, uarch.Skylake)
 	in := variant(t, c, "ADD_R64_R64")

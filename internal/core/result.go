@@ -18,8 +18,9 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"uopsinfo/internal/uarch"
@@ -39,12 +40,7 @@ func (pu PortUsage) Keys() []string {
 	for k := range pu {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
+	slices.SortFunc(keys, uarch.ComparePortCombos)
 	return keys
 }
 
@@ -65,16 +61,22 @@ func (pu PortUsage) String() string {
 		return "0"
 	}
 	keys := pu.Keys()
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
+	var b strings.Builder
+	b.Grow(16 * len(keys))
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte('+')
+		}
 		n := pu[k]
 		if n == float64(int(n)) {
-			parts = append(parts, fmt.Sprintf("%d*p%s", int(n), k))
+			b.WriteString(strconv.Itoa(int(n)))
 		} else {
-			parts = append(parts, fmt.Sprintf("%.2f*p%s", n, k))
+			b.WriteString(strconv.FormatFloat(n, 'f', 2, 64))
 		}
+		b.WriteString("*p")
+		b.WriteString(k)
 	}
-	return strings.Join(parts, "+")
+	return b.String()
 }
 
 // Equal reports whether two port usages are the same after rounding µop

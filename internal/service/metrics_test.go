@@ -21,7 +21,7 @@ type seriesFamily struct {
 }
 
 // wantSeries is the exposition of a service over an engine with a store and
-// a 2-worker loopback fleet, after one run: 37 families, 44 samples. Scrape
+// a 2-worker loopback fleet, after one run: 38 families, 45 samples. Scrape
 // pipelines and dashboards key on these names, types and label keys, so a
 // change here is an API change.
 var wantSeries = map[string]seriesFamily{
@@ -50,6 +50,7 @@ var wantSeries = map[string]seriesFamily{
 	"uopsd_http_errors_total":                 {"counter", "HTTP requests answered with a 4xx or 5xx status.", []string{""}},
 	"uopsd_http_panics_total":                 {"counter", "Handler panics caught and contained.", []string{""}},
 	"uopsd_http_rate_limited_total":           {"counter", "Requests rejected with 429 by the rate limiter.", []string{""}},
+	"uopsd_http_render_hits_total":            {"counter", "Whole-generation responses written from the bytes kept for their ETag.", []string{""}},
 	"uopsd_http_requests_total":               {"counter", "HTTP requests received.", []string{""}},
 	"uopsd_measure_batches_total":             {"counter", "Fleet-worker measurement batches served by POST /v1/measure.", []string{""}},
 	"uopsd_measure_sequence_errors_total":     {"counter", "Sequences inside /v1/measure batches that failed.", []string{""}},
@@ -135,8 +136,8 @@ func TestMetricsSeries(t *testing.T) {
 	for _, f := range got {
 		samples += len(f.labels)
 	}
-	if len(got) != 37 || samples != 44 {
-		t.Errorf("exposition has %d families and %d samples, want 37 and 44", len(got), samples)
+	if len(got) != 38 || samples != 45 {
+		t.Errorf("exposition has %d families and %d samples, want 38 and 45", len(got), samples)
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

@@ -27,8 +27,12 @@
 // store so later requests are warm hits. A request whose client hangs up
 // stops waiting, while the run completes for the others and the store. The
 // same digest doubles as the ETag of result responses, so a warm conditional
-// GET (If-None-Match) answers 304 without touching the engine. /v1/stats
-// exposes the run/waiter counters.
+// GET (If-None-Match) answers 304 without touching the engine. Equal tags
+// mean byte-identical bodies, so the service keeps the bytes of every
+// successful whole-generation response (no ?only) by its ETag and writes a
+// repeat from them, again without touching the engine; ?only and variant
+// responses are rendered per request. /v1/stats exposes the run/waiter
+// counters and the repeats written from kept bytes (renderHits).
 //
 // Errors on request-derived input degrade to HTTP statuses, never crash the
 // process: an unknown generation is 400, an unknown variant 404, and a
@@ -38,11 +42,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -111,6 +115,10 @@ type Counters struct {
 	MeasureBatches   int `json:"measureBatches" metric:"uopsd_measure_batches_total" help:"Fleet-worker measurement batches served by POST /v1/measure."`
 	MeasureSeqs      int `json:"measureSeqs" metric:"uopsd_measure_sequences_total" help:"Sequences measured inside /v1/measure batches."`
 	MeasureSeqErrors int `json:"measureSeqErrors" metric:"uopsd_measure_sequence_errors_total" help:"Sequences inside /v1/measure batches that failed."`
+	// RenderHits counts whole-generation responses written from the bytes
+	// kept for their ETag. Like 304s, they never reach the engine, so its
+	// run and hit counters do not see them.
+	RenderHits int `json:"renderHits" metric:"uopsd_http_render_hits_total" help:"Whole-generation responses written from the bytes kept for their ETag."`
 }
 
 // Service is the HTTP handler of the characterization service. It is safe
@@ -137,6 +145,13 @@ type Service struct {
 	// read-only (the service only uses Entry) and safe to share.
 	iacaMu    sync.Mutex
 	iacaCache map[uarch.Generation]*iacaEntry
+
+	// bodiesMu guards bodies, the bytes of every successful whole-generation
+	// response by ETag. The ISA bounds it: an engine's backend is fixed, so
+	// each generation has two whole-generation digests (with and without
+	// ?quick) in two formats, 36 bodies in all.
+	bodiesMu sync.Mutex
+	bodies   map[string][]byte
 }
 
 // iacaEntry builds one generation's analyzers exactly once, like the
@@ -158,6 +173,7 @@ func New(cfg Config) (*Service, error) {
 		mux:       http.NewServeMux(),
 		serving:   servingInfo(cfg.Engine),
 		iacaCache: make(map[uarch.Generation]*iacaEntry),
+		bodies:    make(map[string][]byte),
 	}
 	s.fingerprint = fingerprintOf(s.serving)
 	if cfg.RateLimit > 0 {
@@ -335,23 +351,32 @@ func wantXML(r *http.Request) bool {
 	return false
 }
 
-// writeDoc renders a result document in the given format. The XML rendering
-// is exactly the results-file format of cmd/uopsinfo.
-func (s *Service) writeDoc(w http.ResponseWriter, format string, doc *xmlout.Document) {
-	if format != formatXML {
-		s.writeJSON(w, doc)
-		return
+// render renders a characterization response to its body: indented JSON as
+// writeJSON writes it, or exactly the results-file XML of cmd/uopsinfo.
+func render(format string, doc *xmlout.Document) ([]byte, error) {
+	if format == formatXML {
+		var buf bytes.Buffer
+		if err := xmlout.Write(&buf, doc); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
 	}
-	// Render to a buffer first so an encoding error can still become a 500,
-	// and emit the buffer verbatim: the body must be byte-identical to the
-	// results file cmd/uopsinfo writes for the same result.
-	var buf strings.Builder
-	if err := xmlout.Write(&buf, doc); err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("service: encoding response: %w", err)
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	io.WriteString(w, buf.String())
+	return append(data, '\n'), nil
+}
+
+// writeBody answers with a rendered characterization response.
+func writeBody(w http.ResponseWriter, tag, format string, body []byte) {
+	ctype := "application/json; charset=utf-8"
+	if format == formatXML {
+		ctype = "application/xml; charset=utf-8"
+	}
+	w.Header().Set("ETag", tag)
+	w.Header().Set("Content-Type", ctype)
+	w.Write(body)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -476,9 +501,13 @@ func (s *Service) clientGone(w http.ResponseWriter, r *http.Request, err error) 
 // client that still waits (the engine shutting down) is a 503, anything
 // else is a 500. The run digest is the response's ETag, checked against
 // If-None-Match first — a repeat conditional GET is answered 304 without
-// touching the engine at all. The response carries the per-version IACA
-// entries exactly like the CLI's results file, so the XML rendering is
-// byte-identical to what cmd/uopsinfo writes for the same query.
+// touching the engine at all, and so is the repeat of a whole-generation
+// response, from the bytes kept for its tag. Only a successful render is
+// kept. ?only and variant responses are rendered per request: each
+// selection has a digest of its own, so keeping them would need eviction.
+// The response carries the per-version IACA entries exactly like the CLI's
+// results file, so the XML rendering is byte-identical to what cmd/uopsinfo
+// writes for the same query.
 func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uarch.Arch, opts engine.RunOptions, format string) {
 	dig, err := s.eng.RunDigest(arch.Gen(), opts)
 	if err != nil {
@@ -490,6 +519,17 @@ func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uar
 		w.Header().Set("ETag", tag)
 		w.WriteHeader(http.StatusNotModified)
 		return
+	}
+	whole := len(opts.Only) == 0
+	if whole {
+		s.bodiesMu.Lock()
+		body, ok := s.bodies[tag]
+		s.bodiesMu.Unlock()
+		if ok {
+			s.count(func(c *Counters) { c.RenderHits++ })
+			writeBody(w, tag, format, body)
+			return
+		}
 	}
 	res, err := s.eng.CharacterizeArchContext(r.Context(), arch.Gen(), opts)
 	if err != nil {
@@ -508,8 +548,17 @@ func (s *Service) characterize(w http.ResponseWriter, r *http.Request, arch *uar
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("ETag", tag)
-	s.writeDoc(w, format, xmlout.Single(xmlout.FromArchResult(res, analyzers)))
+	body, err := render(format, xmlout.Single(xmlout.FromArchResult(res, analyzers)))
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
+	if whole {
+		s.bodiesMu.Lock()
+		s.bodies[tag] = body
+		s.bodiesMu.Unlock()
+	}
+	writeBody(w, tag, format, body)
 }
 
 // analyzers returns the (lazily built, cached) IACA analyzers for a

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -85,6 +86,96 @@ func TestConditionalGet(t *testing.T) {
 	}
 	if rec := condGet(t, svc, vTarget, vTag); rec.Code != http.StatusNotModified {
 		t.Errorf("variant If-None-Match = %d, want 304", rec.Code)
+	}
+}
+
+// TestWholeGenerationRenderedOnce pins the kept whole-generation bodies: a
+// repeat is written from the first response's bytes, under the same ETag and
+// without reaching the engine, separately per format. A request that failed,
+// a ?only request and a variant request keep nothing.
+func TestWholeGenerationRenderedOnce(t *testing.T) {
+	svc, eng := newTestService(t, engine.Config{CacheDir: t.TempDir()})
+	const target = "/v1/arch/skylake?quick=1&format="
+	runs := func() int { return eng.Stats().Runs }
+	renderHits := func() int { return svc.Counters().RenderHits }
+
+	// A request whose client is already gone fails, and keeps nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone := httptest.NewRecorder()
+	svc.ServeHTTP(gone, httptest.NewRequest("GET", target+"json", nil).WithContext(ctx))
+	if c := svc.Counters(); c.ClientGone != 1 || c.RenderHits != 0 {
+		t.Fatalf("cancelled request: counters %+v, want ClientGone 1 and RenderHits 0", c)
+	}
+
+	for _, format := range []string{"json", "xml"} {
+		r0, h0 := runs(), renderHits()
+		first := do(t, svc, "GET", target+format)
+		if first.Code != http.StatusOK {
+			t.Fatalf("%s: first request = %d: %s", format, first.Code, first.Body.Bytes())
+		}
+		if runs() != r0+1 || renderHits() != h0 {
+			t.Errorf("%s: first request: %d runs, %d render hits, want %d and %d", format, runs(), renderHits(), r0+1, h0)
+		}
+		repeat := do(t, svc, "GET", target+format)
+		if repeat.Code != first.Code {
+			t.Errorf("%s: repeat = %d, want %d", format, repeat.Code, first.Code)
+		}
+		for _, h := range []string{"ETag", "Content-Type"} {
+			if got, want := repeat.Header().Get(h), first.Header().Get(h); got != want || want == "" {
+				t.Errorf("%s: repeat %s = %q, want %q", format, h, got, want)
+			}
+		}
+		if !bytes.Equal(repeat.Body.Bytes(), first.Body.Bytes()) {
+			t.Errorf("%s: repeat body differs from the first (%d vs %d bytes)", format, repeat.Body.Len(), first.Body.Len())
+		}
+		if runs() != r0+1 || renderHits() != h0+1 {
+			t.Errorf("%s: repeat: %d runs, %d render hits, want %d and %d", format, runs(), renderHits(), r0+1, h0+1)
+		}
+
+		// Concurrent repeats share the kept bytes.
+		var wg sync.WaitGroup
+		recs := make([]*httptest.ResponseRecorder, 2)
+		for i := range recs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i] = do(t, svc, "GET", target+format)
+			}()
+		}
+		wg.Wait()
+		for i, rec := range recs {
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+				t.Errorf("%s: concurrent repeat %d = %d with %d bytes, want the first response", format, i, rec.Code, rec.Body.Len())
+			}
+		}
+		if runs() != r0+1 || renderHits() != h0+3 {
+			t.Errorf("%s: concurrent repeats: %d runs, %d render hits, want %d and %d", format, runs(), renderHits(), r0+1, h0+3)
+		}
+
+		if format != "xml" {
+			continue
+		}
+		res, err := eng.CharacterizeArch(uarch.Skylake, engine.RunOptions{SkipLatency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := renderXML(t, uarch.Get(uarch.Skylake), res); !bytes.Equal(repeat.Body.Bytes(), want) {
+			t.Errorf("kept XML is not byte-identical to the results-file rendering (%d vs %d bytes)", repeat.Body.Len(), len(want))
+		}
+	}
+
+	// ?only and variant responses are rendered per request.
+	for _, sel := range []string{"/v1/arch/skylake?quick=1&only=" + testOnly[0], "/v1/arch/skylake/variant/" + testOnly[0]} {
+		h0 := renderHits()
+		for i := 0; i < 2; i++ {
+			if rec := do(t, svc, "GET", sel); rec.Code != http.StatusOK {
+				t.Fatalf("GET %s = %d: %s", sel, rec.Code, rec.Body.Bytes())
+			}
+		}
+		if renderHits() != h0 {
+			t.Errorf("repeating %s raised RenderHits from %d to %d", sel, h0, renderHits())
+		}
 	}
 }
 

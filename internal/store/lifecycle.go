@@ -122,7 +122,8 @@ func (s *Store) unaccountLocked(file string) {
 // accounting from the directory, validates every entry's envelope
 // (quarantining corruption so it stops shadowing slots), collects debris —
 // stale temp files of crashed writers, aged-out quarantine files,
-// stale-format entries — and returns how many debris files it removed.
+// stale-format entries, well-formed envelopes of older store versions — and
+// returns how many debris files it removed.
 func (s *Store) sweep() int {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -171,10 +172,19 @@ func (s *Store) sweep() int {
 				continue
 			}
 			if !validEnvelope(data, kind) {
-				if newerVersion(data) {
-					continue // a newer process's file; not ours to touch
+				switch {
+				case newerVersion(data):
+					// A newer process's file; not ours to touch.
+				case olderVersion(data):
+					// An older store version's file: debris, not corruption.
+					if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
+						s.logf("store: sweep: removing %s: %v", name, err)
+					} else {
+						debris++
+					}
+				default:
+					s.quarantine(name, "invalid envelope found by startup sweep")
 				}
-				s.quarantine(name, "invalid envelope found by startup sweep")
 				continue
 			}
 			s.account(kind, name, info.Size())

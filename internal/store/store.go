@@ -338,6 +338,15 @@ func newerVersion(data []byte) bool {
 	return json.Unmarshal(data, &env) == nil && env.Version > Version
 }
 
+// olderVersion reports whether data is a well-formed envelope of an older
+// store version: the startup sweep collects such files as debris. Version
+// is hashed into every digest, so no current entry can be behind one.
+func olderVersion(data []byte) bool {
+	var env envelope
+	return json.Unmarshal(data, &env) == nil && env.Version > 0 && env.Version < Version &&
+		env.Kind != "" && len(env.Payload) > 0
+}
+
 // quarantine moves a corrupt entry aside to "<file>.corrupt": corruption is
 // counted and surfaced instead of silently shadowing the slot forever, and
 // the recomputed entry can be re-saved under the original name. A newer

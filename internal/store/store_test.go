@@ -511,6 +511,40 @@ func TestOpenSweepsRetiredEntryKinds(t *testing.T) {
 	}
 }
 
+// TestSweepCollectsOlderVersions opens a store holding a well-formed envelope
+// of the previous store version under a current-format filename. The sweep
+// must remove it as debris, not count or quarantine it as corruption.
+func TestSweepCollectsOlderVersions(t *testing.T) {
+	dir := t.TempDir()
+	dig := testKey("variant skipLatency=false").Digest()
+	payload, err := json.Marshal(testRecord("ADD_R64_R64"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(envelope{Version: Version - 1, Kind: KindVariant, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, dig.VariantFilename("ADD_R64_R64"))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.Quarantined != 0 || st.SweptDebris != 1 {
+		t.Errorf("sweep stats %+v, want 0 corrupt, 0 quarantined and 1 debris", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("older-version entry survived Open (stat err: %v)", err)
+	}
+	if corrupt, _ := filepath.Glob(filepath.Join(dir, "*"+corruptSuffix)); len(corrupt) != 0 {
+		t.Errorf("sweep quarantined an older-version entry: %v", corrupt)
+	}
+}
+
 // TestSaveFailureRemovesTempFile checks the error paths of the atomic write:
 // a save whose final rename fails must report the error and leave no
 // temporary file behind.

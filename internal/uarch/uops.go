@@ -17,7 +17,9 @@ package uarch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // ValKind distinguishes the two kinds of values a µop can read or write.
@@ -209,22 +211,28 @@ func FormatPortUsage(usage map[string]int) string {
 	for k := range usage {
 		keys = append(keys, k)
 	}
-	// Sort by combination size, then lexicographically, mirroring the
-	// paper's presentation (smaller combinations first).
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-	out := ""
+	slices.SortFunc(keys, ComparePortCombos)
+	var b strings.Builder
+	b.Grow(16 * len(keys))
 	for i, k := range keys {
 		if i > 0 {
-			out += "+"
+			b.WriteByte('+')
 		}
-		out += fmt.Sprintf("%d*p%s", usage[k], k)
+		b.WriteString(strconv.Itoa(usage[k]))
+		b.WriteString("*p")
+		b.WriteString(k)
 	}
-	return out
+	return b.String()
+}
+
+// ComparePortCombos orders port-combination keys by combination size, then
+// lexicographically, mirroring the paper's presentation (smaller
+// combinations first).
+func ComparePortCombos(a, b string) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return strings.Compare(a, b)
 }
 
 // Convenience builders used by the assignment rules -------------------------
