@@ -146,9 +146,9 @@ lint-extra:
 # to never panicking, to 200 or 400, and to one counter per sequence of
 # exactly one JSON request under the worker's fingerprint; FuzzLoadVariant
 # holds the store's record decoding to never panicking, to hits that name
-# the requested variant, and to quarantining every other miss except a
-# newer-version envelope. A crashing input lands in the package's
-# testdata/fuzz and fails the run.
+# the requested variant, and to quarantining every other miss except an
+# empty file or a newer-version envelope. A crashing input lands in the
+# package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote

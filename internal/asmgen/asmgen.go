@@ -148,15 +148,15 @@ func (in *Inst) OperandFor(opIdx int) Operand {
 // RegsUsed returns the set of register families referenced by the
 // instruction's concrete operands (explicit and implicit), including memory
 // base registers.
-func (in *Inst) RegsUsed() map[isa.Reg]bool {
-	used := make(map[isa.Reg]bool)
+func (in *Inst) RegsUsed() RegSet {
+	var used RegSet
 	for i, spec := range in.Variant.Operands {
 		op := in.OperandFor(i)
 		switch {
 		case spec.Kind == isa.OpReg && op.Reg != isa.RegNone:
-			used[op.Reg.Family()] = true
+			used.Add(op.Reg)
 		case spec.Kind == isa.OpMem && op.Mem != nil:
-			used[op.Mem.Base.Family()] = true
+			used.Add(op.Mem.Base)
 		}
 	}
 	return used

@@ -88,12 +88,12 @@ func TestRegsUsedIncludesBasesAndImplicit(t *testing.T) {
 	add := variant(t, "ADD_R64_M64")
 	inst := MustInst(add, RegOperand(isa.RAX), MemOperand(isa.RBX, 0x1000))
 	used := inst.RegsUsed()
-	if !used[isa.RAX] || !used[isa.RBX] {
+	if !used.Has(isa.RAX) || !used.Has(isa.RBX) {
 		t.Errorf("RegsUsed = %v, want RAX and RBX", used)
 	}
 	div := variant(t, "DIV_R64")
 	used = MustInst(div, RegOperand(isa.RBX)).RegsUsed()
-	if !used[isa.RAX] || !used[isa.RDX] || !used[isa.RBX] {
+	if !used.Has(isa.RAX) || !used.Has(isa.RDX) || !used.Has(isa.RBX) {
 		t.Errorf("DIV RegsUsed = %v, want RAX, RDX and RBX", used)
 	}
 }
@@ -144,7 +144,7 @@ func TestAllocatorFreshAndReserved(t *testing.T) {
 func TestAllocatorAvoidAndReuse(t *testing.T) {
 	t.Parallel()
 	alloc := NewAllocator()
-	r, err := alloc.Reuse(isa.ClassXMM, isa.XMM0)
+	r, err := alloc.Reuse(isa.ClassXMM, setOf(isa.XMM0))
 	if err != nil {
 		t.Fatal(err)
 	}

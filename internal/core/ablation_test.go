@@ -163,3 +163,55 @@ func BenchmarkBlockingInstructionDiscovery(b *testing.B) {
 		}
 	}
 }
+
+// TestInferenceRungAllocs pins the allocations per call of the three
+// inference rungs (BenchmarkPortUsageInference, BenchmarkLatencyInference
+// and BenchmarkThroughputInference) on their warm Skylake stack: kernel
+// generation builds no register maps and no per-combination copy of the
+// blocking sequence, and Measure no copy of the long reading. A rung that
+// allocates more than its ceiling fails under its own name. The test does
+// not run in parallel: AllocsPerRun counts every allocation of the process.
+func TestInferenceRungAllocs(t *testing.T) {
+	c := charFor(t, uarch.Skylake)
+	movq2dq := variant(t, c, "MOVQ2DQ_XMM_MM")
+	aesdec := variant(t, c, "AESDEC_XMM_XMM")
+	add := variant(t, c, "ADD_R64_R64")
+	rungs := []struct {
+		name    string
+		ceiling float64
+		run     func() error
+	}{
+		{"PortUsage of MOVQ2DQ_XMM_MM", 74, func() error {
+			_, err := c.PortUsage(movq2dq, 2)
+			return err
+		}},
+		{"Latency of AESDEC_XMM_XMM", 53, func() error {
+			_, err := c.Latency(aesdec)
+			return err
+		}},
+		{"Throughput of ADD_R64_R64", 60, func() error {
+			_, err := c.Throughput(add, PortUsage{"0156": 1})
+			return err
+		}},
+	}
+	for _, r := range rungs {
+		// The first call warms the stack: chain latencies, rename templates
+		// and the reading memo.
+		if err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			if e := r.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		t.Logf("%s: %.0f allocs per call (ceiling %.0f)", r.name, allocs, r.ceiling)
+		if allocs > r.ceiling {
+			t.Errorf("%s: %.0f allocs per call, above its ceiling of %.0f", r.name, allocs, r.ceiling)
+		}
+	}
+}

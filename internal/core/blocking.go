@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
-	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/uarch"
 )
@@ -296,23 +294,4 @@ func (c *Characterizer) isolationProfile(in *isa.Instr, n int) ([]int, float64, 
 		}
 	}
 	return ports, res.Cycles * perInstr, res.TotalUops * perInstr, nil
-}
-
-// blockingSequence builds blockRep independent copies of the blocking
-// instruction whose operands avoid the register families used by the
-// instruction under test. All copies use the same registers: written
-// registers are renamed by the hardware, and the source registers are never
-// written, so the copies are independent of each other and of the measured
-// instruction.
-func (c *Characterizer) blockingSequence(b BlockingInstr, blockRep int, avoid []isa.Reg) (asmgen.Sequence, error) {
-	alloc := c.gen.newAlloc()
-	inst, err := c.gen.instantiate(b.Instr, nil, alloc, avoid...)
-	if err != nil {
-		return nil, fmt.Errorf("core: building blocking sequence for %s: %w", b.Instr.Name, err)
-	}
-	seq := make(asmgen.Sequence, 0, blockRep)
-	for i := 0; i < blockRep; i++ {
-		seq = append(seq, inst)
-	}
-	return seq, nil
 }

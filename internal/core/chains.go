@@ -260,11 +260,7 @@ func (c *Characterizer) transferChain(from, to isa.Reg) (asmgen.Sequence, error)
 // pair under test).
 func (c *Characterizer) breakOtherDeps(in *isa.Instr, inst *asmgen.Inst, alloc *asmgen.Allocator, s, d int) (asmgen.Sequence, error) {
 	var seq asmgen.Sequence
-	var avoid []isa.Reg
-	//uopslint:ignore detrange avoid is an exclusion set: the allocator folds it into a family-keyed map, so its order never reaches generated code
-	for r := range inst.RegsUsed() {
-		avoid = append(avoid, r)
-	}
+	avoid := inst.RegsUsed()
 	for i, op := range in.Operands {
 		if i == s {
 			continue // the intended dependency path
@@ -274,7 +270,7 @@ func (c *Characterizer) breakOtherDeps(in *isa.Instr, inst *asmgen.Inst, alloc *
 		}
 		switch op.Kind {
 		case isa.OpFlags:
-			br, err := c.gen.depBreakFlags(alloc, avoid...)
+			br, err := c.gen.depBreakFlags(alloc, avoid)
 			if err != nil {
 				return nil, err
 			}

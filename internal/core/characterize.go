@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/pipesim"
@@ -17,6 +18,9 @@ import (
 type Characterizer struct {
 	gen      *gen
 	blocking *BlockingSet
+	// kernel is PortUsage's buffer for the kernel of one port combination
+	// (see portKernel).
+	kernel asmgen.Sequence
 
 	// Worker stacks are pooled rather than forked per run: a long-lived
 	// Characterizer (the engine caches one per generation) hands warm

@@ -35,7 +35,7 @@ func newGen(h *measure.Harness) *gen {
 
 // newAlloc returns a fresh register allocator with the harness-reserved
 // registers excluded.
-func (g *gen) newAlloc() *asmgen.Allocator {
+func (g *gen) newAlloc() asmgen.Allocator {
 	return asmgen.NewAllocator(asmgen.DefaultReserved...)
 }
 
@@ -53,10 +53,10 @@ func defaultImm(in *isa.Instr) int64 {
 
 // instantiate builds one concrete instance of the variant. fixed maps
 // explicit-operand indices to pre-chosen operands; all other register
-// operands are allocated from alloc (fresh registers, avoiding the given
-// families), memory operands get a fresh base register and address, and
+// operands are allocated from alloc (fresh registers, avoiding the families
+// in avoid), memory operands get a fresh base register and address, and
 // immediates get a default value.
-func (g *gen) instantiate(in *isa.Instr, fixed map[int]asmgen.Operand, alloc *asmgen.Allocator, avoid ...isa.Reg) (*asmgen.Inst, error) {
+func (g *gen) instantiate(in *isa.Instr, fixed map[int]asmgen.Operand, alloc *asmgen.Allocator, avoid ...asmgen.RegSet) (*asmgen.Inst, error) {
 	// Implicit fixed registers (RAX for MUL, CL for variable shifts, ...)
 	// must not be handed out for explicit operands.
 	for _, op := range in.Operands {
@@ -104,21 +104,21 @@ func (g *gen) instantiate(in *isa.Instr, fixed map[int]asmgen.Operand, alloc *as
 // written cannot be decoupled.
 func (g *gen) independentInstances(in *isa.Instr, n int) (asmgen.Sequence, error) {
 	alloc := g.newAlloc()
-	var seq asmgen.Sequence
-	for i := 0; i < n; i++ {
-		inst, err := g.instantiate(in, nil, alloc)
+	seq := make(asmgen.Sequence, n)
+	for i := range seq {
+		inst, err := g.instantiate(in, nil, &alloc)
 		if err != nil {
 			// The register class may be exhausted for large n; fall back to
 			// reusing registers from the start of the sequence, which keeps
 			// the instances pairwise independent as long as no instance
 			// both reads and writes the reused register.
-			alloc = g.newAlloc()
-			inst, err = g.instantiate(in, nil, alloc)
+			alloc.Reset()
+			inst, err = g.instantiate(in, nil, &alloc)
 			if err != nil {
 				return nil, err
 			}
 		}
-		seq = append(seq, inst)
+		seq[i] = inst
 	}
 	return seq, nil
 }
@@ -137,7 +137,7 @@ func (g *gen) lookupVariant(name string) (*isa.Instr, error) {
 // without reading them (and without writing any register), used to break
 // unwanted implicit dependencies through the flags (Section 5.2). The scratch
 // register is only read, so repeated instances are independent.
-func (g *gen) depBreakFlags(alloc *asmgen.Allocator, avoid ...isa.Reg) (*asmgen.Inst, error) {
+func (g *gen) depBreakFlags(alloc *asmgen.Allocator, avoid ...asmgen.RegSet) (*asmgen.Inst, error) {
 	in, err := g.lookupVariant("TEST_R64_I32")
 	if err != nil {
 		return nil, err
@@ -184,8 +184,8 @@ func (g *gen) depBreakReg(r isa.Reg) (*asmgen.Inst, error) {
 
 // depBreakersFor returns dependency-breaking instructions for all implicit
 // operands of the variant that are both read and written (flags or fixed
-// registers), avoiding the given register families.
-func (g *gen) depBreakersFor(in *isa.Instr, alloc *asmgen.Allocator, avoid ...isa.Reg) (asmgen.Sequence, error) {
+// registers).
+func (g *gen) depBreakersFor(in *isa.Instr, alloc *asmgen.Allocator) (asmgen.Sequence, error) {
 	var seq asmgen.Sequence
 	for _, op := range in.Operands {
 		if !op.Implicit || !op.Read || !op.Write {
@@ -193,7 +193,7 @@ func (g *gen) depBreakersFor(in *isa.Instr, alloc *asmgen.Allocator, avoid ...is
 		}
 		switch op.Kind {
 		case isa.OpFlags:
-			br, err := g.depBreakFlags(alloc, avoid...)
+			br, err := g.depBreakFlags(alloc)
 			if err != nil {
 				return nil, err
 			}

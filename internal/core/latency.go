@@ -19,8 +19,9 @@ func (c *Characterizer) Latency(in *isa.Instr) (LatencyResult, error) {
 	if in.UsesDivider {
 		return c.dividerLatency(in)
 	}
+	dests := in.DestOperands()
 	for _, s := range in.SourceOperands() {
-		for _, d := range in.DestOperands() {
+		for _, d := range dests {
 			pairs, err := c.latencyPair(in, s, d)
 			if err != nil {
 				// Record the failure as a note instead of aborting the whole
@@ -113,12 +114,12 @@ func (c *Characterizer) measureChainIteration(iteration asmgen.Sequence) (float6
 // instructions are added for all other read-modify-write operands.
 func (c *Characterizer) selfChainLatency(in *isa.Instr, opIdx int) (float64, error) {
 	alloc := c.gen.newAlloc()
-	inst, err := c.gen.instantiate(in, nil, alloc)
+	inst, err := c.gen.instantiate(in, nil, &alloc)
 	if err != nil {
 		return 0, err
 	}
 	iteration := asmgen.Sequence{inst}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, opIdx, opIdx)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, opIdx, opIdx)
 	if err != nil {
 		return 0, err
 	}
@@ -208,11 +209,11 @@ func (c *Characterizer) chainedLatency(in *isa.Instr, s, d int, kind chainKind) 
 
 	srcClass := in.Operands[s].Class
 	dstClass := in.Operands[d].Class
-	srcReg, err := c.operandRegister(in, s, alloc)
+	srcReg, err := c.operandRegister(in, s, &alloc)
 	if err != nil {
 		return 0, err
 	}
-	dstReg, err := c.operandRegister(in, d, alloc)
+	dstReg, err := c.operandRegister(in, d, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -222,7 +223,7 @@ func (c *Characterizer) chainedLatency(in *isa.Instr, s, d int, kind chainKind) 
 	if ei := explicitIndex(in, d); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(dstReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -231,7 +232,7 @@ func (c *Characterizer) chainedLatency(in *isa.Instr, s, d int, kind chainKind) 
 		return 0, err
 	}
 	iteration := asmgen.Sequence{inst, chainInst}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return 0, err
 	}
@@ -262,12 +263,12 @@ func (c *Characterizer) sameRegisterLatency(in *isa.Instr, s, d int) (float64, e
 	if ei := explicitIndex(in, d); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(reg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return 0, err
 	}
 	iteration := asmgen.Sequence{inst}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return 0, err
 	}
@@ -280,11 +281,11 @@ func (c *Characterizer) sameRegisterLatency(in *isa.Instr, s, d int) (float64, e
 // the latency (the measured composition time minus one cycle).
 func (c *Characterizer) crossTypeLatency(in *isa.Instr, s, d int) (float64, error) {
 	alloc := c.gen.newAlloc()
-	srcReg, err := c.operandRegister(in, s, alloc)
+	srcReg, err := c.operandRegister(in, s, &alloc)
 	if err != nil {
 		return 0, err
 	}
-	dstReg, err := c.operandRegister(in, d, alloc)
+	dstReg, err := c.operandRegister(in, d, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -295,7 +296,7 @@ func (c *Characterizer) crossTypeLatency(in *isa.Instr, s, d int) (float64, erro
 	if ei := explicitIndex(in, d); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(dstReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -304,7 +305,7 @@ func (c *Characterizer) crossTypeLatency(in *isa.Instr, s, d int) (float64, erro
 		return 0, err
 	}
 	iteration := append(asmgen.Sequence{inst}, transfers...)
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return 0, err
 	}
@@ -333,7 +334,7 @@ func (c *Characterizer) memRegLatency(in *isa.Instr, s, d int) ([]OperandPairLat
 		return nil, err
 	}
 	addr := c.gen.arena.Alloc(srcOp.Width / 8)
-	dstReg, err := c.operandRegister(in, d, alloc)
+	dstReg, err := c.operandRegister(in, d, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +345,7 @@ func (c *Characterizer) memRegLatency(in *isa.Instr, s, d int) ([]OperandPairLat
 	if ei := explicitIndex(in, d); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(dstReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -382,12 +383,12 @@ func (c *Characterizer) memRegLatency(in *isa.Instr, s, d int) ([]OperandPairLat
 		upper = true
 		notes = "transfer + double-XOR address chain (upper bound)"
 	}
-	flagBreak, err := c.gen.depBreakFlags(alloc)
+	flagBreak, err := c.gen.depBreakFlags(&alloc)
 	if err != nil {
 		return nil, err
 	}
 	iteration = append(iteration, flagBreak)
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +422,7 @@ func (c *Characterizer) regMemRoundTrip(in *isa.Instr, s, d int) (float64, error
 		return 0, err
 	}
 	addr := c.gen.arena.Alloc(dstOp.Width / 8)
-	srcReg, err := c.operandRegister(in, s, alloc)
+	srcReg, err := c.operandRegister(in, s, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -432,7 +433,7 @@ func (c *Characterizer) regMemRoundTrip(in *isa.Instr, s, d int) (float64, error
 	if ei := explicitIndex(in, s); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(srcReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return 0, err
 	}
@@ -470,7 +471,7 @@ func (c *Characterizer) regMemRoundTrip(in *isa.Instr, s, d int) (float64, error
 		iteration = append(iteration, asmgen.MustInst(load,
 			asmgen.RegOperand(srcReg), asmgen.MemOperand(base, addr)))
 	}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return 0, err
 	}
@@ -487,7 +488,7 @@ func (c *Characterizer) flagsRegLatency(in *isa.Instr, s, d int) ([]OperandPairL
 		return nil, fmt.Errorf("flags-to-%s chains are not supported", dstOp.Class)
 	}
 	alloc := c.gen.newAlloc()
-	dstReg, err := c.operandRegister(in, d, alloc)
+	dstReg, err := c.operandRegister(in, d, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +496,7 @@ func (c *Characterizer) flagsRegLatency(in *isa.Instr, s, d int) ([]OperandPairL
 	if ei := explicitIndex(in, d); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(dstReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +506,7 @@ func (c *Characterizer) flagsRegLatency(in *isa.Instr, s, d int) ([]OperandPairL
 	}
 	d64 := dstReg.InFamily(isa.ClassGPR64)
 	iteration := asmgen.Sequence{inst, asmgen.MustInst(test, asmgen.RegOperand(d64), asmgen.RegOperand(d64))}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +541,7 @@ func (c *Characterizer) regFlagsLatency(in *isa.Instr, s, d int) ([]OperandPairL
 		return nil, fmt.Errorf("no SETcc variant reads a subset of the written flags %s", dstOp.WriteFlags)
 	}
 	alloc := c.gen.newAlloc()
-	srcReg, err := c.operandRegister(in, s, alloc)
+	srcReg, err := c.operandRegister(in, s, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +549,7 @@ func (c *Characterizer) regFlagsLatency(in *isa.Instr, s, d int) ([]OperandPairL
 	if ei := explicitIndex(in, s); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(srcReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +558,7 @@ func (c *Characterizer) regFlagsLatency(in *isa.Instr, s, d int) ([]OperandPairL
 		return nil, fmt.Errorf("no 8-bit alias for register %s", srcReg)
 	}
 	iteration := asmgen.Sequence{inst, asmgen.MustInst(setcc, asmgen.RegOperand(src8))}
-	breakers, err := c.breakOtherDeps(in, inst, alloc, s, d)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, s, d)
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +602,7 @@ func (c *Characterizer) dividerLatency(in *isa.Instr) (LatencyResult, error) {
 		return result, nil
 	}
 	alloc := c.gen.newAlloc()
-	pinReg, err := c.operandRegister(in, pinIdx, alloc)
+	pinReg, err := c.operandRegister(in, pinIdx, &alloc)
 	if err != nil {
 		return result, err
 	}
@@ -609,16 +610,16 @@ func (c *Characterizer) dividerLatency(in *isa.Instr) (LatencyResult, error) {
 	if ei := explicitIndex(in, pinIdx); ei >= 0 {
 		fixed[ei] = asmgen.RegOperand(pinReg)
 	}
-	inst, err := c.gen.instantiate(in, fixed, alloc)
+	inst, err := c.gen.instantiate(in, fixed, &alloc)
 	if err != nil {
 		return result, err
 	}
-	pin, err := c.valuePinSequence(pinReg, alloc)
+	pin, err := c.valuePinSequence(pinReg, &alloc)
 	if err != nil {
 		return result, err
 	}
 	iteration := append(asmgen.Sequence{inst}, pin...)
-	breakers, err := c.breakOtherDeps(in, inst, alloc, pinIdx, pinIdx)
+	breakers, err := c.breakOtherDeps(in, inst, &alloc, pinIdx, pinIdx)
 	if err != nil {
 		return result, err
 	}

@@ -56,15 +56,11 @@ func (c *Characterizer) PortUsage(in *isa.Instr, maxLatency float64) (PortUsage,
 	// The instance of the instruction under test; the blocking instructions
 	// must avoid its registers.
 	alloc := c.gen.newAlloc()
-	testInst, err := c.gen.instantiate(in, nil, alloc)
+	testInst, err := c.gen.instantiate(in, nil, &alloc)
 	if err != nil {
 		return nil, err
 	}
-	var avoid []isa.Reg
-	//uopslint:ignore detrange avoid is an exclusion set: the allocator folds it into a family-keyed map, so its order never reaches generated code
-	for r := range testInst.RegsUsed() {
-		avoid = append(avoid, r)
-	}
+	avoid := testInst.RegsUsed()
 
 	for _, key := range sortedCombos(blocking) {
 		b := blocking[key]
@@ -72,12 +68,16 @@ func (c *Characterizer) PortUsage(in *isa.Instr, maxLatency float64) (PortUsage,
 		if mask&isoMask == 0 {
 			continue // the instruction never uses these ports
 		}
-		blockSeq, err := c.blockingSequence(b, blockRep, avoid)
+		// One instance of the blocking instruction serves all blockRep
+		// copies: written registers are renamed by the hardware, and the
+		// source registers are never written, so the copies are
+		// independent of each other and of the measured instruction.
+		blockAlloc := c.gen.newAlloc()
+		blockInst, err := c.gen.instantiate(b.Instr, nil, &blockAlloc, avoid)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: building blocking sequence for %s: %w", b.Instr.Name, err)
 		}
-		code := append(append(asmgen.Sequence{}, blockSeq...), testInst)
-		res, err := c.gen.h.Measure(code)
+		res, err := c.gen.h.Measure(c.portKernel(blockInst, blockRep, testInst))
 		if err != nil {
 			return nil, err
 		}
@@ -102,12 +102,26 @@ func (c *Characterizer) PortUsage(in *isa.Instr, maxLatency float64) (PortUsage,
 	return usage, nil
 }
 
+// portKernel returns the kernel of one port combination: blockRep copies of
+// the blocking instance, then the instruction under test. It is built in
+// c.kernel, which the next call overwrites: runners keep no sequence (the
+// seqretain analyzer checks it) and the reading memo keys on content, so
+// one buffer serves every combination.
+func (c *Characterizer) portKernel(block *asmgen.Inst, blockRep int, test *asmgen.Inst) asmgen.Sequence {
+	code := c.kernel[:0]
+	for i := 0; i < blockRep; i++ {
+		code = append(code, block)
+	}
+	c.kernel = append(code, test)
+	return c.kernel
+}
+
 // estimateMaxLatency produces a quick upper estimate of the instruction's
 // maximum operand-pair latency by running a self-dependent sequence (all
 // instances sharing registers) and taking the cycles per instruction.
 func (c *Characterizer) estimateMaxLatency(in *isa.Instr) float64 {
 	alloc := c.gen.newAlloc()
-	inst, err := c.gen.instantiate(in, nil, alloc)
+	inst, err := c.gen.instantiate(in, nil, &alloc)
 	if err != nil {
 		return 4
 	}

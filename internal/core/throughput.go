@@ -42,7 +42,7 @@ func (c *Characterizer) Throughput(in *isa.Instr, ports PortUsage) (ThroughputRe
 	if math.IsInf(best, 1) {
 		// Fall back to a single instance with reused registers.
 		alloc := c.gen.newAlloc()
-		inst, err := c.gen.instantiate(in, nil, alloc)
+		inst, err := c.gen.instantiate(in, nil, &alloc)
 		if err != nil {
 			return result, err
 		}
@@ -103,16 +103,16 @@ func (c *Characterizer) throughputWithDepBreaking(in *isa.Instr, n int) (float64
 	alloc := c.gen.newAlloc()
 	var seq asmgen.Sequence
 	for i := 0; i < n; i++ {
-		inst, err := c.gen.instantiate(in, nil, alloc)
+		inst, err := c.gen.instantiate(in, nil, &alloc)
 		if err != nil {
-			alloc = c.gen.newAlloc()
-			inst, err = c.gen.instantiate(in, nil, alloc)
+			alloc.Reset()
+			inst, err = c.gen.instantiate(in, nil, &alloc)
 			if err != nil {
 				return 0, err
 			}
 		}
 		seq = append(seq, inst)
-		breakers, err := c.gen.depBreakersFor(in, alloc)
+		breakers, err := c.gen.depBreakersFor(in, &alloc)
 		if err != nil {
 			return 0, err
 		}

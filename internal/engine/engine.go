@@ -146,6 +146,9 @@ type Engine struct {
 	// Variants of every store key the engine derives for the generation,
 	// and the selection of a whole-generation run. Shared, never modified.
 	universes map[uarch.Generation][]string
+	// vdigs holds the variant-tier digests the engine has computed (see
+	// variantDigest).
+	vdigs map[variantTier]store.Digest
 
 	// memMu guards mem, the per-variant records the store has returned, by
 	// variant-tier digest and variant name: once the store has returned a
@@ -224,6 +227,7 @@ func New(cfg Config) (*Engine, error) {
 		chars:     make(map[uarch.Generation]*charEntry),
 		seqPools:  make(map[uarch.Generation]*seqPoolEntry),
 		universes: make(map[uarch.Generation][]string),
+		vdigs:     make(map[variantTier]store.Digest),
 		mem:       make(map[store.Digest]map[string]*core.InstrResult),
 		flights:   make(map[store.Digest]*flight),
 	}
@@ -525,6 +529,33 @@ func (e *Engine) key(arch *uarch.Arch, scope string) store.Key {
 		Variants: e.universe(arch), Scope: scope}
 }
 
+// variantTier names one variant-tier digest: the generation, the backend
+// fingerprint and the variant scope (RunOptions.variantScope) are all it
+// depends on.
+type variantTier struct {
+	gen     uarch.Generation
+	backend string
+	scope   string
+}
+
+// variantDigest returns the variant-tier digest of the generation under
+// scope, hashed once per engine and backend fingerprint: a warm run does
+// not hash the generation's variant list again for it. A concurrent first
+// call hashes an equal digest.
+func (e *Engine) variantDigest(arch *uarch.Arch, scope string) store.Digest {
+	tier := variantTier{gen: arch.Gen(), backend: measure.Fingerprint(e.backend), scope: scope}
+	e.mu.Lock()
+	d, ok := e.vdigs[tier]
+	e.mu.Unlock()
+	if !ok {
+		d = e.key(arch, scope).Digest()
+		e.mu.Lock()
+		e.vdigs[tier] = d
+		e.mu.Unlock()
+	}
+	return d
+}
+
 // universe returns the generation's variant names, sorted, built once per
 // generation. The slice is shared and must not be modified.
 func (e *Engine) universe(arch *uarch.Arch) []string {
@@ -720,11 +751,10 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 	var vdig store.Digest
 	var partial map[string]*core.InstrResult
 	if e.st != nil {
-		// The variant-tier digest is computed once: deriving each
-		// per-variant filename from it is O(1), so probing (and later
-		// persisting) N variants does not re-hash the N-variant universe N
-		// times.
-		vdig = e.key(arch, opts.variantScope()).Digest()
+		// Deriving each per-variant filename from the variant-tier digest
+		// is O(1), so probing (and later persisting) N variants does not
+		// re-hash the N-variant universe N times.
+		vdig = e.variantDigest(arch, opts.variantScope())
 		partial = e.recall(vdig, names)
 
 		// Full per-variant coverage: merge without building a characterizer

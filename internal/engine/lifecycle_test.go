@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 )
 
@@ -77,6 +78,31 @@ func TestStoreIdentityGolden(t *testing.T) {
 	vdig := e.key(uarch.Get(uarch.Skylake), RunOptions{}.variantScope()).Digest()
 	if got := vdig.VariantFilename("ADD_R64_R64"); got != wantFile {
 		t.Errorf("Skylake ADD_R64_R64 variant file = %s, want %s", got, wantFile)
+	}
+}
+
+// TestVariantDigestCached checks that the cached variant-tier digest is the
+// digest of a fresh key, for every generation and every variant scope, on
+// the first call and on a cached one, and that it is cached per generation
+// and scope.
+func TestVariantDigestCached(t *testing.T) {
+	e := mustNew(t, Config{})
+	seen := map[store.Digest]bool{}
+	for _, arch := range uarch.All() {
+		for skip := 0; skip < 8; skip++ {
+			scope := RunOptions{SkipLatency: skip&1 != 0, SkipPortUsage: skip&2 != 0,
+				SkipThroughput: skip&4 != 0}.variantScope()
+			want := e.key(arch, scope).Digest()
+			for call := 0; call < 2; call++ {
+				if got := e.variantDigest(arch, scope); got != want {
+					t.Fatalf("%s %q call %d: variant digest %s, want %s", arch.Name(), scope, call, got, want)
+				}
+			}
+			seen[want] = true
+		}
+	}
+	if n := 8 * len(uarch.All()); len(e.vdigs) != n || len(seen) != n {
+		t.Errorf("%d cached digests, %d distinct, want %d of each", len(e.vdigs), len(seen), n)
 	}
 }
 

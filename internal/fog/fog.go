@@ -213,10 +213,10 @@ func (b *Baseline) independent(in *isa.Instr, n int) (asmgen.Sequence, error) {
 	}
 	var seq asmgen.Sequence
 	for i := 0; i < n; i++ {
-		inst, err := b.instanceFrom(in, alloc)
+		inst, err := b.instanceFrom(in, &alloc)
 		if err != nil {
-			alloc = asmgen.NewAllocator(asmgen.DefaultReserved...)
-			inst, err = b.instanceFrom(in, alloc)
+			alloc.Reset()
+			inst, err = b.instanceFrom(in, &alloc)
 			if err != nil {
 				return nil, fmt.Errorf("fog: building independent instances of %s: %w", in.Name, err)
 			}

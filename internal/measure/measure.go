@@ -208,10 +208,12 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	short, long := h.withOverhead(cs[0]), h.withOverhead(cs[1])
+	// Both readings are ours (see Runner), so the difference is taken in
+	// place in the long one.
+	diff := h.withOverhead(cs[1])
+	diff.Subtract(h.withOverhead(cs[0]))
 	numPorts := h.runner.Arch().NumPorts()
 	acc := Result{PortUops: make([]float64, numPorts)}
-	diff := long.Sub(short)
 	scale := float64(h.cfg.LongCopies - h.cfg.ShortCopies)
 	for rep := 0; rep < h.cfg.Repetitions; rep++ {
 		acc.Cycles += float64(diff.Cycles) / scale

@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"reflect"
 	"testing"
 
 	"uopsinfo/internal/asmgen"
@@ -179,5 +180,23 @@ func TestCountersCloneAndSub(t *testing.T) {
 	clone.PortUops[0] = 99
 	if a.PortUops[0] == 99 {
 		t.Error("Clone aliases the original PortUops slice")
+	}
+}
+
+func TestCountersSubtractInPlace(t *testing.T) {
+	t.Parallel()
+	a := Counters{Cycles: 10, PortUops: []int{1, 2, 3}, TotalUops: 6, IssuedUops: 7, ElimUops: 1}
+	b := Counters{Cycles: 4, PortUops: []int{1, 1}, TotalUops: 3, IssuedUops: 3, ElimUops: 0}
+	want := a.Sub(b)
+	ports := a.PortUops
+	a.Subtract(b)
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("Subtract = %+v, Sub = %+v", a, want)
+	}
+	if &ports[0] != &a.PortUops[0] || ports[2] != 3 {
+		t.Errorf("Subtract did not work in place: PortUops %v", ports)
+	}
+	if b.PortUops[0] != 1 || b.PortUops[1] != 1 {
+		t.Errorf("Subtract changed its operand: %v", b.PortUops)
 	}
 }

@@ -106,20 +106,26 @@ func (c Counters) Clone() Counters {
 	return out
 }
 
-// Sub returns c - o element-wise (used by the measurement protocol to remove
-// harness overhead).
+// Sub returns c - o element-wise, leaving c as it was.
 func (c Counters) Sub(o Counters) Counters {
 	out := c.Clone()
-	out.Cycles -= o.Cycles
-	out.TotalUops -= o.TotalUops
-	out.IssuedUops -= o.IssuedUops
-	out.ElimUops -= o.ElimUops
-	for i := range out.PortUops {
+	out.Subtract(o)
+	return out
+}
+
+// Subtract sets c to c - o element-wise, in place: c's PortUops is
+// overwritten (the measurement protocol takes the difference of two
+// readings it owns this way).
+func (c *Counters) Subtract(o Counters) {
+	c.Cycles -= o.Cycles
+	c.TotalUops -= o.TotalUops
+	c.IssuedUops -= o.IssuedUops
+	c.ElimUops -= o.ElimUops
+	for i := range c.PortUops {
 		if i < len(o.PortUops) {
-			out.PortUops[i] -= o.PortUops[i]
+			c.PortUops[i] -= o.PortUops[i]
 		}
 	}
-	return out
 }
 
 // Config controls simulation parameters that are not part of the

@@ -12,8 +12,10 @@ import (
 // FuzzLoadVariant feeds arbitrary bytes to LoadVariant as the variant file
 // of a fixed digest and name: a crash, a full disk or another process can
 // leave that file in any state. LoadVariant must never panic. A hit names
-// the requested variant. A miss either quarantined the file (Corrupt up by
-// one, the slot empty) or left a newer-version envelope where it was.
+// the requested variant. An empty file is a plain miss (Corrupt 0, the file
+// left for the next save to replace). Any other miss either quarantined the
+// file (Corrupt up by one, the slot empty) or left a newer-version envelope
+// where it was.
 func FuzzLoadVariant(f *testing.F) {
 	const name = "ADD_R64_R64"
 	dig := testKey("variant skipLatency=false").Digest()
@@ -68,6 +70,10 @@ func FuzzLoadVariant(f *testing.F) {
 		case ok:
 			if rec.Name != name || corrupt != 0 {
 				t.Fatalf("hit names %q with %d corrupt, want %q with 0", rec.Name, corrupt, name)
+			}
+		case len(data) == 0:
+			if corrupt != 0 || statErr != nil {
+				t.Fatalf("empty entry was not a plain miss: %d corrupt, stat %v", corrupt, statErr)
 			}
 		case newerVersion(data):
 			if corrupt != 0 || statErr != nil {

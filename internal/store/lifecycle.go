@@ -122,8 +122,9 @@ func (s *Store) unaccountLocked(file string) {
 // accounting from the directory, validates every entry's envelope
 // (quarantining corruption so it stops shadowing slots), collects debris —
 // stale temp files of crashed writers, aged-out quarantine files,
-// stale-format entries, well-formed envelopes of older store versions — and
-// returns how many debris files it removed.
+// stale-format entries, well-formed envelopes of older store versions,
+// empty entries a power cut left — and returns how many debris files it
+// removed.
 func (s *Store) sweep() int {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -131,6 +132,13 @@ func (s *Store) sweep() int {
 		return 0
 	}
 	debris := 0
+	remove := func(name string) {
+		if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
+			s.logf("store: sweep: removing %s: %v", name, err)
+		} else {
+			debris++
+		}
+	}
 	cutoff := now().Add(-staleTmpAge)
 	for _, ent := range entries {
 		if ent.IsDir() {
@@ -148,18 +156,10 @@ func (s *Store) sweep() int {
 				continue
 			}
 			if info.ModTime().Before(cutoff) {
-				if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
-					s.logf("store: sweep: removing %s: %v", name, err)
-				} else {
-					debris++
-				}
+				remove(name)
 			}
 		case classDebris:
-			if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
-				s.logf("store: sweep: removing %s: %v", name, err)
-			} else {
-				debris++
-			}
+			remove(name)
 		case classEntry:
 			info, err := ent.Info()
 			if err != nil {
@@ -175,13 +175,10 @@ func (s *Store) sweep() int {
 				switch {
 				case newerVersion(data):
 					// A newer process's file; not ours to touch.
-				case olderVersion(data):
-					// An older store version's file: debris, not corruption.
-					if err := s.fsys.Remove(filepath.Join(s.dir, name)); err != nil {
-						s.logf("store: sweep: removing %s: %v", name, err)
-					} else {
-						debris++
-					}
+				case len(data) == 0 || olderVersion(data):
+					// A save whose data never reached the disk, or an older
+					// store version's file: debris, not corruption.
+					remove(name)
 				default:
 					s.quarantine(name, "invalid envelope found by startup sweep")
 				}

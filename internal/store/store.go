@@ -288,12 +288,14 @@ func (s *Store) logf(format string, args ...interface{}) {
 func (s *Store) Dir() string { return s.dir }
 
 // load reads and validates the entry in file, decoding the payload into out.
-// A missing file is a plain miss. A file that exists but cannot be decoded —
-// unreadable, torn, not JSON, wrong kind, stale version — is corruption: it
-// is counted, quarantined aside to "*.corrupt" (so it stops shadowing the
-// slot) and reported as a miss. Only an envelope from a *newer* format
-// version is left in place: that is another, newer process sharing the
-// directory, not damage.
+// A missing or empty file is a plain miss: an empty entry is what a power
+// cut leaves of a save whose data never reached the disk, and the next save
+// replaces it. A file that exists but cannot be decoded — unreadable, torn,
+// not JSON, wrong kind, stale version — is corruption: it is counted,
+// quarantined aside to "*.corrupt" (so it stops shadowing the slot) and
+// reported as a miss. Only an envelope from a *newer* format version is left
+// in place: that is another, newer process sharing the directory, not
+// damage.
 func (s *Store) load(kind, file string, out interface{}) bool {
 	if !s.readAllowed() {
 		return false
@@ -308,6 +310,9 @@ func (s *Store) load(kind, file string, out interface{}) bool {
 		return false
 	}
 	s.readOK()
+	if len(data) == 0 {
+		return false
+	}
 	if !s.decode(data, kind, out) {
 		s.quarantine(file, fmt.Sprintf("undecodable %s entry", kind))
 		return false

@@ -545,6 +545,76 @@ func TestSweepCollectsOlderVersions(t *testing.T) {
 	}
 }
 
+// TestEmptyEntryIsAMiss truncates a saved variant entry to zero bytes, what
+// a power cut leaves of a save whose data never reached the disk. Loading
+// it is a plain miss: nothing is counted as corruption or quarantined, and
+// the next save replaces the file.
+func TestEmptyEntryIsAMiss(t *testing.T) {
+	s := openStore(t)
+	dig := testKey("variant skipLatency=false").Digest()
+	const name = "ADD_R64_R64"
+	path := filepath.Join(s.Dir(), dig.VariantFilename(name))
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.LoadVariant(dig, name); ok {
+		t.Fatal("empty entry served as a hit")
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.Quarantined != 0 {
+		t.Errorf("empty entry counted as corruption: %+v", st)
+	}
+	if _, err := os.Stat(path + corruptSuffix); !os.IsNotExist(err) {
+		t.Errorf("empty entry was quarantined (stat err: %v)", err)
+	}
+	if err := s.SaveVariant(dig, name, testRecord(name)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.LoadVariant(dig, name); !ok || got.Name != name {
+		t.Errorf("save over the empty entry did not recover the slot: %+v (ok=%v)", got, ok)
+	}
+}
+
+// TestSweepRemovesEmptyEntries opens a store holding an empty blocking and
+// an empty variant entry under current-format filenames, beside a valid
+// entry. The sweep removes both empty files as debris, without counting
+// or quarantining them as corruption, and keeps the valid entry.
+func TestSweepRemovesEmptyEntries(t *testing.T) {
+	dir := t.TempDir()
+	seed, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig := testKey("variant skipLatency=false").Digest()
+	if err := seed.SaveVariant(dig, "IMUL_R64_R64", testRecord("IMUL_R64_R64")); err != nil {
+		t.Fatal(err)
+	}
+	empty := []string{
+		filepath.Join(dir, dig.VariantFilename("ADD_R64_R64")),
+		filepath.Join(dir, testKey("blocking").filename(KindBlocking)),
+	}
+	for _, path := range empty {
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.Quarantined != 0 || st.SweptDebris != 2 {
+		t.Errorf("sweep stats %+v, want 0 corrupt, 0 quarantined and 2 debris", st)
+	}
+	for _, path := range empty {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("empty entry %s survived Open (stat err: %v)", filepath.Base(path), err)
+		}
+	}
+	if _, ok := s.LoadVariant(dig, "IMUL_R64_R64"); !ok {
+		t.Error("the sweep lost the valid entry beside the empty ones")
+	}
+}
+
 // TestSaveFailureRemovesTempFile checks the error paths of the atomic write:
 // a save whose final rename fails must report the error and leave no
 // temporary file behind.
