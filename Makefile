@@ -135,8 +135,10 @@ lint-extra:
 	else echo "lint-extra: govulncheck not installed; skipping"; fi
 
 # fuzz-smoke runs every native fuzz target for 10 s each (not raced):
-# FuzzRunCopies holds the simulator's RunCopies, memo included, to Run on
-# materialized copies for two kernels on one Machine, errors included;
+# FuzzRunCopies holds the simulator's RunCopies, reading table included, to
+# Run on materialized copies for two kernels on one Machine and, with a
+# second generation byte, on a Machine of that generation sharing its
+# table, errors included;
 # FuzzDecodeSeq holds the fleet worker's sequence decoder to its bounds;
 # FuzzParseSequence holds the parser of cmd/analyze's kernels to never
 # panicking and to re-reading its own printed output;

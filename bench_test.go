@@ -205,9 +205,10 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The serial run reads on proto's own Machine, so it also reports the
-	// readings that Machine simulated and recalled from its memo per op.
-	// Iterations after the first reuse the warm memo, just as they reuse
-	// its arenas and rename templates.
+	// readings that Machine simulated and recalled from its reading table
+	// per op. Iterations after the first reuse the warm table, just as they
+	// reuse its arenas and rename templates; the parallel runs' forks share
+	// it.
 	m := proto.Harness().Runner().(*pipesim.Machine)
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {

@@ -196,7 +196,7 @@ func TestInferenceRungAllocs(t *testing.T) {
 	}
 	for _, r := range rungs {
 		// The first call warms the stack: chain latencies, rename templates
-		// and the reading memo.
+		// and the reading table.
 		if err := r.run(); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

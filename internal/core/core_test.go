@@ -309,8 +309,8 @@ func TestLatencyMemoryOperand(t *testing.T) {
 	if !ok {
 		t.Fatal("no latency for (mem, reg)")
 	}
-	if p10.Cycles < float64(c.Arch().LoadLatency()) {
-		t.Errorf("memory-to-register latency %.2f below load latency %d", p10.Cycles, c.Arch().LoadLatency())
+	if p10.Cycles < float64(c.Arch().Machine().LoadLatency) {
+		t.Errorf("memory-to-register latency %.2f below load latency %d", p10.Cycles, c.Arch().Machine().LoadLatency)
 	}
 	// The register -> register latency is 1 cycle.
 	p00, ok := lat.Lookup(0, 0)

@@ -105,7 +105,7 @@ func (c *Characterizer) PortUsage(in *isa.Instr, maxLatency float64) (PortUsage,
 // portKernel returns the kernel of one port combination: blockRep copies of
 // the blocking instance, then the instruction under test. It is built in
 // c.kernel, which the next call overwrites: runners keep no sequence (the
-// seqretain analyzer checks it) and the reading memo keys on content, so
+// seqretain analyzer checks it) and the reading table keys on content, so
 // one buffer serves every combination.
 func (c *Characterizer) portKernel(block *asmgen.Inst, blockRep int, test *asmgen.Inst) asmgen.Sequence {
 	code := c.kernel[:0]

@@ -25,6 +25,7 @@ import (
 
 	"uopsinfo/internal/core"
 	"uopsinfo/internal/measure"
+	"uopsinfo/internal/pipesim"
 	"uopsinfo/internal/store"
 	"uopsinfo/internal/uarch"
 )
@@ -123,6 +124,15 @@ type Stats struct {
 	// cmd/uopsbench reads them.
 	PoolSeqBuilt  int64 `json:"poolSeqBuilt"`
 	PoolSeqReused int64 `json:"poolSeqReused"`
+	// ReadingHits and ReadingMisses count the simulator readings the
+	// engine's reading table answered and those it did not hold, which
+	// were simulated; ReadingBytes is what the readings it holds are
+	// charged, and ReadingDrops counts the times it dropped them whole to
+	// make room. Only pipesim runners use the table.
+	ReadingHits   int `json:"readingHits" metric:"uopsd_engine_reading_hits_total" help:"Simulator readings answered from the engine's reading table."`
+	ReadingMisses int `json:"readingMisses" metric:"uopsd_engine_reading_misses_total" help:"Simulator readings the engine's reading table did not hold, and so simulated."`
+	ReadingBytes  int `json:"readingBytes" metric:"uopsd_engine_reading_bytes" help:"Bytes charged to the readings the engine's reading table holds."`
+	ReadingDrops  int `json:"readingDrops" metric:"uopsd_engine_reading_drops_total" help:"Times the engine's reading table dropped its readings whole to make room."`
 	// Fleet carries the measurement-fleet counters (requests, retries,
 	// per-worker health and latency) when the engine's backend
 	// drives one (the "remote" backend); nil otherwise.
@@ -138,6 +148,9 @@ type Engine struct {
 	cfg     Config
 	backend measure.Backend
 	st      *store.Store
+	// readings is the reading table of every pipesim Machine the engine
+	// builds, of every generation, and of their forks (see Harness).
+	readings *pipesim.Table
 
 	mu       sync.Mutex
 	chars    map[uarch.Generation]*charEntry
@@ -224,6 +237,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		backend:   backend,
+		readings:  pipesim.NewTable(),
 		chars:     make(map[uarch.Generation]*charEntry),
 		seqPools:  make(map[uarch.Generation]*seqPoolEntry),
 		universes: make(map[uarch.Generation][]string),
@@ -352,6 +366,8 @@ func (e *Engine) Stats() Stats {
 	}
 	s.PoolForked += pool.Forked
 	s.PoolReused += pool.Reused
+	rs := e.readings.Stats()
+	s.ReadingHits, s.ReadingMisses, s.ReadingBytes, s.ReadingDrops = rs.Hits, rs.Misses, rs.Bytes, rs.Drops
 	if fr, ok := e.backend.(measure.FleetReporter); ok {
 		if fs, ok := fr.FleetStats(); ok {
 			s.Fleet = &fs
@@ -431,11 +447,17 @@ func (e *Engine) saved(err error) {
 // Harness builds a fresh, independent measurement stack (a runner from the
 // configured backend plus a harness) for a generation, e.g. for direct
 // sequence measurements or prior-work baselines that must not share
-// substrate state with the characterizer.
+// substrate state with the characterizer. It is the one place the engine
+// builds a runner, and it hands a pipesim Machine the engine's reading
+// table: readings are pure, so every Machine of every generation, and
+// every fork of one, shares what another simulated (pipesim's memo.go).
 func (e *Engine) Harness(gen uarch.Generation) (*measure.Harness, error) {
 	r, err := e.backend.NewRunner(gen)
 	if err != nil {
 		return nil, fmt.Errorf("engine: backend %s: building runner for %s: %w", e.backend.Name(), gen, err)
+	}
+	if m, ok := r.(*pipesim.Machine); ok {
+		m.SetTable(e.readings)
 	}
 	return measure.NewWithConfig(r, e.MeasureConfig()), nil
 }

@@ -59,7 +59,13 @@ func mustNew(t *testing.T, cfg Config) *Engine {
 
 func renderXML(t *testing.T, e *Engine, opts RunOptions) []byte {
 	t.Helper()
-	res, err := e.CharacterizeArch(uarch.Skylake, opts)
+	return genXML(t, e, uarch.Skylake, opts)
+}
+
+// genXML renders the results XML of a run on gen.
+func genXML(t *testing.T, e *Engine, gen uarch.Generation, opts RunOptions) []byte {
+	t.Helper()
+	res, err := e.CharacterizeArch(gen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

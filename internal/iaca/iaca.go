@@ -106,6 +106,7 @@ type Report struct {
 type Analyzer struct {
 	version Version
 	arch    *uarch.Arch
+	keys    portKeys
 	db      map[string]Entry
 }
 
@@ -115,7 +116,7 @@ func New(v Version, arch *uarch.Arch) (*Analyzer, error) {
 	if !Supports(v, arch.Gen()) {
 		return nil, fmt.Errorf("iaca: version %s does not support %s", v, arch.Name())
 	}
-	a := &Analyzer{version: v, arch: arch, db: make(map[string]Entry)}
+	a := &Analyzer{version: v, arch: arch, keys: portKeysFor(arch), db: make(map[string]Entry)}
 	for _, in := range arch.InstrSet().Instrs() {
 		a.db[in.Name] = a.buildEntry(in)
 	}
@@ -144,7 +145,7 @@ func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	}
 	uops := len(perf.Uops)
 	gen := a.arch.Gen()
-	p := a.profileKeys()
+	p := &a.keys
 
 	switch {
 	// Missing load µops for some memory-reading instructions on Nehalem and
@@ -240,29 +241,31 @@ func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	return Entry{Uops: uops, Usage: usage}
 }
 
-// profileKeys caches the port-combination keys of the targeted generation.
-type profileKeysT struct {
+// portKeys are the port-combination keys of the targeted generation that
+// buildEntry injects discrepancies with, computed once per analyzer by
+// portKeysFor and cached in Analyzer.keys.
+type portKeys struct {
 	intALU, shift, shuffle, vecLogic, fpAdd, load, storeAddr, storeData string
 }
 
-func (a *Analyzer) profileKeys() profileKeysT {
-	if a.arch.NumPorts() == 6 {
-		return profileKeysT{
+func portKeysFor(arch *uarch.Arch) portKeys {
+	if arch.NumPorts() == 6 {
+		return portKeys{
 			intALU: "015", shift: "05", shuffle: "5", vecLogic: "015", fpAdd: "1",
-			load:      uarch.PortComboKey(a.arch.LoadPorts()),
-			storeAddr: uarch.PortComboKey(a.arch.StoreAddrPorts()),
-			storeData: uarch.PortComboKey(a.arch.StoreDataPorts()),
+			load:      uarch.PortComboKey(arch.LoadPorts()),
+			storeAddr: uarch.PortComboKey(arch.StoreAddrPorts()),
+			storeData: uarch.PortComboKey(arch.StoreDataPorts()),
 		}
 	}
 	fpAdd := "1"
-	if a.arch.Gen() >= uarch.Skylake {
+	if arch.Gen() >= uarch.Skylake {
 		fpAdd = "01"
 	}
-	return profileKeysT{
+	return portKeys{
 		intALU: "0156", shift: "06", shuffle: "5", vecLogic: "015", fpAdd: fpAdd,
-		load:      uarch.PortComboKey(a.arch.LoadPorts()),
-		storeAddr: uarch.PortComboKey(a.arch.StoreAddrPorts()),
-		storeData: uarch.PortComboKey(a.arch.StoreDataPorts()),
+		load:      uarch.PortComboKey(arch.LoadPorts()),
+		storeAddr: uarch.PortComboKey(arch.StoreAddrPorts()),
+		storeData: uarch.PortComboKey(arch.StoreDataPorts()),
 	}
 }
 
@@ -344,7 +347,7 @@ func (a *Analyzer) Analyze(code asmgen.Sequence) (Report, error) {
 	}
 	// The front end issues four µops per cycle; the block throughput cannot
 	// be below total/4.
-	if fe := float64(total) / float64(a.arch.IssueWidth()); fe > tp {
+	if fe := float64(total) / float64(a.arch.Machine().IssueWidth); fe > tp {
 		tp = fe
 	}
 	pressure := make([]float64, numPorts)

@@ -44,10 +44,11 @@ type Runner interface {
 // fleet runner ships it once with its copy counts, so one measurement
 // costs one round trip. RunCopies returns, for each copy count n in
 // copies, the counters Run would return for code.Repeat(n), in order.
-// Since readings are pure, RunCopies may answer one from a memo instead
-// of running it: *pipesim.Machine recalls readings it took before, within
-// a fixed memory budget (and so do the fleet workers' Machines behind the
-// fleet runner).
+// Since readings are pure, RunCopies may answer one from a table instead
+// of running it: *pipesim.Machine recalls readings that any Machine
+// sharing its reading table took before — its clones, and every Machine
+// one engine builds, of any generation — within a fixed memory budget (and
+// so do the fleet workers' engines behind the fleet runner).
 //
 // Like Run, RunCopies must not retain code after returning, and the
 // caller owns the returned counters, recalled ones included.

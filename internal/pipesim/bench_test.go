@@ -65,7 +65,7 @@ func BenchmarkRunPortUsageKernel(b *testing.B) {
 	benchSequence(b, seqPortUsageKernel(uarch.Get(uarch.Skylake)))
 }
 
-// BenchmarkRunCopiesRecalled is the cost of a reading the memo answers:
+// BenchmarkRunCopiesRecalled is the cost of a reading the table answers:
 // the port-usage kernel's long reading on a Machine that took it before
 // (building the key, one lookup and a fresh copy of the counters). Compare
 // it with BenchmarkRunPortUsageKernel, the same reading simulated.

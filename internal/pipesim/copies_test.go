@@ -87,11 +87,12 @@ func TestRunCopiesMatchesRun(t *testing.T) {
 	}
 }
 
-// memoPairs returns pairs of instances that differ only in what the memo
-// key must tell apart beyond the variant: the sub-register of one family
-// in a same-register variant (XOR AL, AL is a zero idiom; XOR AL, AX, built
-// directly because NewInst checks operand classes, is not), and the address
-// of a read-modify-write, which decides whether two of them alias.
+// memoPairs returns pairs of instances that differ only in what the
+// reading key must tell apart beyond the variant: the sub-register of one
+// family in a same-register variant (XOR AL, AL is a zero idiom; XOR AL,
+// AX, built directly because NewInst checks operand classes, is not), and
+// the address of a read-modify-write, which decides whether two of them
+// alias.
 func memoPairs(t testing.TB, arch *uarch.Arch) [][2]*asmgen.Inst {
 	xor8, add := arch.InstrSet().Lookup("XOR_R8_R8"), arch.InstrSet().Lookup("ADD_M64_R64")
 	if xor8 == nil || add == nil {
@@ -134,13 +135,18 @@ func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 // FuzzRunCopies builds two kernels of at most 32 instructions each from
 // the input, runs both on one Machine and requires each to match Run on
 // materialized copies, errors included: the second kernel's readings may
-// be recalled from the memo the first one filled. The first byte picks the
+// be recalled from the table the first one filled. The first byte picks the
 // generation (bits 2 and up), a small MaxCycles (bit 1) and the divider
 // regime (bit 0); bytes 1–32 index fuzzPool for the first kernel and bytes
-// 33–64 for the second. The seed corpus spells out the bench shapes'
-// prefixes as first kernels, and for each generation and memo pair a
-// first kernel of 32 copies of the pair's first instance and a second one
-// that alternates the pair.
+// 33–64 for the second. Byte 65, if present, picks a second generation: a
+// Machine of it shares the first Machine's table and reads both kernels
+// again, built from its own pool (the pools of all generations list the
+// same instructions), so its readings may be recalled from the other
+// generation's. The seed corpus spells out the bench shapes' prefixes as
+// first kernels, and for each generation and memo pair a first kernel of
+// 32 copies of the pair's first instance and a second one that alternates
+// the pair; then the memo-pair inputs of some generations again, each read
+// on a second generation.
 func FuzzRunCopies(f *testing.F) {
 	archs := uarch.All()
 	pools := make([][]*asmgen.Inst, len(archs))
@@ -162,31 +168,48 @@ func FuzzRunCopies(f *testing.F) {
 		f.Add(seed)
 		f.Add(append([]byte{byte(i<<2 | 3)}, seed[1:]...))
 	}
+	memoSeed := func(g, j int) []byte {
+		pairs := len(memoPairs(f, archs[g]))
+		first := byte(len(pools[g]) - 2*(pairs-j))
+		seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{first}, 32)...)
+		return append(seed, bytes.Repeat([]byte{first, first + 1}, 16)...)
+	}
 	for g, arch := range archs {
-		pairs := len(memoPairs(f, arch))
-		for j := 0; j < pairs; j++ {
-			first := byte(len(pools[g]) - 2*(pairs-j))
-			seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{first}, 32)...)
-			f.Add(append(seed, bytes.Repeat([]byte{first, first + 1}, 16)...))
+		for j := range memoPairs(f, arch) {
+			f.Add(memoSeed(g, j))
+		}
+	}
+	for _, p := range [][2]uarch.Generation{{uarch.Skylake, uarch.KabyLake}, {uarch.Nehalem, uarch.Westmere},
+		{uarch.SandyBridge, uarch.IvyBridge}, {uarch.Haswell, uarch.Broadwell}, {uarch.Haswell, uarch.Skylake},
+		{uarch.CoffeeLake, uarch.Nehalem}} {
+		for j := range memoPairs(f, archs[p[0]]) {
+			f.Add(append(memoSeed(int(p[0]), j), byte(p[1])))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		g := int(data[0]>>2) % len(archs)
+		gens := []int{int(data[0]>>2) % len(archs)}
+		if len(data) > 65 {
+			gens = append(gens, int(data[65])%len(archs))
+		}
 		var cfg Config
 		if data[0]&2 != 0 {
 			cfg.MaxCycles = 1000
 		}
 		cfg.DividerValues = DividerValues(data[0] & 1)
-		m := NewWithConfig(archs[g], cfg)
-		for _, part := range [][]byte{data[1:min(len(data), 33)], data[min(len(data), 33):min(len(data), 65)]} {
-			var k asmgen.Sequence
-			for _, b := range part {
-				k = append(k, pools[g][int(b)%len(pools[g])])
+		table := NewTable()
+		for _, g := range gens {
+			m := NewWithConfig(archs[g], cfg)
+			m.SetTable(table)
+			for _, part := range [][]byte{data[1:min(len(data), 33)], data[min(len(data), 33):min(len(data), 65)]} {
+				var k asmgen.Sequence
+				for _, b := range part {
+					k = append(k, pools[g][int(b)%len(pools[g])])
+				}
+				checkRunCopies(t, m, k)
 			}
-			checkRunCopies(t, m, k)
 		}
 	})
 }

@@ -39,20 +39,21 @@ var goldenCounterDigests = map[uarch.Generation]string{
 }
 
 // goldenReadings pins, per generation, the readings the Machine of
-// TestCountersGolden simulates and recalls from its memo (Readings): an
-// exact count of the simulator's work. A change that simulates more (a key
-// that separates more than rename reads, a smaller memo) or recalls more
-// moves it; the digests above say whether the counters stayed exact.
+// TestCountersGolden simulates and recalls from its private table
+// (Readings): an exact count of the simulator's work. A change that
+// simulates more (a key that separates more than rename reads, a smaller
+// table) or recalls more moves it; the digests above say whether the
+// counters stayed exact.
 var goldenReadings = map[uarch.Generation][2]int{
-	uarch.Nehalem:     {1680, 1332},
-	uarch.Westmere:    {1694, 1358},
-	uarch.SandyBridge: {2382, 1928},
-	uarch.IvyBridge:   {2378, 1918},
-	uarch.Haswell:     {2565, 2821},
-	uarch.Broadwell:   {2580, 2816},
-	uarch.Skylake:     {2604, 2938},
-	uarch.KabyLake:    {2604, 2938},
-	uarch.CoffeeLake:  {2604, 2938},
+	uarch.Nehalem:     {1600, 1412},
+	uarch.Westmere:    {1630, 1422},
+	uarch.SandyBridge: {2276, 2034},
+	uarch.IvyBridge:   {2248, 2048},
+	uarch.Haswell:     {2458, 2928},
+	uarch.Broadwell:   {2468, 2928},
+	uarch.Skylake:     {2496, 3046},
+	uarch.KabyLake:    {2496, 3046},
+	uarch.CoffeeLake:  {2496, 3046},
 }
 
 // foldRunner is a measure.CopiesRunner that folds every reading's sequence

@@ -3,17 +3,20 @@ package pipesim
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 
 	"uopsinfo/internal/asmgen"
 )
 
-// This file holds the reading memo of RunCopies: a Machine remembers the
-// counters of each reading it simulated, keyed by everything the
-// simulation reads of the reading's kernel, and answers a repeated reading
-// from memory instead of simulating it again.
+// This file holds the reading table of RunCopies: the counters of every
+// reading a Machine simulated, keyed by everything the simulation reads of
+// the reading's kernel and of the machine, so that a repeated reading is
+// recalled instead of simulated again. Clones share their parent's table,
+// and so does every Machine an owner hands the same table (SetTable): the
+// engine gives one table to all the Machines it builds, of every
+// generation.
 //
-// The memo is exact because a reading is a function of its key and of
-// the Machine's fixed state:
+// The table is exact because a reading is a function of its key:
 //
 //   - rename reads, per instance, the rename template of its variant and
 //     the instance's explicit registers and memory operands. The registers
@@ -25,42 +28,189 @@ import (
 //     first use in the kernel preserves every comparison. Immediates and
 //     instance identity play no part. Rename also reads the copy count,
 //     the divider regime (templates hold latencies and divider occupancies
-//     for both regimes) and the generation.
-//   - execute reads only the renamed arena and the Machine's
-//     configuration: the generation, SchedulerSize and MaxCycles.
+//     for both regimes) and the machine record's SSE/AVX penalty; the
+//     variant's µops (Perf), the port count and the load latency reach it
+//     only through the template.
+//   - execute reads only the renamed arena and the machine record: the
+//     port count, the issue width, SchedulerSize and MaxCycles.
 //   - Everything else a Machine keeps across runs is reset before each run
 //     (checkResetInvariants pins it), except what the simulation never
-//     reads (the memo and its scratch), the rename templates, which hold
-//     facts of the variants only, and the temp slots, which tempGen
+//     reads (the table and the key scratch), the rename templates, which
+//     hold facts of the variants only, and the temp slots, which tempGen
 //     invalidates by epoch.
 //
-// So a reading's key is the copy count, the divider regime and, per run of
-// one repeated instance, the template's content id, the explicit registers
-// and memory operands (addresses numbered by first use) and the run length.
-// The regime is in the key because SetDividerValues changes it on a live
-// Machine. The rest of the configuration and the generation are not: they
-// are fixed when the Machine is made, and Clone starts with an empty memo.
-// Templates are interned by content (appendTmplKey), so a content id names
-// exactly one template, and variants that decode alike share keys.
+// So a reading's key is the machine record (uarch.Machine with
+// SchedulerSize and MaxCycles, encoded once per Machine by appendRecKey),
+// the copy count, the divider regime and, per run of one repeated instance,
+// the template's id, the explicit registers and memory operands (addresses
+// numbered by first use) and the run length. The regime is in the key
+// because SetDividerValues changes it on a live Machine.
 //
-// The memo holds at most memoBudget bytes, charged per entry as the key,
-// the encoded counters and memoEntryOverhead. An entry that does not fit
-// beside the others drops the memo whole first: no eviction order to keep,
-// and a characterization's repeats are close together.
+// Template ids are the table's, not a Machine's: the table interns each
+// template's content (appendTmplKey), so an id names one template in every
+// Machine that shares the table, and variants of any generation that decode
+// alike share keys. The interner is never cleared, not even when the
+// readings are: an id handed out again for other content would make a key
+// that some Machine builds from its old id name a different kernel. It
+// grows with the distinct templates of the ISA, about 900 over all nine
+// generations.
+//
+// Nothing in a key names the generation, and nothing has to. Two Machines
+// with equal records whose instances bind templates of equal content run
+// the same simulation, whatever generation each was made for. So Kaby Lake
+// recalls what Skylake simulated, because in this model they are the same
+// machine, while a generation whose record or µops differ gets other keys.
+// Errors name the generation, and failed readings are never stored.
+//
+// The readings take at most tableBudget bytes, charged per entry as the
+// key, the encoded counters and entryOverhead. An entry that does not fit
+// beside the others drops the readings whole first (the interner stays):
+// no eviction order to keep, and one pass over the ISA fits. One mutex
+// guards the table. RunCopies takes it once to recall and, if it simulated
+// anything, once more to remember; recalled counters are decoded under it,
+// since a drop moves the encoded counters.
 
-// memoBudget bounds the bytes a Machine's reading memo holds.
-const memoBudget = 64 << 10
+// tableBudget bounds the bytes a reading table's readings are charged.
+const tableBudget = 8 << 20
 
-// memoEntryOverhead is what one memo entry costs beyond its key and
-// encoded counters: its map slot (a string header and an offset) and a
-// share of the map's spare capacity.
-const memoEntryOverhead = 48
+// entryOverhead is what one table entry costs beyond its key and encoded
+// counters: its map slot (a string header and an offset) and a share of the
+// map's spare capacity.
+const entryOverhead = 48
+
+// Table is a reading table: the readings RunCopies simulated and the ids of
+// the rename templates, shared by every Machine that uses it (see Clone and
+// SetTable). It is safe for concurrent use.
+type Table struct {
+	mu sync.Mutex
+	// ids interns template content (appendTmplKey) to table-global ids;
+	// it is never cleared.
+	ids map[string]int32
+	// readings maps a reading's key to the offset of its varint-encoded
+	// counters in vals; bytes is what its entries are charged against
+	// budget, tableBudget outside tests.
+	readings map[string]int32
+	vals     []byte
+	bytes    int
+	budget   int
+	hits     int
+	misses   int
+	drops    int
+}
+
+// TableStats are a reading table's counters.
+type TableStats struct {
+	Hits   int // readings RunCopies recalled
+	Misses int // readings RunCopies looked up in vain, and so simulated
+	Bytes  int // what the readings held now are charged, at most 8 MiB
+	Drops  int // times the readings were dropped whole to make room
+}
+
+// NewTable returns an empty reading table.
+func NewTable() *Table {
+	return &Table{ids: make(map[string]int32), readings: make(map[string]int32), budget: tableBudget}
+}
+
+// Stats returns a snapshot of the table's counters.
+func (t *Table) Stats() TableStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return TableStats{Hits: t.hits, Misses: t.misses, Bytes: t.bytes, Drops: t.drops}
+}
+
+// intern returns the table-global id of the template whose content key is
+// key, handing out the next id to content it has not seen.
+func (t *Table) intern(key []byte) int32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.ids[string(key)]
+	if !ok {
+		id = idx32(len(t.ids))
+		t.ids[string(key)] = id
+	}
+	return id
+}
+
+// recall fills out[i] for every count copies[i] the table holds a reading
+// of, under one lock, and sets m.missed to the indices of the others.
+func (m *Machine) recall(copies []int, out []Counters) {
+	m.missed = m.missed[:0]
+	t := m.table
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, n := range copies {
+		off, ok := t.readings[string(m.readingKey(n))]
+		if !ok {
+			t.misses++
+			m.missed = append(m.missed, i)
+			continue
+		}
+		out[i] = decodeCounters(t.vals[off:])
+		t.hits++
+		m.recalled++
+	}
+}
+
+// remember stores the readings out[i] of copies[i] for every index i in
+// simulated, under one lock if there are any.
+func (m *Machine) remember(copies []int, out []Counters, simulated []int) {
+	if len(simulated) == 0 {
+		return
+	}
+	t := m.table
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, i := range simulated {
+		t.store(m.readingKey(copies[i]), out[i])
+	}
+}
+
+// readingKey returns the key of the reading of n copies of the kernel whose
+// key m.kernelKey holds, built in m.keyBuf.
+func (m *Machine) readingKey(n int) []byte {
+	m.keyBuf = append(binary.AppendVarint(append(m.keyBuf[:0], m.recKey...), int64(n)), m.kernelKey...)
+	return m.keyBuf
+}
+
+// store stores reading c under key, unless the table holds it already (a
+// Machine sharing the table simulated it meanwhile). When the entry does
+// not fit beside the others, the readings are dropped whole first; an
+// entry larger than the whole budget is not stored. The caller holds t.mu.
+func (t *Table) store(key []byte, c Counters) {
+	if _, ok := t.readings[string(key)]; ok {
+		return
+	}
+	off := len(t.vals)
+	t.vals = appendCounters(t.vals, c)
+	cost := len(key) + len(t.vals) - off + entryOverhead
+	switch {
+	case cost > t.budget:
+		t.vals = t.vals[:off]
+		return
+	case t.bytes+cost > t.budget:
+		clear(t.readings)
+		t.vals = t.vals[:copy(t.vals, t.vals[off:])]
+		off, t.bytes = 0, 0
+		t.drops++
+	}
+	t.readings[string(key)] = idx32(off)
+	t.bytes += cost
+}
+
+// appendRecKey appends to b the encoding of the machine record r.
+func appendRecKey(b []byte, r record) []byte {
+	for _, v := range [...]int{r.NumPorts, r.IssueWidth, r.LoadLatency, r.SSEAVXPenalty, r.schedulerSize, r.maxCycles} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
 
 // appendKernelKey appends to b the key of code under the Machine's divider
-// regime, without the copy count: the regime, then per run of one repeated
-// instance the instance's key (appendInstKey) and the run length. Runs
-// are found by content, so instances that differ only in identity or
-// immediates join one run. It takes time linear in len(code).
+// regime, without the machine record and the copy count: the regime, then
+// per run of one repeated instance the instance's key (appendInstKey) and
+// the run length. Runs are found by content, so instances that differ only
+// in identity or immediates join one run. It takes time linear in
+// len(code).
 func (m *Machine) appendKernelKey(b []byte, code asmgen.Sequence) []byte {
 	b = append(b, byte(m.regime()))
 	clear(m.addrIDs)
@@ -89,11 +239,11 @@ func (m *Machine) appendKernelKey(b []byte, code asmgen.Sequence) []byte {
 }
 
 // appendInstKey appends to b what rename reads of inst: its template's
-// content id, then per explicit operand the register and the memory
+// table-global id, then per explicit operand the register and the memory
 // operand's base register and address id, the address numbered by first
 // use in the kernel.
 func (m *Machine) appendInstKey(b []byte, inst *asmgen.Inst) []byte {
-	b = binary.AppendUvarint(b, uint64(m.templateFor(inst.Variant)))
+	b = binary.AppendUvarint(b, uint64(m.tableIDs[m.templateFor(inst.Variant)]))
 	b = binary.AppendUvarint(b, uint64(len(inst.Ops)))
 	for i := range inst.Ops {
 		op := &inst.Ops[i]
@@ -161,30 +311,9 @@ func flagBits(flags ...bool) byte {
 	return v
 }
 
-// remember stores reading c under key. When the entry does not fit beside
-// the others, the memo is dropped whole first; an entry larger than the
-// whole budget is not stored.
-func (m *Machine) remember(key []byte, c Counters) {
-	off := len(m.memoVals)
-	m.memoVals = appendCounters(m.memoVals, c)
-	cost := len(key) + len(m.memoVals) - off + memoEntryOverhead
-	switch {
-	case cost > memoBudget:
-		m.memoVals = m.memoVals[:off]
-		return
-	case m.memoBytes+cost > memoBudget:
-		clear(m.memo)
-		m.memoVals = m.memoVals[:copy(m.memoVals, m.memoVals[off:])]
-		off, m.memoBytes = 0, 0
-	}
-	m.memo[string(key)] = idx32(off)
-	m.memoBytes += cost
-}
-
-// recall returns a fresh copy of the reading stored at offset off of
-// memoVals.
-func (m *Machine) recall(off int32) Counters {
-	b := m.memoVals[off:]
+// decodeCounters returns a fresh copy of the reading encoded at the start
+// of b.
+func decodeCounters(b []byte) Counters {
 	next := func() int {
 		v, n := binary.Varint(b)
 		b = b[n:]
@@ -195,7 +324,6 @@ func (m *Machine) recall(off int32) Counters {
 	for p := range c.PortUops {
 		c.PortUops[p] = next()
 	}
-	m.recalled++
 	return c
 }
 

@@ -13,9 +13,9 @@ import (
 	"uopsinfo/internal/uarch"
 )
 
-// Tests of the reading memo of RunCopies (memo.go): the key must separate
+// Tests of the reading table of RunCopies (memo.go): the key must separate
 // kernels that rename can tell apart and join those it cannot, recalled
-// readings must be the caller's own, and the memo must stay within its
+// readings must be the caller's own, and the table must stay within its
 // budget.
 
 // leafFields calls f with a settable Value and its path for every leaf (a
@@ -278,29 +278,35 @@ func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 }
 
 // TestMemoStaysWithinBudget streams distinct kernels through one Machine
-// and requires the memo never to hold more than memoBudget, to have been
-// dropped on the way, and never to store a reading whose key alone
-// outgrows the budget.
+// whose table has a 64 KiB budget, so that the stream outgrows it, and
+// requires the table never to hold more than its budget, to have been
+// dropped on the way (and to count each drop), and never to store a
+// reading whose key alone outgrows the budget.
 func TestMemoStaysWithinBudget(t *testing.T) {
 	t.Parallel()
 	arch := uarch.Get(uarch.Skylake)
 	m := New(arch)
+	tb := m.table
+	tb.budget = 64 << 10
 	drops := 0
 	for i, k := range randomSequences(t, arch, 400, rand.New(rand.NewSource(0xb0d9))) {
-		before := m.memoBytes
+		before := tb.bytes
 		if _, err := m.RunCopies(k, 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		if m.memoBytes > memoBudget || len(m.memoVals) > memoBudget {
-			t.Fatalf("kernel %d: the memo holds %d bytes (%d of counters), over its budget of %d",
-				i, m.memoBytes, len(m.memoVals), memoBudget)
+		if tb.bytes > tb.budget || len(tb.vals) > tb.budget {
+			t.Fatalf("kernel %d: the table holds %d bytes (%d of counters), over its budget of %d",
+				i, tb.bytes, len(tb.vals), tb.budget)
 		}
-		if m.memoBytes < before {
+		if tb.bytes < before {
 			drops++
 		}
 	}
 	if drops == 0 {
-		t.Fatalf("the memo never filled (%d bytes): the stream does not reach the budget", m.memoBytes)
+		t.Fatalf("the table never filled (%d bytes): the stream does not reach the budget", tb.bytes)
+	}
+	if st := tb.Stats(); st.Drops != drops || st.Bytes != tb.bytes {
+		t.Errorf("Stats reports %d drops and %d bytes, want %d and %d", st.Drops, st.Bytes, drops, tb.bytes)
 	}
 
 	k := newMemoKernels(t)
@@ -308,10 +314,10 @@ func TestMemoStaysWithinBudget(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		huge = append(huge, k.store(uint64(0x1000+8*i)))
 	}
-	if key := m.appendKernelKey(nil, huge); len(key) <= memoBudget {
+	if key := m.appendKernelKey(nil, huge); len(key) <= tb.budget {
 		t.Fatalf("a %d-byte key does not outgrow the budget", len(key))
 	}
-	before, entries := m.memoBytes, len(m.memo)
+	before, entries := tb.bytes, len(tb.readings)
 	sim0, _ := m.Readings()
 	for i := 0; i < 2; i++ {
 		if _, err := m.RunCopies(huge, 1); err != nil {
@@ -321,14 +327,14 @@ func TestMemoStaysWithinBudget(t *testing.T) {
 	if sim, _ := m.Readings(); sim-sim0 != 2 {
 		t.Errorf("two readings of a kernel with an oversized key simulated %d times, want 2", sim-sim0)
 	}
-	if m.memoBytes != before || len(m.memo) != entries {
-		t.Errorf("the memo changed from %d bytes in %d entries to %d in %d", before, entries, m.memoBytes, len(m.memo))
+	if tb.bytes != before || len(tb.readings) != entries {
+		t.Errorf("the table changed from %d bytes in %d entries to %d in %d", before, entries, tb.bytes, len(tb.readings))
 	}
 }
 
-// TestMemoLifecycle pins what keeps and what starts the memo: Reset keeps
-// it, a clone starts empty, Run never consults it, and a reading that does
-// not drain is never stored.
+// TestMemoLifecycle pins what keeps and what shares the table: Reset keeps
+// it, a clone shares its parent's readings, Run never consults it, and a
+// reading that does not drain is never stored.
 func TestMemoLifecycle(t *testing.T) {
 	t.Parallel()
 	arch := uarch.Get(uarch.Skylake)
@@ -349,8 +355,8 @@ func TestMemoLifecycle(t *testing.T) {
 	if _, err := c.RunCopies(kernel, 2); err != nil {
 		t.Fatal(err)
 	}
-	if sim, rec := c.Readings(); sim != 1 || rec != 0 {
-		t.Errorf("clone: %d readings simulated and %d recalled, want 1 and 0", sim, rec)
+	if sim, rec := c.Readings(); sim != 0 || rec != 1 {
+		t.Errorf("clone: %d readings simulated and %d recalled, want 0 and 1", sim, rec)
 	}
 
 	small := NewWithConfig(arch, Config{MaxCycles: 1000})
@@ -360,7 +366,7 @@ func TestMemoLifecycle(t *testing.T) {
 			t.Fatal("12 copies of a divider chain drained in 1000 cycles")
 		}
 	}
-	if sim, rec := small.Readings(); sim != 2 || rec != 0 || len(small.memo) != 0 {
-		t.Errorf("undrained readings: %d simulated, %d recalled, %d stored; want 2, 0, 0", sim, rec, len(small.memo))
+	if sim, rec := small.Readings(); sim != 2 || rec != 0 || len(small.table.readings) != 0 {
+		t.Errorf("undrained readings: %d simulated, %d recalled, %d stored; want 2, 0, 0", sim, rec, len(small.table.readings))
 	}
 }

@@ -36,7 +36,7 @@ func TestSSEAVXTransitionPenalty(t *testing.T) {
 	fenced := asmgen.Sequence{avx, clean, sse}
 	cMixed := m.MustRun(mixed)
 	cFenced := m.MustRun(fenced)
-	if cMixed.Cycles <= cFenced.Cycles+arch.SSEAVXPenalty()/2 {
+	if cMixed.Cycles <= cFenced.Cycles+arch.Machine().SSEAVXPenalty/2 {
 		t.Errorf("SSE after dirty AVX (%d cycles) should pay a transition penalty; with VZEROUPPER it takes %d cycles",
 			cMixed.Cycles, cFenced.Cycles)
 	}

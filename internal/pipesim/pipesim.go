@@ -25,11 +25,13 @@
 // one run, so no copies are materialized), Run and RunCopies are the hot
 // path of every characterization run. Most of those readings repeat a
 // kernel: Algorithm 1 times the same blocking sequence for every variant,
-// and most variants share their µop structure. So RunCopies keeps a memo
-// per Machine — every reading it simulated, keyed by what the simulation
-// reads of the kernel (memo.go argues why the key is complete) — answers
-// a repeated reading from it, and drops it whole when it outgrows a fixed
-// byte budget. Run is the uncached simulator.
+// and most variants share their µop structure, as do generations that
+// model the same machine. So RunCopies keeps a reading table — every
+// reading simulated, keyed by what the simulation reads of the kernel and
+// the machine (memo.go argues why the key is complete) — shared by a
+// Machine's clones and by every Machine its owner hands the same table,
+// answers a repeated reading from it, and drops it whole when it outgrows
+// a fixed byte budget. Run is the uncached simulator.
 // Run's implementation is allocation-free in steady state: dynamic µops and
 // renamed values live in per-Machine arenas that are reset (not freed)
 // between runs, and the rename scoreboard is a flat array keyed by register
@@ -53,7 +55,6 @@
 package pipesim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -205,44 +206,58 @@ type dynUop struct {
 	divOcc         int32
 }
 
+// record is the machine record a Machine simulates: what rename and
+// execute read of the machine besides the µops of its variants, namely the
+// generation's uarch.Machine and the SchedulerSize and MaxCycles of
+// Config. It is fixed when the Machine is made.
+type record struct {
+	uarch.Machine
+	schedulerSize, maxCycles int
+}
+
 // Machine simulates one microarchitecture generation.
 //
 // A Machine owns reusable per-run state (arenas, scoreboards, scheduler
 // queues) so that steady-state Run calls perform no heap allocations beyond
-// the returned Counters.PortUops slice, and the reading memo of RunCopies.
-// It is therefore NOT safe for concurrent use: each goroutine needs its own
-// Machine (see Clone).
+// the returned Counters.PortUops slice. It is therefore NOT safe for
+// concurrent use: each goroutine needs its own Machine (see Clone). The
+// reading table of RunCopies is the one thing Machines share, and it
+// synchronizes itself.
 type Machine struct {
 	arch *uarch.Arch
 	cfg  Config
+	// rec is the machine record, and recKey its encoding, the prefix of
+	// every reading's key (memo.go).
+	rec    record
+	recKey []byte
 
 	// tmplOf memoizes each variant's rename template (an index into tmpls),
 	// keyed by identity and built on first use. A template holds only facts
 	// of the variant on this generation, so it persists across runs and
 	// divider regimes; its µops and references live in the flat tmplUops,
 	// tmplReads and tmplWrites slices, addressed by [start,end) ranges.
-	// tmplIDs interns templates by content (appendTmplKey), so variants
-	// that decode alike share a template and an index into tmpls is a
-	// content id.
+	// tableIDs holds each template's id in the table's interner, and
+	// tmplByID the template of each id built here, so variants that decode
+	// alike share a template.
 	tmplOf     map[*isa.Instr]int32
-	tmplIDs    map[string]int32
+	tableIDs   []int32
+	tmplByID   map[int32]int32
 	tmpls      []renameTmpl
 	tmplUops   []tmplUop
 	tmplReads  []tmplRef
 	tmplWrites []tmplWrite
 
-	// The reading memo of RunCopies (memo.go). memo maps a reading's key to
-	// the offset of its varint-encoded counters in memoVals; memoBytes is
-	// what its entries are charged against memoBudget. kernelKey, keyBuf,
-	// instKey and addrIDs are scratch for building keys. simulated and
-	// recalled count readings (Readings).
-	memo      map[string]int32
-	memoVals  []byte
-	memoBytes int
+	// table holds the readings of RunCopies and the template ids
+	// (memo.go). kernelKey, keyBuf, instKey, tmplKey and addrIDs are
+	// scratch for building keys, and missed for the counts a RunCopies
+	// call did not find. simulated and recalled count readings (Readings).
+	table     *Table
 	kernelKey []byte
 	keyBuf    []byte
 	instKey   []byte
+	tmplKey   []byte
 	addrIDs   map[uint64]int32
+	missed    []int
 	simulated int
 	recalled  int
 
@@ -291,8 +306,14 @@ func New(arch *uarch.Arch) *Machine {
 	return NewWithConfig(arch, Config{})
 }
 
-// NewWithConfig returns a Machine with explicit configuration.
+// NewWithConfig returns a Machine with explicit configuration and a
+// reading table of its own.
 func NewWithConfig(arch *uarch.Arch, cfg Config) *Machine {
+	return newMachine(arch, cfg, NewTable())
+}
+
+// newMachine returns a Machine that keeps its readings in table.
+func newMachine(arch *uarch.Arch, cfg Config, table *Table) *Machine {
 	if cfg.SchedulerSize <= 0 {
 		cfg.SchedulerSize = 60
 	}
@@ -312,10 +333,10 @@ func NewWithConfig(arch *uarch.Arch, cfg Config) *Machine {
 		panic(fmt.Sprintf("pipesim: %s has %d ports, max supported is %d",
 			arch.Name(), arch.NumPorts(), maxPorts))
 	}
-	return &Machine{arch: arch, cfg: cfg,
-		tmplOf: make(map[*isa.Instr]int32), tmplIDs: make(map[string]int32),
-		memBoard: make(map[uint64]int32), memo: make(map[string]int32),
-		addrIDs: make(map[uint64]int32)}
+	rec := record{Machine: arch.Machine(), schedulerSize: cfg.SchedulerSize, maxCycles: cfg.MaxCycles}
+	return &Machine{arch: arch, cfg: cfg, rec: rec, recKey: appendRecKey(nil, rec),
+		tmplOf: make(map[*isa.Instr]int32), tmplByID: make(map[int32]int32),
+		memBoard: make(map[uint64]int32), table: table, addrIDs: make(map[uint64]int32)}
 }
 
 // Arch returns the microarchitecture the machine simulates.
@@ -325,12 +346,24 @@ func (m *Machine) Arch() *uarch.Arch { return m.arch }
 func (m *Machine) Config() Config { return m.cfg }
 
 // Clone returns an independent Machine with the same microarchitecture and
-// configuration. The clone shares only the (internally synchronized) Arch;
-// the arenas, scoreboards, rename templates, reading memo and the
-// divider-value regime are per-Machine, so clones can run on different
-// goroutines without synchronization. A clone's memo starts empty.
+// configuration. The clone shares only the Arch and the reading table, both
+// internally synchronized; the arenas, scoreboards, rename templates and
+// the divider-value regime are per-Machine, so clones can run on different
+// goroutines without synchronization. A clone recalls the readings its
+// parent took, and the parent those of the clone.
 func (m *Machine) Clone() *Machine {
-	return NewWithConfig(m.arch, m.cfg)
+	return newMachine(m.arch, m.cfg, m.table)
+}
+
+// SetTable makes m read and remember its readings in t from now on, shared
+// with every other Machine that uses t. It drops m's rename templates,
+// whose ids came from the old table.
+func (m *Machine) SetTable(t *Table) {
+	m.table = t
+	clear(m.tmplOf)
+	clear(m.tmplByID)
+	m.tableIDs, m.tmpls = m.tableIDs[:0], m.tmpls[:0]
+	m.tmplUops, m.tmplReads, m.tmplWrites = m.tmplUops[:0], m.tmplReads[:0], m.tmplWrites[:0]
 }
 
 // SetDividerValues selects the operand-value regime for divider-based
@@ -339,7 +372,7 @@ func (m *Machine) SetDividerValues(v DividerValues) { m.cfg.DividerValues = v }
 
 // Reset clears all per-run state while keeping the arena capacity, so the
 // next Run starts from an idle pipeline without reallocating. It keeps the
-// rename templates and the reading memo, which hold no per-run state. Run
+// rename templates and the reading table, which hold no per-run state. Run
 // calls it automatically; it is exported so tests (and callers that want
 // to verify the reuse contract) can exercise it directly. Under
 // race-enabled builds, Run additionally verifies the reset invariants,
@@ -420,28 +453,26 @@ func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 // RunCopies returns, for each copy count n in copies (n >= 0), the counters
 // Run returns for code.Repeat(n), bit for bit: each reading renames the
 // kernel n times within one simulated run instead of receiving n
-// materialized copies. A reading this Machine already took — of a kernel
-// equal in everything the simulation reads of it, at the same copy count
-// and divider regime (memo.go) — is recalled from its memo instead of
-// simulated again. The returned counters are the caller's own. It stops at
-// the first count whose run does not drain and returns that run's error;
-// failed readings are not remembered. It implements measure.CopiesRunner.
+// materialized copies. A reading the table holds — one this Machine or a
+// Machine sharing its table took of a kernel equal in everything the
+// simulation reads of it, on an equal machine record, at the same copy
+// count and divider regime (memo.go) — is recalled instead of simulated
+// again. The returned counters are the caller's own. It stops at the first
+// count whose run does not drain and returns that run's error; failed
+// readings are not remembered. It implements measure.CopiesRunner.
 func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, error) {
 	out := make([]Counters, len(copies))
 	m.kernelKey = m.appendKernelKey(m.kernelKey[:0], code)
-	for i, n := range copies {
-		m.keyBuf = append(binary.AppendVarint(m.keyBuf[:0], int64(n)), m.kernelKey...)
-		if off, ok := m.memo[string(m.keyBuf)]; ok {
-			out[i] = m.recall(off)
-			continue
-		}
-		c, err := m.run(code, n)
+	m.recall(copies, out)
+	for j, i := range m.missed {
+		c, err := m.run(code, copies[i])
 		if err != nil {
+			m.remember(copies, out, m.missed[:j])
 			return nil, err
 		}
-		m.remember(m.keyBuf, c)
 		out[i] = c
 	}
+	m.remember(copies, out, m.missed)
 	return out, nil
 }
 
@@ -471,8 +502,8 @@ func (m *Machine) regime() DividerValues {
 }
 
 // Readings reports how many readings the Machine has simulated — Run calls
-// and RunCopies memo misses, failed readings included — and how many
-// RunCopies recalled from its memo instead.
+// and RunCopies table misses, failed readings included — and how many
+// RunCopies recalled from its table instead.
 func (m *Machine) Readings() (simulated, recalled int) { return m.simulated, m.recalled }
 
 // MustRun is like Run but panics on error (for code generated from validated
@@ -560,9 +591,9 @@ type renameTmpl struct {
 }
 
 // templateFor returns the index of the variant's rename template, building
-// it on the first occurrence per Machine. A template equal in content to
-// one built before is dropped for that one, so equal indices mean equal
-// templates and the index is the template's content id.
+// it on the first occurrence per Machine and interning its content in the
+// table. A template whose table id this Machine built before is dropped
+// for that one, so equal indices mean equal templates.
 func (m *Machine) templateFor(in *isa.Instr) int32 {
 	if ti, ok := m.tmplOf[in]; ok {
 		return ti
@@ -598,14 +629,16 @@ func (m *Machine) templateFor(in *isa.Instr) int32 {
 		t.shapes[1] = m.buildShape(in, same, same.ZeroIdiom, move)
 		t.sameRegs = regs
 	}
-	key := string(m.appendTmplKey(nil, &t))
-	ti, ok := m.tmplIDs[key]
+	m.tmplKey = m.appendTmplKey(m.tmplKey[:0], &t)
+	id := m.table.intern(m.tmplKey)
+	ti, ok := m.tmplByID[id]
 	if ok {
 		m.tmplUops, m.tmplReads, m.tmplWrites = m.tmplUops[:nu], m.tmplReads[:nr], m.tmplWrites[:nw]
 	} else {
 		ti = idx32(len(m.tmpls))
 		m.tmpls = append(m.tmpls, t)
-		m.tmplIDs[key] = ti
+		m.tableIDs = append(m.tableIDs, id)
+		m.tmplByID[id] = ti
 	}
 	m.tmplOf[in] = ti
 	return ti
@@ -616,7 +649,7 @@ func (m *Machine) templateFor(in *isa.Instr) int32 {
 // generation eliminates zero idioms, the execution port); move marks a
 // plain register-to-register move.
 func (m *Machine) buildShape(in *isa.Instr, perf *uarch.InstrPerf, zeroIdiom, move bool) tmplShape {
-	numPorts := m.arch.NumPorts()
+	numPorts := m.rec.NumPorts
 	sh := tmplShape{uopStart: idx32(len(m.tmplUops)), moveElim: perf.MoveElim && move}
 	for ui := range perf.Uops {
 		spec := &perf.Uops[ui]
@@ -654,7 +687,7 @@ func (m *Machine) buildShape(in *isa.Instr, perf *uarch.InstrPerf, zeroIdiom, mo
 			}
 			lat := spec.LatencyTo(wi)
 			if spec.Load {
-				lat += m.arch.LoadLatency()
+				lat += m.rec.LoadLatency
 			}
 			fast := lat
 			if spec.Divider && perf.LatencyLowValues > 0 {
@@ -788,7 +821,7 @@ func (m *Machine) rename(code asmgen.Sequence, copies int) int {
 	penalty := 0
 	avxDirty := false
 	depMoveCounter := 0
-	ssePenalty := m.arch.SSEAVXPenalty()
+	ssePenalty := m.rec.SSEAVXPenalty
 	regime := m.regime()
 
 	var (
@@ -1169,12 +1202,12 @@ func (m *Machine) popWake() {
 // deadlock guard fires or MaxCycles runs out is an error: its counters would
 // be truncated.
 func (m *Machine) execute() (Counters, error) {
-	numPorts := m.arch.NumPorts()
+	numPorts := m.rec.NumPorts
 	c := Counters{PortUops: make([]int, numPorts)}
 	c.IssuedUops = len(m.uops)
 
-	issueWidth := m.arch.IssueWidth()
-	schedSize := m.cfg.SchedulerSize
+	issueWidth := m.rec.IssueWidth
+	schedSize := m.rec.schedulerSize
 	allPorts := uint16(1)<<uint(numPorts) - 1
 
 	nextIssue := 0     // next µop (program order) to issue
@@ -1192,7 +1225,7 @@ func (m *Machine) execute() (Counters, error) {
 	cycle := 0
 	idleCycles := 0
 	drained := false
-	for cycle < m.cfg.MaxCycles {
+	for cycle < m.rec.maxCycles {
 		// Issue stage: deliver up to issueWidth µops into the scheduler (or
 		// complete them directly if they need no execution port). The
 		// scheduler window counts only µops still waiting for dispatch; a
@@ -1425,8 +1458,8 @@ func (m *Machine) execute() (Counters, error) {
 				if maxIdle := 10001 - idleCycles; skip > maxIdle {
 					skip = maxIdle // the guard fires mid-wait, as before
 				}
-				if cycle+skip > m.cfg.MaxCycles {
-					skip = m.cfg.MaxCycles - cycle
+				if cycle+skip > m.rec.maxCycles {
+					skip = m.rec.maxCycles - cycle
 				}
 				if skip > 0 {
 					cycle += skip
@@ -1448,7 +1481,7 @@ func (m *Machine) execute() (Counters, error) {
 	m.elimReady = m.elimReady[:0]
 
 	if !drained {
-		why := fmt.Sprintf("MaxCycles (%d) ran out", m.cfg.MaxCycles)
+		why := fmt.Sprintf("MaxCycles (%d) ran out", m.rec.maxCycles)
 		if idleCycles > 10000 {
 			why = "no µop issued or dispatched for 10000 cycles (deadlock)"
 		}

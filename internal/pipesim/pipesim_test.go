@@ -111,7 +111,7 @@ func TestPointerChasingLoadLatency(t *testing.T) {
 	}
 	c := m.MustRun(seq)
 	perInstr := float64(c.Cycles) / 40
-	want := float64(arch.LoadLatency())
+	want := float64(arch.Machine().LoadLatency)
 	if perInstr < want-1 || perInstr > want+1.5 {
 		t.Fatalf("pointer chase: %.2f cycles/instr, want about %v", perInstr, want)
 	}

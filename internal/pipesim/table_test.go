@@ -1,0 +1,289 @@
+package pipesim
+
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"uopsinfo/internal/asmgen"
+	"uopsinfo/internal/isa"
+	"uopsinfo/internal/uarch"
+)
+
+// Tests of one reading table shared by several Machines (memo.go): a
+// reading that a Machine of one generation stored must be exact on every
+// Machine that recalls it, of any generation, and Machines whose records
+// differ must not share readings.
+
+// shareKernels returns the kernels the sharing tests read: the bench
+// shapes' first 32 instructions, random sequences, each memoPairs pair as a
+// run of its first instance and alternated, and a divider chain. They are
+// built on Nehalem, whose variants every later generation has, so the same
+// instances run on all nine generations.
+func shareKernels(t testing.TB) []asmgen.Sequence {
+	arch := uarch.Get(uarch.Nehalem)
+	var kernels []asmgen.Sequence
+	for _, k := range benchShapes(arch) {
+		kernels = append(kernels, k[:min(len(k), 32)])
+	}
+	kernels = append(kernels, randomSequences(t, arch, 12, rand.New(rand.NewSource(0x7ab1e)))...)
+	for _, p := range memoPairs(t, arch) {
+		kernels = append(kernels, repeatInst(p[0], 8), asmgen.Sequence{p[0], p[1]}.Repeat(4))
+	}
+	div := arch.InstrSet().Lookup("DIV_R64")
+	return append(kernels, repeatInst(asmgen.MustInst(div, asmgen.RegOperand(isa.RBX)), 8))
+}
+
+// avxKernels returns kernels that pay the SSE/AVX transition penalty where
+// a generation charges one, built on Sandy Bridge, for the generations
+// with AVX: an AVX add on YMM registers followed by a legacy SSE add, with
+// and without a VZEROUPPER between them.
+func avxKernels() []asmgen.Sequence {
+	set := uarch.Get(uarch.SandyBridge).InstrSet()
+	avx := asmgen.MustInst(set.Lookup("VADDPS_YMM_YMM_YMM"), asmgen.RegOperand(isa.YMM0), asmgen.RegOperand(isa.YMM1), asmgen.RegOperand(isa.YMM2))
+	sse := asmgen.MustInst(set.Lookup("ADDPS_XMM_XMM"), asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.XMM4))
+	clean := asmgen.MustInst(set.Lookup("VZEROUPPER"))
+	return []asmgen.Sequence{{avx, sse}, {avx, clean, sse}}
+}
+
+// reading is what RunCopies must return for a kernel at copyCounts: the
+// counters of Run on the materialized copies, count by count, or the error
+// of the first count that does not drain.
+type reading struct {
+	counters []Counters
+	err      error
+}
+
+// runReading returns the reading of k on a private Machine of arch under
+// cfg.
+func runReading(arch *uarch.Arch, cfg Config, k asmgen.Sequence) reading {
+	m := NewWithConfig(arch, cfg)
+	var r reading
+	for _, n := range copyCounts {
+		c, err := m.Run(k.Repeat(n))
+		if err != nil {
+			return reading{err: err}
+		}
+		r.counters = append(r.counters, c)
+	}
+	return r
+}
+
+// checkReading fails t unless m.RunCopies(k, copyCounts...) returns want.
+func checkReading(t testing.TB, m *Machine, k asmgen.Sequence, want reading, what string) {
+	t.Helper()
+	got, err := m.RunCopies(k, copyCounts...)
+	if fmt.Sprint(err) != fmt.Sprint(want.err) {
+		t.Fatalf("%s, %d-instruction kernel: RunCopies error %v, Run error %v", what, len(k), err, want.err)
+	}
+	for i := range got {
+		if !countersEqual(got[i], want.counters[i]) {
+			t.Fatalf("%s, %d copies of a %d-instruction kernel: RunCopies %+v, Run %+v",
+				what, copyCounts[i], len(k), got[i], want.counters[i])
+		}
+	}
+}
+
+// TestTableSharedAcrossGenerations fills a table on one generation and
+// reads a copy of it on another, for all 81 ordered pairs, under the
+// default and a small MaxCycles and both divider regimes, and requires
+// every reading to equal Run of the materialized copies on a private
+// Machine of the reading generation, errors included. The kernels are
+// shareKernels, and avxKernels on the generations with AVX. A generation
+// reading its own fill simulates only the readings that fail, which are
+// never stored; every generation recalls some readings that another
+// generation stored, since in this model each has a twin (Westmere of
+// Nehalem, Ivy Bridge of Sandy Bridge, Broadwell of Haswell, Kaby Lake and
+// Coffee Lake of Skylake).
+func TestTableSharedAcrossGenerations(t *testing.T) {
+	t.Parallel()
+	shared := shareKernels(t)
+	kernelsOf := func(arch *uarch.Arch) []asmgen.Sequence {
+		if arch.Supports(isa.ExtAVX) {
+			return append(shared[:len(shared):len(shared)], avxKernels()...)
+		}
+		return shared
+	}
+	archs := uarch.All()
+	configs := []Config{{}, {MaxCycles: 1000}}
+	regimes := []DividerValues{SlowDividerValues, FastDividerValues}
+	// filled[c][g] is a table filled on archs[g] under configs[c]; each
+	// pair reads a copy of it.
+	filled := make([][]*Table, len(configs))
+	for c, cfg := range configs {
+		for _, from := range archs {
+			fill := NewWithConfig(from, cfg)
+			for _, regime := range regimes {
+				fill.SetDividerValues(regime)
+				for _, k := range kernelsOf(from) {
+					_, _ = fill.RunCopies(k, copyCounts...) // failing readings are expected
+				}
+			}
+			filled[c] = append(filled[c], fill.table)
+		}
+	}
+	for _, to := range archs {
+		to := to
+		t.Run(to.Name(), func(t *testing.T) {
+			t.Parallel()
+			kernels := kernelsOf(to)
+			recalledFromOthers := 0
+			for c, cfg := range configs {
+				var want [2][]reading
+				failing := 0
+				for r, regime := range regimes {
+					cfg := cfg
+					cfg.DividerValues = regime
+					for _, k := range kernels {
+						want[r] = append(want[r], runReading(to, cfg, k))
+						if want[r][len(want[r])-1].err != nil {
+							failing++
+						}
+					}
+				}
+				if cfg.MaxCycles == 1000 && failing == 0 {
+					t.Error("no kernel failed to drain under MaxCycles 1000")
+				}
+				for g, from := range archs {
+					read := NewWithConfig(to, cfg)
+					read.SetTable(copyTable(filled[c][g]))
+					what := fmt.Sprintf("filled on %s, MaxCycles %d", from.Name(), read.cfg.MaxCycles)
+					for r, regime := range regimes {
+						read.SetDividerValues(regime)
+						for i, k := range kernels {
+							checkReading(t, read, k, want[r][i], what)
+						}
+					}
+					sim, rec := read.Readings()
+					if from == to && sim != failing {
+						t.Errorf("%s: %d readings simulated, want %d, the failing ones", what, sim, failing)
+					}
+					if from != to {
+						recalledFromOthers += rec
+					}
+				}
+			}
+			if recalledFromOthers == 0 {
+				t.Error("recalled no reading another generation stored")
+			}
+		})
+	}
+}
+
+// copyTable returns a new table holding what tb holds.
+func copyTable(tb *Table) *Table {
+	c := NewTable()
+	maps.Copy(c.ids, tb.ids)
+	maps.Copy(c.readings, tb.readings)
+	c.vals, c.bytes = slices.Clone(tb.vals), tb.bytes
+	return c
+}
+
+// windowKernel is a kernel whose cycles depend on the scheduler size: a
+// divide, a chain of adds waiting for its quotient, and independent adds
+// that a small window keeps out until the chain dispatches.
+func windowKernel(arch *uarch.Arch) asmgen.Sequence {
+	div, add := arch.InstrSet().Lookup("DIV_R64"), arch.InstrSet().Lookup("ADD_R64_R64")
+	k := asmgen.Sequence{asmgen.MustInst(div, asmgen.RegOperand(isa.RBX))}
+	k = append(k, repeatInst(asmgen.MustInst(add, asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RAX)), 24)...)
+	for _, r := range []isa.Reg{isa.RSI, isa.RDI, isa.R8, isa.R9, isa.R10, isa.R11} {
+		k = append(k, repeatInst(asmgen.MustInst(add, asmgen.RegOperand(r), asmgen.RegOperand(isa.RCX)), 20)...)
+	}
+	return k
+}
+
+// TestTableSeparatesSchedulerSizes reads the same kernels on one
+// generation at SchedulerSize 60 and at 20, sharing one table, and requires
+// the second size to recall nothing the first stored and every reading to
+// be exact. One kernel reads differently at the two sizes, so a shared
+// reading would be wrong.
+func TestTableSeparatesSchedulerSizes(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	window := windowKernel(arch)
+	big, small := NewWithConfig(arch, Config{SchedulerSize: 60}), NewWithConfig(arch, Config{SchedulerSize: 20})
+	small.SetTable(big.table)
+	if a, b := big.MustRun(window), small.MustRun(window); countersEqual(a, b) {
+		t.Fatalf("the window kernel reads alike at both sizes (%+v)", a)
+	}
+	kernels := append(benchShapes(arch), window)
+	for _, k := range kernels {
+		if _, err := big.RunCopies(k, copyCounts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range kernels {
+		checkRunCopies(t, small, k)
+	}
+	if _, rec := small.Readings(); rec != 0 {
+		t.Errorf("SchedulerSize 20 recalled %d readings stored at 60", rec)
+	}
+}
+
+// TestRecordKeyCoversEveryField changes, one at a time, every field of the
+// machine record — found by reflection, so a field added later is covered
+// too — and requires its key to change.
+func TestRecordKeyCoversEveryField(t *testing.T) {
+	t.Parallel()
+	r := New(uarch.Get(uarch.Skylake)).rec
+	base := appendRecKey(nil, r)
+	leafFields(reflect.ValueOf(&r).Elem(), "record", func(path string, leaf reflect.Value) {
+		undo := bump(t, path, leaf)
+		if bytes.Equal(appendRecKey(nil, r), base) {
+			t.Errorf("changing %s leaves the record key unchanged", path)
+		}
+		undo()
+	})
+}
+
+// TestTableConcurrentForks reads one table from two forks at once, each
+// taking every kernel's readings twice and in its own order, and requires
+// every reading to be exact and the second round to be recalled. Under
+// -race it also shows that the table synchronizes itself.
+func TestTableConcurrentForks(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	kernels := shareKernels(t)
+	want := make([]reading, len(kernels))
+	for i, k := range kernels {
+		want[i] = runReading(arch, Config{}, k)
+	}
+	parent := New(arch)
+	forks := []*Machine{parent.Clone(), parent.Clone()}
+	var wg sync.WaitGroup
+	for f, m := range forks {
+		wg.Add(1)
+		go func(f int, m *Machine) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for j := range kernels {
+					i := j
+					if f == 1 {
+						i = len(kernels) - 1 - j
+					}
+					got, err := m.RunCopies(kernels[i], copyCounts...)
+					if err != nil {
+						t.Errorf("fork %d, kernel %d: %v", f, i, err)
+						return
+					}
+					for n := range got {
+						if !countersEqual(got[n], want[i].counters[n]) {
+							t.Errorf("fork %d, kernel %d, %d copies: RunCopies %+v, Run %+v", f, i, copyCounts[n], got[n], want[i].counters[n])
+						}
+					}
+				}
+			}
+		}(f, m)
+	}
+	wg.Wait()
+	readings := 2 * 2 * len(kernels) * len(copyCounts)
+	st := parent.table.Stats()
+	if st.Hits+st.Misses != readings || st.Hits < readings/2 {
+		t.Errorf("table stats %+v: want %d lookups, at least half of them hits", st, readings)
+	}
+}

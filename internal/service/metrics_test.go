@@ -21,7 +21,7 @@ type seriesFamily struct {
 }
 
 // wantSeries is the exposition of a service over an engine with a store and
-// a 2-worker loopback fleet, after one run: 38 families, 45 samples. Scrape
+// a 2-worker loopback fleet, after one run: 42 families, 49 samples. Scrape
 // pipelines and dashboards key on these names, types and label keys, so a
 // change here is an API change.
 var wantSeries = map[string]seriesFamily{
@@ -31,6 +31,10 @@ var wantSeries = map[string]seriesFamily{
 	"uopsd_engine_memory_hits_total":          {"counter", "Per-variant records answered from the engine's memory of earlier store reads.", []string{""}},
 	"uopsd_engine_pool_forked_total":          {"counter", "Worker stacks built fresh by the fork pools.", []string{""}},
 	"uopsd_engine_pool_reused_total":          {"counter", "Worker stacks reused warm from the fork pools.", []string{""}},
+	"uopsd_engine_reading_bytes":              {"gauge", "Bytes charged to the readings the engine's reading table holds.", []string{""}},
+	"uopsd_engine_reading_drops_total":        {"counter", "Times the engine's reading table dropped its readings whole to make room.", []string{""}},
+	"uopsd_engine_reading_hits_total":         {"counter", "Simulator readings answered from the engine's reading table.", []string{""}},
+	"uopsd_engine_reading_misses_total":       {"counter", "Simulator readings the engine's reading table did not hold, and so simulated.", []string{""}},
 	"uopsd_engine_result_hits_total":          {"counter", "Store-backed runs answered wholly from stored per-variant records.", []string{""}},
 	"uopsd_engine_result_misses_total":        {"counter", "Store-backed runs that measured at least one variant.", []string{""}},
 	"uopsd_engine_runs_total":                 {"counter", "Characterization runs executed (not coalesced onto another run).", []string{""}},
@@ -136,8 +140,8 @@ func TestMetricsSeries(t *testing.T) {
 	for _, f := range got {
 		samples += len(f.labels)
 	}
-	if len(got) != 38 || samples != 45 {
-		t.Errorf("exposition has %d families and %d samples, want 38 and 45", len(got), samples)
+	if len(got) != 42 || samples != 49 {
+		t.Errorf("exposition has %d families and %d samples, want 42 and 49", len(got), samples)
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

@@ -120,12 +120,24 @@ func (g Generation) Processor() string {
 	return "unknown"
 }
 
+// Machine is what a simulator reads of a generation besides the µops of its
+// variants (Arch.Perf): the pipeline parameters the µop tables do not
+// describe. It is comparable, so two generations with equal Machines and
+// equal µops are the same machine to the simulator.
+type Machine struct {
+	NumPorts    int // execution ports (6 or 8)
+	IssueWidth  int // µops the front end delivers per cycle
+	LoadLatency int // L1 data-cache load-to-use latency, in cycles
+	// SSEAVXPenalty is the cycle penalty charged for a transition between
+	// legacy SSE code and AVX code with a dirty upper state (0 if the
+	// generation does not penalize transitions).
+	SSEAVXPenalty int
+}
+
 // profile collects the per-generation port layout and pipeline parameters the
 // rule-based µop assignment uses.
 type profile struct {
-	numPorts   int
-	issueWidth int
-	loadLat    int // L1 data-cache load-to-use latency
+	machine Machine
 
 	// Port groups by functional-unit kind.
 	intALU    []int
@@ -151,7 +163,6 @@ type profile struct {
 	moveElimGPR   bool // register-to-register GPR moves can be eliminated
 	moveElimVec   bool // SIMD register moves can be eliminated
 	zeroIdiomElim bool // zero idioms are removed at rename (no port)
-	sseAvxPenalty int  // cycles charged for an SSE<->AVX state transition
 
 	// Typical latencies that differ between generations.
 	fpAddLat  int
@@ -187,28 +198,20 @@ func (a *Arch) Gen() Generation { return a.gen }
 // Name returns the generation name.
 func (a *Arch) Name() string { return a.gen.String() }
 
+// Machine returns the generation's pipeline parameters.
+func (a *Arch) Machine() Machine { return a.prof.machine }
+
 // NumPorts returns the number of execution ports (6 or 8).
-func (a *Arch) NumPorts() int { return a.prof.numPorts }
+func (a *Arch) NumPorts() int { return a.prof.machine.NumPorts }
 
 // Ports returns the port numbers 0..NumPorts-1.
 func (a *Arch) Ports() []int {
-	out := make([]int, a.prof.numPorts)
+	out := make([]int, a.prof.machine.NumPorts)
 	for i := range out {
 		out[i] = i
 	}
 	return out
 }
-
-// IssueWidth returns the number of µops the front end can deliver per cycle.
-func (a *Arch) IssueWidth() int { return a.prof.issueWidth }
-
-// LoadLatency returns the L1 load-to-use latency in cycles.
-func (a *Arch) LoadLatency() int { return a.prof.loadLat }
-
-// SSEAVXPenalty returns the cycle penalty charged for a transition between
-// legacy SSE code and AVX code with a dirty upper state (0 if the generation
-// does not penalize transitions).
-func (a *Arch) SSEAVXPenalty() int { return a.prof.sseAvxPenalty }
 
 // LoadPorts returns the ports with a load unit.
 func (a *Arch) LoadPorts() []int { return append([]int(nil), a.prof.load...) }

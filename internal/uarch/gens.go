@@ -13,32 +13,30 @@ func profileFor(g Generation) (profile, bool) {
 	switch g {
 	case Nehalem, Westmere:
 		return profile{
-			numPorts:   6,
-			issueWidth: 4,
-			loadLat:    4,
-			intALU:     []int{0, 1, 5},
-			intShift:   []int{0, 5},
-			intMul:     []int{1},
-			intDiv:     []int{0},
-			lea:        []int{0, 1},
-			branch:     []int{5},
-			load:       []int{2},
-			storeAddr:  []int{3},
-			storeData:  []int{4},
-			fpAdd:      []int{1},
-			fpMul:      []int{0},
-			fpDiv:      []int{0},
-			vecALU:     []int{0, 1, 5},
-			vecMul:     []int{0},
-			vecLogic:   []int{0, 1, 5},
-			shuffle:    []int{0, 5},
-			aes:        []int{0, 1, 5},
-			slowInt:    []int{0, 1, 5},
+			machine: Machine{NumPorts: 6, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 0},
+
+			intALU:    []int{0, 1, 5},
+			intShift:  []int{0, 5},
+			intMul:    []int{1},
+			intDiv:    []int{0},
+			lea:       []int{0, 1},
+			branch:    []int{5},
+			load:      []int{2},
+			storeAddr: []int{3},
+			storeData: []int{4},
+			fpAdd:     []int{1},
+			fpMul:     []int{0},
+			fpDiv:     []int{0},
+			vecALU:    []int{0, 1, 5},
+			vecMul:    []int{0},
+			vecLogic:  []int{0, 1, 5},
+			shuffle:   []int{0, 5},
+			aes:       []int{0, 1, 5},
+			slowInt:   []int{0, 1, 5},
 
 			moveElimGPR:   false,
 			moveElimVec:   false,
 			zeroIdiomElim: false,
-			sseAvxPenalty: 0,
 
 			fpAddLat:  3,
 			fpMulLat:  4,
@@ -48,32 +46,30 @@ func profileFor(g Generation) (profile, bool) {
 		}, true
 	case SandyBridge, IvyBridge:
 		p := profile{
-			numPorts:   6,
-			issueWidth: 4,
-			loadLat:    4,
-			intALU:     []int{0, 1, 5},
-			intShift:   []int{0, 5},
-			intMul:     []int{1},
-			intDiv:     []int{0},
-			lea:        []int{0, 1},
-			branch:     []int{5},
-			load:       []int{2, 3},
-			storeAddr:  []int{2, 3},
-			storeData:  []int{4},
-			fpAdd:      []int{1},
-			fpMul:      []int{0},
-			fpDiv:      []int{0},
-			vecALU:     []int{1, 5},
-			vecMul:     []int{0},
-			vecLogic:   []int{0, 1, 5},
-			shuffle:    []int{5},
-			aes:        []int{0},
-			slowInt:    []int{0, 1, 5},
+			machine: Machine{NumPorts: 6, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 70},
+
+			intALU:    []int{0, 1, 5},
+			intShift:  []int{0, 5},
+			intMul:    []int{1},
+			intDiv:    []int{0},
+			lea:       []int{0, 1},
+			branch:    []int{5},
+			load:      []int{2, 3},
+			storeAddr: []int{2, 3},
+			storeData: []int{4},
+			fpAdd:     []int{1},
+			fpMul:     []int{0},
+			fpDiv:     []int{0},
+			vecALU:    []int{1, 5},
+			vecMul:    []int{0},
+			vecLogic:  []int{0, 1, 5},
+			shuffle:   []int{5},
+			aes:       []int{0},
+			slowInt:   []int{0, 1, 5},
 
 			moveElimGPR:   false,
 			moveElimVec:   false,
 			zeroIdiomElim: true,
-			sseAvxPenalty: 70,
 
 			fpAddLat:  3,
 			fpMulLat:  5,
@@ -88,32 +84,30 @@ func profileFor(g Generation) (profile, bool) {
 		return p, true
 	case Haswell, Broadwell:
 		return profile{
-			numPorts:   8,
-			issueWidth: 4,
-			loadLat:    4,
-			intALU:     []int{0, 1, 5, 6},
-			intShift:   []int{0, 6},
-			intMul:     []int{1},
-			intDiv:     []int{0},
-			lea:        []int{1, 5},
-			branch:     []int{6},
-			load:       []int{2, 3},
-			storeAddr:  []int{2, 3, 7},
-			storeData:  []int{4},
-			fpAdd:      []int{1},
-			fpMul:      []int{0, 1},
-			fpDiv:      []int{0},
-			vecALU:     []int{1, 5},
-			vecMul:     []int{0},
-			vecLogic:   []int{0, 1, 5},
-			shuffle:    []int{5},
-			aes:        []int{5},
-			slowInt:    []int{0, 1, 5, 6},
+			machine: Machine{NumPorts: 8, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 70},
+
+			intALU:    []int{0, 1, 5, 6},
+			intShift:  []int{0, 6},
+			intMul:    []int{1},
+			intDiv:    []int{0},
+			lea:       []int{1, 5},
+			branch:    []int{6},
+			load:      []int{2, 3},
+			storeAddr: []int{2, 3, 7},
+			storeData: []int{4},
+			fpAdd:     []int{1},
+			fpMul:     []int{0, 1},
+			fpDiv:     []int{0},
+			vecALU:    []int{1, 5},
+			vecMul:    []int{0},
+			vecLogic:  []int{0, 1, 5},
+			shuffle:   []int{5},
+			aes:       []int{5},
+			slowInt:   []int{0, 1, 5, 6},
 
 			moveElimGPR:   true,
 			moveElimVec:   true,
 			zeroIdiomElim: true,
-			sseAvxPenalty: 70,
 
 			fpAddLat:  3,
 			fpMulLat:  5,
@@ -123,32 +117,30 @@ func profileFor(g Generation) (profile, bool) {
 		}, true
 	case Skylake, KabyLake, CoffeeLake:
 		return profile{
-			numPorts:   8,
-			issueWidth: 4,
-			loadLat:    4,
-			intALU:     []int{0, 1, 5, 6},
-			intShift:   []int{0, 6},
-			intMul:     []int{1},
-			intDiv:     []int{0},
-			lea:        []int{1, 5},
-			branch:     []int{6},
-			load:       []int{2, 3},
-			storeAddr:  []int{2, 3, 7},
-			storeData:  []int{4},
-			fpAdd:      []int{0, 1},
-			fpMul:      []int{0, 1},
-			fpDiv:      []int{0},
-			vecALU:     []int{0, 1, 5},
-			vecMul:     []int{0, 1},
-			vecLogic:   []int{0, 1, 5},
-			shuffle:    []int{5},
-			aes:        []int{0},
-			slowInt:    []int{0, 1, 5, 6},
+			machine: Machine{NumPorts: 8, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 0},
+
+			intALU:    []int{0, 1, 5, 6},
+			intShift:  []int{0, 6},
+			intMul:    []int{1},
+			intDiv:    []int{0},
+			lea:       []int{1, 5},
+			branch:    []int{6},
+			load:      []int{2, 3},
+			storeAddr: []int{2, 3, 7},
+			storeData: []int{4},
+			fpAdd:     []int{0, 1},
+			fpMul:     []int{0, 1},
+			fpDiv:     []int{0},
+			vecALU:    []int{0, 1, 5},
+			vecMul:    []int{0, 1},
+			vecLogic:  []int{0, 1, 5},
+			shuffle:   []int{5},
+			aes:       []int{0},
+			slowInt:   []int{0, 1, 5, 6},
 
 			moveElimGPR:   true,
 			moveElimVec:   true,
 			zeroIdiomElim: true,
-			sseAvxPenalty: 0,
 
 			fpAddLat:  4,
 			fpMulLat:  4,

@@ -83,11 +83,11 @@ func TestPortCounts(t *testing.T) {
 		if len(a.Ports()) != want {
 			t.Errorf("%s: Ports() has %d entries, want %d", a.Name(), len(a.Ports()), want)
 		}
-		if a.IssueWidth() != 4 {
-			t.Errorf("%s: issue width %d, want 4", a.Name(), a.IssueWidth())
+		if a.Machine().IssueWidth != 4 {
+			t.Errorf("%s: issue width %d, want 4", a.Name(), a.Machine().IssueWidth)
 		}
-		if a.LoadLatency() < 3 || a.LoadLatency() > 6 {
-			t.Errorf("%s: implausible load latency %d", a.Name(), a.LoadLatency())
+		if a.Machine().LoadLatency < 3 || a.Machine().LoadLatency > 6 {
+			t.Errorf("%s: implausible load latency %d", a.Name(), a.Machine().LoadLatency)
 		}
 	}
 }
