@@ -44,7 +44,8 @@ bench-smoke:
 # store rungs (one per-variant save, rename-only and durable, and one
 # per-variant load), the service-handler rung (one warm request through
 # ServeHTTP: a variant, a 32-variant subset, the whole generation as JSON and
-# as XML), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# as XML), the render rung (the whole Skylake results XML with its IACA
+# analyzers into a sha256), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
 # run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
 # under $(BENCH_LABEL). Existing labels in the file are preserved, so
 # successive PRs accumulate comparable columns.
@@ -57,6 +58,7 @@ bench-json:
 		-benchmem -count=$(COUNT) ./internal/core >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkSaveVariant|BenchmarkLoadVariants' -benchmem -count=$(COUNT) ./internal/store >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkServe' -benchmem -count=$(COUNT) ./internal/service >> "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkRenderXML' -benchmem -count=$(COUNT) ./internal/xmlout >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"
@@ -149,8 +151,9 @@ lint-extra:
 # exactly one JSON request under the worker's fingerprint; FuzzLoadVariant
 # holds the store's record decoding to never panicking, to hits that name
 # the requested variant, and to quarantining every other miss except an
-# empty file or a newer-version envelope. A crashing input lands in the
-# package's testdata/fuzz and fails the run.
+# empty file or a newer-version envelope; FuzzWrite holds the results-XML
+# writer to encoding/xml's bytes for fuzzed strings, floats and bools. A
+# crashing input lands in the package's testdata/fuzz and fails the run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
@@ -158,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunOptionsFromRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasureRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadVariant$$' -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzWrite$$' -fuzztime=10s ./internal/xmlout
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant deletion) under the race detector, checks

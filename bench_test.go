@@ -200,34 +200,40 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 	for i := 0; i < len(instrs); i += 30 {
 		only = append(only, instrs[i].Name)
 	}
-	proto := core.NewForArch(arch)
-	if _, err := proto.Blocking(); err != nil {
+	bs, err := core.NewForArch(arch).Blocking()
+	if err != nil {
 		b.Fatal(err)
 	}
-	// The serial run reads on proto's own Machine, so it also reports the
-	// readings that Machine simulated and recalled from its reading table
-	// per op. Iterations after the first reuse the warm table, just as they
-	// reuse its arenas and rename templates; the parallel runs' forks share
-	// it.
-	m := proto.Harness().Runner().(*pipesim.Machine)
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			sim0, rec0 := m.Readings()
 			b.ReportAllocs()
+			var simulated, recalled int
 			for i := 0; i < b.N; i++ {
-				res, err := proto.CharacterizeAll(core.Options{Only: only, Workers: workers})
+				// Each iteration starts from a fresh stack with the
+				// discovered blocking set, as a fresh engine's run
+				// does: a reading table, fork pool and chain latencies
+				// left warm by the last iteration would recall what
+				// the rung is meant to simulate.
+				b.StopTimer()
+				c := core.NewForArch(arch)
+				c.SetBlocking(bs)
+				b.StartTimer()
+				res, err := c.CharacterizeAll(core.Options{Only: only, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(res.Results) != len(only) {
 					b.Fatalf("got %d results, want %d", len(res.Results), len(only))
 				}
+				// The serial run reads only on the stack's own Machine.
+				sim, rec := c.Harness().Runner().(*pipesim.Machine).Readings()
+				simulated += sim
+				recalled += rec
 			}
 			b.ReportMetric(float64(len(only)), "variants")
 			if workers == 1 {
-				sim, rec := m.Readings()
-				b.ReportMetric(float64(sim-sim0)/float64(b.N), "simulated/op")
-				b.ReportMetric(float64(rec-rec0)/float64(b.N), "recalled/op")
+				b.ReportMetric(float64(simulated)/float64(b.N), "simulated/op")
+				b.ReportMetric(float64(recalled)/float64(b.N), "recalled/op")
 			}
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
@@ -87,6 +88,15 @@ type Entry struct {
 // UsageString renders the entry's port usage in the paper's notation.
 func (e Entry) UsageString() string { return uarch.FormatPortUsage(e.Usage) }
 
+// dbEntry is an Entry with its UsageString, which Lookup formats on first
+// use: every results file renders it, but building the analyzer, most of a
+// cold process's set-up, does not need it.
+type dbEntry struct {
+	Entry
+	once  sync.Once
+	usage string
+}
+
 // Report is the result of analyzing a code sequence as a loop body.
 type Report struct {
 	// BlockThroughput is the predicted cycles per loop iteration.
@@ -107,7 +117,8 @@ type Analyzer struct {
 	version Version
 	arch    *uarch.Arch
 	keys    portKeys
-	db      map[string]Entry
+	db      map[string]int32 // variant name → index into entries
+	entries []dbEntry
 }
 
 // New builds the analyzer for a version/microarchitecture pair, or an error
@@ -116,9 +127,12 @@ func New(v Version, arch *uarch.Arch) (*Analyzer, error) {
 	if !Supports(v, arch.Gen()) {
 		return nil, fmt.Errorf("iaca: version %s does not support %s", v, arch.Name())
 	}
-	a := &Analyzer{version: v, arch: arch, keys: portKeysFor(arch), db: make(map[string]Entry)}
-	for _, in := range arch.InstrSet().Instrs() {
-		a.db[in.Name] = a.buildEntry(in)
+	instrs := arch.InstrSet().Instrs()
+	a := &Analyzer{version: v, arch: arch, keys: portKeysFor(arch),
+		db: make(map[string]int32, len(instrs)), entries: make([]dbEntry, len(instrs))}
+	for i, in := range instrs {
+		a.db[in.Name] = int32(i)
+		a.entries[i].Entry = a.buildEntry(in)
 	}
 	return a, nil
 }
@@ -131,8 +145,24 @@ func (a *Analyzer) Arch() *uarch.Arch { return a.arch }
 
 // Entry returns the database entry for an instruction variant.
 func (a *Analyzer) Entry(name string) (Entry, bool) {
-	e, ok := a.db[name]
-	return e, ok
+	i, ok := a.db[name]
+	if !ok {
+		return Entry{}, false
+	}
+	return a.entries[i].Entry, true
+}
+
+// Lookup returns the database entry for an instruction variant together
+// with its UsageString, which the analyzer formats once, on first use. It
+// is safe for concurrent use.
+func (a *Analyzer) Lookup(name string) (e Entry, usage string, ok bool) {
+	i, ok := a.db[name]
+	if !ok {
+		return Entry{}, "", false
+	}
+	d := &a.entries[i]
+	d.once.Do(func() { d.usage = d.UsageString() })
+	return d.Entry, d.usage, true
 }
 
 // buildEntry derives the database entry for one variant: the ground truth
@@ -323,7 +353,7 @@ func (a *Analyzer) Analyze(code asmgen.Sequence) (Report, error) {
 	total := 0
 	latency := 0.0
 	for _, inst := range code {
-		e, ok := a.db[inst.Variant.Name]
+		e, ok := a.Entry(inst.Variant.Name)
 		if !ok {
 			return Report{}, fmt.Errorf("iaca %s: instruction %s not supported", a.version, inst.Variant.Name)
 		}
