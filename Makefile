@@ -45,7 +45,9 @@ bench-smoke:
 # per-variant load), the service-handler rung (one warm request through
 # ServeHTTP: a variant, a 32-variant subset, the whole generation as JSON and
 # as XML), the render rung (the whole Skylake results XML with its IACA
-# analyzers into a sha256), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# analyzers into a sha256), the fleet wire rung (one /v1/measure request for
+# a 257-instruction kernel at two copy counts, and one answer of two
+# counters, each written and parsed), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
 # run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
 # under $(BENCH_LABEL). Existing labels in the file are preserved, so
 # successive PRs accumulate comparable columns.
@@ -59,6 +61,7 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSaveVariant|BenchmarkLoadVariants' -benchmem -count=$(COUNT) ./internal/store >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkServe' -benchmem -count=$(COUNT) ./internal/service >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkRenderXML' -benchmem -count=$(COUNT) ./internal/xmlout >> "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkWire' -benchmem -count=$(COUNT) ./internal/measure/remote >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"
@@ -141,13 +144,18 @@ lint-extra:
 # Run on materialized copies for two kernels on one Machine and, with a
 # second generation byte, on a Machine of that generation sharing its
 # table, errors included;
-# FuzzDecodeSeq holds the fleet worker's sequence decoder to its bounds;
+# FuzzDecodeSeq holds the fleet worker's request parser to never
+# panicking, to encoding/json's reading of every body it accepts, to its
+# bounds and to re-reading what AppendRequest writes;
+# FuzzParseResponse holds the fleet client's response parser to never
+# panicking, to encoding/json's reading of every body it accepts and to
+# re-reading what AppendResponse writes;
 # FuzzParseSequence holds the parser of cmd/analyze's kernels to never
 # panicking and to re-reading its own printed output;
 # FuzzRunOptionsFromRequest holds the service's query parsers (generation,
 # ?format, ?only, ?quick) to never panicking and to canonical, re-parseable
 # options; FuzzMeasureRequest holds the fleet worker's /v1/measure handler
-# to never panicking, to 200 or 400, and to one counter per sequence of
+# to never panicking, to 200 or 400, and to one counter per copy count of
 # exactly one JSON request under the worker's fingerprint; FuzzLoadVariant
 # holds the store's record decoding to never panicking, to hits that name
 # the requested variant, and to quarantining every other miss except an
@@ -157,6 +165,7 @@ lint-extra:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
+	$(GO) test -run='^$$' -fuzz='^FuzzParseResponse$$' -fuzztime=10s ./internal/measure/remote
 	$(GO) test -run='^$$' -fuzz='^FuzzParseSequence$$' -fuzztime=10s ./internal/asmgen
 	$(GO) test -run='^$$' -fuzz='^FuzzRunOptionsFromRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasureRequest$$' -fuzztime=10s ./internal/service
@@ -203,16 +212,18 @@ ci-service:
 	$(GO) test -race -count=1 -run 'TestUopsd' ./cmd/uopsd
 
 # ci-fleet gates the distributed measurement fleet under the race detector:
-# the remote backend's unit suite (wire roundtrip with copy counts, the
-# fingerprint and wire-version handshake, one request per RunCopies call and
-# at most InFlight in flight, retries, health probing and call timeouts
-# against canned workers), then
+# the remote backend's unit suite (the wire codec's roundtrip of one kernel
+# with its copy counts and its allocations, the fingerprint and
+# wire-version handshake, one request per RunCopies call and at most
+# InFlight in flight, retries, oversized answers, health probing and call
+# timeouts against canned workers that read and write through
+# encoding/json), then
 # the loopback end-to-end tests — XML byte-identical to a local run through
 # 1/2/3 real workers, recovery from a worker killed mid-run, a
 # mixed-fingerprint fleet refused at startup, fleet counters in /v1/stats
 # and /metrics, the /v1/measure instruction budget — and the -fleet flag
-# through the uopsinfo CLI and a uopsd front tier. The decoder's fuzz
-# target runs in fuzz-smoke.
+# through the uopsinfo CLI and a uopsd front tier. The codec's fuzz
+# targets run in fuzz-smoke.
 ci-fleet:
 	$(GO) test -race -count=1 ./internal/measure/remote
 	$(GO) test -race -count=1 -run 'TestFleet|TestMeasureEndpoint|TestMeasureBudget' ./internal/service

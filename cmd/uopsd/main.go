@@ -16,7 +16,7 @@
 //	GET  /healthz                       liveness probe
 //	GET  /metrics                       Prometheus-style counter exposition
 //	GET  /v1/backends                   the measurement-backend registry + serving identity
-//	POST /v1/measure                    batch sequence measurement (fleet-worker endpoint)
+//	POST /v1/measure                    one kernel at its copy counts (fleet-worker endpoint)
 //	GET  /v1/stats                      engine + coalescing + request counters
 //	GET  /v1/arch/{gen}                 full characterization (?only=..., ?quick=1, ?format=xml)
 //	GET  /v1/arch/{gen}/variant/{name}  a single instruction variant

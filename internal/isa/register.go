@@ -406,13 +406,18 @@ var (
 	flagsRegs = []Reg{RFLAGS}
 )
 
-// ParseReg converts a register name (as printed by Reg.String) back into a
-// Reg. Unknown names yield RegNone.
-func ParseReg(s string) Reg {
+// regByName maps each register name Reg.String prints, RegNone's aside, to
+// its Reg.
+var regByName = func() map[string]Reg {
+	m := make(map[string]Reg, len(regNames))
 	for r, n := range regNames {
-		if n == s && Reg(r) != RegNone {
-			return Reg(r)
+		if n != "" && Reg(r) != RegNone {
+			m[n] = Reg(r)
 		}
 	}
-	return RegNone
-}
+	return m
+}()
+
+// ParseReg converts a register name (as printed by Reg.String) back into a
+// Reg. Unknown names yield RegNone.
+func ParseReg(s string) Reg { return regByName[s] }

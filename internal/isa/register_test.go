@@ -106,13 +106,20 @@ func TestRegistersOfClassConsistency(t *testing.T) {
 
 func TestParseRegRoundTrip(t *testing.T) {
 	t.Parallel()
+	named := 0
 	for r := Reg(1); r < Reg(NumRegs); r++ {
 		if got := ParseReg(r.String()); got != r {
 			t.Errorf("ParseReg(%q) = %v, want %v", r.String(), got, r)
 		}
+		named++
 	}
-	if ParseReg("NOSUCHREG") != RegNone {
-		t.Error("ParseReg should return RegNone for unknown names")
+	if named != len(regByName) {
+		t.Errorf("%d registers are named, the lookup table holds %d", named, len(regByName))
+	}
+	for _, name := range []string{"NOSUCHREG", "", "NONE", "rax", "RAX ", "Reg(1)"} {
+		if got := ParseReg(name); got != RegNone {
+			t.Errorf("ParseReg(%q) = %v, want RegNone", name, got)
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ type FleetWorkerStats struct {
 	// it crossed the consecutive-failure threshold and is being probed).
 	Healthy bool `json:"healthy" metric:"uopsd_fleet_worker_healthy" help:"Whether the fleet worker is in rotation (1) or being probed after failures (0)."`
 	// Batches and Sequences count the /v1/measure requests sent to this
-	// worker and the sequences they carried, retries included.
+	// worker and the copy counts they carried (one reading each), retries
+	// included.
 	Batches   int64 `json:"batches" metric:"uopsd_fleet_worker_batches_total" help:"Measurement requests sent to the fleet worker."`
 	Sequences int64 `json:"sequences" metric:"uopsd_fleet_worker_sequences_total" help:"Sequences sent to the fleet worker."`
 	// Errors counts the failed requests against this worker.
@@ -32,15 +33,16 @@ type FleetStats struct {
 	Fingerprint string `json:"fingerprint"`
 	// Batches counts /v1/measure requests sent (across workers, retries
 	// included): one per runner call and attempt, since calls never share a
-	// request. Sequences counts sequences submitted to the fleet by runners
-	// (each at most once, however often it is retried).
+	// request. Sequences counts the copy counts runners submitted to the
+	// fleet, one reading each (each at most once, however often it is
+	// retried).
 	Batches   int64 `json:"batches" metric:"uopsd_fleet_batches_total" help:"Measurement requests this process sent to its fleet (including retries)."`
 	Sequences int64 `json:"sequences" metric:"uopsd_fleet_sequences_total" help:"Sequences this process submitted to its fleet."`
 	// Deduped is always 0. It counted Run calls answered from a runner's
 	// last-result cache, which went away when the harness stopped repeating
 	// readings; the field stays because cmd/uopsbench reads it.
 	Deduped int64 `json:"deduped"`
-	// Retries counts sequences sent again after a transient request
+	// Retries counts copy counts sent again after a transient request
 	// failure; Errors counts the failed requests themselves.
 	Retries int64 `json:"retries" metric:"uopsd_fleet_retries_total" help:"Sequences sent again after a transient fleet request failure."`
 	Errors  int64 `json:"errors" metric:"uopsd_fleet_errors_total" help:"Fleet measurement requests that failed (transport error, non-200, drifted worker)."`

@@ -41,8 +41,8 @@ type Runner interface {
 
 // CopiesRunner is implemented by runners that repeat a kernel themselves:
 // *pipesim.Machine renames it n times within one simulated run, and the
-// fleet runner ships it once with its copy counts, so one measurement
-// costs one round trip. RunCopies returns, for each copy count n in
+// fleet runner ships it once with all its copy counts in one request, so
+// one measurement costs one round trip. RunCopies returns, for each copy count n in
 // copies, the counters Run would return for code.Repeat(n), in order.
 // Since readings are pure, RunCopies may answer one from a table instead
 // of running it: *pipesim.Machine recalls readings that any Machine

@@ -1,14 +1,15 @@
 package remote
 
 // The fleet client: one runner call is one POST /v1/measure request. A call
-// carries the sequences of one RunCopies (e.g. a kernel at both copy counts
-// of a measurement). It borrows a slot from its generation's slot pool,
-// which holds InFlight slots per worker, posts its request under its own
-// context and returns the slot. Sharding is emergent: a fast worker's slots
+// carries what one RunCopies measures: a kernel once, with its copy counts
+// (a measurement's short and long count). It borrows a slot from its
+// generation's slot pool, which holds InFlight slots per worker, posts its
+// request under its own context and returns the slot. Sharding is emergent: a fast worker's slots
 // come back sooner and carry more calls, and a failing worker's slots stay
 // out of the pool while it is backed off or probed. A send that fails
-// (transport error, non-200, drifted fingerprint or wire version, or no
-// answer within requestTimeout) is sent again on the next free slot, up to
+// (transport error, non-200, an answer that is malformed or longer than
+// maxResponseBody, drifted fingerprint or wire version, or no answer within
+// requestTimeout) is sent again on the next free slot, up to
 // MaxAttempts sends; a slow request that answers in time is waited for. The
 // failed slot rests on a goroutine of its own before it goes back: a
 // backoff, then /healthz probes once its worker reached unhealthyAfter
@@ -19,7 +20,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -148,17 +148,13 @@ func (f *fleet) pool(gen string) chan *worker {
 	return p
 }
 
-// do measures one call's sequences in one request and returns one Counters
-// per sequence.
-func (f *fleet) do(gen string, encs []json.RawMessage) ([]pipesim.Counters, error) {
-	body, err := json.Marshal(MeasureRequest{Gen: gen, Seqs: encs})
-	if err != nil {
-		return nil, fmt.Errorf("remote: encoding request: %w", err)
-	}
+// do measures one call's kernel at its n copy counts in one request, the
+// body rb, and returns one Counters per copy count.
+func (f *fleet) do(gen string, rb *requestBody, n int) ([]pipesim.Counters, error) {
 	pool := f.pool(gen)
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
 	defer cancel()
-	f.seqs.Add(int64(len(encs)))
+	f.seqs.Add(int64(n))
 	failures := 0
 	for {
 		var w *worker
@@ -173,7 +169,7 @@ func (f *fleet) do(gen string, encs []json.RawMessage) ([]pipesim.Counters, erro
 			go f.rest(w, pool)
 			continue
 		}
-		resp, err := f.post(ctx, w, body, len(encs))
+		resp, err := f.post(ctx, w, rb, n)
 		if err == nil {
 			w.consecFails.Store(0)
 			pool <- w
@@ -193,7 +189,7 @@ func (f *fleet) do(gen string, encs []json.RawMessage) ([]pipesim.Counters, erro
 		if failures >= f.opts.MaxAttempts {
 			return nil, fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.MaxAttempts, err)
 		}
-		f.retries.Add(int64(len(encs)))
+		f.retries.Add(int64(n))
 	}
 }
 
@@ -206,17 +202,17 @@ func (f *fleet) gaveUp() error {
 	return fmt.Errorf("remote: measurement timed out after %v", f.opts.CallTimeout)
 }
 
-// counters decodes a successful response. A per-sequence error is a
-// deterministic property of the request (unknown variant, simulator
-// rejection): another worker would return the same error, so it fails the
-// whole call.
-func counters(w *worker, resp *MeasureResponse) ([]pipesim.Counters, error) {
+// counters converts a successful response. The error of a kernel the worker
+// could not measure (unknown variant, simulator rejection) is a
+// deterministic property of the request: another worker would return the
+// same error, so it fails the call.
+func counters(w *worker, resp MeasureResponse) ([]pipesim.Counters, error) {
+	if resp.Error != "" {
+		return nil, fmt.Errorf("remote: worker %s: %s", w.url, resp.Error)
+	}
 	cs := make([]pipesim.Counters, len(resp.Counters))
 	for k, c := range resp.Counters {
-		if resp.Errs != nil && resp.Errs[k] != "" {
-			return nil, fmt.Errorf("remote: worker %s: %s", w.url, resp.Errs[k])
-		}
-		cs[k] = DecodeCounters(c)
+		cs[k] = pipesim.Counters(c)
 	}
 	return cs, nil
 }
@@ -281,11 +277,18 @@ func (f *fleet) healthz(w *worker) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// post sends one call's request of n sequences to a worker and decodes the
-// response. Any transport failure, non-2xx status, fingerprint or
-// wire-version drift (the worker restarted with a different build since the
-// handshake) is a transient error: the caller sends again on another slot.
-func (f *fleet) post(ctx context.Context, w *worker, body []byte, n int) (*MeasureResponse, error) {
+// maxResponseBody bounds what the client reads of a worker's answer. A
+// real answer is about 100 bytes per copy count; the longest a worker gives,
+// to the most copy counts it accepts, is under a third of this bound.
+const maxResponseBody = 1 << 20
+
+// post sends one call's request for n copy counts to a worker and parses
+// the answer. Any transport failure, non-2xx status, answer longer than
+// maxResponseBody, malformed answer, fingerprint or wire-version drift (the
+// worker restarted with a different build since the handshake) or wrong
+// number of counters is a transient error: the caller sends again on
+// another slot.
+func (f *fleet) post(ctx context.Context, w *worker, rb *requestBody, n int) (MeasureResponse, error) {
 	f.batches.Add(1)
 	w.batches.Add(1)
 	w.seqs.Add(int64(n))
@@ -294,40 +297,53 @@ func (f *fleet) post(ctx context.Context, w *worker, body []byte, n int) (*Measu
 
 	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/measure", bytes.NewReader(body))
+	body := rb.reader()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/measure", body)
 	if err != nil {
-		return nil, err
+		body.Close()
+		return MeasureResponse{}, err
 	}
+	req.ContentLength = int64(len(rb.b))
+	req.GetBody = func() (io.ReadCloser, error) { return rb.reader(), nil }
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.opts.Client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("remote: worker %s: %w", w.url, err)
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}
 	defer func() {
-		io.Copy(io.Discard, resp.Body)
+		// Drain a bounded rest so the connection can be reused; a longer
+		// body is left to the connection's close.
+		io.CopyN(io.Discard, resp.Body, maxResponseBody)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("remote: worker %s: /v1/measure: status %d: %s",
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: /v1/measure: status %d: %s",
 			w.url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var out MeasureResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("remote: worker %s: decoding /v1/measure response: %w", w.url, err)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	if err != nil {
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: reading /v1/measure response: %w", w.url, err)
 	}
-	if len(out.Counters) != n || (out.Errs != nil && len(out.Errs) != n) {
-		return nil, fmt.Errorf("remote: worker %s: response has %d counters for %d sequences",
-			w.url, len(out.Counters), n)
+	if len(data) > maxResponseBody {
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: /v1/measure response longer than %d bytes", w.url, maxResponseBody)
+	}
+	out, err := ParseResponse(data)
+	if err != nil {
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}
 	if out.Fingerprint != f.fingerprint {
-		return nil, fmt.Errorf("remote: worker %s: serving fingerprint drifted to %q (handshake saw %q); cache keys would lie",
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: serving fingerprint drifted to %q (handshake saw %q); cache keys would lie",
 			w.url, out.Fingerprint, f.fingerprint)
 	}
 	if err := checkWireVersion(out.WireVersion); err != nil {
-		return nil, fmt.Errorf("remote: worker %s: %w", w.url, err)
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}
-	return &out, nil
+	if out.Error == "" && len(out.Counters) != n {
+		return MeasureResponse{}, fmt.Errorf("remote: worker %s: response has %d counters for %d copy counts",
+			w.url, len(out.Counters), n)
+	}
+	return out, nil
 }
 
 // stats snapshots the fleet counters.

@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uopsinfo/internal/asmgen"
@@ -276,6 +277,7 @@ type Runner struct {
 	arch    *uarch.Arch
 	genName string
 	div     pipesim.DividerValues
+	body    *requestBody // the buffer the next request is written into
 }
 
 var (
@@ -289,8 +291,8 @@ var (
 func (r *Runner) Arch() *uarch.Arch { return r.arch }
 
 // SetDividerValues selects the operand-value regime for divider-based
-// instructions; it travels with every encoded sequence so the worker's
-// simulator runs under the same regime.
+// instructions; it travels with every request so the worker's simulator
+// runs under the same regime.
 func (r *Runner) SetDividerValues(v pipesim.DividerValues) { r.div = v }
 
 // ForkRunner returns an independent runner sharing the fleet, enabling the
@@ -299,9 +301,7 @@ func (r *Runner) ForkRunner() measure.Runner {
 	return &Runner{f: r.f, arch: r.arch, genName: r.genName, div: r.div}
 }
 
-// Run measures one sequence on the fleet. The sequence is encoded (variant
-// names plus concrete operands, repeated instances deduplicated) and posted
-// to a worker with a free slot. Nothing of code is retained.
+// Run measures one sequence on the fleet, as RunCopies at one copy.
 func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	cs, err := r.RunCopies(code, 1)
 	if err != nil {
@@ -310,22 +310,49 @@ func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	return cs[0], nil
 }
 
-// RunCopies measures code at each copy count in one /v1/measure request:
-// the kernel is encoded once per count with Seq.Copies set. Nothing of code
-// is retained.
+// RunCopies measures code at each copy count in one /v1/measure request,
+// which carries the kernel once (variant names plus concrete operands,
+// repeated instances deduplicated) with all the counts. The request is
+// written into a buffer the runner reuses; nothing of code is retained.
 func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
 	if len(code) == 0 {
 		return nil, errors.New("remote: empty code sequence")
 	}
-	ws := EncodeSeq(code, r.div)
-	encs := make([]json.RawMessage, len(copies))
-	for i, n := range copies {
-		ws.Copies = n
-		enc, err := json.Marshal(ws)
-		if err != nil {
-			return nil, fmt.Errorf("remote: encoding sequence: %w", err)
-		}
-		encs[i] = enc
+	if r.body == nil || r.body.held.Load() != 0 {
+		r.body = new(requestBody)
 	}
-	return r.f.do(r.genName, encs)
+	r.body.b = AppendRequest(r.body.b[:0], r.genName, r.div, code, copies)
+	return r.f.do(r.genName, r.body, len(copies))
+}
+
+// requestBody is a runner's request buffer. The transport may still read a
+// request body after Client.Do returns (it closes the body of a failed
+// request from a goroutine of its own), so every body sent from the buffer
+// holds it until that body is closed, and the runner writes its next request
+// into a new buffer while the old one is held.
+type requestBody struct {
+	b    []byte
+	held atomic.Int32
+}
+
+// reader returns a request body over the buffer that holds it until its
+// first Close.
+func (rb *requestBody) reader() io.ReadCloser {
+	rb.held.Add(1)
+	h := &heldReader{rb: rb}
+	h.Reset(rb.b)
+	return h
+}
+
+type heldReader struct {
+	bytes.Reader
+	rb     *requestBody
+	closed atomic.Bool
+}
+
+func (h *heldReader) Close() error {
+	if h.closed.CompareAndSwap(false, true) {
+		h.rb.held.Add(-1)
+	}
+	return nil
 }

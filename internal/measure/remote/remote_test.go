@@ -24,7 +24,6 @@ import (
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/pipesim"
 	"uopsinfo/internal/uarch"
-	"uopsinfo/internal/xedspec"
 )
 
 func variant(t *testing.T, set *isa.Set, name string) *isa.Instr {
@@ -47,174 +46,11 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundtrip(t *testing.T) {
-	set := xedspec.MustFullISA()
-	add, err := asmgen.NewInst(variant(t, set, "ADD_R64_R64"),
-		asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
-	if err != nil {
-		t.Fatal(err)
-	}
-	load, err := asmgen.NewInst(variant(t, set, "MOV_R64_M64"),
-		asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shld, err := asmgen.NewInst(variant(t, set, "SHLD_R64_R64_I8"),
-		asmgen.RegOperand(isa.RCX), asmgen.RegOperand(isa.RDX), asmgen.ImmOperand(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	code := asmgen.Sequence{add, load, shld}.Repeat(4)
-
-	ws := EncodeSeq(code, pipesim.DividerValues(1))
-	if len(ws.Instrs) != 3 {
-		t.Fatalf("encoded %d distinct instructions, want 3 (repeat copies must share)", len(ws.Instrs))
-	}
-	if len(ws.Order) != len(code) {
-		t.Fatalf("order length %d, want %d", len(ws.Order), len(code))
-	}
-
-	// Through the wire: marshal, unmarshal, decode.
-	raw, err := json.Marshal(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Seq
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Div != 1 {
-		t.Errorf("divider regime %d did not survive the roundtrip", back.Div)
-	}
-	dec, copies, err := DecodeSeq(set, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.String() != code.String() || copies != 1 {
-		t.Errorf("decoded %d copies of\n%s\nwant 1 of\n%s", copies, dec.String(), code.String())
-	}
-	// Repeated instances must decode to one shared instance like the
-	// client's (the simulator keys memory dependencies on operand identity).
-	if dec[0] != dec[3] || dec[1] != dec[4] {
-		t.Error("decoded repeated instances are not shared")
-	}
-	// Memory operand address must be preserved exactly.
-	if m := dec[1].Ops[1].Mem; m == nil || m.Addr != 0x2040 || m.Base != isa.RSI {
-		t.Errorf("memory operand decoded as %+v", dec[1].Ops[1])
-	}
-
-	// An identity-order short sequence elides Order.
-	if ws := EncodeSeq(asmgen.Sequence{add, load}, 0); ws.Order != nil {
-		t.Errorf("identity order not elided: %v", ws.Order)
-	}
-
-	// A kernel sent with a copy count decodes to the kernel and the count;
-	// the worker's runner repeats it.
-	kernel := asmgen.Sequence{add, load, shld, add}
-	ws = EncodeSeq(kernel, 0)
-	ws.Copies = 12
-	if raw, err = json.Marshal(ws); err != nil {
-		t.Fatal(err)
-	}
-	back = Seq{}
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Copies != 12 {
-		t.Errorf("copy count %d did not survive the roundtrip", back.Copies)
-	}
-	if dec, copies, err = DecodeSeq(set, back); err != nil {
-		t.Fatal(err)
-	}
-	if dec.String() != kernel.String() || copies != 12 {
-		t.Errorf("decoded %d copies of\n%s\nwant 12 of\n%s", copies, dec.String(), kernel.String())
-	}
-	if dec[0] != dec[3] {
-		t.Error("decoded kernel does not share its repeated instance")
-	}
-}
-
-func TestDecodeSeqRejectsBadInput(t *testing.T) {
-	set := xedspec.MustFullISA()
-	for i, ws := range badSeqs() {
-		if _, _, err := DecodeSeq(set, ws); err == nil {
-			t.Errorf("case %d: DecodeSeq accepted invalid input %+v", i, ws)
-		}
-	}
-}
-
-// badSeqs are wire sequences DecodeSeq must refuse: unknown names and
-// registers, wrong operand counts, an order index out of range, and copy
-// counts that are negative or expand past MaxSeqLen (with and without an
-// explicit order, and at a count whose product overflows int), and copy
-// counts above MaxSeqLen of an empty kernel, which expand to nothing but
-// would still loop once per copy.
-func badSeqs() []Seq {
-	add := Inst{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "RBX"}}}
-	return []Seq{
-		{Instrs: []Inst{{Name: "NO_SUCH_VARIANT"}}},
-		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}, {Reg: "BOGUS"}}}}},
-		{Instrs: []Inst{{Name: "ADD_R64_R64", Ops: []Op{{Reg: "RAX"}}}}},
-		{Instrs: []Inst{add}, Order: []int{1}},
-		{Instrs: []Inst{add}, Copies: -1},
-		{Instrs: []Inst{add}, Copies: MaxSeqLen + 1},
-		{Instrs: []Inst{add}, Order: []int{0, 0, 0}, Copies: MaxSeqLen/3 + 1},
-		{Instrs: []Inst{add, add}, Copies: int(^uint(0) >> 1)},
-		{Copies: int(^uint(0) >> 1)},
-		{Instrs: []Inst{add}, Order: []int{}, Copies: int(^uint(0) >> 1)},
-		{Copies: MaxSeqLen + 1},
-	}
-}
-
-// FuzzDecodeSeq feeds arbitrary /v1/measure sequence bodies to the worker's
-// decoder: it must never panic, never accept a kernel × copies above
-// MaxSeqLen or more than MaxSeqLen copies, and must return the wire's copy
-// count (0 meaning 1).
-func FuzzDecodeSeq(f *testing.F) {
-	set := uarch.Get(uarch.Skylake).InstrSet()
-	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
-	load := asmgen.MustInst(set.Lookup("MOV_R64_M64"), asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
-	for _, n := range []int{0, 1, 2, 12} {
-		ws := EncodeSeq(asmgen.Sequence{add, load, add}, pipesim.DividerValues(n%2))
-		ws.Copies = n
-		raw, err := json.Marshal(ws)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	for _, ws := range badSeqs() {
-		raw, err := json.Marshal(ws)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		var ws Seq
-		if json.Unmarshal(raw, &ws) != nil {
-			return
-		}
-		kernel, copies, err := DecodeSeq(set, ws)
-		if err != nil {
-			return
-		}
-		if len(kernel)*copies > MaxSeqLen {
-			t.Fatalf("accepted %d copies of %d instructions, above the %d bound", copies, len(kernel), MaxSeqLen)
-		}
-		// The simulator renames once per copy even for an empty kernel.
-		if ws.Copies > MaxSeqLen {
-			t.Fatalf("accepted %d copies, above the %d bound", ws.Copies, MaxSeqLen)
-		}
-		if copies != max(ws.Copies, 1) {
-			t.Fatalf("decoded copy count %d, wire count %d", copies, ws.Copies)
-		}
-	})
-}
-
-// fakeWorker is a canned HTTP server speaking the worker protocol. Measurement
-// responses carry fabricated counters (Cycles = distinct instructions,
-// TotalUops = total order length times copies) so tests can verify delivery.
+// fakeWorker is a canned HTTP server speaking the worker protocol through
+// encoding/json in both directions, so the client's bodies are checked
+// against the schema's reference reading. Measurement responses carry
+// fabricated counters (Cycles = distinct instructions, TotalUops = kernel
+// length times the copy count) so tests can verify delivery.
 type fakeWorker struct {
 	t           *testing.T
 	srv         *httptest.Server
@@ -229,7 +65,7 @@ type fakeWorker struct {
 	healthz func()
 
 	mu   sync.Mutex
-	seqs [][]Seq // the sequences of each answered request
+	reqs []MeasureRequest // every answered request
 }
 
 func newFakeWorker(t *testing.T, fingerprint, digest string) *fakeWorker {
@@ -273,31 +109,24 @@ func (fw *fakeWorker) answer(w http.ResponseWriter, r *http.Request) {
 		fw.t.Error(err)
 	}
 	resp := MeasureResponse{Fingerprint: fp, WireVersion: fw.wire}
-	var seqs []Seq
-	for _, raw := range req.Seqs {
-		var ws Seq
-		if err := json.Unmarshal(raw, &ws); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		seqs = append(seqs, ws)
-		total := len(ws.Order)
-		if total == 0 {
-			total = len(ws.Instrs)
-		}
-		resp.Counters = append(resp.Counters, Counters{Cycles: len(ws.Instrs), TotalUops: total * max(ws.Copies, 1)})
+	total := len(req.Order)
+	if req.Order == nil {
+		total = len(req.Instrs)
+	}
+	for _, n := range req.Copies {
+		resp.Counters = append(resp.Counters, Counters{Cycles: len(req.Instrs), TotalUops: total * n})
 	}
 	fw.mu.Lock()
-	fw.seqs = append(fw.seqs, seqs)
+	fw.reqs = append(fw.reqs, req)
 	fw.mu.Unlock()
 	json.NewEncoder(w).Encode(resp)
 }
 
-// requests returns the sequences of every request the worker answered.
-func (fw *fakeWorker) requests() [][]Seq {
+// requests returns every request the worker answered.
+func (fw *fakeWorker) requests() []MeasureRequest {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	return append([][]Seq(nil), fw.seqs...)
+	return append([]MeasureRequest(nil), fw.reqs...)
 }
 
 // configure points the global backend at the given fake workers and
@@ -464,8 +293,8 @@ func TestRunDeliversCounters(t *testing.T) {
 }
 
 // TestRunCopies: one measurement's readings are one request carrying the
-// kernel once per copy count, under the runner's divider regime, and its
-// counters come back in copy-count order.
+// kernel once with its copy counts, under the runner's divider regime, and
+// its counters come back in copy-count order.
 func TestRunCopies(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	configure(t, Options{}, fw)
@@ -479,24 +308,22 @@ func TestRunCopies(t *testing.T) {
 		t.Errorf("counters = %+v, want TotalUops 4 then 24, Cycles 2", cs)
 	}
 	reqs := fw.requests()
-	if len(reqs) != 1 || len(reqs[0]) != 2 {
-		t.Fatalf("worker saw requests %+v, want one carrying two sequences", reqs)
+	if len(reqs) != 1 {
+		t.Fatalf("worker saw requests %+v, want one", reqs)
 	}
-	for i, want := range []int{2, 12} {
-		ws := reqs[0][i]
-		if ws.Copies != want || ws.Div != 1 || len(ws.Instrs) != 2 || ws.Order != nil {
-			t.Errorf("sequence %d = %+v, want the 2-instruction kernel with copies %d and divider regime 1", i, ws, want)
-		}
+	if req := reqs[0]; req.Gen != "Skylake" || !reflect.DeepEqual(req.Copies, []int{2, 12}) || req.Div != 1 ||
+		len(req.Instrs) != 2 || req.Order != nil {
+		t.Errorf("request = %+v, want the 2-instruction Skylake kernel with copies 2 and 12 and divider regime 1", req)
 	}
 	if s := fleetStats(t); s.Batches != 1 || s.Sequences != 2 || s.Retries != 0 {
-		t.Errorf("stats = %+v, want 1 batch of 2 sequences", s)
+		t.Errorf("stats = %+v, want 1 batch of 2 copy counts", s)
 	}
 }
 
 // TestEachCallIsOneRequest: concurrent calls never share a request. With
 // the worker's two slots held by the first two requests, three more calls
 // wait for a slot instead of joining a request, so every request carries
-// exactly the two sequences of one call, the worker never has more than
+// exactly the two copy counts of one call, the worker never has more than
 // InFlight requests in flight, and no fleet goroutine outlives the calls.
 func TestEachCallIsOneRequest(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
@@ -548,9 +375,9 @@ func TestEachCallIsOneRequest(t *testing.T) {
 	}
 
 	reqs := fw.requests()
-	for i, seqs := range reqs {
-		if len(seqs) != 2 || seqs[0].Copies != 2 || seqs[1].Copies != 12 {
-			t.Errorf("request %d carried %d sequences, want the two of one call (copies 2 and 12)", i, len(seqs))
+	for i, req := range reqs {
+		if !reflect.DeepEqual(req.Copies, []int{2, 12}) {
+			t.Errorf("request %d carried copy counts %v, want the two of one call (2 and 12)", i, req.Copies)
 		}
 	}
 	if len(reqs) != calls {
@@ -582,15 +409,14 @@ func TestEachCallIsOneRequest(t *testing.T) {
 	}
 }
 
-// TestRunCopiesSequenceErrorFailsCall: a per-sequence error on either
-// reading fails the whole call, without a retry.
+// TestRunCopiesSequenceErrorFailsCall: a kernel error in the answer fails
+// the whole call, without a retry.
 func TestRunCopiesSequenceErrorFailsCall(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
 		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
 		json.NewEncoder(w).Encode(MeasureResponse{
-			Fingerprint: fp, WireVersion: WireVersion,
-			Counters: make([]Counters, 2), Errs: []string{"", "cycle limit exceeded"},
+			Fingerprint: fp, WireVersion: WireVersion, Error: "cycle limit exceeded",
 		})
 		return true
 	}
@@ -598,10 +424,10 @@ func TestRunCopiesSequenceErrorFailsCall(t *testing.T) {
 	r := newRunner(t).(*Runner)
 	_, err := r.RunCopies(testSequence(t), 2, 12)
 	if err == nil || !strings.Contains(err.Error(), "cycle limit exceeded") {
-		t.Fatalf("RunCopies = %v, want the worker's per-sequence error", err)
+		t.Fatalf("RunCopies = %v, want the worker's kernel error", err)
 	}
 	if got := fw.measures.Load(); got != 1 {
-		t.Errorf("worker saw %d requests, want 1 (per-sequence errors are permanent)", got)
+		t.Errorf("worker saw %d requests, want 1 (kernel errors are permanent)", got)
 	}
 	if s := fleetStats(t); s.Retries != 0 || s.Batches != 1 {
 		t.Errorf("stats = %+v, want 1 batch and no retries", s)
@@ -632,13 +458,43 @@ func TestTransientFailureRetries(t *testing.T) {
 	}
 }
 
+// TestOversizedResponseIsRetried: a worker whose answer runs past
+// maxResponseBody fails that attempt like any transient failure, and the
+// call is sent again.
+func TestOversizedResponseIsRetried(t *testing.T) {
+	fw := newFakeWorker(t, "pipesim@1", "aaaa")
+	fw.intercept = func(n int64, w http.ResponseWriter) bool {
+		if n > 1 {
+			return false
+		}
+		// A well-formed start, then twice the bound in padding; the writes
+		// may fail once the client gives up on the body.
+		fmt.Fprint(w, `{"fingerprint":"`)
+		w.Write([]byte(strings.Repeat("x", 2*maxResponseBody)))
+		return true
+	}
+	configure(t, Options{}, fw)
+	c, err := newRunner(t).Run(testSequence(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Cycles != 2 || c.TotalUops != 2 {
+		t.Errorf("counters after retry = %+v, want Cycles 2, TotalUops 2", c)
+	}
+	if got := fw.measures.Load(); got != 2 {
+		t.Errorf("worker saw %d requests, want 2 (the oversized answer is retried)", got)
+	}
+	if s := fleetStats(t); s.Retries != 1 || s.Errors != 1 {
+		t.Errorf("stats = %+v, want 1 retry after 1 error", s)
+	}
+}
+
 func TestPermanentSequenceErrorNotRetried(t *testing.T) {
 	fw := newFakeWorker(t, "pipesim@1", "aaaa")
 	fw.intercept = func(n int64, w http.ResponseWriter) bool {
 		fp, _ := ServingFingerprint(fw.fingerprint, fw.digest)
 		json.NewEncoder(w).Encode(MeasureResponse{
-			Fingerprint: fp, WireVersion: WireVersion,
-			Counters: make([]Counters, 1), Errs: []string{"unknown instruction variant"},
+			Fingerprint: fp, WireVersion: WireVersion, Error: "unknown instruction variant",
 		})
 		return true
 	}
@@ -646,10 +502,10 @@ func TestPermanentSequenceErrorNotRetried(t *testing.T) {
 	r := newRunner(t)
 	_, err := r.Run(testSequence(t))
 	if err == nil || !strings.Contains(err.Error(), "unknown instruction variant") {
-		t.Fatalf("Run = %v, want the worker's per-sequence error", err)
+		t.Fatalf("Run = %v, want the worker's kernel error", err)
 	}
 	if got := fw.measures.Load(); got != 1 {
-		t.Errorf("worker saw %d requests, want 1 (per-sequence errors are permanent)", got)
+		t.Errorf("worker saw %d requests, want 1 (kernel errors are permanent)", got)
 	}
 	if s := fleetStats(t); s.Retries != 0 {
 		t.Errorf("Retries = %d, want 0", s.Retries)

@@ -311,11 +311,11 @@ func TestMeasureEndpointCounters(t *testing.T) {
 	}
 }
 
-// TestMeasureBudgetRefusesOversizedBatch: a batch whose sequences are each
-// within remote.MaxSeqLen but together ask for more than maxMeasureInstrs
-// instructions is refused with 400 before anything is simulated. An empty
-// kernel counts as one instruction per copy, because it is still renamed
-// once per copy.
+// TestMeasureBudgetRefusesOversizedBatch: a request whose copy counts each
+// keep the kernel within remote.MaxSeqLen but together ask for more than
+// maxMeasureInstrs instructions is refused with 400 before anything is
+// simulated. An empty kernel counts as one instruction per copy, because it
+// is still renamed once per copy.
 func TestMeasureBudgetRefusesOversizedBatch(t *testing.T) {
 	kernels := map[string][]remote.Inst{
 		"one-instruction": {{Name: "ADD_R64_R64", Ops: []remote.Op{{Reg: "RAX"}, {Reg: "RBX"}}}},
@@ -324,13 +324,9 @@ func TestMeasureBudgetRefusesOversizedBatch(t *testing.T) {
 	for name, instrs := range kernels {
 		t.Run(name, func(t *testing.T) {
 			svc, _ := newTestService(t, engine.Config{})
-			seq, err := json.Marshal(remote.Seq{Instrs: instrs, Copies: remote.MaxSeqLen})
-			if err != nil {
-				t.Fatal(err)
-			}
-			req := remote.MeasureRequest{Gen: "skylake"}
+			req := remote.MeasureRequest{Gen: "skylake", Instrs: instrs}
 			for n := 0; n <= maxMeasureInstrs/remote.MaxSeqLen; n++ {
-				req.Seqs = append(req.Seqs, seq)
+				req.Copies = append(req.Copies, remote.MaxSeqLen)
 			}
 			body, err := json.Marshal(req)
 			if err != nil {
@@ -339,10 +335,10 @@ func TestMeasureBudgetRefusesOversizedBatch(t *testing.T) {
 			rec := httptest.NewRecorder()
 			svc.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/measure", bytes.NewReader(body)))
 			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "budget") {
-				t.Errorf("over-budget batch of %d sequences = %d %s, want 400 naming the budget", len(req.Seqs), rec.Code, rec.Body)
+				t.Errorf("over-budget request of %d copy counts = %d %s, want 400 naming the budget", len(req.Copies), rec.Code, rec.Body)
 			}
 			if c := svc.Counters(); c.MeasureSeqs != 0 || c.MeasureBatches != 0 {
-				t.Errorf("over-budget batch was measured: %d batches, %d sequences", c.MeasureBatches, c.MeasureSeqs)
+				t.Errorf("over-budget request was measured: %d requests, %d copy counts", c.MeasureBatches, c.MeasureSeqs)
 			}
 		})
 	}

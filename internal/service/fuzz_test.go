@@ -95,21 +95,14 @@ func FuzzRunOptionsFromRequest(f *testing.F) {
 // FuzzMeasureRequest sends raw bodies to POST /v1/measure, the fleet
 // worker's endpoint, through Service.ServeHTTP: nothing panics, the status is
 // 200 or 400, and a 200 answers a body that is exactly one JSON request with
-// one counter per sequence (per-sequence errors, if any, one per sequence
-// too), under the worker's serving fingerprint and wire version.
+// one counter per copy count, or with the error that kept its kernel from
+// being measured and no counters, under the worker's serving fingerprint and
+// wire version.
 func FuzzMeasureRequest(f *testing.F) {
 	set := uarch.Get(uarch.Skylake).InstrSet()
 	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
 	load := asmgen.MustInst(set.Lookup("MOV_R64_M64"), asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
-	body := func(gen string, seqs ...remote.Seq) []byte {
-		req := remote.MeasureRequest{Gen: gen, Seqs: []json.RawMessage{}}
-		for _, ws := range seqs {
-			raw, err := json.Marshal(ws)
-			if err != nil {
-				f.Fatal(err)
-			}
-			req.Seqs = append(req.Seqs, raw)
-		}
+	body := func(req remote.MeasureRequest) []byte {
 		raw, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
@@ -118,15 +111,13 @@ func FuzzMeasureRequest(f *testing.F) {
 	}
 	// A real measurement: one kernel at its two copy counts, as the fleet
 	// client sends it.
-	short := remote.EncodeSeq(asmgen.Sequence{add, load}, 0)
-	long := short
-	short.Copies, long.Copies = 2, 12
-	f.Add(body("skylake", short, long))
-	f.Add(body("Skylake", remote.EncodeSeq(asmgen.Sequence{add, load, add, add}, 1))) // an Order with repeats
-	f.Add(body("skylake"))                                                            // an empty batch
-	f.Add(body("z80", short))                                                         // an unknown generation
-	f.Add([]byte(`{"gen":"skylake","seqs":[{"instrs":[{"name":"NOPE"}]},{]}`))
+	f.Add(remote.AppendRequest(nil, "skylake", 0, asmgen.Sequence{add, load}, []int{2, 12}))
+	f.Add(remote.AppendRequest(nil, "Skylake", 1, asmgen.Sequence{add, load, add, add}, []int{1})) // an Order with repeats
+	f.Add(body(remote.MeasureRequest{Gen: "skylake", Copies: []int{}, Instrs: []remote.Inst{}}))   // no copy counts
+	f.Add(body(remote.MeasureRequest{Gen: "z80", Copies: []int{1}, Instrs: []remote.Inst{}}))      // an unknown generation
+	f.Add([]byte(`{"gen":"skylake","copies":[1],"instrs":[{"name":"NOPE"},{]}`))
 	f.Add([]byte("garbage"))
+	f.Add([]byte(`{"gen":"skylake","copies":[1],"instrs":[{"name":"NOPE"}]}00`)) // trailing bytes
 
 	eng, err := engine.New(engine.Config{Workers: 1})
 	if err != nil {
@@ -159,8 +150,8 @@ func FuzzMeasureRequest(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 body does not decode (%v): %s", err, rec.Body)
 		}
-		if len(resp.Counters) != len(req.Seqs) || (resp.Errs != nil && len(resp.Errs) != len(req.Seqs)) {
-			t.Fatalf("%d sequences answered with %d counters and %d errors", len(req.Seqs), len(resp.Counters), len(resp.Errs))
+		if resp.Error == "" && len(resp.Counters) != len(req.Copies) || resp.Error != "" && resp.Counters != nil {
+			t.Fatalf("%d copy counts answered with %d counters and error %q", len(req.Copies), len(resp.Counters), resp.Error)
 		}
 		if resp.Fingerprint != fingerprint || resp.WireVersion != remote.WireVersion {
 			t.Fatalf("answered as %q wire %d, want %q wire %d", resp.Fingerprint, resp.WireVersion, fingerprint, remote.WireVersion)

@@ -1,53 +1,51 @@
-// POST /v1/measure: the batch measurement endpoint of a fleet worker. The
-// body is a list of encoded instruction sequences plus a generation; the
-// response carries one raw simulator Counters per sequence. Execution rides
-// the engine's pooled measurement stacks (one warm harness per concurrent
-// batch, checked out for the duration of the request), each sequence is
-// decoded once and its kernel handed with its copy count to
-// measure.RunCopies, and the endpoint sits behind the service's rate
-// limiter like every other non-probe endpoint. Per-sequence failures
-// (unknown variant, operand mismatch, simulator rejection) are deterministic
-// properties of the request and are reported per sequence inside a 200
-// response, so a fleet client never retries them; only a malformed body, an
-// unknown generation or a batch over the instruction budget is a 400.
+// POST /v1/measure: the measurement endpoint of a fleet worker. The body is
+// one kernel with its copy counts and a generation; the response carries
+// one raw simulator Counters per copy count. Both are read and written by
+// package remote's hand-written codec. Execution rides the engine's pooled
+// measurement stacks (one warm harness per concurrent request, checked out
+// for the duration of the request), the kernel is handed with all its copy
+// counts to measure.RunCopies, and the endpoint sits behind the service's
+// rate limiter like every other non-probe endpoint. A kernel that cannot be
+// measured (unknown variant, operand mismatch, simulator rejection) is a
+// deterministic property of the request and is reported inside a 200
+// response, so a fleet client never retries it; only a malformed body, an
+// unknown generation or a request over the copy-count or instruction budget
+// is a 400.
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"sync"
 
-	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/engine"
-	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/pipesim"
-	"uopsinfo/internal/uarch"
 )
 
-// maxMeasureBatch bounds the sequences accepted in one batch; clients are
-// expected to stay far below it.
+// maxMeasureBatch bounds the copy counts accepted in one request; the fleet
+// client sends two per measurement (its short and long count).
 const maxMeasureBatch = 1024
 
-// maxMeasureBody bounds the request body (32 MiB — a full batch is far
-// smaller, because a sequence carries its kernel once plus a copy count).
+// maxMeasureBody bounds the request body (32 MiB). A request carries its
+// kernel once, so the longest kernel a full-ISA characterization builds
+// (257 instructions) takes a few KiB.
 const maxMeasureBody = 32 << 20
 
-// maxMeasureInstrs bounds the instructions one batch may ask the worker to
-// simulate: the sum over its sequences of kernel length × copies, an empty
+// maxMeasureInstrs bounds the instructions one request may ask the worker
+// to simulate: the kernel's length times each copy count, summed, an empty
 // kernel counting as one instruction because the simulator still renames it
-// once per copy (remote.DecodeSeq bounds a sequence the same way). Each
-// sequence is bounded at remote.MaxSeqLen (2^20), but maxMeasureBatch of
-// them would be 2^30. The fleet client sends one measurement per request:
-// the longest kernel a full-ISA characterization builds (257 instructions
-// on every generation) at the paper's two copy counts
-// (PaperConfig().ShortCopies and LongCopies, 10 and 110) is 30 840
-// instructions, far below this bound.
+// once per copy (remote.ParseRequest applies it). Each reading is bounded at
+// remote.MaxSeqLen (2^20) instructions, but maxMeasureBatch of them would be
+// 2^30. The fleet client sends one measurement per request: the longest
+// kernel a full-ISA characterization builds (257 instructions on every
+// generation) at the paper's two copy counts (PaperConfig().ShortCopies and
+// LongCopies, 10 and 110) is 30 840 instructions, far below this bound.
 const maxMeasureInstrs = 1 << 22
 
 // dividerValueSetter is implemented by execution substrates that can switch
@@ -97,119 +95,55 @@ func fingerprintOf(info remote.ServingInfo) string {
 // servingFingerprint is the identity echoed in every /v1/measure response.
 func (s *Service) servingFingerprint() string { return s.fingerprint }
 
+// measureBufs recycles the buffers /v1/measure reads its requests into and
+// writes its responses from.
+var measureBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	var req remote.MeasureRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMeasureBody))
-	err := dec.Decode(&req)
-	if err == nil {
-		// Anything but whitespace after the object makes the body malformed.
-		if _, end := dec.Token(); end != io.EOF {
-			err = errors.New("data after the request object")
-		}
+	buf := measureBufs.Get().(*bytes.Buffer)
+	defer measureBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxMeasureBody)); err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("service: reading measure request: %w", err))
+		return
 	}
+	req, err := remote.ParseRequest(buf.Bytes(), maxMeasureBatch, maxMeasureInstrs)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("service: decoding measure request: %w", err))
 		return
 	}
-	arch, err := uarch.ByName(req.Gen)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Seqs) == 0 || len(req.Seqs) > maxMeasureBatch {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("service: measure batch must hold 1..%d sequences, got %d", maxMeasureBatch, len(req.Seqs)))
-		return
-	}
-	// Decode the whole batch before simulating anything, so an over-budget
-	// batch costs no simulation.
-	set := arch.InstrSet()
-	seqs := make([]decodedSeq, len(req.Seqs))
-	instrs := 0
-	for i, raw := range req.Seqs {
-		seqs[i] = decodeSeq(set, raw)
-		instrs += max(len(seqs[i].kernel), 1) * seqs[i].copies
-	}
-	if instrs > maxMeasureInstrs {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("service: measure batch asks for %d instructions, above the %d-instruction budget", instrs, maxMeasureInstrs))
-		return
-	}
-	pool, err := s.eng.SequencePool(arch.Gen())
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	h, _, err := pool.Get()
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	defer pool.Put(h)
-	runner := h.Runner()
-
-	resp := remote.MeasureResponse{
-		Fingerprint: s.servingFingerprint(),
-		WireVersion: remote.WireVersion,
-		Counters:    make([]remote.Counters, len(req.Seqs)),
-	}
-	seqErrs := 0
-	var errs []string
-	for i, seq := range seqs {
-		c, err := seq.run(runner)
+	var cs []pipesim.Counters
+	if req.Err == nil {
+		pool, err := s.eng.SequencePool(req.Arch.Gen())
 		if err != nil {
-			if errs == nil {
-				errs = make([]string, len(req.Seqs))
-			}
-			errs[i] = err.Error()
-			seqErrs++
-			continue
+			s.fail(w, http.StatusInternalServerError, err)
+			return
 		}
-		resp.Counters[i] = remote.EncodeCounters(c)
+		h, _, err := pool.Get()
+		if err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		defer pool.Put(h)
+		runner := h.Runner()
+		if setter, ok := runner.(dividerValueSetter); ok {
+			setter.SetDividerValues(req.Div)
+		}
+		cs, req.Err = measure.RunCopies(runner, req.Kernel, req.Copies...)
 	}
-	resp.Errs = errs
+	errMsg := ""
+	if req.Err != nil {
+		errMsg = req.Err.Error()
+	}
 	s.count(func(c *Counters) {
 		c.MeasureBatches++
-		c.MeasureSeqs += len(req.Seqs)
-		c.MeasureSeqErrors += seqErrs
+		c.MeasureSeqs += len(req.Copies)
+		if req.Err != nil {
+			c.MeasureSeqErrors += len(req.Copies)
+		}
 	})
-	// Compact encoding, not writeJSON's indented form: measurement batches
-	// are fleet-internal traffic where body size is latency.
+	// Compact, not writeJSON's indented form: measurement requests are
+	// fleet-internal traffic where body size is latency.
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logf("service: encoding measure response: %v", err)
-	}
-}
-
-// decodedSeq is one decoded sequence of a batch: the kernel, its copy count
-// and divider regime, or the error that failed its decoding.
-type decodedSeq struct {
-	kernel asmgen.Sequence
-	copies int
-	div    pipesim.DividerValues
-	err    error
-}
-
-func decodeSeq(set *isa.Set, raw []byte) decodedSeq {
-	var ws remote.Seq
-	if err := json.Unmarshal(raw, &ws); err != nil {
-		return decodedSeq{err: fmt.Errorf("decoding sequence: %w", err)}
-	}
-	kernel, copies, err := remote.DecodeSeq(set, ws)
-	return decodedSeq{kernel: kernel, copies: copies, div: pipesim.DividerValues(ws.Div), err: err}
-}
-
-// run sets the sequence's divider regime on the runner and runs its copies.
-func (d decodedSeq) run(runner measure.Runner) (pipesim.Counters, error) {
-	if d.err != nil {
-		return pipesim.Counters{}, d.err
-	}
-	if setter, ok := runner.(dividerValueSetter); ok {
-		setter.SetDividerValues(d.div)
-	}
-	cs, err := measure.RunCopies(runner, d.kernel, d.copies)
-	if err != nil {
-		return pipesim.Counters{}, err
-	}
-	return cs[0], nil
+	w.Write(remote.AppendResponse(buf.Bytes()[:0], s.servingFingerprint(), cs, errMsg))
 }

@@ -109,9 +109,10 @@ type Counters struct {
 	// RateLimited counts requests rejected with 429 by the rate limiter.
 	RateLimited int `json:"rateLimited" metric:"uopsd_http_rate_limited_total" help:"Requests rejected with 429 by the rate limiter."`
 	// MeasureBatches and MeasureSeqs count the fleet-worker measurement
-	// batches (POST /v1/measure requests) served and the sequences inside
-	// them; MeasureSeqErrors counts the sequences among those that failed
-	// (reported per sequence inside a 200 response).
+	// requests (POST /v1/measure) served and the copy counts they carried,
+	// one reading each; MeasureSeqErrors counts the copy counts of the
+	// requests whose kernel could not be measured (reported inside a 200
+	// response).
 	MeasureBatches   int `json:"measureBatches" metric:"uopsd_measure_batches_total" help:"Fleet-worker measurement batches served by POST /v1/measure."`
 	MeasureSeqs      int `json:"measureSeqs" metric:"uopsd_measure_sequences_total" help:"Sequences measured inside /v1/measure batches."`
 	MeasureSeqErrors int `json:"measureSeqErrors" metric:"uopsd_measure_sequence_errors_total" help:"Sequences inside /v1/measure batches that failed."`
