@@ -192,19 +192,33 @@ func BenchmarkThroughputLP(b *testing.B) {
 // speedup of the parallel engine. Blocking-instruction discovery is hoisted
 // out of the timed region: it is shared serial work performed once per run,
 // and the benchmark tracks the scaling of the per-variant measurements that
-// the scheduler shards across worker stacks.
+// the scheduler shards across worker stacks. serial-after-haswell runs the
+// serial Skylake sample on a reading table that Haswell's sample filled
+// first, untimed, as an engine's table is when it characterized Haswell
+// before Skylake: its simulated/op counts what Skylake does not share with
+// Haswell.
 func BenchmarkCharacterizeAll(b *testing.B) {
-	arch := uarch.Get(uarch.Skylake)
-	instrs := arch.InstrSet().Instrs()
-	var only []string
-	for i := 0; i < len(instrs); i += 30 {
-		only = append(only, instrs[i].Name)
+	sample := func(arch *uarch.Arch) (only []string, bs *core.BlockingSet) {
+		instrs := arch.InstrSet().Instrs()
+		for i := 0; i < len(instrs); i += 30 {
+			only = append(only, instrs[i].Name)
+		}
+		bs, err := core.NewForArch(arch).Blocking()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return only, bs
 	}
-	bs, err := core.NewForArch(arch).Blocking()
-	if err != nil {
-		b.Fatal(err)
+	// stack returns a fresh stack of arch with the discovered blocking set.
+	stack := func(arch *uarch.Arch, bs *core.BlockingSet) (*core.Characterizer, *pipesim.Machine) {
+		c := core.NewForArch(arch)
+		c.SetBlocking(bs)
+		return c, c.Harness().Runner().(*pipesim.Machine)
 	}
-	bench := func(workers int) func(*testing.B) {
+	arch, hsw := uarch.Get(uarch.Skylake), uarch.Get(uarch.Haswell)
+	only, bs := sample(arch)
+	hswOnly, hswBS := sample(hsw)
+	bench := func(workers int, afterHaswell bool) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			var simulated, recalled int
@@ -215,8 +229,16 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 				// left warm by the last iteration would recall what
 				// the rung is meant to simulate.
 				b.StopTimer()
-				c := core.NewForArch(arch)
-				c.SetBlocking(bs)
+				c, m := stack(arch, bs)
+				if afterHaswell {
+					table := pipesim.NewTable()
+					fill, fm := stack(hsw, hswBS)
+					fm.SetTable(table)
+					if _, err := fill.CharacterizeAll(core.Options{Only: hswOnly, Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
+					m.SetTable(table)
+				}
 				b.StartTimer()
 				res, err := c.CharacterizeAll(core.Options{Only: only, Workers: workers})
 				if err != nil {
@@ -226,7 +248,7 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 					b.Fatalf("got %d results, want %d", len(res.Results), len(only))
 				}
 				// The serial run reads only on the stack's own Machine.
-				sim, rec := c.Harness().Runner().(*pipesim.Machine).Readings()
+				sim, rec := m.Readings()
 				simulated += sim
 				recalled += rec
 			}
@@ -237,13 +259,14 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", bench(1))
+	b.Run("serial", bench(1, false))
+	b.Run("serial-after-haswell", bench(1, true))
 	workers := []int{2, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		workers = append(workers, n)
 	}
 	for _, w := range workers {
-		b.Run(fmt.Sprintf("parallel-%d", w), bench(w))
+		b.Run(fmt.Sprintf("parallel-%d", w), bench(w, false))
 	}
 }
 

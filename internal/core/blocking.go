@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"uopsinfo/internal/isa"
+	"uopsinfo/internal/measure"
 	"uopsinfo/internal/uarch"
 )
 
@@ -238,10 +239,11 @@ func (c *Characterizer) isolationProfiles(cands []*isa.Instr, opts Options) ([]i
 // into a skipped profile (one unmeasurable candidate must not lose the rest
 // of the discovery).
 func (c *Characterizer) profileCandidate(in *isa.Instr) isolation {
-	ports, tp, uops, err := c.isolationProfile(in, 8)
+	res, err := c.measureIndependent(in, 8)
 	if err != nil {
 		return isolation{}
 	}
+	ports, tp, uops := profileOf(res, 8)
 	return isolation{ports: ports, tp: tp, uops: uops, ok: true}
 }
 
@@ -274,18 +276,19 @@ func (c *Characterizer) addMemoryBlocking(bs *BlockingSet) error {
 	return nil
 }
 
-// isolationProfile measures the variant in isolation with n independent
-// instances and returns the set of ports that received a significant share of
-// its µops, the cycles per instruction, and the µops per instruction.
-func (c *Characterizer) isolationProfile(in *isa.Instr, n int) ([]int, float64, float64, error) {
+// measureIndependent measures n independent instances of the variant.
+func (c *Characterizer) measureIndependent(in *isa.Instr, n int) (measure.Result, error) {
 	seq, err := c.gen.independentInstances(in, n)
 	if err != nil {
-		return nil, 0, 0, err
+		return measure.Result{}, err
 	}
-	res, err := c.gen.h.Measure(seq)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	return c.gen.h.Measure(seq)
+}
+
+// profileOf returns the profile of res, a measurement of n independent
+// instances of a variant: the set of ports that received a significant share
+// of its µops, the cycles per instruction, and the µops per instruction.
+func profileOf(res measure.Result, n int) ([]int, float64, float64) {
 	perInstr := 1.0 / float64(n)
 	var ports []int
 	for p, u := range res.PortUops {
@@ -293,5 +296,5 @@ func (c *Characterizer) isolationProfile(in *isa.Instr, n int) ([]int, float64, 
 			ports = append(ports, p)
 		}
 	}
-	return ports, res.Cycles * perInstr, res.TotalUops * perInstr, nil
+	return ports, res.Cycles * perInstr, res.TotalUops * perInstr
 }

@@ -125,12 +125,13 @@ func (c *Characterizer) CharacterizeInstr(in *isa.Instr) (*InstrResult, error) {
 func (c *Characterizer) characterizeInstr(in *isa.Instr, opts Options) (*InstrResult, error) {
 	result := &InstrResult{Name: in.Name, Mnemonic: in.Mnemonic}
 
-	portUops, issued, err := c.MeasuredUops(in)
+	// The isolation kernel is measured once, for the µop count, the
+	// port-usage profile and Throughput's isoInstances-long sequence.
+	iso, err := c.measureIndependent(in, isoInstances)
 	if err != nil {
 		return nil, fmt.Errorf("core: measuring µops of %s: %w", in.Name, err)
 	}
-	result.Uops = portUops
-	result.UopsIssued = issued
+	result.Uops, result.UopsIssued = uopsOf(iso)
 
 	if reason := skipReason(in); reason != "" {
 		result.Skipped = reason
@@ -145,14 +146,14 @@ func (c *Characterizer) characterizeInstr(in *isa.Instr, opts Options) (*InstrRe
 		result.Latency = lat
 	}
 	if !opts.SkipPortUsage {
-		pu, err := c.PortUsage(in, result.Latency.MaxLatency())
+		pu, err := c.portUsage(in, result.Latency.MaxLatency(), iso)
 		if err != nil {
 			return nil, fmt.Errorf("core: measuring port usage of %s: %w", in.Name, err)
 		}
 		result.Ports = pu
 	}
 	if !opts.SkipThroughput {
-		tp, err := c.Throughput(in, result.Ports)
+		tp, err := c.throughput(in, result.Ports, iso)
 		if err != nil {
 			return nil, fmt.Errorf("core: measuring throughput of %s: %w", in.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
+	"uopsinfo/internal/measure"
 )
 
 // maxBlockRep caps the number of blocking-instruction copies per measurement.
@@ -22,17 +23,24 @@ const maxBlockRep = 256
 // maxLatency is the maximum operand-pair latency of the instruction (used to
 // size the blocking sequences); pass 0 to let the function estimate it.
 func (c *Characterizer) PortUsage(in *isa.Instr, maxLatency float64) (PortUsage, error) {
+	iso, err := c.measureIndependent(in, isoInstances)
+	if err != nil {
+		return nil, err
+	}
+	return c.portUsage(in, maxLatency, iso)
+}
+
+// portUsage is PortUsage given iso, the measurement of the variant's
+// isolation kernel (isoInstances independent instances).
+func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure.Result) (PortUsage, error) {
 	if err := c.ensureBlocking(); err != nil {
 		return nil, err
 	}
 	blocking := c.blocking.For(in)
 
-	// Measure the instruction in isolation: total µop count and the ports
-	// used, which restricts the combinations the loop has to consider.
-	isoPorts, _, isoUops, err := c.isolationProfile(in, 4)
-	if err != nil {
-		return nil, err
-	}
+	// The instruction in isolation: total µop count and the ports used,
+	// which restricts the combinations the loop has to consider.
+	isoPorts, _, isoUops := profileOf(iso, isoInstances)
 	totalUops := isoUops
 	if totalUops < 0.4 {
 		// All µops are handled at rename (NOPs, eliminated moves).
@@ -166,19 +174,28 @@ func maskOfKey(key string) uint {
 	return m
 }
 
+// isoInstances is the number of independent instances in a variant's
+// isolation kernel. The µop count, the port-usage profile and Throughput's
+// sequence of that length all read this kernel, so characterizeInstr
+// measures it once and hands the measurement to each.
+const isoInstances = 4
+
 // MeasuredUops returns the measured µop counts of the instruction: µops
 // dispatched to execution ports and µops issued (including those handled at
 // rename), per execution.
 func (c *Characterizer) MeasuredUops(in *isa.Instr) (portUops, issuedUops float64, err error) {
-	seq, err := c.gen.independentInstances(in, 4)
+	iso, err := c.measureIndependent(in, isoInstances)
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := c.gen.h.Measure(seq)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.TotalUops / 4, res.IssuedUops / 4, nil
+	portUops, issuedUops = uopsOf(iso)
+	return portUops, issuedUops, nil
+}
+
+// uopsOf returns MeasuredUops's counts from iso, the measurement of the
+// variant's isolation kernel.
+func uopsOf(iso measure.Result) (portUops, issuedUops float64) {
+	return iso.TotalUops / isoInstances, iso.IssuedUops / isoInstances
 }
 
 // ensureBlocking lazily discovers the blocking instructions (sequentially).

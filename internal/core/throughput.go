@@ -6,6 +6,7 @@ import (
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/lp"
+	"uopsinfo/internal/measure"
 	"uopsinfo/internal/pipesim"
 )
 
@@ -21,37 +22,35 @@ var throughputSequenceLengths = []int{1, 2, 4, 8}
 // min-max-load problem (Section 5.3.2). The port usage may be nil, in which
 // case only the measured throughput is produced.
 func (c *Characterizer) Throughput(in *isa.Instr, ports PortUsage) (ThroughputResult, error) {
+	iso, err := c.measureIndependent(in, isoInstances)
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	return c.throughput(in, ports, iso)
+}
+
+// throughput is Throughput given iso, the measurement of the variant's
+// isolation kernel, which is its isoInstances-long sequence.
+func (c *Characterizer) throughput(in *isa.Instr, ports PortUsage, iso measure.Result) (ThroughputResult, error) {
 	var result ThroughputResult
 	best := math.Inf(1)
 	bestLen := 0
 	for _, n := range throughputSequenceLengths {
-		seq, err := c.gen.independentInstances(in, n)
-		if err != nil {
-			continue
-		}
-		res, err := c.gen.h.Measure(seq)
-		if err != nil {
-			return result, err
+		res := iso
+		if n != isoInstances {
+			seq, err := c.gen.independentInstances(in, n)
+			if err != nil {
+				continue
+			}
+			if res, err = c.gen.h.Measure(seq); err != nil {
+				return result, err
+			}
 		}
 		perInstr := res.Cycles / float64(n)
 		if perInstr < best {
 			best = perInstr
 			bestLen = n
 		}
-	}
-	if math.IsInf(best, 1) {
-		// Fall back to a single instance with reused registers.
-		alloc := c.gen.newAlloc()
-		inst, err := c.gen.instantiate(in, nil, &alloc)
-		if err != nil {
-			return result, err
-		}
-		res, err := c.gen.h.Measure(asmgen.Sequence{inst})
-		if err != nil {
-			return result, err
-		}
-		best = res.Cycles
-		bestLen = 1
 	}
 	result.Measured = best
 	result.MeasuredSequenceLength = bestLen

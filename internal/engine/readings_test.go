@@ -25,8 +25,44 @@ var sharedReadings = map[uarch.Generation]int{
 // fresh engine of its own.
 func TestReadingTableSharedAcrossGenerations(t *testing.T) {
 	t.Parallel()
+	pinReadings(t, sharedReadings, uarch.Skylake, uarch.KabyLake, uarch.CoffeeLake)
+}
+
+// penaltyReadings pins, per generation, the readings simulated when one
+// fresh engine at one worker characterizes every 16th variant of the first
+// generation of a pair and then of the second. The two records of a pair
+// differ only in the SSE/AVX penalty (Nehalem charges none and Sandy Bridge
+// 70 cycles, Haswell 70 and Skylake none), so the second simulates only
+// what the first did not read: the variants they decode differently and
+// the kernels that can pay the penalty. Alone, Sandy Bridge simulates 2276
+// readings and Skylake 2496 (TestCountersGolden).
+var penaltyReadings = [][2]struct {
+	gen       uarch.Generation
+	simulated int
+}{
+	{{uarch.Nehalem, 1600}, {uarch.SandyBridge, 1436}},
+	{{uarch.Haswell, 2458}, {uarch.Skylake, 1400}},
+}
+
+// TestReadingTableSharedAcrossPenalties runs the pairs of penaltyReadings,
+// each on an engine of its own, pins each generation's simulated readings,
+// and requires each generation's XML to equal that of a fresh engine.
+func TestReadingTableSharedAcrossPenalties(t *testing.T) {
+	t.Parallel()
+	for _, pair := range penaltyReadings {
+		pinReadings(t, map[uarch.Generation]int{pair[0].gen: pair[0].simulated, pair[1].gen: pair[1].simulated},
+			pair[0].gen, pair[1].gen)
+	}
+}
+
+// pinReadings characterizes every 16th variant of each of gens in turn on
+// one fresh engine at one worker, requires each generation to simulate
+// want[gen] readings (the reading table's misses), and its XML to equal
+// that of a fresh engine of its own.
+func pinReadings(t *testing.T, want map[uarch.Generation]int, gens ...uarch.Generation) {
+	t.Helper()
 	shared := mustNew(t, Config{Workers: 1})
-	for _, gen := range []uarch.Generation{uarch.Skylake, uarch.KabyLake, uarch.CoffeeLake} {
+	for _, gen := range gens {
 		var only []string
 		for i, in := range uarch.Get(gen).InstrSet().Instrs() {
 			if i%16 == 0 {
@@ -36,11 +72,11 @@ func TestReadingTableSharedAcrossGenerations(t *testing.T) {
 		before := shared.Stats()
 		got := genXML(t, shared, gen, RunOptions{Only: only})
 		after := shared.Stats()
-		if sim := after.ReadingMisses - before.ReadingMisses; sim != sharedReadings[gen] {
+		if sim := after.ReadingMisses - before.ReadingMisses; sim != want[gen] {
 			t.Errorf("%s: %d readings simulated (%d recalled), want %d", gen, sim,
-				after.ReadingHits-before.ReadingHits, sharedReadings[gen])
+				after.ReadingHits-before.ReadingHits, want[gen])
 		}
-		if want := genXML(t, mustNew(t, Config{Workers: 1}), gen, RunOptions{Only: only}); !bytes.Equal(got, want) {
+		if fresh := genXML(t, mustNew(t, Config{Workers: 1}), gen, RunOptions{Only: only}); !bytes.Equal(got, fresh) {
 			t.Errorf("%s: the XML of the shared engine differs from a fresh engine's", gen)
 		}
 	}

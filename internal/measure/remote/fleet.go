@@ -148,9 +148,9 @@ func (f *fleet) pool(gen string) chan *worker {
 	return p
 }
 
-// do measures one call's kernel at its n copy counts in one request, the
-// body rb, and returns one Counters per copy count.
-func (f *fleet) do(gen string, rb *requestBody, n int) ([]pipesim.Counters, error) {
+// do measures one call's kernel at its n copy counts in one request whose
+// body is body, and returns one Counters per copy count.
+func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 	pool := f.pool(gen)
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
 	defer cancel()
@@ -169,7 +169,7 @@ func (f *fleet) do(gen string, rb *requestBody, n int) ([]pipesim.Counters, erro
 			go f.rest(w, pool)
 			continue
 		}
-		resp, err := f.post(ctx, w, rb, n)
+		resp, err := f.post(ctx, w, body, n)
 		if err == nil {
 			w.consecFails.Store(0)
 			pool <- w
@@ -288,7 +288,7 @@ const maxResponseBody = 1 << 20
 // worker restarted with a different build since the handshake) or wrong
 // number of counters is a transient error: the caller sends again on
 // another slot.
-func (f *fleet) post(ctx context.Context, w *worker, rb *requestBody, n int) (MeasureResponse, error) {
+func (f *fleet) post(ctx context.Context, w *worker, body []byte, n int) (MeasureResponse, error) {
 	f.batches.Add(1)
 	w.batches.Add(1)
 	w.seqs.Add(int64(n))
@@ -297,14 +297,13 @@ func (f *fleet) post(ctx context.Context, w *worker, rb *requestBody, n int) (Me
 
 	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
-	body := rb.reader()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/measure", body)
+	// A *bytes.Reader body gets its ContentLength and GetBody from
+	// NewRequest, and the transport writes it with the headers in one
+	// write: net/http flushes the headers separately before any other body.
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/v1/measure", bytes.NewReader(body))
 	if err != nil {
-		body.Close()
 		return MeasureResponse{}, err
 	}
-	req.ContentLength = int64(len(rb.b))
-	req.GetBody = func() (io.ReadCloser, error) { return rb.reader(), nil }
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := f.opts.Client.Do(req)
 	if err != nil {

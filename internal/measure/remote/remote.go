@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"uopsinfo/internal/asmgen"
@@ -277,7 +276,7 @@ type Runner struct {
 	arch    *uarch.Arch
 	genName string
 	div     pipesim.DividerValues
-	body    *requestBody // the buffer the next request is written into
+	size    int // the length of the last request, the capacity of the next
 }
 
 var (
@@ -313,46 +312,15 @@ func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 // RunCopies measures code at each copy count in one /v1/measure request,
 // which carries the kernel once (variant names plus concrete operands,
 // repeated instances deduplicated) with all the counts. The request is
-// written into a buffer the runner reuses; nothing of code is retained.
+// written into a new slice sized by the runner's last request and never
+// written again, so the transport may read it for as long as it likes (it
+// can still hold the body of a failed request after Client.Do returns);
+// nothing of code is retained.
 func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
 	if len(code) == 0 {
 		return nil, errors.New("remote: empty code sequence")
 	}
-	if r.body == nil || r.body.held.Load() != 0 {
-		r.body = new(requestBody)
-	}
-	r.body.b = AppendRequest(r.body.b[:0], r.genName, r.div, code, copies)
-	return r.f.do(r.genName, r.body, len(copies))
-}
-
-// requestBody is a runner's request buffer. The transport may still read a
-// request body after Client.Do returns (it closes the body of a failed
-// request from a goroutine of its own), so every body sent from the buffer
-// holds it until that body is closed, and the runner writes its next request
-// into a new buffer while the old one is held.
-type requestBody struct {
-	b    []byte
-	held atomic.Int32
-}
-
-// reader returns a request body over the buffer that holds it until its
-// first Close.
-func (rb *requestBody) reader() io.ReadCloser {
-	rb.held.Add(1)
-	h := &heldReader{rb: rb}
-	h.Reset(rb.b)
-	return h
-}
-
-type heldReader struct {
-	bytes.Reader
-	rb     *requestBody
-	closed atomic.Bool
-}
-
-func (h *heldReader) Close() error {
-	if h.closed.CompareAndSwap(false, true) {
-		h.rb.held.Add(-1)
-	}
-	return nil
+	body := AppendRequest(make([]byte, 0, r.size), r.genName, r.div, code, copies)
+	r.size = len(body)
+	return r.f.do(r.genName, body, len(copies))
 }

@@ -7,8 +7,10 @@ package remote
 // without a cycle).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -632,5 +634,52 @@ func TestClosedFleetFailsFast(t *testing.T) {
 	Shutdown()
 	if _, err := r.Run(testSequence(t)); err == nil {
 		t.Fatal("Run succeeded on a closed fleet")
+	}
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestEachRequestIsOneWrite: the client writes each /v1/measure request,
+// headers and body together, in one Write on its connection, for kernels
+// that grow from call to call.
+func TestEachRequestIsOneWrite(t *testing.T) {
+	fw := newFakeWorker(t, "pipesim@1", "aaaa")
+	var writes atomic.Int64
+	var d net.Dialer
+	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := d.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{Conn: c, writes: &writes}, nil
+	}}
+	t.Cleanup(transport.CloseIdleConnections)
+	configure(t, Options{Client: &http.Client{Transport: transport}}, fw)
+	r := newRunner(t).(*Runner)
+	writes.Store(0) // the handshake's
+	const calls = 5
+	for i := 1; i <= calls; i++ {
+		cs, err := r.RunCopies(testSequence(t).Repeat(i), 2, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs[1].TotalUops != 2*i*12 {
+			t.Errorf("call %d: counters %+v, want TotalUops %d", i, cs, 2*i*12)
+		}
+	}
+	if got := writes.Load(); got != calls {
+		t.Errorf("%d requests took %d writes, want one each", calls, got)
+	}
+	if got := fw.measures.Load(); got != calls {
+		t.Errorf("the worker saw %d requests, want %d", got, calls)
 	}
 }

@@ -108,12 +108,25 @@ func memoPairs(t testing.TB, arch *uarch.Arch) [][2]*asmgen.Inst {
 	}
 }
 
-// fuzzPool is instrPool plus every instance of the first 32 instructions of
-// each bench shape that it lacks (compared by assembly text), so a fuzz
-// input of byte indices can spell out the shapes' prefixes, and then the
-// memoPairs, each pair at two adjacent indices.
+// penaltyPair returns a YMM AVX instance and a legacy SSE instance, built on
+// Sandy Bridge, that decode alike on Haswell and on Skylake: a kernel of the
+// two reads differently on those two generations only through the SSE/AVX
+// penalty, which Haswell charges and Skylake does not.
+func penaltyPair() []*asmgen.Inst {
+	set := uarch.Get(uarch.SandyBridge).InstrSet()
+	return []*asmgen.Inst{
+		asmgen.MustInst(set.Lookup("VANDPS_YMM_YMM_YMM"), asmgen.RegOperand(isa.YMM0), asmgen.RegOperand(isa.YMM1), asmgen.RegOperand(isa.YMM2)),
+		asmgen.MustInst(set.Lookup("ANDPS_XMM_XMM"), asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.XMM4)),
+	}
+}
+
+// fuzzPool is instrPool and the penaltyPair (every generation simulates
+// it, AVX or not), plus every instance of the first 32 instructions of each
+// bench shape that it lacks (compared by assembly text), so a fuzz input of
+// byte indices can spell out the shapes' prefixes, and then the memoPairs,
+// each pair at two adjacent indices.
 func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
-	pool := instrPool(t, arch)
+	pool := append(instrPool(t, arch), penaltyPair()...)
 	seen := make(map[string]bool)
 	for _, in := range pool {
 		seen[in.String()] = true
@@ -146,7 +159,10 @@ func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 // first kernels, and for each generation and memo pair a first kernel of
 // 32 copies of the pair's first instance and a second one that alternates
 // the pair; then the memo-pair inputs of some generations again, each read
-// on a second generation.
+// on a second generation; then a first kernel that alternates the
+// penaltyPair's YMM AVX and legacy SSE instances, which pays the SSE/AVX
+// penalty, and a second of the SSE instance alone, which cannot, read on
+// Haswell and then on Skylake, whose records differ only in the penalty.
 func FuzzRunCopies(f *testing.F) {
 	archs := uarch.All()
 	pools := make([][]*asmgen.Inst, len(archs))
@@ -186,6 +202,11 @@ func FuzzRunCopies(f *testing.F) {
 			f.Add(append(memoSeed(int(p[0]), j), byte(p[1])))
 		}
 	}
+	pair := penaltyPair()
+	avx, sse := index[pair[0].String()], index[pair[1].String()]
+	seed := append([]byte{byte(uarch.Haswell << 2)}, bytes.Repeat([]byte{avx, sse}, 16)...)
+	seed = append(seed, bytes.Repeat([]byte{sse}, 32)...)
+	f.Add(append(seed, byte(uarch.Skylake)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

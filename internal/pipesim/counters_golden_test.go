@@ -27,15 +27,15 @@ const goldenStride = 16
 // simulator change that moves them changes simulated behaviour, and must
 // bump Version.
 var goldenCounterDigests = map[uarch.Generation]string{
-	uarch.Nehalem:     "5619be82dfc5b3799e4dabd545931d505a0d4ffc291140a88f1dfee8734f1a6b",
-	uarch.Westmere:    "fdd37533a00ae9b98618a6b2703ed6d6cd695179c861b1be4628fea2e223bf9a",
-	uarch.SandyBridge: "d5a25d84294d0a1eec6cbeaadbf20d3fa49718c8cb4891af834acb5c3e3adca3",
-	uarch.IvyBridge:   "3c9446405ff55b511da39fe71c37a557fdff87ae67bc2b560f826efc2c7bf982",
-	uarch.Haswell:     "7497eaaff24d7e33a6eb29f453ec28033e2c174565145d865750811dce177238",
-	uarch.Broadwell:   "9800d261dcda2347f213249f40c631f8d076816181ebcc298793cd0fe6f34fe9",
-	uarch.Skylake:     "15b4acf27b02f5d91cb183510b973ffb8cab20e51d19453081b8791bcfa66105",
-	uarch.KabyLake:    "15b4acf27b02f5d91cb183510b973ffb8cab20e51d19453081b8791bcfa66105",
-	uarch.CoffeeLake:  "15b4acf27b02f5d91cb183510b973ffb8cab20e51d19453081b8791bcfa66105",
+	uarch.Nehalem:     "b35c0467b857cf87e515304683c2c78c63af49619acb4e9cb16a8ed988a77cb8",
+	uarch.Westmere:    "03ac4588cbdde041a1875621165435256fcd43773e522a34335c693cdf14cf5e",
+	uarch.SandyBridge: "eacd5d5e59b2c65714ee8cdd7f9b8f1e8ef92d74be3fd666bea4debf873bfc74",
+	uarch.IvyBridge:   "f21097f699c5b40b55861ad1d53ef7635218326a29ab776be847f90a8ca2c2ff",
+	uarch.Haswell:     "c585a73500e1784abe34d42a334ab7453ac3b4c9286a583d3fa9bd41c909953a",
+	uarch.Broadwell:   "3413183ceb1666df2820647ea3629ee9f75acdd739da64b9e38aeba90310828e",
+	uarch.Skylake:     "0bcfb83c32dc9083c67ac7a2f5ee5625f7d8655af978ecae4ab82de12b5adab1",
+	uarch.KabyLake:    "0bcfb83c32dc9083c67ac7a2f5ee5625f7d8655af978ecae4ab82de12b5adab1",
+	uarch.CoffeeLake:  "0bcfb83c32dc9083c67ac7a2f5ee5625f7d8655af978ecae4ab82de12b5adab1",
 }
 
 // goldenReadings pins, per generation, the readings the Machine of
@@ -45,15 +45,15 @@ var goldenCounterDigests = map[uarch.Generation]string{
 // table) or recalls more moves it; the digests above say whether the
 // counters stayed exact.
 var goldenReadings = map[uarch.Generation][2]int{
-	uarch.Nehalem:     {1600, 1412},
-	uarch.Westmere:    {1630, 1422},
-	uarch.SandyBridge: {2276, 2034},
-	uarch.IvyBridge:   {2248, 2048},
-	uarch.Haswell:     {2458, 2928},
-	uarch.Broadwell:   {2468, 2928},
-	uarch.Skylake:     {2496, 3046},
-	uarch.KabyLake:    {2496, 3046},
-	uarch.CoffeeLake:  {2496, 3046},
+	uarch.Nehalem:     {1600, 1112},
+	uarch.Westmere:    {1630, 1118},
+	uarch.SandyBridge: {2276, 1622},
+	uarch.IvyBridge:   {2248, 1636},
+	uarch.Haswell:     {2458, 2428},
+	uarch.Broadwell:   {2468, 2424},
+	uarch.Skylake:     {2496, 2542},
+	uarch.KabyLake:    {2496, 2542},
+	uarch.CoffeeLake:  {2496, 2542},
 }
 
 // foldRunner is a measure.CopiesRunner that folds every reading's sequence

@@ -31,6 +31,11 @@ import (
 //     for both regimes) and the machine record's SSE/AVX penalty; the
 //     variant's µops (Perf), the port count and the load latency reach it
 //     only through the template.
+//   - The penalty reaches a reading only through rename, which adds it
+//     when a legacy SSE instance follows one that dirtied the upper
+//     halves. A kernel without both an sseAVXDirty and an sseAVXSSE
+//     template never pays it, at any copy count, so its readings are the
+//     same under every penalty.
 //   - execute reads only the renamed arena and the machine record: the
 //     port count, the issue width, SchedulerSize and MaxCycles.
 //   - Everything else a Machine keeps across runs is reset before each run
@@ -39,12 +44,16 @@ import (
 //     hold facts of the variants only, and the temp slots, which tempGen
 //     invalidates by epoch.
 //
-// So a reading's key is the machine record (uarch.Machine with
-// SchedulerSize and MaxCycles, encoded once per Machine by appendRecKey),
-// the copy count, the divider regime and, per run of one repeated instance,
-// the template's id, the explicit registers and memory operands (addresses
-// numbered by first use) and the run length. The regime is in the key
-// because SetDividerValues changes it on a live Machine.
+// So a reading's key is the machine record without the penalty
+// (uarch.Machine with SchedulerSize and MaxCycles, encoded once per Machine
+// by appendRecKey), the copy count, the divider regime, per run of one
+// repeated instance the template's id, the explicit registers and memory
+// operands (addresses numbered by first use) and the run length, and last
+// the penalty the kernel can pay: the record's if it holds both a dirtying
+// and a legacy SSE template, else 0. The regime and the penalty are in the
+// kernel's key (appendKernelKey), the regime because SetDividerValues
+// changes it on a live Machine. A template's SSE/AVX kind is part of its
+// content, so its id says which kind it is.
 //
 // Template ids are the table's, not a Machine's: the table interns each
 // template's content (appendTmplKey), so an id names one template in every
@@ -60,6 +69,9 @@ import (
 // the same simulation, whatever generation each was made for. So Kaby Lake
 // recalls what Skylake simulated, because in this model they are the same
 // machine, while a generation whose record or µops differ gets other keys.
+// Records that differ only in the penalty share every reading of a kernel
+// that cannot pay it: Skylake recalls what Haswell simulated of the
+// variants they decode alike, and Sandy Bridge what Nehalem did.
 // Errors name the generation, and failed readings are never stored.
 //
 // The readings take at most tableBudget bytes, charged per entry as the
@@ -197,29 +209,38 @@ func (t *Table) store(key []byte, c Counters) {
 	t.bytes += cost
 }
 
-// appendRecKey appends to b the encoding of the machine record r.
+// appendRecKey appends to b the encoding of the machine record r, all but
+// its SSE/AVX penalty, which appendKernelKey adds only for a kernel that can
+// pay it.
 func appendRecKey(b []byte, r record) []byte {
-	for _, v := range [...]int{r.NumPorts, r.IssueWidth, r.LoadLatency, r.SSEAVXPenalty, r.schedulerSize, r.maxCycles} {
+	for _, v := range [...]int{r.NumPorts, r.IssueWidth, r.LoadLatency, r.schedulerSize, r.maxCycles} {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	return b
 }
 
 // appendKernelKey appends to b the key of code under the Machine's divider
-// regime, without the machine record and the copy count: the regime, then
-// per run of one repeated instance the instance's key (appendInstKey) and
-// the run length. Runs are found by content, so instances that differ only
-// in identity or immediates join one run. It takes time linear in
-// len(code).
+// regime and SSE/AVX penalty, without the rest of the machine record and the
+// copy count: the regime, then per run of one repeated instance the
+// instance's key (appendInstKey) and the run length, then the penalty the
+// kernel can pay. Runs are found by content, so instances that differ only
+// in identity or immediates join one run. The penalty is the record's if
+// code holds both an sseAVXDirty and an sseAVXSSE template, the only
+// kernels whose readings it reaches, and 0 if not; a run takes at least
+// three varints, so the key's last varint is the penalty. It takes time
+// linear in len(code).
 func (m *Machine) appendKernelKey(b []byte, code asmgen.Sequence) []byte {
 	b = append(b, byte(m.regime()))
 	clear(m.addrIDs)
 	var last *asmgen.Inst
+	var kinds uint8 // one bit per sseAVXKind of the kernel's templates
 	start, end, run := 0, 0, 0
 	for _, inst := range code {
 		if inst != last {
 			last = inst
-			m.instKey = m.appendInstKey(m.instKey[:0], inst)
+			ti := m.templateFor(inst.Variant)
+			kinds |= 1 << m.tmpls[ti].sseAVX
+			m.instKey = m.appendInstKey(m.instKey[:0], ti, inst)
 			if run == 0 || !bytes.Equal(m.instKey, b[start:end]) {
 				if run > 0 {
 					b = binary.AppendUvarint(b, uint64(run))
@@ -235,15 +256,20 @@ func (m *Machine) appendKernelKey(b []byte, code asmgen.Sequence) []byte {
 	if run > 0 {
 		b = binary.AppendUvarint(b, uint64(run))
 	}
-	return b
+	const mixed = 1<<sseAVXDirty | 1<<sseAVXSSE
+	penalty := 0
+	if kinds&mixed == mixed {
+		penalty = m.rec.SSEAVXPenalty
+	}
+	return binary.AppendVarint(b, int64(penalty))
 }
 
-// appendInstKey appends to b what rename reads of inst: its template's
-// table-global id, then per explicit operand the register and the memory
-// operand's base register and address id, the address numbered by first
-// use in the kernel.
-func (m *Machine) appendInstKey(b []byte, inst *asmgen.Inst) []byte {
-	b = binary.AppendUvarint(b, uint64(m.tableIDs[m.templateFor(inst.Variant)]))
+// appendInstKey appends to b what rename reads of inst, whose variant's
+// template is m.tmpls[ti]: the template's table-global id, then per
+// explicit operand the register and the memory operand's base register and
+// address id, the address numbered by first use in the kernel.
+func (m *Machine) appendInstKey(b []byte, ti int32, inst *asmgen.Inst) []byte {
+	b = binary.AppendUvarint(b, uint64(m.tableIDs[ti]))
 	b = binary.AppendUvarint(b, uint64(len(inst.Ops)))
 	for i := range inst.Ops {
 		op := &inst.Ops[i]

@@ -227,18 +227,74 @@ func TestTableSeparatesSchedulerSizes(t *testing.T) {
 
 // TestRecordKeyCoversEveryField changes, one at a time, every field of the
 // machine record — found by reflection, so a field added later is covered
-// too — and requires its key to change.
+// too — and requires the key of a reading that can pay the SSE/AVX penalty
+// to change: the record key (appendRecKey) covers every field but the
+// penalty, and the kernel key (appendKernelKey) holds the penalty of such a
+// kernel.
 func TestRecordKeyCoversEveryField(t *testing.T) {
 	t.Parallel()
-	r := New(uarch.Get(uarch.Skylake)).rec
-	base := appendRecKey(nil, r)
-	leafFields(reflect.ValueOf(&r).Elem(), "record", func(path string, leaf reflect.Value) {
+	m := New(uarch.Get(uarch.Skylake))
+	key := func() []byte {
+		m.recKey = appendRecKey(nil, m.rec)
+		m.kernelKey = m.appendKernelKey(m.kernelKey[:0], avxKernels()[0])
+		return bytes.Clone(m.readingKey(2))
+	}
+	base := key()
+	leafFields(reflect.ValueOf(&m.rec).Elem(), "record", func(path string, leaf reflect.Value) {
 		undo := bump(t, path, leaf)
-		if bytes.Equal(appendRecKey(nil, r), base) {
-			t.Errorf("changing %s leaves the record key unchanged", path)
+		if bytes.Equal(key(), base) {
+			t.Errorf("changing %s leaves the reading key unchanged", path)
 		}
 		undo()
 	})
+}
+
+// TestPenaltyKeyedOnlyWhereItIsPaid runs two Machines of one generation
+// that share a table and whose records differ only in the SSE/AVX penalty.
+// A kernel that cannot pay the penalty, read on one, is recalled on the
+// other; the {avx, sse} kernel of avxKernels is simulated on both, and its
+// cycles differ by the penalty. Every reading equals Run of the
+// materialized copies on a private Machine of the same record.
+func TestPenaltyKeyedOnlyWhereItIsPaid(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.SandyBridge)
+	paying, free := New(arch), New(arch)
+	free.SetTable(paying.table)
+	free.rec.SSEAVXPenalty = 0
+	free.recKey = appendRecKey(nil, free.rec)
+	penalty := paying.rec.SSEAVXPenalty
+	if penalty == 0 {
+		t.Fatalf("%s charges no SSE/AVX penalty", arch.Name())
+	}
+	// want is what a private Machine with m's record reads of k.
+	want := func(m *Machine, k asmgen.Sequence) reading {
+		fresh := New(arch)
+		fresh.rec = m.rec
+		var r reading
+		for _, n := range copyCounts {
+			r.counters = append(r.counters, fresh.MustRun(k.Repeat(n)))
+		}
+		return r
+	}
+
+	plain := shareKernels(t)[0]
+	checkReading(t, paying, plain, want(paying, plain), "penalty-free kernel, paying record")
+	checkReading(t, free, plain, want(free, plain), "penalty-free kernel, free record")
+	if sim, rec := free.Readings(); sim != 0 || rec != len(copyCounts) {
+		t.Errorf("penalty-free kernel: the free record simulated %d readings and recalled %d, want 0 and %d",
+			sim, rec, len(copyCounts))
+	}
+
+	mixed := avxKernels()[0]
+	checkReading(t, paying, mixed, want(paying, mixed), "{avx, sse} kernel, paying record")
+	checkReading(t, free, mixed, want(free, mixed), "{avx, sse} kernel, free record")
+	if sim, _ := free.Readings(); sim != len(copyCounts) {
+		t.Errorf("{avx, sse} kernel: the free record simulated %d readings, want %d", sim, len(copyCounts))
+	}
+	a, b := free.MustRun(mixed), paying.MustRun(mixed)
+	if b.Cycles-a.Cycles != penalty {
+		t.Errorf("{avx, sse} kernel: %d cycles with the penalty and %d without, want %d apart", b.Cycles, a.Cycles, penalty)
+	}
 }
 
 // TestTableConcurrentForks reads one table from two forks at once, each

@@ -62,11 +62,13 @@ type Fault struct {
 	Countdown int
 	// Err is the error the fired fault returns; nil selects ErrInjected.
 	Err error
-	// TearAt, if > 0 on an OpWrite fault, makes the write report full
-	// success while persisting only the first TearAt bytes of the call's
-	// data; every later write to the same file is silently dropped. This is
-	// the on-disk state a crash leaves when a file was written but never
-	// synced. TearAt faults return no error.
+	// Torn, on an OpWrite fault, makes the write report full success while
+	// persisting only the first TearAt bytes of the call's data, none if
+	// TearAt is 0; every later write to the same file is silently dropped.
+	// This is the on-disk state a crash leaves when a file was written but
+	// never synced. Torn faults return no error.
+	Torn bool
+	// TearAt is the number of bytes a Torn write keeps.
 	TearAt int
 	// Sticky keeps the fault armed after it fires (e.g. a disk that stays
 	// full); otherwise a fault fires once and is disarmed.
@@ -135,13 +137,14 @@ func (f *FS) Ops(op Op) int {
 }
 
 // check counts the operation, then reports the error to inject (nil for
-// none). tear is non-zero when an armed TearAt write fault fired.
-func (f *FS) check(op Op, path string) (err error, tear int) {
+// none). A torn write fault that fires records the tear of path, for
+// faultFile.Write.
+func (f *FS) check(op Op, path string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.counts[op]++
 	if f.crashed {
-		return ErrCrashed, 0
+		return ErrCrashed
 	}
 	for i, fault := range f.faults {
 		if fault.Op != op {
@@ -162,34 +165,34 @@ func (f *FS) check(op Op, path string) (err error, tear int) {
 		if fault.Crash {
 			f.crashed = true
 		}
-		if fault.TearAt > 0 {
+		if fault.Torn {
 			f.torn[path] = &tornState{limit: fault.TearAt}
-			return nil, fault.TearAt
+			return nil
 		}
 		if fault.Err != nil {
-			return fault.Err, 0
+			return fault.Err
 		}
-		return ErrInjected, 0
+		return ErrInjected
 	}
-	return nil, 0
+	return nil
 }
 
 func (f *FS) ReadFile(path string) ([]byte, error) {
-	if err, _ := f.check(OpReadFile, path); err != nil {
+	if err := f.check(OpReadFile, path); err != nil {
 		return nil, err
 	}
 	return f.real.ReadFile(path)
 }
 
 func (f *FS) ReadAt(path string, offset, length int64) ([]byte, error) {
-	if err, _ := f.check(OpReadAt, path); err != nil {
+	if err := f.check(OpReadAt, path); err != nil {
 		return nil, err
 	}
 	return f.real.ReadAt(path, offset, length)
 }
 
 func (f *FS) CreateTemp(dir, pattern string) (storefs.File, error) {
-	if err, _ := f.check(OpCreate, dir); err != nil {
+	if err := f.check(OpCreate, dir); err != nil {
 		return nil, err
 	}
 	file, err := f.real.CreateTemp(dir, pattern)
@@ -200,7 +203,7 @@ func (f *FS) CreateTemp(dir, pattern string) (storefs.File, error) {
 }
 
 func (f *FS) Rename(oldpath, newpath string) error {
-	if err, _ := f.check(OpRename, oldpath+"\x00"+newpath); err != nil {
+	if err := f.check(OpRename, oldpath+"\x00"+newpath); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -215,21 +218,21 @@ func (f *FS) Rename(oldpath, newpath string) error {
 }
 
 func (f *FS) Remove(path string) error {
-	if err, _ := f.check(OpRemove, path); err != nil {
+	if err := f.check(OpRemove, path); err != nil {
 		return err
 	}
 	return f.real.Remove(path)
 }
 
 func (f *FS) Stat(path string) (fs.FileInfo, error) {
-	if err, _ := f.check(OpStat, path); err != nil {
+	if err := f.check(OpStat, path); err != nil {
 		return nil, err
 	}
 	return f.real.Stat(path)
 }
 
 func (f *FS) ReadDir(dir string) ([]fs.DirEntry, error) {
-	if err, _ := f.check(OpReadDir, dir); err != nil {
+	if err := f.check(OpReadDir, dir); err != nil {
 		return nil, err
 	}
 	return f.real.ReadDir(dir)
@@ -248,7 +251,7 @@ func (f *FS) MkdirAll(dir string, perm fs.FileMode) error {
 }
 
 func (f *FS) SyncDir(dir string) error {
-	if err, _ := f.check(OpSyncDir, dir); err != nil {
+	if err := f.check(OpSyncDir, dir); err != nil {
 		return err
 	}
 	return f.real.SyncDir(dir)
@@ -264,24 +267,15 @@ type faultFile struct {
 func (w *faultFile) Name() string { return w.file.Name() }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	err, tear := w.fs.check(OpWrite, w.file.Name())
-	if err != nil {
+	if err := w.fs.check(OpWrite, w.file.Name()); err != nil {
 		return 0, err
 	}
 	w.fs.mu.Lock()
 	ts := w.fs.torn[w.file.Name()]
 	w.fs.mu.Unlock()
-	if tear > 0 || ts != nil {
+	if ts != nil {
 		// Torn file: persist only what the tear allows, report full success.
-		allow := 0
-		if ts != nil {
-			if remaining := ts.limit - ts.written; remaining > 0 {
-				allow = remaining
-				if allow > len(p) {
-					allow = len(p)
-				}
-			}
-		}
+		allow := min(max(ts.limit-ts.written, 0), len(p))
 		if allow > 0 {
 			if _, werr := w.file.Write(p[:allow]); werr != nil {
 				return 0, werr
@@ -296,14 +290,14 @@ func (w *faultFile) Write(p []byte) (int, error) {
 }
 
 func (w *faultFile) Sync() error {
-	if err, _ := w.fs.check(OpSync, w.file.Name()); err != nil {
+	if err := w.fs.check(OpSync, w.file.Name()); err != nil {
 		return err
 	}
 	return w.file.Sync()
 }
 
 func (w *faultFile) Close() error {
-	if err, _ := w.fs.check(OpClose, w.file.Name()); err != nil {
+	if err := w.fs.check(OpClose, w.file.Name()); err != nil {
 		w.file.Close()
 		return err
 	}

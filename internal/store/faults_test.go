@@ -61,7 +61,7 @@ func TestTornWriteQuarantinedOnRead(t *testing.T) {
 	s, fsys := openFaulty(t, dir, Options{})
 	key := testKey("blocking")
 
-	fsys.Inject(errfs.Fault{Op: errfs.OpWrite, Path: "blocking-", TearAt: 10})
+	fsys.Inject(errfs.Fault{Op: errfs.OpWrite, Path: "blocking-", Torn: true, TearAt: 10})
 	if err := s.SaveBlocking(key, &BlockingRecord{}); err != nil {
 		t.Fatalf("torn save reported the tear: %v", err)
 	}
@@ -130,33 +130,57 @@ func TestDurableSaveSurvivesCrash(t *testing.T) {
 
 // TestCrashMidSaveCostsOneRemeasurement kills the writer at each step of the
 // atomic write — mid-write, after the write but before the fsync completes,
-// and at the rename — and checks the reopened store is consistent: the
-// interrupted entry reads as a plain miss (one re-measurement), a re-save
-// recovers it, and the dead writer's temp file is collected once stale.
+// and at the rename — and kills a rename-only writer whose save returned
+// before any byte of it reached the disk; it checks the reopened store is
+// consistent: the interrupted entry reads as a plain miss (one
+// re-measurement), not as corruption, and a re-save recovers it. A writer
+// killed before the rename leaves its temp file, which is collected once
+// stale; the save that returned leaves an empty entry, which the reopened
+// store's sweep collects as debris.
 func TestCrashMidSaveCostsOneRemeasurement(t *testing.T) {
+	durable := Options{Durability: DurabilityFull}
 	for _, tc := range []struct {
-		name string
-		op   errfs.Op
+		name  string
+		opts  Options
+		fault errfs.Fault
+		// empty: the save returns, having renamed an empty entry into
+		// place, and the process is killed after it.
+		empty bool
 	}{
-		{"killed mid-write", errfs.OpWrite},
-		{"killed during fsync", errfs.OpSync},
-		{"killed at rename", errfs.OpRename},
+		{"killed mid-write", durable, errfs.Fault{Op: errfs.OpWrite, Path: "blocking-", Crash: true}, false},
+		{"killed during fsync", durable, errfs.Fault{Op: errfs.OpSync, Path: "blocking-", Crash: true}, false},
+		{"killed at rename", durable, errfs.Fault{Op: errfs.OpRename, Path: "blocking-", Crash: true}, false},
+		{"killed before any byte reached the disk", Options{}, errfs.Fault{Op: errfs.OpWrite, Path: "blocking-", Torn: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, fsys := openFaulty(t, dir, Options{Durability: DurabilityFull})
+			s, fsys := openFaulty(t, dir, tc.opts)
 			key := testKey("blocking")
-			fsys.Inject(errfs.Fault{Op: tc.op, Path: "blocking-", Crash: true})
-			if err := s.SaveBlocking(key, &BlockingRecord{}); err == nil {
+			fsys.Inject(tc.fault)
+			err := s.SaveBlocking(key, &BlockingRecord{})
+			switch {
+			case tc.empty && err != nil:
+				t.Fatalf("a save whose write was torn at zero bytes failed: %v", err)
+			case tc.empty:
+				fsys.Crash()
+			case err == nil:
 				t.Fatal("save across a crash reported success")
 			}
+			entry := filepath.Join(dir, key.filename(KindBlocking))
+			if fi, err := os.Stat(entry); tc.empty != (err == nil) || tc.empty && fi.Size() != 0 {
+				t.Fatalf("after the crash the entry file is %v (stat err: %v), want it empty: %v", fi, err, tc.empty)
+			}
 
-			after, _ := reboot(t, dir, Options{Durability: DurabilityFull})
+			after, _ := reboot(t, dir, tc.opts)
 			if _, ok := after.LoadBlocking(key); ok {
 				t.Fatal("interrupted save left a readable entry")
 			}
-			if st := after.Stats(); st.Corrupt != 0 {
+			st := after.Stats()
+			if st.Corrupt != 0 {
 				t.Errorf("interrupted save read as corruption, want a plain miss: %+v", st)
+			}
+			if tc.empty && st.SweptDebris != 1 {
+				t.Errorf("the sweep collected %d debris files, want the empty entry", st.SweptDebris)
 			}
 			// Exactly one re-measurement makes the store whole again.
 			if err := after.SaveBlocking(key, &BlockingRecord{}); err != nil {
@@ -173,6 +197,12 @@ func TestCrashMidSaveCostsOneRemeasurement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.empty {
+				if len(tmps) != 0 {
+					t.Errorf("the save that returned left %d temp files, want 0", len(tmps))
+				}
+				return
+			}
 			if len(tmps) != 1 {
 				t.Fatalf("crash left %d temp files, want 1", len(tmps))
 			}
@@ -180,7 +210,7 @@ func TestCrashMidSaveCostsOneRemeasurement(t *testing.T) {
 			if err := os.Chtimes(tmps[0], old, old); err != nil {
 				t.Fatal(err)
 			}
-			swept, _ := reboot(t, dir, Options{Durability: DurabilityFull})
+			swept, _ := reboot(t, dir, tc.opts)
 			if _, err := os.Stat(tmps[0]); !os.IsNotExist(err) {
 				t.Errorf("stale temp file of the dead writer survived the sweep (stat err: %v)", err)
 			}

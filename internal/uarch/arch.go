@@ -61,34 +61,54 @@ func GenerationNames() []string {
 	return names
 }
 
-// normalizeGenName folds a generation name for lookup: lower-cased with
-// spaces, hyphens and underscores removed, so "Sandy Bridge", "sandy-bridge"
-// and "SANDYBRIDGE" (e.g. a URL path segment) all resolve to the same
-// generation.
-func normalizeGenName(name string) string {
-	var b strings.Builder
+// foldGenName folds a generation name for lookup: lower-cased with spaces,
+// hyphens and underscores removed, so "Sandy Bridge", "sandy-bridge" and
+// "SANDYBRIDGE" (e.g. a URL path segment) all fold to the same name.
+func foldGenName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch r {
+		case ' ', '-', '_':
+			return -1
+		}
+		return unicode.ToLower(r)
+	}, name)
+}
+
+// foldedGenNames holds every generation's name folded by foldGenName.
+var foldedGenNames = func() (folded [numGenerations]string) {
+	for g := range folded {
+		folded[g] = foldGenName(generationNames[g])
+	}
+	return folded
+}()
+
+// foldsTo reports whether foldGenName(name) == folded, for an ASCII folded,
+// rune by rune and without building the folded name.
+func foldsTo(name, folded string) bool {
+	i := 0
 	for _, r := range name {
 		switch r {
 		case ' ', '-', '_':
 			continue
 		}
-		b.WriteRune(unicode.ToLower(r))
+		if i == len(folded) || unicode.ToLower(r) != rune(folded[i]) {
+			return false
+		}
+		i++
 	}
-	return b.String()
+	return i == len(folded)
 }
 
 // LookupGeneration resolves a generation name to its Generation value. The
 // match is case-insensitive and ignores spaces, hyphens and underscores, so
-// URL-friendly spellings of the multi-word names work. An unknown name is an
-// error (never a panic): it lists the known generations so e.g. an HTTP
-// handler can return the message verbatim with a 400 status.
+// URL-friendly spellings of the multi-word names work; a match allocates
+// nothing. An unknown name is an error (never a panic): it lists the known
+// generations so e.g. an HTTP handler can return the message verbatim with
+// a 400 status.
 func LookupGeneration(name string) (Generation, error) {
-	want := normalizeGenName(name)
-	if want != "" {
-		for g := Generation(0); g < numGenerations; g++ {
-			if normalizeGenName(generationNames[g]) == want {
-				return g, nil
-			}
+	for g, folded := range foldedGenNames {
+		if foldsTo(name, folded) {
+			return Generation(g), nil
 		}
 	}
 	return 0, fmt.Errorf("uarch: unknown generation %q (known: %s)",

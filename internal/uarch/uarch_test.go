@@ -343,3 +343,36 @@ func TestPortSetsAscending(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupGenerationAllocs: resolving a generation name, in any spelling
+// LookupGeneration accepts, allocates nothing, through ByName too.
+func TestLookupGenerationAllocs(t *testing.T) {
+	for _, name := range []string{"Skylake", "sandy-bridge", "COFFEE_LAKE"} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ByName(name); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("ByName(%q) allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestFoldsToMatchesFold: foldsTo, the rune-by-rune comparison
+// LookupGeneration makes, agrees with comparing the folded name, also for
+// non-ASCII runes that lower-case to ASCII, invalid UTF-8 and names that
+// fold to a prefix or an extension of a generation's.
+func TestFoldsToMatchesFold(t *testing.T) {
+	names := []string{"", "-", " _-", "Skylake", "SKY LAKE", "sky-lake-", "Skylak", "Skylakes",
+		"Kaby Lake", "\u212Aaby Lake", "kaby\u0130ake", "Kaby\xffLake", "Coffee\u00a0Lake", "Coffee Lake", "Ivy Bridge", "ivybridge2"}
+	for g := Generation(0); g < numGenerations; g++ {
+		names = append(names, g.String(), strings.ToUpper(g.String()))
+	}
+	for _, name := range names {
+		for _, folded := range foldedGenNames {
+			if got, want := foldsTo(name, folded), foldGenName(name) == folded; got != want {
+				t.Errorf("foldsTo(%q, %q) = %v, want %v", name, folded, got, want)
+			}
+		}
+	}
+}
