@@ -11,7 +11,7 @@ COUNT ?= 1
 BENCH_LABEL ?= current
 
 # BENCH_GUARD_PCT is the ns/op regression tolerance (percent) that
-# bench-guard enforces on the hot Run* benchmarks.
+# bench-guard enforces on the medians of the hot Run* benchmarks.
 BENCH_GUARD_PCT ?= 30
 
 .PHONY: build test vet race bench bench-smoke bench-json bench-json-smoke \
@@ -47,7 +47,9 @@ bench-smoke:
 # as XML), the render rung (the whole Skylake results XML with its IACA
 # analyzers into a sha256), the fleet wire rung (one /v1/measure request for
 # a 257-instruction kernel at two copy counts, and one answer of two
-# counters, each written and parsed), and the end-to-end characterization benchmarks (bounded to 2 iterations — they
+# counters, each written and parsed), the harness rung (one Measure of that
+# kernel, its two readings recalled from the reading table or simulated),
+# and the end-to-end characterization benchmarks (bounded to 2 iterations — they
 # run whole sampled ISA characterizations), parsed into BENCH_pipesim.json
 # under $(BENCH_LABEL). Existing labels in the file are preserved, so
 # successive PRs accumulate comparable columns.
@@ -62,6 +64,7 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkServe' -benchmem -count=$(COUNT) ./internal/service >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkRenderXML' -benchmem -count=$(COUNT) ./internal/xmlout >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkWire' -benchmem -count=$(COUNT) ./internal/measure/remote >> "$$tmp"; \
+	$(GO) test -run='^$$' -bench='BenchmarkMeasure' -benchmem -count=$(COUNT) ./internal/measure >> "$$tmp"; \
 	$(GO) test -run='^$$' -bench='BenchmarkCharacterize|BenchmarkBlockingDiscovery' -benchmem -benchtime=2x . >> "$$tmp"; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_pipesim.json < "$$tmp"
@@ -86,27 +89,32 @@ bench-compare:
 
 # bench-guard is the ns/op regression gate on the hot simulator benchmarks
 # (the Run* shapes — the per-Run cost every characterization pays thousands of
-# times). With OLD=/NEW= it gates two saved bench outputs directly; otherwise
-# it benchmarks the working tree's internal/pipesim against the same
-# benchmarks built from HEAD in a temporary git worktree, and fails if any
-# benchmark present in both regresses more than BENCH_GUARD_PCT percent
-# (averaged over -count=3 to damp scheduler noise; benchmarks that exist only
-# on one side cannot regress and are reported but not gated). A tree whose
-# internal/pipesim matches HEAD passes immediately without benchmarking, so
-# the gate costs clean CI checkouts nothing.
+# times). With OLD=/NEW= it gates two saved bench outputs directly. Otherwise
+# it builds the internal/pipesim test binaries of HEAD (from `git archive`)
+# and of the working tree once each, runs them alternately for 5 rounds, so
+# that host noise falls on both sides alike, and fails if the median ns/op
+# of any benchmark present in both regresses more than BENCH_GUARD_PCT
+# percent; a median ignores a round that noise slowed, which a mean did not
+# (benchmarks that exist only on one side cannot regress and are reported
+# but not gated). A tree whose internal/pipesim matches HEAD passes
+# immediately without benchmarking, so the gate costs clean CI checkouts
+# nothing.
 bench-guard:
 	@set -e; \
 	if [ -n "$(OLD)" ] && [ -n "$(NEW)" ]; then \
 		exec $(GO) run ./cmd/benchjson -compare -fail-above=$(BENCH_GUARD_PCT) $(OLD) $(NEW); fi; \
 	if git diff --quiet HEAD -- internal/pipesim 2>/dev/null; then \
 		echo "bench-guard: internal/pipesim unchanged vs HEAD; nothing to gate"; exit 0; fi; \
-	tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/head" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/head" HEAD >/dev/null 2>&1; \
-	echo "bench-guard: benchmarking HEAD..."; \
-	( cd "$$tmp/head" && $(GO) test -run='^$$' -bench='BenchmarkRun' -count=3 -benchtime=0.3s ./internal/pipesim ) > "$$tmp/old.txt"; \
-	echo "bench-guard: benchmarking working tree..."; \
-	$(GO) test -run='^$$' -bench='BenchmarkRun' -count=3 -benchtime=0.3s ./internal/pipesim > "$$tmp/new.txt"; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/head"; git archive HEAD | tar -x -C "$$tmp/head"; \
+	echo "bench-guard: building the benchmarks of HEAD and of the working tree..."; \
+	( cd "$$tmp/head" && $(GO) test -c -o "$$tmp/old.test" ./internal/pipesim ); \
+	$(GO) test -c -o "$$tmp/new.test" ./internal/pipesim; \
+	for round in 1 2 3 4 5; do \
+		echo "bench-guard: round $$round of 5"; \
+		( cd "$$tmp/head/internal/pipesim" && "$$tmp/old.test" -test.run='^$$' -test.bench=BenchmarkRun -test.benchtime=0.3s ) >> "$$tmp/old.txt"; \
+		( cd internal/pipesim && "$$tmp/new.test" -test.run='^$$' -test.bench=BenchmarkRun -test.benchtime=0.3s ) >> "$$tmp/new.txt"; \
+	done; \
 	$(GO) run ./cmd/benchjson -compare -fail-above=$(BENCH_GUARD_PCT) "$$tmp/old.txt" "$$tmp/new.txt"
 
 # fmt and fmt-check skip testdata trees: analyzer fixtures under

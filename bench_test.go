@@ -196,7 +196,9 @@ func BenchmarkThroughputLP(b *testing.B) {
 // serial Skylake sample on a reading table that Haswell's sample filled
 // first, untimed, as an engine's table is when it characterized Haswell
 // before Skylake: its simulated/op counts what Skylake does not share with
-// Haswell.
+// Haswell. The serial rungs count readings on the reading table they hand
+// the stack: a run measures on stacks forked from it, which share its
+// table.
 func BenchmarkCharacterizeAll(b *testing.B) {
 	sample := func(arch *uarch.Arch) (only []string, bs *core.BlockingSet) {
 		instrs := arch.InstrSet().Instrs()
@@ -209,11 +211,13 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 		}
 		return only, bs
 	}
-	// stack returns a fresh stack of arch with the discovered blocking set.
-	stack := func(arch *uarch.Arch, bs *core.BlockingSet) (*core.Characterizer, *pipesim.Machine) {
+	// stack returns a fresh stack of arch with the discovered blocking set,
+	// which reads and remembers its readings in table.
+	stack := func(arch *uarch.Arch, bs *core.BlockingSet, table *pipesim.Table) *core.Characterizer {
 		c := core.NewForArch(arch)
 		c.SetBlocking(bs)
-		return c, c.Harness().Runner().(*pipesim.Machine)
+		c.Harness().Runner().(*pipesim.Machine).SetTable(table)
+		return c
 	}
 	arch, hsw := uarch.Get(uarch.Skylake), uarch.Get(uarch.Haswell)
 	only, bs := sample(arch)
@@ -223,22 +227,21 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 			b.ReportAllocs()
 			var simulated, recalled int
 			for i := 0; i < b.N; i++ {
-				// Each iteration starts from a fresh stack with the
-				// discovered blocking set, as a fresh engine's run
-				// does: a reading table, fork pool and chain latencies
-				// left warm by the last iteration would recall what
-				// the rung is meant to simulate.
+				// Each iteration starts from a fresh stack and reading
+				// table with the discovered blocking set, as a fresh
+				// engine's run does: a table left warm by the last
+				// iteration would recall what the rung is meant to
+				// simulate.
 				b.StopTimer()
-				c, m := stack(arch, bs)
+				table := pipesim.NewTable()
+				c := stack(arch, bs, table)
 				if afterHaswell {
-					table := pipesim.NewTable()
-					fill, fm := stack(hsw, hswBS)
-					fm.SetTable(table)
+					fill := stack(hsw, hswBS, table)
 					if _, err := fill.CharacterizeAll(core.Options{Only: hswOnly, Workers: 1}); err != nil {
 						b.Fatal(err)
 					}
-					m.SetTable(table)
 				}
+				before := table.Stats()
 				b.StartTimer()
 				res, err := c.CharacterizeAll(core.Options{Only: only, Workers: workers})
 				if err != nil {
@@ -247,10 +250,9 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 				if len(res.Results) != len(only) {
 					b.Fatalf("got %d results, want %d", len(res.Results), len(only))
 				}
-				// The serial run reads only on the stack's own Machine.
-				sim, rec := m.Readings()
-				simulated += sim
-				recalled += rec
+				after := table.Stats()
+				simulated += after.Misses - before.Misses
+				recalled += after.Hits - before.Hits
 			}
 			b.ReportMetric(float64(len(only)), "variants")
 			if workers == 1 {

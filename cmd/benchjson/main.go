@@ -15,10 +15,12 @@
 //
 // In comparison mode, the two arguments are benchmark text files (as saved
 // from `make bench > old.txt`); each benchmark present in both is printed
-// with its old and new ns/op and the speedup factor. With -fail-above=N the
-// command additionally exits nonzero when any benchmark's new ns/op exceeds
-// its old value by more than N percent, which is what `make bench-guard`
-// uses as a CI regression gate. benchstat, if installed, gives statistically
+// with the median of its old and of its new ns/op samples and the speedup
+// factor. With -fail-above=N the command additionally exits nonzero when any
+// benchmark's new median exceeds its old one by more than N percent, which
+// is what `make bench-guard` uses as a CI regression gate: a median over
+// several rounds ignores a round that host noise slowed, which a mean
+// passes on. benchstat, if installed, gives statistically
 // sounder output; this mode is the zero-dependency fallback used by
 // `make bench-compare`.
 package main
@@ -43,6 +45,24 @@ type Entry struct {
 	BOp      float64            `json:"b_op,omitempty"`
 	AllocsOp float64            `json:"allocs_op,omitempty"`
 	Extra    map[string]float64 `json:"extra,omitempty"`
+
+	// ns holds every ns/op sample of the benchmark, for medianNs.
+	ns []float64
+}
+
+// medianNs returns the median of the entry's ns/op samples, 0 if it has
+// none.
+func (e Entry) medianNs() float64 {
+	if len(e.ns) == 0 {
+		return 0
+	}
+	ns := append([]float64(nil), e.ns...)
+	sort.Float64s(ns)
+	mid := len(ns) / 2
+	if len(ns)%2 == 1 {
+		return ns[mid]
+	}
+	return (ns[mid-1] + ns[mid]) / 2
 }
 
 // Document is the schema of BENCH_pipesim.json: a free-form note plus one
@@ -87,7 +107,8 @@ func stripCommonCPUSuffix(in map[string]Entry) map[string]Entry {
 
 // parseBench reads benchmark text output and returns name → entry. A
 // benchmark appearing on several lines (go test -count=N) is averaged over
-// its samples, with the sample count recorded as the "samples" extra.
+// its samples, with the sample count recorded as the "samples" extra; the
+// entry keeps every ns/op sample for medianNs.
 func parseBench(r io.Reader, suffixMode string) (map[string]Entry, error) {
 	out := make(map[string]Entry)
 	samples := make(map[string]float64)
@@ -109,6 +130,7 @@ func parseBench(r io.Reader, suffixMode string) (map[string]Entry, error) {
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
 				e.NsOp += v
+				e.ns = append(e.ns, v)
 			case "B/op":
 				e.BOp += v
 			case "allocs/op":
@@ -208,8 +230,8 @@ func convert(label, outPath, note, suffixMode string) error {
 	return nil
 }
 
-// regression is one benchmark whose new ns/op exceeds the -fail-above
-// tolerance over its old ns/op.
+// regression is one benchmark whose new median ns/op exceeds the
+// -fail-above tolerance over its old median.
 type regression struct {
 	name    string
 	oldNs   float64
@@ -236,7 +258,7 @@ func compare(oldPath, newPath, suffixMode string, failAbove float64) error {
 	}
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	fmt.Fprintf(w, "%-45s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "speedup", "allocs")
+	fmt.Fprintf(w, "%-45s %14s %14s %9s %9s\n", "benchmark", "old med ns/op", "new med ns/op", "speedup", "allocs")
 	var oldOnly, newOnly []string
 	var regressions []regression
 	for _, name := range sortedNames(oldB) {
@@ -246,17 +268,18 @@ func compare(oldPath, newPath, suffixMode string, failAbove float64) error {
 			oldOnly = append(oldOnly, name)
 			continue
 		}
+		oldNs, newNs := o.medianNs(), n.medianNs()
 		speedup := "-"
-		if n.NsOp > 0 {
-			speedup = fmt.Sprintf("%.2fx", o.NsOp/n.NsOp)
+		if newNs > 0 {
+			speedup = fmt.Sprintf("%.2fx", oldNs/newNs)
 		}
-		if failAbove >= 0 && o.NsOp > 0 {
-			if over := (n.NsOp/o.NsOp - 1) * 100; over > failAbove {
-				regressions = append(regressions, regression{name: name, oldNs: o.NsOp, newNs: n.NsOp, overPct: over})
+		if failAbove >= 0 && oldNs > 0 {
+			if over := (newNs/oldNs - 1) * 100; over > failAbove {
+				regressions = append(regressions, regression{name: name, oldNs: oldNs, newNs: newNs, overPct: over})
 			}
 		}
 		allocs := fmt.Sprintf("%.0f→%.0f", o.AllocsOp, n.AllocsOp)
-		fmt.Fprintf(w, "%-45s %14.0f %14.0f %9s %9s\n", name, o.NsOp, n.NsOp, speedup, allocs)
+		fmt.Fprintf(w, "%-45s %14.0f %14.0f %9s %9s\n", name, oldNs, newNs, speedup, allocs)
 	}
 	for _, name := range sortedNames(newB) {
 		if _, ok := oldB[name]; !ok {
@@ -266,15 +289,15 @@ func compare(oldPath, newPath, suffixMode string, failAbove float64) error {
 	// One-sided benchmarks (added, removed or renamed) must not vanish
 	// silently from the comparison.
 	for _, name := range oldOnly {
-		fmt.Fprintf(w, "%-45s %14.0f %14s\n", name, oldB[name].NsOp, "(only in old)")
+		fmt.Fprintf(w, "%-45s %14.0f %14s\n", name, oldB[name].medianNs(), "(only in old)")
 	}
 	for _, name := range newOnly {
-		fmt.Fprintf(w, "%-45s %14s %14.0f\n", name, "(only in new)", newB[name].NsOp)
+		fmt.Fprintf(w, "%-45s %14s %14.0f\n", name, "(only in new)", newB[name].medianNs())
 	}
 	if len(regressions) > 0 {
 		w.Flush()
 		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: %.0f -> %.0f ns/op (+%.1f%%, tolerance %.1f%%)\n",
+			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: median %.0f -> %.0f ns/op (+%.1f%%, tolerance %.1f%%)\n",
 				r.name, r.oldNs, r.newNs, r.overPct, failAbove)
 		}
 		return fmt.Errorf("%d benchmark(s) regressed beyond %.1f%%", len(regressions), failAbove)
@@ -290,7 +313,7 @@ func main() {
 	note := flag.String("note", "", "replace the document note")
 	doCompare := flag.Bool("compare", false, "compare two benchmark text files instead of converting stdin")
 	failAbove := flag.Float64("fail-above", -1,
-		"with -compare: exit nonzero if any benchmark's new ns/op regresses more than this percentage over old (negative disables)")
+		"with -compare: exit nonzero if any benchmark's new median ns/op regresses more than this percentage over its old median (negative disables)")
 	suffixMode := flag.String("cpusuffix", "auto",
 		`handling of the trailing "-GOMAXPROCS" in benchmark names: auto (strip when uniform), keep, strip`)
 	flag.Parse()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,5 +188,33 @@ func TestCompareFailAbove(t *testing.T) {
 	// Negative threshold disables the gate entirely.
 	if err := compare(oldPath, newPath, "auto", -1); err != nil {
 		t.Fatalf("disabled gate failed: %v", err)
+	}
+}
+
+// TestCompareGatesMedian: the gate compares medians, so one round that host
+// noise slowed fivefold does not fail it, while a benchmark slower in most
+// rounds does.
+func TestCompareGatesMedian(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.txt")
+	newPath := filepath.Join(dir, "new.txt")
+	write := func(path string, ns ...int) {
+		t.Helper()
+		var b strings.Builder
+		for _, v := range ns {
+			fmt.Fprintf(&b, "BenchmarkRunA-8 100 %d ns/op\n", v)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(oldPath, 1000, 1010, 990, 1000, 1005)
+	write(newPath, 1000, 5000, 990, 1010, 1000)
+	if err := compare(oldPath, newPath, "auto", 30); err != nil {
+		t.Fatalf("one slow round failed a median gate: %v", err)
+	}
+	write(newPath, 1000, 1500, 1600, 1550, 990)
+	if err := compare(oldPath, newPath, "auto", 30); err == nil {
+		t.Fatal("a benchmark 50% slower in most rounds passed the median gate")
 	}
 }

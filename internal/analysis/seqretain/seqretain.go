@@ -1,7 +1,8 @@
 // Package seqretain enforces the measurement-sequence no-retention
 // contract on Runner-shaped implementations.
 //
-// Runners are pooled and outlive every measurement, and
+// Runners outlive each measurement (a run's forks measure many kernels,
+// and the fleet worker keeps its runners across requests), and
 // measure.Harness hands them its callers' kernels: Harness.Measure
 // passes the kernel straight to CopiesRunner.RunCopies, or the copies
 // it materializes to Runner.Run. The callers own those slices. A Runner
@@ -32,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "seqretain",
 	Doc: "forbid Run/RunCopies/Measure methods from storing a sequence slice parameter in a field " +
 		"or global (the measure.Runner no-retention contract: callers own the sequences " +
-		"they hand to pooled, long-lived runners)",
+		"they hand to long-lived runners)",
 	Run: run,
 }
 

@@ -3,7 +3,7 @@
 // package.
 //
 // The engine, the service and the fleet backend all keep shared counters
-// (requests, coalesced waiters, pool reuse, per-worker batches) that are
+// (requests, coalesced waiters, per-worker batches) that are
 // bumped from many goroutines and snapshotted from others. The safe
 // patterns are "always atomic" or "an atomic.* typed field"; the broken
 // pattern — atomic.AddInt64 on the write side, a bare read on the

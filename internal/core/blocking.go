@@ -218,10 +218,9 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 }
 
 // isolationProfiles measures the isolation profile of every candidate,
-// sharded across opts.Workers pooled forks (the same warm stacks go on to
-// measure the variants afterwards, and later runs reuse them again). The
-// returned slice is indexed by candidate so callers can fold it in
-// candidate order regardless of which worker measured what.
+// sharded across opts.Workers forks. The returned slice is indexed by
+// candidate so callers can fold it in candidate order regardless of which
+// worker measured what.
 func (c *Characterizer) isolationProfiles(cands []*isa.Instr, opts Options) ([]isolation, error) {
 	profiles := make([]isolation, len(cands))
 	sink := &progressSink{total: len(cands), fn: opts.BlockingProgress}

@@ -22,15 +22,10 @@ type Characterizer struct {
 	// (see portKernel).
 	kernel asmgen.Sequence
 
-	// Worker stacks are pooled rather than forked per run: a long-lived
-	// Characterizer (the engine caches one per generation) hands warm
-	// harness/machine pairs to successive parallel runs via acquireFork/
-	// releaseFork, so simulator arenas, rename templates and chain-latency
-	// caches survive across runs. poolChars maps a pooled harness back to
-	// the fork Characterizer wrapped around it.
-	poolMu    sync.Mutex
-	pool      *measure.Pool
-	poolChars map[*measure.Harness]*Characterizer
+	// own makes the runs that measure on this Characterizer itself take
+	// turns. shard measures here only when the runner cannot fork; every
+	// other run measures on forks of its own.
+	own sync.Mutex
 }
 
 // New returns a Characterizer for the given measurement harness.
@@ -82,16 +77,19 @@ type Options struct {
 	// scheduling.
 	Progress func(done, total int, name string)
 	// Workers is the number of parallel characterization workers. Each worker
-	// owns a complete simulator/harness/characterizer stack (the simulator is
-	// stateful, so the run is sharded rather than locked); the merged result
-	// is identical to a sequential run regardless of the worker count. 0 or 1
-	// runs sequentially on the calling Characterizer; negative values select
-	// DefaultWorkers(). Sharding requires a forkable runner (a
+	// owns a complete simulator/harness/characterizer stack, forked from the
+	// calling Characterizer for the run and dropped when it ends (the
+	// simulator is stateful, so the run is sharded rather than locked); the
+	// merged result is identical to a sequential run regardless of the
+	// worker count. 0 or 1 runs sequentially on one fork; negative values
+	// select DefaultWorkers(). Concurrent runs on one Characterizer each fork
+	// their own stacks. Forking requires a forkable runner (a
 	// *pipesim.Machine or a measure.RunnerForker); with any other runner the
-	// run silently falls back to the sequential path. One loop shards both
-	// blocking-instruction discovery and the variants under this count, and
-	// a panic on a worker — in a callback or in measurement code — is
-	// re-raised on the calling goroutine.
+	// run measures sequentially on the calling Characterizer, and such runs
+	// take turns there. One loop shards both blocking-instruction discovery
+	// and the variants under this count, and a panic on a worker — in a
+	// callback or in measurement code — is re-raised on the calling
+	// goroutine.
 	Workers int
 	// BlockingProgress, if non-nil, is called after each candidate during
 	// blocking-instruction discovery, under the same serialization contract

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"uopsinfo/internal/isa"
-	"uopsinfo/internal/measure"
 )
 
 // This file implements the sharded characterization scheduler. Every
@@ -17,18 +16,20 @@ import (
 // switched mid-measurement and its rename/dispatch state lives in reusable
 // per-Machine arenas, the memory arena hands out addresses monotonically,
 // and the chain-latency cache fills as latencies are measured. Sharding
-// therefore gives each worker its own complete simulator/harness/
-// characterizer stack instead of locking a shared one; the only state
-// shared between workers is the blocking-instruction set, which is
-// discovered once up front and read-only afterwards (and the target Arch,
-// whose perf-description cache is internally synchronized and lock-free on
-// the read path).
+// therefore gives each worker of a run its own complete simulator/harness/
+// characterizer stack, forked for the run, instead of locking a shared one;
+// the only state shared between workers is the blocking-instruction set,
+// which is discovered once up front and read-only afterwards (and the target
+// Arch, whose perf-description cache is internally synchronized and
+// lock-free on the read path, and the reading table of the simulators,
+// which is synchronized too).
 
 // Fork returns a Characterizer with its own independent simulator and
 // measurement harness, sharing only the target microarchitecture and the
 // already-discovered blocking-instruction set (which is read-only after
 // discovery). The fork can be used on another goroutine without
-// synchronization.
+// synchronization, and forking reads c without changing it, so several
+// goroutines may fork c at once.
 func (c *Characterizer) Fork() (*Characterizer, error) {
 	h, err := c.gen.h.Fork()
 	if err != nil {
@@ -36,87 +37,7 @@ func (c *Characterizer) Fork() (*Characterizer, error) {
 	}
 	nc := New(h)
 	nc.blocking = c.blocking
-	// Chain-instruction latencies are deterministic calibration values, so
-	// the fork can start from the parent's cache instead of re-measuring
-	// them. poolMu serializes the copy against a concurrent releaseFork
-	// merging latencies back into the parent.
-	c.poolMu.Lock()
-	for name, lat := range c.gen.chainLat {
-		nc.gen.chainLat[name] = lat
-	}
-	c.poolMu.Unlock()
 	return nc, nil
-}
-
-// acquireFork returns a worker Characterizer from the pool: a warm one —
-// populated simulator arenas, rename templates, filled chain-latency cache —
-// if a previous run returned one, or a fresh Fork otherwise. The fork is
-// exclusively owned until releaseFork. Per-variant results do not depend on
-// the warmth of the stack that measures them (the resume-invariance and
-// fork-differential tests pin this), so a pooled fork and a fresh fork are
-// interchangeable.
-func (c *Characterizer) acquireFork() (*Characterizer, error) {
-	c.poolMu.Lock()
-	if c.pool == nil {
-		c.pool = measure.NewPool(c.gen.h)
-		c.poolChars = make(map[*measure.Harness]*Characterizer)
-	}
-	pool := c.pool
-	c.poolMu.Unlock()
-
-	h, _, err := pool.Get()
-	if err != nil {
-		return nil, fmt.Errorf("core: forking characterizer: %w", err)
-	}
-
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	fc := c.poolChars[h]
-	if fc == nil {
-		fc = New(h)
-		c.poolChars[h] = fc
-	}
-	// The blocking set may have been discovered (or re-pointed) since this
-	// fork was parked; chain latencies are deterministic calibration values,
-	// so top the fork's cache up with anything the parent has learned since.
-	fc.blocking = c.blocking
-	for name, lat := range c.gen.chainLat {
-		if _, ok := fc.gen.chainLat[name]; !ok {
-			fc.gen.chainLat[name] = lat
-		}
-	}
-	return fc, nil
-}
-
-// releaseFork parks a fork obtained from acquireFork back into the pool and
-// folds freshly measured chain latencies back into the parent's cache, so
-// later runs (on any fork) start warmer. Must be called once per checkout,
-// after the fork's worker has finished with it.
-func (c *Characterizer) releaseFork(fc *Characterizer) {
-	if fc == nil {
-		return
-	}
-	c.poolMu.Lock()
-	for name, lat := range fc.gen.chainLat {
-		if _, ok := c.gen.chainLat[name]; !ok {
-			c.gen.chainLat[name] = lat
-		}
-	}
-	pool := c.pool
-	c.poolMu.Unlock()
-	pool.Put(fc.gen.h)
-}
-
-// PoolStats reports how effective the fork pool has been; zero-valued until
-// the first parallel run.
-func (c *Characterizer) PoolStats() measure.PoolStats {
-	c.poolMu.Lock()
-	pool := c.pool
-	c.poolMu.Unlock()
-	if pool == nil {
-		return measure.PoolStats{}
-	}
-	return pool.Stats()
 }
 
 // resolveInstrs returns the instruction variants selected by opts, in the
@@ -186,15 +107,18 @@ func DefaultWorkers() int { return runtime.NumCPU() }
 
 // shard runs item(w, i) for every i in [0, n) and reports the name each item
 // returns through sink; it is the one loop behind both parallel phases,
-// blocking discovery and variant characterization. With workers > 1
-// (negative: DefaultWorkers) and a forkable runner, up to workers pooled
-// forks claim items through an atomic counter, each on its own goroutine;
-// otherwise the items run in order on c itself. Either way ctx is checked
-// before each item, and a cancelled run returns the wrapped ctx error.
+// blocking discovery and variant characterization. It forks
+// min(max(workers, 1), n) fresh stacks from c (negative workers:
+// DefaultWorkers), which claim items through an atomic counter, each on its
+// own goroutine, and are dropped when the run ends; so c measures nothing,
+// and concurrent runs on c do not wait for each other. Only if c's runner
+// cannot fork do the items run in order on c itself, and such runs take
+// turns on c. Either way ctx is checked before each item, and a cancelled
+// run returns the wrapped ctx error.
 //
 // A panic in item or in a sink callback is re-raised on the calling
 // goroutine once every worker has stopped; the others stop at their next
-// item, and the fork that panicked is not parked back in the pool.
+// item.
 func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progressSink,
 	item func(w *Characterizer, i int) string) error {
 	var next atomic.Int64
@@ -211,8 +135,10 @@ func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progres
 	if workers < 0 {
 		workers = DefaultWorkers()
 	}
-	forks := c.acquireForks(min(workers, n))
-	if forks == nil {
+	forks, err := c.forks(min(max(workers, 1), n))
+	if err != nil {
+		c.own.Lock()
+		defer c.own.Unlock()
 		loop(c)
 		return runCancelled(ctx)
 	}
@@ -221,21 +147,16 @@ func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progres
 	panics := make(chan any, len(forks))
 	for _, fc := range forks {
 		wg.Add(1)
-		go func(fc *Characterizer) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					stop.Store(true)
-					c.poolMu.Lock()
-					delete(c.poolChars, fc.gen.h)
-					c.poolMu.Unlock()
 					panics <- p
-					return
 				}
-				c.releaseFork(fc)
 			}()
 			loop(fc)
-		}(fc)
+		}()
 	}
 	wg.Wait()
 	select {
@@ -246,23 +167,15 @@ func (c *Characterizer) shard(ctx context.Context, workers, n int, sink *progres
 	}
 }
 
-// acquireForks checks k worker stacks out of the fork pool, or returns nil
-// when k < 2 or the runner cannot be forked: the calling Characterizer can
-// still do the whole run, sequentially (the Workers <= 1 contract).
-func (c *Characterizer) acquireForks(k int) []*Characterizer {
-	if k < 2 {
-		return nil
-	}
-	forks := make([]*Characterizer, 0, k)
-	for len(forks) < k {
-		fc, err := c.acquireFork()
+// forks returns k fresh forks of c, or an error if c's runner cannot fork.
+func (c *Characterizer) forks(k int) ([]*Characterizer, error) {
+	forks := make([]*Characterizer, k)
+	for i := range forks {
+		fc, err := c.Fork()
 		if err != nil {
-			for _, fc := range forks {
-				c.releaseFork(fc)
-			}
-			return nil
+			return nil, err
 		}
-		forks = append(forks, fc)
+		forks[i] = fc
 	}
-	return forks
+	return forks, nil
 }

@@ -222,41 +222,3 @@ func TestParallelFallsBackToSequentialForUnforkableRunner(t *testing.T) {
 		}
 	}
 }
-
-// TestPooledForksReusedAcrossRuns pins the cross-run batching behaviour: a
-// second parallel run on the same Characterizer must pick its worker stacks
-// up warm from the fork pool (not fork fresh ones) and still produce the
-// identical result.
-func TestPooledForksReusedAcrossRuns(t *testing.T) {
-	m := pipesim.New(uarch.Get(uarch.Skylake))
-	c := New(measure.New(m))
-	if err := c.ensureBlocking(); err != nil {
-		t.Fatal(err)
-	}
-	only := sampleNames(c, 80)
-	opts := Options{Only: only, Workers: 4, SkipLatency: true}
-
-	want, err := c.CharacterizeAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after1 := c.PoolStats()
-	if after1.Forked == 0 {
-		t.Fatalf("first run forked no worker stacks: %+v", after1)
-	}
-
-	got, err := c.CharacterizeAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after2 := c.PoolStats()
-	if after2.Forked != after1.Forked {
-		t.Errorf("second run forked fresh stacks: %+v -> %+v", after1, after2)
-	}
-	if after2.Reused < 4 {
-		t.Errorf("second run reused %d pooled stacks, want >= 4 (%+v)", after2.Reused, after2)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("pooled rerun disagrees with first run")
-	}
-}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"uopsinfo/internal/core"
 	"uopsinfo/internal/measure"
@@ -41,9 +40,11 @@ type Config struct {
 	// all hung up characterizing into the void. Nil means runs are never
 	// aborted.
 	BaseContext context.Context
-	// Workers is the total parallel worker budget shared by everything the
-	// engine runs: blocking discovery, per-variant characterization and
-	// concurrent per-generation prewarming all draw from it. <= 0 selects
+	// Workers is the parallel worker budget of one run: its blocking
+	// discovery and its per-variant characterization shard across that many
+	// stacks forked for the run, and Prewarm splits it across the
+	// generations it builds. The budget is per run: concurrent runs each
+	// fork their own stacks, also on one generation. <= 0 selects
 	// core.DefaultWorkers() (one worker per CPU).
 	Workers int
 	// CacheDir, if non-empty, enables the persistent result store rooted at
@@ -111,17 +112,14 @@ type Stats struct {
 	// CoalescedWaiters by K-1.
 	Runs             int `json:"runs" metric:"uopsd_engine_runs_total" help:"Characterization runs executed (not coalesced onto another run)."`
 	CoalescedWaiters int `json:"coalescedWaiters" metric:"uopsd_engine_coalesced_waiters_total" help:"Requests that attached to an in-flight identical run."`
-	// PoolForked and PoolReused count worker-stack checkouts from the
-	// per-generation fork pools: Forked built a fresh simulator/harness
-	// stack, Reused picked up a warm one from a previous run (its simulator
-	// arenas and rename templates intact). Aggregated across generations,
-	// including the raw-sequence pools behind SequencePool.
-	PoolForked int64 `json:"poolForked" metric:"uopsd_engine_pool_forked_total" help:"Worker stacks built fresh by the fork pools."`
-	PoolReused int64 `json:"poolReused" metric:"uopsd_engine_pool_reused_total" help:"Worker stacks reused warm from the fork pools."`
-	// PoolSeqBuilt and PoolSeqReused are always 0. They counted the
-	// harness's materialized copy buffers, which went away when runners
-	// started repeating kernels themselves; the fields stay because
+	// PoolForked, PoolReused, PoolSeqBuilt and PoolSeqReused are always 0.
+	// The first two counted the worker stacks of the fork pools, which went
+	// away when each run started forking its own stacks; the others counted
+	// the harness's materialized copy buffers, which went away when runners
+	// started repeating kernels themselves. The fields stay because
 	// cmd/uopsbench reads them.
+	PoolForked    int64 `json:"poolForked"`
+	PoolReused    int64 `json:"poolReused"`
 	PoolSeqBuilt  int64 `json:"poolSeqBuilt"`
 	PoolSeqReused int64 `json:"poolSeqReused"`
 	// ReadingHits and ReadingMisses count the simulator readings the
@@ -152,9 +150,8 @@ type Engine struct {
 	// builds, of every generation, and of their forks (see Harness).
 	readings *pipesim.Table
 
-	mu       sync.Mutex
-	chars    map[uarch.Generation]*charEntry
-	seqPools map[uarch.Generation]*seqPoolEntry
+	mu    sync.Mutex
+	chars map[uarch.Generation]*charEntry
 	// universes holds each generation's variant names, sorted: the
 	// Variants of every store key the engine derives for the generation,
 	// and the selection of a whole-generation run. Shared, never modified.
@@ -186,20 +183,13 @@ type Engine struct {
 
 // charEntry makes concurrent requests for the same generation build the
 // stack exactly once; a build that panics is removed, so the next request
-// builds again. built is set (atomically, after c and err) when the build
-// has completed, so Stats can aggregate pool counters from finished entries
-// without waiting on — or racing with — an in-progress build.
-//
-// run makes the runs that measure on the generation take turns on c: a run
-// with one variant to measure, a Workers budget of 1 or a runner that
-// cannot fork measures on c's own stack, which no other run may then use
-// or fork.
+// builds again. Runs never measure on c: each forks stacks of its own from
+// it (core.Options.Workers), so runs of one generation do not wait for each
+// other.
 type charEntry struct {
-	once  sync.Once
-	c     *core.Characterizer
-	err   error
-	built atomic.Bool
-	run   sync.Mutex
+	once sync.Once
+	c    *core.Characterizer
+	err  error
 }
 
 // flight is one in-progress CharacterizeArch execution, running on its own
@@ -239,7 +229,6 @@ func New(cfg Config) (*Engine, error) {
 		backend:   backend,
 		readings:  pipesim.NewTable(),
 		chars:     make(map[uarch.Generation]*charEntry),
-		seqPools:  make(map[uarch.Generation]*seqPoolEntry),
 		universes: make(map[uarch.Generation][]string),
 		vdigs:     make(map[variantTier]store.Digest),
 		mem:       make(map[store.Digest]map[string]*core.InstrResult),
@@ -333,39 +322,14 @@ func (e *Engine) RunDigest(gen uarch.Generation, opts RunOptions) (store.Digest,
 	return e.key(arch, opts.scope()).Digest(), nil
 }
 
-// Stats returns a snapshot of the engine's cumulative cache and measurement
-// counters, including the fork-pool effectiveness counters aggregated across
-// every generation whose stack has finished building.
+// Stats returns a snapshot of the engine's cumulative cache, coalescing and
+// measurement counters, with those of its reading table, of its fleet when
+// its backend drives one, and of its store when one is configured.
 func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
 	s := e.stats
 	e.statsMu.Unlock()
 
-	e.mu.Lock()
-	entries := make([]*charEntry, 0, len(e.chars))
-	//uopslint:ignore detrange entries only feed PoolStats.Add, a commutative integer aggregation
-	for _, ent := range e.chars {
-		entries = append(entries, ent)
-	}
-	seqEntries := make([]*seqPoolEntry, 0, len(e.seqPools))
-	//uopslint:ignore detrange entries only feed PoolStats.Add, a commutative integer aggregation
-	for _, ent := range e.seqPools {
-		seqEntries = append(seqEntries, ent)
-	}
-	e.mu.Unlock()
-	var pool measure.PoolStats
-	for _, ent := range entries {
-		if ent.built.Load() && ent.c != nil {
-			pool = pool.Add(ent.c.PoolStats())
-		}
-	}
-	for _, ent := range seqEntries {
-		if ent.built.Load() && ent.pool != nil {
-			pool = pool.Add(ent.pool.Stats())
-		}
-	}
-	s.PoolForked += pool.Forked
-	s.PoolReused += pool.Reused
 	rs := e.readings.Stats()
 	s.ReadingHits, s.ReadingMisses, s.ReadingBytes, s.ReadingDrops = rs.Hits, rs.Misses, rs.Bytes, rs.Drops
 	if fr, ok := e.backend.(measure.FleetReporter); ok {
@@ -388,41 +352,6 @@ func (e *Engine) StoreMode() string {
 		return ""
 	}
 	return e.st.Mode()
-}
-
-// seqPoolEntry builds one generation's raw-sequence measurement pool exactly
-// once, mirroring charEntry.
-type seqPoolEntry struct {
-	once  sync.Once
-	pool  *measure.Pool
-	err   error
-	built atomic.Bool
-}
-
-// SequencePool returns the (lazily built, cached) pool of measurement stacks
-// for raw sequence execution on a generation — the substrate of the
-// service's batch measurement endpoint. The pooled harnesses are separate
-// from the characterizer's worker stacks: endpoint traffic must not steal
-// warm stacks from (or leak divider-regime state into) characterization
-// runs. Pool counters fold into Stats alongside the characterizer pools.
-func (e *Engine) SequencePool(gen uarch.Generation) (*measure.Pool, error) {
-	e.mu.Lock()
-	ent, ok := e.seqPools[gen]
-	if !ok {
-		ent = &seqPoolEntry{}
-		e.seqPools[gen] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		h, err := e.Harness(gen)
-		if err != nil {
-			ent.err = err
-		} else {
-			ent.pool = measure.NewPool(h)
-		}
-		ent.built.Store(true)
-	})
-	return ent.pool, ent.err
 }
 
 func (e *Engine) count(f func(*Stats)) {
@@ -465,18 +394,16 @@ func (e *Engine) Harness(gen uarch.Generation) (*measure.Harness, error) {
 // Characterizer returns the (lazily built, cached) characterizer for a
 // generation with its blocking-instruction set ready: restored from the
 // persistent store when possible, discovered in parallel under the engine's
-// worker budget otherwise.
+// worker budget otherwise. The engine's runs only fork it. A caller that
+// measures on it directly (CharacterizeInstr, PortUsage, ...) must not do
+// so from two goroutines at once.
 func (e *Engine) Characterizer(gen uarch.Generation) (*core.Characterizer, error) {
 	return e.characterizer(gen, e.Workers())
 }
 
+// characterizer returns the generation's characterizer, building it with a
+// workers budget for blocking discovery on first use.
 func (e *Engine) characterizer(gen uarch.Generation, workers int) (*core.Characterizer, error) {
-	ent := e.stack(gen, workers)
-	return ent.c, ent.err
-}
-
-// stack returns the generation's built charEntry.
-func (e *Engine) stack(gen uarch.Generation, workers int) *charEntry {
 	e.mu.Lock()
 	ent, ok := e.chars[gen]
 	if !ok {
@@ -496,11 +423,10 @@ func (e *Engine) stack(gen uarch.Generation, workers int) *charEntry {
 				delete(e.chars, gen)
 				e.mu.Unlock()
 			}
-			ent.built.Store(true)
 		}()
 		ent.c, ent.err = e.build(gen, workers)
 	})
-	return ent
+	return ent.c, ent.err
 }
 
 // build constructs the full stack for a generation and ensures its blocking
@@ -612,9 +538,7 @@ type RunOptions struct {
 	// Progress, if non-nil, is called after each measured instruction
 	// (variants served from the per-variant cache are not re-measured and
 	// not reported). It runs on the run's own goroutines, and keeps being
-	// called if the caller stops waiting for the run. Runs that measure on
-	// one generation take turns, so it must not wait for another run of
-	// the same generation.
+	// called if the caller stops waiting for the run.
 	Progress func(done, total int, name string)
 }
 
@@ -802,11 +726,11 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 	if workers <= 0 {
 		workers = e.Workers()
 	}
-	ent := e.stack(gen, workers)
-	if ent.err != nil {
-		return nil, ent.err
+	c, err := e.characterizer(gen, workers)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ent.resume(core.Options{
+	res, err := c.CharacterizeResume(core.Options{
 		Only:           opts.Only,
 		SkipLatency:    opts.SkipLatency,
 		SkipPortUsage:  opts.SkipPortUsage,
@@ -823,13 +747,6 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 		e.persistVariants(vdig, res, partial)
 	}
 	return res, nil
-}
-
-// resume runs c.CharacterizeResume in the generation's turn (see charEntry).
-func (ent *charEntry) resume(opts core.Options, partial map[string]*core.InstrResult) (*core.ArchResult, error) {
-	ent.run.Lock()
-	defer ent.run.Unlock()
-	return ent.c.CharacterizeResume(opts, partial)
 }
 
 // recall returns the stored records among names: from memory for records the

@@ -500,10 +500,10 @@ func TestCoalescedWaiterHonorsContext(t *testing.T) {
 }
 
 // TestConcurrentSingleVariantRuns starts one run per variant at once on one
-// store-less engine. Each run has a single variant to measure, so it cannot
-// fork and measures on the generation's shared stack; the runs must take
-// turns there (the race detector watches the stack) and each must equal a
-// run on a fresh engine.
+// store-less engine. Each run has a single variant to measure and measures
+// it on one stack forked for the run from the generation's characterizer;
+// no two runs may share a stack (the race detector watches) and each must
+// equal a run on a fresh engine.
 func TestConcurrentSingleVariantRuns(t *testing.T) {
 	e := mustNew(t, Config{Workers: 2})
 	if _, err := e.Characterizer(uarch.Skylake); err != nil {
@@ -532,6 +532,37 @@ func TestConcurrentSingleVariantRuns(t *testing.T) {
 			t.Errorf("%s measured alongside other runs differs from a run on a fresh engine", name)
 		}
 	}
+}
+
+// TestRunsOfOneGenerationOverlap starts two store-less runs of one
+// generation, each with a single variant to measure, whose Progress
+// callbacks each wait up to 10 s for the other's. Each run measures on
+// stacks forked for it, so neither waits for the other to finish.
+func TestRunsOfOneGenerationOverlap(t *testing.T) {
+	e := mustNew(t, Config{Workers: 2})
+	if _, err := e.Characterizer(uarch.Skylake); err != nil {
+		t.Fatal(err)
+	}
+	reached := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var wg sync.WaitGroup
+	for i, name := range testOnly[:2] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progress := func(done, total int, _ string) {
+				close(reached[i])
+				select {
+				case <-reached[1-i]:
+				case <-time.After(10 * time.Second):
+					t.Errorf("the run of %s waited 10 s for the other run to make progress", name)
+				}
+			}
+			if _, err := e.CharacterizeArch(uarch.Skylake, RunOptions{Only: []string{name}, Progress: progress}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestInvalidGenerationIsAnError checks every request-facing engine entry
@@ -591,7 +622,7 @@ func TestFlightReleasedOnPanic(t *testing.T) {
 }
 
 // TestShardPanicReachesCaller: with two workers the variants are measured
-// on pooled forks, each on its own goroutine. A panicking Progress callback
+// on two forks, each on its own goroutine. A panicking Progress callback
 // there must surface as a panic on the caller's goroutine (where the
 // flight release and the service's recovery can see it), not kill the
 // process, and the same request afterwards returns a fresh engine's result.

@@ -1,0 +1,62 @@
+package measure
+
+import (
+	"testing"
+
+	"uopsinfo/internal/asmgen"
+	"uopsinfo/internal/isa"
+	"uopsinfo/internal/pipesim"
+	"uopsinfo/internal/uarch"
+)
+
+// portUsageKernel is the longest kernel a full-ISA characterization builds:
+// 256 instances of one blocking instruction followed by the instruction
+// under test.
+func portUsageKernel(arch *uarch.Arch) asmgen.Sequence {
+	set := arch.InstrSet()
+	blocker := asmgen.MustInst(set.Lookup("PSHUFD_XMM_XMM_I8"), asmgen.RegOperand(isa.XMM1), asmgen.RegOperand(isa.XMM2), asmgen.ImmOperand(0x1b))
+	kernel := make(asmgen.Sequence, 256, 257)
+	for i := range kernel {
+		kernel[i] = blocker
+	}
+	return append(kernel, asmgen.MustInst(set.Lookup("MOVQ2DQ_XMM_MM"), asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.MM0)))
+}
+
+// BenchmarkMeasure is the harness rung: one Measure of the 257-instruction
+// port-usage kernel on Skylake, which takes its short and its long reading.
+// recalled measures on a Machine whose reading table holds both from an
+// earlier measurement; simulated hands the Machine an empty table before
+// each measurement, untimed, so it simulates both (and builds its two
+// rename templates again).
+func BenchmarkMeasure(b *testing.B) {
+	arch := uarch.Get(uarch.Skylake)
+	kernel := portUsageKernel(arch)
+	rung := func(fresh bool) func(*testing.B) {
+		return func(b *testing.B) {
+			m := pipesim.New(arch)
+			h := New(m)
+			if _, err := h.Measure(kernel); err != nil {
+				b.Fatal(err)
+			}
+			sim0, rec0 := m.Readings()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fresh {
+					b.StopTimer()
+					m.SetTable(pipesim.NewTable())
+					b.StartTimer()
+				}
+				if _, err := h.Measure(kernel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			sim, rec := m.Readings()
+			b.ReportMetric(float64(sim-sim0)/float64(b.N), "simulated/op")
+			b.ReportMetric(float64(rec-rec0)/float64(b.N), "recalled/op")
+		}
+	}
+	b.Run("recalled", rung(false))
+	b.Run("simulated", rung(true))
+}

@@ -18,15 +18,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/core"
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
+	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure/remote"
+	"uopsinfo/internal/pipesim"
 	"uopsinfo/internal/uarch"
 	"uopsinfo/internal/xmlout"
 )
@@ -308,6 +313,81 @@ func TestMeasureEndpointCounters(t *testing.T) {
 	}
 	if strings.Contains(stats, `"measureBatches": 0,`) {
 		t.Errorf("worker served no measurement batches:\n%s", stats)
+	}
+}
+
+// TestMeasureEndpointRunnersCarryNothing: one worker answers interleaved
+// /v1/measure requests from 4 goroutines — a DIV_R64 kernel under both
+// divider regimes and a plain kernel — on the warm runners of its free
+// list. Each answer must equal a fresh Machine's reading under the
+// request's regime: a reused runner carries no regime from an earlier
+// request, and no two requests share one (the race detector watches). The
+// free list keeps the runners: at most one per request in flight.
+func TestMeasureEndpointRunnersCarryNothing(t *testing.T) {
+	svc, _ := newTestService(t, engine.Config{})
+	arch := uarch.Get(uarch.Skylake)
+	set := arch.InstrSet()
+	div := asmgen.MustInst(set.Lookup("DIV_R64"), asmgen.RegOperand(isa.RBX))
+	add := asmgen.MustInst(set.Lookup("ADD_R64_R64"), asmgen.RegOperand(isa.RAX), asmgen.RegOperand(isa.RBX))
+	load := asmgen.MustInst(set.Lookup("MOV_R64_M64"), asmgen.RegOperand(isa.RCX), asmgen.MemOperand(isa.RSI, 0x2040))
+	copies := []int{2, 12}
+	type query struct {
+		code asmgen.Sequence
+		div  pipesim.DividerValues
+		body []byte
+		want []pipesim.Counters
+	}
+	queries := []*query{
+		{code: asmgen.Sequence{div}, div: pipesim.SlowDividerValues},
+		{code: asmgen.Sequence{div}, div: pipesim.FastDividerValues},
+		{code: asmgen.Sequence{add, load}, div: pipesim.SlowDividerValues},
+	}
+	for _, q := range queries {
+		m := pipesim.New(arch)
+		m.SetDividerValues(q.div)
+		want, err := m.RunCopies(q.code, copies...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.want = want
+		q.body = remote.AppendRequest(nil, "skylake", q.div, q.code, copies)
+	}
+	if reflect.DeepEqual(queries[0].want, queries[1].want) {
+		t.Fatal("DIV_R64 reads the same under both regimes; the test could not see a carried regime")
+	}
+
+	const goroutines, rounds = 4, 12
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				q := queries[(g+round)%len(queries)]
+				rec := httptest.NewRecorder()
+				svc.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/measure", bytes.NewReader(q.body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("POST /v1/measure = %d: %s", rec.Code, rec.Body)
+					return
+				}
+				resp, err := remote.ParseResponse(rec.Body.Bytes())
+				if err != nil || resp.Error != "" {
+					t.Errorf("answer %s: %v %s", rec.Body, err, resp.Error)
+					return
+				}
+				got := make([]pipesim.Counters, len(resp.Counters))
+				for i, c := range resp.Counters {
+					got[i] = pipesim.Counters(c)
+				}
+				if !reflect.DeepEqual(got, q.want) {
+					t.Errorf("goroutine %d round %d, regime %d: answered %+v, a fresh Machine reads %+v", g, round, q.div, got, q.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(svc.runners[uarch.Skylake]); n < 1 || n > goroutines {
+		t.Errorf("the free list keeps %d Skylake runners after %d concurrent requesters, want 1 to %d", n, goroutines, goroutines)
 	}
 }
 

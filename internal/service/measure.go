@@ -1,11 +1,11 @@
 // POST /v1/measure: the measurement endpoint of a fleet worker. The body is
 // one kernel with its copy counts and a generation; the response carries
 // one raw simulator Counters per copy count. Both are read and written by
-// package remote's hand-written codec. Execution rides the engine's pooled
-// measurement stacks (one warm harness per concurrent request, checked out
-// for the duration of the request), the kernel is handed with all its copy
-// counts to measure.RunCopies, and the endpoint sits behind the service's
-// rate limiter like every other non-probe endpoint. A kernel that cannot be
+// package remote's hand-written codec. Each request takes a warm runner of
+// its generation from the service's free list (takeRunner) and puts it
+// back afterwards, the kernel is handed with all its copy counts to
+// measure.RunCopies, and the endpoint sits behind the service's rate
+// limiter like every other non-probe endpoint. A kernel that cannot be
 // measured (unknown variant, operand mismatch, simulator rejection) is a
 // deterministic property of the request and is reported inside a 200
 // response, so a fleet client never retries it; only a malformed body, an
@@ -26,6 +26,7 @@ import (
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/measure/remote"
 	"uopsinfo/internal/pipesim"
+	"uopsinfo/internal/uarch"
 )
 
 // maxMeasureBatch bounds the copy counts accepted in one request; the fleet
@@ -114,22 +115,17 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	var cs []pipesim.Counters
 	if req.Err == nil {
-		pool, err := s.eng.SequencePool(req.Arch.Gen())
+		gen := req.Arch.Gen()
+		runner, err := s.takeRunner(gen)
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		h, _, err := pool.Get()
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		defer pool.Put(h)
-		runner := h.Runner()
 		if setter, ok := runner.(dividerValueSetter); ok {
 			setter.SetDividerValues(req.Div)
 		}
 		cs, req.Err = measure.RunCopies(runner, req.Kernel, req.Copies...)
+		s.putRunner(gen, runner)
 	}
 	errMsg := ""
 	if req.Err != nil {
@@ -146,4 +142,37 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// fleet-internal traffic where body size is latency.
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Write(remote.AppendResponse(buf.Bytes()[:0], s.servingFingerprint(), cs, errMsg))
+}
+
+// takeRunner returns a runner of gen for one /v1/measure request to own
+// until putRunner: a warm one from the free list if there is one, a new
+// one from the engine otherwise. Every request sets the runner's divider
+// regime, and a runner is a pure function of its kernel and regime
+// (measure.Runner), so a warm runner reads what a new one would; it keeps
+// the rename templates and arenas that a new one builds again. Runners are
+// never dropped, so a generation keeps as many as it ever had requests in
+// flight at once.
+func (s *Service) takeRunner(gen uarch.Generation) (measure.Runner, error) {
+	s.runnersMu.Lock()
+	free := s.runners[gen]
+	if n := len(free); n > 0 {
+		r := free[n-1]
+		s.runners[gen] = free[:n-1]
+		s.runnersMu.Unlock()
+		return r, nil
+	}
+	s.runnersMu.Unlock()
+	h, err := s.eng.Harness(gen)
+	if err != nil {
+		return nil, err
+	}
+	return h.Runner(), nil
+}
+
+// putRunner hands a runner taken with takeRunner back to gen's free list. A
+// request whose measurement panicked never hands its runner back.
+func (s *Service) putRunner(gen uarch.Generation, r measure.Runner) {
+	s.runnersMu.Lock()
+	s.runners[gen] = append(s.runners[gen], r)
+	s.runnersMu.Unlock()
 }

@@ -21,7 +21,7 @@ type seriesFamily struct {
 }
 
 // wantSeries is the exposition of a service over an engine with a store and
-// a 2-worker loopback fleet, after one run: 42 families, 49 samples. Scrape
+// a 2-worker loopback fleet, after one run: 40 families, 47 samples. Scrape
 // pipelines and dashboards key on these names, types and label keys, so a
 // change here is an API change.
 var wantSeries = map[string]seriesFamily{
@@ -29,8 +29,6 @@ var wantSeries = map[string]seriesFamily{
 	"uopsd_engine_blocking_misses_total":      {"counter", "Blocking-set store misses.", []string{""}},
 	"uopsd_engine_coalesced_waiters_total":    {"counter", "Requests that attached to an in-flight identical run.", []string{""}},
 	"uopsd_engine_memory_hits_total":          {"counter", "Per-variant records answered from the engine's memory of earlier store reads.", []string{""}},
-	"uopsd_engine_pool_forked_total":          {"counter", "Worker stacks built fresh by the fork pools.", []string{""}},
-	"uopsd_engine_pool_reused_total":          {"counter", "Worker stacks reused warm from the fork pools.", []string{""}},
 	"uopsd_engine_reading_bytes":              {"gauge", "Bytes charged to the readings the engine's reading table holds.", []string{""}},
 	"uopsd_engine_reading_drops_total":        {"counter", "Times the engine's reading table dropped its readings whole to make room.", []string{""}},
 	"uopsd_engine_reading_hits_total":         {"counter", "Simulator readings answered from the engine's reading table.", []string{""}},
@@ -140,8 +138,8 @@ func TestMetricsSeries(t *testing.T) {
 	for _, f := range got {
 		samples += len(f.labels)
 	}
-	if len(got) != 42 || samples != 49 {
-		t.Errorf("exposition has %d families and %d samples, want 42 and 49", len(got), samples)
+	if len(got) != 40 || samples != 47 {
+		t.Errorf("exposition has %d families and %d samples, want 40 and 47", len(got), samples)
 	}
 	names := make([]string, 0, len(got))
 	for name := range got {

@@ -153,6 +153,11 @@ type Service struct {
 	// ?quick) in two formats, 36 bodies in all.
 	bodiesMu sync.Mutex
 	bodies   map[string][]byte
+
+	// runnersMu guards runners, the free list of warm measurement runners
+	// of each generation behind POST /v1/measure (see takeRunner).
+	runnersMu sync.Mutex
+	runners   map[uarch.Generation][]measure.Runner
 }
 
 // iacaEntry builds one generation's analyzers exactly once, like the
@@ -175,6 +180,7 @@ func New(cfg Config) (*Service, error) {
 		serving:   servingInfo(cfg.Engine),
 		iacaCache: make(map[uarch.Generation]*iacaEntry),
 		bodies:    make(map[string][]byte),
+		runners:   make(map[uarch.Generation][]measure.Runner),
 	}
 	s.fingerprint = fingerprintOf(s.serving)
 	if cfg.RateLimit > 0 {
