@@ -31,16 +31,6 @@ func (k OperandKind) String() string {
 	return fmt.Sprintf("OperandKind(%d)", int(k))
 }
 
-// ParseOperandKind converts a kind name back into an OperandKind.
-func ParseOperandKind(s string) OperandKind {
-	for k, n := range operandKindNames {
-		if n == s {
-			return k
-		}
-	}
-	return OpNone
-}
-
 // Operand describes one (explicit or implicit) operand of an instruction
 // variant. An operand can be both a source and a destination (Read and Write
 // both set), which is common for the first operand of two-operand arithmetic

@@ -97,8 +97,8 @@ func (c RegClass) IsVector() bool {
 	return false
 }
 
-// ParseRegClass converts a class name as used in the spec files back into a
-// RegClass. Unknown names yield ClassNone.
+// ParseRegClass converts a class name as used in the generator tables of the
+// xedspec package back into a RegClass. Unknown names yield ClassNone.
 func ParseRegClass(s string) RegClass {
 	for c, n := range regClassNames {
 		if n == s {

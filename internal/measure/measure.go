@@ -251,17 +251,3 @@ func (h *Harness) withOverhead(c pipesim.Counters) pipesim.Counters {
 	}
 	return c
 }
-
-// MeasureThroughputPerInstr measures the average cycles per instruction for a
-// sequence of independent instruction instances: the per-copy cycle count
-// divided by the sequence length (Definition 2 in the paper).
-func (h *Harness) MeasureThroughputPerInstr(code asmgen.Sequence) (float64, error) {
-	res, err := h.Measure(code)
-	if err != nil {
-		return 0, err
-	}
-	if len(code) == 0 {
-		return 0, fmt.Errorf("measure: empty code sequence")
-	}
-	return res.Cycles / float64(len(code)), nil
-}

@@ -72,27 +72,11 @@ func TestMeasureLatencyChain(t *testing.T) {
 	}
 }
 
-func TestMeasureThroughputPerInstr(t *testing.T) {
-	t.Parallel()
-	h, arch := skylakeHarness(DefaultConfig())
-	seq := addSequence(t, arch, 8)
-	tp, err := h.MeasureThroughputPerInstr(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp < 0.2 || tp > 0.4 {
-		t.Errorf("ADD throughput = %.3f c/i, want about 0.25", tp)
-	}
-}
-
 func TestMeasureEmptySequence(t *testing.T) {
 	t.Parallel()
 	h, _ := skylakeHarness(DefaultConfig())
 	if _, err := h.Measure(nil); err == nil {
 		t.Error("Measure accepted an empty sequence")
-	}
-	if _, err := h.MeasureThroughputPerInstr(nil); err == nil {
-		t.Error("MeasureThroughputPerInstr accepted an empty sequence")
 	}
 }
 

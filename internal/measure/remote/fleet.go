@@ -9,13 +9,13 @@ package remote
 // out of the pool while it is backed off or probed. A send that fails
 // (transport error, non-200, an answer that is malformed or longer than
 // maxResponseBody, drifted fingerprint or wire version, or no answer within
-// requestTimeout) is sent again on the next free slot, up to
-// MaxAttempts sends; a slow request that answers in time is waited for. The
+// requestTimeout) is sent again on the next free slot, up to maxAttempts
+// (4) sends; a slow request that answers in time is waited for. The
 // failed slot rests on a goroutine of its own before it goes back: a
 // backoff, then /healthz probes once its worker reached unhealthyAfter
-// consecutive failures. A call that gives up (call timeout, or fleet closed)
-// cancels its request in flight. Calls never share a request: a caller that
-// finds no free slot waits for one.
+// consecutive failures. A call that gives up (callTimeout, 5 minutes, or
+// fleet closed) cancels its request in flight. Calls never share a request:
+// a caller that finds no free slot waits for one.
 
 import (
 	"bytes"
@@ -41,17 +41,18 @@ type Options struct {
 	// generation. A run over k generations can therefore keep up to
 	// k × InFlight requests on one worker. <= 0 selects 4.
 	InFlight int
-	// MaxAttempts bounds how many times one measurement is sent: its
-	// MaxAttempts-th transient failure fails it. <= 0 selects 4.
-	MaxAttempts int
-	// CallTimeout bounds how long one Run call waits for its result across
-	// all retries; a call that times out cancels its request. <= 0 selects
-	// 5m.
-	CallTimeout time.Duration
 	// Client, if non-nil, is the HTTP client used for measurement requests
 	// and probes. Each request is bounded by the 2-minute request timeout,
 	// and by the client's own Timeout if that is shorter.
 	Client *http.Client
+
+	// maxAttempts bounds how many times one measurement is sent: its
+	// maxAttempts-th transient failure fails it. <= 0 selects 4.
+	maxAttempts int
+	// callTimeout bounds how long one Run call waits for its result across
+	// all retries; a call that times out cancels its request. <= 0 selects
+	// 5m. Only tests set these two, to fail fast.
+	callTimeout time.Duration
 }
 
 const (
@@ -66,11 +67,11 @@ func (o Options) withDefaults() Options {
 	if o.InFlight <= 0 {
 		o.InFlight = 4
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
+	if o.maxAttempts <= 0 {
+		o.maxAttempts = 4
 	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 5 * time.Minute
+	if o.callTimeout <= 0 {
+		o.callTimeout = 5 * time.Minute
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -152,7 +153,7 @@ func (f *fleet) pool(gen string) chan *worker {
 // body is body, and returns one Counters per copy count.
 func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 	pool := f.pool(gen)
-	ctx, cancel := context.WithTimeout(f.ctx, f.opts.CallTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, f.opts.callTimeout)
 	defer cancel()
 	f.seqs.Add(int64(n))
 	failures := 0
@@ -186,8 +187,8 @@ func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 		f.errors.Add(1)
 		go f.rest(w, pool)
 		failures++
-		if failures >= f.opts.MaxAttempts {
-			return nil, fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.MaxAttempts, err)
+		if failures >= f.opts.maxAttempts {
+			return nil, fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.maxAttempts, err)
 		}
 		f.retries.Add(int64(n))
 	}
@@ -199,7 +200,7 @@ func (f *fleet) gaveUp() error {
 	if f.ctx.Err() != nil {
 		return errFleetClosed
 	}
-	return fmt.Errorf("remote: measurement timed out after %v", f.opts.CallTimeout)
+	return fmt.Errorf("remote: measurement timed out after %v", f.opts.callTimeout)
 }
 
 // counters converts a successful response. The error of a kernel the worker

@@ -526,7 +526,7 @@ func TestFingerprintDriftIsTransient(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fw := newFakeWorker(t, "pipesim@1", "aaaa")
-			configure(t, Options{MaxAttempts: 2}, fw)
+			configure(t, Options{maxAttempts: 2}, fw)
 			tc.drift(fw)
 			r := newRunner(t)
 			_, err := r.Run(testSequence(t))
@@ -619,7 +619,7 @@ func TestCallTimeout(t *testing.T) {
 		return false
 	}
 	defer close(release)
-	configure(t, Options{CallTimeout: 100 * time.Millisecond, InFlight: 1}, fw)
+	configure(t, Options{callTimeout: 100 * time.Millisecond, InFlight: 1}, fw)
 	r := newRunner(t)
 	_, err := r.Run(testSequence(t))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {

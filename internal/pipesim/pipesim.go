@@ -1525,19 +1525,3 @@ func choosePort(avail uint16, load *[maxPorts]int32) int {
 	}
 	return best
 }
-
-// Validate checks that every instruction in the sequence belongs to the
-// machine's instruction set. Run does not check this, and the harness does
-// not call Validate: the characterization code builds its sequences from the
-// machine's own instruction set. It is for callers holding sequences from
-// elsewhere.
-func (m *Machine) Validate(code asmgen.Sequence) error {
-	set := m.arch.InstrSet()
-	for i, inst := range code {
-		if set.Lookup(inst.Variant.Name) == nil {
-			return fmt.Errorf("pipesim: %s: instruction %d (%s) is not available on this microarchitecture",
-				m.arch.Name(), i, inst.Variant.Name)
-		}
-	}
-	return nil
-}

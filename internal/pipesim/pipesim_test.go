@@ -293,25 +293,6 @@ func TestCountersPortTotalsConsistent(t *testing.T) {
 	_ = arch
 }
 
-func TestValidateRejectsUnsupportedInstruction(t *testing.T) {
-	t.Parallel()
-	nehalem := uarch.Get(uarch.Nehalem)
-	skl := uarch.Get(uarch.Skylake)
-	m := New(nehalem)
-	vadd := skl.InstrSet().Lookup("VADDPS_YMM_YMM_YMM")
-	if vadd == nil {
-		t.Fatal("VADDPS_YMM_YMM_YMM not found on Skylake")
-	}
-	seq := asmgen.Sequence{asmgen.MustInst(vadd,
-		asmgen.RegOperand(isa.YMM0), asmgen.RegOperand(isa.YMM1), asmgen.RegOperand(isa.YMM2))}
-	if err := m.Validate(seq); err == nil {
-		t.Fatal("Validate accepted an AVX instruction on Nehalem")
-	}
-	if err := New(skl).Validate(seq); err != nil {
-		t.Fatalf("Validate rejected a valid Skylake sequence: %v", err)
-	}
-}
-
 func TestAESDECOperandPairLatencies(t *testing.T) {
 	t.Parallel()
 	// Section 7.3.1: on Sandy Bridge, a chain through the first operand of

@@ -2,16 +2,19 @@ package xedspec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"uopsinfo/internal/isa"
 )
 
-// Builder accumulates datafile entries. Generator functions (gen_base.go,
+// Builder accumulates instruction variants. Generator functions (gen_base.go,
 // gen_vector.go) use its helper methods to emit instruction variants in a
 // uniform naming scheme: MNEMONIC_<OPTOKEN>[_<OPTOKEN>...], where operand
 // tokens are R8/R16/R32/R64, M<width>, I<width>, XMM, YMM, MM.
 type Builder struct {
-	entries []*Entry
-	seen    map[string]bool
+	instrs []*isa.Instr
+	seen   map[string]bool
 }
 
 // NewBuilder returns an empty Builder.
@@ -19,129 +22,88 @@ func NewBuilder() *Builder {
 	return &Builder{seen: make(map[string]bool)}
 }
 
-// Entries returns the accumulated entries.
-func (b *Builder) Entries() []*Entry { return b.entries }
-
-// add registers the entry, deriving its variant name from the mnemonic and
-// explicit operand tokens if the name is empty. Duplicate names panic: the
-// generator is static data, so a duplicate is a programming error.
-func (b *Builder) add(e *Entry) *Entry {
-	if e.Name == "" {
-		e.Name = variantName(e.Mnemonic, e.Operands, e.Attrs)
+// variantName derives the canonical variant name from a variant's mnemonic,
+// prefixes and explicit operands.
+func variantName(in *isa.Instr) string {
+	name := in.Mnemonic
+	if in.HasLock {
+		name = "LOCK_" + name
 	}
-	if b.seen[e.Name] {
-		panic(fmt.Sprintf("xedspec: duplicate generated variant %q", e.Name))
+	if in.HasRep {
+		name = "REP_" + name
 	}
-	b.seen[e.Name] = true
-	b.entries = append(b.entries, e)
-	return e
-}
-
-// variantName derives the canonical variant name from a mnemonic and its
-// explicit operands.
-func variantName(mnemonic string, ops []EntryOperand, attrs []string) string {
-	name := strings.ReplaceAll(mnemonic, " ", "_")
-	for _, a := range attrs {
-		if a == AttrLock {
-			name = "LOCK_" + name
-		}
-		if a == AttrRep {
-			name = "REP_" + name
-		}
-	}
-	for _, op := range ops {
-		if op.Implicit {
-			continue
-		}
+	for _, op := range in.ExplicitOperands() {
 		name += "_" + opToken(op)
 	}
 	return name
 }
 
 // opToken renders the operand-type token used in variant names.
-func opToken(op EntryOperand) string {
-	switch op.Kind {
-	case "REG":
-		switch op.Class {
-		case "GPR8":
-			return "R8"
-		case "GPR16":
-			return "R16"
-		case "GPR32":
-			return "R32"
-		case "GPR64":
-			return "R64"
-		case "XMM":
-			return "XMM"
-		case "YMM":
-			return "YMM"
-		case "ZMM":
-			return "ZMM"
-		case "MMX":
-			return "MM"
-		}
-		return "R?"
-	case "MEM":
-		return fmt.Sprintf("M%d", op.Width)
-	case "IMM":
-		return fmt.Sprintf("I%d", op.Width)
-	case "FLAGS":
-		return "FLAGS"
+func opToken(op isa.Operand) string {
+	switch {
+	case op.Kind == isa.OpMem:
+		return "M" + strconv.Itoa(op.Width)
+	case op.Kind == isa.OpImm:
+		return "I" + strconv.Itoa(op.Width)
+	case op.Class == isa.ClassMMX:
+		return "MM"
+	case op.Class.IsGPR():
+		return "R" + strconv.Itoa(op.Width)
 	}
-	return "?"
+	return op.Class.String() // XMM, YMM, ZMM
 }
 
-// Operand construction helpers (datafile level).
-
-func reg(class string, read, write bool) EntryOperand {
-	return EntryOperand{Kind: "REG", Class: class, Width: classWidth(class), Read: read, Write: write}
-}
-
-func mem(width int, read, write bool) EntryOperand {
-	return EntryOperand{Kind: "MEM", Width: width, Read: read, Write: write}
-}
-
-func imm(width int) EntryOperand {
-	return EntryOperand{Kind: "IMM", Width: width, Read: true}
-}
-
-func flags(readSet, writeSet string) EntryOperand {
-	return EntryOperand{
-		Name: "FLAGS", Kind: "FLAGS", Width: 32,
-		Read: readSet != "" && readSet != "-", Write: writeSet != "" && writeSet != "-",
-		Implicit: true, ReadFlags: readSet, WriteFlags: writeSet,
+// known returns v, what an isa parser made of name, and panics unless v
+// renders back as name. The parsers map a name they do not know to a default
+// (ClassNone, DomainInt, RegNone, a set without the flag); in the generator
+// tables such a name is a typo, and it must fail loudly.
+func known[T fmt.Stringer](what, name string, v T) T {
+	if v.String() != name {
+		panic(fmt.Sprintf("xedspec: unknown %s %q", what, name))
 	}
+	return v
 }
 
-func impReg(regName, class string, read, write bool) EntryOperand {
-	return EntryOperand{
-		Kind: "REG", Class: class, Width: classWidth(class),
-		Read: read, Write: write, Implicit: true, FixedReg: regName, Name: regName,
-	}
+// Operand construction helpers. The names of the explicit operands are set
+// by instr.
+
+func reg(class string, read, write bool) isa.Operand {
+	return isa.RegOp("", known("register class", class, isa.ParseRegClass(class)), read, write)
 }
 
-func classWidth(class string) int {
-	switch class {
-	case "GPR8":
-		return 8
-	case "GPR16":
-		return 16
-	case "GPR32":
-		return 32
-	case "GPR64":
-		return 64
-	case "XMM":
-		return 128
-	case "YMM":
-		return 256
-	case "ZMM":
-		return 512
-	case "MMX":
-		return 64
-	case "FLAGS":
-		return 32
+func mem(width int, read, write bool) isa.Operand {
+	return isa.MemOp("", width, read, write)
+}
+
+func imm(width int) isa.Operand {
+	return isa.ImmOp("", width)
+}
+
+// flags returns the implicit status-flags operand reading and writing the
+// given "+"-joined flag names ("" for none).
+func flags(readSet, writeSet string) isa.Operand {
+	return isa.FlagsOp(flagSet(readSet), flagSet(writeSet))
+}
+
+func flagSet(names string) isa.FlagSet {
+	var set isa.FlagSet
+	if names == "" {
+		return set
 	}
-	return 0
+	for _, name := range strings.Split(names, "+") {
+		set |= known("flag", name, isa.ParseFlagSet(name))
+	}
+	return set
+}
+
+// impReg returns the implicit operand of the fixed register regName, which
+// must be of the given class.
+func impReg(regName, class string, read, write bool) isa.Operand {
+	op := isa.ImplicitRegOp(known("register", regName, isa.ParseReg(regName)), read, write)
+	if c := known("register class", class, isa.ParseRegClass(class)); op.Class != c {
+		panic(fmt.Sprintf("xedspec: register %s is not of class %s", regName, class))
+	}
+	return op
 }
 
 // gprClass maps a width in bits to the general-purpose register class name.
@@ -159,21 +121,65 @@ func gprClass(width int) string {
 	panic(fmt.Sprintf("xedspec: no GPR class of width %d", width))
 }
 
-// instr emits a single variant. Operand names op1, op2, ... are assigned to
-// the explicit operands in order; implicit operands keep their own names.
-func (b *Builder) instr(mnemonic, ext, domain string, attrs []string, ops ...EntryOperand) *Entry {
-	e := &Entry{Mnemonic: mnemonic, Extension: ext, Domain: domain, Attrs: attrs}
-	expl := 0
-	for _, op := range ops {
-		if !op.Implicit {
-			expl++
-			op.Name = fmt.Sprintf("op%d", expl)
-		} else if op.Name == "" {
-			op.Name = op.FixedReg
-		}
-		e.Operands = append(e.Operands, op)
+// Attribute names of the generator tables. instr sets one isa.Instr boolean
+// for each (AttrDivider sets UsesDivider, AttrZeroIdiom MayZeroIdiom, ...).
+const (
+	AttrSystem      = "system"
+	AttrSerializing = "serializing"
+	AttrControlFlow = "control-flow"
+	AttrDivider     = "divider"
+	AttrNOP         = "nop"
+	AttrZeroIdiom   = "zero-idiom"
+	AttrMoveElim    = "move-elim"
+	AttrLock        = "lock"
+	AttrRep         = "rep"
+)
+
+// instr emits a single variant. Attribute names set the variant's booleans,
+// the explicit operands are named op1, op2, ... in order (implicit operands
+// keep their own names), and the variant is named from its mnemonic and
+// explicit operands. An unknown domain or attribute and a duplicate variant
+// name panic: the generator is static data, so each is a programming error.
+func (b *Builder) instr(mnemonic, ext, domain string, attrs []string, ops ...isa.Operand) {
+	in := &isa.Instr{
+		Mnemonic:  mnemonic,
+		Extension: isa.Extension(ext),
+		Domain:    known("domain", domain, isa.ParseDomain(domain)),
+		Operands:  append([]isa.Operand(nil), ops...), // named below: not the caller's slice
 	}
-	return b.add(e)
+	for _, a := range attrs {
+		switch a {
+		case AttrSystem:
+			in.IsSystem = true
+		case AttrSerializing:
+			in.IsSerializing = true
+		case AttrControlFlow:
+			in.ControlFlow = true
+		case AttrDivider:
+			in.UsesDivider = true
+		case AttrNOP:
+			in.IsNOP = true
+		case AttrZeroIdiom:
+			in.MayZeroIdiom = true
+		case AttrMoveElim:
+			in.MayMoveElim = true
+		case AttrLock:
+			in.HasLock = true
+		case AttrRep:
+			in.HasRep = true
+		default:
+			panic(fmt.Sprintf("xedspec: %s: unknown attribute %q", mnemonic, a))
+		}
+	}
+	for i := range in.ExplicitOperands() {
+		in.Operands[i].Name = "op" + strconv.Itoa(i+1)
+	}
+	in.Name = variantName(in)
+	if b.seen[in.Name] {
+		panic(fmt.Sprintf("xedspec: duplicate generated variant %q", in.Name))
+	}
+	b.seen[in.Name] = true
+	b.instrs = append(b.instrs, in)
 }
 
 // attrs is a small helper to build attribute lists.
@@ -183,12 +189,10 @@ func attrs(names ...string) []string { return names }
 // status-flag set; shifts and rotates read the flags they conditionally
 // preserve, which creates the implicit input dependency the paper discusses.
 const (
-	flagsAll   = "CF+PF+AF+ZF+SF+OF"
-	flagsNoAF  = "CF+PF+ZF+SF+OF"
-	flagsNoCF  = "PF+AF+ZF+SF+OF"
-	flagsCF    = "CF"
-	flagsCFOF  = "CF+OF"
-	flagsZF    = "ZF"
-	flagsNone  = "-"
-	flagsCarry = "CF"
+	flagsAll  = "CF+PF+AF+ZF+SF+OF"
+	flagsNoAF = "CF+PF+ZF+SF+OF"
+	flagsNoCF = "PF+AF+ZF+SF+OF"
+	flagsCF   = "CF"
+	flagsCFOF = "CF+OF"
+	flagsZF   = "ZF"
 )

@@ -1,3 +1,14 @@
+// Package xedspec generates the x86-64 instruction set the characterization
+// tool works on.
+//
+// The paper extracts its instruction information from the configuration files
+// of Intel's X86 Encoder Decoder (XED) and converts it into a simplified
+// instruction model (Section 6.1). This package plays the role of those
+// configuration files: its generator tables (gen_base.go, gen_vector.go)
+// describe every instruction variant, and the Builder turns each into an
+// isa.Instr of that model.
+//
+//uopslint:deterministic
 package xedspec
 
 import (
@@ -6,14 +17,15 @@ import (
 	"uopsinfo/internal/isa"
 )
 
-// Generate produces the datafile entries for the complete instruction set
-// (all extensions). Per-microarchitecture instruction sets are obtained by
-// filtering on the extensions a generation supports (see the uarch package).
-func Generate() []*Entry {
+// Generate produces every variant of the complete instruction set (all
+// extensions), in emission order. Per-microarchitecture instruction sets are
+// obtained by filtering on the extensions a generation supports (see the
+// uarch package).
+func Generate() []*isa.Instr {
 	b := NewBuilder()
 	genBase(b)
 	genVector(b)
-	return b.Entries()
+	return b.instrs
 }
 
 var (
@@ -26,7 +38,7 @@ var (
 // built once and cached; the returned set must be treated as read-only.
 func FullISA() (*isa.Set, error) {
 	fullSetOnce.Do(func() {
-		fullSet, fullSetErr = ToISA(Generate())
+		fullSet, fullSetErr = isa.NewSet(Generate())
 	})
 	return fullSet, fullSetErr
 }
@@ -39,10 +51,4 @@ func MustFullISA() *isa.Set {
 		panic(err)
 	}
 	return set
-}
-
-// Datafile renders the complete generated instruction set in the datafile
-// text format. The output round-trips through ParseDatafile.
-func Datafile() string {
-	return FormatDatafile(Generate())
 }

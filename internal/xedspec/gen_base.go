@@ -1,5 +1,7 @@
 package xedspec
 
+import "uopsinfo/internal/isa"
+
 // genBase emits the scalar integer (non-vector) part of the instruction set:
 // the BASE, BMI, ADX and SYSTEM extensions.
 func genBase(b *Builder) {
@@ -328,7 +330,7 @@ func genBitOps(b *Builder) {
 
 // genStack emits push/pop variants.
 func genStack(b *Builder) {
-	rsp := func(read, write bool) EntryOperand { return impReg("RSP", "GPR64", read, write) }
+	rsp := func(read, write bool) isa.Operand { return impReg("RSP", "GPR64", read, write) }
 	for _, w := range []int{16, 64} {
 		cls := gprClass(w)
 		b.instr("PUSH", "BASE", "INT", nil, reg(cls, true, false), rsp(true, true))
@@ -358,8 +360,8 @@ func genFlagsOps(b *Builder) {
 // genMisc emits NOPs, PAUSE and miscellaneous instructions.
 func genMisc(b *Builder) {
 	b.instr("NOP", "BASE", "INT", attrs(AttrNOP))
-	e := b.instr("NOP", "BASE", "INT", attrs(AttrNOP), reg("GPR32", true, false))
-	e.Name = "NOP_R32" // multi-byte NOP with a register operand form
+	// Multi-byte NOP with a register operand form.
+	b.instr("NOP", "BASE", "INT", attrs(AttrNOP), reg("GPR32", true, false))
 	b.instr("PAUSE", "BASE", "INT", nil)
 	b.instr("MFENCE", "BASE", "INT", attrs(AttrSerializing))
 	b.instr("LFENCE", "BASE", "INT", attrs(AttrSerializing))

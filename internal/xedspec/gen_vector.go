@@ -1,5 +1,7 @@
 package xedspec
 
+import "uopsinfo/internal/isa"
+
 // genVector emits the MMX, SSE*, AES, CLMUL, AVX, AVX2, FMA and F16C parts of
 // the instruction set.
 func genVector(b *Builder) {
@@ -18,8 +20,8 @@ func genVector(b *Builder) {
 // sseBinary emits a two-operand SSE-style instruction (op1 is read and
 // written) in register and memory forms.
 func sseBinary(b *Builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
-	ops := []EntryOperand{reg("XMM", true, true), reg("XMM", true, false)}
-	memOps := []EntryOperand{reg("XMM", true, true), mem(memWidth, true, false)}
+	ops := []isa.Operand{reg("XMM", true, true), reg("XMM", true, false)}
+	memOps := []isa.Operand{reg("XMM", true, true), mem(memWidth, true, false)}
 	if extraImm {
 		ops = append(ops, imm(8))
 		memOps = append(memOps, imm(8))
@@ -31,8 +33,8 @@ func sseBinary(b *Builder, mnemonic, ext, domain string, at []string, memWidth i
 // sseUnary emits a two-operand SSE-style instruction where op1 is write-only
 // (shuffles, conversions, square roots, ...).
 func sseUnary(b *Builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
-	ops := []EntryOperand{reg("XMM", false, true), reg("XMM", true, false)}
-	memOps := []EntryOperand{reg("XMM", false, true), mem(memWidth, true, false)}
+	ops := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false)}
+	memOps := []isa.Operand{reg("XMM", false, true), mem(memWidth, true, false)}
 	if extraImm {
 		ops = append(ops, imm(8))
 		memOps = append(memOps, imm(8))
@@ -46,8 +48,8 @@ func sseUnary(b *Builder, mnemonic, ext, domain string, at []string, memWidth in
 // memory variant for the last operand.
 func avxBinary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
 	emit := func(cls string, memWidth int) {
-		ops := []EntryOperand{reg(cls, false, true), reg(cls, true, false), reg(cls, true, false)}
-		memOps := []EntryOperand{reg(cls, false, true), reg(cls, true, false), mem(memWidth, true, false)}
+		ops := []isa.Operand{reg(cls, false, true), reg(cls, true, false), reg(cls, true, false)}
+		memOps := []isa.Operand{reg(cls, false, true), reg(cls, true, false), mem(memWidth, true, false)}
 		if extraImm {
 			ops = append(ops, imm(8))
 			memOps = append(memOps, imm(8))
@@ -65,8 +67,8 @@ func avxBinary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bo
 // read) in XMM and optionally YMM forms, each with a memory variant.
 func avxUnary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
 	emit := func(cls string, memWidth int) {
-		ops := []EntryOperand{reg(cls, false, true), reg(cls, true, false)}
-		memOps := []EntryOperand{reg(cls, false, true), mem(memWidth, true, false)}
+		ops := []isa.Operand{reg(cls, false, true), reg(cls, true, false)}
+		memOps := []isa.Operand{reg(cls, false, true), mem(memWidth, true, false)}
 		if extraImm {
 			ops = append(ops, imm(8))
 			memOps = append(memOps, imm(8))
@@ -498,12 +500,12 @@ func genAVX(b *Builder) {
 		if zeroIdiom {
 			at = attrs(AttrZeroIdiom)
 		}
-		ops := []EntryOperand{reg("XMM", false, true), reg("XMM", true, false), reg("XMM", true, false)}
-		memOps := []EntryOperand{reg("XMM", false, true), reg("XMM", true, false), mem(128, true, false)}
+		ops := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false), reg("XMM", true, false)}
+		memOps := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false), mem(128, true, false)}
 		b.instr(mnemonic, "AVX", "VECINT", at, ops...)
 		b.instr(mnemonic, "AVX", "VECINT", nil, memOps...)
-		yops := []EntryOperand{reg("YMM", false, true), reg("YMM", true, false), reg("YMM", true, false)}
-		ymemOps := []EntryOperand{reg("YMM", false, true), reg("YMM", true, false), mem(256, true, false)}
+		yops := []isa.Operand{reg("YMM", false, true), reg("YMM", true, false), reg("YMM", true, false)}
+		ymemOps := []isa.Operand{reg("YMM", false, true), reg("YMM", true, false), mem(256, true, false)}
 		b.instr(mnemonic, "AVX2", "VECINT", at, yops...)
 		b.instr(mnemonic, "AVX2", "VECINT", nil, ymemOps...)
 	}

@@ -1,27 +1,53 @@
 package xedspec
 
 import (
-	"strings"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
-	"testing/quick"
 
 	"uopsinfo/internal/isa"
 )
 
 func TestGenerateProducesLargeSet(t *testing.T) {
-	entries := Generate()
-	if len(entries) < 1500 {
-		t.Fatalf("generated only %d variants, expected well over 1500", len(entries))
+	instrs := Generate()
+	if len(instrs) < 1500 {
+		t.Fatalf("generated only %d variants, expected well over 1500", len(instrs))
 	}
 	seen := make(map[string]bool)
-	for _, e := range entries {
-		if e.Name == "" || e.Mnemonic == "" || e.Extension == "" {
-			t.Fatalf("incomplete entry: %+v", e)
+	for _, in := range instrs {
+		if in.Name == "" || in.Mnemonic == "" || in.Extension == "" {
+			t.Fatalf("incomplete variant: %+v", in)
 		}
-		if seen[e.Name] {
-			t.Fatalf("duplicate variant name %s", e.Name)
+		if seen[in.Name] {
+			t.Fatalf("duplicate variant name %s", in.Name)
 		}
-		seen[e.Name] = true
+		seen[in.Name] = true
+	}
+}
+
+// fullISAVariants and fullISADigest pin the generated instruction set: the
+// number of variants and the sha256 over the Go-syntax dump of every variant
+// (name, mnemonic, extension, domain, attributes, and each operand's kind,
+// class, width, access, implicit mark, fixed register and flag sets), in
+// insertion order. A change to the generator tables that moves them changes
+// the instruction model every generation characterizes.
+const (
+	fullISAVariants = 2067
+	fullISADigest   = "ff40b96c265401eaf46f2748f5e5c860939d636b217822206e5cd35350d4ec93"
+)
+
+func TestFullISAGolden(t *testing.T) {
+	set := MustFullISA()
+	if set.Len() != fullISAVariants {
+		t.Errorf("full ISA has %d variants, want %d", set.Len(), fullISAVariants)
+	}
+	h := sha256.New()
+	for _, in := range set.Instrs() {
+		fmt.Fprintf(h, "%#v\n", *in)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fullISADigest {
+		t.Errorf("full ISA digest %s, want %s", got, fullISADigest)
 	}
 }
 
@@ -83,79 +109,6 @@ func TestGeneratedAttributesAreConsistent(t *testing.T) {
 	}
 }
 
-func TestDatafileRoundTrip(t *testing.T) {
-	entries := Generate()
-	text := FormatDatafile(entries)
-	parsed, err := ParseDatafile(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != len(entries) {
-		t.Fatalf("round trip lost entries: %d != %d", len(parsed), len(entries))
-	}
-	// Compare via the ISA conversion (the canonical model).
-	orig, err := ToISA(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ToISA(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orig.Len() != back.Len() {
-		t.Fatalf("ISA conversion count mismatch: %d != %d", orig.Len(), back.Len())
-	}
-	for _, in := range orig.Instrs() {
-		b := back.Lookup(in.Name)
-		if b == nil {
-			t.Errorf("variant %s missing after datafile round trip", in.Name)
-			continue
-		}
-		if b.Mnemonic != in.Mnemonic || b.Extension != in.Extension || len(b.Operands) != len(in.Operands) {
-			t.Errorf("variant %s differs after datafile round trip", in.Name)
-		}
-	}
-}
-
-func TestFromISARoundTrip(t *testing.T) {
-	set := MustFullISA()
-	entries := FromISA(set)
-	back, err := ToISA(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != set.Len() {
-		t.Fatalf("FromISA/ToISA round trip lost variants: %d != %d", back.Len(), set.Len())
-	}
-	for _, in := range set.Instrs() {
-		b := back.Lookup(in.Name)
-		if b == nil {
-			t.Fatalf("variant %s lost", in.Name)
-		}
-		if b.UsesDivider != in.UsesDivider || b.MayZeroIdiom != in.MayZeroIdiom ||
-			b.IsSystem != in.IsSystem || b.HasLock != in.HasLock || b.HasRep != in.HasRep {
-			t.Errorf("variant %s attributes differ after round trip", in.Name)
-		}
-	}
-}
-
-func TestParseDatafileErrors(t *testing.T) {
-	cases := []string{
-		"asm: ADD\n",                         // line outside INSTR block
-		"INSTR A\nINSTR B\nEND\n",            // nested INSTR
-		"END\n",                              // END without INSTR
-		"INSTR A\nasm: ADD\n",                // unterminated block
-		"INSTR A\n  op x\nEND\n",             // operand line too short
-		"INSTR A\n  op x REG width=z\nEND\n", // bad width
-		"INSTR A\n  weird line\nEND\n",       // unknown line
-	}
-	for _, text := range cases {
-		if _, err := ParseDatafile(text); err == nil {
-			t.Errorf("ParseDatafile accepted invalid input %q", text)
-		}
-	}
-}
-
 func TestVariantNamingConvention(t *testing.T) {
 	set := MustFullISA()
 	add := set.Lookup("ADD_R64_M64")
@@ -176,37 +129,30 @@ func TestVariantNamingConvention(t *testing.T) {
 	}
 }
 
-// Property: formatting and re-parsing a single entry preserves its operand
-// count, attributes and naming for a randomly selected subset of the
-// generated entries.
-func TestEntryFormatParseProperty(t *testing.T) {
-	entries := Generate()
-	f := func(idx uint16) bool {
-		e := entries[int(idx)%len(entries)]
-		parsed, err := ParseDatafile(e.Format())
-		if err != nil || len(parsed) != 1 {
-			return false
-		}
-		p := parsed[0]
-		if p.Name != e.Name || p.Mnemonic != e.Mnemonic || p.Extension != e.Extension {
-			return false
-		}
-		if len(p.Operands) != len(e.Operands) || len(p.Attrs) != len(e.Attrs) {
-			return false
-		}
-		return true
+// TestUnknownTableNamesPanic gives each table helper one name it does not
+// know. The isa parsers would map each to a default (ClassNone, DomainInt, a
+// set without the flag, no attribute, RegNone); the helpers must panic
+// instead, so a typo in the generator tables cannot change the set silently.
+func TestUnknownTableNamesPanic(t *testing.T) {
+	cases := []struct {
+		name string
+		emit func()
+	}{
+		{"register class", func() { reg("GPR65", true, false) }},
+		{"domain", func() { NewBuilder().instr("PADDB", "SSE2", "VECTINT", nil) }},
+		{"flag", func() { flags("", "CF+ZX") }},
+		{"attribute", func() { NewBuilder().instr("XOR", "BASE", "INT", attrs("zero-idom")) }},
+		{"register", func() { impReg("RXX", "GPR64", true, false) }},
+		{"register of another class", func() { impReg("RAX", "GPR32", true, false) }},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDatafileHasHeaderComment(t *testing.T) {
-	text := Datafile()
-	if !strings.HasPrefix(text, "#") {
-		t.Error("datafile should start with a comment header")
-	}
-	if !strings.Contains(text, "INSTR ADD_R64_R64") {
-		t.Error("datafile should contain ADD_R64_R64")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("unknown %s did not panic", c.name)
+				}
+			}()
+			c.emit()
+		})
 	}
 }
