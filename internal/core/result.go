@@ -36,7 +36,12 @@ type PortUsage map[string]float64
 // feeds ordered output or floating-point accumulation goes through Keys:
 // map iteration order must never reach a result.
 func (pu PortUsage) Keys() []string {
-	keys := make([]string, 0, len(pu))
+	return pu.appendKeys(make([]string, 0, len(pu)))
+}
+
+// appendKeys appends the keys to keys in Keys order and returns the
+// extended slice.
+func (pu PortUsage) appendKeys(keys []string) []string {
 	for k := range pu {
 		keys = append(keys, k)
 	}
@@ -60,7 +65,10 @@ func (pu PortUsage) String() string {
 	if len(pu) == 0 {
 		return "0"
 	}
-	keys := pu.Keys()
+	// A usage has a few keys (at most 5 over the ISA), which the stack
+	// array holds; append spills a larger one to the heap.
+	var buf [16]string
+	keys := pu.appendKeys(buf[:0])
 	var b strings.Builder
 	b.Grow(16 * len(keys))
 	for i, k := range keys {

@@ -14,7 +14,7 @@ import (
 // same machine as Skylake (TestCountersGolden's digests for the three are
 // equal), so they simulate nothing.
 var sharedReadings = map[uarch.Generation]int{
-	uarch.Skylake:    2496,
+	uarch.Skylake:    2320,
 	uarch.KabyLake:   0,
 	uarch.CoffeeLake: 0,
 }
@@ -34,14 +34,14 @@ func TestReadingTableSharedAcrossGenerations(t *testing.T) {
 // differ only in the SSE/AVX penalty (Nehalem charges none and Sandy Bridge
 // 70 cycles, Haswell 70 and Skylake none), so the second simulates only
 // what the first did not read: the variants they decode differently and
-// the kernels that can pay the penalty. Alone, Sandy Bridge simulates 2276
-// readings and Skylake 2496 (TestCountersGolden).
+// the kernels that can pay the penalty. Alone, Sandy Bridge simulates 2142
+// readings and Skylake 2320 (TestCountersGolden).
 var penaltyReadings = [][2]struct {
 	gen       uarch.Generation
 	simulated int
 }{
-	{{uarch.Nehalem, 1600}, {uarch.SandyBridge, 1436}},
-	{{uarch.Haswell, 2458}, {uarch.Skylake, 1400}},
+	{{uarch.Nehalem, 1476}, {uarch.SandyBridge, 1418}},
+	{{uarch.Haswell, 2282}, {uarch.Skylake, 1366}},
 }
 
 // TestReadingTableSharedAcrossPenalties runs the pairs of penaltyReadings,
@@ -53,6 +53,26 @@ func TestReadingTableSharedAcrossPenalties(t *testing.T) {
 		pinReadings(t, map[uarch.Generation]int{pair[0].gen: pair[0].simulated, pair[1].gen: pair[1].simulated},
 			pair[0].gen, pair[1].gen)
 	}
+}
+
+// portReadings pins, as penaltyReadings does, the readings simulated when
+// one fresh engine at one worker characterizes every 16th variant of Sandy
+// Bridge and then of Haswell. Their records differ only in the port count
+// (6 and 8), which the reading key leaves out, so Haswell simulates only
+// the kernels whose templates differ from Sandy Bridge's. Alone, Haswell
+// simulates 2282 readings (TestCountersGolden).
+var portReadings = map[uarch.Generation]int{
+	uarch.SandyBridge: 2142,
+	uarch.Haswell:     1984,
+}
+
+// TestReadingTableSharedAcrossPortCounts runs the characterizations of
+// portReadings on one engine, Sandy Bridge first, pins each generation's
+// simulated readings, and requires each generation's XML to equal that of a
+// fresh engine.
+func TestReadingTableSharedAcrossPortCounts(t *testing.T) {
+	t.Parallel()
+	pinReadings(t, portReadings, uarch.SandyBridge, uarch.Haswell)
 }
 
 // pinReadings characterizes every 16th variant of each of gens in turn on

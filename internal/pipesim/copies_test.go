@@ -108,6 +108,30 @@ func memoPairs(t testing.TB, arch *uarch.Arch) [][2]*asmgen.Inst {
 	}
 }
 
+// sharePairs returns pairs of instances of different variants that the
+// reading key must not tell apart, because rename reads of them only what
+// they have in common: the same template (the two widths of one operation
+// decode alike on every generation), the same decoding and the same
+// register families. The pairs are a plain ALU operation, a zero idiom and
+// an eliminable move, each at 32 and at 64 bits.
+func sharePairs(t testing.TB, arch *uarch.Arch) [][2]*asmgen.Inst {
+	var pairs [][2]*asmgen.Inst
+	for _, p := range []struct {
+		op           string
+		dst32, src32 isa.Reg
+	}{{"ADD", isa.EAX, isa.ECX}, {"XOR", isa.EAX, isa.EAX}, {"MOV", isa.EAX, isa.ECX}} {
+		narrow, wide := arch.InstrSet().Lookup(p.op+"_R32_R32"), arch.InstrSet().Lookup(p.op+"_R64_R64")
+		if narrow == nil || wide == nil {
+			t.Fatalf("%s_R32_R32 or %s_R64_R64 missing on %s", p.op, p.op, arch.Name())
+		}
+		pairs = append(pairs, [2]*asmgen.Inst{
+			asmgen.MustInst(narrow, asmgen.RegOperand(p.dst32), asmgen.RegOperand(p.src32)),
+			asmgen.MustInst(wide, asmgen.RegOperand(p.dst32.Family()), asmgen.RegOperand(p.src32.Family())),
+		})
+	}
+	return pairs
+}
+
 // penaltyPair returns a YMM AVX instance and a legacy SSE instance, built on
 // Sandy Bridge, that decode alike on Haswell and on Skylake: a kernel of the
 // two reads differently on those two generations only through the SSE/AVX
@@ -123,8 +147,8 @@ func penaltyPair() []*asmgen.Inst {
 // fuzzPool is instrPool and the penaltyPair (every generation simulates
 // it, AVX or not), plus every instance of the first 32 instructions of each
 // bench shape that it lacks (compared by assembly text), so a fuzz input of
-// byte indices can spell out the shapes' prefixes, and then the memoPairs,
-// each pair at two adjacent indices.
+// byte indices can spell out the shapes' prefixes, and then the memoPairs
+// and the sharePairs, each pair at two adjacent indices.
 func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 	pool := append(instrPool(t, arch), penaltyPair()...)
 	seen := make(map[string]bool)
@@ -139,7 +163,7 @@ func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 			}
 		}
 	}
-	for _, p := range memoPairs(t, arch) {
+	for _, p := range append(memoPairs(t, arch), sharePairs(t, arch)...) {
 		pool = append(pool, p[0], p[1])
 	}
 	return pool
@@ -163,6 +187,11 @@ func fuzzPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 // penaltyPair's YMM AVX and legacy SSE instances, which pays the SSE/AVX
 // penalty, and a second of the SSE instance alone, which cannot, read on
 // Haswell and then on Skylake, whose records differ only in the penalty.
+// Last come, for each generation and share pair, a first kernel of 32
+// copies of the pair's first instance and a second of 32 copies of its
+// second, which recalls the first's readings, and the penalty input read on
+// Sandy Bridge and then on Haswell, whose records differ only in the port
+// count.
 func FuzzRunCopies(f *testing.F) {
 	archs := uarch.All()
 	pools := make([][]*asmgen.Inst, len(archs))
@@ -184,9 +213,15 @@ func FuzzRunCopies(f *testing.F) {
 		f.Add(seed)
 		f.Add(append([]byte{byte(i<<2 | 3)}, seed[1:]...))
 	}
+	// pairIndex is the pool index of the first instance of pair j of
+	// memoPairs followed by sharePairs, on generation g.
+	memoCount := len(memoPairs(f, archs[0]))
+	pairIndex := func(g, j int) byte {
+		pairs := memoCount + len(sharePairs(f, archs[g]))
+		return byte(len(pools[g]) - 2*(pairs-j))
+	}
 	memoSeed := func(g, j int) []byte {
-		pairs := len(memoPairs(f, archs[g]))
-		first := byte(len(pools[g]) - 2*(pairs-j))
+		first := pairIndex(g, j)
 		seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{first}, 32)...)
 		return append(seed, bytes.Repeat([]byte{first, first + 1}, 16)...)
 	}
@@ -204,9 +239,19 @@ func FuzzRunCopies(f *testing.F) {
 	}
 	pair := penaltyPair()
 	avx, sse := index[pair[0].String()], index[pair[1].String()]
-	seed := append([]byte{byte(uarch.Haswell << 2)}, bytes.Repeat([]byte{avx, sse}, 16)...)
-	seed = append(seed, bytes.Repeat([]byte{sse}, 32)...)
-	f.Add(append(seed, byte(uarch.Skylake)))
+	penaltySeed := func(g uarch.Generation) []byte {
+		seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{avx, sse}, 16)...)
+		return append(seed, bytes.Repeat([]byte{sse}, 32)...)
+	}
+	f.Add(append(penaltySeed(uarch.Haswell), byte(uarch.Skylake)))
+	for g, arch := range archs {
+		for j := range sharePairs(f, arch) {
+			first := pairIndex(g, memoCount+j)
+			seed := append([]byte{byte(g << 2)}, bytes.Repeat([]byte{first}, 32)...)
+			f.Add(append(seed, bytes.Repeat([]byte{first + 1}, 32)...))
+		}
+	}
+	f.Add(append(penaltySeed(uarch.SandyBridge), byte(uarch.Haswell)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -45,15 +45,15 @@ var goldenCounterDigests = map[uarch.Generation]string{
 // table) or recalls more moves it; the digests above say whether the
 // counters stayed exact.
 var goldenReadings = map[uarch.Generation][2]int{
-	uarch.Nehalem:     {1600, 1112},
-	uarch.Westmere:    {1630, 1118},
-	uarch.SandyBridge: {2276, 1622},
-	uarch.IvyBridge:   {2248, 1636},
-	uarch.Haswell:     {2458, 2428},
-	uarch.Broadwell:   {2468, 2424},
-	uarch.Skylake:     {2496, 2542},
-	uarch.KabyLake:    {2496, 2542},
-	uarch.CoffeeLake:  {2496, 2542},
+	uarch.Nehalem:     {1476, 1236},
+	uarch.Westmere:    {1506, 1242},
+	uarch.SandyBridge: {2142, 1756},
+	uarch.IvyBridge:   {2104, 1780},
+	uarch.Haswell:     {2282, 2604},
+	uarch.Broadwell:   {2292, 2600},
+	uarch.Skylake:     {2320, 2718},
+	uarch.KabyLake:    {2320, 2718},
+	uarch.CoffeeLake:  {2320, 2718},
 }
 
 // foldRunner is a measure.CopiesRunner that folds every reading's sequence

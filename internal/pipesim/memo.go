@@ -3,6 +3,7 @@ package pipesim
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"uopsinfo/internal/asmgen"
@@ -18,42 +19,58 @@ import (
 //
 // The table is exact because a reading is a function of its key:
 //
-//   - rename reads, per instance, the rename template of its variant and
-//     the instance's explicit registers and memory operands. The registers
-//     pick the template's shape (explicitRegsEqual compares whole
-//     registers, so AL and AX differ though their family is the same),
-//     and the register families, the memory base families and the memory
-//     addresses are the dependencies it renames. Addresses are only ever
-//     compared with each other, as memBoard keys, so numbering them by
-//     first use in the kernel preserves every comparison. Immediates and
-//     instance identity play no part. Rename also reads the copy count,
-//     the divider regime (templates hold latencies and divider occupancies
-//     for both regimes) and the machine record's SSE/AVX penalty; the
-//     variant's µops (Perf), the port count and the load latency reach it
-//     only through the template.
+//   - rename reads, per instance, the rename template of its variant, the
+//     decoding it picks (shapeOf: the same-register one when the registers
+//     the template selects are equal, which explicitRegsEqual decides on
+//     whole registers, so XOR AL, AL is a zero idiom and XOR AL, AX is
+//     not), and the instance's explicit operands. Of a register it reads
+//     only the family: the scoreboard, the produced marks of move
+//     elimination and the base of a memory operand are all indexed by
+//     family, so ADD EAX, ECX renames as ADD RAX, RCX does. RegNone is its
+//     own family, and a register operand that names it is skipped. Memory
+//     addresses are only ever compared with each other, as memBoard keys,
+//     so numbering them by first use in the kernel preserves every
+//     comparison. Immediates and instance identity play no part. Rename
+//     also reads the copy count, the divider regime (templates hold
+//     latencies and divider occupancies for both regimes) and the machine
+//     record's SSE/AVX penalty; the variant's µops (Perf), the port count
+//     and the load latency reach it only through the template.
 //   - The penalty reaches a reading only through rename, which adds it
 //     when a legacy SSE instance follows one that dirtied the upper
 //     halves. A kernel without both an sseAVXDirty and an sseAVXSSE
 //     template never pays it, at any copy count, so its readings are the
 //     same under every penalty.
 //   - execute reads only the renamed arena and the machine record: the
-//     port count, the issue width, SchedulerSize and MaxCycles.
+//     port count, the issue width, SchedulerSize and MaxCycles. The port
+//     count reaches a reading only as the length of Counters.PortUops. A
+//     µop dispatches only to a port of its mask, and portMaskFor built the
+//     masks below the count, which the template ids encode; the allPorts
+//     early exit of the dispatch walk only ends a walk that readyUnion
+//     would end at its next µop, so it never changes which µop
+//     dispatches. So two records that differ only in the port count read
+//     a kernel alike but for the length of PortUops, and a reading holds
+//     zeros past the highest port of its kernel's masks: recall cuts or
+//     pads the stored PortUops to the reading Machine's own port count
+//     (decodeCounters, which race builds check).
 //   - Everything else a Machine keeps across runs is reset before each run
 //     (checkResetInvariants pins it), except what the simulation never
 //     reads (the table and the key scratch), the rename templates, which
 //     hold facts of the variants only, and the temp slots, which tempGen
 //     invalidates by epoch.
 //
-// So a reading's key is the machine record without the penalty
-// (uarch.Machine with SchedulerSize and MaxCycles, encoded once per Machine
-// by appendRecKey), the copy count, the divider regime, per run of one
-// repeated instance the template's id, the explicit registers and memory
-// operands (addresses numbered by first use) and the run length, and last
-// the penalty the kernel can pay: the record's if it holds both a dirtying
-// and a legacy SSE template, else 0. The regime and the penalty are in the
+// So a reading's key is the machine record without the port count and the
+// penalty (the issue width, the load latency, SchedulerSize and MaxCycles,
+// encoded once per Machine by appendRecKey), the copy count, the divider
+// regime, per run of one repeated instance the template's id, the decoding,
+// the explicit operands' register families and memory operands (base family
+// and address, numbered by first use) and the run length, and last the
+// penalty the kernel can pay: the record's if it holds both a dirtying and a
+// legacy SSE template, else 0. The regime and the penalty are in the
 // kernel's key (appendKernelKey), the regime because SetDividerValues
 // changes it on a live Machine. A template's SSE/AVX kind is part of its
-// content, so its id says which kind it is.
+// content, so its id says which kind it is. The load latency, too, reaches
+// a reading only through the templates, but every modelled generation has
+// the same, so keeping it in the record costs no sharing.
 //
 // Template ids are the table's, not a Machine's: the table interns each
 // template's content (appendTmplKey), so an id names one template in every
@@ -68,11 +85,15 @@ import (
 // with equal records whose instances bind templates of equal content run
 // the same simulation, whatever generation each was made for. So Kaby Lake
 // recalls what Skylake simulated, because in this model they are the same
-// machine, while a generation whose record or µops differ gets other keys.
-// Records that differ only in the penalty share every reading of a kernel
-// that cannot pay it: Skylake recalls what Haswell simulated of the
-// variants they decode alike, and Sandy Bridge what Nehalem did.
-// Errors name the generation, and failed readings are never stored.
+// machine, while a record that differs in more than the port count and the
+// penalty, or a variant whose µops differ, gets other keys. Records that
+// differ only in the penalty share every
+// reading of a kernel that cannot pay it: Skylake recalls what Haswell
+// simulated of the variants they decode alike, and Sandy Bridge what
+// Nehalem did. Records that differ only in the port count share every
+// reading of a kernel whose templates agree: Haswell recalls Sandy Bridge's
+// PADDD kernels, with eight entries of PortUops. Errors name the
+// generation, and failed readings are never stored.
 //
 // The readings take at most tableBudget bytes, charged per entry as the
 // key, the encoded counters and entryOverhead. An entry that does not fit
@@ -144,7 +165,9 @@ func (t *Table) intern(key []byte) int32 {
 }
 
 // recall fills out[i] for every count copies[i] the table holds a reading
-// of, under one lock, and sets m.missed to the indices of the others.
+// of, under one lock, and sets m.missed to the indices of the others. A
+// recalled reading's PortUops has the Machine's own port count, whatever
+// the count of the Machine that stored it.
 func (m *Machine) recall(copies []int, out []Counters) {
 	m.missed = m.missed[:0]
 	t := m.table
@@ -157,7 +180,7 @@ func (m *Machine) recall(copies []int, out []Counters) {
 			m.missed = append(m.missed, i)
 			continue
 		}
-		out[i] = decodeCounters(t.vals[off:])
+		out[i] = decodeCounters(t.vals[off:], m.rec.NumPorts)
 		t.hits++
 		m.recalled++
 	}
@@ -210,10 +233,11 @@ func (t *Table) store(key []byte, c Counters) {
 }
 
 // appendRecKey appends to b the encoding of the machine record r, all but
-// its SSE/AVX penalty, which appendKernelKey adds only for a kernel that can
-// pay it.
+// its port count, which a reading holds only as the length of PortUops
+// (recall gives it the reader's), and its SSE/AVX penalty, which
+// appendKernelKey adds only for a kernel that can pay it.
 func appendRecKey(b []byte, r record) []byte {
-	for _, v := range [...]int{r.NumPorts, r.IssueWidth, r.LoadLatency, r.schedulerSize, r.maxCycles} {
+	for _, v := range [...]int{r.IssueWidth, r.LoadLatency, r.schedulerSize, r.maxCycles} {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	return b
@@ -265,15 +289,18 @@ func (m *Machine) appendKernelKey(b []byte, code asmgen.Sequence) []byte {
 }
 
 // appendInstKey appends to b what rename reads of inst, whose variant's
-// template is m.tmpls[ti]: the template's table-global id, then per
-// explicit operand the register and the memory operand's base register and
-// address id, the address numbered by first use in the kernel.
+// template is m.tmpls[ti]: the template's table-global id, the decoding
+// rename picks (shapeOf), the operand count, then per explicit operand the
+// register's family (RegNone, its own family, for none) and the memory
+// operand's base family and address id, the address numbered by first use
+// in the kernel.
 func (m *Machine) appendInstKey(b []byte, ti int32, inst *asmgen.Inst) []byte {
 	b = binary.AppendUvarint(b, uint64(m.tableIDs[ti]))
+	b = append(b, byte(m.tmpls[ti].shapeOf(inst)))
 	b = binary.AppendUvarint(b, uint64(len(inst.Ops)))
 	for i := range inst.Ops {
 		op := &inst.Ops[i]
-		b = binary.AppendVarint(b, int64(op.Reg))
+		b = binary.AppendVarint(b, int64(op.Reg.Family()))
 		if op.Mem == nil {
 			b = append(b, 0)
 			continue
@@ -284,7 +311,7 @@ func (m *Machine) appendInstKey(b []byte, ti int32, inst *asmgen.Inst) []byte {
 			m.addrIDs[op.Mem.Addr] = id
 		}
 		b = append(b, 1)
-		b = binary.AppendVarint(b, int64(op.Mem.Base))
+		b = binary.AppendVarint(b, int64(op.Mem.Base.Family()))
 		b = binary.AppendUvarint(b, uint64(id))
 	}
 	return b
@@ -338,17 +365,25 @@ func flagBits(flags ...bool) byte {
 }
 
 // decodeCounters returns a fresh copy of the reading encoded at the start
-// of b.
-func decodeCounters(b []byte) Counters {
+// of b, with numPorts entries of PortUops: the stored ones, then zeros. A
+// reading stored by a Machine with more ports holds zeros past numPorts
+// (memo.go); race builds panic if it does not.
+func decodeCounters(b []byte, numPorts int) Counters {
 	next := func() int {
 		v, n := binary.Varint(b)
 		b = b[n:]
 		return int(v)
 	}
 	c := Counters{Cycles: next(), TotalUops: next(), IssuedUops: next(), ElimUops: next()}
-	c.PortUops = make([]int, next())
-	for p := range c.PortUops {
-		c.PortUops[p] = next()
+	stored := next()
+	c.PortUops = make([]int, numPorts)
+	for p := range stored {
+		v := next()
+		if p < numPorts {
+			c.PortUops[p] = v
+		} else if raceEnabled && v != 0 {
+			panic(fmt.Sprintf("pipesim: a recalled reading dispatched %d µops to port %d, beyond the %d of the reading machine", v, p, numPorts))
+		}
 	}
 	return c
 }

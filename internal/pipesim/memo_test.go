@@ -277,6 +277,35 @@ func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 	}
 }
 
+// TestDecodeCountersFitsPortCount decodes one stored reading at fewer, as
+// many and more ports than it holds, and requires the stored entries up to
+// the port count and zeros after them. In race builds a nonzero entry past
+// the port count must panic: recalled there, the reading would lose µops.
+func TestDecodeCountersFitsPortCount(t *testing.T) {
+	t.Parallel()
+	c := Counters{Cycles: 9, TotalUops: 3, IssuedUops: 4, ElimUops: 1, PortUops: []int{1, 0, 2, 0, 0, 0, 0, 0}}
+	b := appendCounters(nil, c)
+	for _, ports := range []int{6, 8, 10} {
+		want := c
+		want.PortUops = make([]int, ports)
+		copy(want.PortUops, c.PortUops)
+		if got := decodeCounters(b, ports); !countersEqual(got, want) {
+			t.Errorf("%d ports: %+v, want %+v", ports, got, want)
+		}
+	}
+	if !raceEnabled {
+		return
+	}
+	c.PortUops[7] = 5
+	b = appendCounters(nil, c)
+	defer func() {
+		if recover() == nil {
+			t.Error("decoding 5 µops on port 7 at 6 ports did not panic")
+		}
+	}()
+	decodeCounters(b, 6)
+}
+
 // TestMemoStaysWithinBudget streams distinct kernels through one Machine
 // whose table has a 64 KiB budget, so that the stream outgrows it, and
 // requires the table never to hold more than its budget, to have been

@@ -590,6 +590,16 @@ type renameTmpl struct {
 	sseAVX   sseAVXKind
 }
 
+// shapeOf returns the index in t.shapes of the decoding rename picks for
+// inst: 1 when t has a same-register decoding and the registers it selects
+// are equal, else 0.
+func (t *renameTmpl) shapeOf(inst *asmgen.Inst) int {
+	if t.sameRegs != 0 && explicitRegsEqual(inst, t.sameRegs) {
+		return 1
+	}
+	return 0
+}
+
 // templateFor returns the index of the variant's rename template, building
 // it on the first occurrence per Machine and interning its content in the
 // table. A template whose table id this Machine built before is dropped
@@ -840,10 +850,7 @@ func (m *Machine) rename(code asmgen.Sequence, copies int) int {
 					ti = m.templateFor(inst.Variant)
 				}
 				t = &m.tmpls[ti]
-				shape = t.shapes[0]
-				if t.sameRegs != 0 && explicitRegsEqual(inst, t.sameRegs) {
-					shape = t.shapes[1]
-				}
+				shape = t.shapes[t.shapeOf(inst)]
 			}
 
 			// SSE/AVX transition penalty (Section 5.1.1 explains why blocking
@@ -992,10 +999,17 @@ func (m *Machine) renameRead(inst *asmgen.Inst, r tmplRef, dom domain) {
 			m.readIdx = append(m.readIdx, m.liveInMem(mem.Addr, dom))
 		}
 	case refFlags:
+		// Flags written together share one value (renameWrite), so a value
+		// is appended once per run of flags that map to it; a repeat would
+		// only double a pending count that one wake clears.
 		flags := isa.FlagSet(r.arg)
+		last := int32(-1)
 		for f := isa.Flag(0); f < isa.NumFlags; f++ {
 			if flags.Has(f) {
-				m.readIdx = append(m.readIdx, m.liveInFlag(f))
+				if v := m.liveInFlag(f); v != last {
+					m.readIdx = append(m.readIdx, v)
+					last = v
+				}
 			}
 		}
 	}
@@ -1041,14 +1055,16 @@ func (m *Machine) renameWrite(inst *asmgen.Inst, r tmplRef, dom domain, lat int3
 		m.memBoard[mem.Addr] = v
 		m.appendWrite(v, lat)
 	case refFlags:
+		// The flags of one write share their producer, latency and domain,
+		// so one value stands for them all. tmplRefFor drops an empty set.
+		v := m.newVal(0, false, intDomain)
 		flags := isa.FlagSet(r.arg)
 		for f := isa.Flag(0); f < isa.NumFlags; f++ {
 			if flags.Has(f) {
-				v := m.newVal(0, false, intDomain)
 				m.flagBoard[f] = v
-				m.appendWrite(v, lat)
 			}
 		}
+		m.appendWrite(v, lat)
 	}
 }
 

@@ -228,9 +228,11 @@ func TestTableSeparatesSchedulerSizes(t *testing.T) {
 // TestRecordKeyCoversEveryField changes, one at a time, every field of the
 // machine record — found by reflection, so a field added later is covered
 // too — and requires the key of a reading that can pay the SSE/AVX penalty
-// to change: the record key (appendRecKey) covers every field but the
-// penalty, and the kernel key (appendKernelKey) holds the penalty of such a
-// kernel.
+// to change: the record key (appendRecKey) covers every field but the port
+// count and the penalty, and the kernel key (appendKernelKey) holds the
+// penalty of such a kernel. The port count alone must leave the key as it
+// is: it reaches a reading only as the length of PortUops, which recall
+// fits to the reading Machine (TestTableSharedAcrossPortCounts).
 func TestRecordKeyCoversEveryField(t *testing.T) {
 	t.Parallel()
 	m := New(uarch.Get(uarch.Skylake))
@@ -242,11 +244,36 @@ func TestRecordKeyCoversEveryField(t *testing.T) {
 	base := key()
 	leafFields(reflect.ValueOf(&m.rec).Elem(), "record", func(path string, leaf reflect.Value) {
 		undo := bump(t, path, leaf)
-		if bytes.Equal(key(), base) {
+		switch same := bytes.Equal(key(), base); {
+		case path == "record.Machine.NumPorts" && !same:
+			t.Errorf("changing %s changes the reading key", path)
+		case path != "record.Machine.NumPorts" && same:
 			t.Errorf("changing %s leaves the reading key unchanged", path)
 		}
 		undo()
 	})
+}
+
+// TestTableSharesWhatRenameCannotTellApart reads, on every generation, the
+// kernels of each sharePairs pair on two Machines that share a table: a run
+// of the pair's first instance on one, then a run of its second on the
+// other. The second's readings must all be recalled, and every reading
+// must equal Run of the materialized copies on a private Machine.
+func TestTableSharesWhatRenameCannotTellApart(t *testing.T) {
+	t.Parallel()
+	for _, arch := range uarch.All() {
+		for _, p := range sharePairs(t, arch) {
+			first, second := New(arch), New(arch)
+			second.SetTable(first.table)
+			a, b := repeatInst(p[0], 4), repeatInst(p[1], 4)
+			checkReading(t, first, a, runReading(arch, Config{}, a), arch.Name()+", "+p[0].String())
+			checkReading(t, second, b, runReading(arch, Config{}, b), arch.Name()+", "+p[1].String())
+			if sim, rec := second.Readings(); sim != 0 || rec != len(copyCounts) {
+				t.Errorf("%s: %s after %s: %d readings simulated and %d recalled, want 0 and %d",
+					arch.Name(), p[1], p[0], sim, rec, len(copyCounts))
+			}
+		}
+	}
 }
 
 // TestPenaltyKeyedOnlyWhereItIsPaid runs two Machines of one generation
@@ -295,6 +322,63 @@ func TestPenaltyKeyedOnlyWhereItIsPaid(t *testing.T) {
 	if b.Cycles-a.Cycles != penalty {
 		t.Errorf("{avx, sse} kernel: %d cycles with the penalty and %d without, want %d apart", b.Cycles, a.Cycles, penalty)
 	}
+}
+
+// TestTableSharedAcrossPortCounts runs a Sandy Bridge Machine (6 ports) and
+// a Haswell Machine (8 ports), whose records differ only in the port count,
+// on one table. Each recalls the readings of a PADDD_XMM_XMM kernel the
+// other took first, a chain read first on Sandy Bridge and a throughput
+// kernel read first on Haswell, with PortUops at its own port count; a
+// PMULLD_XMM_XMM kernel, whose templates differ, is simulated on both.
+// Every reading equals Run of the materialized copies on a private Machine
+// of the reading generation.
+func TestTableSharedAcrossPortCounts(t *testing.T) {
+	t.Parallel()
+	snb, hsw := uarch.Get(uarch.SandyBridge), uarch.Get(uarch.Haswell)
+	six, eight := New(snb), New(hsw)
+	eight.SetTable(six.table)
+	if six.rec.NumPorts != 6 || eight.rec.NumPorts != 8 {
+		t.Fatalf("%s has %d ports and %s %d, want 6 and 8", snb.Name(), six.rec.NumPorts, hsw.Name(), eight.rec.NumPorts)
+	}
+	if r6, r8 := six.rec, eight.rec; r6.IssueWidth != r8.IssueWidth || r6.LoadLatency != r8.LoadLatency ||
+		r6.SSEAVXPenalty != r8.SSEAVXPenalty {
+		t.Fatalf("the records %+v and %+v differ in more than the port count", r6, r8)
+	}
+	// kernel returns a kernel of the variant name on m's generation: n
+	// copies of OP XMM1, XMM2 (a chain through XMM1), or with alternate set
+	// n of OP XMM1, XMM2 and OP XMM3, XMM4 in turn (two chains, so the
+	// kernel reads throughput).
+	kernel := func(m *Machine, name string, n int, alternate bool) asmgen.Sequence {
+		in := m.arch.InstrSet().Lookup(name)
+		if in == nil {
+			t.Fatalf("%s missing on %s", name, m.arch.Name())
+		}
+		x := asmgen.MustInst(in, asmgen.RegOperand(isa.XMM1), asmgen.RegOperand(isa.XMM2))
+		if !alternate {
+			return repeatInst(x, n)
+		}
+		y := asmgen.MustInst(in, asmgen.RegOperand(isa.XMM3), asmgen.RegOperand(isa.XMM4))
+		return asmgen.Sequence{x, y}.Repeat(n / 2)
+	}
+	// read has m read the kernel and requires it to simulate sim readings
+	// and recall rec more than it had.
+	read := func(m *Machine, name string, alternate bool, sim, rec int) {
+		t.Helper()
+		k := kernel(m, name, 8, alternate)
+		sim0, rec0 := m.Readings()
+		checkReading(t, m, k, runReading(m.arch, Config{}, k), m.arch.Name()+", "+name)
+		if s, r := m.Readings(); s-sim0 != sim || r-rec0 != rec {
+			t.Errorf("%s, %s (alternate %v): %d readings simulated and %d recalled, want %d and %d",
+				m.arch.Name(), name, alternate, s-sim0, r-rec0, sim, rec)
+		}
+	}
+	n := len(copyCounts)
+	read(six, "PADDD_XMM_XMM", false, n, 0)
+	read(eight, "PADDD_XMM_XMM", false, 0, n)
+	read(eight, "PADDD_XMM_XMM", true, n, 0)
+	read(six, "PADDD_XMM_XMM", true, 0, n)
+	read(six, "PMULLD_XMM_XMM", false, n, 0)
+	read(eight, "PMULLD_XMM_XMM", false, n, 0)
 }
 
 // TestTableConcurrentForks reads one table from two forks at once, each

@@ -8,18 +8,18 @@ import (
 	"uopsinfo/internal/isa"
 )
 
-// Builder accumulates instruction variants. Generator functions (gen_base.go,
+// builder accumulates instruction variants. Generator functions (gen_base.go,
 // gen_vector.go) use its helper methods to emit instruction variants in a
 // uniform naming scheme: MNEMONIC_<OPTOKEN>[_<OPTOKEN>...], where operand
 // tokens are R8/R16/R32/R64, M<width>, I<width>, XMM, YMM, MM.
-type Builder struct {
+type builder struct {
 	instrs []*isa.Instr
 	seen   map[string]bool
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{seen: make(map[string]bool)}
+// newBuilder returns an empty builder.
+func newBuilder() *builder {
+	return &builder{seen: make(map[string]bool)}
 }
 
 // variantName derives the canonical variant name from a variant's mnemonic,
@@ -122,17 +122,17 @@ func gprClass(width int) string {
 }
 
 // Attribute names of the generator tables. instr sets one isa.Instr boolean
-// for each (AttrDivider sets UsesDivider, AttrZeroIdiom MayZeroIdiom, ...).
+// for each (attrDivider sets UsesDivider, attrZeroIdiom MayZeroIdiom, ...).
 const (
-	AttrSystem      = "system"
-	AttrSerializing = "serializing"
-	AttrControlFlow = "control-flow"
-	AttrDivider     = "divider"
-	AttrNOP         = "nop"
-	AttrZeroIdiom   = "zero-idiom"
-	AttrMoveElim    = "move-elim"
-	AttrLock        = "lock"
-	AttrRep         = "rep"
+	attrSystem      = "system"
+	attrSerializing = "serializing"
+	attrControlFlow = "control-flow"
+	attrDivider     = "divider"
+	attrNOP         = "nop"
+	attrZeroIdiom   = "zero-idiom"
+	attrMoveElim    = "move-elim"
+	attrLock        = "lock"
+	attrRep         = "rep"
 )
 
 // instr emits a single variant. Attribute names set the variant's booleans,
@@ -140,7 +140,7 @@ const (
 // keep their own names), and the variant is named from its mnemonic and
 // explicit operands. An unknown domain or attribute and a duplicate variant
 // name panic: the generator is static data, so each is a programming error.
-func (b *Builder) instr(mnemonic, ext, domain string, attrs []string, ops ...isa.Operand) {
+func (b *builder) instr(mnemonic, ext, domain string, attrs []string, ops ...isa.Operand) {
 	in := &isa.Instr{
 		Mnemonic:  mnemonic,
 		Extension: isa.Extension(ext),
@@ -149,23 +149,23 @@ func (b *Builder) instr(mnemonic, ext, domain string, attrs []string, ops ...isa
 	}
 	for _, a := range attrs {
 		switch a {
-		case AttrSystem:
+		case attrSystem:
 			in.IsSystem = true
-		case AttrSerializing:
+		case attrSerializing:
 			in.IsSerializing = true
-		case AttrControlFlow:
+		case attrControlFlow:
 			in.ControlFlow = true
-		case AttrDivider:
+		case attrDivider:
 			in.UsesDivider = true
-		case AttrNOP:
+		case attrNOP:
 			in.IsNOP = true
-		case AttrZeroIdiom:
+		case attrZeroIdiom:
 			in.MayZeroIdiom = true
-		case AttrMoveElim:
+		case attrMoveElim:
 			in.MayMoveElim = true
-		case AttrLock:
+		case attrLock:
 			in.HasLock = true
-		case AttrRep:
+		case attrRep:
 			in.HasRep = true
 		default:
 			panic(fmt.Sprintf("xedspec: %s: unknown attribute %q", mnemonic, a))

@@ -5,7 +5,7 @@
 // of Intel's X86 Encoder Decoder (XED) and converts it into a simplified
 // instruction model (Section 6.1). This package plays the role of those
 // configuration files: its generator tables (gen_base.go, gen_vector.go)
-// describe every instruction variant, and the Builder turns each into an
+// describe every instruction variant, and the builder turns each into an
 // isa.Instr of that model.
 //
 //uopslint:deterministic
@@ -22,7 +22,7 @@ import (
 // obtained by filtering on the extensions a generation supports (see the
 // uarch package).
 func Generate() []*isa.Instr {
-	b := NewBuilder()
+	b := newBuilder()
 	genBase(b)
 	genVector(b)
 	return b.instrs

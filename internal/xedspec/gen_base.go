@@ -4,7 +4,7 @@ import "uopsinfo/internal/isa"
 
 // genBase emits the scalar integer (non-vector) part of the instruction set:
 // the BASE, BMI, ADX and SYSTEM extensions.
-func genBase(b *Builder) {
+func genBase(b *builder) {
 	genALU(b)
 	genMov(b)
 	genShifts(b)
@@ -25,7 +25,7 @@ var gprWidths = []int{8, 16, 32, 64}
 
 // genALU emits the two-operand arithmetic/logic instructions in all their
 // register/memory/immediate forms.
-func genALU(b *Builder) {
+func genALU(b *builder) {
 	type aluOp struct {
 		mnemonic  string
 		readFlags string // flags read ("" for none)
@@ -51,7 +51,7 @@ func genALU(b *Builder) {
 			}
 			var at []string
 			if op.zeroIdiom {
-				at = attrs(AttrZeroIdiom)
+				at = attrs(attrZeroIdiom)
 			}
 			fl := flags(op.readFlags, flagsAll)
 			// Register-register.
@@ -88,7 +88,7 @@ func genALU(b *Builder) {
 }
 
 // genMov emits MOV, MOVSX, MOVZX, MOVSXD and MOVBE variants.
-func genMov(b *Builder) {
+func genMov(b *builder) {
 	for _, w := range gprWidths {
 		cls := gprClass(w)
 		immW := w
@@ -97,7 +97,7 @@ func genMov(b *Builder) {
 		}
 		moveElim := []string(nil)
 		if w == 32 || w == 64 {
-			moveElim = attrs(AttrMoveElim)
+			moveElim = attrs(attrMoveElim)
 		}
 		b.instr("MOV", "BASE", "INT", moveElim, reg(cls, false, true), reg(cls, true, false))
 		b.instr("MOV", "BASE", "INT", nil, reg(cls, false, true), mem(w, true, false))
@@ -130,7 +130,7 @@ func genMov(b *Builder) {
 // immediate and CL-count forms conditionally preserve flags, which makes the
 // flags an implicit input operand as well as an output (the source of the
 // multi-latency behaviour discussed in Section 7.3.5).
-func genShifts(b *Builder) {
+func genShifts(b *builder) {
 	shifts := []struct {
 		mnemonic   string
 		readsFlags bool
@@ -173,7 +173,7 @@ func genShifts(b *Builder) {
 }
 
 // genUnary emits single-operand read-modify-write instructions.
-func genUnary(b *Builder) {
+func genUnary(b *builder) {
 	for _, m := range []string{"INC", "DEC"} {
 		for _, w := range gprWidths {
 			fl := flags("", flagsNoCF) // INC/DEC preserve CF
@@ -200,7 +200,7 @@ func genUnary(b *Builder) {
 // genMulDiv emits multiplication and division variants. The divisions use the
 // non-fully-pipelined divider units and are handled specially by the latency
 // and throughput algorithms (Section 5.2.5).
-func genMulDiv(b *Builder) {
+func genMulDiv(b *builder) {
 	// One-operand forms with implicit RAX/RDX.
 	for _, m := range []string{"MUL", "IMUL"} {
 		for _, w := range gprWidths {
@@ -236,8 +236,8 @@ func genMulDiv(b *Builder) {
 			if w == 8 {
 				rdx = impReg("RDX", "GPR64", false, false)
 			}
-			b.instr(m, "BASE", "INT", attrs(AttrDivider), reg(gprClass(w), true, false), rax, rdx, fl)
-			b.instr(m, "BASE", "INT", attrs(AttrDivider), mem(w, true, false), rax, rdx, fl)
+			b.instr(m, "BASE", "INT", attrs(attrDivider), reg(gprClass(w), true, false), rax, rdx, fl)
+			b.instr(m, "BASE", "INT", attrs(attrDivider), mem(w, true, false), rax, rdx, fl)
 		}
 	}
 }
@@ -259,7 +259,7 @@ var conditionCodes = []struct {
 }
 
 // genCMOVSet emits conditional moves, conditional sets and conditional jumps.
-func genCMOVSet(b *Builder) {
+func genCMOVSet(b *builder) {
 	for _, cc := range conditionCodes {
 		for _, w := range []int{16, 32, 64} {
 			cls := gprClass(w)
@@ -270,16 +270,16 @@ func genCMOVSet(b *Builder) {
 		fl := flags(cc.reads, "")
 		b.instr("SET"+cc.suffix, "BASE", "INT", nil, reg("GPR8", false, true), fl)
 		b.instr("SET"+cc.suffix, "BASE", "INT", nil, mem(8, false, true), fl)
-		b.instr("J"+cc.suffix, "BASE", "INT", attrs(AttrControlFlow), imm(32), flags(cc.reads, ""))
+		b.instr("J"+cc.suffix, "BASE", "INT", attrs(attrControlFlow), imm(32), flags(cc.reads, ""))
 	}
-	b.instr("JMP", "BASE", "INT", attrs(AttrControlFlow), imm(32))
-	b.instr("JMP", "BASE", "INT", attrs(AttrControlFlow), reg("GPR64", true, false))
-	b.instr("CALL", "BASE", "INT", attrs(AttrControlFlow), imm(32), impReg("RSP", "GPR64", true, true))
-	b.instr("RET", "BASE", "INT", attrs(AttrControlFlow), impReg("RSP", "GPR64", true, true))
+	b.instr("JMP", "BASE", "INT", attrs(attrControlFlow), imm(32))
+	b.instr("JMP", "BASE", "INT", attrs(attrControlFlow), reg("GPR64", true, false))
+	b.instr("CALL", "BASE", "INT", attrs(attrControlFlow), imm(32), impReg("RSP", "GPR64", true, true))
+	b.instr("RET", "BASE", "INT", attrs(attrControlFlow), impReg("RSP", "GPR64", true, true))
 }
 
 // genBitOps emits bit-scan, bit-test, population-count and byte-swap variants.
-func genBitOps(b *Builder) {
+func genBitOps(b *builder) {
 	for _, m := range []string{"BSF", "BSR"} {
 		for _, w := range []int{16, 32, 64} {
 			cls := gprClass(w)
@@ -321,7 +321,7 @@ func genBitOps(b *Builder) {
 	for _, w := range gprWidths {
 		cls := gprClass(w)
 		b.instr("XCHG", "BASE", "INT", nil, reg(cls, true, true), reg(cls, true, true))
-		b.instr("XCHG", "BASE", "INT", attrs(AttrLock), mem(w, true, true), reg(cls, true, true))
+		b.instr("XCHG", "BASE", "INT", attrs(attrLock), mem(w, true, true), reg(cls, true, true))
 		b.instr("XADD", "BASE", "INT", nil, reg(cls, true, true), reg(cls, true, true), flags("", flagsAll))
 		b.instr("CMPXCHG", "BASE", "INT", nil, reg(cls, true, true), reg(cls, true, false),
 			impReg("RAX", "GPR64", true, true), flags("", flagsAll))
@@ -329,7 +329,7 @@ func genBitOps(b *Builder) {
 }
 
 // genStack emits push/pop variants.
-func genStack(b *Builder) {
+func genStack(b *builder) {
 	rsp := func(read, write bool) isa.Operand { return impReg("RSP", "GPR64", read, write) }
 	for _, w := range []int{16, 64} {
 		cls := gprClass(w)
@@ -342,7 +342,7 @@ func genStack(b *Builder) {
 }
 
 // genFlagsOps emits instructions that manipulate the status flags directly.
-func genFlagsOps(b *Builder) {
+func genFlagsOps(b *builder) {
 	b.instr("CMC", "BASE", "INT", nil, flags(flagsCF, flagsCF))
 	b.instr("CLC", "BASE", "INT", nil, flags("", flagsCF))
 	b.instr("STC", "BASE", "INT", nil, flags("", flagsCF))
@@ -358,18 +358,18 @@ func genFlagsOps(b *Builder) {
 }
 
 // genMisc emits NOPs, PAUSE and miscellaneous instructions.
-func genMisc(b *Builder) {
-	b.instr("NOP", "BASE", "INT", attrs(AttrNOP))
+func genMisc(b *builder) {
+	b.instr("NOP", "BASE", "INT", attrs(attrNOP))
 	// Multi-byte NOP with a register operand form.
-	b.instr("NOP", "BASE", "INT", attrs(AttrNOP), reg("GPR32", true, false))
+	b.instr("NOP", "BASE", "INT", attrs(attrNOP), reg("GPR32", true, false))
 	b.instr("PAUSE", "BASE", "INT", nil)
-	b.instr("MFENCE", "BASE", "INT", attrs(AttrSerializing))
-	b.instr("LFENCE", "BASE", "INT", attrs(AttrSerializing))
-	b.instr("SFENCE", "BASE", "INT", attrs(AttrSerializing))
+	b.instr("MFENCE", "BASE", "INT", attrs(attrSerializing))
+	b.instr("LFENCE", "BASE", "INT", attrs(attrSerializing))
+	b.instr("SFENCE", "BASE", "INT", attrs(attrSerializing))
 }
 
 // genBMI emits the BMI1/BMI2 instruction groups (available from Haswell on).
-func genBMI(b *Builder) {
+func genBMI(b *builder) {
 	for _, w := range []int{32, 64} {
 		cls := gprClass(w)
 		fl := flags("", flagsAll)
@@ -393,7 +393,7 @@ func genBMI(b *Builder) {
 }
 
 // genADX emits the ADX carry-chain extension (available from Broadwell on).
-func genADX(b *Builder) {
+func genADX(b *builder) {
 	for _, w := range []int{32, 64} {
 		cls := gprClass(w)
 		b.instr("ADCX", "ADX", "INT", nil, reg(cls, true, true), reg(cls, true, false), flags(flagsCF, flagsCF))
@@ -407,15 +407,15 @@ func genADX(b *Builder) {
 // instructions. The paper excludes these from its IACA µop-count comparison
 // because their µop counts are variable (REP) or disagree systematically
 // (LOCK); we include them so the comparison logic has something to exclude.
-func genLockRep(b *Builder) {
+func genLockRep(b *builder) {
 	for _, m := range []string{"ADD", "SUB", "AND", "OR", "XOR", "INC", "DEC"} {
 		unary := m == "INC" || m == "DEC"
 		for _, w := range []int{32, 64} {
 			fl := flags("", flagsAll)
 			if unary {
-				b.instr(m, "BASE", "INT", attrs(AttrLock), mem(w, true, true), fl)
+				b.instr(m, "BASE", "INT", attrs(attrLock), mem(w, true, true), fl)
 			} else {
-				b.instr(m, "BASE", "INT", attrs(AttrLock), mem(w, true, true), reg(gprClass(w), true, false), fl)
+				b.instr(m, "BASE", "INT", attrs(attrLock), mem(w, true, true), reg(gprClass(w), true, false), fl)
 			}
 		}
 	}
@@ -423,34 +423,34 @@ func genLockRep(b *Builder) {
 	rdi := impReg("RDI", "GPR64", true, true)
 	rcx := impReg("RCX", "GPR64", true, true)
 	rax := impReg("RAX", "GPR64", true, false)
-	b.instr("MOVSB", "BASE", "INT", attrs(AttrRep), rsi, rdi, rcx)
-	b.instr("STOSB", "BASE", "INT", attrs(AttrRep), rdi, rcx, rax)
-	b.instr("LODSB", "BASE", "INT", attrs(AttrRep), rsi, rcx, impReg("RAX", "GPR64", false, true))
-	b.instr("CMPSB", "BASE", "INT", attrs(AttrRep), rsi, rdi, rcx, flags("", flagsAll))
-	b.instr("SCASB", "BASE", "INT", attrs(AttrRep), rdi, rcx, rax, flags("", flagsAll))
+	b.instr("MOVSB", "BASE", "INT", attrs(attrRep), rsi, rdi, rcx)
+	b.instr("STOSB", "BASE", "INT", attrs(attrRep), rdi, rcx, rax)
+	b.instr("LODSB", "BASE", "INT", attrs(attrRep), rsi, rcx, impReg("RAX", "GPR64", false, true))
+	b.instr("CMPSB", "BASE", "INT", attrs(attrRep), rsi, rdi, rcx, flags("", flagsAll))
+	b.instr("SCASB", "BASE", "INT", attrs(attrRep), rdi, rcx, rax, flags("", flagsAll))
 }
 
 // genSystem emits system and serializing instructions. These are excluded
 // from the blocking-instruction candidates (Section 5.1.1) but still appear
 // in the instruction set.
-func genSystem(b *Builder) {
-	b.instr("CPUID", "SYSTEM", "INT", attrs(AttrSystem, AttrSerializing),
+func genSystem(b *builder) {
+	b.instr("CPUID", "SYSTEM", "INT", attrs(attrSystem, attrSerializing),
 		impReg("RAX", "GPR64", true, true), impReg("RBX", "GPR64", false, true),
 		impReg("RCX", "GPR64", true, true), impReg("RDX", "GPR64", false, true))
-	b.instr("RDTSC", "SYSTEM", "INT", attrs(AttrSystem),
+	b.instr("RDTSC", "SYSTEM", "INT", attrs(attrSystem),
 		impReg("RAX", "GPR64", false, true), impReg("RDX", "GPR64", false, true))
-	b.instr("RDTSCP", "SYSTEM", "INT", attrs(AttrSystem),
+	b.instr("RDTSCP", "SYSTEM", "INT", attrs(attrSystem),
 		impReg("RAX", "GPR64", false, true), impReg("RDX", "GPR64", false, true),
 		impReg("RCX", "GPR64", false, true))
-	b.instr("XGETBV", "SYSTEM", "INT", attrs(AttrSystem),
+	b.instr("XGETBV", "SYSTEM", "INT", attrs(attrSystem),
 		impReg("RCX", "GPR64", true, false), impReg("RAX", "GPR64", false, true),
 		impReg("RDX", "GPR64", false, true))
-	b.instr("CLFLUSH", "SYSTEM", "INT", attrs(AttrSystem), mem(8, true, false))
-	b.instr("CLFLUSHOPT", "CLFLUSHOPT", "INT", attrs(AttrSystem), mem(8, true, false))
+	b.instr("CLFLUSH", "SYSTEM", "INT", attrs(attrSystem), mem(8, true, false))
+	b.instr("CLFLUSHOPT", "CLFLUSHOPT", "INT", attrs(attrSystem), mem(8, true, false))
 	b.instr("PREFETCHT0", "SSE", "INT", nil, mem(8, true, false))
 	b.instr("PREFETCHT1", "SSE", "INT", nil, mem(8, true, false))
 	b.instr("PREFETCHT2", "SSE", "INT", nil, mem(8, true, false))
 	b.instr("PREFETCHNTA", "SSE", "INT", nil, mem(8, true, false))
-	b.instr("RDRAND", "RDRAND", "INT", attrs(AttrSystem), reg("GPR64", false, true), flags("", flagsCF))
-	b.instr("RDSEED", "RDSEED", "INT", attrs(AttrSystem), reg("GPR64", false, true), flags("", flagsCF))
+	b.instr("RDRAND", "RDRAND", "INT", attrs(attrSystem), reg("GPR64", false, true), flags("", flagsCF))
+	b.instr("RDSEED", "RDSEED", "INT", attrs(attrSystem), reg("GPR64", false, true), flags("", flagsCF))
 }

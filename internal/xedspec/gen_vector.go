@@ -4,7 +4,7 @@ import "uopsinfo/internal/isa"
 
 // genVector emits the MMX, SSE*, AES, CLMUL, AVX, AVX2, FMA and F16C parts of
 // the instruction set.
-func genVector(b *Builder) {
+func genVector(b *builder) {
 	genMMX(b)
 	genSSEFP(b)
 	genSSEInt(b)
@@ -19,7 +19,7 @@ func genVector(b *Builder) {
 
 // sseBinary emits a two-operand SSE-style instruction (op1 is read and
 // written) in register and memory forms.
-func sseBinary(b *Builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
+func sseBinary(b *builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
 	ops := []isa.Operand{reg("XMM", true, true), reg("XMM", true, false)}
 	memOps := []isa.Operand{reg("XMM", true, true), mem(memWidth, true, false)}
 	if extraImm {
@@ -32,7 +32,7 @@ func sseBinary(b *Builder, mnemonic, ext, domain string, at []string, memWidth i
 
 // sseUnary emits a two-operand SSE-style instruction where op1 is write-only
 // (shuffles, conversions, square roots, ...).
-func sseUnary(b *Builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
+func sseUnary(b *builder, mnemonic, ext, domain string, at []string, memWidth int, extraImm bool) {
 	ops := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false)}
 	memOps := []isa.Operand{reg("XMM", false, true), mem(memWidth, true, false)}
 	if extraImm {
@@ -46,7 +46,7 @@ func sseUnary(b *Builder, mnemonic, ext, domain string, at []string, memWidth in
 // avxBinary emits a three-operand AVX-style instruction (op1 write-only, op2
 // and op3 read) in XMM and, when wantYMM is set, YMM forms, each with a
 // memory variant for the last operand.
-func avxBinary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
+func avxBinary(b *builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
 	emit := func(cls string, memWidth int) {
 		ops := []isa.Operand{reg(cls, false, true), reg(cls, true, false), reg(cls, true, false)}
 		memOps := []isa.Operand{reg(cls, false, true), reg(cls, true, false), mem(memWidth, true, false)}
@@ -65,7 +65,7 @@ func avxBinary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bo
 
 // avxUnary emits a two-operand AVX-style instruction (op1 write-only, op2
 // read) in XMM and optionally YMM forms, each with a memory variant.
-func avxUnary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
+func avxUnary(b *builder, mnemonic, ext, domain string, at []string, wantYMM bool, extraImm bool) {
 	emit := func(cls string, memWidth int) {
 		ops := []isa.Operand{reg(cls, false, true), reg(cls, true, false)}
 		memOps := []isa.Operand{reg(cls, false, true), mem(memWidth, true, false)}
@@ -84,7 +84,7 @@ func avxUnary(b *Builder, mnemonic, ext, domain string, at []string, wantYMM boo
 
 // MMX -------------------------------------------------------------------------
 
-func genMMX(b *Builder) {
+func genMMX(b *builder) {
 	// Moves between MMX, general-purpose registers and memory.
 	b.instr("MOVD", "MMX", "VECINT", nil, reg("MMX", false, true), reg("GPR32", true, false))
 	b.instr("MOVD", "MMX", "VECINT", nil, reg("GPR32", false, true), reg("MMX", true, false))
@@ -110,26 +110,26 @@ func genMMX(b *Builder) {
 		mmxBinary(m, nil)
 	}
 	for _, m := range []string{"PXOR", "PCMPGTB", "PCMPGTW", "PCMPGTD"} {
-		mmxBinary(m, attrs(AttrZeroIdiom))
+		mmxBinary(m, attrs(attrZeroIdiom))
 	}
 	for _, m := range []string{"PSLLW", "PSLLD", "PSLLQ", "PSRLW", "PSRLD", "PSRLQ", "PSRAW", "PSRAD"} {
 		b.instr(m, "MMX", "VECINT", nil, reg("MMX", true, true), reg("MMX", true, false))
 		b.instr(m, "MMX", "VECINT", nil, reg("MMX", true, true), imm(8))
 	}
-	b.instr("EMMS", "MMX", "VECINT", attrs(AttrSystem))
+	b.instr("EMMS", "MMX", "VECINT", attrs(attrSystem))
 }
 
 // SSE / SSE2 floating point ----------------------------------------------------
 
-func genSSEFP(b *Builder) {
+func genSSEFP(b *builder) {
 	// Moves.
 	for _, m := range []string{"MOVAPS", "MOVUPS"} {
-		b.instr(m, "SSE", "FP", attrs(AttrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
+		b.instr(m, "SSE", "FP", attrs(attrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
 		b.instr(m, "SSE", "FP", nil, reg("XMM", false, true), mem(128, true, false))
 		b.instr(m, "SSE", "FP", nil, mem(128, false, true), reg("XMM", true, false))
 	}
 	for _, m := range []string{"MOVAPD", "MOVUPD"} {
-		b.instr(m, "SSE2", "FP", attrs(AttrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
+		b.instr(m, "SSE2", "FP", attrs(attrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
 		b.instr(m, "SSE2", "FP", nil, reg("XMM", false, true), mem(128, true, false))
 		b.instr(m, "SSE2", "FP", nil, mem(128, false, true), reg("XMM", true, false))
 	}
@@ -167,13 +167,13 @@ func genSSEFP(b *Builder) {
 		for _, s := range suffixInfo {
 			var at []string
 			if op.divider {
-				at = attrs(AttrDivider)
+				at = attrs(attrDivider)
 			}
 			sseBinary(b, op.base+s.suffix, s.ext, "FP", at, s.memWidth, false)
 		}
 	}
 	for _, s := range suffixInfo {
-		sseUnary(b, "SQRT"+s.suffix, s.ext, "FP", attrs(AttrDivider), s.memWidth, false)
+		sseUnary(b, "SQRT"+s.suffix, s.ext, "FP", attrs(attrDivider), s.memWidth, false)
 	}
 	sseUnary(b, "RCPPS", "SSE", "FP", nil, 128, false)
 	sseUnary(b, "RCPSS", "SSE", "FP", nil, 32, false)
@@ -185,7 +185,7 @@ func genSSEFP(b *Builder) {
 		sseBinary(b, "AND"+s.suffix, s.ext, "FP", nil, 128, false)
 		sseBinary(b, "ANDN"+s.suffix, s.ext, "FP", nil, 128, false)
 		sseBinary(b, "OR"+s.suffix, s.ext, "FP", nil, 128, false)
-		sseBinary(b, "XOR"+s.suffix, s.ext, "FP", attrs(AttrZeroIdiom), 128, false)
+		sseBinary(b, "XOR"+s.suffix, s.ext, "FP", attrs(attrZeroIdiom), 128, false)
 	}
 
 	// Compares.
@@ -234,10 +234,10 @@ func genSSEFP(b *Builder) {
 
 // SSE2 integer -----------------------------------------------------------------
 
-func genSSEInt(b *Builder) {
+func genSSEInt(b *builder) {
 	// Moves.
 	for _, m := range []string{"MOVDQA", "MOVDQU"} {
-		b.instr(m, "SSE2", "VECINT", attrs(AttrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
+		b.instr(m, "SSE2", "VECINT", attrs(attrMoveElim), reg("XMM", false, true), reg("XMM", true, false))
 		b.instr(m, "SSE2", "VECINT", nil, reg("XMM", false, true), mem(128, true, false))
 		b.instr(m, "SSE2", "VECINT", nil, mem(128, false, true), reg("XMM", true, false))
 	}
@@ -270,7 +270,7 @@ func genSSEInt(b *Builder) {
 	}
 	// Zero idioms (Section 7.3.6: the PCMPGT family is dependency-breaking).
 	for _, m := range []string{"PXOR", "PCMPGTB", "PCMPGTW", "PCMPGTD"} {
-		sseBinary(b, m, "SSE2", "VECINT", attrs(AttrZeroIdiom), 128, false)
+		sseBinary(b, m, "SSE2", "VECINT", attrs(attrZeroIdiom), 128, false)
 	}
 	// Shifts: by register (xmm), by immediate.
 	for _, m := range []string{"PSLLW", "PSLLD", "PSLLQ", "PSRLW", "PSRLD", "PSRLQ", "PSRAW", "PSRAD"} {
@@ -291,7 +291,7 @@ func genSSEInt(b *Builder) {
 
 // SSE3 / SSSE3 / SSE4.1 / SSE4.2 -----------------------------------------------
 
-func genSSE3Plus(b *Builder) {
+func genSSE3Plus(b *builder) {
 	// SSE3.
 	for _, m := range []string{"ADDSUBPS", "HADDPS", "HSUBPS"} {
 		sseBinary(b, m, "SSE3", "FP", nil, 128, false)
@@ -358,7 +358,7 @@ func genSSE3Plus(b *Builder) {
 	b.instr("MOVNTDQA", "SSE4.1", "VECINT", nil, reg("XMM", false, true), mem(128, true, false))
 
 	// SSE4.2.
-	sseBinary(b, "PCMPGTQ", "SSE4.2", "VECINT", attrs(AttrZeroIdiom), 128, false)
+	sseBinary(b, "PCMPGTQ", "SSE4.2", "VECINT", attrs(attrZeroIdiom), 128, false)
 	for _, m := range []string{"PCMPESTRI", "PCMPISTRI"} {
 		b.instr(m, "SSE4.2", "VECINT", nil, reg("XMM", true, false), reg("XMM", true, false), imm(8),
 			impReg("RCX", "GPR64", false, true), flags("", flagsNoAF))
@@ -375,7 +375,7 @@ func genSSE3Plus(b *Builder) {
 
 // AES and carry-less multiply ---------------------------------------------------
 
-func genAES(b *Builder) {
+func genAES(b *builder) {
 	// Section 7.3.1 case study: AESDEC and friends.
 	for _, m := range []string{"AESDEC", "AESDECLAST", "AESENC", "AESENCLAST"} {
 		sseBinary(b, m, "AES", "VECINT", nil, 128, false)
@@ -387,7 +387,7 @@ func genAES(b *Builder) {
 
 // AVX / AVX2 --------------------------------------------------------------------
 
-func genAVX(b *Builder) {
+func genAVX(b *builder) {
 	// Moves (XMM and YMM forms).
 	for _, m := range []string{"VMOVAPS", "VMOVUPS", "VMOVAPD", "VMOVUPD", "VMOVDQA", "VMOVDQU"} {
 		dom := "FP"
@@ -399,7 +399,7 @@ func genAVX(b *Builder) {
 			if cls == "YMM" {
 				w = 256
 			}
-			b.instr(m, "AVX", dom, attrs(AttrMoveElim), reg(cls, false, true), reg(cls, true, false))
+			b.instr(m, "AVX", dom, attrs(attrMoveElim), reg(cls, false, true), reg(cls, true, false))
 			b.instr(m, "AVX", dom, nil, reg(cls, false, true), mem(w, true, false))
 			b.instr(m, "AVX", dom, nil, mem(w, false, true), reg(cls, true, false))
 		}
@@ -421,24 +421,24 @@ func genAVX(b *Builder) {
 		for _, suffix := range []string{"PS", "PD"} {
 			var at []string
 			if op.divider {
-				at = attrs(AttrDivider)
+				at = attrs(attrDivider)
 			}
 			avxBinary(b, "V"+op.base+suffix, "AVX", "FP", at, true, false)
 		}
 		for _, suffix := range []string{"SS", "SD"} {
 			var at []string
 			if op.divider {
-				at = attrs(AttrDivider)
+				at = attrs(attrDivider)
 			}
 			avxBinary(b, "V"+op.base+suffix, "AVX", "FP", at, false, false)
 		}
 	}
 	for _, suffix := range []string{"PS", "PD"} {
-		avxUnary(b, "VSQRT"+suffix, "AVX", "FP", attrs(AttrDivider), true, false)
+		avxUnary(b, "VSQRT"+suffix, "AVX", "FP", attrs(attrDivider), true, false)
 		avxBinary(b, "VAND"+suffix, "AVX", "FP", nil, true, false)
 		avxBinary(b, "VANDN"+suffix, "AVX", "FP", nil, true, false)
 		avxBinary(b, "VOR"+suffix, "AVX", "FP", nil, true, false)
-		avxBinary(b, "VXOR"+suffix, "AVX", "FP", attrs(AttrZeroIdiom), true, false)
+		avxBinary(b, "VXOR"+suffix, "AVX", "FP", attrs(attrZeroIdiom), true, false)
 		avxBinary(b, "VCMP"+suffix, "AVX", "FP", nil, true, true)
 		avxBinary(b, "VSHUF"+suffix, "AVX", "FP", nil, true, true)
 		avxBinary(b, "VUNPCKL"+suffix, "AVX", "FP", nil, true, false)
@@ -498,7 +498,7 @@ func genAVX(b *Builder) {
 	avxIntBinary := func(mnemonic string, zeroIdiom bool) {
 		var at []string
 		if zeroIdiom {
-			at = attrs(AttrZeroIdiom)
+			at = attrs(attrZeroIdiom)
 		}
 		ops := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false), reg("XMM", true, false)}
 		memOps := []isa.Operand{reg("XMM", false, true), reg("XMM", true, false), mem(128, true, false)}
@@ -580,7 +580,7 @@ func genAVX(b *Builder) {
 
 // FMA ----------------------------------------------------------------------------
 
-func genFMA(b *Builder) {
+func genFMA(b *builder) {
 	for _, form := range []string{"132", "213", "231"} {
 		for _, kind := range []string{"PS", "PD", "SS", "SD"} {
 			for _, op := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
@@ -611,7 +611,7 @@ func genFMA(b *Builder) {
 
 // F16C ------------------------------------------------------------------------------
 
-func genF16C(b *Builder) {
+func genF16C(b *builder) {
 	b.instr("VCVTPH2PS", "F16C", "FP", nil, reg("XMM", false, true), reg("XMM", true, false))
 	b.instr("VCVTPH2PS", "F16C", "FP", nil, reg("YMM", false, true), reg("XMM", true, false))
 	b.instr("VCVTPH2PS", "F16C", "FP", nil, reg("XMM", false, true), mem(64, true, false))

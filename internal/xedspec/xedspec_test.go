@@ -139,9 +139,9 @@ func TestUnknownTableNamesPanic(t *testing.T) {
 		emit func()
 	}{
 		{"register class", func() { reg("GPR65", true, false) }},
-		{"domain", func() { NewBuilder().instr("PADDB", "SSE2", "VECTINT", nil) }},
+		{"domain", func() { newBuilder().instr("PADDB", "SSE2", "VECTINT", nil) }},
 		{"flag", func() { flags("", "CF+ZX") }},
-		{"attribute", func() { NewBuilder().instr("XOR", "BASE", "INT", attrs("zero-idom")) }},
+		{"attribute", func() { newBuilder().instr("XOR", "BASE", "INT", attrs("zero-idom")) }},
 		{"register", func() { impReg("RXX", "GPR64", true, false) }},
 		{"register of another class", func() { impReg("RAX", "GPR32", true, false) }},
 	}
