@@ -156,8 +156,10 @@ lint-extra:
 # panicking, to encoding/json's reading of every body it accepts, to its
 # bounds and to re-reading what AppendRequest writes;
 # FuzzParseResponse holds the fleet client's response parser to never
-# panicking, to encoding/json's reading of every body it accepts and to
-# re-reading what AppendResponse writes;
+# panicking, to encoding/json's reading of every body it accepts, to
+# accepting no counters entry of more than pipesim.MaxPorts port counts (a
+# seed holds 17) and to re-reading what AppendResponse writes at the
+# widest entry's port count;
 # FuzzParseSequence holds the parser of cmd/analyze's kernels to never
 # panicking and to re-reading its own printed output;
 # FuzzRunOptionsFromRequest holds the service's query parsers (generation,

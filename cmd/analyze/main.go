@@ -90,7 +90,7 @@ func main() {
 	fmt.Printf("  cycles per iteration: %.2f\n", res.Cycles)
 	fmt.Printf("  µops per iteration:   %.2f (%.2f handled at rename)\n", res.IssuedUops, res.ElimUops)
 	fmt.Printf("  port pressure:       ")
-	for p, u := range res.PortUops {
+	for p, u := range res.PortUops[:arch.NumPorts()] {
 		fmt.Printf(" p%d=%.2f", p, u)
 	}
 	fmt.Println()

@@ -168,7 +168,9 @@ func BenchmarkBlockingInstructionDiscovery(b *testing.B) {
 // inference rungs (BenchmarkPortUsageInference, BenchmarkLatencyInference
 // and BenchmarkThroughputInference) on their warm Skylake stack: kernel
 // generation builds no register maps and no per-combination copy of the
-// blocking sequence, and Measure no copy of the long reading. A rung that
+// blocking sequence, and a Measure of recalled readings allocates only the
+// slice of its two copy counts and RunCopies' slice of the readings, which
+// are values. A rung that
 // allocates more than its ceiling fails under its own name. The test does
 // not run in parallel: AllocsPerRun counts every allocation of the process.
 func TestInferenceRungAllocs(t *testing.T) {
@@ -181,15 +183,15 @@ func TestInferenceRungAllocs(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		{"PortUsage of MOVQ2DQ_XMM_MM", 74, func() error {
+		{"PortUsage of MOVQ2DQ_XMM_MM", 50, func() error {
 			_, err := c.PortUsage(movq2dq, 2)
 			return err
 		}},
-		{"Latency of AESDEC_XMM_XMM", 53, func() error {
+		{"Latency of AESDEC_XMM_XMM", 41, func() error {
 			_, err := c.Latency(aesdec)
 			return err
 		}},
-		{"Throughput of ADD_R64_R64", 60, func() error {
+		{"Throughput of ADD_R64_R64", 48, func() error {
 			_, err := c.Throughput(add, PortUsage{"0156": 1})
 			return err
 		}},

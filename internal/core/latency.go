@@ -5,6 +5,7 @@ import (
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
+	"uopsinfo/internal/measure"
 	"uopsinfo/internal/pipesim"
 )
 
@@ -644,7 +645,7 @@ func (c *Characterizer) dividerLatency(in *isa.Instr) (LatencyResult, error) {
 // measureWithDividerValues measures one chain iteration under the slow- and
 // fast-operand-value regimes.
 func (c *Characterizer) measureWithDividerValues(iteration asmgen.Sequence) (slow, fast float64, err error) {
-	setter, ok := c.gen.h.Runner().(dividerValueSetter)
+	setter, ok := c.gen.h.Runner().(measure.DividerValueSetter)
 	if !ok {
 		cycles, err := c.measureChainIteration(iteration)
 		return cycles, cycles, err
@@ -661,12 +662,6 @@ func (c *Characterizer) measureWithDividerValues(iteration asmgen.Sequence) (slo
 		return 0, 0, err
 	}
 	return slow, fast, nil
-}
-
-// dividerValueSetter is implemented by execution substrates that can switch
-// the operand-value regime for divider-based instructions.
-type dividerValueSetter interface {
-	SetDividerValues(pipesim.DividerValues)
 }
 
 func maxf(a, b float64) float64 {

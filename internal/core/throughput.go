@@ -82,7 +82,7 @@ func (c *Characterizer) throughput(in *isa.Instr, ports PortUsage, iso measure.R
 
 	// Divider-based instructions: measure again with fast operand values.
 	if in.UsesDivider {
-		if setter, ok := c.gen.h.Runner().(dividerValueSetter); ok {
+		if setter, ok := c.gen.h.Runner().(measure.DividerValueSetter); ok {
 			setter.SetDividerValues(pipesim.FastDividerValues)
 			if seq, err := c.gen.independentInstances(in, 4); err == nil {
 				if res, err := c.gen.h.Measure(seq); err == nil {

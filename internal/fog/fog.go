@@ -60,9 +60,9 @@ func (b *Baseline) ObservePorts(in *isa.Instr, n int) (PortObservation, error) {
 	if err != nil {
 		return PortObservation{}, err
 	}
-	obs := PortObservation{PerPort: make([]float64, len(res.PortUops))}
-	for p, u := range res.PortUops {
-		obs.PerPort[p] = u / float64(n)
+	obs := PortObservation{PerPort: make([]float64, b.h.Arch().NumPorts())}
+	for p := range obs.PerPort {
+		obs.PerPort[p] = res.PortUops[p] / float64(n)
 	}
 	obs.Total = res.TotalUops / float64(n)
 	return obs, nil

@@ -410,7 +410,6 @@ func (a *Analyzer) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	}
 	c := pipesim.Counters{
 		Cycles:     int(math.Ceil(rep.BlockThroughput)),
-		PortUops:   make([]int, a.arch.NumPorts()),
 		TotalUops:  rep.TotalUops,
 		IssuedUops: rep.TotalUops,
 	}

@@ -32,11 +32,17 @@ import (
 // this for pipesim). The harness relies on it to read each copy count once.
 //
 // Run must not retain code after returning: callers may reuse its backing
-// array. The caller owns the returned counters, PortUops included, and may
-// change them in place (withOverhead does).
+// array.
 type Runner interface {
 	Run(code asmgen.Sequence) (pipesim.Counters, error)
 	Arch() *uarch.Arch
+}
+
+// DividerValueSetter is implemented by runners that can switch the
+// operand-value regime for divider-based instructions (Section 5.2.5), as
+// *pipesim.Machine does.
+type DividerValueSetter interface {
+	SetDividerValues(pipesim.DividerValues)
 }
 
 // CopiesRunner is implemented by runners that repeat a kernel themselves:
@@ -50,8 +56,7 @@ type Runner interface {
 // one engine builds, of any generation — within a fixed memory budget (and
 // so do the fleet workers' engines behind the fleet runner).
 //
-// Like Run, RunCopies must not retain code after returning, and the
-// caller owns the returned counters, recalled ones included.
+// Like Run, RunCopies must not retain code after returning.
 type CopiesRunner interface {
 	Runner
 	RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error)
@@ -79,10 +84,11 @@ func RunCopies(r Runner, code asmgen.Sequence, copies ...int) ([]pipesim.Counter
 }
 
 // Result holds per-execution averages of the performance counters for one
-// copy of the measured code sequence.
+// copy of the measured code sequence. Like pipesim.Counters, PortUops holds
+// one entry per port of the measured generation, then zeros.
 type Result struct {
 	Cycles     float64
-	PortUops   []float64
+	PortUops   [pipesim.MaxPorts]float64
 	TotalUops  float64
 	IssuedUops float64
 	ElimUops   float64
@@ -209,20 +215,16 @@ func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Both readings are ours (see Runner), so the difference is taken in
-	// place in the long one.
-	diff := h.withOverhead(cs[1])
-	diff.Subtract(h.withOverhead(cs[0]))
-	numPorts := h.runner.Arch().NumPorts()
-	acc := Result{PortUops: make([]float64, numPorts)}
+	diff := h.withOverhead(cs[1]).Sub(h.withOverhead(cs[0]))
+	var acc Result
 	scale := float64(h.cfg.LongCopies - h.cfg.ShortCopies)
 	for rep := 0; rep < h.cfg.Repetitions; rep++ {
 		acc.Cycles += float64(diff.Cycles) / scale
 		acc.TotalUops += float64(diff.TotalUops) / scale
 		acc.IssuedUops += float64(diff.IssuedUops) / scale
 		acc.ElimUops += float64(diff.ElimUops) / scale
-		for p := 0; p < numPorts && p < len(diff.PortUops); p++ {
-			acc.PortUops[p] += float64(diff.PortUops[p]) / scale
+		for p, u := range diff.PortUops {
+			acc.PortUops[p] += float64(u) / scale
 		}
 	}
 	inv := 1.0 / float64(h.cfg.Repetitions)
@@ -246,7 +248,7 @@ func (h *Harness) withOverhead(c pipesim.Counters) pipesim.Counters {
 	// The counter-read and serialization µops execute on the general ALU
 	// ports; spread them so port readings also contain overhead that the
 	// differencing must remove.
-	for i := 0; i < h.cfg.OverheadUops && len(c.PortUops) > 0; i++ {
+	for i := 0; i < h.cfg.OverheadUops; i++ {
 		c.PortUops[i%2]++
 	}
 	return c

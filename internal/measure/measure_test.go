@@ -99,11 +99,11 @@ func TestPaperConfigMatchesProtocol(t *testing.T) {
 
 func TestResultUopsOnPorts(t *testing.T) {
 	t.Parallel()
-	r := Result{PortUops: []float64{1, 2, 0, 0, 3}}
+	r := Result{PortUops: [pipesim.MaxPorts]float64{1, 2, 0, 0, 3}}
 	if got := r.UopsOnPorts([]int{0, 4}); got != 4 {
 		t.Errorf("UopsOnPorts = %v, want 4", got)
 	}
-	if got := r.UopsOnPorts([]int{9}); got != 0 {
+	if got := r.UopsOnPorts([]int{-1, pipesim.MaxPorts}); got != 0 {
 		t.Errorf("UopsOnPorts out of range = %v, want 0", got)
 	}
 }
@@ -253,20 +253,6 @@ func randomSequences(t *testing.T, arch *uarch.Arch, n int, rng *rand.Rand) []as
 	return seqs
 }
 
-func resultsEqual(a, b Result) bool {
-	if a.Cycles != b.Cycles || a.TotalUops != b.TotalUops ||
-		a.IssuedUops != b.IssuedUops || a.ElimUops != b.ElimUops ||
-		len(a.PortUops) != len(b.PortUops) {
-		return false
-	}
-	for i := range a.PortUops {
-		if a.PortUops[i] != b.PortUops[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPoolBatchingInvariance is the batching property behind every warm
 // stack that outlives a measurement, such as the fleet worker's free list of
 // runners: running 200 random sequences back to back through ONE harness
@@ -292,7 +278,7 @@ func TestPoolBatchingInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sequence %d: warm: %v", i, err)
 				}
-				if !resultsEqual(want, got) {
+				if want != got {
 					t.Fatalf("sequence %d: fresh %+v, warm %+v", i, want, got)
 				}
 				// The raw counters must match too (the Result averaging could

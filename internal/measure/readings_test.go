@@ -27,7 +27,7 @@ func referenceMeasure(r Runner, cfg Config, code asmgen.Sequence) (Result, error
 		c.Cycles += cfg.OverheadCycles
 		c.TotalUops += cfg.OverheadUops
 		c.IssuedUops += cfg.OverheadUops
-		for i := 0; i < cfg.OverheadUops && len(c.PortUops) > 0; i++ {
+		for i := 0; i < cfg.OverheadUops; i++ {
 			c.PortUops[i%2]++
 		}
 		return c, nil
@@ -38,7 +38,7 @@ func referenceMeasure(r Runner, cfg Config, code asmgen.Sequence) (Result, error
 		}
 	}
 	numPorts := r.Arch().NumPorts()
-	acc := Result{PortUops: make([]float64, numPorts)}
+	var acc Result
 	for rep := 0; rep < cfg.Repetitions; rep++ {
 		short, err := read(cfg.ShortCopies)
 		if err != nil {
@@ -54,7 +54,7 @@ func referenceMeasure(r Runner, cfg Config, code asmgen.Sequence) (Result, error
 		acc.TotalUops += float64(diff.TotalUops) / scale
 		acc.IssuedUops += float64(diff.IssuedUops) / scale
 		acc.ElimUops += float64(diff.ElimUops) / scale
-		for p := 0; p < numPorts && p < len(diff.PortUops); p++ {
+		for p := 0; p < numPorts; p++ {
 			acc.PortUops[p] += float64(diff.PortUops[p]) / scale
 		}
 	}

@@ -213,7 +213,7 @@ func counters(w *worker, resp MeasureResponse) ([]pipesim.Counters, error) {
 	}
 	cs := make([]pipesim.Counters, len(resp.Counters))
 	for k, c := range resp.Counters {
-		cs[k] = pipesim.Counters(c)
+		cs[k] = c.sim()
 	}
 	return cs, nil
 }

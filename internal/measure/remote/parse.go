@@ -266,7 +266,8 @@ func (o wireOp) operand(i int) (asmgen.Operand, error) {
 	return asmgen.Operand{}, fmt.Errorf("operand %d is empty", i+1)
 }
 
-// ParseResponse reads the body of a 200 answer to POST /v1/measure.
+// ParseResponse reads the body of a 200 answer to POST /v1/measure. A
+// counters entry with more than pipesim.MaxPorts port counts is malformed.
 func ParseResponse(body []byte) (MeasureResponse, error) {
 	s := scanner{b: body}
 	var resp MeasureResponse
@@ -304,7 +305,7 @@ func (s *scanner) counters() Counters {
 		case "cycles":
 			c.Cycles = s.int()
 		case "portUops":
-			c.PortUops = s.ints(len(s.b), "port counts")
+			c.PortUops = s.ints(pipesim.MaxPorts, "port counts")
 		case "totalUops":
 			c.TotalUops = s.int()
 		case "issuedUops":

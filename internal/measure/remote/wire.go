@@ -79,14 +79,22 @@ type Op struct {
 	Imm  *int64 `json:"imm,omitempty"`
 }
 
-// Counters mirrors pipesim.Counters on the wire; the two types convert into
-// each other.
+// Counters is pipesim.Counters on the wire: PortUops holds one entry per
+// port of the request's generation, at most pipesim.MaxPorts.
 type Counters struct {
 	Cycles     int   `json:"cycles"`
 	PortUops   []int `json:"portUops,omitempty"`
 	TotalUops  int   `json:"totalUops"`
 	IssuedUops int   `json:"issuedUops"`
 	ElimUops   int   `json:"elimUops"`
+}
+
+// sim returns c as pipesim.Counters. ParseResponse refuses more than
+// pipesim.MaxPorts port counts, so none is cut.
+func (c Counters) sim() pipesim.Counters {
+	out := pipesim.Counters{Cycles: c.Cycles, TotalUops: c.TotalUops, IssuedUops: c.IssuedUops, ElimUops: c.ElimUops}
+	copy(out.PortUops[:], c.PortUops)
+	return out
 }
 
 // MeasureResponse is the body of a 200 answer to POST /v1/measure. It
@@ -197,9 +205,10 @@ func appendInst(b []byte, in *asmgen.Inst) []byte {
 }
 
 // AppendResponse appends to b the body of a 200 answer — the serving
-// fingerprint, this package's wire version, then one entry per counters and
-// errMsg unless it is empty — and returns the extended buffer.
-func AppendResponse(b []byte, fingerprint string, counters []pipesim.Counters, errMsg string) []byte {
+// fingerprint, this package's wire version, then one entry per counters,
+// each with the first numPorts port counts, and errMsg unless it is empty —
+// and returns the extended buffer.
+func AppendResponse(b []byte, fingerprint string, counters []pipesim.Counters, numPorts int, errMsg string) []byte {
 	b = append(b, `{"fingerprint":`...)
 	b = appendString(b, fingerprint)
 	b = append(b, `,"wireVersion":`...)
@@ -212,9 +221,9 @@ func AppendResponse(b []byte, fingerprint string, counters []pipesim.Counters, e
 			}
 			b = append(b, `{"cycles":`...)
 			b = strconv.AppendInt(b, int64(c.Cycles), 10)
-			if len(c.PortUops) > 0 {
+			if numPorts > 0 {
 				b = append(b, `,"portUops":`...)
-				b = appendInts(b, c.PortUops)
+				b = appendInts(b, c.PortUops[:numPorts])
 			}
 			b = append(b, `,"totalUops":`...)
 			b = strconv.AppendInt(b, int64(c.TotalUops), 10)

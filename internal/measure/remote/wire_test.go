@@ -299,50 +299,91 @@ func FuzzDecodeSeq(f *testing.F) {
 	})
 }
 
-// normalResponse is resp as it reads after AppendResponse wrote it: empty
-// lists are left out, and the wire version is this package's.
-func normalResponse(resp MeasureResponse) MeasureResponse {
+// normalResponse is resp as it reads after AppendResponse wrote it with
+// numPorts port counts per entry: empty lists are left out, each entry's
+// port counts are padded with zeros to numPorts, and the wire version is
+// this package's.
+func normalResponse(resp MeasureResponse, numPorts int) MeasureResponse {
 	resp.WireVersion = WireVersion
 	if len(resp.Counters) == 0 {
 		resp.Counters = nil
 	}
 	resp.Counters = append([]Counters(nil), resp.Counters...)
 	for i := range resp.Counters {
-		if len(resp.Counters[i].PortUops) == 0 {
-			resp.Counters[i].PortUops = nil
+		var ports []int
+		if numPorts > 0 {
+			ports = make([]int, numPorts)
+			copy(ports, resp.Counters[i].PortUops)
 		}
+		resp.Counters[i].PortUops = ports
 	}
 	return resp
+}
+
+// widest returns the most port counts an entry of cs holds.
+func widest(cs []Counters) int {
+	n := 0
+	for _, c := range cs {
+		n = max(n, len(c.PortUops))
+	}
+	return n
 }
 
 func simCounters(cs []Counters) []pipesim.Counters {
 	out := make([]pipesim.Counters, len(cs))
 	for i, c := range cs {
-		out[i] = pipesim.Counters(c)
+		out[i] = c.sim()
 	}
 	return out
 }
 
+// TestParseResponseBoundsPortCounts: a counters entry carries at most
+// pipesim.MaxPorts port counts, all of which reach the reading; one more is
+// a malformed response, refused rather than cut.
+func TestParseResponseBoundsPortCounts(t *testing.T) {
+	body := func(ports int) []byte {
+		counts := make([]int, ports)
+		for p := range counts {
+			counts[p] = p + 1
+		}
+		b := appendInts([]byte(`{"fingerprint":"f","wireVersion":3,"counters":[{"cycles":1,"portUops":`), counts)
+		return append(b, `,"totalUops":0,"issuedUops":0,"elimUops":0}]}`...)
+	}
+	resp, err := ParseResponse(body(pipesim.MaxPorts))
+	if err != nil {
+		t.Fatalf("%d port counts: %v", pipesim.MaxPorts, err)
+	}
+	if got := simCounters(resp.Counters)[0]; got.PortUops[0] != 1 || got.PortUops[pipesim.MaxPorts-1] != pipesim.MaxPorts {
+		t.Errorf("%d port counts read as %v", pipesim.MaxPorts, got.PortUops)
+	}
+	if resp, err := ParseResponse(body(pipesim.MaxPorts + 1)); err == nil {
+		t.Errorf("%d port counts accepted as %+v", pipesim.MaxPorts+1, resp)
+	}
+}
+
 // FuzzParseResponse feeds arbitrary bodies to the client's response
 // parser. It must never panic, and a body it accepts must decode with
-// encoding/json to the same fingerprint, wire version, counters and error.
-// Written back by AppendResponse, an accepted response parses to itself.
+// encoding/json to the same fingerprint, wire version, counters and error,
+// with at most pipesim.MaxPorts port counts per entry. Written back by
+// AppendResponse at its widest entry's port count, an accepted response
+// parses to itself, every entry padded with zeros to that count.
 // AppendResponse writes any string as encoding/json reads it back: itself
 // when it is valid UTF-8.
 func FuzzParseResponse(f *testing.F) {
 	cs := []pipesim.Counters{
-		{Cycles: 13, PortUops: []int{3, 3, 0, 0, 0, 3, 3, 0}, TotalUops: 12, IssuedUops: 12},
-		{Cycles: 63, PortUops: []int{18, 18, 0, 0, 0, 18, 18, 0}, TotalUops: 72, IssuedUops: 72, ElimUops: 1},
+		{Cycles: 13, PortUops: [pipesim.MaxPorts]int{3, 3, 0, 0, 0, 3, 3, 0}, TotalUops: 12, IssuedUops: 12},
+		{Cycles: 63, PortUops: [pipesim.MaxPorts]int{18, 18, 0, 0, 0, 18, 18, 0}, TotalUops: 72, IssuedUops: 72, ElimUops: 1},
 	}
-	f.Add(AppendResponse(nil, "pipesim@1 cfg=0123456789abcdef", cs, ""))
-	f.Add(AppendResponse(nil, "pipesim@1 cfg=0123456789abcdef", nil, `remote: unknown instruction variant "NOPE"`))
+	f.Add(AppendResponse(nil, "pipesim@1 cfg=0123456789abcdef", cs, 8, ""))
+	f.Add(AppendResponse(nil, "pipesim@1 cfg=0123456789abcdef", nil, 0, `remote: unknown instruction variant "NOPE"`))
 	f.Add([]byte(`{"fingerprint":"a\"b\\cé😀","wireVersion":2,"counters":[],"error":"x"}`))
 	f.Add([]byte(`{"fingerprint":"f","wireVersion":3,"counters":[{"cycles":1,"portUops":[],"totalUops":0,"issuedUops":0,"elimUops":0}]}`))
 	f.Add([]byte(`{"fingerprint":"f","wireVersion":3,"counters":null}`))
 	f.Add([]byte("garbage"))
+	f.Add([]byte(`{"fingerprint":"f","wireVersion":3,"counters":[{"cycles":1,"portUops":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17],"totalUops":0,"issuedUops":0,"elimUops":0}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s := string(raw)
-		body := AppendResponse(nil, s, nil, s)
+		body := AppendResponse(nil, s, nil, 0, s)
 		var ref MeasureResponse
 		if err := json.Unmarshal(body, &ref); err != nil {
 			t.Fatalf("encoding/json refuses the written %q: %v", body, err)
@@ -365,11 +406,15 @@ func FuzzParseResponse(f *testing.F) {
 		if !reflect.DeepEqual(resp, mr) {
 			t.Fatalf("parsed %+v, encoding/json read %+v", resp, mr)
 		}
-		again, err := ParseResponse(AppendResponse(nil, resp.Fingerprint, simCounters(resp.Counters), resp.Error))
+		numPorts := widest(resp.Counters)
+		if numPorts > pipesim.MaxPorts {
+			t.Fatalf("accepted %d port counts, more than the %d a reading holds", numPorts, pipesim.MaxPorts)
+		}
+		again, err := ParseResponse(AppendResponse(nil, resp.Fingerprint, simCounters(resp.Counters), numPorts, resp.Error))
 		if err != nil {
 			t.Fatalf("the written response does not parse: %v", err)
 		}
-		if want := normalResponse(resp); !reflect.DeepEqual(again, want) {
+		if want := normalResponse(resp, numPorts); !reflect.DeepEqual(again, want) {
 			t.Fatalf("written and parsed again as %+v, want %+v", again, want)
 		}
 	})
@@ -392,8 +437,8 @@ func portUsageKernel(tb testing.TB) asmgen.Sequence {
 // skylakeCounters are two readings of the port-usage kernel, as a worker
 // answers them.
 var skylakeCounters = []pipesim.Counters{
-	{Cycles: 520, PortUops: []int{1, 257, 0, 0, 0, 256, 0, 0}, TotalUops: 514, IssuedUops: 514},
-	{Cycles: 3090, PortUops: []int{12, 1542, 0, 0, 0, 1530, 0, 0}, TotalUops: 3084, IssuedUops: 3084},
+	{Cycles: 520, PortUops: [pipesim.MaxPorts]int{1, 257, 0, 0, 0, 256, 0, 0}, TotalUops: 514, IssuedUops: 514},
+	{Cycles: 3090, PortUops: [pipesim.MaxPorts]int{12, 1542, 0, 0, 0, 1530, 0, 0}, TotalUops: 3084, IssuedUops: 3084},
 }
 
 // wireRung is one rung of BenchmarkWire: round writes one body into buf,
@@ -417,7 +462,7 @@ func wireRungs(tb testing.TB) []wireRung {
 			return buf
 		}},
 		{"response", func(tb testing.TB, buf []byte) []byte {
-			buf = AppendResponse(buf[:0], "pipesim@1 cfg=0123456789abcdef", skylakeCounters, "")
+			buf = AppendResponse(buf[:0], "pipesim@1 cfg=0123456789abcdef", skylakeCounters, 8, "")
 			resp, err := ParseResponse(buf)
 			if err != nil || len(resp.Counters) != len(skylakeCounters) {
 				tb.Fatal(err)

@@ -39,7 +39,7 @@ func checkRunCopies(t testing.TB, m *Machine, k asmgen.Sequence) (undrained bool
 			wantErr = err
 			break
 		}
-		if gotErr == nil && !countersEqual(got[i], want) {
+		if gotErr == nil && got[i] != want {
 			t.Fatalf("%d copies of a %d-instruction kernel: RunCopies %+v, Run %+v", n, len(k), got[i], want)
 		}
 	}

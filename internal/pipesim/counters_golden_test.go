@@ -99,7 +99,7 @@ func (r *foldRunner) fold(n int, c pipesim.Counters, err error) {
 		for _, v := range []int{c.Cycles, c.TotalUops, c.IssuedUops, c.ElimUops} {
 			b = binary.AppendVarint(b, int64(v))
 		}
-		for _, v := range c.PortUops {
+		for _, v := range c.PortUops[:r.m.Arch().NumPorts()] {
 			b = binary.AppendVarint(b, int64(v))
 		}
 	}

@@ -117,8 +117,7 @@ func seqLoadStoreMix(arch *uarch.Arch) asmgen.Sequence {
 }
 
 // TestRunSteadyStateAllocs pins the allocation-free contract: once the
-// arenas have grown to a sequence's working-set size, Run allocates only the
-// returned Counters.PortUops slice.
+// arenas have grown to a sequence's working-set size, Run allocates nothing.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	arch := uarch.Get(uarch.Skylake)
 	shapes := []struct {
@@ -140,10 +139,10 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(10, func() {
 				m.MustRun(shape.seq)
 			})
-			// One allocation is inherent (Counters.PortUops); allow one more
-			// for incidental runtime noise.
-			if allocs > 2 {
-				t.Errorf("steady-state Run allocates %.1f times per call, want <= 2", allocs)
+			// Run itself allocates nothing; allow one allocation for
+			// incidental runtime noise.
+			if allocs > 1 {
+				t.Errorf("steady-state Run allocates %.1f times per call, want <= 1", allocs)
 			}
 		})
 	}
@@ -222,20 +221,6 @@ func instrPool(t testing.TB, arch *uarch.Arch) []*asmgen.Inst {
 	return pool
 }
 
-func countersEqual(a, b Counters) bool {
-	if a.Cycles != b.Cycles || a.TotalUops != b.TotalUops ||
-		a.IssuedUops != b.IssuedUops || a.ElimUops != b.ElimUops ||
-		len(a.PortUops) != len(b.PortUops) {
-		return false
-	}
-	for i := range a.PortUops {
-		if a.PortUops[i] != b.PortUops[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRunDifferentialAcrossForks runs 200 random sequences through a parent
 // Machine and a worker-style fork (Clone) and requires identical counters:
 // the arenas of parent and fork must not alias, and reused arena state must
@@ -271,12 +256,12 @@ func TestRunDifferentialAcrossForks(t *testing.T) {
 			for i, seq := range seqs {
 				want := parent.MustRun(seq)
 				got := fork.MustRun(seq)
-				if !countersEqual(want, got) {
+				if want != got {
 					t.Fatalf("sequence %d: parent %+v, fork %+v", i, want, got)
 				}
 				// Re-running on the same dirty Machine must reproduce the
 				// counters exactly (no state leaks across Run calls).
-				if again := parent.MustRun(seq); !countersEqual(want, again) {
+				if again := parent.MustRun(seq); want != again {
 					t.Fatalf("sequence %d: first run %+v, rerun %+v", i, want, again)
 				}
 				if i%7 == 0 {
@@ -298,7 +283,7 @@ func TestResetClearsState(t *testing.T) {
 	m.MustRun(seqLoadStoreMix(arch))
 	m.Reset()
 	m.checkResetInvariants() // must hold in every build, not only -race
-	if got := m.MustRun(seq); !countersEqual(want, got) {
+	if got := m.MustRun(seq); want != got {
 		t.Fatalf("after Reset: got %+v, want %+v", got, want)
 	}
 }
@@ -323,14 +308,14 @@ func TestRunDividerRegimesOnWarmMachine(t *testing.T) {
 			want := fresh.MustRun(seq)
 			warm.SetDividerValues(regime)
 			got[k] = warm.MustRun(seq)
-			if !countersEqual(got[k], want) {
+			if got[k] != want {
 				t.Fatalf("sequence %d, divider regime %d: warm %+v, fresh %+v", i, regime, got[k], want)
 			}
 			if k == 0 {
 				regime = FastDividerValues - regime
 			}
 		}
-		if !countersEqual(got[0], got[1]) {
+		if got[0] != got[1] {
 			differ++
 		}
 	}

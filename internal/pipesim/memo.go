@@ -41,17 +41,15 @@ import (
 //     template never pays it, at any copy count, so its readings are the
 //     same under every penalty.
 //   - execute reads only the renamed arena and the machine record: the
-//     port count, the issue width, SchedulerSize and MaxCycles. The port
-//     count reaches a reading only as the length of Counters.PortUops. A
-//     µop dispatches only to a port of its mask, and portMaskFor built the
-//     masks below the count, which the template ids encode; the allPorts
-//     early exit of the dispatch walk only ends a walk that readyUnion
-//     would end at its next µop, so it never changes which µop
+//     port count, the issue width, SchedulerSize and MaxCycles. A µop
+//     dispatches only to a port of its mask, and portMaskFor built the
+//     masks below the port count, which the template ids encode; the
+//     allPorts early exit of the dispatch walk only ends a walk that
+//     readyUnion would end at its next µop, so it never changes which µop
 //     dispatches. So two records that differ only in the port count read
-//     a kernel alike but for the length of PortUops, and a reading holds
-//     zeros past the highest port of its kernel's masks: recall cuts or
-//     pads the stored PortUops to the reading Machine's own port count
-//     (decodeCounters, which race builds check).
+//     a kernel alike, and a reading holds zeros past the highest port of
+//     its kernel's masks, which race builds check on every recalled
+//     reading (decodeCounters).
 //   - Everything else a Machine keeps across runs is reset before each run
 //     (checkResetInvariants pins it), except what the simulation never
 //     reads (the table and the key scratch), the rename templates, which
@@ -92,11 +90,12 @@ import (
 // simulated of the variants they decode alike, and Sandy Bridge what
 // Nehalem did. Records that differ only in the port count share every
 // reading of a kernel whose templates agree: Haswell recalls Sandy Bridge's
-// PADDD kernels, with eight entries of PortUops. Errors name the
-// generation, and failed readings are never stored.
+// PADDD kernels. Errors name the generation, and failed readings are never
+// stored.
 //
 // The readings take at most tableBudget bytes, charged per entry as the
-// key, the encoded counters and entryOverhead. An entry that does not fit
+// key, the encoded counters (the storing Machine's port count, then that
+// many port entries) and entryOverhead. An entry that does not fit
 // beside the others drops the readings whole first (the interner stays):
 // no eviction order to keep, and one pass over the ISA fits. One mutex
 // guards the table. RunCopies takes it once to recall and, if it simulated
@@ -165,9 +164,7 @@ func (t *Table) intern(key []byte) int32 {
 }
 
 // recall fills out[i] for every count copies[i] the table holds a reading
-// of, under one lock, and sets m.missed to the indices of the others. A
-// recalled reading's PortUops has the Machine's own port count, whatever
-// the count of the Machine that stored it.
+// of, under one lock, and sets m.missed to the indices of the others.
 func (m *Machine) recall(copies []int, out []Counters) {
 	m.missed = m.missed[:0]
 	t := m.table
@@ -196,7 +193,7 @@ func (m *Machine) remember(copies []int, out []Counters, simulated []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, i := range simulated {
-		t.store(m.readingKey(copies[i]), out[i])
+		t.store(m.readingKey(copies[i]), out[i], m.rec.NumPorts)
 	}
 }
 
@@ -207,16 +204,17 @@ func (m *Machine) readingKey(n int) []byte {
 	return m.keyBuf
 }
 
-// store stores reading c under key, unless the table holds it already (a
-// Machine sharing the table simulated it meanwhile). When the entry does
-// not fit beside the others, the readings are dropped whole first; an
-// entry larger than the whole budget is not stored. The caller holds t.mu.
-func (t *Table) store(key []byte, c Counters) {
+// store stores reading c of a machine with numPorts ports under key, unless
+// the table holds it already (a Machine sharing the table simulated it
+// meanwhile). When the entry does not fit beside the others, the readings
+// are dropped whole first; an entry larger than the whole budget is not
+// stored. The caller holds t.mu.
+func (t *Table) store(key []byte, c Counters, numPorts int) {
 	if _, ok := t.readings[string(key)]; ok {
 		return
 	}
 	off := len(t.vals)
-	t.vals = appendCounters(t.vals, c)
+	t.vals = appendCounters(t.vals, c, numPorts)
 	cost := len(key) + len(t.vals) - off + entryOverhead
 	switch {
 	case cost > t.budget:
@@ -233,9 +231,9 @@ func (t *Table) store(key []byte, c Counters) {
 }
 
 // appendRecKey appends to b the encoding of the machine record r, all but
-// its port count, which a reading holds only as the length of PortUops
-// (recall gives it the reader's), and its SSE/AVX penalty, which
-// appendKernelKey adds only for a kernel that can pay it.
+// its port count, which reaches a reading only through the templates, and
+// its SSE/AVX penalty, which appendKernelKey adds only for a kernel that
+// can pay it.
 func appendRecKey(b []byte, r record) []byte {
 	for _, v := range [...]int{r.IssueWidth, r.LoadLatency, r.schedulerSize, r.maxCycles} {
 		b = binary.AppendVarint(b, int64(v))
@@ -364,10 +362,10 @@ func flagBits(flags ...bool) byte {
 	return v
 }
 
-// decodeCounters returns a fresh copy of the reading encoded at the start
-// of b, with numPorts entries of PortUops: the stored ones, then zeros. A
-// reading stored by a Machine with more ports holds zeros past numPorts
-// (memo.go); race builds panic if it does not.
+// decodeCounters returns the reading encoded at the start of b for a
+// Machine with numPorts ports. A reading stored by a Machine with more
+// ports holds zeros at and past numPorts (memo.go); race builds panic if it
+// does not.
 func decodeCounters(b []byte, numPorts int) Counters {
 	next := func() int {
 		v, n := binary.Varint(b)
@@ -375,25 +373,27 @@ func decodeCounters(b []byte, numPorts int) Counters {
 		return int(v)
 	}
 	c := Counters{Cycles: next(), TotalUops: next(), IssuedUops: next(), ElimUops: next()}
-	stored := next()
-	c.PortUops = make([]int, numPorts)
-	for p := range stored {
-		v := next()
-		if p < numPorts {
-			c.PortUops[p] = v
-		} else if raceEnabled && v != 0 {
-			panic(fmt.Sprintf("pipesim: a recalled reading dispatched %d µops to port %d, beyond the %d of the reading machine", v, p, numPorts))
+	for p := range next() {
+		c.PortUops[p] = next()
+	}
+	if raceEnabled {
+		for p := numPorts; p < MaxPorts; p++ {
+			if v := c.PortUops[p]; v != 0 {
+				panic(fmt.Sprintf("pipesim: a recalled reading dispatched %d µops to port %d, beyond the %d of the reading machine", v, p, numPorts))
+			}
 		}
 	}
 	return c
 }
 
-// appendCounters appends the varint encoding of c to b.
-func appendCounters(b []byte, c Counters) []byte {
-	for _, v := range [...]int{c.Cycles, c.TotalUops, c.IssuedUops, c.ElimUops, len(c.PortUops)} {
+// appendCounters appends to b the varint encoding of c, a reading of a
+// machine with numPorts ports: its scalar counters, numPorts, then the
+// first numPorts entries of PortUops.
+func appendCounters(b []byte, c Counters, numPorts int) []byte {
+	for _, v := range [...]int{c.Cycles, c.TotalUops, c.IssuedUops, c.ElimUops, numPorts} {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	for _, v := range c.PortUops {
+	for _, v := range c.PortUops[:numPorts] {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	return b

@@ -200,7 +200,7 @@ func TestKernelKeySeparatesWhatRenameReads(t *testing.T) {
 		fresh := New(k.arch)
 		wantA := fresh.MustRun(p.a.Repeat(12))
 		fresh.SetDividerValues(regime(p.fastB))
-		if wantB := fresh.MustRun(p.b.Repeat(12)); countersEqual(wantA, wantB) {
+		if wantB := fresh.MustRun(p.b.Repeat(12)); wantA == wantB {
 			t.Errorf("%s: the kernels read alike (%+v), so a shared key would go unseen", p.name, wantA)
 		}
 		for round := 0; round < 2; round++ {
@@ -249,8 +249,7 @@ func TestKernelKeyJoinsWhatRenameIgnores(t *testing.T) {
 }
 
 // TestRecalledReadingsAreCallersOwn changes every returned reading in
-// place, as Harness.withOverhead does, and requires the next recalled
-// readings to be unchanged.
+// place and requires the next recalled readings to be unchanged.
 func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 	t.Parallel()
 	arch := uarch.Get(uarch.Skylake)
@@ -263,7 +262,7 @@ func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range got {
-			if !countersEqual(got[i], want[i]) {
+			if got[i] != want[i] {
 				t.Fatalf("round %d, reading %d: %+v, want %+v", round, i, got[i], want[i])
 			}
 			got[i].Cycles++
@@ -277,27 +276,25 @@ func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 	}
 }
 
-// TestDecodeCountersFitsPortCount decodes one stored reading at fewer, as
-// many and more ports than it holds, and requires the stored entries up to
-// the port count and zeros after them. In race builds a nonzero entry past
-// the port count must panic: recalled there, the reading would lose µops.
+// TestDecodeCountersFitsPortCount decodes one reading stored by a Machine
+// with 8 ports at fewer, as many and more ports, and requires the stored
+// reading each time. In race builds a nonzero entry at or past the port
+// count must panic: recalled there, the reading would hold µops on a port
+// the reading machine does not have.
 func TestDecodeCountersFitsPortCount(t *testing.T) {
 	t.Parallel()
-	c := Counters{Cycles: 9, TotalUops: 3, IssuedUops: 4, ElimUops: 1, PortUops: []int{1, 0, 2, 0, 0, 0, 0, 0}}
-	b := appendCounters(nil, c)
+	c := Counters{Cycles: 9, TotalUops: 3, IssuedUops: 4, ElimUops: 1, PortUops: [MaxPorts]int{1, 0, 2}}
+	b := appendCounters(nil, c, 8)
 	for _, ports := range []int{6, 8, 10} {
-		want := c
-		want.PortUops = make([]int, ports)
-		copy(want.PortUops, c.PortUops)
-		if got := decodeCounters(b, ports); !countersEqual(got, want) {
-			t.Errorf("%d ports: %+v, want %+v", ports, got, want)
+		if got := decodeCounters(b, ports); got != c {
+			t.Errorf("%d ports: %+v, want %+v", ports, got, c)
 		}
 	}
 	if !raceEnabled {
 		return
 	}
 	c.PortUops[7] = 5
-	b = appendCounters(nil, c)
+	b = appendCounters(nil, c, 8)
 	defer func() {
 		if recover() == nil {
 			t.Error("decoding 5 µops on port 7 at 6 ports did not panic")

@@ -89,44 +89,34 @@ const (
 	FastDividerValues
 )
 
+// MaxPorts bounds the execution ports of a modelled generation: the
+// per-port bitmasks, load tables and counters have this many entries. All
+// modelled generations have 6 or 8 execution ports.
+const MaxPorts = 16
+
 // Counters is the simulated performance-counter state after running a code
 // sequence: elapsed core cycles and the number of µops dispatched to each
-// port (Section 3.3).
+// port (Section 3.3). PortUops holds one entry per port of the machine,
+// then zeros. Counters are plain values: copies share nothing, and equal
+// readings compare equal with ==.
 type Counters struct {
 	Cycles     int
-	PortUops   []int
+	PortUops   [MaxPorts]int
 	TotalUops  int // µops dispatched to an execution port
 	IssuedUops int // all µops, including those handled at rename
 	ElimUops   int // µops eliminated at rename (moves, zero idioms, NOPs)
 }
 
-// Clone returns a deep copy of the counters.
-func (c Counters) Clone() Counters {
-	out := c
-	out.PortUops = append([]int(nil), c.PortUops...)
-	return out
-}
-
-// Sub returns c - o element-wise, leaving c as it was.
+// Sub returns c - o element-wise.
 func (c Counters) Sub(o Counters) Counters {
-	out := c.Clone()
-	out.Subtract(o)
-	return out
-}
-
-// Subtract sets c to c - o element-wise, in place: c's PortUops is
-// overwritten (the measurement protocol takes the difference of two
-// readings it owns this way).
-func (c *Counters) Subtract(o Counters) {
 	c.Cycles -= o.Cycles
 	c.TotalUops -= o.TotalUops
 	c.IssuedUops -= o.IssuedUops
 	c.ElimUops -= o.ElimUops
 	for i := range c.PortUops {
-		if i < len(o.PortUops) {
-			c.PortUops[i] -= o.PortUops[i]
-		}
+		c.PortUops[i] -= o.PortUops[i]
 	}
+	return c
 }
 
 // Config controls simulation parameters that are not part of the
@@ -148,10 +138,6 @@ type Config struct {
 	// instructions.
 	DividerValues DividerValues
 }
-
-// maxPorts bounds the per-port bitmasks and load tables; all modelled
-// generations have 6 or 8 execution ports.
-const maxPorts = 16
 
 // idx32 is the single funnel for narrowing wide integers into the int32
 // arena indices and cycle counts used throughout the simulator. In race
@@ -218,11 +204,10 @@ type record struct {
 // Machine simulates one microarchitecture generation.
 //
 // A Machine owns reusable per-run state (arenas, scoreboards, scheduler
-// queues) so that steady-state Run calls perform no heap allocations beyond
-// the returned Counters.PortUops slice. It is therefore NOT safe for
-// concurrent use: each goroutine needs its own Machine (see Clone). The
-// reading table of RunCopies is the one thing Machines share, and it
-// synchronizes itself.
+// queues) so that steady-state Run calls perform no heap allocations. It is
+// therefore NOT safe for concurrent use: each goroutine needs its own
+// Machine (see Clone). The reading table of RunCopies is the one thing
+// Machines share, and it synchronizes itself.
 type Machine struct {
 	arch *uarch.Arch
 	cfg  Config
@@ -297,7 +282,7 @@ type Machine struct {
 	readyScratch []int32
 	arrivals     []int32
 	elimReady    []int32
-	portLoad     [maxPorts]int32
+	portLoad     [MaxPorts]int32
 }
 
 // New returns a Machine for the given microarchitecture with default
@@ -326,12 +311,12 @@ func newMachine(arch *uarch.Arch, cfg Config, table *Table) *Machine {
 	if cfg.MaxCycles > 1<<30 {
 		cfg.MaxCycles = 1 << 30
 	}
-	if arch.NumPorts() > maxPorts {
+	if arch.NumPorts() > MaxPorts {
 		// The dispatch stage represents port sets as uint16 bitmasks;
 		// silently dropping ports would turn their µops into phantom
 		// deadlocks, so fail loudly if a generation ever outgrows the mask.
 		panic(fmt.Sprintf("pipesim: %s has %d ports, max supported is %d",
-			arch.Name(), arch.NumPorts(), maxPorts))
+			arch.Name(), arch.NumPorts(), MaxPorts))
 	}
 	rec := record{Machine: arch.Machine(), schedulerSize: cfg.SchedulerSize, maxCycles: cfg.MaxCycles}
 	return &Machine{arch: arch, cfg: cfg, rec: rec, recKey: appendRecKey(nil, rec),
@@ -402,7 +387,7 @@ func (m *Machine) Reset() {
 	m.readyScratch = m.readyScratch[:0]
 	m.arrivals = m.arrivals[:0]
 	m.elimReady = m.elimReady[:0]
-	m.portLoad = [maxPorts]int32{}
+	m.portLoad = [MaxPorts]int32{}
 	// tempGen is deliberately NOT reset: temp slots are validated by epoch,
 	// and the monotonically increasing generation keeps slots from a
 	// previous run invalid without clearing them.
@@ -457,9 +442,9 @@ func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 // Machine sharing its table took of a kernel equal in everything the
 // simulation reads of it, on an equal machine record, at the same copy
 // count and divider regime (memo.go) — is recalled instead of simulated
-// again. The returned counters are the caller's own. It stops at the first
-// count whose run does not drain and returns that run's error; failed
-// readings are not remembered. It implements measure.CopiesRunner.
+// again. It stops at the first count whose run does not drain and returns
+// that run's error; failed readings are not remembered. It implements
+// measure.CopiesRunner.
 func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, error) {
 	out := make([]Counters, len(copies))
 	m.kernelKey = m.appendKernelKey(m.kernelKey[:0], code)
@@ -1219,8 +1204,7 @@ func (m *Machine) popWake() {
 // be truncated.
 func (m *Machine) execute() (Counters, error) {
 	numPorts := m.rec.NumPorts
-	c := Counters{PortUops: make([]int, numPorts)}
-	c.IssuedUops = len(m.uops)
+	c := Counters{IssuedUops: len(m.uops)}
 
 	issueWidth := m.rec.IssueWidth
 	schedSize := m.rec.schedulerSize
@@ -1531,7 +1515,7 @@ func portMaskFor(ports []int, numPorts int) uint16 {
 // by TestPortSetsAscending in package uarch), so this reproduces the
 // first-listed-port-wins tie-break of the earlier slice-walking
 // implementation exactly.
-func choosePort(avail uint16, load *[maxPorts]int32) int {
+func choosePort(avail uint16, load *[MaxPorts]int32) int {
 	best := -1
 	for mk := avail; mk != 0; mk &= mk - 1 {
 		p := bits.TrailingZeros16(mk)

@@ -82,7 +82,7 @@ func checkReading(t testing.TB, m *Machine, k asmgen.Sequence, want reading, wha
 		t.Fatalf("%s, %d-instruction kernel: RunCopies error %v, Run error %v", what, len(k), err, want.err)
 	}
 	for i := range got {
-		if !countersEqual(got[i], want.counters[i]) {
+		if got[i] != want.counters[i] {
 			t.Fatalf("%s, %d copies of a %d-instruction kernel: RunCopies %+v, Run %+v",
 				what, copyCounts[i], len(k), got[i], want.counters[i])
 		}
@@ -208,7 +208,7 @@ func TestTableSeparatesSchedulerSizes(t *testing.T) {
 	window := windowKernel(arch)
 	big, small := NewWithConfig(arch, Config{SchedulerSize: 60}), NewWithConfig(arch, Config{SchedulerSize: 20})
 	small.SetTable(big.table)
-	if a, b := big.MustRun(window), small.MustRun(window); countersEqual(a, b) {
+	if a, b := big.MustRun(window), small.MustRun(window); a == b {
 		t.Fatalf("the window kernel reads alike at both sizes (%+v)", a)
 	}
 	kernels := append(benchShapes(arch), window)
@@ -231,8 +231,8 @@ func TestTableSeparatesSchedulerSizes(t *testing.T) {
 // to change: the record key (appendRecKey) covers every field but the port
 // count and the penalty, and the kernel key (appendKernelKey) holds the
 // penalty of such a kernel. The port count alone must leave the key as it
-// is: it reaches a reading only as the length of PortUops, which recall
-// fits to the reading Machine (TestTableSharedAcrossPortCounts).
+// is: it reaches a reading only through the templates, whose ids the key
+// holds (TestTableSharedAcrossPortCounts).
 func TestRecordKeyCoversEveryField(t *testing.T) {
 	t.Parallel()
 	m := New(uarch.Get(uarch.Skylake))
@@ -328,8 +328,8 @@ func TestPenaltyKeyedOnlyWhereItIsPaid(t *testing.T) {
 // a Haswell Machine (8 ports), whose records differ only in the port count,
 // on one table. Each recalls the readings of a PADDD_XMM_XMM kernel the
 // other took first, a chain read first on Sandy Bridge and a throughput
-// kernel read first on Haswell, with PortUops at its own port count; a
-// PMULLD_XMM_XMM kernel, whose templates differ, is simulated on both.
+// kernel read first on Haswell; a PMULLD_XMM_XMM kernel, whose templates
+// differ, is simulated on both.
 // Every reading equals Run of the materialized copies on a private Machine
 // of the reading generation.
 func TestTableSharedAcrossPortCounts(t *testing.T) {
@@ -412,7 +412,7 @@ func TestTableConcurrentForks(t *testing.T) {
 						return
 					}
 					for n := range got {
-						if !countersEqual(got[n], want[i].counters[n]) {
+						if got[n] != want[i].counters[n] {
 							t.Errorf("fork %d, kernel %d, %d copies: RunCopies %+v, Run %+v", f, i, copyCounts[n], got[n], want[i].counters[n])
 						}
 					}

@@ -377,7 +377,8 @@ func TestMeasureEndpointRunnersCarryNothing(t *testing.T) {
 				}
 				got := make([]pipesim.Counters, len(resp.Counters))
 				for i, c := range resp.Counters {
-					got[i] = pipesim.Counters(c)
+					got[i] = pipesim.Counters{Cycles: c.Cycles, TotalUops: c.TotalUops, IssuedUops: c.IssuedUops, ElimUops: c.ElimUops}
+					copy(got[i].PortUops[:], c.PortUops)
 				}
 				if !reflect.DeepEqual(got, q.want) {
 					t.Errorf("goroutine %d round %d, regime %d: answered %+v, a fresh Machine reads %+v", g, round, q.div, got, q.want)

@@ -49,12 +49,6 @@ const maxMeasureBody = 32 << 20
 // LongCopies, 10 and 110) is 30 840 instructions, far below this bound.
 const maxMeasureInstrs = 1 << 22
 
-// dividerValueSetter is implemented by execution substrates that can switch
-// the operand-value regime for divider-based instructions.
-type dividerValueSetter interface {
-	SetDividerValues(pipesim.DividerValues)
-}
-
 // servingInfo assembles the engine's serving-backend identity. New computes
 // it once: the engine's backend was ready at engine.New, and the
 // measurement configuration is a constant.
@@ -121,7 +115,7 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		if setter, ok := runner.(dividerValueSetter); ok {
+		if setter, ok := runner.(measure.DividerValueSetter); ok {
 			setter.SetDividerValues(req.Div)
 		}
 		cs, req.Err = measure.RunCopies(runner, req.Kernel, req.Copies...)
@@ -141,7 +135,7 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// Compact, not writeJSON's indented form: measurement requests are
 	// fleet-internal traffic where body size is latency.
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(remote.AppendResponse(buf.Bytes()[:0], s.servingFingerprint(), cs, errMsg))
+	w.Write(remote.AppendResponse(buf.Bytes()[:0], s.servingFingerprint(), cs, req.Arch.NumPorts(), errMsg))
 }
 
 // takeRunner returns a runner of gen for one /v1/measure request to own
