@@ -283,11 +283,12 @@ func TestUopsdShutdownQuiescesDetachedRun(t *testing.T) {
 
 // TestUopsdShutdownAnswersWaitingClient: SIGTERM-style cancellation while
 // the client of a cold full-Skylake request is still connected. -drain
-// (100ms) runs out with that request in flight; the run is then cancelled,
-// the client gets a 503 with a JSON error instead of an empty reply, and
-// the server exits cleanly.
+// (1ms) runs out with that request in flight, which a cold Skylake run
+// outlasts (it took under 100ms on a 2-vCPU host); the run is then
+// cancelled, the client gets a 503 with a JSON error instead of an empty
+// reply, and the server exits cleanly.
 func TestUopsdShutdownAnswersWaitingClient(t *testing.T) {
-	base, shutdown := startServer(t, "-j", "2", "-drain", "100ms")
+	base, shutdown := startServer(t, "-j", "2", "-drain", "1ms")
 	type answer struct {
 		code int
 		body []byte

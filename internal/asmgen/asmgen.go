@@ -26,9 +26,11 @@ type Mem struct {
 }
 
 // Operand is a concrete value for one explicit operand of an instruction.
+// It holds its memory operand by value, so building an instance allocates
+// its operand slice and nothing per operand; IsMem tells a memory operand.
 type Operand struct {
 	Reg    isa.Reg
-	Mem    *Mem
+	Mem    Mem
 	Imm    int64
 	HasImm bool
 }
@@ -36,8 +38,13 @@ type Operand struct {
 // RegOperand returns a register operand.
 func RegOperand(r isa.Reg) Operand { return Operand{Reg: r} }
 
-// MemOperand returns a memory operand.
-func MemOperand(base isa.Reg, addr uint64) Operand { return Operand{Mem: &Mem{Base: base, Addr: addr}} }
+// MemOperand returns a memory operand. base must be a register: a memory
+// operand always names its base register, which is how IsMem tells it.
+func MemOperand(base isa.Reg, addr uint64) Operand { return Operand{Mem: Mem{Base: base, Addr: addr}} }
+
+// IsMem reports whether o is a memory operand, that is, names a base
+// register.
+func (o Operand) IsMem() bool { return o.Mem.Base != isa.RegNone }
 
 // ImmOperand returns an immediate operand.
 func ImmOperand(v int64) Operand { return Operand{Imm: v, HasImm: true} }
@@ -70,7 +77,7 @@ func NewInst(variant *isa.Instr, ops ...Operand) (*Inst, error) {
 					variant.Name, i+1, op.Reg, op.Reg.Class(), spec.Class)
 			}
 		case isa.OpMem:
-			if op.Mem == nil {
+			if !op.IsMem() {
 				return nil, fmt.Errorf("asmgen: %s: operand %d must be a memory operand", variant.Name, i+1)
 			}
 			if op.Mem.Base.Class() != isa.ClassGPR64 {
@@ -155,7 +162,7 @@ func (in *Inst) RegsUsed() RegSet {
 		switch {
 		case spec.Kind == isa.OpReg && op.Reg != isa.RegNone:
 			used.Add(op.Reg)
-		case spec.Kind == isa.OpMem && op.Mem != nil:
+		case spec.Kind == isa.OpMem && op.IsMem():
 			used.Add(op.Mem.Base)
 		}
 	}

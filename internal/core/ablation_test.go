@@ -166,41 +166,54 @@ func BenchmarkBlockingInstructionDiscovery(b *testing.B) {
 
 // TestInferenceRungAllocs pins the allocations per call of the three
 // inference rungs (BenchmarkPortUsageInference, BenchmarkLatencyInference
-// and BenchmarkThroughputInference) on their warm Skylake stack: kernel
-// generation builds no register maps and no per-combination copy of the
-// blocking sequence, and a Measure of recalled readings allocates only the
-// slice of its two copy counts and RunCopies' slice of the readings, which
-// are values. A rung that
-// allocates more than its ceiling fails under its own name. The test does
-// not run in parallel: AllocsPerRun counts every allocation of the process.
+// and BenchmarkThroughputInference) on their warm Skylake stack. Each call
+// alternates between two variants, so that it builds its variant's
+// independent instances, which a characterizer keeps only for the variant
+// it measured last, as every variant of a pass does; the blocking
+// instances, the sorted blocking combinations, the chain latencies, the
+// rename templates and the reading table stay warm. Kernel generation
+// builds no register maps and no per-combination copy of the blocking
+// sequence, and a Measure of recalled readings allocates nothing. A rung
+// that allocates more than its ceiling fails under its own name. The test
+// does not run in parallel: AllocsPerRun counts every allocation of the
+// process.
 func TestInferenceRungAllocs(t *testing.T) {
 	c := charFor(t, uarch.Skylake)
-	movq2dq := variant(t, c, "MOVQ2DQ_XMM_MM")
-	aesdec := variant(t, c, "AESDEC_XMM_XMM")
-	add := variant(t, c, "ADD_R64_R64")
+	alternate := func(a, b string) func() *isa.Instr {
+		vs, calls := [2]*isa.Instr{variant(t, c, a), variant(t, c, b)}, 0
+		return func() *isa.Instr {
+			calls++
+			return vs[calls%2]
+		}
+	}
+	portUsage := alternate("MOVQ2DQ_XMM_MM", "PSHUFB_XMM_XMM")
+	latency := alternate("AESDEC_XMM_XMM", "AESENC_XMM_XMM")
+	throughput := alternate("ADD_R64_R64", "SUB_R64_R64")
 	rungs := []struct {
 		name    string
 		ceiling float64
 		run     func() error
 	}{
-		{"PortUsage of MOVQ2DQ_XMM_MM", 50, func() error {
-			_, err := c.PortUsage(movq2dq, 2)
+		{"PortUsage of MOVQ2DQ_XMM_MM and PSHUFB_XMM_XMM", 10, func() error {
+			_, err := c.PortUsage(portUsage(), 2)
 			return err
 		}},
-		{"Latency of AESDEC_XMM_XMM", 41, func() error {
-			_, err := c.Latency(aesdec)
+		{"Latency of AESDEC_XMM_XMM and AESENC_XMM_XMM", 33, func() error {
+			_, err := c.Latency(latency())
 			return err
 		}},
-		{"Throughput of ADD_R64_R64", 48, func() error {
-			_, err := c.Throughput(add, PortUsage{"0156": 1})
+		{"Throughput of ADD_R64_R64 and SUB_R64_R64", 22, func() error {
+			_, err := c.Throughput(throughput(), PortUsage{"0156": 1})
 			return err
 		}},
 	}
 	for _, r := range rungs {
-		// The first call warms the stack: chain latencies, rename templates
-		// and the reading table.
-		if err := r.run(); err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+		// The first two calls warm the stack: chain latencies, blocking
+		// instances, rename templates and the reading table.
+		for range 2 {
+			if err := r.run(); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
 		}
 		var err error
 		allocs := testing.AllocsPerRun(20, func() {

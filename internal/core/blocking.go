@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"uopsinfo/internal/isa"
@@ -50,8 +51,28 @@ func (bs *BlockingSet) For(in *isa.Instr) map[string]BlockingInstr {
 	return bs.SSE
 }
 
-// Combos returns the port combinations of the given map sorted by size (and
-// lexicographically within a size), the iteration order required by
+// sortedSet is a blocking set's combination keys in the order of
+// Algorithm 1 (sortedCombos), for SSE and for AVX instructions under test.
+type sortedSet struct {
+	of       *BlockingSet
+	sse, avx []string
+}
+
+// combos returns the keys of the combinations of the Characterizer's
+// blocking set for the instruction under test, in the order of Algorithm 1.
+// It sorts the set once, and again only when another set is installed.
+func (c *Characterizer) combos(in *isa.Instr) []string {
+	if c.sorted.of != c.blocking {
+		c.sorted = sortedSet{of: c.blocking, sse: sortedCombos(c.blocking.SSE), avx: sortedCombos(c.blocking.AVX)}
+	}
+	if in.Extension.IsAVX() {
+		return c.sorted.avx
+	}
+	return c.sorted.sse
+}
+
+// sortedCombos returns the port combinations of the given map sorted by size
+// (and lexicographically within a size), the iteration order required by
 // Algorithm 1.
 func sortedCombos(m map[string]BlockingInstr) []string {
 	keys := make([]string, 0, len(m))
@@ -242,8 +263,8 @@ func (c *Characterizer) profileCandidate(in *isa.Instr) isolation {
 	if err != nil {
 		return isolation{}
 	}
-	ports, tp, uops := profileOf(res, 8)
-	return isolation{ports: ports, tp: tp, uops: uops, ok: true}
+	mask, tp, uops := profileOf(res, 8)
+	return isolation{ports: portsOfMask(mask), tp: tp, uops: uops, ok: true}
 }
 
 // addMemoryBlocking registers the load, store-address and store-data
@@ -285,15 +306,26 @@ func (c *Characterizer) measureIndependent(in *isa.Instr, n int) (measure.Result
 }
 
 // profileOf returns the profile of res, a measurement of n independent
-// instances of a variant: the set of ports that received a significant share
-// of its µops, the cycles per instruction, and the µops per instruction.
-func profileOf(res measure.Result, n int) ([]int, float64, float64) {
+// instances of a variant: the mask of the ports that received a significant
+// share of its µops, the cycles per instruction, and the µops per
+// instruction.
+func profileOf(res measure.Result, n int) (uint, float64, float64) {
 	perInstr := 1.0 / float64(n)
-	var ports []int
+	var mask uint
 	for p, u := range res.PortUops {
 		if u*perInstr >= 0.05 {
-			ports = append(ports, p)
+			mask |= 1 << uint(p)
 		}
 	}
-	return ports, res.Cycles * perInstr, res.TotalUops * perInstr
+	return mask, res.Cycles * perInstr, res.TotalUops * perInstr
+}
+
+// portsOfMask converts a port bitmask to its port list, in increasing
+// order, or nil for no ports.
+func portsOfMask(mask uint) []int {
+	var ports []int
+	for ; mask != 0; mask &= mask - 1 {
+		ports = append(ports, bits.TrailingZeros(mask))
+	}
+	return ports
 }

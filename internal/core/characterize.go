@@ -18,6 +18,9 @@ import (
 type Characterizer struct {
 	gen      *gen
 	blocking *BlockingSet
+	// sorted is blocking's combinations in the order of Algorithm 1 (see
+	// combos).
+	sorted sortedSet
 	// kernel is PortUsage's buffer for the kernel of one port combination
 	// (see portKernel).
 	kernel asmgen.Sequence

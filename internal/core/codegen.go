@@ -11,8 +11,10 @@ import (
 
 // gen holds the state shared by the microbenchmark generators: the
 // measurement harness, the instruction set of the target microarchitecture,
-// a memory arena for distinct addresses, and a cache of chain-instruction
-// latencies measured in isolation.
+// a memory arena for distinct addresses, a cache of chain-instruction
+// latencies measured in isolation, and the instances built once per
+// variant: the independent instances of the variant asked for last, and
+// every blocking instance built so far.
 type gen struct {
 	h     *measure.Harness
 	arch  *uarch.Arch
@@ -20,6 +22,25 @@ type gen struct {
 	arena *asmgen.MemArena
 
 	chainLat map[string]float64
+	indep    independent
+	blockers map[blocker]*asmgen.Inst
+}
+
+// independent is the sequence of independent instances of one variant
+// (independentInstances), with the allocator that extends it and the error
+// that ended it, if one did.
+type independent struct {
+	variant *isa.Instr
+	alloc   asmgen.Allocator
+	seq     asmgen.Sequence
+	err     error
+}
+
+// blocker names a blocking instance: its variant and the register families
+// it avoids (blockingInstance).
+type blocker struct {
+	variant *isa.Instr
+	avoid   asmgen.RegSet
 }
 
 func newGen(h *measure.Harness) *gen {
@@ -30,6 +51,7 @@ func newGen(h *measure.Harness) *gen {
 		set:      arch.InstrSet(),
 		arena:    asmgen.NewMemArena(),
 		chainLat: make(map[string]float64),
+		blockers: make(map[blocker]*asmgen.Inst),
 	}
 }
 
@@ -72,7 +94,7 @@ func (g *gen) instantiate(in *isa.Instr, fixed map[int]asmgen.Operand, alloc *as
 			if op.Reg != isa.RegNone {
 				alloc.MarkUsed(op.Reg)
 			}
-			if op.Mem != nil {
+			if op.IsMem() {
 				alloc.MarkUsed(op.Mem.Base)
 			}
 			continue
@@ -97,30 +119,67 @@ func (g *gen) instantiate(in *isa.Instr, fixed map[int]asmgen.Operand, alloc *as
 	return asmgen.NewInst(in, ops...)
 }
 
-// independentInstances builds n instances of the variant that avoid
+// independentInstances returns n instances of the variant that avoid
 // read-after-write dependencies between instances as far as possible
 // (Section 5.3.1): registers and memory locations written by one instance
 // are not read by a later one. Implicit operands that are both read and
 // written cannot be decoupled.
+//
+// Instance i depends only on the instances before it, so the instances of
+// every length are prefixes of one sequence, and an instance fails to build
+// for every length that includes it. The gen builds that sequence once per
+// variant, as far as the longest length asked for, and keeps it until
+// another variant is asked for: the isolation kernel, Throughput's lengths
+// and Algorithm 1's instruction under test all read it. Built again, the
+// sequence would differ only in its memory addresses, which a reading
+// numbers by first use (pipesim's reading key), so every measurement reads
+// alike. The returned slice is valid until the next call for another
+// variant, which reuses its array.
 func (g *gen) independentInstances(in *isa.Instr, n int) (asmgen.Sequence, error) {
-	alloc := g.newAlloc()
-	seq := make(asmgen.Sequence, n)
-	for i := range seq {
-		inst, err := g.instantiate(in, nil, &alloc)
+	ind := &g.indep
+	if ind.variant != in {
+		*ind = independent{variant: in, alloc: g.newAlloc(), seq: ind.seq[:0]}
+	}
+	for len(ind.seq) < n && ind.err == nil {
+		inst, err := g.instantiate(in, nil, &ind.alloc)
 		if err != nil {
 			// The register class may be exhausted for large n; fall back to
 			// reusing registers from the start of the sequence, which keeps
 			// the instances pairwise independent as long as no instance
 			// both reads and writes the reused register.
-			alloc.Reset()
-			inst, err = g.instantiate(in, nil, &alloc)
-			if err != nil {
-				return nil, err
-			}
+			ind.alloc.Reset()
+			inst, err = g.instantiate(in, nil, &ind.alloc)
 		}
-		seq[i] = inst
+		if err != nil {
+			ind.err = err
+			break
+		}
+		ind.seq = append(ind.seq, inst)
 	}
-	return seq, nil
+	if len(ind.seq) < n {
+		return nil, ind.err
+	}
+	return ind.seq[:n:n], nil
+}
+
+// blockingInstance returns the instance of the blocking variant in that
+// Algorithm 1 repeats ahead of an instruction under test whose registers
+// are in avoid's families: registers from a fresh allocator, avoiding
+// those, and a fresh address for a memory operand. A fresh allocator makes
+// the same choice every time, and a reading numbers addresses by first
+// use, so the gen builds each (variant, avoid) pair's instance once.
+func (g *gen) blockingInstance(in *isa.Instr, avoid asmgen.RegSet) (*asmgen.Inst, error) {
+	key := blocker{variant: in, avoid: avoid}
+	if inst, ok := g.blockers[key]; ok {
+		return inst, nil
+	}
+	alloc := g.newAlloc()
+	inst, err := g.instantiate(in, nil, &alloc, avoid)
+	if err != nil {
+		return nil, err
+	}
+	g.blockers[key] = inst
+	return inst, nil
 }
 
 // lookupVariant returns a named variant of the target instruction set, or an

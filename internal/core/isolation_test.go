@@ -26,7 +26,7 @@ func (r *kernelCounter) SetDividerValues(v pipesim.DividerValues) {
 	r.Machine.SetDividerValues(v)
 }
 
-func (r *kernelCounter) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+func (r *kernelCounter) RunCopies(code asmgen.Sequence, copies []int, out []pipesim.Counters) error {
 	if kernelText(code) == r.want {
 		if r.fastRegime {
 			r.fast++
@@ -34,7 +34,7 @@ func (r *kernelCounter) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesi
 			r.slow++
 		}
 	}
-	return r.Machine.RunCopies(code, copies...)
+	return r.Machine.RunCopies(code, copies, out)
 }
 
 // kernelText renders code with its memory addresses numbered by first use,
@@ -46,7 +46,7 @@ func kernelText(code asmgen.Sequence) string {
 		b.WriteString(inst.Variant.Name)
 		for _, op := range inst.Ops {
 			fmt.Fprintf(&b, " %v/%d", op.Reg, op.Imm)
-			if op.Mem != nil {
+			if op.IsMem() {
 				if _, ok := addrs[op.Mem.Addr]; !ok {
 					addrs[op.Mem.Addr] = len(addrs)
 				}

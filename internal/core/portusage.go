@@ -40,7 +40,7 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 
 	// The instruction in isolation: total µop count and the ports used,
 	// which restricts the combinations the loop has to consider.
-	isoPorts, _, isoUops := profileOf(iso, isoInstances)
+	isoMask, _, isoUops := profileOf(iso, isoInstances)
 	totalUops := isoUops
 	if totalUops < 0.4 {
 		// All µops are handled at rename (NOPs, eliminated moves).
@@ -57,20 +57,20 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 		blockRep = maxBlockRep
 	}
 
-	isoMask := portMask(isoPorts)
 	usage := make(PortUsage)
 	attributed := 0.0
 
-	// The instance of the instruction under test; the blocking instructions
-	// must avoid its registers.
-	alloc := c.gen.newAlloc()
-	testInst, err := c.gen.instantiate(in, nil, &alloc)
+	// The instance of the instruction under test, the first of its
+	// independent instances; the blocking instructions must avoid its
+	// registers.
+	first, err := c.gen.independentInstances(in, 1)
 	if err != nil {
 		return nil, err
 	}
+	testInst := first[0]
 	avoid := testInst.RegsUsed()
 
-	for _, key := range sortedCombos(blocking) {
+	for _, key := range c.combos(in) {
 		b := blocking[key]
 		mask := portMask(b.Ports)
 		if mask&isoMask == 0 {
@@ -80,8 +80,7 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 		// copies: written registers are renamed by the hardware, and the
 		// source registers are never written, so the copies are
 		// independent of each other and of the measured instruction.
-		blockAlloc := c.gen.newAlloc()
-		blockInst, err := c.gen.instantiate(b.Instr, nil, &blockAlloc, avoid)
+		blockInst, err := c.gen.blockingInstance(b.Instr, avoid)
 		if err != nil {
 			return nil, fmt.Errorf("core: building blocking sequence for %s: %w", b.Instr.Name, err)
 		}
@@ -126,17 +125,17 @@ func (c *Characterizer) portKernel(block *asmgen.Inst, blockRep int, test *asmge
 
 // estimateMaxLatency produces a quick upper estimate of the instruction's
 // maximum operand-pair latency by running a self-dependent sequence (all
-// instances sharing registers) and taking the cycles per instruction.
+// instances sharing registers: the first of its independent instances,
+// repeated) and taking the cycles per instruction.
 func (c *Characterizer) estimateMaxLatency(in *isa.Instr) float64 {
-	alloc := c.gen.newAlloc()
-	inst, err := c.gen.instantiate(in, nil, &alloc)
+	first, err := c.gen.independentInstances(in, 1)
 	if err != nil {
 		return 4
 	}
 	const n = 8
 	seq := make(asmgen.Sequence, 0, n)
 	for i := 0; i < n; i++ {
-		seq = append(seq, inst)
+		seq = append(seq, first[0])
 	}
 	res, err := c.gen.h.Measure(seq)
 	if err != nil {

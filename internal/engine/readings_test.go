@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"uopsinfo/internal/uarch"
@@ -98,6 +99,47 @@ func pinReadings(t *testing.T, want map[uarch.Generation]int, gens ...uarch.Gene
 		}
 		if fresh := genXML(t, mustNew(t, Config{Workers: 1}), gen, RunOptions{Only: only}); !bytes.Equal(got, fresh) {
 			t.Errorf("%s: the XML of the shared engine differs from a fresh engine's", gen)
+		}
+	}
+}
+
+// TestReadingMissesIndependentOfWorkers characterizes every 4th variant of
+// Haswell and the 32- and 64-bit widths of ADD, XOR and MOV, which share
+// readings, first on Haswell and then on Skylake, which share readings too,
+// on a fresh engine per pass. Each of three passes at two workers must
+// simulate exactly the readings a pass at one worker does: the two
+// workers' forks often miss one reading at once, and the reading table's
+// claims have one of them simulate it while the other waits.
+func TestReadingMissesIndependentOfWorkers(t *testing.T) {
+	t.Parallel()
+	gens := []uarch.Generation{uarch.Haswell, uarch.Skylake}
+	skylake := uarch.Get(uarch.Skylake).InstrSet()
+	var only []string
+	for i, in := range uarch.Get(uarch.Haswell).InstrSet().Instrs() {
+		if i%4 == 0 && skylake.Lookup(in.Name) != nil {
+			only = append(only, in.Name)
+		}
+	}
+	for _, op := range []string{"ADD", "XOR", "MOV"} {
+		for _, name := range []string{op + "_R32_R32", op + "_R64_R64"} {
+			if !slices.Contains(only, name) {
+				only = append(only, name)
+			}
+		}
+	}
+	pass := func(workers int) int {
+		e := mustNew(t, Config{Workers: workers})
+		for _, gen := range gens {
+			if _, err := e.CharacterizeArch(gen, RunOptions{Only: only}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Stats().ReadingMisses
+	}
+	want := pass(1)
+	for i := range 3 {
+		if got := pass(2); got != want {
+			t.Errorf("pass %d at 2 workers simulated %d readings, at 1 worker %d", i, got, want)
 		}
 	}
 }

@@ -60,3 +60,34 @@ func BenchmarkMeasure(b *testing.B) {
 	b.Run("recalled", rung(false))
 	b.Run("simulated", rung(true))
 }
+
+// TestMeasureRecalledAllocs pins BenchmarkMeasure/recalled at no
+// allocations: a Measure whose two readings the Machine's table holds
+// builds their keys in the Machine's scratch and decodes them into the
+// harness's own buffers. The test does not run in parallel: AllocsPerRun
+// counts every allocation of the process.
+func TestMeasureRecalledAllocs(t *testing.T) {
+	arch := uarch.Get(uarch.Skylake)
+	kernel := portUsageKernel(arch)
+	m := pipesim.New(arch)
+	h := New(m)
+	if _, err := h.Measure(kernel); err != nil {
+		t.Fatal(err)
+	}
+	sim0, _ := m.Readings()
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, e := h.Measure(kernel); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim, _ := m.Readings(); sim != sim0 {
+		t.Fatalf("%d readings simulated, want every reading recalled", sim-sim0)
+	}
+	if allocs != 0 {
+		t.Errorf("a Measure of recalled readings allocates %.0f objects, want none", allocs)
+	}
+}

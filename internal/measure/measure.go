@@ -48,39 +48,44 @@ type DividerValueSetter interface {
 // CopiesRunner is implemented by runners that repeat a kernel themselves:
 // *pipesim.Machine renames it n times within one simulated run, and the
 // fleet runner ships it once with all its copy counts in one request, so
-// one measurement costs one round trip. RunCopies returns, for each copy count n in
-// copies, the counters Run would return for code.Repeat(n), in order.
-// Since readings are pure, RunCopies may answer one from a table instead
-// of running it: *pipesim.Machine recalls readings that any Machine
-// sharing its reading table took before — its clones, and every Machine
-// one engine builds, of any generation — within a fixed memory budget (and
-// so do the fleet workers' engines behind the fleet runner).
+// one measurement costs one round trip. RunCopies writes to out[i], for
+// each copy count copies[i], the counters Run would return for
+// code.Repeat(copies[i]): exactly len(copies) readings, into an out that
+// holds at least that many. Since readings are pure, RunCopies may answer
+// one from a table instead of running it: *pipesim.Machine recalls
+// readings that any Machine sharing its reading table took before — its
+// clones, and every Machine one engine builds, of any generation — within
+// a fixed memory budget (and so do the fleet workers' engines behind the
+// fleet runner). On an error, what out holds is unspecified.
 //
-// Like Run, RunCopies must not retain code after returning.
+// Like Run, RunCopies must not retain code after returning, and it retains
+// neither copies nor out either: the harness passes the same two buffers
+// to every call, so that a measurement of recalled readings allocates
+// nothing.
 type CopiesRunner interface {
 	Runner
-	RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error)
+	RunCopies(code asmgen.Sequence, copies []int, out []pipesim.Counters) error
 }
 
 var _ CopiesRunner = (*pipesim.Machine)(nil)
 
-// RunCopies returns, for each copy count n in copies, the counters of
-// code.Repeat(n) on r: in one RunCopies call when r is a CopiesRunner,
-// otherwise as one Run of the materialized copies per count, stopping at
-// the first error.
-func RunCopies(r Runner, code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+// RunCopies writes to out[i], for each copy count copies[i], the counters
+// of code.Repeat(copies[i]) on r: in one RunCopies call when r is a
+// CopiesRunner, otherwise as one Run of the materialized copies per count,
+// stopping at the first error. out must hold at least len(copies) entries.
+func RunCopies(r Runner, code asmgen.Sequence, copies []int, out []pipesim.Counters) error {
 	if cr, ok := r.(CopiesRunner); ok {
-		return cr.RunCopies(code, copies...)
+		return cr.RunCopies(code, copies, out)
 	}
-	out := make([]pipesim.Counters, len(copies))
+	out = out[:len(copies)]
 	for i, n := range copies {
 		c, err := r.Run(code.Repeat(n))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = c
 	}
-	return out, nil
+	return nil
 }
 
 // Result holds per-execution averages of the performance counters for one
@@ -153,10 +158,16 @@ type RunnerForker interface {
 // Harness runs the measurement protocol on a Runner.
 //
 // A Harness is no safer for concurrent use than its runner, which carries
-// per-run state; Fork creates independent harnesses for concurrent workers.
+// per-run state, and than its own buffers; Fork creates independent
+// harnesses for concurrent workers.
 type Harness struct {
 	runner Runner
 	cfg    Config
+	// copies holds the short and the long copy count, and readings the two
+	// readings of the Measure in progress: every RunCopies call fills the
+	// same buffers.
+	copies   [2]int
+	readings [2]pipesim.Counters
 }
 
 // New returns a harness with the default configuration.
@@ -173,7 +184,7 @@ func NewWithConfig(runner Runner, cfg Config) *Harness {
 	if cfg.Repetitions <= 0 {
 		cfg.Repetitions = 1
 	}
-	return &Harness{runner: runner, cfg: cfg}
+	return &Harness{runner: runner, cfg: cfg, copies: [2]int{cfg.ShortCopies, cfg.LongCopies}}
 }
 
 // Arch returns the microarchitecture being measured.
@@ -206,16 +217,17 @@ func (h *Harness) Fork() (*Harness, error) {
 // Runners are pure, so every reading of one copy count is the same reading:
 // Measure takes one short and one long reading (the warm-up reading is the
 // short one) and feeds that pair to every repetition, which yields exactly
-// the averages of re-reading both on each repetition.
+// the averages of re-reading both on each repetition. The readings go into
+// the harness's own buffers, so a Measure whose readings a CopiesRunner
+// recalls allocates nothing.
 func (h *Harness) Measure(code asmgen.Sequence) (Result, error) {
 	if len(code) == 0 {
 		return Result{}, fmt.Errorf("measure: empty code sequence")
 	}
-	cs, err := RunCopies(h.runner, code, h.cfg.ShortCopies, h.cfg.LongCopies)
-	if err != nil {
+	if err := RunCopies(h.runner, code, h.copies[:], h.readings[:]); err != nil {
 		return Result{}, err
 	}
-	diff := h.withOverhead(cs[1]).Sub(h.withOverhead(cs[0]))
+	diff := h.withOverhead(h.readings[1]).Sub(h.withOverhead(h.readings[0]))
 	var acc Result
 	scale := float64(h.cfg.LongCopies - h.cfg.ShortCopies)
 	for rep := 0; rep < h.cfg.Repetitions; rep++ {

@@ -189,17 +189,16 @@ func (r *copiesRunner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	return r.Machine.Run(code)
 }
 
-func (r *copiesRunner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+func (r *copiesRunner) RunCopies(code asmgen.Sequence, copies []int, out []pipesim.Counters) error {
 	r.calls = append(r.calls, append([]int{len(code)}, copies...))
-	out := make([]pipesim.Counters, len(copies))
 	for i, n := range copies {
 		c, err := r.Machine.Run(code.Repeat(n))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = c
 	}
-	return out, nil
+	return nil
 }
 
 // TestMeasureUsesRunCopies: a CopiesRunner gets one RunCopies call per

@@ -149,9 +149,10 @@ func (f *fleet) pool(gen string) chan *worker {
 	return p
 }
 
-// do measures one call's kernel at its n copy counts in one request whose
-// body is body, and returns one Counters per copy count.
-func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
+// do measures one call's kernel at its len(out) copy counts in one request
+// whose body is body, and writes one Counters per copy count to out.
+func (f *fleet) do(gen string, body []byte, out []pipesim.Counters) error {
+	n := len(out)
 	pool := f.pool(gen)
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.callTimeout)
 	defer cancel()
@@ -162,7 +163,7 @@ func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 		select {
 		case w = <-pool:
 		case <-ctx.Done():
-			return nil, f.gaveUp()
+			return f.gaveUp()
 		}
 		if int(w.consecFails.Load()) >= unhealthyAfter {
 			// The worker failed while this slot was free: the slot probes it
@@ -174,13 +175,13 @@ func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 		if err == nil {
 			w.consecFails.Store(0)
 			pool <- w
-			return counters(w, resp)
+			return counters(w, resp, out)
 		}
 		if ctx.Err() != nil {
 			// The call gave up with its request in flight, which says
 			// nothing about the worker.
 			pool <- w
-			return nil, f.gaveUp()
+			return f.gaveUp()
 		}
 		w.consecFails.Add(1)
 		w.errors.Add(1)
@@ -188,7 +189,7 @@ func (f *fleet) do(gen string, body []byte, n int) ([]pipesim.Counters, error) {
 		go f.rest(w, pool)
 		failures++
 		if failures >= f.opts.maxAttempts {
-			return nil, fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.maxAttempts, err)
+			return fmt.Errorf("remote: measurement failed after %d attempts: %w", f.opts.maxAttempts, err)
 		}
 		f.retries.Add(int64(n))
 	}
@@ -203,19 +204,19 @@ func (f *fleet) gaveUp() error {
 	return fmt.Errorf("remote: measurement timed out after %v", f.opts.callTimeout)
 }
 
-// counters converts a successful response. The error of a kernel the worker
+// counters converts a successful response into out; post checked that
+// it holds one entry per copy count. The error of a kernel the worker
 // could not measure (unknown variant, simulator rejection) is a
 // deterministic property of the request: another worker would return the
 // same error, so it fails the call.
-func counters(w *worker, resp MeasureResponse) ([]pipesim.Counters, error) {
+func counters(w *worker, resp MeasureResponse, out []pipesim.Counters) error {
 	if resp.Error != "" {
-		return nil, fmt.Errorf("remote: worker %s: %s", w.url, resp.Error)
+		return fmt.Errorf("remote: worker %s: %s", w.url, resp.Error)
 	}
-	cs := make([]pipesim.Counters, len(resp.Counters))
 	for k, c := range resp.Counters {
-		cs[k] = c.sim()
+		out[k] = c.sim()
 	}
-	return cs, nil
+	return nil
 }
 
 // rest returns a slot to its pool after a backoff. While its worker is out

@@ -302,25 +302,26 @@ func (r *Runner) ForkRunner() measure.Runner {
 
 // Run measures one sequence on the fleet, as RunCopies at one copy.
 func (r *Runner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
-	cs, err := r.RunCopies(code, 1)
-	if err != nil {
+	var out [1]pipesim.Counters
+	if err := r.RunCopies(code, []int{1}, out[:]); err != nil {
 		return pipesim.Counters{}, err
 	}
-	return cs[0], nil
+	return out[0], nil
 }
 
 // RunCopies measures code at each copy count in one /v1/measure request,
 // which carries the kernel once (variant names plus concrete operands,
-// repeated instances deduplicated) with all the counts. The request is
-// written into a new slice sized by the runner's last request and never
-// written again, so the transport may read it for as long as it likes (it
-// can still hold the body of a failed request after Client.Do returns);
-// nothing of code is retained.
-func (r *Runner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
+// repeated instances deduplicated) with all the counts, and writes the
+// answer's counters to out. The request is written into a new slice sized
+// by the runner's last request and never written again, so the transport
+// may read it for as long as it likes (it can still hold the body of a
+// failed request after Client.Do returns); nothing of code, copies or out
+// is retained.
+func (r *Runner) RunCopies(code asmgen.Sequence, copies []int, out []pipesim.Counters) error {
 	if len(code) == 0 {
-		return nil, errors.New("remote: empty code sequence")
+		return errors.New("remote: empty code sequence")
 	}
 	body := AppendRequest(make([]byte, 0, r.size), r.genName, r.div, code, copies)
 	r.size = len(body)
-	return r.f.do(r.genName, body, len(copies))
+	return r.f.do(r.genName, body, out[:len(copies)])
 }

@@ -302,11 +302,11 @@ func TestRunCopies(t *testing.T) {
 	configure(t, Options{}, fw)
 	r := newRunner(t).(*Runner)
 	r.SetDividerValues(pipesim.DividerValues(1))
-	cs, err := r.RunCopies(testSequence(t), 2, 12)
-	if err != nil {
+	cs := make([]pipesim.Counters, 2)
+	if err := r.RunCopies(testSequence(t), []int{2, 12}, cs); err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 2 || cs[0].TotalUops != 4 || cs[1].TotalUops != 24 || cs[0].Cycles != 2 || cs[1].Cycles != 2 {
+	if cs[0].TotalUops != 4 || cs[1].TotalUops != 24 || cs[0].Cycles != 2 || cs[1].Cycles != 2 {
 		t.Errorf("counters = %+v, want TotalUops 4 then 24, Cycles 2", cs)
 	}
 	reqs := fw.requests()
@@ -355,8 +355,9 @@ func TestEachCallIsOneRequest(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		r := newRunner(t).(*Runner)
 		go func() {
-			cs, err := r.RunCopies(code, 2, 12)
-			if err == nil && (len(cs) != 2 || cs[0].TotalUops != 4 || cs[1].TotalUops != 24) {
+			cs := make([]pipesim.Counters, 2)
+			err := r.RunCopies(code, []int{2, 12}, cs)
+			if err == nil && (cs[0].TotalUops != 4 || cs[1].TotalUops != 24) {
 				err = fmt.Errorf("counters = %+v, want TotalUops 4 then 24", cs)
 			}
 			errs <- err
@@ -424,7 +425,7 @@ func TestRunCopiesSequenceErrorFailsCall(t *testing.T) {
 	}
 	configure(t, Options{}, fw)
 	r := newRunner(t).(*Runner)
-	_, err := r.RunCopies(testSequence(t), 2, 12)
+	err := r.RunCopies(testSequence(t), []int{2, 12}, make([]pipesim.Counters, 2))
 	if err == nil || !strings.Contains(err.Error(), "cycle limit exceeded") {
 		t.Fatalf("RunCopies = %v, want the worker's kernel error", err)
 	}
@@ -668,8 +669,8 @@ func TestEachRequestIsOneWrite(t *testing.T) {
 	writes.Store(0) // the handshake's
 	const calls = 5
 	for i := 1; i <= calls; i++ {
-		cs, err := r.RunCopies(testSequence(t).Repeat(i), 2, 12)
-		if err != nil {
+		cs := make([]pipesim.Counters, 2)
+		if err := r.RunCopies(testSequence(t).Repeat(i), []int{2, 12}, cs); err != nil {
 			t.Fatal(err)
 		}
 		if cs[1].TotalUops != 2*i*12 {

@@ -183,7 +183,7 @@ func appendInst(b []byte, in *asmgen.Inst) []byte {
 				b = append(b, ',')
 			}
 			switch {
-			case op.Mem != nil:
+			case op.IsMem():
 				b = append(b, `{"base":`...)
 				b = appendString(b, op.Mem.Base.String())
 				if op.Mem.Addr != 0 {

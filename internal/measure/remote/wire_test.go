@@ -78,7 +78,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		t.Error("decoded repeated instances are not shared")
 	}
 	// Memory operand address must be preserved exactly.
-	if m := dec[1].Ops[1].Mem; m == nil || m.Addr != 0x2040 || m.Base != isa.RSI {
+	if op := dec[1].Ops[1]; !op.IsMem() || op.Mem.Addr != 0x2040 || op.Mem.Base != isa.RSI {
 		t.Errorf("memory operand decoded as %+v", dec[1].Ops[1])
 	}
 

@@ -67,18 +67,19 @@ func BenchmarkRunPortUsageKernel(b *testing.B) {
 
 // BenchmarkRunCopiesRecalled is the cost of a reading the table answers:
 // the port-usage kernel's long reading on a Machine that took it before
-// (building the key, one lookup and a fresh copy of the counters). Compare
+// (building the key and one lookup, decoded into the caller's buffer). Compare
 // it with BenchmarkRunPortUsageKernel, the same reading simulated.
 func BenchmarkRunCopiesRecalled(b *testing.B) {
 	m := New(uarch.Get(uarch.Skylake))
 	kernel := portUsageKernel(m.Arch())
-	if _, err := m.RunCopies(kernel, 12); err != nil {
+	copies, out := []int{12}, make([]Counters, 1)
+	if err := m.RunCopies(kernel, copies, out); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.RunCopies(kernel, 12); err != nil {
+		if err := m.RunCopies(kernel, copies, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,13 +25,27 @@ func benchShapes(arch *uarch.Arch) []asmgen.Sequence {
 		seqScatteredDeps(arch), seqPortUsageKernel(arch)}
 }
 
-// checkRunCopies fails t unless m.RunCopies(k, copyCounts...) equals, count
-// by count, a fresh Machine's Run(k.Repeat(n)) under m's configuration, and
+// runCopies returns m's readings of k at each of copies, through RunCopies,
+// in a slice of their own.
+func runCopies(m *Machine, k asmgen.Sequence, copies ...int) ([]Counters, error) {
+	out := make([]Counters, len(copies))
+	if err := m.RunCopies(k, copies, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkRunCopies fails t unless m.RunCopies(k, copyCounts, out) writes to
+// out, count by count, a fresh Machine's Run(k.Repeat(n)) under m's
+// configuration, and leaves the entry of out past the last count alone, or
 // fails with the error of the first count that does not drain. It reports
 // whether some count did not drain.
 func checkRunCopies(t testing.TB, m *Machine, k asmgen.Sequence) (undrained bool) {
 	t.Helper()
-	got, gotErr := m.RunCopies(k, copyCounts...)
+	sentinel := Counters{Cycles: -1}
+	got := make([]Counters, len(copyCounts)+1)
+	got[len(copyCounts)] = sentinel
+	gotErr := m.RunCopies(k, copyCounts, got)
 	var wantErr error
 	for i, n := range copyCounts {
 		want, err := NewWithConfig(m.arch, m.cfg).Run(k.Repeat(n))
@@ -46,8 +60,8 @@ func checkRunCopies(t testing.TB, m *Machine, k asmgen.Sequence) (undrained bool
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%d-instruction kernel: RunCopies error %v, Run error %v", len(k), gotErr, wantErr)
 	}
-	if gotErr == nil && len(got) != len(copyCounts) {
-		t.Fatalf("RunCopies returned %d readings for %d counts", len(got), len(copyCounts))
+	if got[len(copyCounts)] != sentinel {
+		t.Fatalf("RunCopies of %d counts wrote %+v past them", len(copyCounts), got[len(copyCounts)])
 	}
 	return wantErr != nil
 }

@@ -77,18 +77,15 @@ func (r *foldRunner) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	return c, err
 }
 
-func (r *foldRunner) RunCopies(code asmgen.Sequence, copies ...int) ([]pipesim.Counters, error) {
-	out := make([]pipesim.Counters, len(copies))
+func (r *foldRunner) RunCopies(code asmgen.Sequence, copies []int, out []pipesim.Counters) error {
 	for i, n := range copies {
-		cs, err := r.m.RunCopies(code, n)
-		if err != nil {
+		if err := r.m.RunCopies(code, copies[i:i+1], out[i:i+1]); err != nil {
 			r.fold(n*len(code), pipesim.Counters{}, err)
-			return nil, err
+			return err
 		}
-		r.fold(n*len(code), cs[0], nil)
-		out[i] = cs[0]
+		r.fold(n*len(code), out[i], nil)
 	}
-	return out, nil
+	return nil
 }
 
 func (r *foldRunner) fold(n int, c pipesim.Counters, err error) {

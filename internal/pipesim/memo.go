@@ -98,9 +98,27 @@ import (
 // many port entries) and entryOverhead. An entry that does not fit
 // beside the others drops the readings whole first (the interner stays):
 // no eviction order to keep, and one pass over the ISA fits. One mutex
-// guards the table. RunCopies takes it once to recall and, if it simulated
-// anything, once more to remember; recalled counters are decoded under it,
+// guards the table. RunCopies takes it once to recall and, if it missed
+// anything, once more to settle; recalled counters are decoded under it,
 // since a drop moves the encoded counters.
+//
+// A reading is simulated once even when Machines on several goroutines
+// miss it at once. A Machine that misses a key no other Machine has
+// claimed claims it, under the mutex, and simulates it; settling stores
+// the reading and releases the claim. A Machine that misses a key another
+// Machine claimed waits, on a sync.Cond over the same mutex, until that
+// claim is released, and then looks the key up again: a reading recalled
+// after a wait counts as a hit. A Machine waits only while it holds no
+// claim of its own; once it holds one, it simulates a key claimed
+// elsewhere itself, unclaimed. So a Machine that waits holds nothing that
+// another waits for, every claim belongs to a Machine that is simulating,
+// and no wait cycle can form. The keys of one RunCopies call differ only
+// in the copy count, and the harness asks every kernel for the same counts
+// in the same order, so outside a drop a Machine that claimed one of a
+// kernel's counts never finds another claimed elsewhere, and a pass
+// simulates each key once, at any worker count. A run that fails releases
+// its claims unstored, as does a RunCopies that panics; a waiter then
+// claims the key and simulates it itself.
 
 // tableBudget bounds the bytes a reading table's readings are charged.
 const tableBudget = 8 << 20
@@ -128,11 +146,15 @@ type Table struct {
 	hits     int
 	misses   int
 	drops    int
+	// claims maps the key of each reading a Machine is simulating now to
+	// that Machine, and released is broadcast whenever claims go.
+	claims   map[string]*Machine
+	released sync.Cond
 }
 
 // TableStats are a reading table's counters.
 type TableStats struct {
-	Hits   int // readings RunCopies recalled
+	Hits   int // readings RunCopies recalled, after waiting for a claim or not
 	Misses int // readings RunCopies looked up in vain, and so simulated
 	Bytes  int // what the readings held now are charged, at most 8 MiB
 	Drops  int // times the readings were dropped whole to make room
@@ -140,7 +162,10 @@ type TableStats struct {
 
 // NewTable returns an empty reading table.
 func NewTable() *Table {
-	return &Table{ids: make(map[string]int32), readings: make(map[string]int32), budget: tableBudget}
+	t := &Table{ids: make(map[string]int32), readings: make(map[string]int32),
+		claims: make(map[string]*Machine), budget: tableBudget}
+	t.released.L = &t.mu
+	return t
 }
 
 // Stats returns a snapshot of the table's counters.
@@ -163,37 +188,74 @@ func (t *Table) intern(key []byte) int32 {
 	return id
 }
 
+// miss is a count RunCopies did not find in the table: its index in the
+// copy counts, its reading's key, and whether the Machine claimed the key.
+type miss struct {
+	i       int
+	key     string
+	claimed bool
+}
+
 // recall fills out[i] for every count copies[i] the table holds a reading
-// of, under one lock, and sets m.missed to the indices of the others.
+// of, under one lock, and appends the others to m.missed, claiming each key
+// no Machine has claimed. While m holds no claim, it waits for a key that
+// another Machine claimed and then looks it up again; once it holds one, it
+// takes such a key as a miss without claiming it (memo.go).
 func (m *Machine) recall(copies []int, out []Counters) {
-	m.missed = m.missed[:0]
 	t := m.table
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	holds := false
 	for i, n := range copies {
-		off, ok := t.readings[string(m.readingKey(n))]
-		if !ok {
+		key := m.readingKey(n)
+		for {
+			if off, ok := t.readings[string(key)]; ok {
+				out[i] = decodeCounters(t.vals[off:], m.rec.NumPorts)
+				t.hits++
+				m.recalled++
+				break
+			}
+			_, busy := t.claims[string(key)]
+			if busy && !holds {
+				t.released.Wait()
+				continue
+			}
 			t.misses++
-			m.missed = append(m.missed, i)
-			continue
+			ms := miss{i: i, key: string(key), claimed: !busy}
+			if ms.claimed {
+				t.claims[ms.key] = m
+				holds = true
+			}
+			m.missed = append(m.missed, ms)
+			break
 		}
-		out[i] = decodeCounters(t.vals[off:], m.rec.NumPorts)
-		t.hits++
-		m.recalled++
 	}
 }
 
-// remember stores the readings out[i] of copies[i] for every index i in
-// simulated, under one lock if there are any.
-func (m *Machine) remember(copies []int, out []Counters, simulated []int) {
-	if len(simulated) == 0 {
+// settle stores the readings out[ms.i] of the first done misses ms of
+// m.missed, which RunCopies simulated, and releases every claim of
+// m.missed, waking the Machines that wait for one; the other misses failed
+// or were never simulated, and are not stored. It takes the lock only if
+// there are misses.
+func (m *Machine) settle(out []Counters, done int) {
+	if len(m.missed) == 0 {
 		return
 	}
 	t := m.table
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, i := range simulated {
-		t.store(m.readingKey(copies[i]), out[i], m.rec.NumPorts)
+	released := false
+	for j, ms := range m.missed {
+		if j < done {
+			t.store(ms.key, out[ms.i], m.rec.NumPorts)
+		}
+		if ms.claimed {
+			delete(t.claims, ms.key)
+			released = true
+		}
+	}
+	if released {
+		t.released.Broadcast()
 	}
 }
 
@@ -205,12 +267,12 @@ func (m *Machine) readingKey(n int) []byte {
 }
 
 // store stores reading c of a machine with numPorts ports under key, unless
-// the table holds it already (a Machine sharing the table simulated it
-// meanwhile). When the entry does not fit beside the others, the readings
-// are dropped whole first; an entry larger than the whole budget is not
-// stored. The caller holds t.mu.
-func (t *Table) store(key []byte, c Counters, numPorts int) {
-	if _, ok := t.readings[string(key)]; ok {
+// the table holds it already (a Machine that found the key claimed
+// simulated it meanwhile). When the entry does not fit beside the others,
+// the readings are dropped whole first; an entry larger than the whole
+// budget is not stored. The caller holds t.mu.
+func (t *Table) store(key string, c Counters, numPorts int) {
+	if _, ok := t.readings[key]; ok {
 		return
 	}
 	off := len(t.vals)
@@ -226,7 +288,7 @@ func (t *Table) store(key []byte, c Counters, numPorts int) {
 		off, t.bytes = 0, 0
 		t.drops++
 	}
-	t.readings[string(key)] = idx32(off)
+	t.readings[key] = idx32(off)
 	t.bytes += cost
 }
 
@@ -299,7 +361,7 @@ func (m *Machine) appendInstKey(b []byte, ti int32, inst *asmgen.Inst) []byte {
 	for i := range inst.Ops {
 		op := &inst.Ops[i]
 		b = binary.AppendVarint(b, int64(op.Reg.Family()))
-		if op.Mem == nil {
+		if !op.IsMem() {
 			b = append(b, 0)
 			continue
 		}

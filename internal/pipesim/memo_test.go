@@ -257,7 +257,7 @@ func TestRecalledReadingsAreCallersOwn(t *testing.T) {
 	want := []Counters{New(arch).MustRun(kernel.Repeat(2)), New(arch).MustRun(kernel.Repeat(12))}
 	m := New(arch)
 	for round := 0; round < 3; round++ {
-		got, err := m.RunCopies(kernel, 2, 12)
+		got, err := runCopies(m, kernel, 2, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestMemoStaysWithinBudget(t *testing.T) {
 	drops := 0
 	for i, k := range randomSequences(t, arch, 400, rand.New(rand.NewSource(0xb0d9))) {
 		before := tb.bytes
-		if _, err := m.RunCopies(k, 1, 2); err != nil {
+		if _, err := runCopies(m, k, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 		if tb.bytes > tb.budget || len(tb.vals) > tb.budget {
@@ -346,7 +346,7 @@ func TestMemoStaysWithinBudget(t *testing.T) {
 	before, entries := tb.bytes, len(tb.readings)
 	sim0, _ := m.Readings()
 	for i := 0; i < 2; i++ {
-		if _, err := m.RunCopies(huge, 1); err != nil {
+		if _, err := runCopies(m, huge, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestMemoLifecycle(t *testing.T) {
 	m := New(arch)
 	m.MustRun(kernel)
 	for i := 0; i < 2; i++ {
-		if _, err := m.RunCopies(kernel, 2); err != nil {
+		if _, err := runCopies(m, kernel, 2); err != nil {
 			t.Fatal(err)
 		}
 		m.Reset()
@@ -378,7 +378,7 @@ func TestMemoLifecycle(t *testing.T) {
 		t.Errorf("Run, RunCopies twice with Reset, Run: %d readings simulated and %d recalled, want 3 and 1", sim, rec)
 	}
 	c := m.Clone()
-	if _, err := c.RunCopies(kernel, 2); err != nil {
+	if _, err := runCopies(c, kernel, 2); err != nil {
 		t.Fatal(err)
 	}
 	if sim, rec := c.Readings(); sim != 0 || rec != 1 {
@@ -388,7 +388,7 @@ func TestMemoLifecycle(t *testing.T) {
 	small := NewWithConfig(arch, Config{MaxCycles: 1000})
 	divChain := repeatInst(newMemoKernels(t).divide, 8)
 	for i := 0; i < 2; i++ {
-		if _, err := small.RunCopies(divChain, 12); err == nil {
+		if _, err := runCopies(small, divChain, 12); err == nil {
 			t.Fatal("12 copies of a divider chain drained in 1000 cycles")
 		}
 	}

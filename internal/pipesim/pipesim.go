@@ -242,7 +242,7 @@ type Machine struct {
 	instKey   []byte
 	tmplKey   []byte
 	addrIDs   map[uint64]int32
-	missed    []int
+	missed    []miss
 	simulated int
 	recalled  int
 
@@ -435,30 +435,35 @@ func (m *Machine) Run(code asmgen.Sequence) (Counters, error) {
 	return m.run(code, 1)
 }
 
-// RunCopies returns, for each copy count n in copies (n >= 0), the counters
-// Run returns for code.Repeat(n), bit for bit: each reading renames the
-// kernel n times within one simulated run instead of receiving n
-// materialized copies. A reading the table holds — one this Machine or a
-// Machine sharing its table took of a kernel equal in everything the
-// simulation reads of it, on an equal machine record, at the same copy
-// count and divider regime (memo.go) — is recalled instead of simulated
-// again. It stops at the first count whose run does not drain and returns
-// that run's error; failed readings are not remembered. It implements
-// measure.CopiesRunner.
-func (m *Machine) RunCopies(code asmgen.Sequence, copies ...int) ([]Counters, error) {
-	out := make([]Counters, len(copies))
+// RunCopies writes to out[i], for each copy count n = copies[i] (n >= 0),
+// the counters Run returns for code.Repeat(n), bit for bit: each reading
+// renames the kernel n times within one simulated run instead of receiving
+// n materialized copies. out must hold at least len(copies) entries, and
+// RunCopies retains neither slice, nor code. A reading the table holds —
+// one this Machine or a Machine sharing its table took of a kernel equal
+// in everything the simulation reads of it, on an equal machine record, at
+// the same copy count and divider regime (memo.go) — is recalled instead
+// of simulated again, and one that another Machine is simulating now is
+// waited for. It stops at the first count whose run does not drain and
+// returns that run's error, leaving out unspecified; failed readings are
+// not remembered. It implements measure.CopiesRunner.
+func (m *Machine) RunCopies(code asmgen.Sequence, copies []int, out []Counters) error {
+	out = out[:len(copies)]
 	m.kernelKey = m.appendKernelKey(m.kernelKey[:0], code)
+	m.missed = m.missed[:0]
+	done := 0
+	// Deferred, so that a panic releases the claims too.
+	defer func() { m.settle(out, done) }()
 	m.recall(copies, out)
-	for j, i := range m.missed {
-		c, err := m.run(code, copies[i])
+	for _, ms := range m.missed {
+		c, err := m.run(code, copies[ms.i])
 		if err != nil {
-			m.remember(copies, out, m.missed[:j])
-			return nil, err
+			return err
 		}
-		out[i] = c
+		out[ms.i] = c
+		done++
 	}
-	m.remember(copies, out, m.missed)
-	return out, nil
+	return nil
 }
 
 // run simulates copies concatenated copies of code from an idle pipeline.
@@ -972,10 +977,11 @@ func (m *Machine) renameRead(inst *asmgen.Inst, r tmplRef, dom domain) {
 	case refFixed:
 		m.readIdx = append(m.readIdx, m.liveInReg(isa.Reg(r.arg), dom))
 	case refMem, refMemAddr:
-		mem := explicitOp(inst, r.arg).Mem
-		if mem == nil {
+		op := explicitOp(inst, r.arg)
+		if !op.IsMem() {
 			return
 		}
+		mem := op.Mem
 		m.readIdx = append(m.readIdx, m.liveInReg(mem.Base.Family(), intDomain))
 		if r.kind == refMem {
 			// A memory read also depends on the latest store to the same
@@ -1031,10 +1037,11 @@ func (m *Machine) renameWrite(inst *asmgen.Inst, r tmplRef, dom domain, lat int3
 		m.produced[fam] = true
 		m.appendWrite(v, lat)
 	case refMem:
-		mem := explicitOp(inst, r.arg).Mem
-		if mem == nil {
+		op := explicitOp(inst, r.arg)
+		if !op.IsMem() {
 			return
 		}
+		mem := op.Mem
 		m.readIdx = append(m.readIdx, m.liveInReg(mem.Base.Family(), intDomain))
 		v := m.newVal(0, false, dom)
 		m.memBoard[mem.Addr] = v

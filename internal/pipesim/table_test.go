@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
@@ -77,7 +78,7 @@ func runReading(arch *uarch.Arch, cfg Config, k asmgen.Sequence) reading {
 // checkReading fails t unless m.RunCopies(k, copyCounts...) returns want.
 func checkReading(t testing.TB, m *Machine, k asmgen.Sequence, want reading, what string) {
 	t.Helper()
-	got, err := m.RunCopies(k, copyCounts...)
+	got, err := runCopies(m, k, copyCounts...)
 	if fmt.Sprint(err) != fmt.Sprint(want.err) {
 		t.Fatalf("%s, %d-instruction kernel: RunCopies error %v, Run error %v", what, len(k), err, want.err)
 	}
@@ -121,7 +122,7 @@ func TestTableSharedAcrossGenerations(t *testing.T) {
 			for _, regime := range regimes {
 				fill.SetDividerValues(regime)
 				for _, k := range kernelsOf(from) {
-					_, _ = fill.RunCopies(k, copyCounts...) // failing readings are expected
+					_, _ = runCopies(fill, k, copyCounts...) // failing readings are expected
 				}
 			}
 			filled[c] = append(filled[c], fill.table)
@@ -213,7 +214,7 @@ func TestTableSeparatesSchedulerSizes(t *testing.T) {
 	}
 	kernels := append(benchShapes(arch), window)
 	for _, k := range kernels {
-		if _, err := big.RunCopies(k, copyCounts...); err != nil {
+		if _, err := runCopies(big, k, copyCounts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +407,7 @@ func TestTableConcurrentForks(t *testing.T) {
 					if f == 1 {
 						i = len(kernels) - 1 - j
 					}
-					got, err := m.RunCopies(kernels[i], copyCounts...)
+					got, err := runCopies(m, kernels[i], copyCounts...)
 					if err != nil {
 						t.Errorf("fork %d, kernel %d: %v", f, i, err)
 						return
@@ -425,5 +426,121 @@ func TestTableConcurrentForks(t *testing.T) {
 	st := parent.table.Stats()
 	if st.Hits+st.Misses != readings || st.Hits < readings/2 {
 		t.Errorf("table stats %+v: want %d lookups, at least half of them hits", st, readings)
+	}
+}
+
+// TestTableClaimsSimulateEachKeyOnce runs clones that share one table on
+// the same kernels at once, most of them in one order and one in the
+// reverse, so that clones miss one key at the same time, and requires each
+// key to be simulated once: the table's misses equal the distinct keys of
+// the kernels, and every reading equals Run of the materialized copies.
+// Under -race it also shows that claims and waits synchronize.
+func TestTableClaimsSimulateEachKeyOnce(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	kernels := shareKernels(t)
+	want := make([]reading, len(kernels))
+	keys := make(map[string]bool)
+	probe := New(arch)
+	for i, k := range kernels {
+		if want[i] = runReading(arch, Config{}, k); want[i].err != nil {
+			t.Fatalf("kernel %d does not drain: %v", i, want[i].err)
+		}
+		probe.kernelKey = probe.appendKernelKey(probe.kernelKey[:0], k)
+		for _, n := range copyCounts {
+			keys[string(probe.readingKey(n))] = true
+		}
+	}
+	const clones = 4
+	parent := New(arch)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range clones {
+		m := parent.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got := make([]Counters, len(copyCounts))
+			for j := range kernels {
+				i := j
+				if c == clones-1 {
+					i = len(kernels) - 1 - j
+				}
+				if err := m.RunCopies(kernels[i], copyCounts, got); err != nil {
+					t.Errorf("clone %d, kernel %d: %v", c, i, err)
+					return
+				}
+				if !slices.Equal(got, want[i].counters) {
+					t.Errorf("clone %d, kernel %d: RunCopies %+v, Run %+v", c, i, got, want[i].counters)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := parent.table.Stats()
+	if lookups := clones * len(kernels) * len(copyCounts); st.Misses != len(keys) || st.Hits+st.Misses != lookups {
+		t.Errorf("table stats %+v: want %d misses, one per distinct key, of %d lookups", st, len(keys), lookups)
+	}
+	if len(parent.table.claims) != 0 {
+		t.Errorf("%d claims outlived their RunCopies calls", len(parent.table.claims))
+	}
+}
+
+// TestTableClaimReleasedOnFailure has one clone claim the reading of a
+// kernel that cannot drain, as its RunCopies does before simulating, while
+// other clones miss that reading and wait. The claimed run fails and
+// releases the claim unstored: every waiter then simulates the reading in
+// turn and gets the kernel's error, and a later RunCopies of it returns,
+// so no claim leaks.
+func TestTableClaimReleasedOnFailure(t *testing.T) {
+	t.Parallel()
+	arch := uarch.Get(uarch.Skylake)
+	div := repeatInst(asmgen.MustInst(arch.InstrSet().Lookup("DIV_R64"), asmgen.RegOperand(isa.RBX)), 8)
+	parent := NewWithConfig(arch, Config{MaxCycles: 1000})
+	copies := []int{12}
+	_, want := parent.Clone().Run(div.Repeat(12))
+	if want == nil {
+		t.Fatal("12 copies of the divider chain drain in 1000 cycles")
+	}
+
+	owner := parent.Clone()
+	owner.kernelKey = owner.appendKernelKey(owner.kernelKey[:0], div)
+	owner.missed = owner.missed[:0]
+	owner.recall(copies, make([]Counters, 1))
+	if len(owner.missed) != 1 || !owner.missed[0].claimed {
+		t.Fatalf("the owner's lookup left %+v, want one claimed miss", owner.missed)
+	}
+
+	const waiters = 3
+	errs := make(chan error, waiters)
+	for range waiters {
+		m := parent.Clone()
+		go func() { errs <- m.RunCopies(div, copies, make([]Counters, 1)) }()
+	}
+	time.Sleep(20 * time.Millisecond) // let the waiters reach the claim
+	select {
+	case err := <-errs:
+		t.Fatalf("a RunCopies returned %v while another clone held its reading's claim", err)
+	default:
+	}
+	if _, err := owner.run(div, copies[0]); fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("the owner's run: error %v, want %v", err, want)
+	}
+	owner.settle(nil, 0)
+	for range waiters {
+		if err := <-errs; fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Errorf("a waiter's RunCopies: error %v, want %v", err, want)
+		}
+	}
+	if err := parent.RunCopies(div, copies, make([]Counters, 1)); fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Errorf("RunCopies after the failures: error %v, want %v", err, want)
+	}
+	if st := parent.table.Stats(); st.Misses != waiters+2 || st.Hits != 0 {
+		t.Errorf("table stats %+v: want %d misses, every lookup of a reading that never stores, and no hits", st, waiters+2)
+	}
+	if len(parent.table.claims) != 0 {
+		t.Errorf("%d claims outlived the failed runs", len(parent.table.claims))
 	}
 }

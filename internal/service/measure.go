@@ -118,7 +118,8 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		if setter, ok := runner.(measure.DividerValueSetter); ok {
 			setter.SetDividerValues(req.Div)
 		}
-		cs, req.Err = measure.RunCopies(runner, req.Kernel, req.Copies...)
+		cs = make([]pipesim.Counters, len(req.Copies))
+		req.Err = measure.RunCopies(runner, req.Kernel, req.Copies, cs)
 		s.putRunner(gen, runner)
 	}
 	errMsg := ""
