@@ -170,8 +170,12 @@ lint-extra:
 # holds the store's record decoding to never panicking, to hits that name
 # the requested variant, and to quarantining every other miss except an
 # empty file or a newer-version envelope; FuzzWrite holds the results-XML
-# writer to encoding/xml's bytes for fuzzed strings, floats and bools. A
-# crashing input lands in the package's testdata/fuzz and fails the run.
+# writer to encoding/xml's bytes for fuzzed strings, floats and bools;
+# FuzzPortSetText holds the port-set key parser, which reads every
+# port-usage key of a stored variant record, to never panicking and to
+# accepting exactly the keys uarch.PortSet writes, each read back as its
+# set. A crashing input lands in the package's testdata/fuzz and fails the
+# run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunCopies$$' -fuzztime=10s ./internal/pipesim
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSeq$$' -fuzztime=10s ./internal/measure/remote
@@ -181,6 +185,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMeasureRequest$$' -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadVariant$$' -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzWrite$$' -fuzztime=10s ./internal/xmlout
+	$(GO) test -run='^$$' -fuzz='^FuzzPortSetText$$' -fuzztime=10s ./internal/uarch
 
 # ci-cmd re-runs the command-level cache determinism tests (mixed warm/cold
 # and incremental per-variant deletion) under the race detector, checks

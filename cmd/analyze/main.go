@@ -74,8 +74,7 @@ func main() {
 	fmt.Printf("Analyzing %d instructions as a loop body on %s\n\n", len(seq), arch.Name())
 	for _, inst := range seq {
 		perf := arch.Perf(inst.Variant)
-		fmt.Printf("  %-32s %d µops  %s\n", inst.String(), perf.NumUops(),
-			uarch.FormatPortUsage(perf.PortUsage()))
+		fmt.Printf("  %-32s %d µops  %s\n", inst.String(), perf.NumUops(), perf.PortUsage())
 	}
 
 	h, err := eng.Harness(arch.Gen())

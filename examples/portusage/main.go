@@ -56,7 +56,7 @@ func main() {
 		fmt.Printf("%s on %s\n", tc.name, arch.Name())
 		fmt.Printf("  ground truth:                  %s\n", truth)
 		fmt.Printf("  blocking-instruction algorithm: %s\n", inferred)
-		fmt.Printf("  isolation-based attribution:    %s\n", fog.FormatUsage(iso))
+		fmt.Printf("  isolation-based attribution:    %s\n", iso)
 		for _, v := range iaca.SupportedVersions(tc.gen) {
 			a, err := iaca.New(v, arch)
 			if err != nil {

@@ -52,12 +52,8 @@ func main() {
 		// PortUsage.Keys order (the solvers are floating-point; input
 		// order must not depend on map iteration).
 		var groups []lp.PortGroup
-		for _, key := range pu.Keys() {
-			var ports []int
-			for _, ch := range key {
-				ports = append(ports, int(ch-'0'))
-			}
-			groups = append(groups, lp.PortGroup{Ports: ports, Count: pu[key]})
+		for _, combo := range pu.Keys() {
+			groups = append(groups, lp.PortGroup{Ports: combo, Count: pu[combo]})
 		}
 		exact, err := lp.MinMaxLoad(groups, arch.NumPorts())
 		if err != nil {

@@ -146,7 +146,7 @@ func BenchmarkThroughputInference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Throughput(in, PortUsage{"0156": 1}); err != nil {
+		if _, err := c.Throughput(in, PortUsage{uarch.NewPortSet(0, 1, 5, 6): 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestInferenceRungAllocs(t *testing.T) {
 			return err
 		}},
 		{"Throughput of ADD_R64_R64 and SUB_R64_R64", 22, func() error {
-			_, err := c.Throughput(throughput(), PortUsage{"0156": 1})
+			_, err := c.Throughput(throughput(), PortUsage{uarch.NewPortSet(0, 1, 5, 6): 1})
 			return err
 		}},
 	}

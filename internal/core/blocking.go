@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math/bits"
-	"sort"
-
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/uarch"
@@ -16,7 +13,7 @@ import (
 type BlockingInstr struct {
 	Instr *isa.Instr
 	// Ports is the port combination the instruction blocks.
-	Ports []int
+	Ports uarch.PortSet
 	// Throughput is the measured cycles per instruction of the instruction
 	// in isolation (the selection criterion within a group).
 	Throughput float64
@@ -26,66 +23,49 @@ type BlockingInstr struct {
 	UopsOnCombo float64
 }
 
-// ComboKey returns the canonical key of the blocked combination.
-func (b BlockingInstr) ComboKey() string { return uarch.PortComboKey(b.Ports) }
-
 // BlockingSet holds the discovered blocking instructions, separately for use
 // with SSE and with AVX instructions (mixing the two would incur transition
 // penalties, Section 5.1.1). Instructions that are neither SSE nor AVX can
 // appear in both maps.
 type BlockingSet struct {
-	// SSE maps combination keys to blocking instructions usable when the
-	// instruction under test is an SSE (or non-vector) instruction.
-	SSE map[string]BlockingInstr
-	// AVX maps combination keys to blocking instructions usable when the
-	// instruction under test is an AVX instruction.
-	AVX map[string]BlockingInstr
+	// SSE maps each combination to the blocking instruction, with that
+	// combination as its Ports, usable when the instruction under test is
+	// an SSE (or non-vector) instruction.
+	SSE map[uarch.PortSet]BlockingInstr
+	// AVX maps each combination to the blocking instruction, with that
+	// combination as its Ports, usable when the instruction under test is
+	// an AVX instruction.
+	AVX map[uarch.PortSet]BlockingInstr
 }
 
 // For returns the appropriate per-combination map for the given instruction
 // under test.
-func (bs *BlockingSet) For(in *isa.Instr) map[string]BlockingInstr {
+func (bs *BlockingSet) For(in *isa.Instr) map[uarch.PortSet]BlockingInstr {
 	if in.Extension.IsAVX() {
 		return bs.AVX
 	}
 	return bs.SSE
 }
 
-// sortedSet is a blocking set's combination keys in the order of
-// Algorithm 1 (sortedCombos), for SSE and for AVX instructions under test.
+// sortedSet is a blocking set's combinations in the order of Algorithm 1
+// (uarch.PortSet.Compare), for SSE and for AVX instructions under test.
 type sortedSet struct {
 	of       *BlockingSet
-	sse, avx []string
+	sse, avx []uarch.PortSet
 }
 
-// combos returns the keys of the combinations of the Characterizer's
-// blocking set for the instruction under test, in the order of Algorithm 1.
-// It sorts the set once, and again only when another set is installed.
-func (c *Characterizer) combos(in *isa.Instr) []string {
+// combos returns the combinations of the Characterizer's blocking set for
+// the instruction under test, in the order of Algorithm 1. It sorts the set
+// once, and again only when another set is installed.
+func (c *Characterizer) combos(in *isa.Instr) []uarch.PortSet {
 	if c.sorted.of != c.blocking {
-		c.sorted = sortedSet{of: c.blocking, sse: sortedCombos(c.blocking.SSE), avx: sortedCombos(c.blocking.AVX)}
+		c.sorted = sortedSet{of: c.blocking,
+			sse: uarch.AppendSorted(nil, c.blocking.SSE), avx: uarch.AppendSorted(nil, c.blocking.AVX)}
 	}
 	if in.Extension.IsAVX() {
 		return c.sorted.avx
 	}
 	return c.sorted.sse
-}
-
-// sortedCombos returns the port combinations of the given map sorted by size
-// (and lexicographically within a size), the iteration order required by
-// Algorithm 1.
-func sortedCombos(m map[string]BlockingInstr) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }
 
 // blockingCandidate reports whether the variant may serve as an ordinary
@@ -164,7 +144,7 @@ func (c *Characterizer) SetBlocking(bs *BlockingSet) { c.blocking = bs }
 // false for candidates whose measurement failed (they are skipped, matching
 // the sequential behaviour).
 type isolation struct {
-	ports []int
+	ports uarch.PortSet
 	tp    float64
 	uops  float64
 	ok    bool
@@ -183,15 +163,15 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 	}
 
 	bs := &BlockingSet{
-		SSE: make(map[string]BlockingInstr),
-		AVX: make(map[string]BlockingInstr),
+		SSE: make(map[uarch.PortSet]BlockingInstr),
+		AVX: make(map[uarch.PortSet]BlockingInstr),
 	}
 	type group struct {
 		best BlockingInstr
 		ok   bool
 	}
-	sseGroups := make(map[string]*group)
-	avxGroups := make(map[string]*group)
+	sseGroups := make(map[uarch.PortSet]*group)
+	avxGroups := make(map[uarch.PortSet]*group)
 
 	for i, in := range candidates {
 		p := profiles[i]
@@ -201,15 +181,14 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 		if p.uops < 0.6 || p.uops > 1.4 {
 			continue // not a 1-µop instruction
 		}
-		if len(p.ports) == 0 {
+		if p.ports == 0 {
 			continue // handled at rename; a "zero-latency" instruction
 		}
-		key := uarch.PortComboKey(p.ports)
 		cand := BlockingInstr{Instr: in, Ports: p.ports, Throughput: p.tp, UopsOnCombo: 1}
-		update := func(groups map[string]*group) {
-			gr, ok := groups[key]
+		update := func(groups map[uarch.PortSet]*group) {
+			gr, ok := groups[p.ports]
 			if !ok {
-				groups[key] = &group{best: cand, ok: true}
+				groups[p.ports] = &group{best: cand, ok: true}
 				return
 			}
 			if cand.Throughput < gr.best.Throughput {
@@ -223,11 +202,11 @@ func (c *Characterizer) findBlocking(opts Options) (*BlockingSet, error) {
 			update(avxGroups)
 		}
 	}
-	for key, gr := range sseGroups {
-		bs.SSE[key] = gr.best
+	for set, gr := range sseGroups {
+		bs.SSE[set] = gr.best
 	}
-	for key, gr := range avxGroups {
-		bs.AVX[key] = gr.best
+	for set, gr := range avxGroups {
+		bs.AVX[set] = gr.best
 	}
 
 	// Store and load port combinations (the MOV instruction from a
@@ -263,8 +242,8 @@ func (c *Characterizer) profileCandidate(in *isa.Instr) isolation {
 	if err != nil {
 		return isolation{}
 	}
-	mask, tp, uops := profileOf(res, 8)
-	return isolation{ports: portsOfMask(mask), tp: tp, uops: uops, ok: true}
+	ports, tp, uops := profileOf(res, 8)
+	return isolation{ports: ports, tp: tp, uops: uops, ok: true}
 }
 
 // addMemoryBlocking registers the load, store-address and store-data
@@ -285,12 +264,11 @@ func (c *Characterizer) addMemoryBlocking(bs *BlockingSet) error {
 		{Instr: store, Ports: arch.StoreDataPorts(), UopsOnCombo: 1},
 	}
 	for _, e := range entries {
-		key := e.ComboKey()
-		if _, ok := bs.SSE[key]; !ok {
-			bs.SSE[key] = e
+		if _, ok := bs.SSE[e.Ports]; !ok {
+			bs.SSE[e.Ports] = e
 		}
-		if _, ok := bs.AVX[key]; !ok {
-			bs.AVX[key] = e
+		if _, ok := bs.AVX[e.Ports]; !ok {
+			bs.AVX[e.Ports] = e
 		}
 	}
 	return nil
@@ -306,26 +284,15 @@ func (c *Characterizer) measureIndependent(in *isa.Instr, n int) (measure.Result
 }
 
 // profileOf returns the profile of res, a measurement of n independent
-// instances of a variant: the mask of the ports that received a significant
-// share of its µops, the cycles per instruction, and the µops per
-// instruction.
-func profileOf(res measure.Result, n int) (uint, float64, float64) {
+// instances of a variant: the ports that received a significant share of
+// its µops, the cycles per instruction, and the µops per instruction.
+func profileOf(res measure.Result, n int) (uarch.PortSet, float64, float64) {
 	perInstr := 1.0 / float64(n)
-	var mask uint
+	var ports uarch.PortSet
 	for p, u := range res.PortUops {
 		if u*perInstr >= 0.05 {
-			mask |= 1 << uint(p)
+			ports |= uarch.NewPortSet(p)
 		}
 	}
-	return mask, res.Cycles * perInstr, res.TotalUops * perInstr
-}
-
-// portsOfMask converts a port bitmask to its port list, in increasing
-// order, or nil for no ports.
-func portsOfMask(mask uint) []int {
-	var ports []int
-	for ; mask != 0; mask &= mask - 1 {
-		ports = append(ports, bits.TrailingZeros(mask))
-	}
-	return ports
+	return ports, res.Cycles * perInstr, res.TotalUops * perInstr
 }

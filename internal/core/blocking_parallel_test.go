@@ -15,7 +15,7 @@ import (
 // t.Errorf.
 func equalBlockingSets(t *testing.T, label string, got, want *BlockingSet) {
 	t.Helper()
-	compare := func(kind string, got, want map[string]BlockingInstr) {
+	compare := func(kind string, got, want map[uarch.PortSet]BlockingInstr) {
 		if len(got) != len(want) {
 			t.Errorf("%s: %s has %d combinations, want %d", label, kind, len(got), len(want))
 		}
@@ -28,8 +28,8 @@ func equalBlockingSets(t *testing.T, label string, got, want *BlockingSet) {
 			if g.Instr.Name != w.Instr.Name {
 				t.Errorf("%s: %s p%s selected %s, want %s", label, kind, key, g.Instr.Name, w.Instr.Name)
 			}
-			if uarch.PortComboKey(g.Ports) != uarch.PortComboKey(w.Ports) {
-				t.Errorf("%s: %s p%s ports %v, want %v", label, kind, key, g.Ports, w.Ports)
+			if g.Ports != w.Ports {
+				t.Errorf("%s: %s p%s ports %s, want %s", label, kind, key, g.Ports, w.Ports)
 			}
 			if g.Throughput != w.Throughput || g.UopsOnCombo != w.UopsOnCombo {
 				t.Errorf("%s: %s p%s throughput/uops %v/%v, want %v/%v",

@@ -62,11 +62,9 @@ func (c *Characterizer) Blocking() (*BlockingSet, error) {
 type Options struct {
 	// Only restricts the run to the named variants (all variants if empty).
 	Only []string
-	// SkipLatency, SkipPortUsage and SkipThroughput disable parts of the
-	// characterization (e.g. for quick µop-count-only comparisons).
-	SkipLatency    bool
-	SkipPortUsage  bool
-	SkipThroughput bool
+	// SkipLatency leaves the latencies out of the characterization (the
+	// service's quick mode).
+	SkipLatency bool
 	// Context, if non-nil, bounds the lifetime of the run: blocking-instruction
 	// discovery checks it between candidates and the characterization
 	// scheduler between variants, and the run returns ctx.Err() (wrapped)
@@ -146,19 +144,11 @@ func (c *Characterizer) characterizeInstr(in *isa.Instr, opts Options) (*InstrRe
 		}
 		result.Latency = lat
 	}
-	if !opts.SkipPortUsage {
-		pu, err := c.portUsage(in, result.Latency.MaxLatency(), iso)
-		if err != nil {
-			return nil, fmt.Errorf("core: measuring port usage of %s: %w", in.Name, err)
-		}
-		result.Ports = pu
+	if result.Ports, err = c.portUsage(in, result.Latency.MaxLatency(), iso); err != nil {
+		return nil, fmt.Errorf("core: measuring port usage of %s: %w", in.Name, err)
 	}
-	if !opts.SkipThroughput {
-		tp, err := c.throughput(in, result.Ports, iso)
-		if err != nil {
-			return nil, fmt.Errorf("core: measuring throughput of %s: %w", in.Name, err)
-		}
-		result.Throughput = tp
+	if result.Throughput, err = c.throughput(in, result.Ports, iso); err != nil {
+		return nil, fmt.Errorf("core: measuring throughput of %s: %w", in.Name, err)
 	}
 	return result, nil
 }

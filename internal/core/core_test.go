@@ -47,9 +47,9 @@ func TestBlockingInstructionsCoverCoreCombinations(t *testing.T) {
 	}
 	// The ALU, shuffle, load and store combinations must be present for the
 	// SSE set on Skylake.
-	for _, key := range []string{"0156", "5", "23", "4"} {
-		if _, ok := bs.SSE[key]; !ok {
-			t.Errorf("no SSE blocking instruction for port combination p%s (have %v)", key, sortedCombos(bs.SSE))
+	for _, combo := range []uarch.PortSet{uarch.NewPortSet(0, 1, 5, 6), uarch.NewPortSet(5), uarch.NewPortSet(2, 3), uarch.NewPortSet(4)} {
+		if _, ok := bs.SSE[combo]; !ok {
+			t.Errorf("no SSE blocking instruction for port combination p%s (have %v)", combo, uarch.AppendSorted(nil, bs.SSE))
 		}
 	}
 	// Blocking instructions must be 1-µop instructions bound to exactly the
@@ -97,9 +97,9 @@ func TestPortUsageString(t *testing.T) {
 		want string
 	}{
 		{nil, "0"},
-		{PortUsage{"0156": 1, "06": 1}, "1*p06+1*p0156"},
-		{PortUsage{"23": 0.5, "4": 1, "015": 2.25, "5": 1.0 / 3}, "1*p4+0.33*p5+0.50*p23+2.25*p015"},
-		{PortUsage{"237": 1.5, "05": 12}, "12*p05+1.50*p237"},
+		{PortUsage{uarch.NewPortSet(0, 1, 5, 6): 1, uarch.NewPortSet(0, 6): 1}, "1*p06+1*p0156"},
+		{PortUsage{uarch.NewPortSet(2, 3): 0.5, uarch.NewPortSet(4): 1, uarch.NewPortSet(0, 1, 5): 2.25, uarch.NewPortSet(5): 1.0 / 3}, "1*p4+0.33*p5+0.50*p23+2.25*p015"},
+		{PortUsage{uarch.NewPortSet(2, 3, 7): 1.5, uarch.NewPortSet(0, 5): 12}, "12*p05+1.50*p237"},
 	} {
 		if got := tc.pu.String(); got != tc.want {
 			t.Errorf("%#v.String() = %q, want %q", tc.pu, got, tc.want)

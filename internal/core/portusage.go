@@ -40,7 +40,7 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 
 	// The instruction in isolation: total µop count and the ports used,
 	// which restricts the combinations the loop has to consider.
-	isoMask, _, isoUops := profileOf(iso, isoInstances)
+	isoPorts, _, isoUops := profileOf(iso, isoInstances)
 	totalUops := isoUops
 	if totalUops < 0.4 {
 		// All µops are handled at rename (NOPs, eliminated moves).
@@ -70,12 +70,11 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 	testInst := first[0]
 	avoid := testInst.RegsUsed()
 
-	for _, key := range c.combos(in) {
-		b := blocking[key]
-		mask := portMask(b.Ports)
-		if mask&isoMask == 0 {
+	for _, combo := range c.combos(in) {
+		if combo&isoPorts == 0 {
 			continue // the instruction never uses these ports
 		}
+		b := blocking[combo]
 		// One instance of the blocking instruction serves all blockRep
 		// copies: written registers are renamed by the hardware, and the
 		// source registers are never written, so the copies are
@@ -88,18 +87,18 @@ func (c *Characterizer) portUsage(in *isa.Instr, maxLatency float64, iso measure
 		if err != nil {
 			return nil, err
 		}
-		uops := res.UopsOnPorts(b.Ports)
+		uops := res.UopsOnPorts(combo)
 		uops -= float64(blockRep) * b.UopsOnCombo
 		// Subtract µops already attributed to strict subsets of this
 		// combination.
-		for prevKey, prevUops := range usage {
-			if prevKey != key && maskOfKey(prevKey)&^mask == 0 {
+		for prev, prevUops := range usage {
+			if prev != combo && prev.SubsetOf(combo) {
 				uops -= prevUops
 			}
 		}
 		if uops > 0.5 {
 			n := float64(int(uops + 0.5))
-			usage[key] = n
+			usage[combo] = n
 			attributed += n
 		}
 		if attributed >= totalUops-0.25 {
@@ -149,28 +148,6 @@ func (c *Characterizer) estimateMaxLatency(in *isa.Instr) float64 {
 		lat = 64
 	}
 	return lat
-}
-
-// portMask converts a port list to a bitmask.
-func portMask(ports []int) uint {
-	var m uint
-	for _, p := range ports {
-		if p >= 0 && p < 32 {
-			m |= 1 << uint(p)
-		}
-	}
-	return m
-}
-
-// maskOfKey converts a canonical combination key ("015") back to a bitmask.
-func maskOfKey(key string) uint {
-	var m uint
-	for _, ch := range key {
-		if ch >= '0' && ch <= '9' {
-			m |= 1 << uint(ch-'0')
-		}
-	}
-	return m
 }
 
 // isoInstances is the number of independent instances in a variant's

@@ -18,35 +18,23 @@
 package core
 
 import (
-	"slices"
+	"maps"
 	"sort"
 	"strconv"
-	"strings"
 
 	"uopsinfo/internal/uarch"
 )
 
 // PortUsage is the inferred port usage of an instruction: the number of µops
-// bound to each port combination, keyed by the canonical combination string
-// (e.g. "015" for a µop that can use ports 0, 1 and 5).
-type PortUsage map[string]float64
+// bound to each port combination.
+type PortUsage map[uarch.PortSet]float64
 
-// Keys returns the port-combination keys sorted by combination size, then
-// lexicographically — the paper's presentation order. Every iteration that
-// feeds ordered output or floating-point accumulation goes through Keys:
-// map iteration order must never reach a result.
-func (pu PortUsage) Keys() []string {
-	return pu.appendKeys(make([]string, 0, len(pu)))
-}
-
-// appendKeys appends the keys to keys in Keys order and returns the
-// extended slice.
-func (pu PortUsage) appendKeys(keys []string) []string {
-	for k := range pu {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, uarch.ComparePortCombos)
-	return keys
+// Keys returns the port combinations in uarch.PortSet.Compare order, the
+// paper's presentation order. Every iteration that feeds ordered output or
+// floating-point accumulation goes through Keys: map iteration order must
+// never reach a result.
+func (pu PortUsage) Keys() []uarch.PortSet {
+	return uarch.AppendSorted(make([]uarch.PortSet, 0, len(pu)), pu)
 }
 
 // TotalUops sums the µops over all combinations (in Keys order: float
@@ -65,51 +53,43 @@ func (pu PortUsage) String() string {
 	if len(pu) == 0 {
 		return "0"
 	}
-	// A usage has a few keys (at most 5 over the ISA), which the stack
-	// array holds; append spills a larger one to the heap.
-	var buf [16]string
-	keys := pu.appendKeys(buf[:0])
-	var b strings.Builder
-	b.Grow(16 * len(keys))
-	for i, k := range keys {
+	// A usage has a few keys (at most 5 over the ISA) and a short text,
+	// which the stack arrays hold; append spills larger ones to the heap.
+	var keys [16]uarch.PortSet
+	var text [64]byte
+	b := text[:0]
+	for i, k := range uarch.AppendSorted(keys[:0], pu) {
 		if i > 0 {
-			b.WriteByte('+')
+			b = append(b, '+')
 		}
 		n := pu[k]
 		if n == float64(int(n)) {
-			b.WriteString(strconv.Itoa(int(n)))
+			b = strconv.AppendInt(b, int64(n), 10)
 		} else {
-			b.WriteString(strconv.FormatFloat(n, 'f', 2, 64))
+			b = strconv.AppendFloat(b, n, 'f', 2, 64)
 		}
-		b.WriteString("*p")
-		b.WriteString(k)
+		b = append(b, "*p"...)
+		b = k.AppendKey(b)
 	}
-	return b.String()
+	return string(b)
+}
+
+// Round returns the usage with each µop count rounded to the nearest
+// integer, leaving out combinations that round to no µop.
+func (pu PortUsage) Round() uarch.Usage {
+	out := make(uarch.Usage, len(pu))
+	for k, v := range pu {
+		if n := int(v + 0.5); n > 0 {
+			out[k] = n
+		}
+	}
+	return out
 }
 
 // Equal reports whether two port usages are the same after rounding µop
 // counts to the nearest integer.
 func (pu PortUsage) Equal(other PortUsage) bool {
-	round := func(m PortUsage) map[string]int {
-		out := make(map[string]int)
-		for k, v := range m {
-			n := int(v + 0.5)
-			if n > 0 {
-				out[k] = n
-			}
-		}
-		return out
-	}
-	a, b := round(pu), round(other)
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(pu.Round(), other.Round())
 }
 
 // GroundTruthUsage converts a uarch.InstrPerf µop decomposition into the

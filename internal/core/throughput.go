@@ -72,8 +72,8 @@ func (c *Characterizer) throughput(in *isa.Instr, ports PortUsage, iso measure.R
 		// floating-point, so constraint order must not depend on map
 		// iteration order.
 		groups := make([]lp.PortGroup, 0, len(ports))
-		for _, key := range ports.Keys() {
-			groups = append(groups, lp.PortGroup{Ports: portsOfKey(key), Count: ports[key]})
+		for _, combo := range ports.Keys() {
+			groups = append(groups, lp.PortGroup{Ports: combo, Count: ports[combo]})
 		}
 		if tp, err := lp.MinMaxLoad(groups, c.gen.arch.NumPorts()); err == nil {
 			result.Computed = tp
@@ -133,15 +133,4 @@ func hasImplicitReadWrite(in *isa.Instr) bool {
 		}
 	}
 	return false
-}
-
-// portsOfKey converts a canonical combination key back to a port list.
-func portsOfKey(key string) []int {
-	var ports []int
-	for _, ch := range key {
-		if ch >= '0' && ch <= '9' {
-			ports = append(ports, int(ch-'0'))
-		}
-	}
-	return ports
 }

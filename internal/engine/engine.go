@@ -526,11 +526,9 @@ func (e *Engine) universe(arch *uarch.Arch) []string {
 type RunOptions struct {
 	// Only restricts the run to the named variants (all variants if empty).
 	Only []string
-	// SkipLatency, SkipPortUsage and SkipThroughput disable parts of the
-	// characterization, as in core.Options.
-	SkipLatency    bool
-	SkipPortUsage  bool
-	SkipThroughput bool
+	// SkipLatency leaves the latencies out of the characterization, as in
+	// core.Options.
+	SkipLatency bool
 	// Workers overrides the engine's worker budget for this run (e.g. when a
 	// caller splits its budget across concurrent generations). <= 0 uses the
 	// engine budget.
@@ -546,19 +544,21 @@ type RunOptions struct {
 // changes the result (and nothing that does not — worker counts and progress
 // callbacks are excluded by the determinism guarantee). The string is part
 // of every run digest, and so of every ETag the service has handed out:
-// editing it, "result" prefix included, invalidates them all.
+// editing it, "result" prefix included, invalidates them all. That is why
+// it still reads "skipPortUsage=false skipThroughput=false", the values of
+// two options that no longer exist: TestStoreIdentityGolden pins the text.
 func (o RunOptions) scope() string {
-	return fmt.Sprintf("result skipLatency=%v skipPortUsage=%v skipThroughput=%v only=%s",
-		o.SkipLatency, o.SkipPortUsage, o.SkipThroughput, strings.Join(o.Only, ","))
+	return fmt.Sprintf("result skipLatency=%v skipPortUsage=false skipThroughput=false only=%s",
+		o.SkipLatency, strings.Join(o.Only, ","))
 }
 
 // variantScope derives the per-variant store scope: like scope, but without
 // the variant selection, so runs over different subsets share per-variant
 // entries (that sharing is the point of the incremental tier). Editing it
-// orphans every stored variant file.
+// orphans every stored variant file; it keeps the literal
+// "skipPortUsage=false skipThroughput=false" for that reason, as scope does.
 func (o RunOptions) variantScope() string {
-	return fmt.Sprintf("variant skipLatency=%v skipPortUsage=%v skipThroughput=%v",
-		o.SkipLatency, o.SkipPortUsage, o.SkipThroughput)
+	return fmt.Sprintf("variant skipLatency=%v skipPortUsage=false skipThroughput=false", o.SkipLatency)
 }
 
 // selection resolves the run's variant selection to canonical variant names;
@@ -731,13 +731,11 @@ func (e *Engine) characterizeArch(arch *uarch.Arch, opts RunOptions) (*core.Arch
 		return nil, err
 	}
 	res, err := c.CharacterizeResume(core.Options{
-		Only:           opts.Only,
-		SkipLatency:    opts.SkipLatency,
-		SkipPortUsage:  opts.SkipPortUsage,
-		SkipThroughput: opts.SkipThroughput,
-		Workers:        workers,
-		Context:        e.baseCtx(),
-		Progress:       opts.Progress,
+		Only:        opts.Only,
+		SkipLatency: opts.SkipLatency,
+		Workers:     workers,
+		Context:     e.baseCtx(),
+		Progress:    opts.Progress,
 	}, partial)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", arch.Name(), err)

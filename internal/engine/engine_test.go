@@ -173,6 +173,69 @@ func TestEngineCache(t *testing.T) {
 	})
 }
 
+// TestDamagedBlockingRecordIsRediscovered: a blocking record with an entry
+// that disagrees with itself, a combo that is not the key of its ports or a
+// port outside [0, uarch.MaxPorts), is refused like a missing record. The
+// engine counts a blocking miss, rediscovers the set and overwrites the
+// record with the one a cold run writes; nothing is quarantined.
+func TestDamagedBlockingRecordIsRediscovered(t *testing.T) {
+	dir := t.TempDir()
+	cold := mustNew(t, Config{Workers: 2, CacheDir: dir})
+	coldChar, err := cold.Characterizer(uarch.Skylake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coldChar.Blocking()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := storeFiles(t, dir, store.KindBlocking)
+	if len(files) != 1 {
+		t.Fatalf("cold run wrote blocking records %v, want one", files)
+	}
+	path := filepath.Join(dir, files[0])
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"combo 015 over ports 0 and 1", `"ports":[0,1,5]`, `"ports":[0,1]`},
+		{"port 16", `"ports":[4]`, `"ports":[4,16]`},
+		{"port -1", `"ports":[4]`, `"ports":[-1,4]`},
+		{"combo not canonical", `"combo":"015"`, `"combo":"510"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			damaged := bytes.ReplaceAll(good, []byte(tc.old), []byte(tc.new))
+			if bytes.Equal(damaged, good) {
+				t.Fatalf("the cold record holds no %s", tc.old)
+			}
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var discovered atomic.Bool
+			e := mustNew(t, Config{Workers: 1, CacheDir: dir,
+				BlockingProgress: func(uarch.Generation, int, int, string) { discovered.Store(true) }})
+			c, err := e.Characterizer(uarch.Skylake)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); st.BlockingHits != 0 || st.BlockingMisses != 1 || !discovered.Load() {
+				t.Errorf("%d blocking hits, %d misses, discovery ran: %v; want 0, 1, true",
+					st.BlockingHits, st.BlockingMisses, discovered.Load())
+			}
+			if got, err := c.Blocking(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("rediscovered blocking set differs from the cold one (%v)", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+				t.Errorf("the damaged record was not overwritten with the cold one (%v)", err)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Errorf("store holds %d files (%v), want the one blocking record", len(entries), err)
+			}
+		})
+	}
+}
+
 // requireLayout asserts the store directory holds exactly one blocking entry
 // and variants per-variant entries.
 func requireLayout(t *testing.T, dir string, variants int) {

@@ -22,7 +22,6 @@ package fog
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"uopsinfo/internal/asmgen"
 	"uopsinfo/internal/isa"
@@ -68,14 +67,14 @@ func (b *Baseline) ObservePorts(in *isa.Instr, n int) (PortObservation, error) {
 	return obs, nil
 }
 
-// AttributePorts converts an isolation observation into a port-usage string
-// the way a human reading the averages would (the approach the paper
-// attributes to prior work): ports with a µop count close to an integer get
-// that many dedicated µops, and the remaining fractional ports are merged
-// into a single combination.
-func AttributePorts(obs PortObservation) map[string]int {
-	usage := make(map[string]int)
-	var fractionalPorts []int
+// AttributePorts converts an isolation observation into a port usage the
+// way a human reading the averages would (the approach the paper attributes
+// to prior work): ports with a µop count close to an integer get that many
+// dedicated µops, and the remaining fractional ports are merged into a
+// single combination.
+func AttributePorts(obs PortObservation) uarch.Usage {
+	usage := make(uarch.Usage)
+	var fractionalPorts uarch.PortSet
 	fractionalSum := 0.0
 	for p, u := range obs.PerPort {
 		if u < 0.1 {
@@ -84,36 +83,30 @@ func AttributePorts(obs PortObservation) map[string]int {
 		whole := math.Floor(u + 0.25)
 		frac := u - whole
 		if whole >= 1 {
-			usage[uarch.PortComboKey([]int{p})] += int(whole)
+			usage[uarch.NewPortSet(p)] += int(whole)
 		}
 		if frac >= 0.1 {
-			fractionalPorts = append(fractionalPorts, p)
+			fractionalPorts |= uarch.NewPortSet(p)
 			fractionalSum += frac
 		}
 	}
-	if len(fractionalPorts) > 0 {
+	if fractionalPorts != 0 {
 		count := int(fractionalSum + 0.5)
 		if count < 1 {
 			count = 1
 		}
-		sort.Ints(fractionalPorts)
-		usage[uarch.PortComboKey(fractionalPorts)] += count
+		usage[fractionalPorts] += count
 	}
 	return usage
 }
 
 // PortUsageIsolation runs the full isolation-based attribution.
-func (b *Baseline) PortUsageIsolation(in *isa.Instr) (map[string]int, error) {
+func (b *Baseline) PortUsageIsolation(in *isa.Instr) (uarch.Usage, error) {
 	obs, err := b.ObservePorts(in, 8)
 	if err != nil {
 		return nil, err
 	}
 	return AttributePorts(obs), nil
-}
-
-// FormatUsage renders an attributed usage in the paper's notation.
-func FormatUsage(usage map[string]int) string {
-	return uarch.FormatPortUsage(usage)
 }
 
 // LatencyDistinctRegisters measures the latency with distinct registers for

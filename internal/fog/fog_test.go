@@ -43,7 +43,7 @@ func TestAttributePortsHeuristics(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		got := FormatUsage(AttributePorts(tc.obs))
+		got := AttributePorts(tc.obs).String()
 		if got != tc.want {
 			t.Errorf("%s: AttributePorts = %s, want %s", tc.name, got, tc.want)
 		}
@@ -59,7 +59,7 @@ func TestIsolationAttributionDiffersFromTruthForMOVQ2DQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := FormatUsage(usage)
+	got := usage.String()
 	if got == "1*p0+1*p015" {
 		t.Errorf("isolation-based attribution unexpectedly produced the correct usage %s", got)
 	}

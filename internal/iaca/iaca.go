@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -80,13 +80,13 @@ func Supports(v Version, gen uarch.Generation) bool {
 type Entry struct {
 	// Uops is the total µop count the tool reports.
 	Uops int
-	// Usage maps port-combination keys to µop counts (the per-port detail
+	// Usage maps port combinations to µop counts (the per-port detail
 	// view). Its sum can differ from Uops (the VHADDPD anomaly).
-	Usage map[string]int
+	Usage uarch.Usage
 }
 
 // UsageString renders the entry's port usage in the paper's notation.
-func (e Entry) UsageString() string { return uarch.FormatPortUsage(e.Usage) }
+func (e Entry) UsageString() string { return e.Usage.String() }
 
 // dbEntry is an Entry with its UsageString, which Lookup formats on first
 // use: every results file renders it, but building the analyzer, most of a
@@ -116,7 +116,7 @@ type Report struct {
 type Analyzer struct {
 	version Version
 	arch    *uarch.Arch
-	keys    portKeys
+	sets    portSets
 	db      map[string]int32 // variant name → index into entries
 	entries []dbEntry
 }
@@ -128,7 +128,7 @@ func New(v Version, arch *uarch.Arch) (*Analyzer, error) {
 		return nil, fmt.Errorf("iaca: version %s does not support %s", v, arch.Name())
 	}
 	instrs := arch.InstrSet().Instrs()
-	a := &Analyzer{version: v, arch: arch, keys: portKeysFor(arch),
+	a := &Analyzer{version: v, arch: arch, sets: portSetsFor(arch),
 		db: make(map[string]int32, len(instrs)), entries: make([]dbEntry, len(instrs))}
 	for i, in := range instrs {
 		a.db[in.Name] = int32(i)
@@ -169,13 +169,10 @@ func (a *Analyzer) Lookup(name string) (e Entry, usage string, ok bool) {
 // plus the injected per-version discrepancies.
 func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	perf := a.arch.Perf(in)
-	usage := make(map[string]int)
-	for k, n := range perf.PortUsage() {
-		usage[k] = n
-	}
+	usage := perf.PortUsage()
 	uops := len(perf.Uops)
 	gen := a.arch.Gen()
-	p := &a.keys
+	p := &a.sets
 
 	switch {
 	// Missing load µops for some memory-reading instructions on Nehalem and
@@ -193,33 +190,33 @@ func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	// BSWAP: IACA does not distinguish the 32-bit and 64-bit variants on
 	// Skylake; both get the 64-bit decomposition.
 	case gen >= uarch.Skylake && in.Mnemonic == "BSWAP" && in.Operands[0].Width == 32:
-		usage = map[string]int{p.shift: 1, p.intALU: 1}
+		usage = uarch.Usage{p.shift: 1, p.intALU: 1}
 		uops = 2
 
 	// VHADDPD/VHADDPS on Skylake: the total µop count is right but the
 	// per-port detail only shows one µop.
 	case gen >= uarch.Skylake && (in.Mnemonic == "VHADDPD" || in.Mnemonic == "VHADDPS"):
-		usage = map[string]int{p.fpAdd: 1}
+		usage = uarch.Usage{p.fpAdd: 1}
 		// uops stays at the correct total of 3.
 
 	// VMINPS on Skylake: version 2.3 reports ports 0, 1 and 5; version 3.0
 	// (and the hardware) reports ports 0 and 1.
 	case gen >= uarch.Skylake && in.Mnemonic == "VMINPS" && a.version == V23:
-		usage = map[string]int{"015": sumUsage(usage)}
+		usage = uarch.Usage{uarch.NewPortSet(0, 1, 5): sumUsage(usage)}
 
 	// SAHF on Haswell/Broadwell: correct (p06) in 2.1, p0156 in later
 	// versions.
 	case (gen == uarch.Haswell || gen == uarch.Broadwell) && in.Mnemonic == "SAHF" && a.version != V21:
-		usage = map[string]int{p.intALU: 1}
+		usage = uarch.Usage{p.intALU: 1}
 
 	// MOVDQ2Q on Haswell/Broadwell: correct (1*p5+1*p015) in 2.1,
 	// 1*p01+1*p015 in later versions.
 	case (gen == uarch.Haswell || gen == uarch.Broadwell) && in.Mnemonic == "MOVDQ2Q" && a.version != V21:
-		usage = map[string]int{"01": 1, "015": 1}
+		usage = uarch.Usage{uarch.NewPortSet(0, 1): 1, uarch.NewPortSet(0, 1, 5): 1}
 
 	// MOVQ2DQ on Skylake: both µops are reported on port 5 only.
 	case gen >= uarch.Skylake && in.Mnemonic == "MOVQ2DQ":
-		usage = map[string]int{"5": 2}
+		usage = uarch.Usage{uarch.NewPortSet(5): 2}
 
 	// LOCK-prefixed instructions: the µop count differs systematically from
 	// the hardware measurement (the paper excludes them from Table 1).
@@ -233,7 +230,7 @@ func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	// static tool reports a fixed small count.
 	case in.HasRep:
 		uops = 2
-		usage = map[string]int{p.intALU: 2}
+		usage = uarch.Usage{p.intALU: 2}
 	}
 
 	// Background error rate: a deterministic pseudo-random subset of
@@ -271,32 +268,26 @@ func (a *Analyzer) buildEntry(in *isa.Instr) Entry {
 	return Entry{Uops: uops, Usage: usage}
 }
 
-// portKeys are the port-combination keys of the targeted generation that
+// portSets are the port combinations of the targeted generation that
 // buildEntry injects discrepancies with, computed once per analyzer by
-// portKeysFor and cached in Analyzer.keys.
-type portKeys struct {
-	intALU, shift, shuffle, vecLogic, fpAdd, load, storeAddr, storeData string
+// portSetsFor and cached in Analyzer.sets.
+type portSets struct {
+	intALU, shift, shuffle, vecLogic, fpAdd, load, storeAddr, storeData uarch.PortSet
 }
 
-func portKeysFor(arch *uarch.Arch) portKeys {
-	if arch.NumPorts() == 6 {
-		return portKeys{
-			intALU: "015", shift: "05", shuffle: "5", vecLogic: "015", fpAdd: "1",
-			load:      uarch.PortComboKey(arch.LoadPorts()),
-			storeAddr: uarch.PortComboKey(arch.StoreAddrPorts()),
-			storeData: uarch.PortComboKey(arch.StoreDataPorts()),
-		}
+func portSetsFor(arch *uarch.Arch) portSets {
+	sets := portSets{
+		intALU: uarch.NewPortSet(0, 1, 5, 6), shift: uarch.NewPortSet(0, 6), shuffle: uarch.NewPortSet(5),
+		vecLogic: uarch.NewPortSet(0, 1, 5), fpAdd: uarch.NewPortSet(1),
+		load: arch.LoadPorts(), storeAddr: arch.StoreAddrPorts(), storeData: arch.StoreDataPorts(),
 	}
-	fpAdd := "1"
-	if arch.Gen() >= uarch.Skylake {
-		fpAdd = "01"
+	switch {
+	case arch.NumPorts() == 6:
+		sets.intALU, sets.shift = uarch.NewPortSet(0, 1, 5), uarch.NewPortSet(0, 5)
+	case arch.Gen() >= uarch.Skylake:
+		sets.fpAdd = uarch.NewPortSet(0, 1)
 	}
-	return portKeys{
-		intALU: "0156", shift: "06", shuffle: "5", vecLogic: "015", fpAdd: fpAdd,
-		load:      uarch.PortComboKey(arch.LoadPorts()),
-		storeAddr: uarch.PortComboKey(arch.StoreAddrPorts()),
-		storeData: uarch.PortComboKey(arch.StoreDataPorts()),
-	}
+	return sets
 }
 
 // caseStudyMnemonics are exempt from the background error injection because
@@ -318,16 +309,16 @@ func isLoadDropMnemonic(m string) bool {
 	return false
 }
 
-func removeOne(usage map[string]int, key string) {
-	if usage[key] > 0 {
-		usage[key]--
-		if usage[key] == 0 {
-			delete(usage, key)
+func removeOne(usage uarch.Usage, combo uarch.PortSet) {
+	if usage[combo] > 0 {
+		usage[combo]--
+		if usage[combo] == 0 {
+			delete(usage, combo)
 		}
 	}
 }
 
-func sumUsage(usage map[string]int) int {
+func sumUsage(usage uarch.Usage) int {
 	n := 0
 	for _, v := range usage {
 		n += v
@@ -357,16 +348,16 @@ func (a *Analyzer) Analyze(code asmgen.Sequence) (Report, error) {
 		if !ok {
 			return Report{}, fmt.Errorf("iaca %s: instruction %s not supported", a.version, inst.Variant.Name)
 		}
-		// Feed the scheduler in sorted-key order: it breaks assignment
-		// ties by group position, so map iteration order would otherwise
-		// reach the predicted port pressure.
-		usageKeys := make([]string, 0, len(e.Usage))
-		for key := range e.Usage {
-			usageKeys = append(usageKeys, key)
+		// Feed the scheduler in key order: it breaks assignment ties by
+		// group position, so map iteration order would otherwise reach the
+		// predicted port pressure.
+		combos := make([]uarch.PortSet, 0, len(e.Usage))
+		for combo := range e.Usage {
+			combos = append(combos, combo)
 		}
-		sort.Strings(usageKeys)
-		for _, key := range usageKeys {
-			groups = append(groups, lp.PortGroup{Ports: portsOfKey(key), Count: float64(e.Usage[key])})
+		slices.SortFunc(combos, func(a, b uarch.PortSet) int { return strings.Compare(a.String(), b.String()) })
+		for _, combo := range combos {
+			groups = append(groups, lp.PortGroup{Ports: combo, Count: float64(e.Usage[combo])})
 		}
 		total += e.Uops
 		latency += float64(maxInt(1, e.Uops))
@@ -419,35 +410,11 @@ func (a *Analyzer) Run(code asmgen.Sequence) (pipesim.Counters, error) {
 	return c, nil
 }
 
-func portsOfKey(key string) []int {
-	var ports []int
-	for _, ch := range key {
-		if ch >= '0' && ch <= '9' {
-			ports = append(ports, int(ch-'0'))
-		}
-	}
-	return ports
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// UsageEqual compares two port usages for equality (integer µop counts per
-// combination).
-func UsageEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // DescribeVersions renders the supported-version range for a generation the

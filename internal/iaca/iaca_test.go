@@ -1,6 +1,7 @@
 package iaca
 
 import (
+	"maps"
 	"testing"
 
 	"uopsinfo/internal/asmgen"
@@ -83,15 +84,15 @@ func TestInjectedDiscrepancies(t *testing.T) {
 	// VMINPS: 2.3 reports p015, 3.0 reports p01.
 	e23, _ := a23.Entry("VMINPS_XMM_XMM_XMM")
 	e30, _ := a30.Entry("VMINPS_XMM_XMM_XMM")
-	if _, ok := e23.Usage["015"]; !ok {
+	if _, ok := e23.Usage[uarch.NewPortSet(0, 1, 5)]; !ok {
 		t.Errorf("IACA 2.3 VMINPS usage = %v, want a p015 entry", e23.Usage)
 	}
-	if _, ok := e30.Usage["01"]; !ok {
+	if _, ok := e30.Usage[uarch.NewPortSet(0, 1)]; !ok {
 		t.Errorf("IACA 3.0 VMINPS usage = %v, want a p01 entry", e30.Usage)
 	}
 
 	// MOVQ2DQ on Skylake: both µops on port 5.
-	if e, _ := a30.Entry("MOVQ2DQ_XMM_MM"); e.Usage["5"] != 2 {
+	if e, _ := a30.Entry("MOVQ2DQ_XMM_MM"); e.Usage[uarch.NewPortSet(5)] != 2 {
 		t.Errorf("MOVQ2DQ IACA usage = %v, want 2*p5", e.Usage)
 	}
 
@@ -106,20 +107,20 @@ func TestInjectedDiscrepancies(t *testing.T) {
 	}
 	s21, _ := h21.Entry("SAHF")
 	s22, _ := h22.Entry("SAHF")
-	if _, ok := s21.Usage["06"]; !ok {
+	if _, ok := s21.Usage[uarch.NewPortSet(0, 6)]; !ok {
 		t.Errorf("IACA 2.1 SAHF usage = %v, want p06", s21.Usage)
 	}
-	if _, ok := s22.Usage["0156"]; !ok {
+	if _, ok := s22.Usage[uarch.NewPortSet(0, 1, 5, 6)]; !ok {
 		t.Errorf("IACA 2.2 SAHF usage = %v, want p0156", s22.Usage)
 	}
 
 	// MOVDQ2Q on Haswell: 2.1 correct, 2.2 wrong.
 	m21, _ := h21.Entry("MOVDQ2Q_MM_XMM")
 	m22, _ := h22.Entry("MOVDQ2Q_MM_XMM")
-	if _, ok := m21.Usage["5"]; !ok {
+	if _, ok := m21.Usage[uarch.NewPortSet(5)]; !ok {
 		t.Errorf("IACA 2.1 MOVDQ2Q usage = %v, want to include p5", m21.Usage)
 	}
-	if _, ok := m22.Usage["01"]; !ok {
+	if _, ok := m22.Usage[uarch.NewPortSet(0, 1)]; !ok {
 		t.Errorf("IACA 2.2 MOVDQ2Q usage = %v, want to include p01", m22.Usage)
 	}
 
@@ -155,7 +156,7 @@ func TestEntriesAreDeterministic(t *testing.T) {
 	for _, in := range skl.InstrSet().Instrs() {
 		e1, _ := a1.Entry(in.Name)
 		e2, _ := a2.Entry(in.Name)
-		if e1.Uops != e2.Uops || !UsageEqual(e1.Usage, e2.Usage) {
+		if e1.Uops != e2.Uops || !maps.Equal(e1.Usage, e2.Usage) {
 			t.Fatalf("entry for %s differs between two identical analyzers", in.Name)
 		}
 	}

@@ -1,6 +1,10 @@
 package lp
 
-import "testing"
+import (
+	"testing"
+
+	"uopsinfo/internal/uarch"
+)
 
 // Benchmarks comparing the two solvers for the throughput-from-port-usage
 // problem (an ablation of the design choice discussed in DESIGN.md: the
@@ -8,13 +12,13 @@ import "testing"
 // real CPUs, the simplex solver handles the general LP formulation).
 
 var benchGroups = []PortGroup{
-	{Ports: []int{0, 1, 5, 6}, Count: 2},
-	{Ports: []int{0, 6}, Count: 1},
-	{Ports: []int{5}, Count: 2},
-	{Ports: []int{2, 3}, Count: 1},
-	{Ports: []int{2, 3, 7}, Count: 1},
-	{Ports: []int{4}, Count: 1},
-	{Ports: []int{0, 1}, Count: 3},
+	{Ports: uarch.NewPortSet(0, 1, 5, 6), Count: 2},
+	{Ports: uarch.NewPortSet(0, 6), Count: 1},
+	{Ports: uarch.NewPortSet(5), Count: 2},
+	{Ports: uarch.NewPortSet(2, 3), Count: 1},
+	{Ports: uarch.NewPortSet(2, 3, 7), Count: 1},
+	{Ports: uarch.NewPortSet(4), Count: 1},
+	{Ports: uarch.NewPortSet(0, 1), Count: 3},
 }
 
 func BenchmarkMinMaxLoadCombinatorial(b *testing.B) {

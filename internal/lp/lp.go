@@ -21,12 +21,14 @@ package lp
 import (
 	"fmt"
 	"math"
+
+	"uopsinfo/internal/uarch"
 )
 
 // PortGroup is one entry of a port-usage mapping: Count µops that may each
 // execute on any of the Ports.
 type PortGroup struct {
-	Ports []int
+	Ports uarch.PortSet
 	Count float64
 }
 
@@ -37,15 +39,12 @@ type PortGroup struct {
 // divider. Ports outside [0, numPorts) are ignored. Groups with no valid
 // ports contribute load that cannot be scheduled; they cause an error.
 func MinMaxLoad(groups []PortGroup, numPorts int) (float64, error) {
-	if numPorts <= 0 || numPorts > 16 {
+	if numPorts <= 0 || numPorts > uarch.MaxPorts {
 		return 0, fmt.Errorf("lp: invalid port count %d", numPorts)
 	}
-	// Normalize groups to bitmasks.
-	type maskGroup struct {
-		mask  uint
-		count float64
-	}
-	var mgs []maskGroup
+	// Cut the groups to the machine's ports.
+	machine := uarch.PortsBelow(numPorts)
+	var cut []PortGroup
 	for _, g := range groups {
 		if g.Count == 0 {
 			continue
@@ -53,43 +52,28 @@ func MinMaxLoad(groups []PortGroup, numPorts int) (float64, error) {
 		if g.Count < 0 {
 			return 0, fmt.Errorf("lp: negative µop count %v", g.Count)
 		}
-		var mask uint
-		for _, p := range g.Ports {
-			if p >= 0 && p < numPorts {
-				mask |= 1 << uint(p)
-			}
-		}
-		if mask == 0 {
+		if g.Ports&machine == 0 {
 			return 0, fmt.Errorf("lp: group with %v µops has no valid port", g.Count)
 		}
-		mgs = append(mgs, maskGroup{mask: mask, count: g.Count})
+		cut = append(cut, PortGroup{Ports: g.Ports & machine, Count: g.Count})
 	}
-	if len(mgs) == 0 {
+	if len(cut) == 0 {
 		return 0, nil
 	}
 	best := 0.0
-	for s := uint(1); s < 1<<uint(numPorts); s++ {
+	for mask := 1; mask < 1<<numPorts; mask++ {
+		s := uarch.PortSet(mask)
 		confined := 0.0
-		for _, g := range mgs {
-			if g.mask&^s == 0 {
-				confined += g.count
+		for _, g := range cut {
+			if g.Ports.SubsetOf(s) {
+				confined += g.Count
 			}
 		}
-		size := float64(popcount(s))
-		if load := confined / size; load > best {
+		if load := confined / float64(s.Len()); load > best {
 			best = load
 		}
 	}
 	return best, nil
-}
-
-func popcount(x uint) int {
-	n := 0
-	for x != 0 {
-		n += int(x & 1)
-		x >>= 1
-	}
-	return n
 }
 
 // MinMaxLoadLP solves the same problem via the explicit linear program from
@@ -114,8 +98,8 @@ func MinMaxLoadLP(groups []PortGroup, numPorts int) (float64, error) {
 			continue
 		}
 		ok := false
-		for _, p := range g.Ports {
-			if p >= 0 && p < numPorts {
+		for p := range numPorts {
+			if g.Ports.Has(p) {
 				varIdx[varKey{gi, p}] = nv
 				nv++
 				ok = true
@@ -142,7 +126,7 @@ func MinMaxLoadLP(groups []PortGroup, numPorts int) (float64, error) {
 			continue
 		}
 		row := make([]float64, nv)
-		for _, p := range g.Ports {
+		for p := range numPorts {
 			if idx, ok := varIdx[varKey{gi, p}]; ok {
 				row[idx] = 1
 			}
@@ -200,7 +184,7 @@ func Schedule(groups []PortGroup, numPorts int) (float64, [][]float64, error) {
 	}
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
-			if len(groups[order[j]].Ports) < len(groups[order[i]].Ports) {
+			if groups[order[j]].Ports.Len() < groups[order[i]].Ports.Len() {
 				order[i], order[j] = order[j], order[i]
 			}
 		}
@@ -211,11 +195,8 @@ func Schedule(groups []PortGroup, numPorts int) (float64, [][]float64, error) {
 		for remaining > 1e-12 {
 			chunk := math.Min(step, remaining)
 			best := -1
-			for _, p := range groups[gi].Ports {
-				if p < 0 || p >= numPorts {
-					continue
-				}
-				if best == -1 || load[p] < load[best] {
+			for p := range numPorts {
+				if groups[gi].Ports.Has(p) && (best == -1 || load[p] < load[best]) {
 					best = p
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"uopsinfo/internal/uarch"
 )
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -16,17 +18,17 @@ func TestMinMaxLoadKnownCases(t *testing.T) {
 		numPorts int
 		want     float64
 	}{
-		{"single µop on four ports", []PortGroup{{Ports: []int{0, 1, 5, 6}, Count: 1}}, 8, 0.25},
-		{"single µop on one port", []PortGroup{{Ports: []int{1}, Count: 1}}, 8, 1},
+		{"single µop on four ports", []PortGroup{{Ports: uarch.NewPortSet(0, 1, 5, 6), Count: 1}}, 8, 0.25},
+		{"single µop on one port", []PortGroup{{Ports: uarch.NewPortSet(1), Count: 1}}, 8, 1},
 		{"1*p0 + 1*p015 (MOVQ2DQ)", []PortGroup{
-			{Ports: []int{0}, Count: 1}, {Ports: []int{0, 1, 5}, Count: 1}}, 8, 1},
-		{"2*p05 (PBLENDVB on Nehalem)", []PortGroup{{Ports: []int{0, 5}, Count: 2}}, 6, 1},
+			{Ports: uarch.NewPortSet(0), Count: 1}, {Ports: uarch.NewPortSet(0, 1, 5), Count: 1}}, 8, 1},
+		{"2*p05 (PBLENDVB on Nehalem)", []PortGroup{{Ports: uarch.NewPortSet(0, 5), Count: 2}}, 6, 1},
 		{"1*p0156 + 1*p06 (ADC on Haswell)", []PortGroup{
-			{Ports: []int{0, 1, 5, 6}, Count: 1}, {Ports: []int{0, 6}, Count: 1}}, 8, 0.5},
+			{Ports: uarch.NewPortSet(0, 1, 5, 6), Count: 1}, {Ports: uarch.NewPortSet(0, 6), Count: 1}}, 8, 0.5},
 		{"2*p5 + 1*p01 (VHADDPD)", []PortGroup{
-			{Ports: []int{5}, Count: 2}, {Ports: []int{0, 1}, Count: 1}}, 8, 2},
+			{Ports: uarch.NewPortSet(5), Count: 2}, {Ports: uarch.NewPortSet(0, 1), Count: 1}}, 8, 2},
 		{"load + ALU", []PortGroup{
-			{Ports: []int{2, 3}, Count: 1}, {Ports: []int{0, 1, 5, 6}, Count: 1}}, 8, 0.5},
+			{Ports: uarch.NewPortSet(2, 3), Count: 1}, {Ports: uarch.NewPortSet(0, 1, 5, 6), Count: 1}}, 8, 0.5},
 		{"empty", nil, 8, 0},
 	}
 	for _, tc := range cases {
@@ -43,16 +45,16 @@ func TestMinMaxLoadKnownCases(t *testing.T) {
 
 func TestMinMaxLoadErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := MinMaxLoad([]PortGroup{{Ports: nil, Count: 1}}, 8); err == nil {
+	if _, err := MinMaxLoad([]PortGroup{{Ports: 0, Count: 1}}, 8); err == nil {
 		t.Error("accepted a group with no ports")
 	}
-	if _, err := MinMaxLoad([]PortGroup{{Ports: []int{0}, Count: -1}}, 8); err == nil {
+	if _, err := MinMaxLoad([]PortGroup{{Ports: uarch.NewPortSet(0), Count: -1}}, 8); err == nil {
 		t.Error("accepted a negative µop count")
 	}
 	if _, err := MinMaxLoad(nil, 0); err == nil {
 		t.Error("accepted zero ports")
 	}
-	if _, err := MinMaxLoad([]PortGroup{{Ports: []int{9}, Count: 1}}, 8); err == nil {
+	if _, err := MinMaxLoad([]PortGroup{{Ports: uarch.NewPortSet(9), Count: 1}}, 8); err == nil {
 		t.Error("accepted a group whose only port is out of range")
 	}
 }
@@ -60,12 +62,12 @@ func TestMinMaxLoadErrors(t *testing.T) {
 func TestMinMaxLoadLPAgreesWithCombinatorialSolver(t *testing.T) {
 	t.Parallel()
 	cases := [][]PortGroup{
-		{{Ports: []int{0, 1, 5, 6}, Count: 1}},
-		{{Ports: []int{0}, Count: 1}, {Ports: []int{0, 1, 5}, Count: 1}},
-		{{Ports: []int{0, 5}, Count: 2}},
-		{{Ports: []int{5}, Count: 2}, {Ports: []int{0, 1}, Count: 1}},
-		{{Ports: []int{2, 3}, Count: 1}, {Ports: []int{2, 3, 7}, Count: 1}, {Ports: []int{4}, Count: 1}},
-		{{Ports: []int{0, 1}, Count: 3}, {Ports: []int{1, 5}, Count: 2}, {Ports: []int{0, 5, 6}, Count: 1}},
+		{{Ports: uarch.NewPortSet(0, 1, 5, 6), Count: 1}},
+		{{Ports: uarch.NewPortSet(0), Count: 1}, {Ports: uarch.NewPortSet(0, 1, 5), Count: 1}},
+		{{Ports: uarch.NewPortSet(0, 5), Count: 2}},
+		{{Ports: uarch.NewPortSet(5), Count: 2}, {Ports: uarch.NewPortSet(0, 1), Count: 1}},
+		{{Ports: uarch.NewPortSet(2, 3), Count: 1}, {Ports: uarch.NewPortSet(2, 3, 7), Count: 1}, {Ports: uarch.NewPortSet(4), Count: 1}},
+		{{Ports: uarch.NewPortSet(0, 1), Count: 3}, {Ports: uarch.NewPortSet(1, 5), Count: 2}, {Ports: uarch.NewPortSet(0, 5, 6), Count: 1}},
 	}
 	for i, groups := range cases {
 		exact, err := MinMaxLoad(groups, 8)
@@ -99,13 +101,8 @@ func TestSolversAgreeProperty(t *testing.T) {
 			if len(groups) >= 5 {
 				break
 			}
-			var ports []int
-			for p := 0; p < numPorts; p++ {
-				if s.Mask&(1<<uint(p)) != 0 {
-					ports = append(ports, p)
-				}
-			}
-			if len(ports) == 0 {
+			ports := uarch.PortSet(s.Mask) & uarch.PortsBelow(numPorts)
+			if ports == 0 {
 				continue
 			}
 			count := float64(s.Count%4) + 1
@@ -140,9 +137,9 @@ func TestSolversAgreeProperty(t *testing.T) {
 func TestScheduleRespectsOptimum(t *testing.T) {
 	t.Parallel()
 	groups := []PortGroup{
-		{Ports: []int{0}, Count: 1},
-		{Ports: []int{0, 1, 5}, Count: 1},
-		{Ports: []int{5}, Count: 1},
+		{Ports: uarch.NewPortSet(0), Count: 1},
+		{Ports: uarch.NewPortSet(0, 1, 5), Count: 1},
+		{Ports: uarch.NewPortSet(5), Count: 1},
 	}
 	z, assign, err := Schedule(groups, 8)
 	if err != nil {
@@ -155,16 +152,8 @@ func TestScheduleRespectsOptimum(t *testing.T) {
 	for gi, g := range groups {
 		sum := 0.0
 		for p, v := range assign[gi] {
-			if v > 0 {
-				allowed := false
-				for _, ap := range g.Ports {
-					if ap == p {
-						allowed = true
-					}
-				}
-				if !allowed {
-					t.Errorf("group %d assigned to disallowed port %d", gi, p)
-				}
+			if v > 0 && !g.Ports.Has(p) {
+				t.Errorf("group %d assigned to disallowed port %d", gi, p)
 			}
 			sum += v
 		}

@@ -100,11 +100,11 @@ type Result struct {
 }
 
 // UopsOnPorts sums the µops dispatched to the given ports.
-func (r Result) UopsOnPorts(ports []int) float64 {
+func (r Result) UopsOnPorts(ports uarch.PortSet) float64 {
 	sum := 0.0
-	for _, p := range ports {
-		if p >= 0 && p < len(r.PortUops) {
-			sum += r.PortUops[p]
+	for p, u := range r.PortUops {
+		if ports.Has(p) {
+			sum += u
 		}
 	}
 	return sum

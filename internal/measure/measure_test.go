@@ -100,11 +100,11 @@ func TestPaperConfigMatchesProtocol(t *testing.T) {
 func TestResultUopsOnPorts(t *testing.T) {
 	t.Parallel()
 	r := Result{PortUops: [pipesim.MaxPorts]float64{1, 2, 0, 0, 3}}
-	if got := r.UopsOnPorts([]int{0, 4}); got != 4 {
+	if got := r.UopsOnPorts(uarch.NewPortSet(0, 4)); got != 4 {
 		t.Errorf("UopsOnPorts = %v, want 4", got)
 	}
-	if got := r.UopsOnPorts([]int{-1, pipesim.MaxPorts}); got != 0 {
-		t.Errorf("UopsOnPorts out of range = %v, want 0", got)
+	if got := r.UopsOnPorts(uarch.NewPortSet(3, pipesim.MaxPorts-1)); got != 0 {
+		t.Errorf("UopsOnPorts on ports without µops = %v, want 0", got)
 	}
 }
 

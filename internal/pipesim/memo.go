@@ -42,8 +42,8 @@ import (
 //     same under every penalty.
 //   - execute reads only the renamed arena and the machine record: the
 //     port count, the issue width, SchedulerSize and MaxCycles. A µop
-//     dispatches only to a port of its mask, and portMaskFor built the
-//     masks below the port count, which the template ids encode; the
+//     dispatches only to a port of its mask, and buildShape cut the masks
+//     to the ports below the port count, which the template ids encode; the
 //     allPorts early exit of the dispatch walk only ends a walk that
 //     readyUnion would end at its next µop, so it never changes which µop
 //     dispatches. So two records that differ only in the port count read

@@ -90,9 +90,10 @@ const (
 )
 
 // MaxPorts bounds the execution ports of a modelled generation: the
-// per-port bitmasks, load tables and counters have this many entries. All
-// modelled generations have 6 or 8 execution ports.
-const MaxPorts = 16
+// per-port load tables and counters have this many entries, one for each
+// port a uarch.PortSet can hold. All modelled generations have 6 or 8
+// execution ports.
+const MaxPorts = uarch.MaxPorts
 
 // Counters is the simulated performance-counter state after running a code
 // sequence: elapsed core cycles and the number of µops dispatched to each
@@ -185,7 +186,7 @@ type dynUop struct {
 	wrStart, wrEnd int32
 	pending        int32
 	readyAt        int32
-	portMask       uint16 // allowed execution ports as a bitmask
+	portMask       uarch.PortSet // allowed execution ports
 	eliminated     bool
 	divider        bool
 	domain         domain
@@ -312,9 +313,9 @@ func newMachine(arch *uarch.Arch, cfg Config, table *Table) *Machine {
 		cfg.MaxCycles = 1 << 30
 	}
 	if arch.NumPorts() > MaxPorts {
-		// The dispatch stage represents port sets as uint16 bitmasks;
+		// The dispatch stage represents port sets as uarch.PortSets;
 		// silently dropping ports would turn their µops into phantom
-		// deadlocks, so fail loudly if a generation ever outgrows the mask.
+		// deadlocks, so fail loudly if a generation ever outgrows the set.
 		panic(fmt.Sprintf("pipesim: %s has %d ports, max supported is %d",
 			arch.Name(), arch.NumPorts(), MaxPorts))
 	}
@@ -541,7 +542,7 @@ type tmplUop struct {
 	rdStart, rdEnd int32
 	wrStart, wrEnd int32
 	divOcc         [2]int32 // divider occupancy per divider regime
-	portMask       uint16
+	portMask       uarch.PortSet
 	eliminated     bool
 	divider        bool
 	// ownReads marks a µop whose writes after the first also read (partial
@@ -656,8 +657,8 @@ func (m *Machine) buildShape(in *isa.Instr, perf *uarch.InstrPerf, zeroIdiom, mo
 		occ := idx32(spec.DivOccupancy)
 		tu := tmplUop{
 			divOcc:     [2]int32{occ, occ},
-			portMask:   portMaskFor(spec.Ports, numPorts),
-			eliminated: len(spec.Ports) == 0,
+			portMask:   spec.Ports & uarch.PortsBelow(numPorts),
+			eliminated: spec.Ports == 0,
 			divider:    spec.Divider,
 		}
 		if spec.Divider {
@@ -1215,7 +1216,7 @@ func (m *Machine) execute() (Counters, error) {
 
 	issueWidth := m.rec.IssueWidth
 	schedSize := m.rec.schedulerSize
-	allPorts := uint16(1)<<uint(numPorts) - 1
+	allPorts := uarch.PortsBelow(numPorts)
 
 	nextIssue := 0     // next µop (program order) to issue
 	schedCount := 0    // issued µops still waiting for an execution port
@@ -1227,7 +1228,7 @@ func (m *Machine) execute() (Counters, error) {
 	// masks in the ready queue: once dispatch has claimed every port in it,
 	// no remaining ready µop can dispatch this cycle and the walk stops. It
 	// is recomputed exactly on every full walk.
-	var readyUnion uint16
+	var readyUnion uarch.PortSet
 
 	cycle := 0
 	idleCycles := 0
@@ -1350,12 +1351,12 @@ func (m *Machine) execute() (Counters, error) {
 		// port per cycle. Identical port claims to the old full-window scan:
 		// the ready queue is in program order and non-ready µops could never
 		// claim a port anyway.
-		var takenMask uint16
+		var takenMask uarch.PortSet
 		dispatchedAny := false
 		readyDivBlocked := false
 		if len(m.readyQ) > 0 {
 			kept := m.readyQ[:0]
-			var keptUnion uint16
+			var keptUnion uarch.PortSet
 			fullWalk := true
 			for qi, n := 0, len(m.readyQ); qi < n; qi++ {
 				if readyUnion&^takenMask == 0 {
@@ -1502,30 +1503,14 @@ func (m *Machine) execute() (Counters, error) {
 	return c, nil
 }
 
-// portMaskFor converts a µop's allowed-port list into a bitmask, dropping
-// ports the generation does not have (matching the old slice-walking
-// choosePort, which skipped them).
-func portMaskFor(ports []int, numPorts int) uint16 {
-	var mask uint16
-	for _, p := range ports {
-		if p >= 0 && p < numPorts {
-			mask |= 1 << uint(p)
-		}
-	}
-	return mask
-}
-
 // choosePort picks the free, allowed port with the lowest accumulated load
 // (a simple load-balancing heuristic similar in spirit to the hardware's
 // port-binding policy) from a non-empty availability mask. Ties go to the
-// lowest-numbered port; the µop tables list ports in ascending order (pinned
-// by TestPortSetsAscending in package uarch), so this reproduces the
-// first-listed-port-wins tie-break of the earlier slice-walking
-// implementation exactly.
-func choosePort(avail uint16, load *[MaxPorts]int32) int {
+// lowest-numbered port.
+func choosePort(avail uarch.PortSet, load *[MaxPorts]int32) int {
 	best := -1
 	for mk := avail; mk != 0; mk &= mk - 1 {
-		p := bits.TrailingZeros16(mk)
+		p := bits.TrailingZeros16(uint16(mk))
 		if best < 0 || load[p] < load[best] {
 			best = p
 		}

@@ -233,7 +233,7 @@ func MOVQ2DQStudy(ctx *Context) (*CaseStudy, error) {
 		return nil, err
 	}
 	cs.add("blocking-instruction algorithm (this work)", "%s", pu)
-	cs.add("isolation-based attribution (Fog-style)", "%s", fog.FormatUsage(iso))
+	cs.add("isolation-based attribution (Fog-style)", "%s", iso)
 	for _, v := range iaca.SupportedVersions(gen) {
 		a, err := iaca.New(v, uarch.Get(gen))
 		if err != nil {
@@ -272,7 +272,7 @@ func MOVDQ2QStudy(ctx *Context) (*CaseStudy, error) {
 			return nil, err
 		}
 		cs.add(gen.String()+" (this work)", "%s", pu)
-		cs.add(gen.String()+" (isolation-based)", "%s", fog.FormatUsage(iso))
+		cs.add(gen.String()+" (isolation-based)", "%s", iso)
 		for _, v := range iaca.SupportedVersions(gen) {
 			a, err := iaca.New(v, uarch.Get(gen))
 			if err != nil {
@@ -400,7 +400,7 @@ func PortUsageMotivationStudy(ctx *Context) (*CaseStudy, error) {
 			return nil, err
 		}
 		cs.add(fmt.Sprintf("%s on %s (this work)", tc.name, tc.gen), "%s", pu)
-		cs.add(fmt.Sprintf("%s on %s (isolation-based)", tc.name, tc.gen), "%s", fog.FormatUsage(iso))
+		cs.add(fmt.Sprintf("%s on %s (isolation-based)", tc.name, tc.gen), "%s", iso)
 	}
 	cs.add("paper (PBLENDVB, Nehalem)", "true usage 2*p05; isolation suggests one µop on p0 and one on p5")
 	cs.add("paper (ADC, Haswell)", "true usage 1*p0156+1*p06; isolation suggests 2*p0156")

@@ -6,9 +6,9 @@ package report
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
-	"uopsinfo/internal/core"
 	"uopsinfo/internal/engine"
 	"uopsinfo/internal/iaca"
 	"uopsinfo/internal/isa"
@@ -140,9 +140,9 @@ func BuildTable1Row(arch *uarch.Arch, opts Table1Options) (Table1Row, error) {
 			continue
 		}
 		portsChecked++
-		measuredUsage := roundUsage(pu)
+		measuredUsage := pu.Round()
 		for _, a := range analyzers {
-			if e, ok := a.Entry(in.Name); ok && iaca.UsageEqual(e.Usage, measuredUsage) {
+			if e, ok := a.Entry(in.Name); ok && maps.Equal(e.Usage, measuredUsage) {
 				portsMatch++
 				break
 			}
@@ -155,18 +155,6 @@ func BuildTable1Row(arch *uarch.Arch, opts Table1Options) (Table1Row, error) {
 		row.PortsMatchPct = 100 * float64(portsMatch) / float64(portsChecked)
 	}
 	return row, nil
-}
-
-// roundUsage converts a measured port usage into integer µop counts.
-func roundUsage(pu core.PortUsage) map[string]int {
-	out := make(map[string]int)
-	for k, v := range pu {
-		n := int(v + 0.5)
-		if n > 0 {
-			out[k] = n
-		}
-	}
-	return out
 }
 
 // BuildTable1 builds all requested rows. With opts.Workers > 1 the

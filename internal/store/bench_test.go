@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uopsinfo/internal/core"
+	"uopsinfo/internal/uarch"
 )
 
 // benchRecord returns a realistic per-variant record, shaped like
@@ -25,7 +26,7 @@ func benchRecord(name string) *core.InstrResult {
 		Mnemonic:   "ADC",
 		Uops:       2,
 		UopsIssued: 2,
-		Ports:      core.PortUsage{"06": 1, "23": 1},
+		Ports:      core.PortUsage{uarch.NewPortSet(0, 6): 1, uarch.NewPortSet(2, 3): 1},
 		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
 			pair(0, 0, "op1", "op1", 1, "self chain"),
 			pair(0, 2, "op1", "FLAGS", 1, "SETcc chain"),

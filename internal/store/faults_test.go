@@ -19,6 +19,7 @@ import (
 
 	"uopsinfo/internal/core"
 	"uopsinfo/internal/store/errfs"
+	"uopsinfo/internal/uarch"
 )
 
 // openFaulty opens a store over a fault-injecting filesystem.
@@ -47,7 +48,7 @@ func testRecord(name string) *core.InstrResult {
 		Name:       name,
 		Mnemonic:   name,
 		Uops:       2,
-		Ports:      core.PortUsage{"0156": 2},
+		Ports:      core.PortUsage{uarch.NewPortSet(0, 1, 5, 6): 2},
 		Throughput: core.ThroughputResult{Measured: 0.5, MeasuredSequenceLength: 8},
 	}
 }

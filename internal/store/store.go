@@ -60,6 +60,7 @@ import (
 	"uopsinfo/internal/isa"
 	"uopsinfo/internal/measure"
 	"uopsinfo/internal/store/storefs"
+	"uopsinfo/internal/uarch"
 )
 
 // Version is the on-disk format version. Bump it whenever the payload
@@ -442,7 +443,8 @@ func (s *Store) save(kind, file string, payload interface{}) (err error) {
 
 // BlockingEntry is the serialized form of one blocking instruction: the
 // instruction is stored by variant name and rehydrated against the target
-// generation's instruction set.
+// generation's instruction set. Combo is the key of the combination the
+// instruction blocks, and Ports lists its ports in ascending order.
 type BlockingEntry struct {
 	Combo       string  `json:"combo"`
 	Instr       string  `json:"instr"`
@@ -459,13 +461,19 @@ type BlockingRecord struct {
 
 // recordEntries flattens one combination map, sorted by combination key so
 // the serialized form is deterministic.
-func recordEntries(m map[string]core.BlockingInstr) []BlockingEntry {
+func recordEntries(m map[uarch.PortSet]core.BlockingInstr) []BlockingEntry {
 	entries := make([]BlockingEntry, 0, len(m))
-	for combo, b := range m {
+	for _, b := range m {
+		var ports []int
+		for p := range uarch.MaxPorts {
+			if b.Ports.Has(p) {
+				ports = append(ports, p)
+			}
+		}
 		entries = append(entries, BlockingEntry{
-			Combo:       combo,
+			Combo:       b.Ports.String(),
 			Instr:       b.Instr.Name,
-			Ports:       b.Ports,
+			Ports:       ports,
 			Throughput:  b.Throughput,
 			UopsOnCombo: b.UopsOnCombo,
 		})
@@ -479,20 +487,35 @@ func RecordBlocking(bs *core.BlockingSet) *BlockingRecord {
 	return &BlockingRecord{SSE: recordEntries(bs.SSE), AVX: recordEntries(bs.AVX)}
 }
 
-// Restore rehydrates the record against an instruction set. It reports ok ==
-// false if any recorded variant no longer exists in the set (the record then
-// belongs to a different ISA and must be recomputed).
+// Restore rehydrates the record against an instruction set, filing each
+// entry under the combination its Ports name. It reports ok == false if any
+// recorded variant no longer exists in the set (the record then belongs to
+// a different ISA and must be recomputed), and if an entry disagrees with
+// itself: a port outside [0, uarch.MaxPorts), or a Combo that is not the key
+// of its Ports. Such a record is damaged; restoring it would measure µops on
+// one combination and book them to another.
 func (r *BlockingRecord) Restore(set *isa.Set) (*core.BlockingSet, bool) {
-	restore := func(entries []BlockingEntry) (map[string]core.BlockingInstr, bool) {
-		m := make(map[string]core.BlockingInstr, len(entries))
+	restore := func(entries []BlockingEntry) (map[uarch.PortSet]core.BlockingInstr, bool) {
+		m := make(map[uarch.PortSet]core.BlockingInstr, len(entries))
 		for _, e := range entries {
 			in := set.Lookup(e.Instr)
 			if in == nil {
 				return nil, false
 			}
-			m[e.Combo] = core.BlockingInstr{
+			var ports uarch.PortSet
+			for _, p := range e.Ports {
+				if p < 0 || p >= uarch.MaxPorts {
+					return nil, false
+				}
+				ports |= uarch.NewPortSet(p)
+			}
+			var combo uarch.PortSet
+			if combo.UnmarshalText([]byte(e.Combo)) != nil || combo != ports {
+				return nil, false
+			}
+			m[ports] = core.BlockingInstr{
 				Instr:       in,
-				Ports:       e.Ports,
+				Ports:       ports,
 				Throughput:  e.Throughput,
 				UopsOnCombo: e.UopsOnCombo,
 			}

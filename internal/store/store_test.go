@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,12 +72,12 @@ func TestKeyHashSensitivity(t *testing.T) {
 func TestBlockingRoundTrip(t *testing.T) {
 	set := uarch.Get(uarch.Skylake).InstrSet()
 	bs := &core.BlockingSet{
-		SSE: map[string]core.BlockingInstr{
-			"0156": {Instr: set.Lookup("ADD_R64_R64"), Ports: []int{0, 1, 5, 6}, Throughput: 0.25, UopsOnCombo: 1},
-			"4":    {Instr: set.Lookup("MOV_M64_R64"), Ports: []int{4}, UopsOnCombo: 1},
+		SSE: map[uarch.PortSet]core.BlockingInstr{
+			uarch.NewPortSet(0, 1, 5, 6): {Instr: set.Lookup("ADD_R64_R64"), Ports: uarch.NewPortSet(0, 1, 5, 6), Throughput: 0.25, UopsOnCombo: 1},
+			uarch.NewPortSet(4):          {Instr: set.Lookup("MOV_M64_R64"), Ports: uarch.NewPortSet(4), UopsOnCombo: 1},
 		},
-		AVX: map[string]core.BlockingInstr{
-			"5": {Instr: set.Lookup("VPSHUFD_XMM_XMM_I8"), Ports: []int{5}, Throughput: 1, UopsOnCombo: 1},
+		AVX: map[uarch.PortSet]core.BlockingInstr{
+			uarch.NewPortSet(5): {Instr: set.Lookup("VPSHUFD_XMM_XMM_I8"), Ports: uarch.NewPortSet(5), Throughput: 1, UopsOnCombo: 1},
 		},
 	}
 	for name, b := range bs.SSE {
@@ -125,7 +126,7 @@ func TestVariantRoundTrip(t *testing.T) {
 		Name:     "ADD_R64_R64",
 		Mnemonic: "ADD",
 		Uops:     1,
-		Ports:    core.PortUsage{"0156": 1},
+		Ports:    core.PortUsage{uarch.NewPortSet(0, 1, 5, 6): 1},
 		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
 			{Source: 1, Dest: 0, SourceName: "op2", DestName: "op1", Cycles: 1.0 / 3.0, Notes: "chain"},
 			{Source: 0, Dest: 0, SourceName: "op1", DestName: "op1", Cycles: 1, SameRegister: true},
@@ -179,6 +180,42 @@ func TestVariantRoundTrip(t *testing.T) {
 	}
 	if _, ok := s.LoadVariant(dig, rec.Name); !ok {
 		t.Error("re-saving over a quarantined slot did not recover the entry")
+	}
+}
+
+// TestStoredUsageKeepsItsBytes reads a variant record as the store wrote it
+// before port combinations were uarch.PortSets, its port usage under four
+// string keys, and saves it again: the bytes must not change. So stores
+// written before and after the change hold the same records, and each
+// reads the other's.
+func TestStoredUsageKeepsItsBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "variant-ADD_M64_R64.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig := testKey("variant skipLatency=false").Digest()
+	const name = "ADD_M64_R64"
+	old := openStore(t)
+	if err := os.WriteFile(filepath.Join(old.Dir(), dig.VariantFilename(name)), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := old.LoadVariant(dig, name)
+	if !ok {
+		t.Fatal("the record does not load")
+	}
+	if got := rec.Ports.String(); got != "1*p4+1*p23+1*p237+1*p0156" {
+		t.Errorf("port usage %s, want 1*p4+1*p23+1*p237+1*p0156", got)
+	}
+	s := openStore(t)
+	if err := s.SaveVariant(dig, name, rec); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(s.Dir(), dig.VariantFilename(name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the record re-encodes as\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -160,24 +160,24 @@ type profile struct {
 	machine Machine
 
 	// Port groups by functional-unit kind.
-	intALU    []int
-	intShift  []int
-	intMul    []int
-	intDiv    []int
-	lea       []int
-	branch    []int
-	load      []int
-	storeAddr []int
-	storeData []int
-	fpAdd     []int
-	fpMul     []int
-	fpDiv     []int
-	vecALU    []int
-	vecMul    []int
-	vecLogic  []int
-	shuffle   []int
-	aes       []int
-	slowInt   []int // microcoded helpers (CPUID, string ops, ...)
+	intALU    PortSet
+	intShift  PortSet
+	intMul    PortSet
+	intDiv    PortSet
+	lea       PortSet
+	branch    PortSet
+	load      PortSet
+	storeAddr PortSet
+	storeData PortSet
+	fpAdd     PortSet
+	fpMul     PortSet
+	fpDiv     PortSet
+	vecALU    PortSet
+	vecMul    PortSet
+	vecLogic  PortSet
+	shuffle   PortSet
+	aes       PortSet
+	slowInt   PortSet // microcoded helpers (CPUID, string ops, ...)
 
 	// Capabilities.
 	moveElimGPR   bool // register-to-register GPR moves can be eliminated
@@ -224,23 +224,17 @@ func (a *Arch) Machine() Machine { return a.prof.machine }
 // NumPorts returns the number of execution ports (6 or 8).
 func (a *Arch) NumPorts() int { return a.prof.machine.NumPorts }
 
-// Ports returns the port numbers 0..NumPorts-1.
-func (a *Arch) Ports() []int {
-	out := make([]int, a.prof.machine.NumPorts)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// Ports returns the set of the execution ports, 0 to NumPorts-1.
+func (a *Arch) Ports() PortSet { return PortsBelow(a.prof.machine.NumPorts) }
 
 // LoadPorts returns the ports with a load unit.
-func (a *Arch) LoadPorts() []int { return append([]int(nil), a.prof.load...) }
+func (a *Arch) LoadPorts() PortSet { return a.prof.load }
 
 // StoreAddrPorts returns the ports with a store-address unit.
-func (a *Arch) StoreAddrPorts() []int { return append([]int(nil), a.prof.storeAddr...) }
+func (a *Arch) StoreAddrPorts() PortSet { return a.prof.storeAddr }
 
 // StoreDataPorts returns the ports with a store-data unit.
-func (a *Arch) StoreDataPorts() []int { return append([]int(nil), a.prof.storeData...) }
+func (a *Arch) StoreDataPorts() PortSet { return a.prof.storeData }
 
 // Supports reports whether the generation implements the given ISA extension.
 func (a *Arch) Supports(ext isa.Extension) bool { return a.extensions[ext] }

@@ -109,7 +109,7 @@ func (a *Arch) assemble(in *isa.Instr, w *wiring, compute []Uop, storeVal ValRef
 
 // simple builds the standard decomposition: loads, a single compute µop on
 // the given ports with the given latency, and stores.
-func (a *Arch) simple(in *isa.Instr, ports []int, lat int) *InstrPerf {
+func (a *Arch) simple(in *isa.Instr, ports PortSet, lat int) *InstrPerf {
 	w := a.wire(in)
 	var compute []Uop
 	storeVal := ValRef{}
@@ -138,7 +138,7 @@ func (a *Arch) simple(in *isa.Instr, ports []int, lat int) *InstrPerf {
 // all sources, every stage feeds the next through a temporary, and the last
 // stage writes all destinations. The per-operand-pair latency is the sum of
 // the stage latencies.
-func (a *Arch) chainUops(in *isa.Instr, ports [][]int, lats []int) *InstrPerf {
+func (a *Arch) chainUops(in *isa.Instr, ports []PortSet, lats []int) *InstrPerf {
 	w := a.wire(in)
 	n := len(ports)
 	var compute []Uop
@@ -174,7 +174,7 @@ func (a *Arch) chainUops(in *isa.Instr, ports [][]int, lats []int) *InstrPerf {
 
 // withExtra adds count additional µops on the given ports that have no
 // dataflow effect (pure port pressure, as in microcoded instructions).
-func withExtra(p *InstrPerf, ports []int, count int) *InstrPerf {
+func withExtra(p *InstrPerf, ports PortSet, count int) *InstrPerf {
 	for i := 0; i < count; i++ {
 		p.Uops = append(p.Uops, uop(ports, 1, nil, nil))
 	}
@@ -219,7 +219,7 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		return withExtra(perf, p.slowInt, 8)
 	}
 	if in.IsNOP {
-		return &InstrPerf{Uops: []Uop{{Ports: nil, Latency: 0}}}
+		return &InstrPerf{Uops: []Uop{{Ports: 0, Latency: 0}}}
 	}
 	if in.IsSerializing {
 		perf := a.simple(in, p.slowInt, 4)
@@ -261,15 +261,15 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 			}
 		}
 		if hasGPR {
-			return a.simple(in, []int{0}, 2)
+			return a.simple(in, NewPortSet(0), 2)
 		}
 		return a.simple(in, p.vecLogic, 1)
 	case m == "MOVQ2DQ" || m == "MOVDQ2Q":
 		// Default model (overridden per generation for the case studies):
 		// one shuffle µop plus one vector-logic µop.
-		return a.chainUops(in, [][]int{p.shuffle, p.vecLogic}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.shuffle, p.vecLogic}, []int{1, 1})
 	case m == "MOVMSKPS" || m == "MOVMSKPD" || m == "PMOVMSKB" || m == "VPMOVMSKB":
-		return a.simple(in, []int{0}, 2)
+		return a.simple(in, NewPortSet(0), 2)
 	case m == "MASKMOVDQU" || m == "VMASKMOVPS" || m == "VMASKMOVPD":
 		perf := a.simple(in, p.vecLogic, 2)
 		return withExtra(perf, p.storeAddr, 1)
@@ -287,10 +287,10 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		switch a.gen {
 		case Nehalem, Westmere, SandyBridge, IvyBridge:
 			// Two µops on the older generations.
-			return a.chainUops(in, [][]int{p.intALU, p.intShift}, []int{1, 1})
+			return a.chainUops(in, []PortSet{p.intALU, p.intShift}, []int{1, 1})
 		case Haswell:
 			// The Section 5.1 example: 1*p0156 + 1*p06, not 2*p0156.
-			return a.chainUops(in, [][]int{p.intALU, p.intShift}, []int{1, 1})
+			return a.chainUops(in, []PortSet{p.intALU, p.intShift}, []int{1, 1})
 		default:
 			return a.simple(in, p.intShift, 1)
 		}
@@ -334,7 +334,7 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		}
 		return a.assemble(in, w, compute, ValRef{}, false)
 	case m == "RCL" || m == "RCR":
-		perf := a.chainUops(in, [][]int{p.intShift, p.intALU, p.intShift}, []int{1, 1, 1})
+		perf := a.chainUops(in, []PortSet{p.intShift, p.intALU, p.intShift}, []int{1, 1, 1})
 		return perf
 	case m == "SHLD" || m == "SHRD":
 		// Default model: the second source is needed one cycle before the
@@ -353,13 +353,13 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		reads2 := flagCount(in) >= 2
 		switch {
 		case a.gen <= IvyBridge:
-			return a.chainUops(in, [][]int{p.intALU, p.intALU}, []int{1, 1})
+			return a.chainUops(in, []PortSet{p.intALU, p.intALU}, []int{1, 1})
 		case a.gen <= Broadwell:
-			return a.chainUops(in, [][]int{p.intShift, p.intShift}, []int{1, 1})
+			return a.chainUops(in, []PortSet{p.intShift, p.intShift}, []int{1, 1})
 		default:
 			if reads2 {
 				// CMOVBE/CMOVNBE read both CF and ZF and keep two µops.
-				return a.chainUops(in, [][]int{p.intShift, p.intShift}, []int{1, 1})
+				return a.chainUops(in, []PortSet{p.intShift, p.intShift}, []int{1, 1})
 			}
 			return a.simple(in, p.intShift, 1)
 		}
@@ -379,7 +379,7 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		return a.simple(in, p.intShift, 1)
 	case m == "BSWAP":
 		if in.Operands[0].Width == 64 {
-			return a.chainUops(in, [][]int{p.intShift, p.intALU}, []int{1, 1})
+			return a.chainUops(in, []PortSet{p.intShift, p.intALU}, []int{1, 1})
 		}
 		return a.simple(in, p.intALU, 1)
 	case m == "XCHG":
@@ -387,11 +387,11 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 			perf := a.simple(in, p.intALU, 2)
 			return withExtra(perf, p.slowInt, 4)
 		}
-		return a.chainUops(in, [][]int{p.intALU, p.intALU, p.intALU}, []int{1, 1, 1})
+		return a.chainUops(in, []PortSet{p.intALU, p.intALU, p.intALU}, []int{1, 1, 1})
 	case m == "XADD":
-		return a.chainUops(in, [][]int{p.intALU, p.intALU, p.intALU}, []int{1, 1, 1})
+		return a.chainUops(in, []PortSet{p.intALU, p.intALU, p.intALU}, []int{1, 1, 1})
 	case m == "CMPXCHG":
-		perf := a.chainUops(in, [][]int{p.intALU, p.intALU}, []int{1, 1})
+		perf := a.chainUops(in, []PortSet{p.intALU, p.intALU}, []int{1, 1})
 		return withExtra(perf, p.intALU, 2)
 	case m == "PUSH":
 		return a.buildPush(in)
@@ -428,7 +428,7 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		if base == "PMULLD" {
 			// Double-pumped on most generations.
 			if a.gen >= Haswell && a.gen <= Broadwell {
-				return a.chainUops(in, [][]int{p.vecMul, p.vecMul}, []int{5, 5})
+				return a.chainUops(in, []PortSet{p.vecMul, p.vecMul}, []int{5, 5})
 			}
 			lat = p.vecMulLat + 2
 		}
@@ -441,7 +441,7 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		if in.Domain == isa.DomainVecInt {
 			arith = p.vecALU
 		}
-		return a.chainUops(in, [][]int{p.shuffle, p.shuffle, arith}, []int{1, 1, a.prof.fpAddLat})
+		return a.chainUops(in, []PortSet{p.shuffle, p.shuffle, arith}, []int{1, 1, a.prof.fpAddLat})
 	case isFPAddMnemonic(base):
 		return a.simple(in, p.fpAdd, p.fpAddLat)
 	case isFPMulMnemonic(base):
@@ -471,21 +471,21 @@ func (a *Arch) buildPerf(in *isa.Instr) *InstrPerf {
 		perf := a.simple(in, p.vecALU, 9)
 		return withExtra(perf, p.slowInt, 3)
 	case base == "PTEST" || base == "VTESTPS":
-		return a.chainUops(in, [][]int{p.vecLogic, p.intALU}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.vecLogic, p.intALU}, []int{1, 1})
 	case base == "PHMINPOSUW":
 		return a.simple(in, p.vecMul, 4)
 	case base == "MPSADBW":
 		// Another multi-latency instruction (Section 7.3.5).
-		return a.chainUops(in, [][]int{p.shuffle, p.vecALU}, []int{2, 2})
+		return a.chainUops(in, []PortSet{p.shuffle, p.vecALU}, []int{2, 2})
 	case base == "DPPS" || base == "DPPD":
-		return a.chainUops(in, [][]int{p.fpMul, p.fpAdd, p.fpAdd}, []int{p.fpMulLat, 3, 3})
+		return a.chainUops(in, []PortSet{p.fpMul, p.fpAdd, p.fpAdd}, []int{p.fpMulLat, 3, 3})
 	case isExtractInsertMnemonic(base):
-		return a.chainUops(in, [][]int{p.shuffle, []int{0}}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.shuffle, NewPortSet(0)}, []int{1, 1})
 	case isGatherMnemonic(base):
 		perf := a.simple(in, p.load, 5)
 		return withExtra(perf, p.load, 3)
 	case base == "VCVTPH2PS" || base == "VCVTPS2PH":
-		return a.chainUops(in, [][]int{p.fpMul, p.shuffle}, []int{3, 1})
+		return a.chainUops(in, []PortSet{p.fpMul, p.shuffle}, []int{3, 1})
 	}
 
 	// Fallback: a single ALU-class µop. The fallback is deliberately broad
@@ -552,7 +552,7 @@ func (a *Arch) buildMul(in *isa.Instr) *InstrPerf {
 	}
 	if oneOperand {
 		// Widening multiply writing RDX:RAX.
-		return a.chainUops(in, [][]int{p.intMul, p.intALU}, []int{3, 1})
+		return a.chainUops(in, []PortSet{p.intMul, p.intALU}, []int{3, 1})
 	}
 	w := a.wire(in)
 	// Register result after 3 cycles, flags one cycle later (a documented
@@ -647,7 +647,7 @@ func (a *Arch) buildVecShift(in *isa.Instr) *InstrPerf {
 		byReg = true
 	}
 	if byReg {
-		return a.chainUops(in, [][]int{p.shuffle, p.vecALU}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.shuffle, p.vecALU}, []int{1, 1})
 	}
 	return a.simple(in, p.vecALU, 1)
 }
@@ -663,9 +663,9 @@ func (a *Arch) buildConvert(in *isa.Instr) *InstrPerf {
 		}
 	}
 	if crossDomain {
-		return a.chainUops(in, [][]int{p.fpAdd, []int{0}}, []int{p.fpAddLat, 2})
+		return a.chainUops(in, []PortSet{p.fpAdd, NewPortSet(0)}, []int{p.fpAddLat, 2})
 	}
-	return a.chainUops(in, [][]int{p.fpAdd, p.shuffle}, []int{p.fpAddLat, 1})
+	return a.chainUops(in, []PortSet{p.fpAdd, p.shuffle}, []int{p.fpAddLat, 1})
 }
 
 // buildBlend models the blend family. The variable blends (with an implicit
@@ -688,12 +688,12 @@ func (a *Arch) buildBlend(in *isa.Instr) *InstrPerf {
 	if a.gen <= Westmere {
 		// Ground truth 2*p05 (measured as 1 µop on p0 plus 1 µop on p5 when
 		// run in isolation).
-		return a.chainUops(in, [][]int{p.shuffle, p.shuffle}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.shuffle, p.shuffle}, []int{1, 1})
 	}
 	if a.gen >= Skylake {
-		return a.chainUops(in, [][]int{p.vecLogic, p.vecLogic}, []int{1, 1})
+		return a.chainUops(in, []PortSet{p.vecLogic, p.vecLogic}, []int{1, 1})
 	}
-	return a.chainUops(in, [][]int{p.shuffle, p.vecLogic}, []int{1, 1})
+	return a.chainUops(in, []PortSet{p.shuffle, p.vecLogic}, []int{1, 1})
 }
 
 // buildAES models the AES round instructions per generation (Section 7.3.1):
@@ -718,16 +718,16 @@ func (a *Arch) buildAES(in *isa.Instr) *InstrPerf {
 	}
 	switch {
 	case a.gen <= Westmere:
-		perf := a.chainUops(in, [][]int{p.aes, p.aes, p.aes}, []int{2, 2, 2})
+		perf := a.chainUops(in, []PortSet{p.aes, p.aes, p.aes}, []int{2, 2, 2})
 		return perf
 	case a.gen <= IvyBridge:
 		t := w.temp()
-		u1 := uop([]int{0}, 7, []ValRef{stateRef}, []ValRef{t})
+		u1 := uop(NewPortSet(0), 7, []ValRef{stateRef}, []ValRef{t})
 		reads := []ValRef{t}
 		if keyFound {
 			reads = append(reads, keyRef)
 		}
-		u2 := uop([]int{5}, 1, reads, w.dsts)
+		u2 := uop(NewPortSet(5), 1, reads, w.dsts)
 		return a.assemble(in, w, []Uop{u1, u2}, ValRef{}, false)
 	default:
 		return a.simple(in, p.aes, p.aesLat)

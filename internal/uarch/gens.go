@@ -15,24 +15,24 @@ func profileFor(g Generation) (profile, bool) {
 		return profile{
 			machine: Machine{NumPorts: 6, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 0},
 
-			intALU:    []int{0, 1, 5},
-			intShift:  []int{0, 5},
-			intMul:    []int{1},
-			intDiv:    []int{0},
-			lea:       []int{0, 1},
-			branch:    []int{5},
-			load:      []int{2},
-			storeAddr: []int{3},
-			storeData: []int{4},
-			fpAdd:     []int{1},
-			fpMul:     []int{0},
-			fpDiv:     []int{0},
-			vecALU:    []int{0, 1, 5},
-			vecMul:    []int{0},
-			vecLogic:  []int{0, 1, 5},
-			shuffle:   []int{0, 5},
-			aes:       []int{0, 1, 5},
-			slowInt:   []int{0, 1, 5},
+			intALU:    NewPortSet(0, 1, 5),
+			intShift:  NewPortSet(0, 5),
+			intMul:    NewPortSet(1),
+			intDiv:    NewPortSet(0),
+			lea:       NewPortSet(0, 1),
+			branch:    NewPortSet(5),
+			load:      NewPortSet(2),
+			storeAddr: NewPortSet(3),
+			storeData: NewPortSet(4),
+			fpAdd:     NewPortSet(1),
+			fpMul:     NewPortSet(0),
+			fpDiv:     NewPortSet(0),
+			vecALU:    NewPortSet(0, 1, 5),
+			vecMul:    NewPortSet(0),
+			vecLogic:  NewPortSet(0, 1, 5),
+			shuffle:   NewPortSet(0, 5),
+			aes:       NewPortSet(0, 1, 5),
+			slowInt:   NewPortSet(0, 1, 5),
 
 			moveElimGPR:   false,
 			moveElimVec:   false,
@@ -48,24 +48,24 @@ func profileFor(g Generation) (profile, bool) {
 		p := profile{
 			machine: Machine{NumPorts: 6, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 70},
 
-			intALU:    []int{0, 1, 5},
-			intShift:  []int{0, 5},
-			intMul:    []int{1},
-			intDiv:    []int{0},
-			lea:       []int{0, 1},
-			branch:    []int{5},
-			load:      []int{2, 3},
-			storeAddr: []int{2, 3},
-			storeData: []int{4},
-			fpAdd:     []int{1},
-			fpMul:     []int{0},
-			fpDiv:     []int{0},
-			vecALU:    []int{1, 5},
-			vecMul:    []int{0},
-			vecLogic:  []int{0, 1, 5},
-			shuffle:   []int{5},
-			aes:       []int{0},
-			slowInt:   []int{0, 1, 5},
+			intALU:    NewPortSet(0, 1, 5),
+			intShift:  NewPortSet(0, 5),
+			intMul:    NewPortSet(1),
+			intDiv:    NewPortSet(0),
+			lea:       NewPortSet(0, 1),
+			branch:    NewPortSet(5),
+			load:      NewPortSet(2, 3),
+			storeAddr: NewPortSet(2, 3),
+			storeData: NewPortSet(4),
+			fpAdd:     NewPortSet(1),
+			fpMul:     NewPortSet(0),
+			fpDiv:     NewPortSet(0),
+			vecALU:    NewPortSet(1, 5),
+			vecMul:    NewPortSet(0),
+			vecLogic:  NewPortSet(0, 1, 5),
+			shuffle:   NewPortSet(5),
+			aes:       NewPortSet(0),
+			slowInt:   NewPortSet(0, 1, 5),
 
 			moveElimGPR:   false,
 			moveElimVec:   false,
@@ -86,24 +86,24 @@ func profileFor(g Generation) (profile, bool) {
 		return profile{
 			machine: Machine{NumPorts: 8, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 70},
 
-			intALU:    []int{0, 1, 5, 6},
-			intShift:  []int{0, 6},
-			intMul:    []int{1},
-			intDiv:    []int{0},
-			lea:       []int{1, 5},
-			branch:    []int{6},
-			load:      []int{2, 3},
-			storeAddr: []int{2, 3, 7},
-			storeData: []int{4},
-			fpAdd:     []int{1},
-			fpMul:     []int{0, 1},
-			fpDiv:     []int{0},
-			vecALU:    []int{1, 5},
-			vecMul:    []int{0},
-			vecLogic:  []int{0, 1, 5},
-			shuffle:   []int{5},
-			aes:       []int{5},
-			slowInt:   []int{0, 1, 5, 6},
+			intALU:    NewPortSet(0, 1, 5, 6),
+			intShift:  NewPortSet(0, 6),
+			intMul:    NewPortSet(1),
+			intDiv:    NewPortSet(0),
+			lea:       NewPortSet(1, 5),
+			branch:    NewPortSet(6),
+			load:      NewPortSet(2, 3),
+			storeAddr: NewPortSet(2, 3, 7),
+			storeData: NewPortSet(4),
+			fpAdd:     NewPortSet(1),
+			fpMul:     NewPortSet(0, 1),
+			fpDiv:     NewPortSet(0),
+			vecALU:    NewPortSet(1, 5),
+			vecMul:    NewPortSet(0),
+			vecLogic:  NewPortSet(0, 1, 5),
+			shuffle:   NewPortSet(5),
+			aes:       NewPortSet(5),
+			slowInt:   NewPortSet(0, 1, 5, 6),
 
 			moveElimGPR:   true,
 			moveElimVec:   true,
@@ -119,24 +119,24 @@ func profileFor(g Generation) (profile, bool) {
 		return profile{
 			machine: Machine{NumPorts: 8, IssueWidth: 4, LoadLatency: 4, SSEAVXPenalty: 0},
 
-			intALU:    []int{0, 1, 5, 6},
-			intShift:  []int{0, 6},
-			intMul:    []int{1},
-			intDiv:    []int{0},
-			lea:       []int{1, 5},
-			branch:    []int{6},
-			load:      []int{2, 3},
-			storeAddr: []int{2, 3, 7},
-			storeData: []int{4},
-			fpAdd:     []int{0, 1},
-			fpMul:     []int{0, 1},
-			fpDiv:     []int{0},
-			vecALU:    []int{0, 1, 5},
-			vecMul:    []int{0, 1},
-			vecLogic:  []int{0, 1, 5},
-			shuffle:   []int{5},
-			aes:       []int{0},
-			slowInt:   []int{0, 1, 5, 6},
+			intALU:    NewPortSet(0, 1, 5, 6),
+			intShift:  NewPortSet(0, 6),
+			intMul:    NewPortSet(1),
+			intDiv:    NewPortSet(0),
+			lea:       NewPortSet(1, 5),
+			branch:    NewPortSet(6),
+			load:      NewPortSet(2, 3),
+			storeAddr: NewPortSet(2, 3, 7),
+			storeData: NewPortSet(4),
+			fpAdd:     NewPortSet(0, 1),
+			fpMul:     NewPortSet(0, 1),
+			fpDiv:     NewPortSet(0),
+			vecALU:    NewPortSet(0, 1, 5),
+			vecMul:    NewPortSet(0, 1),
+			vecLogic:  NewPortSet(0, 1, 5),
+			shuffle:   NewPortSet(5),
+			aes:       NewPortSet(0),
+			slowInt:   NewPortSet(0, 1, 5, 6),
 
 			moveElimGPR:   true,
 			moveElimVec:   true,

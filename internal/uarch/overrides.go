@@ -18,10 +18,10 @@ func overridesFor(a *Arch) map[string]*InstrPerf {
 			for _, w := range []string{"R16", "R32", "R64"} {
 				name := m + "_" + w + "_" + w + "_I8"
 				full := &InstrPerf{Uops: []Uop{
-					uop([]int{1}, 3, refs(Op(0), Op(1), Op(3)), refs(Op(0), Op(3))),
+					uop(NewPortSet(1), 3, refs(Op(0), Op(1), Op(3)), refs(Op(0), Op(3))),
 				}}
 				full.SameRegOverride = &InstrPerf{Uops: []Uop{
-					uop([]int{1}, 1, refs(Op(0), Op(1), Op(3)), refs(Op(0), Op(3))),
+					uop(NewPortSet(1), 1, refs(Op(0), Op(1), Op(3)), refs(Op(0), Op(3))),
 				}}
 				ov[name] = full
 			}
@@ -32,8 +32,8 @@ func overridesFor(a *Arch) map[string]*InstrPerf {
 		// isolation-based measurement suggests). Operand layout: op1 XMM
 		// (w), op2 MM (r).
 		ov["MOVQ2DQ_XMM_MM"] = &InstrPerf{Uops: []Uop{
-			uop([]int{0}, 1, refs(Op(1)), refs(Tmp(0))),
-			uop([]int{0, 1, 5}, 1, refs(Tmp(0)), refs(Op(0))),
+			uop(NewPortSet(0), 1, refs(Op(1)), refs(Tmp(0))),
+			uop(NewPortSet(0, 1, 5), 1, refs(Tmp(0)), refs(Op(0))),
 		}}
 	}
 

@@ -80,8 +80,8 @@ func TestPortCounts(t *testing.T) {
 		if a.NumPorts() != want {
 			t.Errorf("%s: %d ports, want %d", a.Name(), a.NumPorts(), want)
 		}
-		if len(a.Ports()) != want {
-			t.Errorf("%s: Ports() has %d entries, want %d", a.Name(), len(a.Ports()), want)
+		if a.Ports().Len() != want {
+			t.Errorf("%s: Ports() holds %d ports, want %d", a.Name(), a.Ports().Len(), want)
 		}
 		if a.Machine().IssueWidth != 4 {
 			t.Errorf("%s: issue width %d, want 4", a.Name(), a.Machine().IssueWidth)
@@ -131,7 +131,6 @@ func TestExtensionSupport(t *testing.T) {
 
 func TestPerfIsDefinedAndValidForAllVariants(t *testing.T) {
 	for _, a := range All() {
-		numPorts := a.NumPorts()
 		for _, in := range a.InstrSet().Instrs() {
 			perf := a.Perf(in)
 			if perf == nil {
@@ -143,10 +142,8 @@ func TestPerfIsDefinedAndValidForAllVariants(t *testing.T) {
 			}
 			for ui := range perf.Uops {
 				u := &perf.Uops[ui]
-				for _, p := range u.Ports {
-					if p < 0 || p >= numPorts {
-						t.Errorf("%s: %s µop %d uses invalid port %d", a.Name(), in.Name, ui, p)
-					}
+				if !u.Ports.SubsetOf(a.Ports()) {
+					t.Errorf("%s: %s µop %d uses ports %s beyond the machine's %s", a.Name(), in.Name, ui, u.Ports, a.Ports())
 				}
 				if u.Latency < 0 || u.Latency > 200 {
 					t.Errorf("%s: %s µop %d has implausible latency %d", a.Name(), in.Name, ui, u.Latency)
@@ -191,7 +188,7 @@ func TestCaseStudyGroundTruths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatPortUsage(adc.PortUsage()); got != "1*p06+1*p0156" {
+	if got := adc.PortUsage().String(); got != "1*p06+1*p0156" {
 		t.Errorf("Haswell ADC port usage = %s, want 1*p06+1*p0156", got)
 	}
 	// PBLENDVB on Nehalem: 2*p05 (Section 5.1).
@@ -199,7 +196,7 @@ func TestCaseStudyGroundTruths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatPortUsage(pb.PortUsage()); got != "2*p05" {
+	if got := pb.PortUsage().String(); got != "2*p05" {
 		t.Errorf("Nehalem PBLENDVB port usage = %s, want 2*p05", got)
 	}
 	// MOVQ2DQ on Skylake: 1*p0 + 1*p015 (Section 7.3.3).
@@ -207,7 +204,7 @@ func TestCaseStudyGroundTruths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatPortUsage(mq.PortUsage()); got != "1*p0+1*p015" {
+	if got := mq.PortUsage().String(); got != "1*p0+1*p015" {
 		t.Errorf("Skylake MOVQ2DQ port usage = %s, want 1*p0+1*p015", got)
 	}
 	// MOVDQ2Q on Haswell: 1*p5 + 1*p015 (Section 7.3.4).
@@ -215,7 +212,7 @@ func TestCaseStudyGroundTruths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := FormatPortUsage(md.PortUsage()); got != "1*p5+1*p015" {
+	if got := md.PortUsage().String(); got != "1*p5+1*p015" {
 		t.Errorf("Haswell MOVDQ2Q port usage = %s, want 1*p5+1*p015", got)
 	}
 	// BSWAP on Skylake: 1 µop for the 32-bit variant, 2 for the 64-bit one
@@ -232,24 +229,8 @@ func TestCaseStudyGroundTruths(t *testing.T) {
 	}
 	// SAHF on Haswell is a single µop on ports 0 and 6.
 	sahf, _ := Get(Haswell).PerfByName("SAHF")
-	if got := FormatPortUsage(sahf.PortUsage()); got != "1*p06" {
+	if got := sahf.PortUsage().String(); got != "1*p06" {
 		t.Errorf("Haswell SAHF port usage = %s, want 1*p06", got)
-	}
-}
-
-func TestPortComboKeyAndFormat(t *testing.T) {
-	if got := PortComboKey([]int{5, 0, 1}); got != "015" {
-		t.Errorf("PortComboKey = %q, want 015", got)
-	}
-	if got := PortComboKey([]int{7}); got != "7" {
-		t.Errorf("PortComboKey = %q, want 7", got)
-	}
-	usage := map[string]int{"015": 3, "23": 1}
-	if got := FormatPortUsage(usage); got != "1*p23+3*p015" {
-		t.Errorf("FormatPortUsage = %q, want 1*p23+3*p015", got)
-	}
-	if got := FormatPortUsage(nil); got != "0" {
-		t.Errorf("FormatPortUsage(nil) = %q, want 0", got)
 	}
 }
 
@@ -265,24 +246,6 @@ func TestMaxLatencyBounds(t *testing.T) {
 	add, _ := a.PerfByName("ADD_R64_R64")
 	if add.MaxLatency() < 1 || add.MaxLatency() > 2 {
 		t.Errorf("ADD MaxLatency = %d, want 1", add.MaxLatency())
-	}
-}
-
-// Property: PortComboKey is order-insensitive and duplicates do not matter.
-func TestPortComboKeyProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		var ports, reversed []int
-		for _, p := range raw {
-			ports = append(ports, int(p%8))
-		}
-		for i := len(ports) - 1; i >= 0; i-- {
-			reversed = append(reversed, ports[i])
-		}
-		return PortComboKey(ports) == PortComboKey(reversed) &&
-			PortComboKey(ports) == PortComboKey(append(ports, ports...))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -312,35 +275,6 @@ func TestUopReferencesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestPortSetsAscending pins that every µop's allowed-port list — across all
-// generations, all variants, and all same-register overrides — is strictly
-// ascending. The simulator's dispatch stage represents port sets as bitmasks
-// and breaks load ties toward the lowest-numbered port, which reproduces the
-// historical first-listed-port-wins rule only because the lists are sorted;
-// an unsorted list added here would silently change simulated port counters.
-func TestPortSetsAscending(t *testing.T) {
-	t.Parallel()
-	checkPerf := func(name string, p *InstrPerf) {
-		for ui := range p.Uops {
-			ports := p.Uops[ui].Ports
-			for i := 1; i < len(ports); i++ {
-				if ports[i] <= ports[i-1] {
-					t.Errorf("%s µop %d: port list %v is not strictly ascending", name, ui, ports)
-				}
-			}
-		}
-	}
-	for _, a := range All() {
-		for _, in := range a.InstrSet().Instrs() {
-			perf := a.Perf(in)
-			checkPerf(a.Name()+"/"+in.Name, perf)
-			if perf.SameRegOverride != nil {
-				checkPerf(a.Name()+"/"+in.Name+"/same-reg", perf.SameRegOverride)
-			}
-		}
 	}
 }
 

@@ -15,12 +15,7 @@
 //uopslint:deterministic
 package uarch
 
-import (
-	"fmt"
-	"slices"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // ValKind distinguishes the two kinds of values a µop can read or write.
 type ValKind int
@@ -59,10 +54,11 @@ func (v ValRef) String() string {
 
 // Uop describes one micro-operation of an instruction variant.
 type Uop struct {
-	// Ports lists the execution ports whose functional units can execute
-	// this µop. An empty list means the µop does not use an execution port
-	// (NOPs, eliminated moves, zero idioms handled at rename).
-	Ports []int
+	// Ports is the set of execution ports whose functional units can
+	// execute this µop. The empty set means the µop does not use an
+	// execution port (NOPs, eliminated moves, zero idioms handled at
+	// rename).
+	Ports PortSet
 
 	// Latency is the number of cycles from dispatch until the µop's results
 	// are ready. Individual written values can override it via WriteLat.
@@ -166,96 +162,39 @@ func (p *InstrPerf) MaxLatency() int {
 }
 
 // PortUsage aggregates the µop decomposition into the paper's port-usage
-// notation: a map from port combination (as a canonical string such as
-// "015") to the number of µops bound to exactly that combination. µops
+// notation: the number of µops bound to exactly each port combination. µops
 // without an execution port are not included.
-func (p *InstrPerf) PortUsage() map[string]int {
-	usage := make(map[string]int)
+func (p *InstrPerf) PortUsage() Usage {
+	usage := make(Usage)
 	for i := range p.Uops {
-		u := &p.Uops[i]
-		if len(u.Ports) == 0 {
-			continue
+		if ports := p.Uops[i].Ports; ports != 0 {
+			usage[ports]++
 		}
-		usage[PortComboKey(u.Ports)]++
 	}
 	return usage
-}
-
-// PortComboKey renders a port set as a canonical string key, e.g. [5 0 1]
-// becomes "015".
-func PortComboKey(ports []int) string {
-	present := make(map[int]bool, len(ports))
-	maxPort := 0
-	for _, p := range ports {
-		present[p] = true
-		if p > maxPort {
-			maxPort = p
-		}
-	}
-	key := ""
-	for p := 0; p <= maxPort; p++ {
-		if present[p] {
-			key += fmt.Sprintf("%d", p)
-		}
-	}
-	return key
-}
-
-// FormatPortUsage renders a port-usage map in the paper's notation, e.g.
-// "1*p0+1*p015".
-func FormatPortUsage(usage map[string]int) string {
-	if len(usage) == 0 {
-		return "0"
-	}
-	keys := make([]string, 0, len(usage))
-	for k := range usage {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, ComparePortCombos)
-	var b strings.Builder
-	b.Grow(16 * len(keys))
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		b.WriteString(strconv.Itoa(usage[k]))
-		b.WriteString("*p")
-		b.WriteString(k)
-	}
-	return b.String()
-}
-
-// ComparePortCombos orders port-combination keys by combination size, then
-// lexicographically, mirroring the paper's presentation (smaller
-// combinations first).
-func ComparePortCombos(a, b string) int {
-	if len(a) != len(b) {
-		return len(a) - len(b)
-	}
-	return strings.Compare(a, b)
 }
 
 // Convenience builders used by the assignment rules -------------------------
 
 // uop builds a standard single-latency µop.
-func uop(ports []int, lat int, reads []ValRef, writes []ValRef) Uop {
+func uop(ports PortSet, lat int, reads []ValRef, writes []ValRef) Uop {
 	return Uop{Ports: ports, Latency: lat, Reads: reads, Writes: writes}
 }
 
 // loadUop builds a load µop reading the address register operand (addrOp) and
 // the memory operand (memOp), producing the temporary dst.
-func loadUop(ports []int, memOp int, dst ValRef) Uop {
+func loadUop(ports PortSet, memOp int, dst ValRef) Uop {
 	return Uop{Ports: ports, Latency: 0, Load: true, Reads: []ValRef{Op(memOp)}, Writes: []ValRef{dst}}
 }
 
 // storeAddrUop builds the store-address µop for memory operand memOp.
-func storeAddrUop(ports []int, memOp int) Uop {
+func storeAddrUop(ports PortSet, memOp int) Uop {
 	return Uop{Ports: ports, Latency: 1, StoreAddr: true, Reads: []ValRef{Op(memOp)}}
 }
 
 // storeDataUop builds the store-data µop writing the value src to memory
 // operand memOp.
-func storeDataUop(ports []int, memOp int, src ...ValRef) Uop {
+func storeDataUop(ports PortSet, memOp int, src ...ValRef) Uop {
 	return Uop{Ports: ports, Latency: 1, StoreData: true, Reads: src, Writes: []ValRef{Op(memOp)}}
 }
 

@@ -15,7 +15,7 @@ func sampleResult() *core.ArchResult {
 	res.Results["ADD_R64_R64"] = &core.InstrResult{
 		Name: "ADD_R64_R64", Mnemonic: "ADD",
 		Uops: 1, UopsIssued: 1,
-		Ports: core.PortUsage{"0156": 1},
+		Ports: core.PortUsage{uarch.NewPortSet(0, 1, 5, 6): 1},
 		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
 			{Source: 0, Dest: 0, SourceName: "op1", DestName: "op1", Cycles: 1, Notes: "self chain"},
 			{Source: 1, Dest: 0, SourceName: "op2", DestName: "op1", Cycles: 1, Notes: "MOVSX chain"},
@@ -27,7 +27,7 @@ func sampleResult() *core.ArchResult {
 	}
 	res.Results["DIV_R64"] = &core.InstrResult{
 		Name: "DIV_R64", Mnemonic: "DIV", Uops: 3, UopsIssued: 3,
-		Ports: core.PortUsage{"0": 1, "0156": 2},
+		Ports: core.PortUsage{uarch.NewPortSet(0): 1, uarch.NewPortSet(0, 1, 5, 6): 2},
 		Latency: core.LatencyResult{Pairs: []core.OperandPairLatency{
 			{Source: 1, Dest: 1, SourceName: "RAX", DestName: "RAX", Cycles: 38, FastValueCycles: 26,
 				Notes: "AND/OR value-pinned chain"},
